@@ -35,6 +35,7 @@ from .defspace import (
     expected_dimension,
     is_superabundant,
     point_of_curve,
+    superabundance,
 )
 from .degeneration import (
     DualCurve,
@@ -52,7 +53,6 @@ from .latticefan import (
     Fan,
     cone_contains,
     fan_validate,
-    kernel_dimension,
     primitive,
     smallest_containing_cone,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .curves import (
     star,
     validate,
 )
-from .defspace import combinatorial_type, deformation_cone, expected_dimension, is_superabundant
+from .defspace import combinatorial_type, deformation_cone, is_superabundant
 from .degeneration import certify, verify_certificate
 from .errors import InvalidFan, SchemaError, TropicError
 from .jsonio import (
@@ -187,14 +188,9 @@ def _cmd_rescale(args) -> tuple[object, int]:
 
 
 def _cmd_defcone(args) -> tuple[object, int]:
-    c = _load_curve(args.curve)
-    t = combinatorial_type(c)
-    cone = deformation_cone(t)
-    expected = expected_dimension(t, genus(c), len(t.rays))
+    cone = deformation_cone(combinatorial_type(_load_curve(args.curve)))
     return {
-        "dimension": cone.dimension,
-        "expected": expected,
-        "excess": cone.dimension - expected,
+        **asdict(cone.verdict),
         "equations": [[rat_to_json(x) for x in row] for row in cone.equations],
         "coordinates": list(cone.coordinates),
     }, 0
@@ -202,12 +198,7 @@ def _cmd_defcone(args) -> tuple[object, int]:
 
 def _cmd_superabundant(args) -> tuple[object, int]:
     verdict = is_superabundant(_load_curve(args.curve))
-    report = {
-        "dimension": verdict.dimension,
-        "expected": verdict.expected,
-        "excess": verdict.excess,
-    }
-    return report, 1 if verdict.superabundant else 0
+    return asdict(verdict), 1 if verdict.superabundant else 0
 
 
 def _cmd_wellspaced(args) -> tuple[object, int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -85,17 +86,36 @@ class TropicalCurve:
         except KeyError:
             raise NoSuchVertex(f"no vertex {vertex!r}") from None
 
-    def edge(self, edge_id: str) -> BoundedEdge:
+    # The indexes below are built on first use and kept in the instance
+    # __dict__; they are not dataclass fields, so equality, ordering and
+    # serialization only ever see the sorted fields.
+
+    @cached_property
+    def _edge_by_id(self) -> dict[str, BoundedEdge]:
+        return {e.id: e for e in reversed(self.edges)}  # first of any duplicate ids wins
+
+    @cached_property
+    def _incidence(self) -> dict[str, tuple[list[BoundedEdge], list[CurveRay]]]:
+        """vertex -> (bounded edges touching it, rays based at it), in id order."""
+        index: dict[str, tuple[list[BoundedEdge], list[CurveRay]]] = {}
         for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise DegenerateEdge(f"no bounded edge {edge_id!r}")
+            for v in dict.fromkeys(e.ends):
+                index.setdefault(v, ([], []))[0].append(e)
+        for r in self.rays:
+            index.setdefault(r.base, ([], []))[1].append(r)
+        return index
+
+    def edge(self, edge_id: str) -> BoundedEdge:
+        try:
+            return self._edge_by_id[edge_id]
+        except KeyError:
+            raise DegenerateEdge(f"no bounded edge {edge_id!r}") from None
 
     def edges_at(self, vertex: str) -> list[BoundedEdge]:
-        return [e for e in self.edges if vertex in e.ends]
+        return list(self._incidence.get(vertex, ((), ()))[0])
 
     def rays_at(self, vertex: str) -> list[CurveRay]:
-        return [r for r in self.rays if r.base == vertex]
+        return list(self._incidence.get(vertex, ((), ()))[1])
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,21 @@ The deformation cone of a combinatorial type lives in R^(n*V + E): vertex
 position coordinates in sorted-vertex order followed by one length coordinate
 per bounded edge in sorted-edge order.  Each bounded edge contributes the n
 exact linear equations position(w) - position(u) - length * direction = 0,
-and each length is constrained nonnegative.  The cone's dimension is the
-kernel dimension of the equation matrix, which is exact because every curve
-of the type provides an all-positive-lengths interior point.
+and each length is constrained nonnegative.  Every curve of the type is an
+all-positive-lengths interior point, so the cone's dimension is that of the
+solution space, which ``superabundance`` counts from the cycle space without
+building these equations.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .curves import TropicalCurve, edge_data, genus, is_balanced, require_valid
+from .curves import TropicalCurve, edge_data, is_balanced, require_valid
 from .errors import DeskScaleExceeded, TypeMismatch, Unbalanced
 from .latticefan import (
     IntVec,
@@ -28,9 +30,9 @@ from .latticefan import (
     double_description,
     integerize,
     kernel_basis,
-    kernel_dimension,
     primitive,
     quotient_lattice,
+    rank,
 )
 
 # hard ceilings for Hilbert basis computations (deliberately desk-scale)
@@ -65,17 +67,6 @@ class CombinatorialType:
 
 
 @dataclass(frozen=True)
-class DeformationCone:
-    """Exact linear model of all curves of one combinatorial type."""
-
-    combinatorial_type: CombinatorialType
-    coordinates: tuple[str, ...]  # labels: "<vertex>[i]" blocks then "len:<edge>"
-    equations: tuple[RatVec, ...]
-    length_coords: tuple[int, ...]  # indices carrying the nonnegativity constraints
-    dimension: int
-
-
-@dataclass(frozen=True)
 class SuperabundanceVerdict:
     dimension: int
     expected: int
@@ -84,6 +75,21 @@ class SuperabundanceVerdict:
     @property
     def superabundant(self) -> bool:
         return self.excess > 0
+
+
+@dataclass(frozen=True)
+class DeformationCone:
+    """Exact linear model of all curves of one combinatorial type."""
+
+    combinatorial_type: CombinatorialType
+    coordinates: tuple[str, ...]  # labels: "<vertex>[i]" blocks then "len:<edge>"
+    equations: tuple[RatVec, ...]
+    length_coords: tuple[int, ...]  # indices carrying the nonnegativity constraints
+    verdict: SuperabundanceVerdict
+
+    @property
+    def dimension(self) -> int:
+        return self.verdict.dimension
 
 
 @dataclass(frozen=True)
@@ -142,14 +148,80 @@ def deformation_cone(t: CombinatorialType) -> DeformationCone:
             row[n * vindex[u] + i] -= 1
             row[n * len(t.vertices) + j] = Fraction(-e.direction[i])
             rows.append(tuple(row))
-    dim = kernel_dimension(rows, ncoords)
     return DeformationCone(
         combinatorial_type=t,
         coordinates=coordinates,
         equations=tuple(rows),
         length_coords=tuple(range(n * len(t.vertices), ncoords)),
-        dimension=dim,
+        verdict=superabundance(t),
     )
+
+
+def cycle_closing_matrix(t: CombinatorialType) -> list[list[int]]:
+    """Integer matrix C of the cycle-closing equations, shape (n*g) x E.
+
+    A breadth-first spanning tree from the first vertex gives one fundamental
+    cycle per non-tree edge; walking it, the signed edge vectors
+    +-length_e * direction_e sum to zero, one row per coordinate.  Columns
+    follow the sorted edge order.
+    """
+    incident: dict[str, list[int]] = {v: [] for v in t.vertices}
+    for j, e in enumerate(t.edges):
+        incident[e.ends[0]].append(j)
+        incident[e.ends[1]].append(j)
+    root = t.vertices[0]
+    # parent[v] = (tree edge to the parent, sign of parent - v along that edge, parent)
+    parent: dict[str, tuple[int, int, str] | None] = {root: None}
+    depth = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for j in incident[u]:
+            a, b = t.edges[j].ends
+            w = b if a == u else a
+            if w not in parent:
+                parent[w] = (j, -1 if a == u else 1, u)
+                depth[w] = depth[u] + 1
+                queue.append(w)
+    tree = {p[0] for p in parent.values() if p is not None}
+    rows: list[list[int]] = []
+    for j, e in enumerate(t.edges):
+        if j in tree:
+            continue
+        # along e from ends[0] to ends[1], then up from ends[1] and down to ends[0]
+        coeff = {j: 1}
+        x, y = e.ends[1], e.ends[0]
+        while x != y:
+            if depth[x] >= depth[y]:
+                k, sign, x = parent[x]
+                coeff[k] = coeff.get(k, 0) + sign
+            else:
+                k, sign, y = parent[y]
+                coeff[k] = coeff.get(k, 0) - sign
+        for i in range(t.ambient_dim):
+            row = [0] * len(t.edges)
+            for k, s in coeff.items():
+                row[k] = s * t.edges[k].direction[i]
+            rows.append(row)
+    return rows
+
+
+def superabundance(t: CombinatorialType) -> SuperabundanceVerdict:
+    """Actual and expected deformation dimension of a connected type.
+
+    One root position and the edge lengths fix a curve of the type, and the
+    lengths must close every fundamental cycle, so the dimension is
+    n + E - rank(C) with C from ``cycle_closing_matrix``.  The expected
+    dimension is the virtual count ``expected_dimension``, which equals
+    n(1-g) + E; the excess is therefore n*g - rank(C), and trees (g = 0)
+    need no elimination.
+    """
+    n, nedges = t.ambient_dim, len(t.edges)
+    g = nedges - len(t.vertices) + 1
+    r = rank(cycle_closing_matrix(t)) if g else 0
+    dimension = n + nedges - r
+    expected = expected_dimension(t, g, len(t.rays))
+    return SuperabundanceVerdict(dimension, expected, dimension - expected)
 
 
 def point_of_curve(c: TropicalCurve) -> tuple[RatVec, DeformationCone]:
@@ -176,40 +248,26 @@ def point_of_curve(c: TropicalCurve) -> tuple[RatVec, DeformationCone]:
 
 
 def overvalence(t: CombinatorialType) -> int:
-    """Sum over vertices of max(0, valence - 3)."""
-    valence = {v: 0 for v in t.vertices}
-    for e in t.edges:
-        valence[e.ends[0]] += 1
-        valence[e.ends[1]] += 1
-    for r in t.rays:
-        valence[r.base] += 1
-    return sum(max(0, k - 3) for k in valence.values())
+    """Sum over vertices of valence - 3; a 2-valent vertex counts -1."""
+    return 2 * len(t.edges) + len(t.rays) - 3 * len(t.vertices)
 
 
 def expected_dimension(t: CombinatorialType, genus_: int, ends: int) -> int:
     """Virtual count ends + (n-3)(1-g) - overvalence for a connected type.
 
-    This is the standard trivalent dimension count with the overvalence
-    correction; on genus-0 types it provably matches the kernel dimension of
-    the deformation cone, which the test suite uses as the ground truth.
+    This is the standard trivalent dimension count with every vertex counted
+    as valence - 3, unclamped.  By Euler's formula it equals n(1-g) + E, so
+    the excess over it is n*g - rank(C) (see ``superabundance``).
     """
     return ends + (t.ambient_dim - 3) * (1 - genus_) - overvalence(t)
 
 
 def is_superabundant(c: TropicalCurve) -> SuperabundanceVerdict:
     """Compare actual and expected deformation dimensions; excess > 0 means superabundant."""
-    require_valid(c)
     report = is_balanced(c)
     if not report.balanced:
         raise Unbalanced(f"defects at {[v for v, _ in report.defects]}")
-    t = combinatorial_type(c)
-    cone = deformation_cone(t)
-    expected = expected_dimension(t, genus(c), len(t.rays))
-    return SuperabundanceVerdict(
-        dimension=cone.dimension,
-        expected=expected,
-        excess=cone.dimension - expected,
-    )
+    return superabundance(combinatorial_type(c))
 
 
 def cone_v_description(cone: DeformationCone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:

@@ -56,6 +56,29 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _object(value, what: str) -> dict:
+    _require(isinstance(value, dict), f"{what} must be an object")
+    return value
+
+
+def _list(value, what: str, length: int | None = None) -> list:
+    _require(isinstance(value, list) and (length is None or len(value) == length),
+             f"{what} must be a list" + ("" if length is None else f" of {length} entries"))
+    return value
+
+
+def _entries(value, what: str, keys: tuple[str, ...]) -> list[dict]:
+    """A list of objects, each carrying every key in ``keys``."""
+    for entry in _list(value, what):
+        _require(isinstance(entry, dict) and all(k in entry for k in keys),
+                 f"{what} entries need {', '.join(repr(k) for k in keys)}")
+    return value
+
+
+def _int_list(value, what: str) -> tuple[int, ...]:
+    return tuple(_int(x, f"{what} entry") for x in _list(value, what))
+
+
 # ---------------------------------------------------------------------------
 # curves
 
@@ -92,7 +115,7 @@ def curve_from_dict(data) -> TropicalCurve:
                  f"vertex {vid} needs {n} coordinates")
         vertices[vid] = tuple(rat_from_json(x) for x in entry["coords"])
     edges = []
-    for entry in data.get("edges", []):
+    for entry in _list(data.get("edges", []), "edges"):
         _require(isinstance(entry, dict) and {"id", "ends", "weight"} <= set(entry),
                  "edge entries need 'id', 'ends', 'weight'")
         ends = entry["ends"]
@@ -100,7 +123,7 @@ def curve_from_dict(data) -> TropicalCurve:
         edges.append(BoundedEdge(str(entry["id"]), (str(ends[0]), str(ends[1])),
                                  _int(entry["weight"], "edge weight")))
     rays = []
-    for entry in data.get("rays", []):
+    for entry in _list(data.get("rays", []), "rays"):
         _require(isinstance(entry, dict) and {"id", "base", "direction", "weight"} <= set(entry),
                  "ray entries need 'id', 'base', 'direction', 'weight'")
         direction = entry["direction"]
@@ -195,26 +218,25 @@ def certificate_to_dict(cert: RealizationCertificate) -> dict:
 
 
 def certificate_from_dict(data) -> RealizationCertificate:
-    _require(isinstance(data, dict), "certificate document must be an object")
+    _object(data, "certificate document")
     for key in ("curve", "fan", "multiplier", "vertex_cones", "dual_curve", "node_data",
                 "base_point"):
         _require(key in data, f"certificate is missing {key!r}")
     curve = curve_from_dict(data["curve"])
     fan = fan_from_dict(data["fan"])
-    dual_data = data["dual_curve"]
-    _require(isinstance(dual_data, dict), "dual_curve must be an object")
+    dual_data = _object(data["dual_curve"], "dual_curve")
     dual = DualCurve(
         components=tuple(
             Component(id=str(x["id"]), vertex=str(x["vertex"]))
-            for x in dual_data.get("components", [])
+            for x in _entries(dual_data.get("components", []), "components", ("id", "vertex"))
         ),
         nodes=tuple(
             Node(
                 id=str(x["id"]),
                 edge=str(x["edge"]),
-                components=(str(x["components"][0]), str(x["components"][1])),
+                components=tuple(str(y) for y in _list(x["components"], "node components", 2)),
             )
-            for x in dual_data.get("nodes", [])
+            for x in _entries(dual_data.get("nodes", []), "nodes", ("id", "edge", "components"))
         ),
         marked_points=tuple(
             MarkedPoint(
@@ -223,7 +245,8 @@ def certificate_from_dict(data) -> RealizationCertificate:
                 component=str(x["component"]),
                 contact_order=_int(x["contact_order"], "contact_order"),
             )
-            for x in dual_data.get("marked_points", [])
+            for x in _entries(dual_data.get("marked_points", []), "marked_points",
+                              ("id", "ray", "component", "contact_order"))
         ),
     )
     node_data = tuple(
@@ -231,34 +254,36 @@ def certificate_from_dict(data) -> RealizationCertificate:
             edge=str(x["edge"]),
             k=_int(x["k"], "k"),
             rho=_int(x["rho"], "rho"),
-            u_q=tuple(_int(v, "u_q entry") for v in x["u_q"]),
+            u_q=_int_list(x["u_q"], "u_q"),
         )
-        for x in data["node_data"]
+        for x in _entries(data["node_data"], "node_data", ("edge", "k", "rho", "u_q"))
     )
-    bp = data["base_point"]
-    _require(isinstance(bp, dict) and "edge_valuations" in bp, "base_point needs edge_valuations")
+    bp = _object(data["base_point"], "base_point")
+    _require("edge_valuations" in bp, "base_point needs edge_valuations")
     base_point = BasePoint(
         edge_valuations=tuple(
-            sorted((str(k), rat_from_json(v)) for k, v in bp["edge_valuations"].items())
+            sorted((str(k), rat_from_json(v))
+                   for k, v in _object(bp["edge_valuations"], "edge_valuations").items())
         ),
         vertex_positions=tuple(
             sorted(
-                (str(k), tuple(rat_from_json(x) for x in v))
-                for k, v in bp.get("vertex_positions", {}).items()
+                (str(k), tuple(rat_from_json(x) for x in _list(v, "vertex position")))
+                for k, v in _object(bp.get("vertex_positions", {}), "vertex_positions").items()
             )
         ),
     )
-    stars = data.get("vertex_stars", {})
+    stars = _object(data.get("vertex_stars", {}), "vertex_stars")
     return RealizationCertificate(
         rescaled_curve=curve,
         multiplier=_int(data["multiplier"], "multiplier"),
         fan=fan,
         vertex_cones=tuple(
-            sorted((str(k), _int(v, "cone index")) for k, v in data["vertex_cones"].items())
+            sorted((str(k), _int(v, "cone index"))
+                   for k, v in _object(data["vertex_cones"], "vertex_cones").items())
         ),
         vertex_stars=tuple(
             sorted(
-                (str(k), tuple(tuple(_int(x, "star entry") for x in d) for d in dirs))
+                (str(k), tuple(_int_list(d, "star direction") for d in _list(dirs, "vertex star")))
                 for k, dirs in stars.items()
             )
         ),

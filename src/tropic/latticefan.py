@@ -116,27 +116,50 @@ def _echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return work, pivots
 
 
+def _integer_row(row: Sequence) -> list[int]:
+    """The row scaled by the lcm of its denominators (integer rows are kept as they are)."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    m = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (m // x.denominator) for x in fracs]
+
+
 def rank(rows: Matrix) -> int:
+    """Rank by fraction-free (Bareiss) elimination on rows scaled to integers.
+
+    After k pivots every remaining entry is a (k+1)-minor of the scaled
+    matrix, so the division by the previous pivot is exact and entries stay
+    as small as those minors (Bareiss, Math. Comp. 22, 1968).
+    """
     rows = [row for row in rows]
     if not rows:
         return 0
     widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise DimMismatch("rows of unequal length")
-    return len(_echelon(rows)[1])
-
-
-def kernel_dimension(rows: Matrix, ncols: int | None = None) -> int:
-    """dim ker A = #columns - rank(A), by exact elimination."""
-    rows = [row for row in rows]
-    if not rows:
-        if ncols is None:
-            raise DimMismatch("empty matrix needs an explicit column count")
-        return ncols
-    n = len(rows[0])
-    if ncols is not None and ncols != n:
-        raise DimMismatch(f"declared {ncols} columns, rows have {n}")
-    return n - rank(rows)
+    work = [r for r in map(_integer_row, rows) if any(r)]
+    ncols = widths.pop()
+    r, prev = 0, 1
+    for c in range(ncols):
+        if r == len(work):
+            break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = work[r]
+        p = top[c]
+        for i in range(r + 1, len(work)):
+            row = work[i]
+            a = row[c]
+            if a:
+                row[c:] = [0] + [(p * x - a * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
+            else:
+                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
+        prev = p
+        r += 1
+    return r
 
 
 def kernel_basis(rows: Matrix, ncols: int | None = None) -> list[RatVec]:

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library code paths they are used to
 check: monoid membership by brute-force closure, cone membership by
-Caratheodory subset enumeration, rank by transposed elimination.
+Caratheodory subset enumeration, rank by transposed elimination, and the
+deformation dimension by dense Fraction elimination of the full edge
+equations instead of the integer rank of the cycle-closing matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from fractions import Fraction
 from math import gcd
 
 from tropic.curves import TropicalCurve
-from tropic.latticefan import primitive, rank, solve_exact
+from tropic.defspace import CombinatorialType, deformation_cone
+from tropic.errors import DimMismatch
+from tropic.latticefan import _echelon, primitive, rank, solve_exact
 
 
 def monoid_closure(k: int, bound: int) -> set[tuple[int, int]]:
@@ -59,6 +63,55 @@ def rank_by_transpose(rows) -> int:
     ncols = len(rows[0])
     transposed = [[Fraction(rows[i][j]) for i in range(len(rows))] for j in range(ncols)]
     return rank(transposed)
+
+
+def kernel_dimension(rows, ncols: int | None = None) -> int:
+    """dim ker A = #columns - rank(A), by dense Fraction elimination."""
+    rows = [row for row in rows]
+    if not rows:
+        if ncols is None:
+            raise DimMismatch("empty matrix needs an explicit column count")
+        return ncols
+    n = len(rows[0])
+    if ncols is not None and ncols != n:
+        raise DimMismatch(f"declared {ncols} columns, rows have {n}")
+    return n - len(_echelon(rows)[1])
+
+
+def dense_deformation_dimension(t: CombinatorialType) -> int:
+    """Kernel dimension of the (n*E) x (n*V + E) edge equations of the deformation cone."""
+    cone = deformation_cone(t)
+    return kernel_dimension(cone.equations, len(cone.coordinates))
+
+
+def honeycomb(d: int, dim: int = 2) -> TropicalCurve:
+    """Degree-d honeycomb plane curve, placed in z = 0 when ``dim`` is 3.
+
+    It is dual to the unimodular triangulation of the d-simplex induced by
+    the lifting q(i, j) = i^2 + ij + j^2 (min convention): the vertex dual to
+    an up triangle (i,j),(i+1,j),(i,j+1) is -(2i+j+1, i+2j+1), the one dual
+    to the down triangle above it is -(2i+j+2, i+2j+2).  It has d^2 vertices,
+    3d(d-1)/2 unit edges, 3d unit rays and genus (d-1)(d-2)/2.
+    """
+    pad = (0,) * (dim - 2)
+    vertices, edges, rays = {}, [], []
+    for i in range(d):
+        for j in range(d - i):
+            up = f"u{i}_{j}"
+            vertices[up] = (-(2 * i + j + 1), -(i + 2 * j + 1)) + pad
+            if j == 0:
+                rays.append((f"r{up}y", up, (0, 1) + pad, 1))
+            if i == 0:
+                rays.append((f"r{up}x", up, (1, 0) + pad, 1))
+            if i + j == d - 1:
+                rays.append((f"r{up}z", up, (-1, -1) + pad, 1))
+    for i in range(d - 1):
+        for j in range(d - 1 - i):
+            down = f"d{i}_{j}"
+            vertices[down] = (-(2 * i + j + 2), -(i + 2 * j + 2)) + pad
+            for k, up in enumerate((f"u{i}_{j}", f"u{i + 1}_{j}", f"u{i}_{j + 1}")):
+                edges.append((f"e{down}_{k}", (up, down), 1))
+    return TropicalCurve.build(dim, vertices, edges, rays)
 
 
 def content(v) -> int:

@@ -144,6 +144,50 @@ def test_certify_verify_round_trip(paths, capsys, tmp_path):
     assert not json.loads(text)["ok"]
 
 
+def _segfan_certificate(paths, tmp_path) -> dict:
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", paths["segfan"], "--fan", paths["fan_p1xp1"], "--out", str(cert_path)]) == 0
+    return json.loads(cert_path.read_text())
+
+
+def _verify_cert_doc(capsys, tmp_path, doc):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, text = _capture(capsys, ["verify-cert", str(path)])
+    return code, json.loads(text)
+
+
+def test_verify_cert_node_without_edge_exits_2(paths, capsys, tmp_path):
+    cert = _segfan_certificate(paths, tmp_path)
+    del cert["dual_curve"]["nodes"][0]["edge"]
+    code, report = _verify_cert_doc(capsys, tmp_path, cert)
+    assert (code, report["error"]) == (2, "SchemaError")
+
+
+def test_verify_cert_node_data_not_a_list_exits_2(paths, capsys, tmp_path):
+    cert = _segfan_certificate(paths, tmp_path)
+    cert["node_data"] = {"edge": "e0"}
+    code, report = _verify_cert_doc(capsys, tmp_path, cert)
+    assert (code, report["error"]) == (2, "SchemaError")
+
+
+def test_verify_cert_marked_point_without_component_exits_2(paths, capsys, tmp_path):
+    cert = _segfan_certificate(paths, tmp_path)
+    del cert["dual_curve"]["marked_points"][0]["component"]
+    code, report = _verify_cert_doc(capsys, tmp_path, cert)
+    assert (code, report["error"]) == (2, "SchemaError")
+
+
+def test_defcone_and_superabundant_agree(paths, capsys):
+    for name, balanced in fixtures.BALANCED.items():
+        if not balanced:
+            continue
+        _, defcone = _capture(capsys, ["defcone", paths[name]])
+        _, verdict = _capture(capsys, ["superabundant", paths[name]])
+        counts = {k: json.loads(defcone)[k] for k in ("dimension", "expected", "excess")}
+        assert counts == json.loads(verdict), name
+
+
 def test_certify_requires_recession(paths, capsys):
     code, text = _capture(capsys, ["certify", paths["tripod"], "--fan", paths["fan_p1xp1"]])
     assert code == 1

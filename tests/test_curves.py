@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import honeycomb
 from tropic import fixtures
 from tropic.curves import (
     TropicalCurve,
@@ -16,6 +17,7 @@ from tropic.curves import (
     validate,
 )
 from tropic.errors import DegenerateEdge, NoSuchVertex
+from tropic.jsonio import curve_to_dict
 
 
 def test_fixtures_validate():
@@ -185,3 +187,19 @@ def test_ambient_dimension_one_end_to_end():
     assert verify_certificate(cert).ok
     (nd,) = cert.node_data
     assert (nd.k, nd.rho, nd.u_q) == (3, 1, (-3,))
+
+
+def test_incidence_index_matches_linear_scan():
+    curves = [fn() for fn in fixtures.CURVES.values()] + [honeycomb(4), honeycomb(3, 3)]
+    for c in curves:
+        fresh = TropicalCurve(c.ambient_dim, dict(c.vertices), c.edges, c.rays)
+        for v in list(c.vertices) + ["missing"]:
+            assert c.edges_at(v) == [e for e in c.edges if v in e.ends]
+            assert c.rays_at(v) == [r for r in c.rays if r.base == v]
+        for e in c.edges:
+            assert c.edge(e.id) is e
+        with pytest.raises(DegenerateEdge):
+            c.edge("missing")
+        # the cached indexes are not fields: equality and serialization ignore them
+        assert c == fresh and curve_to_dict(c) == curve_to_dict(fresh)
+        assert repr(c) == repr(fresh)

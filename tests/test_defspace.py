@@ -1,19 +1,26 @@
 import random
 from fractions import Fraction
 
-from helpers import random_balanced_trivalent_tree, reachable_lattice_points
+from helpers import (
+    dense_deformation_dimension,
+    honeycomb,
+    random_balanced_trivalent_tree,
+    reachable_lattice_points,
+)
 from tropic import fixtures
-from tropic.curves import is_balanced, translated, validate
+from tropic.curves import edge_data, genus, is_balanced, translated, validate
 from tropic.defspace import (
     basic_monoid,
     combinatorial_type,
     cone_v_description,
+    cycle_closing_matrix,
     deformation_cone,
     dual_monoid,
     expected_dimension,
     is_superabundant,
     overvalence,
     point_of_curve,
+    superabundance,
 )
 from tropic.latticefan import dot, rank
 
@@ -77,23 +84,75 @@ def test_expected_dimension_catalog():
     t = combinatorial_type(fixtures.speyer3())
     assert overvalence(t) == 1  # the 4-valent origin vertex
     assert expected_dimension(t, 1, 4) == 3
+    t = combinatorial_type(fixtures.line())
+    assert overvalence(t) == -1  # a 2-valent vertex counts valence - 3, unclamped
+    assert expected_dimension(t, 0, 2) == 2
 
 
 def test_superabundance_catalog():
-    for name, excess in (("tripod", 0), ("cycle3", 0), ("speyer3", 1)):
-        verdict = is_superabundant(fixtures.CURVES[name]())
-        assert verdict.excess == excess, name
-        assert verdict.superabundant == (excess > 0)
-    v = is_superabundant(fixtures.speyer3())
-    assert (v.dimension, v.expected) == (4, 3)
+    # (dimension, expected, excess); the 2-valent fixtures line, segfan, diag
+    # and ratio are ordinary once every vertex counts valence - 3 unclamped
+    pinned = {
+        "line": (2, 2, 0),
+        "tripod": (2, 2, 0),
+        "segfan": (3, 3, 0),
+        "cycle3": (3, 3, 0),
+        "speyer3": (4, 3, 1),
+        "diag": (3, 3, 0),
+        "ratio": (4, 4, 0),
+    }
+    for name, triple in pinned.items():
+        v = is_superabundant(fixtures.CURVES[name]())
+        assert (v.dimension, v.expected, v.excess) == triple, name
+        assert v.superabundant == (v.excess > 0)
+
+
+def _check_against_dense_oracle(c):
+    """The cycle-space count agrees with the dense kernel and the virtual count."""
+    t = combinatorial_type(c)
+    n, g = c.ambient_dim, genus(c)
+    v = superabundance(t)
+    assert v.dimension == dense_deformation_dimension(t)
+    assert v.expected == expected_dimension(t, g, len(t.rays)) == n * (1 - g) + len(t.edges)
+    closing = cycle_closing_matrix(t)
+    assert len(closing) == n * g
+    lengths = [edge_data(c, e.id)[1] for e in t.edges]
+    assert all(dot(row, lengths) == 0 for row in closing)  # the curve closes its cycles
+    assert v.excess == n * g - rank(closing)
+    return v
+
+
+def test_superabundance_matches_dense_kernel_on_fixtures():
+    for name, fn in fixtures.CURVES.items():
+        c = fn()
+        v = _check_against_dense_oracle(c)
+        assert deformation_cone(combinatorial_type(c)).verdict == v, name
+
+
+def test_superabundance_matches_dense_kernel_on_random_trees():
+    rng = random.Random(7)
+    for i in range(40):
+        tree = random_balanced_trivalent_tree(rng, 2 if i % 2 else 3, max_vertices=12)
+        assert _check_against_dense_oracle(tree).excess == 0, i
+
+
+def test_honeycomb_superabundance_oracle():
+    # trivalent plane curves are regular in R^2; in a plane of R^3 each
+    # cycle loses the normal direction, so the excess is exactly the genus
+    for d in range(3, 7):
+        for dim in (2, 3):
+            c = honeycomb(d, dim)
+            assert is_balanced(c).balanced
+            g = genus(c)
+            assert g == (d - 1) * (d - 2) // 2
+            assert _check_against_dense_oracle(c).excess == (0 if dim == 2 else g), (d, dim)
+            assert is_superabundant(c).excess == (0 if dim == 2 else g)
 
 
 def test_speyer3_excess_equals_cycle_closing_corank():
     # independent check: the cycle directions of speyer3 span only a plane,
     # so the closing system loses one rank against the ambient R^3
     c = fixtures.speyer3()
-    from tropic.curves import edge_data
-
     columns = [edge_data(c, e.id)[0] for e in c.edges]
     closing = [[Fraction(col[i]) for col in columns] for i in range(3)]
     corank = 3 - rank(closing)

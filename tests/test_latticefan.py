@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains_caratheodory, rank_by_transpose
+from helpers import contains_caratheodory, kernel_dimension, rank_by_transpose
 from tropic import fixtures
 from tropic.errors import DimMismatch, NotInSupport, ZeroDirection
 from tropic.latticefan import (
     Cone,
+    _echelon,
     Fan,
     cone_contains,
     cone_faces,
@@ -20,7 +21,6 @@ from tropic.latticefan import (
     hnf_rows,
     integer_kernel_basis,
     kernel_basis,
-    kernel_dimension,
     primitive,
     primitive_and_scale,
     quotient_lattice,
@@ -125,6 +125,28 @@ def test_kernel_dimension_against_transposed_elimination():
             for _ in range(nrows)
         ]
         assert kernel_dimension(rows) == ncols - rank_by_transpose(rows)
+
+
+def test_bareiss_rank_matches_fraction_echelon():
+    rng = random.Random(41)
+    for trial in range(1500):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 6)
+        if trial % 2 == 0:  # often rank-deficient: product of two thin random factors
+            k = rng.randint(0, min(nrows, ncols))
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
+            right = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+                     for _ in range(k)]
+            rows = [[Fraction(sum(left[i][t] * right[t][j] for t in range(k)))
+                     for j in range(ncols)] for i in range(nrows)]
+        else:  # full random, with some all-zero columns
+            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            for j in range(ncols):
+                if rng.random() < 0.2:
+                    for row in rows:
+                        row[j] = Fraction(0)
+        assert rank(rows) == len(_echelon(rows)[1]), rows
+        assert rank([[int(x * 60) for x in row] for row in rows]) == rank(rows)
 
 
 def test_kernel_basis_annihilates():
