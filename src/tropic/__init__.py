@@ -24,14 +24,11 @@ from .curves import (
     validate,
 )
 from .defspace import (
-    BasicMonoidView,
     CombinatorialType,
     DeformationCone,
     SuperabundanceVerdict,
-    basic_monoid,
     combinatorial_type,
     deformation_cone,
-    dual_monoid,
     expected_dimension,
     is_superabundant,
     point_of_curve,

@@ -24,6 +24,7 @@ from .curves import (
     edge_data,
     genus,
     is_balanced,
+    recession_fan,
     star,
     validate,
 )
@@ -131,14 +132,10 @@ def _cmd_genus(args) -> tuple[object, int]:
 
 
 def _cmd_recession(args) -> tuple[object, int]:
-    from .curves import recession_fan
-
     return {"recession_fan": fan_to_dict(recession_fan(_load_curve(args.curve)))}, 0
 
 
 def _cmd_star(args) -> tuple[object, int]:
-    if args.vertex is None:
-        raise SchemaError("star requires --vertex")
     s = star(_load_curve(args.curve), args.vertex)
     return {
         "vertex": s.vertex,
@@ -272,24 +269,33 @@ def _cmd_selftest(args) -> tuple[object, int]:
     return {"ok": ok, "results": results}, 0 if ok else 1
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "genus": _cmd_genus,
-    "recession": _cmd_recession,
-    "star": _cmd_star,
-    "compactify": _cmd_compactify,
-    "subdivide": _cmd_subdivide,
-    "rescale": _cmd_rescale,
-    "defcone": _cmd_defcone,
-    "superabundant": _cmd_superabundant,
-    "wellspaced": _cmd_wellspaced,
-    "certify": _cmd_certify,
-    "verify-cert": _cmd_verify_cert,
-    "selftest": _cmd_selftest,
+# subcommand -> (handler, the arguments it reads besides --out)
+_COMMANDS = {
+    "check": (_cmd_check, ("curve", "--emit", "--expect-ordinary")),
+    "genus": (_cmd_genus, ("curve",)),
+    "recession": (_cmd_recession, ("curve",)),
+    "star": (_cmd_star, ("curve", "--vertex")),
+    "compactify": (_cmd_compactify, ("curve", "--emit")),
+    "subdivide": (_cmd_subdivide, ("curve", "--fan", "--trust-fan", "--emit")),
+    "rescale": (_cmd_rescale, ("curve", "--emit")),
+    "defcone": (_cmd_defcone, ("curve",)),
+    "superabundant": (_cmd_superabundant, ("curve",)),
+    "wellspaced": (_cmd_wellspaced, ("curve",)),
+    "certify": (_cmd_certify, ("curve", "--fan", "--trust-fan", "--expect-ordinary")),
+    "verify-cert": (_cmd_verify_cert, ("certificate",)),
+    "selftest": (_cmd_selftest, ()),
 }
 
-_NEEDS_FAN = {"subdivide", "certify"}
-_DOT_CAPABLE = {"check", "compactify", "subdivide", "rescale"}
+_ARGUMENTS = {
+    "curve": {"help": "curve JSON file"},
+    "certificate": {"help": "certificate JSON file"},
+    "--out": {"help": "write the report here instead of stdout"},
+    "--fan": {"required": True, "help": "fan JSON file"},
+    "--trust-fan": {"action": "store_true", "help": "skip fan validation"},
+    "--vertex": {"required": True, "help": "vertex id"},
+    "--emit": {"choices": ["json", "dot"], "default": "json"},
+    "--expect-ordinary": {"action": "store_true", "help": "fail on superabundant curves"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,18 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tropic {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
+    for name, (_, arguments) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if name == "verify-cert":
-            p.add_argument("certificate", help="certificate JSON file")
-        elif name != "selftest":
-            p.add_argument("curve", help="curve JSON file")
-        p.add_argument("--fan", help="fan JSON file")
-        p.add_argument("--vertex", help="vertex id (star)")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--emit", choices=["json", "dot"], default="json")
-        p.add_argument("--trust-fan", action="store_true", dest="trust_fan")
-        p.add_argument("--expect-ordinary", action="store_true", dest="expect_ordinary")
+        for arg in arguments + ("--out",):
+            p.add_argument(arg, **_ARGUMENTS[arg])
     return parser
 
 
@@ -322,17 +320,13 @@ def run(argv) -> int:
     except SystemExit as ex:
         return 0 if ex.code in (0, None) else 2
     try:
-        if args.subcommand in _NEEDS_FAN and not args.fan:
-            raise SchemaError(f"{args.subcommand} requires --fan")
-        if args.emit == "dot" and args.subcommand not in _DOT_CAPABLE:
-            raise SchemaError(f"--emit dot is not supported for {args.subcommand}")
-        payload, code = _HANDLERS[args.subcommand](args)
+        payload, code = _COMMANDS[args.subcommand][0](args)
     except SchemaError as ex:
         payload, code = {"error": ex.code, "detail": ex.message}, 2
     except TropicError as ex:
         payload, code = {"error": ex.code, "detail": ex.message}, 1
     text = payload if isinstance(payload, str) else dumps(payload)
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)

@@ -86,9 +86,9 @@ class TropicalCurve:
         except KeyError:
             raise NoSuchVertex(f"no vertex {vertex!r}") from None
 
-    # The indexes below are built on first use and kept in the instance
-    # __dict__; they are not dataclass fields, so equality, ordering and
-    # serialization only ever see the sorted fields.
+    # The indexes and the validation verdict below are built on first use and
+    # kept in the instance __dict__; they are not dataclass fields, so
+    # equality, ordering and serialization only ever see the sorted fields.
 
     @cached_property
     def _edge_by_id(self) -> dict[str, BoundedEdge]:
@@ -104,6 +104,10 @@ class TropicalCurve:
         for r in self.rays:
             index.setdefault(r.base, ([], []))[1].append(r)
         return index
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        return _check_structure(self)
 
     def edge(self, edge_id: str) -> BoundedEdge:
         try:
@@ -148,7 +152,21 @@ class Star:
 
 
 def validate(c: TropicalCurve) -> ValidationReport:
-    """Check the structural invariants; lists every violation found."""
+    """Check the structural invariants; lists every violation found.
+
+    The verdict is computed once per curve instance and shared: treat the
+    returned report as read-only.
+    """
+    return c._validation
+
+
+def require_valid(c: TropicalCurve) -> None:
+    report = c._validation
+    if not report.valid:
+        raise InvalidCurve("; ".join(f"{v.code}: {v.detail}" for v in report.violations))
+
+
+def _check_structure(c: TropicalCurve) -> ValidationReport:
     report = ValidationReport()
     if c.ambient_dim < 1:
         report.add("DimMismatch", f"ambient dimension {c.ambient_dim} < 1")
@@ -189,27 +207,17 @@ def validate(c: TropicalCurve) -> ValidationReport:
     return report
 
 
-def require_valid(c: TropicalCurve) -> None:
-    report = validate(c)
-    if not report.valid:
-        raise InvalidCurve("; ".join(f"{v.code}: {v.detail}" for v in report.violations))
-
-
 def _connected(c: TropicalCurve) -> bool:
-    verts = list(c.vertices)
-    adj: dict[str, set[str]] = {v: set() for v in verts}
-    for e in c.edges:
-        if e.ends[0] in adj and e.ends[1] in adj:
-            adj[e.ends[0]].add(e.ends[1])
-            adj[e.ends[1]].add(e.ends[0])
-    seen = {verts[0]}
-    stack = [verts[0]]
+    start = next(iter(c.vertices))
+    seen = {start}
+    stack = [start]
     while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+        for e in c.edges_at(stack.pop()):
+            for w in e.ends:
+                if w in c.vertices and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return len(seen) == len(c.vertices)
 
 
 def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:
@@ -270,6 +278,7 @@ def star(c: TropicalCurve, vertex: str) -> Star:
     Parallel edges or rays leaving the vertex in the same direction contribute
     one ray whose weight is the sum.
     """
+    require_valid(c)
     if vertex not in c.vertices:
         raise NoSuchVertex(f"no vertex {vertex!r}")
     weights: dict[IntVec, int] = {}

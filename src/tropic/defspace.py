@@ -1,5 +1,4 @@
-"""Deformation cones of combinatorial types, superabundance detection, and the
-dual (basic) monoid of a deformation cone.
+"""Deformation cones of combinatorial types and superabundance detection.
 
 The deformation cone of a combinatorial type lives in R^(n*V + E): vertex
 position coordinates in sorted-vertex order followed by one length coordinate
@@ -13,31 +12,13 @@ building these equations.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .curves import TropicalCurve, edge_data, is_balanced, require_valid
-from .errors import DeskScaleExceeded, TypeMismatch, Unbalanced
-from .latticefan import (
-    IntVec,
-    RatVec,
-    cone_halfspaces,
-    Cone,
-    dot,
-    double_description,
-    integerize,
-    kernel_basis,
-    primitive,
-    quotient_lattice,
-    rank,
-)
-
-# hard ceilings for Hilbert basis computations (deliberately desk-scale)
-HILBERT_COORD_LIMIT = 10
-HILBERT_ENUM_BOUND = 25
+from .errors import TypeMismatch, Unbalanced
+from .latticefan import IntVec, RatVec, dot, rank
 
 
 @dataclass(frozen=True)
@@ -90,26 +71,6 @@ class DeformationCone:
     @property
     def dimension(self) -> int:
         return self.verdict.dimension
-
-
-@dataclass(frozen=True)
-class BasicMonoidView:
-    """Dual description of a deformation cone and, optionally, a lattice generating set.
-
-    ``cone_rays``/``cone_lineality`` describe the primal cone, the dual cone
-    is span(dual_lineality) + cone(dual_rays), and ``hilbert_basis`` (when
-    computed) generates the monoid of lattice points of the dual cone: the
-    Hilbert basis of its pointed part plus a plus/minus lattice basis of its
-    lineality.
-    """
-
-    ambient_dim: int
-    cone_lineality: tuple[IntVec, ...]
-    cone_rays: tuple[IntVec, ...]
-    dual_lineality: tuple[IntVec, ...]
-    dual_rays: tuple[IntVec, ...]
-    hilbert_basis: tuple[IntVec, ...] | None = None
-    hilbert_error: str | None = None
 
 
 def combinatorial_type(c: TropicalCurve) -> CombinatorialType:
@@ -268,153 +229,3 @@ def is_superabundant(c: TropicalCurve) -> SuperabundanceVerdict:
     if not report.balanced:
         raise Unbalanced(f"defects at {[v for v, _ in report.defects]}")
     return superabundance(combinatorial_type(c))
-
-
-def cone_v_description(cone: DeformationCone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Generators (lineality basis, extreme rays) of the deformation cone.
-
-    Work inside ker(equations): the cone is the preimage of a cone cut out by
-    the length coordinates, so run the double description there and map back.
-    """
-    ncoords = len(cone.coordinates)
-    kern = kernel_basis(cone.equations, ncoords)
-    kern_int = [integerize(k) for k in kern]
-    constraints = [
-        tuple(k[i] for k in kern_int) for i in cone.length_coords
-    ]
-    lin_z, rays_z = double_description((), constraints, len(kern_int))
-    def back(z):
-        return integerize(
-            tuple(sum(zc * k[i] for zc, k in zip(z, kern_int)) for i in range(ncoords))
-        )
-    lineality = tuple(sorted(back(z) for z in lin_z))
-    rays = tuple(sorted(back(z) for z in rays_z))
-    return lineality, rays
-
-
-def dual_monoid(
-    lineality: Sequence[IntVec],
-    rays: Sequence[IntVec],
-    ambient_dim: int,
-    hilbert: bool = False,
-    enum_bound: int = HILBERT_ENUM_BOUND,
-) -> BasicMonoidView:
-    """Dual cone of span(lineality) + cone(rays), with an optional lattice generating set."""
-    dual_lin, dual_rays = double_description(tuple(lineality), tuple(rays), ambient_dim)
-    view = BasicMonoidView(
-        ambient_dim=ambient_dim,
-        cone_lineality=tuple(lineality),
-        cone_rays=tuple(rays),
-        dual_lineality=dual_lin,
-        dual_rays=dual_rays,
-    )
-    if not hilbert:
-        return view
-    try:
-        basis = _hilbert_generators(dual_lin, dual_rays, ambient_dim, enum_bound)
-    except _EnumerationTooLarge:
-        return BasicMonoidView(
-            ambient_dim=ambient_dim,
-            cone_lineality=view.cone_lineality,
-            cone_rays=view.cone_rays,
-            dual_lineality=dual_lin,
-            dual_rays=dual_rays,
-            hilbert_error="TooLargeForHilbert",
-        )
-    for h in basis:  # every generator must pair correctly against the primal cone
-        assert all(dot(h, r) >= 0 for r in rays)
-        assert all(dot(h, l) == 0 for l in lineality)
-    return BasicMonoidView(
-        ambient_dim=ambient_dim,
-        cone_lineality=view.cone_lineality,
-        cone_rays=view.cone_rays,
-        dual_lineality=dual_lin,
-        dual_rays=dual_rays,
-        hilbert_basis=basis,
-    )
-
-
-class _EnumerationTooLarge(Exception):
-    pass
-
-
-def _hilbert_generators(
-    lineality: Sequence[IntVec],
-    rays: Sequence[IntVec],
-    dim: int,
-    enum_bound: int,
-) -> tuple[IntVec, ...]:
-    """Generating set of the lattice points of a cone with lineality.
-
-    Quotient out the (saturated) lineality lattice, compute the Hilbert basis
-    of the pointed image by Gordan enumeration over the fundamental
-    parallelepiped of its extreme rays, lift irreducibles back, and adjoin a
-    plus/minus basis of the lineality lattice.  Any lattice lift works: the
-    cone is stable under adding lineality vectors.
-    """
-    sat, proj, lift = quotient_lattice(tuple(lineality), dim)
-    m = dim - len(sat)
-    img = sorted({primitive(tuple(dot(row, r) for row in proj)) for r in rays})
-
-    out: list[IntVec] = []
-    for b in sat:
-        out.append(b)
-        out.append(tuple(-x for x in b))
-    if not img:
-        return tuple(sorted(set(out)))
-
-    # minimal extreme rays and facet description of the pointed image cone
-    img_cone = Cone(tuple(img), m)
-    try:
-        h = cone_halfspaces(img_cone)
-    except DeskScaleExceeded:
-        raise _EnumerationTooLarge from None
-    lin2, extreme = double_description(h.equations, h.inequalities, m)
-    assert not lin2, "image cone must be pointed after the lineality quotient"
-
-    if extreme:
-        lo = [sum(min(0, r[j]) for r in extreme) for j in range(m)]
-        hi = [sum(max(0, r[j]) for r in extreme) for j in range(m)]
-        if sum(max(abs(a), abs(b)) for a, b in zip(lo, hi)) > enum_bound:
-            raise _EnumerationTooLarge
-        def member(p):
-            return all(dot(e, p) == 0 for e in h.equations) and all(
-                dot(f, p) >= 0 for f in h.inequalities
-            )
-        candidates = [
-            p
-            for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-            if any(p) and member(p)
-        ]
-        for p in candidates:
-            reducible = any(
-                z != p and member(tuple(a - b for a, b in zip(p, z)))
-                and any(a - b for a, b in zip(p, z))
-                for z in candidates
-            )
-            if not reducible:
-                out.append(tuple(sum(lift[i][j] * p[j] for j in range(m)) for i in range(dim)))
-    return tuple(sorted(set(out)))
-
-
-def basic_monoid(t: CombinatorialType, hilbert: bool = False) -> BasicMonoidView:
-    """Dual monoid of the integral points of the deformation cone of a type.
-
-    The Hilbert basis is only attempted for types with at most
-    ``HILBERT_COORD_LIMIT`` total coordinates; above that the dual cone
-    description is still returned, with ``hilbert_error`` set.
-    """
-    cone = deformation_cone(t)
-    lineality, rays = cone_v_description(cone)
-    ncoords = len(cone.coordinates)
-    if hilbert and ncoords > HILBERT_COORD_LIMIT:
-        view = dual_monoid(lineality, rays, ncoords, hilbert=False)
-        return BasicMonoidView(
-            ambient_dim=ncoords,
-            cone_lineality=view.cone_lineality,
-            cone_rays=view.cone_rays,
-            dual_lineality=view.dual_lineality,
-            dual_rays=view.dual_rays,
-            hilbert_error="TooLargeForHilbert",
-        )
-    return dual_monoid(lineality, rays, ncoords, hilbert=hilbert)

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import (
-    TropicalCurve,
-    edge_data,
-    is_balanced,
-    outgoing,
-    require_valid,
-)
+from .curves import TropicalCurve, edge_data, is_balanced, outgoing
 from .errors import (
     CertificateInconsistency,
     NonIntegralRatio,
@@ -90,7 +84,6 @@ class NodeMonoid:
 
 def dual_curve(c: TropicalCurve) -> DualCurve:
     """One component per vertex, one node per bounded edge, one marked point per ray."""
-    require_valid(c)
     bal = is_balanced(c)
     if not bal.balanced:
         raise Unbalanced(f"defects at {[v for v, _ in bal.defects]}")
@@ -182,7 +175,6 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     per-node (k, rho, u_q) data together with the base point, whose edge
     valuations are the pre-rescaling length/weight ratios.
     """
-    require_valid(c)
     bal = is_balanced(c)
     if not bal.balanced:
         raise Unbalanced(f"defects at {[v for v, _ in bal.defects]}")

@@ -57,10 +57,6 @@ class TypeMismatch(TropicError):
     code = "TypeMismatch"
 
 
-class TooLargeForHilbert(TropicError):
-    code = "TooLargeForHilbert"
-
-
 class DeskScaleExceeded(TropicError):
     code = "DeskScaleExceeded"
 
@@ -92,7 +88,6 @@ class ValidationReport:
     """Outcome of a well-formedness check; ``violations`` is empty iff valid."""
 
     violations: list[Violation] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def valid(self) -> bool:

@@ -9,6 +9,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -33,12 +34,18 @@ def rat_to_json(x) -> int | str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def rat_from_json(value) -> Fraction:
+    """An integer, or a string of exactly the form "p" or "p/q" (ASCII digits, optional minus)."""
     if isinstance(value, bool):
         raise SchemaError(f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise SchemaError(f"bad rational string {value!r}: expected 'p' or 'p/q'")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as ex:

@@ -27,9 +27,6 @@ from .errors import (
 RatVec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
-# fan_validate skips itself on trusted fans larger than this many cones
-FAN_VALIDATE_CONE_LIMIT = 48
-
 # facet descriptions are only derived at desk scale
 H_DESCRIPTION_MAX_DIM = 6
 H_DESCRIPTION_MAX_GENERATORS = 32
@@ -160,29 +157,6 @@ def rank(rows: Matrix) -> int:
         prev = p
         r += 1
     return r
-
-
-def kernel_basis(rows: Matrix, ncols: int | None = None) -> list[RatVec]:
-    """Basis of {x : A x = 0}, one vector per free column (deterministic order)."""
-    rows = [row for row in rows]
-    if not rows:
-        if ncols is None:
-            raise DimMismatch("empty matrix needs an explicit column count")
-        return [tuple(Fraction(1 if j == i else 0) for j in range(ncols)) for i in range(ncols)]
-    n = len(rows[0])
-    ech, pivots = _echelon(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
-        # back-substitute pivot variables from the bottom up
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum(ech[r][j] * x[j] for j in range(pc + 1, n))
-            x[pc] = -s / ech[r][pc]
-        basis.append(tuple(x))
-    return basis
 
 
 def solve_exact(rows: Matrix, rhs: Sequence) -> list[Fraction] | None:
@@ -322,35 +296,13 @@ def integer_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def integer_kernel_basis(a: Sequence[Sequence[int]], ncols: int) -> list[IntVec]:
-    """Basis of the lattice {x in Z^n : A x = 0} (saturated by construction)."""
-    nrows = len(a)
-    if nrows == 0:
-        return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
-    _, s, v = unimodular_diagonalize(a, nrows, ncols)
-    r = sum(1 for i in range(min(nrows, ncols)) if s[i][i] != 0)
-    return [tuple(v[i][j] for i in range(ncols)) for j in range(r, ncols)]
-
-
-def quotient_lattice(kill: Sequence[IntVec], dim: int):
-    """Split Z^dim along the saturation of span(kill).
-
-    Returns (sat_basis, proj_rows, lift_cols): a lattice basis of
-    span(kill) ^ Z^dim, a (dim-k) x dim projection matrix whose integer kernel
-    is exactly that lattice, and a dim x (dim-k) section with proj . lift = id.
-    """
-    k = len(kill)
-    if k == 0:
-        ident = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-        return [], ident, ident
-    cols = [[kill[j][i] for j in range(k)] for i in range(dim)]
-    u, s, _ = unimodular_diagonalize(cols, dim, k)
-    r = sum(1 for i in range(min(dim, k)) if s[i][i] != 0)
+def quotient_lattice(kill: Sequence[IntVec], dim: int) -> list[IntVec]:
+    """Lattice basis of span(kill) ^ Z^dim: the saturation that Z^dim is quotiented by."""
+    cols = [[v[i] for v in kill] for i in range(dim)]
+    u, s, _ = unimodular_diagonalize(cols, dim, len(kill))
+    r = sum(1 for i in range(min(dim, len(kill))) if s[i][i] != 0)
     uinv = integer_inverse(u)
-    sat = [tuple(uinv[i][j] for i in range(dim)) for j in range(r)]
-    proj = [tuple(u[i][j] for j in range(dim)) for i in range(r, dim)]
-    lift = [tuple(uinv[i][j] for j in range(r, dim)) for i in range(dim)]
-    return sat, proj, lift
+    return [tuple(uinv[i][j] for i in range(dim)) for j in range(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +469,7 @@ def canonical_form(c: Cone):
     lin, rays = cone_extreme(c)
     if not lin:
         return (rays, ())
-    sat, _, _ = quotient_lattice(lin, c.ambient_dim)
+    sat = quotient_lattice(lin, c.ambient_dim)
     canon_lin = hnf_rows(sat, c.ambient_dim)
     # Gram-based orthogonal projection of each ray off span(lin), exactly
     gram = [[Fraction(dot(a, b)) for b in lin] for a in lin]
@@ -653,18 +605,13 @@ def fan_from_maximal(
     return Fan.build(cones, ambient_dim, trusted_complete)
 
 
-def fan_validate(f: Fan, cone_limit: int = FAN_VALIDATE_CONE_LIMIT) -> ValidationReport:
+def fan_validate(f: Fan) -> ValidationReport:
     """Check face closure and that pairwise intersections are common faces.
 
-    Stops at the first violation.  When the fan is trusted and larger than
-    ``cone_limit`` the quadratic intersection check is skipped with a warning.
+    Stops at the first violation.  Always checks the fan it is given; whether
+    a trusted fan is checked at all is the caller's decision.
     """
     report = ValidationReport()
-    if f.trusted_complete and len(f.cones) > cone_limit:
-        report.warnings.append(
-            f"validation skipped: trusted fan with {len(f.cones)} cones exceeds limit {cone_limit}"
-        )
-        return report
     for c in f.cones:
         if c.ambient_dim != f.ambient_dim:
             report.add("DimMismatch", f"cone {c.generators} has ambient dim {c.ambient_dim}")

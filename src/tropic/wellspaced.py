@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import TropicalCurve, edge_data, genus, require_valid
+from .curves import TropicalCurve, edge_data, genus
 from .errors import GenusNotOne
 from .latticefan import IntVec, RatVec, rank
 
@@ -48,41 +48,33 @@ class WellSpacedVerdict:
 
 def cycle(c: TropicalCurve) -> CycleData:
     """Locate the unique cycle by peeling leaves; requires genus exactly 1."""
-    require_valid(c)
-    if genus(c) != 1:
-        raise GenusNotOne(f"genus is {genus(c)}, not 1")
-    alive_edges = {e.id: e for e in c.edges}
-    degree: dict[str, int] = {v: 0 for v in c.vertices}
-    for e in c.edges:
-        degree[e.ends[0]] += 1
-        degree[e.ends[1]] += 1
-    changed = True
-    while changed:
-        changed = False
-        for eid, e in list(alive_edges.items()):
-            if degree[e.ends[0]] == 1 or degree[e.ends[1]] == 1:
-                del alive_edges[eid]
-                degree[e.ends[0]] -= 1
-                degree[e.ends[1]] -= 1
-                changed = True
-    cycle_vertices = sorted(v for v, d in degree.items() if d > 0)
-    start = cycle_vertices[0]
+    g = genus(c)
+    if g != 1:
+        raise GenusNotOne(f"genus is {g}, not 1")
+    # peel leaves: the edges left alive form the cycle
+    alive = {e.id for e in c.edges}
+    degree = {v: len(c.edges_at(v)) for v in c.vertices}
+    leaves = [v for v, d in degree.items() if d == 1]
+    while leaves:
+        for e in c.edges_at(leaves.pop()):
+            if e.id in alive:
+                alive.remove(e.id)
+                for u in e.ends:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        leaves.append(u)
+    start = min(v for v, d in degree.items() if d > 0)
     walk = [start]
     walk_edges: list[str] = []
-    used: set[str] = set()
     current = start
     while True:
-        nxt = None
-        for eid, e in sorted(alive_edges.items()):
-            if eid in used or current not in e.ends:
-                continue
-            nxt = (eid, e.ends[1] if e.ends[0] == current else e.ends[0])
-            break
+        # edges_at lists edges in id order: take the smallest unwalked cycle edge
+        nxt = next((e for e in c.edges_at(current) if e.id in alive), None)
         if nxt is None:
             break
-        used.add(nxt[0])
-        walk_edges.append(nxt[0])
-        current = nxt[1]
+        alive.remove(nxt.id)
+        walk_edges.append(nxt.id)
+        current = nxt.ends[1] if nxt.ends[0] == current else nxt.ends[0]
         if current == start:
             break
         walk.append(current)
@@ -163,12 +155,8 @@ def well_spaced(c: TropicalCurve) -> WellSpacedVerdict:
     departures: list[Departure] = []
     for v in sorted(component):
         leaves = any(
-            (e.ends[0] == v and e.ends[1] not in vertices_in)
-            or (e.ends[1] == v and e.ends[0] not in vertices_in)
-            for e in c.edges
-        ) or any(
-            r.base == v and not _in_direction_space(span, r.direction) for r in c.rays
-        )
+            w not in vertices_in for e in c.edges_at(v) for w in e.ends
+        ) or any(not _in_direction_space(span, r.direction) for r in c.rays_at(v))
         if leaves:
             departures.append(Departure(vertex=v, distance=dist[v]))
 

@@ -17,7 +17,15 @@ from math import gcd
 from tropic.curves import TropicalCurve
 from tropic.defspace import CombinatorialType, deformation_cone
 from tropic.errors import DimMismatch
-from tropic.latticefan import _echelon, primitive, rank, solve_exact
+from tropic.latticefan import (
+    Cone,
+    Fan,
+    _echelon,
+    fan_from_maximal,
+    primitive,
+    rank,
+    solve_exact,
+)
 
 
 def monoid_closure(k: int, bound: int) -> set[tuple[int, int]]:
@@ -33,6 +41,13 @@ def monoid_closure(k: int, bound: int) -> set[tuple[int, int]]:
                 seen.add(m)
                 frontier.append(m)
     return seen
+
+
+def trusted_overlapping_fan() -> Fan:
+    """A fan of 51 cones marked trusted, in which the added cone {(1,0),(1,2)}
+    overlaps {(1,0),(1,1)} and {(1,1),(1,2)}."""
+    fan = fan_from_maximal([(1, i) for i in range(25)], [[i, i + 1] for i in range(24)], 2)
+    return Fan.build(fan.cones + (Cone.from_rays([(1, 0), (1, 2)], 2),), 2, trusted_complete=True)
 
 
 def contains_caratheodory(generators, point, dim) -> bool:
@@ -169,23 +184,3 @@ def random_balanced_trivalent_tree(
         edges,
         [(rid, base, d, w) for rid, base, d, w in rays],
     )
-
-
-def reachable_lattice_points(gens, members, dim, margin=3):
-    """Subset of ``members`` expressible as N-combinations of ``gens``.
-
-    BFS from the origin over lattice points whose infinity norm stays within
-    the member box plus a margin (intermediate sums may step outside the box).
-    """
-    member_set = set(members)
-    norm = max((max(abs(x) for x in m) for m in member_set), default=0) + margin
-    seen = {tuple([0] * dim)}
-    frontier = [tuple([0] * dim)]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = tuple(a + b for a, b in zip(p, g))
-            if q not in seen and max(abs(x) for x in q) <= norm:
-                seen.add(q)
-                frontier.append(q)
-    return member_set & seen

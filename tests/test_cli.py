@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import trusted_overlapping_fan
 from tropic import fixtures
 from tropic.cli import emit_dot, fixture_dir, run
 from tropic.curves import compactify
@@ -315,13 +316,14 @@ def test_rational_strings_parse_from_files(tmp_path, capsys):
     assert json.loads(text)["multiplier"] == 2
 
 
-def test_every_subcommand_terminates_cleanly_on_every_fixture(paths, capsys, tmp_path):
-    # the exit-code contract: any subcommand on any fixture returns 0, 1, or 2
-    # with a parseable report, and never raises
+GOLDEN = Path(__file__).parent / "data" / "cli_matrix_golden.json"
+
+
+def _fixture_matrix(paths, tmp_path):
+    """(key, argv) for every subcommand on every curve fixture, plus a segfan certificate."""
     fan_for = {2: paths["fan_p2"], 3: paths["fan_r3"]}
     cert_path = tmp_path / "segfan_cert.json"
-    run(["certify", paths["segfan"], "--fan", paths["fan_p1xp1"], "--out", str(cert_path)])
-    capsys.readouterr()
+    assert run(["certify", paths["segfan"], "--fan", paths["fan_p1xp1"], "--out", str(cert_path)]) == 0
     for name in fixtures.CURVES:
         curve_file = paths[name]
         dim = fixtures.CURVES[name]().ambient_dim
@@ -340,7 +342,78 @@ def test_every_subcommand_terminates_cleanly_on_every_fixture(paths, capsys, tmp
             ["verify-cert", str(cert_path)],
         ]
         for argv in invocations:
-            code = run(argv)
-            text = capsys.readouterr().out
-            assert code in (0, 1, 2), (name, argv, code)
-            assert json.loads(text) is not None, (name, argv)
+            yield f"{name} {argv[0]}", argv
+
+
+def test_every_subcommand_terminates_cleanly_on_every_fixture(paths, capsys, tmp_path):
+    # the exit-code contract: any subcommand on any fixture returns 0, 1, or 2
+    # with a parseable report, and never raises
+    for key, argv in _fixture_matrix(paths, tmp_path):
+        capsys.readouterr()
+        code = run(argv)
+        text = capsys.readouterr().out
+        assert code in (0, 1, 2), (key, code)
+        assert json.loads(text) is not None, key
+
+
+def test_fixture_matrix_reports_match_recorded_output(paths, capsys, tmp_path):
+    # exit code and stdout of every fixture x subcommand report (certificates
+    # included), byte for byte, as recorded from an earlier revision of the CLI
+    golden = json.loads(GOLDEN.read_text())
+    seen = set()
+    for key, argv in _fixture_matrix(paths, tmp_path):
+        capsys.readouterr()
+        code = run(argv)
+        assert {"code": code, "stdout": capsys.readouterr().out} == golden[key], key
+        seen.add(key)
+    assert seen == set(golden)
+
+
+def test_star_rejects_invalid_curve(tmp_path, capsys):
+    # two edges share the id e0, so the file is not a curve and star must not answer
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2,
+        "vertices": [{"id": "v0", "coords": [0, 0]}, {"id": "v1", "coords": [1, 0]},
+                     {"id": "v2", "coords": [0, 1]}],
+        "edges": [{"id": "e0", "ends": ["v0", "v1"], "weight": 1},
+                  {"id": "e0", "ends": ["v0", "v2"], "weight": 1}],
+    }))
+    code, text = _capture(capsys, ["star", str(path), "--vertex", "v2"])
+    assert code == 1
+    report = json.loads(text)
+    assert report["error"] == "InvalidCurve" and "DuplicateId" in report["detail"]
+
+
+def test_rationals_outside_integer_or_p_over_q_are_schema_errors(tmp_path, capsys):
+    from tropic.errors import SchemaError
+
+    for text in ("0.5", "1e3", " 3/4 ", "1_000"):
+        with pytest.raises(SchemaError):
+            rat_from_json(text)
+    doc = curve_to_dict(fixtures.tripod())
+    doc["vertices"][0]["coords"] = ["1e3", 0]
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    code, text = _capture(capsys, ["check", str(path)])
+    assert code == 2
+    assert json.loads(text)["error"] == "SchemaError"
+
+
+def test_flags_a_subcommand_does_not_read_are_usage_errors(paths, capsys):
+    for argv in (["genus", paths["segfan"], "--fan", paths["fan_p2"]],
+                 ["genus", paths["segfan"], "--emit", "dot"],
+                 ["verify-cert", paths["segfan"], "--expect-ordinary"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: tropic" in captured.err, argv
+
+
+def test_selftest_validates_trusted_fans(tmp_path, capsys, monkeypatch):
+    # selftest validates every fan it finds, however large and whether trusted or not
+    (tmp_path / "fan_big.json").write_text(dumps(fan_to_dict(trusted_overlapping_fan())))
+    monkeypatch.setenv("TROPIC_FIXTURES", str(tmp_path))
+    code, text = _capture(capsys, ["selftest"])
+    assert code == 1
+    (result,) = json.loads(text)["results"]
+    assert result["passed"] is False and "not a common face" in result["detail"]

@@ -33,6 +33,10 @@ def test_disconnected_reported():
     )
     report = validate(c)
     assert any(v.code == "Disconnected" for v in report.violations)
+    # an edge to an unknown vertex is that violation only, not a disconnection
+    c = TropicalCurve.build(2, {"a": (0, 0), "b": (1, 0)},
+                            edges=[("e0", ("a", "b"), 1), ("e1", ("b", "z"), 1)])
+    assert [v.code for v in validate(c).violations] == ["NoSuchVertex"]
 
 
 def test_zero_weight_reported():

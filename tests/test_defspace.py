@@ -5,17 +5,13 @@ from helpers import (
     dense_deformation_dimension,
     honeycomb,
     random_balanced_trivalent_tree,
-    reachable_lattice_points,
 )
 from tropic import fixtures
 from tropic.curves import edge_data, genus, is_balanced, translated, validate
 from tropic.defspace import (
-    basic_monoid,
     combinatorial_type,
-    cone_v_description,
     cycle_closing_matrix,
     deformation_cone,
-    dual_monoid,
     expected_dimension,
     is_superabundant,
     overvalence,
@@ -179,73 +175,6 @@ def test_random_trees_not_superabundant():
         assert verdict.excess == 0, (i, tree)
         # round-trip: the tree satisfies its own type equations
         point_of_curve(tree)
-
-
-def test_cone_v_description_cycle3():
-    cone = deformation_cone(combinatorial_type(fixtures.cycle3()))
-    lineality, rays = cone_v_description(cone)
-    assert len(lineality) == 2  # translations
-    assert len(rays) == 1
-    # the single ray forces equal positive lengths on the three cycle edges
-    lengths = rays[0][-3:]
-    assert lengths[0] == lengths[1] == lengths[2] > 0
-
-
-def test_dual_monoid_single_length():
-    view = dual_monoid([], [(1,)], 1, hilbert=True)
-    assert view.dual_rays == ((1,),)
-    assert view.hilbert_basis == ((1,),)
-
-
-def test_dual_monoid_of_full_plane_is_zero():
-    view = dual_monoid([(1, 0), (0, 1)], [], 2, hilbert=True)
-    assert view.dual_lineality == () and view.dual_rays == ()
-    assert view.hilbert_basis == ()
-
-
-def test_dual_monoid_of_diagonal_ray():
-    view = dual_monoid([], [(1, 1)], 2, hilbert=True)
-    # dual cone is the halfplane x + y >= 0
-    assert view.dual_lineality == ((-1, 1),)
-    assert view.dual_rays == ((1, 0),)
-    basis = view.hilbert_basis
-    assert basis == ((-1, 1), (0, 1), (1, -1))
-    # every element pairs nonnegatively with the primal generator
-    for h in basis:
-        assert dot(h, (1, 1)) >= 0
-    # generation: every lattice point of the dual cone in a box is reachable
-    members = [
-        (a, b) for a in range(-3, 4) for b in range(-3, 4) if a + b >= 0
-    ]
-    assert reachable_lattice_points(basis, members, 2) == set(members)
-
-
-def test_basic_monoid_pairing_invariant():
-    for name in ("tripod", "segfan", "cycle3"):
-        t = combinatorial_type(fixtures.CURVES[name]())
-        view = basic_monoid(t, hilbert=True)
-        assert view.hilbert_error is None
-        for h in view.hilbert_basis:
-            for ray in view.cone_rays:
-                assert dot(h, ray) >= 0
-            for lin in view.cone_lineality:
-                assert dot(h, lin) == 0
-
-
-def test_basic_monoid_size_bound():
-    t = combinatorial_type(fixtures.speyer3())  # 12 coordinates > limit 10
-    view = basic_monoid(t, hilbert=True)
-    assert view.hilbert_basis is None
-    assert view.hilbert_error == "TooLargeForHilbert"
-    assert view.dual_rays or view.dual_lineality  # description still returned
-
-
-def test_dual_monoid_enumeration_bound():
-    # dual of this pointed cone has ray (25, -1): parallelepiped box too large
-    view = dual_monoid([], [(1, 0), (1, 25)], 2, hilbert=True, enum_bound=5)
-    assert view.hilbert_basis is None
-    assert view.hilbert_error == "TooLargeForHilbert"
-    assert view.dual_rays  # dual description still present
 
 
 def test_is_superabundant_requires_balance():

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import monoid_closure
 from tropic import fixtures
+from tropic.curves import is_balanced
 from tropic.degeneration import (
     certify,
     dual_curve,
@@ -130,6 +131,36 @@ def test_certify_round_trip(curve_name, fan_name):
     cert = certify(fixtures.CURVES[curve_name](), fixtures.FANS[fan_name]())
     check = verify_certificate(cert)
     assert check.ok, check.violations
+
+
+def test_certify_and_verify_validate_each_curve_once(monkeypatch):
+    # count, per curve instance, the structural check and every call of the
+    # public validate wherever a tropic module binds it
+    import sys
+
+    from tropic import curves
+
+    checks: dict[int, list] = {}
+    calls: dict[int, list] = {}
+
+    def counting(table, fn):
+        def wrapper(c):
+            table.setdefault(id(c), [c, 0])[1] += 1  # the entry keeps c alive: ids stay distinct
+            return fn(c)
+        return wrapper
+
+    monkeypatch.setattr(curves, "_check_structure", counting(checks, curves._check_structure))
+    validate = curves.validate
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropic") and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counting(calls, validate))
+    for curve_name, fan_name in CERTIFY_PAIRS:
+        c = fixtures.CURVES[curve_name]()
+        assert is_balanced(c).balanced
+        assert verify_certificate(certify(c, fixtures.FANS[fan_name]())).ok
+    assert len(checks) >= len(CERTIFY_PAIRS)
+    assert max(n for _, n in checks.values()) == 1
+    assert all(n <= 1 for _, n in calls.values())
 
 
 def test_certify_requires_recession_support():

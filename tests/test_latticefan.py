@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains_caratheodory, kernel_dimension, rank_by_transpose
+from helpers import (
+    contains_caratheodory,
+    kernel_dimension,
+    rank_by_transpose,
+    trusted_overlapping_fan,
+)
 from tropic import fixtures
 from tropic.errors import DimMismatch, NotInSupport, ZeroDirection
 from tropic.latticefan import (
@@ -19,8 +24,6 @@ from tropic.latticefan import (
     fan_from_maximal,
     fan_validate,
     hnf_rows,
-    integer_kernel_basis,
-    kernel_basis,
     primitive,
     primitive_and_scale,
     quotient_lattice,
@@ -149,13 +152,6 @@ def test_bareiss_rank_matches_fraction_echelon():
         assert rank([[int(x * 60) for x in row] for row in rows]) == rank(rows)
 
 
-def test_kernel_basis_annihilates():
-    rows = [[1, 2, 3], [0, 1, 1]]
-    for vec in kernel_basis(rows):
-        assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in rows)
-    assert len(kernel_basis(rows)) == kernel_dimension(rows)
-
-
 def test_fan_p2_valid():
     report = fan_validate(fixtures.fan_p2())
     assert report.valid
@@ -186,11 +182,10 @@ def test_missing_origin_breaks_face_closure():
     assert report.violations[0].code == "FaceClosureViolated"
 
 
-def test_trusted_fan_skips_validation_above_limit():
-    fan = fixtures.fan_p2()
-    trusted = Fan(fan.cones, fan.ambient_dim, trusted_complete=True)
-    report = fan_validate(trusted, cone_limit=3)
-    assert report.valid and report.warnings
+def test_trusted_fan_is_still_validated():
+    # trust is the CLI's decision; fan_validate checks whatever it is given
+    report = fan_validate(trusted_overlapping_fan())
+    assert report.violations[0].code == "NonFaceIntersection"
 
 
 def test_smallest_containing_cone_on_p2():
@@ -264,18 +259,12 @@ def test_unimodular_diagonalize_and_integer_kernel():
             for j in range(ncols):
                 if i != j:
                     assert s[i][j] == 0
-        for vec in integer_kernel_basis(a, ncols):
-            assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in a)
-        assert len(integer_kernel_basis(a, ncols)) == kernel_dimension(a, ncols)
-
-
-def test_quotient_lattice_projection_kills_exactly_the_span():
-    sat, proj, lift = quotient_lattice([(-2, 2)], 2)
-    assert sat == [(-1, 1)] or sat == [(1, -1)]
-    (row,) = proj
-    assert sum(r * s for r, s in zip(row, sat[0])) == 0
-    # section: proj . lift = identity
-    assert [sum(row[i] * lift[i][j] for i in range(2)) for j in range(1)] == [1]
+        # the columns of V past the nonzero diagonal span the integer kernel
+        r = sum(1 for i in range(min(nrows, ncols)) if s[i][i] != 0)
+        kernel = [tuple(v[i][j] for i in range(ncols)) for j in range(r, ncols)]
+        for vec in kernel:
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
+        assert len(kernel) == kernel_dimension(a, ncols)
 
 
 def test_hnf_rows_canonicalizes_lattice_bases():
@@ -354,6 +343,7 @@ def test_quotient_lattice_saturation_in_box():
 
     from tropic.latticefan import solve_exact
 
+    assert quotient_lattice([(-2, 2)], 2) in ([(-1, 1)], [(1, -1)])
     for _ in range(20):
         dim = rng.randint(2, 3)
         nkill = rng.randint(1, dim - 1)
@@ -364,13 +354,12 @@ def test_quotient_lattice_saturation_in_box():
                 kill.append(v)
         if not kill or rank(kill) != len(kill):
             continue
-        sat, proj, lift = quotient_lattice(kill, dim)
+        sat = quotient_lattice(kill, dim)
+        assert len(sat) == len(kill)
+        assert all(rank(list(kill) + [s]) == len(kill) for s in sat)  # sat spans span(kill)
         for x in iproduct(*(range(-2, 3) for _ in range(dim))):
-            in_span = rank(kill) == rank(list(kill) + [x]) if any(x) else True
-            proj_zero = all(sum(r * a for r, a in zip(row, x)) == 0 for row in proj)
-            assert proj_zero == in_span, (kill, x)
-            if in_span and any(x):
-                # x must be an integer combination of the saturated basis
+            if any(x) and rank(kill) == rank(list(kill) + [x]):
+                # every lattice point of the span is an integer combination of sat
                 rows = [[Fraction(s[i]) for s in sat] for i in range(dim)]
                 sol = solve_exact(rows, [Fraction(a) for a in x])
                 assert sol is not None

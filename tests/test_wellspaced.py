@@ -139,6 +139,28 @@ def test_departure_at_positive_distance():
     assert [(d.vertex, d.distance) for d in verdict.departures] == [("w", Fraction(2))]
 
 
+def test_departures_along_bounded_edges_in_either_orientation():
+    # the edge leaving the cycle's plane starts at v0 but ends at v1; no rays,
+    # so only the bounded edges can make a departure
+    c = TropicalCurve.build(
+        3,
+        {"v0": (0, 0, 0), "v1": (1, 0, 0), "v2": (0, 1, 0), "a": (0, 0, 1), "b": (1, 0, 1)},
+        edges=[
+            ("e0", ("v0", "v1"), 1),
+            ("e1", ("v1", "v2"), 1),
+            ("e2", ("v2", "v0"), 1),
+            ("u0", ("v0", "a"), 1),
+            ("u1", ("b", "v1"), 1),
+        ],
+    )
+    verdict = well_spaced(c)
+    assert [(d.vertex, d.distance) for d in verdict.departures] == [
+        ("v0", Fraction(0)),
+        ("v1", Fraction(0)),
+    ]
+    assert verdict.well_spaced
+
+
 def test_failing_fixture_is_superabundant():
     # one-directional cross-check at fixture scale
     for name in ("cycle3", "speyer3", "speyer3_ws"):
