@@ -63,6 +63,11 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _str(value, what: str) -> str:
+    _require(isinstance(value, str), f"{what} must be a string")
+    return value
+
+
 def _object(value, what: str) -> dict:
     _require(isinstance(value, dict), f"{what} must be an object")
     return value
@@ -116,7 +121,7 @@ def curve_from_dict(data) -> TropicalCurve:
     for entry in data["vertices"]:
         _require(isinstance(entry, dict) and "id" in entry and "coords" in entry,
                  "vertex entries need 'id' and 'coords'")
-        vid = str(entry["id"])
+        vid = _str(entry["id"], "vertex id")
         _require(vid not in vertices, f"duplicate vertex id {vid}")
         _require(isinstance(entry["coords"], list) and len(entry["coords"]) == n,
                  f"vertex {vid} needs {n} coordinates")
@@ -127,7 +132,8 @@ def curve_from_dict(data) -> TropicalCurve:
                  "edge entries need 'id', 'ends', 'weight'")
         ends = entry["ends"]
         _require(isinstance(ends, list) and len(ends) == 2, "edge 'ends' must list two vertices")
-        edges.append(BoundedEdge(str(entry["id"]), (str(ends[0]), str(ends[1])),
+        edges.append(BoundedEdge(_str(entry["id"], "edge id"),
+                                 (_str(ends[0], "edge end"), _str(ends[1], "edge end")),
                                  _int(entry["weight"], "edge weight")))
     rays = []
     for entry in _list(data.get("rays", []), "rays"):
@@ -136,7 +142,7 @@ def curve_from_dict(data) -> TropicalCurve:
         direction = entry["direction"]
         _require(isinstance(direction, list) and len(direction) == n,
                  f"ray {entry['id']} direction needs {n} integer entries")
-        rays.append(CurveRay(str(entry["id"]), str(entry["base"]),
+        rays.append(CurveRay(_str(entry["id"], "ray id"), _str(entry["base"], "ray base"),
                              tuple(_int(x, "direction entry") for x in direction),
                              _int(entry["weight"], "ray weight")))
     return TropicalCurve(n, vertices, tuple(edges), tuple(rays))
@@ -234,22 +240,24 @@ def certificate_from_dict(data) -> RealizationCertificate:
     dual_data = _object(data["dual_curve"], "dual_curve")
     dual = DualCurve(
         components=tuple(
-            Component(id=str(x["id"]), vertex=str(x["vertex"]))
+            Component(id=_str(x["id"], "component id"),
+                      vertex=_str(x["vertex"], "component vertex"))
             for x in _entries(dual_data.get("components", []), "components", ("id", "vertex"))
         ),
         nodes=tuple(
             Node(
-                id=str(x["id"]),
-                edge=str(x["edge"]),
-                components=tuple(str(y) for y in _list(x["components"], "node components", 2)),
+                id=_str(x["id"], "node id"),
+                edge=_str(x["edge"], "node edge"),
+                components=tuple(_str(y, "node component")
+                                 for y in _list(x["components"], "node components", 2)),
             )
             for x in _entries(dual_data.get("nodes", []), "nodes", ("id", "edge", "components"))
         ),
         marked_points=tuple(
             MarkedPoint(
-                id=str(x["id"]),
-                ray=str(x["ray"]),
-                component=str(x["component"]),
+                id=_str(x["id"], "marked point id"),
+                ray=_str(x["ray"], "marked point ray"),
+                component=_str(x["component"], "marked point component"),
                 contact_order=_int(x["contact_order"], "contact_order"),
             )
             for x in _entries(dual_data.get("marked_points", []), "marked_points",
@@ -258,7 +266,7 @@ def certificate_from_dict(data) -> RealizationCertificate:
     )
     node_data = tuple(
         NodeData(
-            edge=str(x["edge"]),
+            edge=_str(x["edge"], "node_data edge"),
             k=_int(x["k"], "k"),
             rho=_int(x["rho"], "rho"),
             u_q=_int_list(x["u_q"], "u_q"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Literal, Sequence
 
@@ -85,32 +85,30 @@ def integerize(v: Sequence) -> IntVec:
 Matrix = Sequence[Sequence]
 
 
-def _echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Forward elimination; returns (echelon rows, pivot column indices)."""
+def _rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form: (nonzero rows, each with pivot 1 and zeros in
+    every other pivot column, and their pivot column indices).  It is unique
+    for the row space, so it also serves as a key of that space."""
     work = [[Fraction(x) for x in row] for row in rows]
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
+        if r == len(work):
+            break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         p = work[r][c]
-        for i in range(r + 1, len(work)):
-            if work[i][c] != 0:
-                f = work[i][c] / p
-                for j in range(c, ncols):
-                    work[i][j] -= f * work[r][j]
+        top = work[r] = [x / p for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                f = row[c]
+                work[i] = [x - f * y for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
-    return work, pivots
+    return work[:r], pivots
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -157,152 +155,6 @@ def rank(rows: Matrix) -> int:
         prev = p
         r += 1
     return r
-
-
-def solve_exact(rows: Matrix, rhs: Sequence) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if inconsistent."""
-    rows = [list(row) + [b] for row, b in zip(rows, rhs)]
-    if not rows:
-        return []
-    n = len(rows[0]) - 1
-    ech, pivots = _echelon(rows)
-    if n in pivots:  # pivot in the augmented column
-        return None
-    x = [Fraction(0)] * n
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        s = sum(ech[r][j] * x[j] for j in range(pc + 1, n))
-        x[pc] = (ech[r][n] - s) / ech[r][pc]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# integer lattice algorithms
-
-
-def unimodular_diagonalize(a: Sequence[Sequence[int]], nrows: int, ncols: int):
-    """Diagonalize an integer matrix as U A V = S with unimodular U, V.
-
-    Smith-style gcd-driven row/column reduction, without enforcing the
-    divisibility chain on the diagonal (no use here needs it).  Fine at the
-    matrix sizes this package ever sees.
-    """
-    s = [[int(a[i][j]) for j in range(ncols)] for i in range(nrows)]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, f):
-        s[dst] = [x + f * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, f):
-        for row in s:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # locate a nonzero pivot of least magnitude
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    add_row(i, t, -q)
-                    if s[i][t] != 0:  # remainder becomes the smaller pivot
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    add_col(j, t, -q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, s, v
-
-
-def hnf_rows(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVec, ...]:
-    """Canonical row Hermite normal form of the lattice spanned by the rows.
-
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot); the result is the unique canonical basis of the row lattice.
-    """
-    work = [[int(x) for x in row] for row in rows]
-    m = len(work)
-    r = 0
-    for c in range(ncols):
-        nz = [i for i in range(r, m) if work[i][c] != 0]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda i: abs(work[i][c]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = work[i][c] // work[i0][c]
-                work[i] = [a - q * b for a, b in zip(work[i], work[i0])]
-            nz = [i for i in range(r, m) if work[i][c] != 0]
-        i0 = nz[0]
-        work[r], work[i0] = work[i0], work[r]
-        if work[r][c] < 0:
-            work[r] = [-a for a in work[r]]
-        for i in range(r):
-            q = work[i][c] // work[r][c]
-            if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-        r += 1
-    return tuple(tuple(row) for row in work[:r])
-
-
-def integer_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(m)
-    cols = []
-    for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        x = solve_exact(m, rhs)
-        if x is None:
-            raise DimMismatch("matrix is singular")
-        cols.append(x)
-    inv = [[cols[j][i] for j in range(n)] for i in range(n)]
-    out = [[int(x) for x in row] for row in inv]
-    if any(Fraction(out[i][j]) != inv[i][j] for i in range(n) for j in range(n)):
-        raise DimMismatch("matrix is not unimodular")
-    return out
-
-
-def quotient_lattice(kill: Sequence[IntVec], dim: int) -> list[IntVec]:
-    """Lattice basis of span(kill) ^ Z^dim: the saturation that Z^dim is quotiented by."""
-    cols = [[v[i] for v in kill] for i in range(dim)]
-    u, s, _ = unimodular_diagonalize(cols, dim, len(kill))
-    r = sum(1 for i in range(min(dim, len(kill))) if s[i][i] != 0)
-    uinv = integer_inverse(u)
-    return [tuple(uinv[i][j] for i in range(dim)) for j in range(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -462,27 +314,23 @@ def cone_extreme(c: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
 def canonical_form(c: Cone):
     """Hashable key identifying the cone as a point set.
 
-    Extreme rays are only determined modulo the lineality space, so each is
-    replaced by its orthogonal projection onto the lineality complement; the
-    lineality lattice itself is canonicalized by saturation + Hermite form.
+    Extreme rays are only determined modulo the lineality space L, so L is
+    keyed by its reduced row echelon basis and each ray by the unique
+    representative of r + L that vanishes on the pivot columns of that
+    basis, made primitive.
     """
     lin, rays = cone_extreme(c)
     if not lin:
         return (rays, ())
-    sat = quotient_lattice(lin, c.ambient_dim)
-    canon_lin = hnf_rows(sat, c.ambient_dim)
-    # Gram-based orthogonal projection of each ray off span(lin), exactly
-    gram = [[Fraction(dot(a, b)) for b in lin] for a in lin]
-    canon_rays = []
+    basis, pivots = _rref(lin)
+    reduced = []
     for r in rays:
-        rhs = [Fraction(dot(r, b)) for b in lin]
-        coeffs = solve_exact(gram, rhs)
-        proj = [Fraction(x) for x in r]
-        for coef, b in zip(coeffs, lin):
-            for i, bi in enumerate(b):
-                proj[i] -= coef * bi
-        canon_rays.append(integerize(proj))
-    return (tuple(sorted(canon_rays)), canon_lin)
+        v = as_ratvec(r)
+        for row, p in zip(basis, pivots):
+            if v[p]:
+                v = tuple(x - v[p] * y for x, y in zip(v, row))
+        reduced.append(integerize(v))
+    return (tuple(sorted(reduced)), tuple(integerize(row) for row in basis))
 
 
 def cones_equal(c1: Cone, c2: Cone) -> bool:
@@ -580,6 +428,22 @@ class Fan:
         """Primitive generators of the one-dimensional cones."""
         out = [c.generators[0] for c in self.cones if len(c.generators) == 1 and c.dim() == 1]
         return tuple(sorted(set(out)))
+
+    @cached_property
+    def hyperplanes(self) -> tuple[IntVec, ...]:
+        """Every facet and span normal of every cone, once per hyperplane.
+
+        Normals are primitive with their first nonzero entry positive, so two
+        normals of the same hyperplane coincide.  Built on first use and kept
+        in the instance ``__dict__`` (not a dataclass field).
+        """
+        normals = set()
+        for c in self.cones:
+            h = cone_halfspaces(c)
+            for n in h.equations + h.inequalities:
+                n = primitive(n)
+                normals.add(n if next(x for x in n if x) > 0 else tuple(-x for x in n))
+        return tuple(sorted(normals))
 
 
 def fan_from_maximal(

@@ -16,13 +16,12 @@ from .curves import (
     edge_data,
     require_valid,
 )
-from .errors import DimMismatch, NotInSupport
+from .errors import DimMismatch, InvalidCurve, NotInSupport
 from .latticefan import (
     Fan,
     IntVec,
     RatVec,
     cone_contains,
-    cone_halfspaces,
     dot,
     smallest_containing_cone,
 )
@@ -64,42 +63,32 @@ def check_recession_support(c: TropicalCurve, f: Fan) -> RecessionSupport:
     return RecessionSupport(ok=not missing, missing=missing)
 
 
-def _crossing_params(f: Fan, base: RatVec, direction: Sequence) -> list[Fraction]:
-    """Parameters t > 0 where base + t*direction meets a wall or span hyperplane of some cone."""
-    params: set[Fraction] = set()
-    for cone in f.cones:
-        h = cone_halfspaces(cone)
-        for normal in h.equations + h.inequalities:
-            a = dot(normal, direction)
-            if a == 0:
-                continue  # parallel to, or contained in, the hyperplane
-            t = Fraction(-dot(normal, base), a)
-            if t > 0:
-                params.add(t)
-    return sorted(params)
-
-
-def _interval_cone(f: Fan, base: RatVec, direction: Sequence, t: Fraction) -> int:
-    point = tuple(b + t * d for b, d in zip(base, direction))
-    cone = smallest_containing_cone(f, point)
-    return f.cones.index(cone)
-
-
 def _point_at(base: RatVec, direction: Sequence, t: Fraction) -> RatVec:
     return tuple(b + t * d for b, d in zip(base, direction))
+
+
+def _claim(new_id: str, taken, host_id: str) -> None:
+    if new_id in taken:
+        raise InvalidCurve(
+            f"subdividing {host_id} creates id {new_id!r}, which the curve already uses; "
+            "ids <id>#k and <id>:k are reserved for subdivision"
+        )
 
 
 def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     """Insert 2-valent vertices where edges or rays of the curve cross cone walls of the fan.
 
-    Crossing parameters are found exactly by intersecting each edge or ray
-    with every facet and span hyperplane of the fan's cones; spurious
-    candidates (hyperplane extensions crossing the interior of another cone)
-    are discarded by merging consecutive pieces that land in the same cone of
-    the fan.  Every output piece is verified to lie in a single cone; weights
-    are inherited, and balancing, genus, support, and the recession fan are
-    preserved.  The fan must be complete (trusted); a traversed point outside
-    its support raises NotInSupport.
+    Each edge u->w is walked as u + t*(w-u) for t in (0,1), each ray as
+    base + t*direction for t in (0,inf).  Crossing candidates are the
+    parameters where the walk meets one of the fan's hyperplanes
+    (``Fan.hyperplanes``); spurious candidates (hyperplane extensions
+    crossing the interior of a cone) are discarded by merging consecutive
+    pieces that land in the same cone of the fan.  Every output piece is
+    verified to lie in a single cone; weights are inherited, and balancing,
+    genus, support, and the recession fan are preserved.  New vertices are
+    named ``<host>#k`` and pieces ``<host>:k``; an input curve already using
+    such an id raises InvalidCurve.  The fan must be complete (trusted); a
+    traversed point outside its support raises NotInSupport.
     """
     require_valid(c)
     if c.ambient_dim != f.ambient_dim:
@@ -107,96 +96,69 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             f"curve in dim {c.ambient_dim} against fan in dim {f.ambient_dim}"
         )
 
+    hosts = c.edges + c.rays
+    host_ids = {h.id for h in hosts}
     vertices = dict(c.vertices)
     new_edges: list[BoundedEdge] = []
     new_rays: list[CurveRay] = []
     record: list[NewVertex] = []
     piece_cones: dict[str, int] = {}
 
-    for e in sorted(c.edges, key=lambda e: e.id):
-        pu = c.position(e.ends[0])
-        pw = c.position(e.ends[1])
-        direction = tuple(b - a for a, b in zip(pu, pw))
-        cuts = [t for t in _crossing_params(f, pu, direction) if t < 1]
-        # cone of each open piece between consecutive candidate parameters
-        bounds = [Fraction(0)] + cuts + [Fraction(1)]
+    for h in hosts:
+        bounded = isinstance(h, BoundedEdge)
+        start = h.ends[0] if bounded else h.base
+        base = vertices[start]
+        if bounded:
+            direction = tuple(b - a for a, b in zip(base, vertices[h.ends[1]]))
+        else:
+            direction = h.direction
+        cuts: set[Fraction] = set()
+        for normal in f.hyperplanes:
+            slope = dot(normal, direction)
+            if slope:  # otherwise parallel to, or inside, the hyperplane
+                t = Fraction(-dot(normal, base), slope)
+                if t > 0 and (t < 1 or not bounded):
+                    cuts.add(t)
+        cuts = sorted(cuts)
+        # each open interval between candidates is sampled at its midpoint;
+        # a ray's unbounded tail at 1 past its last candidate
+        stop = Fraction(1) if bounded else (cuts[-1] if cuts else 0) + 2
+        bounds = [Fraction(0)] + cuts + [stop]
         cones = [
-            _interval_cone(f, pu, direction, (lo + hi) / 2)
+            f.cones.index(smallest_containing_cone(f, _point_at(base, direction, (lo + hi) / 2)))
             for lo, hi in zip(bounds, bounds[1:])
         ]
         breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
         piece_cone_ids = [c1 for c1, c2 in zip(cones, cones[1:]) if c1 != c2] + [cones[-1]]
-        if not breaks:
-            new_edges.append(e)
-            piece_cones[e.id] = cones[0]
-            _check_piece(f, cones[0], [pu, pw], None, e.id)
-            continue
-        chain = [e.ends[0]]
-        for k, t in enumerate(breaks, start=1):
-            vid = f"{e.id}#{k}"
-            vertices[vid] = _point_at(pu, direction, t)
-            chain.append(vid)
-            record.append(
-                NewVertex(
-                    id=vid,
-                    host=e.id,
-                    host_kind="edge",
-                    cone_before=piece_cone_ids[k - 1],
-                    cone_after=piece_cone_ids[k],
-                )
-            )
-        chain.append(e.ends[1])
-        for k in range(len(chain) - 1):
-            pid = f"{e.id}:{k}"
-            new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), e.weight))
-            piece_cones[pid] = piece_cone_ids[k]
-            _check_piece(
-                f, piece_cone_ids[k], [vertices[chain[k]], vertices[chain[k + 1]]], None, pid
-            )
 
-    for r in sorted(c.rays, key=lambda r: r.id):
-        pb = c.position(r.base)
-        cuts = _crossing_params(f, pb, r.direction)
-        bounds = [Fraction(0)] + cuts
-        cones = [
-            _interval_cone(f, pb, r.direction, (lo + hi) / 2)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        # representative point past the last candidate for the unbounded tail
-        tail_cone = _interval_cone(f, pb, r.direction, (cuts[-1] if cuts else Fraction(0)) + 1)
-        cones.append(tail_cone)
-        breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
-        piece_cone_ids = [c1 for c1, c2 in zip(cones, cones[1:]) if c1 != c2] + [cones[-1]]
-        if not breaks:
-            new_rays.append(r)
-            piece_cones[r.id] = tail_cone
-            _check_piece(f, tail_cone, [pb], r.direction, r.id)
-            continue
-        chain = [r.base]
+        chain = [start]
         for k, t in enumerate(breaks, start=1):
-            vid = f"{r.id}#{k}"
-            vertices[vid] = _point_at(pb, r.direction, t)
+            vid = f"{h.id}#{k}"
+            _claim(vid, vertices, h.id)
+            vertices[vid] = _point_at(base, direction, t)
             chain.append(vid)
             record.append(
                 NewVertex(
                     id=vid,
-                    host=r.id,
-                    host_kind="ray",
+                    host=h.id,
+                    host_kind="edge" if bounded else "ray",
                     cone_before=piece_cone_ids[k - 1],
                     cone_after=piece_cone_ids[k],
                 )
             )
-        for k in range(len(chain) - 1):
-            pid = f"{r.id}:{k}"
-            new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), r.weight))
-            piece_cones[pid] = piece_cone_ids[k]
-            _check_piece(
-                f, piece_cone_ids[k], [vertices[chain[k]], vertices[chain[k + 1]]], None, pid
-            )
-        tail_id = f"{r.id}:{len(chain) - 1}"
-        new_rays.append(CurveRay(tail_id, chain[-1], r.direction, r.weight))
-        piece_cones[tail_id] = piece_cone_ids[-1]
-        _check_piece(f, piece_cone_ids[-1], [vertices[chain[-1]]], r.direction, tail_id)
+        if bounded:
+            chain.append(h.ends[1])
+        for k, cone in enumerate(piece_cone_ids):
+            pid = f"{h.id}:{k}" if breaks else h.id
+            if breaks:
+                _claim(pid, host_ids, h.id)
+            if k + 1 < len(chain):
+                new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), h.weight))
+                _check_piece(f, cone, [vertices[chain[k]], vertices[chain[k + 1]]], None, pid)
+            else:
+                new_rays.append(CurveRay(pid, chain[k], h.direction, h.weight))
+                _check_piece(f, cone, [vertices[chain[k]]], h.direction, pid)
+            piece_cones[pid] = cone
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
     return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)

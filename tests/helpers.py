@@ -5,6 +5,8 @@ check: monoid membership by brute-force closure, cone membership by
 Caratheodory subset enumeration, rank by transposed elimination, and the
 deformation dimension by dense Fraction elimination of the full edge
 equations instead of the integer rank of the cycle-closing matrix.
+Subdivision is checked against the earlier implementation that scanned the
+facets of every cone and walked edges and rays in two separate loops.
 """
 
 from __future__ import annotations
@@ -12,20 +14,25 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import atan2, gcd
+from typing import Sequence
 
-from tropic.curves import TropicalCurve
+from tropic.curves import BoundedEdge, CurveRay, TropicalCurve, require_valid
 from tropic.defspace import CombinatorialType, deformation_cone
 from tropic.errors import DimMismatch
 from tropic.latticefan import (
     Cone,
     Fan,
-    _echelon,
+    Matrix,
+    RatVec,
+    cone_halfspaces,
+    dot,
     fan_from_maximal,
     primitive,
     rank,
-    solve_exact,
+    smallest_containing_cone,
 )
+from tropic.refine import NewVertex, SubdivisionRecord, _check_piece
 
 
 def monoid_closure(k: int, bound: int) -> set[tuple[int, int]]:
@@ -48,6 +55,60 @@ def trusted_overlapping_fan() -> Fan:
     overlaps {(1,0),(1,1)} and {(1,1),(1,2)}."""
     fan = fan_from_maximal([(1, i) for i in range(25)], [[i, i + 1] for i in range(24)], 2)
     return Fan.build(fan.cones + (Cone.from_rays([(1, 0), (1, 2)], 2),), 2, trusted_complete=True)
+
+
+def primitive_box_fan(bound: int = 2) -> Fan:
+    """Complete R^2 fan whose rays are all primitive vectors of max-norm <= bound,
+    in angular order; its many walls make many spurious crossing candidates."""
+    rays = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)
+            if gcd(x, y) == 1]
+    rays.sort(key=lambda v: atan2(v[1], v[0]))
+    return fan_from_maximal(rays, [[i, (i + 1) % len(rays)] for i in range(len(rays))], 2)
+
+
+def echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Dense Fraction forward elimination; returns (echelon rows, pivot column indices)."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        p = work[r][c]
+        for i in range(r + 1, len(work)):
+            if work[i][c] != 0:
+                f = work[i][c] / p
+                for j in range(c, ncols):
+                    work[i][j] -= f * work[r][j]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, pivots
+
+
+def solve_exact(rows: Matrix, rhs: Sequence) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None if inconsistent."""
+    rows = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if not rows:
+        return []
+    n = len(rows[0]) - 1
+    ech, pivots = echelon(rows)
+    if n in pivots:  # pivot in the augmented column
+        return None
+    x = [Fraction(0)] * n
+    for r in range(len(pivots) - 1, -1, -1):
+        pc = pivots[r]
+        s = sum(ech[r][j] * x[j] for j in range(pc + 1, n))
+        x[pc] = (ech[r][n] - s) / ech[r][pc]
+    return x
 
 
 def contains_caratheodory(generators, point, dim) -> bool:
@@ -90,7 +151,7 @@ def kernel_dimension(rows, ncols: int | None = None) -> int:
     n = len(rows[0])
     if ncols is not None and ncols != n:
         raise DimMismatch(f"declared {ncols} columns, rows have {n}")
-    return n - len(_echelon(rows)[1])
+    return n - len(echelon(rows)[1])
 
 
 def dense_deformation_dimension(t: CombinatorialType) -> int:
@@ -184,3 +245,145 @@ def random_balanced_trivalent_tree(
         edges,
         [(rid, base, d, w) for rid, base, d, w in rays],
     )
+
+
+# ---------------------------------------------------------------------------
+# reference subdivision: the two-loop walker over every cone's facet normals
+
+
+def _crossing_params(f: Fan, base: RatVec, direction: Sequence) -> list[Fraction]:
+    """Parameters t > 0 where base + t*direction meets a wall or span hyperplane of some cone."""
+    params: set[Fraction] = set()
+    for cone in f.cones:
+        h = cone_halfspaces(cone)
+        for normal in h.equations + h.inequalities:
+            a = dot(normal, direction)
+            if a == 0:
+                continue  # parallel to, or contained in, the hyperplane
+            t = Fraction(-dot(normal, base), a)
+            if t > 0:
+                params.add(t)
+    return sorted(params)
+
+
+def _interval_cone(f: Fan, base: RatVec, direction: Sequence, t: Fraction) -> int:
+    point = tuple(b + t * d for b, d in zip(base, direction))
+    cone = smallest_containing_cone(f, point)
+    return f.cones.index(cone)
+
+
+def _point_at(base: RatVec, direction: Sequence, t: Fraction) -> RatVec:
+    return tuple(b + t * d for b, d in zip(base, direction))
+
+
+def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
+    """Insert 2-valent vertices where edges or rays of the curve cross cone walls of the fan.
+
+    Crossing parameters are found exactly by intersecting each edge or ray
+    with every facet and span hyperplane of the fan's cones; spurious
+    candidates (hyperplane extensions crossing the interior of another cone)
+    are discarded by merging consecutive pieces that land in the same cone of
+    the fan.  Every output piece is verified to lie in a single cone; weights
+    are inherited, and balancing, genus, support, and the recession fan are
+    preserved.  The fan must be complete (trusted); a traversed point outside
+    its support raises NotInSupport.
+    """
+    require_valid(c)
+    if c.ambient_dim != f.ambient_dim:
+        raise DimMismatch(
+            f"curve in dim {c.ambient_dim} against fan in dim {f.ambient_dim}"
+        )
+
+    vertices = dict(c.vertices)
+    new_edges: list[BoundedEdge] = []
+    new_rays: list[CurveRay] = []
+    record: list[NewVertex] = []
+    piece_cones: dict[str, int] = {}
+
+    for e in sorted(c.edges, key=lambda e: e.id):
+        pu = c.position(e.ends[0])
+        pw = c.position(e.ends[1])
+        direction = tuple(b - a for a, b in zip(pu, pw))
+        cuts = [t for t in _crossing_params(f, pu, direction) if t < 1]
+        # cone of each open piece between consecutive candidate parameters
+        bounds = [Fraction(0)] + cuts + [Fraction(1)]
+        cones = [
+            _interval_cone(f, pu, direction, (lo + hi) / 2)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
+        piece_cone_ids = [c1 for c1, c2 in zip(cones, cones[1:]) if c1 != c2] + [cones[-1]]
+        if not breaks:
+            new_edges.append(e)
+            piece_cones[e.id] = cones[0]
+            _check_piece(f, cones[0], [pu, pw], None, e.id)
+            continue
+        chain = [e.ends[0]]
+        for k, t in enumerate(breaks, start=1):
+            vid = f"{e.id}#{k}"
+            vertices[vid] = _point_at(pu, direction, t)
+            chain.append(vid)
+            record.append(
+                NewVertex(
+                    id=vid,
+                    host=e.id,
+                    host_kind="edge",
+                    cone_before=piece_cone_ids[k - 1],
+                    cone_after=piece_cone_ids[k],
+                )
+            )
+        chain.append(e.ends[1])
+        for k in range(len(chain) - 1):
+            pid = f"{e.id}:{k}"
+            new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), e.weight))
+            piece_cones[pid] = piece_cone_ids[k]
+            _check_piece(
+                f, piece_cone_ids[k], [vertices[chain[k]], vertices[chain[k + 1]]], None, pid
+            )
+
+    for r in sorted(c.rays, key=lambda r: r.id):
+        pb = c.position(r.base)
+        cuts = _crossing_params(f, pb, r.direction)
+        bounds = [Fraction(0)] + cuts
+        cones = [
+            _interval_cone(f, pb, r.direction, (lo + hi) / 2)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        # representative point past the last candidate for the unbounded tail
+        tail_cone = _interval_cone(f, pb, r.direction, (cuts[-1] if cuts else Fraction(0)) + 1)
+        cones.append(tail_cone)
+        breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
+        piece_cone_ids = [c1 for c1, c2 in zip(cones, cones[1:]) if c1 != c2] + [cones[-1]]
+        if not breaks:
+            new_rays.append(r)
+            piece_cones[r.id] = tail_cone
+            _check_piece(f, tail_cone, [pb], r.direction, r.id)
+            continue
+        chain = [r.base]
+        for k, t in enumerate(breaks, start=1):
+            vid = f"{r.id}#{k}"
+            vertices[vid] = _point_at(pb, r.direction, t)
+            chain.append(vid)
+            record.append(
+                NewVertex(
+                    id=vid,
+                    host=r.id,
+                    host_kind="ray",
+                    cone_before=piece_cone_ids[k - 1],
+                    cone_after=piece_cone_ids[k],
+                )
+            )
+        for k in range(len(chain) - 1):
+            pid = f"{r.id}:{k}"
+            new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), r.weight))
+            piece_cones[pid] = piece_cone_ids[k]
+            _check_piece(
+                f, piece_cone_ids[k], [vertices[chain[k]], vertices[chain[k + 1]]], None, pid
+            )
+        tail_id = f"{r.id}:{len(chain) - 1}"
+        new_rays.append(CurveRay(tail_id, chain[-1], r.direction, r.weight))
+        piece_cones[tail_id] = piece_cone_ids[-1]
+        _check_piece(f, piece_cone_ids[-1], [vertices[chain[-1]]], r.direction, tail_id)
+
+    out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
+    return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)

@@ -179,6 +179,87 @@ def test_verify_cert_marked_point_without_component_exits_2(paths, capsys, tmp_p
     assert (code, report["error"]) == (2, "SchemaError")
 
 
+@pytest.mark.parametrize("bad_id", [None, 5])
+@pytest.mark.parametrize("field", [
+    ("vertices", 0, "id"), ("edges", 0, "id"), ("edges", 0, "ends", 1),
+    ("rays", 0, "id"), ("rays", 0, "base"),
+])
+def test_non_string_curve_ids_exit_2(tmp_path, capsys, field, bad_id):
+    doc = curve_to_dict(fixtures.segfan())
+    *path, key = field
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = bad_id
+    p = tmp_path / "ids.json"
+    p.write_text(json.dumps(doc))
+    code, text = _capture(capsys, ["check", str(p)])
+    assert (code, json.loads(text)["error"]) == (2, "SchemaError")
+
+
+@pytest.mark.parametrize("bad_id", [None, 5])
+@pytest.mark.parametrize("field", [
+    ("dual_curve", "components", 0, "id"), ("dual_curve", "components", 0, "vertex"),
+    ("dual_curve", "nodes", 0, "id"), ("dual_curve", "nodes", 0, "edge"),
+    ("dual_curve", "nodes", 0, "components", 0), ("dual_curve", "marked_points", 0, "id"),
+    ("dual_curve", "marked_points", 0, "ray"), ("dual_curve", "marked_points", 0, "component"),
+    ("node_data", 0, "edge"),
+])
+def test_verify_cert_non_string_ids_exit_2(paths, capsys, tmp_path, field, bad_id):
+    cert = _segfan_certificate(paths, tmp_path)
+    *path, key = field
+    target = cert
+    for step in path:
+        target = target[step]
+    target[key] = bad_id
+    code, report = _verify_cert_doc(capsys, tmp_path, cert)
+    assert (code, report["error"]) == (2, "SchemaError")
+
+
+def test_null_vertex_id_used_consistently_exits_2(tmp_path, capsys):
+    # before ids had to be strings, this file read as a valid curve on vertex "None"
+    doc = curve_to_dict(fixtures.tripod())
+    doc["vertices"][0]["id"] = None
+    for ray in doc["rays"]:
+        ray["base"] = None
+    p = tmp_path / "ids.json"
+    p.write_text(json.dumps(doc))
+    code, text = _capture(capsys, ["check", str(p)])
+    assert (code, json.loads(text)["error"]) == (2, "SchemaError")
+
+
+def test_subdivide_reserved_id_clash_exits_1(tmp_path, capsys):
+    doc = curve_to_dict(fixtures.diag())
+    doc["vertices"][0]["id"] = "e0#1"  # vertex a, an end of e0, which crosses the origin
+    doc["edges"][0]["ends"] = ["e0#1", "b"]
+    doc["rays"][1]["base"] = "e0#1"
+    curve, fan = tmp_path / "clash.json", tmp_path / "fan.json"
+    curve.write_text(json.dumps(doc))
+    fan.write_text(dumps(fan_to_dict(fixtures.fan_p2())))
+    code, text = _capture(capsys, ["subdivide", str(curve), "--fan", str(fan)])
+    report = json.loads(text)
+    assert (code, report["error"]) == (1, "InvalidCurve")
+    assert "'e0#1'" in report["detail"]
+
+
+def test_traced_benchmark_wraps_existing_functions():
+    # the benchmark's tracer rebinds these names; a deleted one breaks --trace 1
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.WRAPPED.items():
+        mod = importlib.import_module(f"tropic.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"tropic.{module}.{name}"
+    from tropic.latticefan import cone_halfspaces
+
+    assert callable(cone_halfspaces.cache_info)
+
+
 def test_defcone_and_superabundant_agree(paths, capsys):
     for name, balanced in fixtures.BALANCED.items():
         if not balanced:

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     contains_caratheodory,
+    echelon,
     kernel_dimension,
     rank_by_transpose,
     trusted_overlapping_fan,
@@ -13,8 +14,8 @@ from tropic import fixtures
 from tropic.errors import DimMismatch, NotInSupport, ZeroDirection
 from tropic.latticefan import (
     Cone,
-    _echelon,
     Fan,
+    canonical_form,
     cone_contains,
     cone_faces,
     cone_halfspaces,
@@ -23,13 +24,10 @@ from tropic.latticefan import (
     double_description,
     fan_from_maximal,
     fan_validate,
-    hnf_rows,
     primitive,
     primitive_and_scale,
-    quotient_lattice,
     rank,
     smallest_containing_cone,
-    unimodular_diagonalize,
 )
 
 
@@ -148,7 +146,7 @@ def test_bareiss_rank_matches_fraction_echelon():
                 if rng.random() < 0.2:
                     for row in rows:
                         row[j] = Fraction(0)
-        assert rank(rows) == len(_echelon(rows)[1]), rows
+        assert rank(rows) == len(echelon(rows)[1]), rows
         assert rank([[int(x * 60) for x in row] for row in rows]) == rank(rows)
 
 
@@ -239,39 +237,103 @@ def test_cone_equality_ignores_redundant_generators():
     )
 
 
-def test_unimodular_diagonalize_and_integer_kernel():
-    rng = random.Random(13)
-    for _ in range(40):
-        nrows = rng.randint(1, 4)
-        ncols = rng.randint(1, 4)
-        a = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
-        u, s, v = unimodular_diagonalize(a, nrows, ncols)
-        # U A V = S and S diagonal
-        prod = [
-            [
-                sum(u[i][p] * a[p][q] * v[q][j] for p in range(nrows) for q in range(ncols))
-                for j in range(ncols)
-            ]
-            for i in range(nrows)
-        ]
-        assert prod == s
-        for i in range(nrows):
-            for j in range(ncols):
-                if i != j:
-                    assert s[i][j] == 0
-        # the columns of V past the nonzero diagonal span the integer kernel
-        r = sum(1 for i in range(min(nrows, ncols)) if s[i][i] != 0)
-        kernel = [tuple(v[i][j] for i in range(ncols)) for j in range(r, ncols)]
-        for vec in kernel:
-            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
-        assert len(kernel) == kernel_dimension(a, ncols)
+def _nonzero(rng, vectors, bound=2):
+    """A nonzero random integer combination of ``vectors``."""
+    while True:
+        cs = [rng.randint(-bound, bound) for _ in vectors]
+        v = tuple(sum(c * w[i] for c, w in zip(cs, vectors)) for i in range(len(vectors[0])))
+        if any(v):
+            return v
 
 
-def test_hnf_rows_canonicalizes_lattice_bases():
-    a = hnf_rows([(1, 0), (0, 1)], 2)
-    b = hnf_rows([(1, 1), (0, 1)], 2)
-    assert a == b == ((1, 0), (0, 1))
-    assert hnf_rows([(2, 0)], 2) == ((2, 0),)
+def _rewrite(rng, lin, rays, dim):
+    """Another description of span(lin) + cone(rays): lin recombined by an
+    invertible integer matrix, each ray scaled and shifted by a vector of span(lin)."""
+    while True:
+        m = [[rng.randint(-2, 2) for _ in lin] for _ in lin]
+        if rank(m) == len(lin):
+            break
+
+    def combination(cs):
+        return tuple(sum(c * v[i] for c, v in zip(cs, lin)) for i in range(dim))
+
+    other_rays = []
+    for r in rays:
+        shift, s = combination([rng.randint(-2, 2) for _ in lin]), rng.randint(1, 3)
+        other_rays.append(tuple(s * (x + y) for x, y in zip(r, shift)))
+    return [combination(row) for row in m], other_rays
+
+
+def _cone_pair(rng, dim):
+    """Generators of a cone span(L) + cone(P) inside a random subspace, and of
+    a rewriting of it (``_rewrite``, plus nonnegative combinations) that is
+    the same point set.  A third of the rewrites then lose or replace one
+    generator."""
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    space = [_nonzero(rng, units) for _ in range(rng.randint(1, dim))]
+    lin = [_nonzero(rng, space, 1) for _ in range(rng.randint(0, len(space)))]
+    pointed = [_nonzero(rng, space, 1) for _ in range(rng.randint(0, 3))]
+    a = pointed + lin + [tuple(-x for x in v) for v in lin]
+    lin_b, pointed_b = _rewrite(rng, lin, pointed, dim)
+    b = pointed_b + lin_b + [tuple(-x for x in v) for v in lin_b]
+    for _ in range(rng.randint(0, 2)):
+        b.append(tuple(sum(rng.randint(0, 2) * g[i] for g in a) for i in range(dim)))
+    b = [v for v in b if any(v)]
+    if b and rng.random() < 1 / 3:
+        b[rng.randrange(len(b))] = _nonzero(rng, space)
+    elif b and rng.random() < 1 / 2:
+        b.pop(rng.randrange(len(b)))
+    rng.shuffle(b)
+    return Cone.from_rays(a, dim), Cone.from_rays(b, dim)
+
+
+def test_canonical_form_matches_mutual_containment():
+    rng = random.Random(2024)
+    outcomes = {}
+    for trial in range(360):
+        a, b = _cone_pair(rng, 2 + trial % 3)
+        same = all(cone_contains(a, g) for g in b.generators) and all(
+            cone_contains(b, g) for g in a.generators
+        )
+        assert (canonical_form(a) == canonical_form(b)) == same, (a, b)
+        key = (same, bool(canonical_form(a)[1]))
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # equal and unequal pairs, with and without lineality, are all well represented
+    assert min(outcomes.get((same, lin), 0) for same in (True, False) for lin in (True, False)) >= 40
+
+
+def test_canonical_form_ignores_which_lineality_basis_and_rays_are_returned(monkeypatch):
+    # double description happens to return the same description for equal
+    # cones, so the key is also fed other valid descriptions of the same cone
+    from tropic import latticefan
+
+    rng = random.Random(2025)
+    checked = 0
+    for trial in range(300):
+        cone, _ = _cone_pair(rng, 2 + trial % 3)
+        lin, rays = latticefan.cone_extreme(cone)
+        if not lin:
+            continue
+        key = canonical_form(cone)
+        other = _rewrite(rng, lin, rays, cone.ambient_dim)
+        monkeypatch.setattr(latticefan, "cone_extreme", lambda c: tuple(map(tuple, other)))
+        assert canonical_form(cone) == key, (cone, other)
+        monkeypatch.undo()
+        checked += 1
+    assert checked >= 100
+
+
+def test_fan_validate_on_a_fan_with_lineality():
+    line = Cone.from_rays([(1, 0), (-1, 0)], 2)
+    upper = Cone.from_rays([(1, 0), (-1, 0), (0, 1)], 2)
+    lower = Cone.from_rays([(1, 0), (-1, 0), (0, -1)], 2)
+    assert fan_validate(Fan.build([line, upper, lower], 2)).valid
+    # the line is the minimal face of both half-planes; the origin is no face of it
+    report = fan_validate(Fan.build([Cone((), 2), line, upper, lower], 2))
+    assert [(v.code, v.detail) for v in report.violations] == [(
+        "NonFaceIntersection",
+        "cones () and ((-1, 0), (1, 0)) meet in (), which is not a common face",
+    )]
 
 
 def test_halfspaces_desk_scale_guard():
@@ -335,51 +397,3 @@ def test_faces_are_faces_and_closed_under_faces():
             assert is_face_of(face, cone)
             for sub in cone_faces(face):
                 assert sub.generators in keys  # transitivity of the face lattice
-
-
-def test_quotient_lattice_saturation_in_box():
-    rng = random.Random(67)
-    from itertools import product as iproduct
-
-    from tropic.latticefan import solve_exact
-
-    assert quotient_lattice([(-2, 2)], 2) in ([(-1, 1)], [(1, -1)])
-    for _ in range(20):
-        dim = rng.randint(2, 3)
-        nkill = rng.randint(1, dim - 1)
-        kill = []
-        for _ in range(nkill):
-            v = tuple(rng.randint(-2, 2) for _ in range(dim))
-            if any(v):
-                kill.append(v)
-        if not kill or rank(kill) != len(kill):
-            continue
-        sat = quotient_lattice(kill, dim)
-        assert len(sat) == len(kill)
-        assert all(rank(list(kill) + [s]) == len(kill) for s in sat)  # sat spans span(kill)
-        for x in iproduct(*(range(-2, 3) for _ in range(dim))):
-            if any(x) and rank(kill) == rank(list(kill) + [x]):
-                # every lattice point of the span is an integer combination of sat
-                rows = [[Fraction(s[i]) for s in sat] for i in range(dim)]
-                sol = solve_exact(rows, [Fraction(a) for a in x])
-                assert sol is not None
-                assert all(v.denominator == 1 for v in sol)
-
-
-def test_hnf_is_invariant_under_unimodular_row_transforms():
-    rng = random.Random(71)
-    for _ in range(25):
-        dim = rng.randint(2, 4)
-        nrows = rng.randint(1, dim)
-        basis = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(nrows)]
-        if rank(basis) != nrows:
-            continue
-        transformed = [row[:] for row in basis]
-        for _ in range(6):  # random elementary row operations
-            i, j = rng.randrange(nrows), rng.randrange(nrows)
-            if i == j:
-                transformed[i] = [-a for a in transformed[i]]
-            else:
-                f = rng.randint(-2, 2)
-                transformed[i] = [a + f * b for a, b in zip(transformed[i], transformed[j])]
-        assert hnf_rows(basis, dim) == hnf_rows(transformed, dim)

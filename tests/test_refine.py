@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import primitive_box_fan, random_balanced_trivalent_tree, reference_subdivide
 from tropic import fixtures
 from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, recession_fan
-from tropic.errors import DimMismatch
+from tropic.errors import DimMismatch, InvalidCurve, TropicError
 from tropic.refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
@@ -238,3 +239,60 @@ def test_subdivision_fuzz_random_balanced_trees():
             assert len(incident) == 2
         again = subdivide_along_fan(out, fan)
         assert not again.new_vertices, (i, dim)
+
+
+def test_fan_hyperplanes_are_deduplicated_up_to_sign():
+    assert fixtures.fan_p2().hyperplanes == ((0, 1), (1, -1), (1, 0))
+    box = primitive_box_fan()
+    assert len(box.cones) == 33
+    # 16 rays, one line through each opposite pair
+    assert box.hyperplanes == ((0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -1), (2, 1))
+
+
+def _assert_matches_reference(c, fan):
+    try:
+        expected = reference_subdivide(c, fan)
+    except TropicError as ex:
+        with pytest.raises(type(ex)):
+            subdivide_along_fan(c, fan)
+        return
+    assert subdivide_along_fan(c, fan) == expected
+
+
+def test_walker_matches_reference_on_fixtures():
+    for curve_name, curve in fixtures.CURVES.items():
+        for fan_name, fan in fixtures.FANS.items():
+            c, f = curve(), fan()
+            if c.ambient_dim == f.ambient_dim:
+                _assert_matches_reference(c, f)
+
+
+def test_walker_matches_reference_on_random_trees():
+    import random as _random
+
+    rng = _random.Random(2718)
+    fans = [primitive_box_fan(), fixtures.fan_p2(), fixtures.fan_diag(), fixtures.fan_r3()]
+    broken = 0
+    for i in range(48):
+        fan = fans[i % len(fans)]
+        tree = random_balanced_trivalent_tree(rng, fan.ambient_dim, max_vertices=6)
+        _assert_matches_reference(tree, fan)
+        broken += bool(reference_subdivide(tree, fan).new_vertices)
+    assert broken >= 24  # most trees cross walls, so the pieces are compared too
+
+
+def test_subdivision_refuses_to_reuse_reserved_ids():
+    # the diag fixture with one id renamed: e0 from (-1,-1) to (1,1) crosses
+    # the origin, so subdivision creates vertex e0#1 and pieces e0:0, e0:1
+    def diag(a="a", ray="r+"):
+        return TropicalCurve.build(
+            2,
+            {a: (-1, -1), "b": (1, 1)},
+            edges=[("e0", (a, "b"), 1)],
+            rays=[("r-", a, (-1, -1), 1), (ray, "b", (1, 1), 1)],
+        )
+
+    assert subdivide_along_fan(diag(), fixtures.fan_p2()).output.vertices["e0#1"] == (0, 0)
+    for curve, clash in ((diag(a="e0#1"), "'e0#1'"), (diag(ray="e0:1"), "'e0:1'")):
+        with pytest.raises(InvalidCurve, match=clash):
+            subdivide_along_fan(curve, fixtures.fan_p2())
