@@ -59,15 +59,11 @@ def _load_curve(path: str) -> TropicalCurve:
     return curve_from_dict(_read_json(path))
 
 
-def _load_fan(path: str, trust: bool) -> Fan:
-    fan = fan_from_dict(_read_json(path))
-    if trust:
-        fan = Fan(fan.cones, fan.ambient_dim, trusted_complete=True)
-    if not fan.trusted_complete:
-        report = fan_validate(fan)
-        if not report.valid:
-            v = report.violations[0]
-            raise InvalidFan(f"{v.code}: {v.detail}")
+def _valid_fan(fan: Fan) -> Fan:
+    report = fan_validate(fan)
+    if not report.valid:
+        v = report.violations[0]
+        raise InvalidFan(f"{v.code}: {v.detail}")
     return fan
 
 
@@ -155,7 +151,7 @@ def _cmd_compactify(args) -> tuple[object, int]:
 
 def _cmd_subdivide(args) -> tuple[object, int]:
     c = _load_curve(args.curve)
-    fan = _load_fan(args.fan, args.trust_fan)
+    fan = _valid_fan(fan_from_dict(_read_json(args.fan)))
     record = subdivide_along_fan(c, fan)
     if args.emit == "dot":
         return emit_dot(record.output), 0
@@ -213,7 +209,7 @@ def _cmd_wellspaced(args) -> tuple[object, int]:
 
 def _cmd_certify(args) -> tuple[object, int]:
     c = _load_curve(args.curve)
-    fan = _load_fan(args.fan, args.trust_fan)
+    fan = _valid_fan(fan_from_dict(_read_json(args.fan)))
     if args.expect_ordinary and is_superabundant(c).superabundant:
         return {"error": "Superabundant", "detail": "curve is superabundant"}, 1
     cert = certify(c, fan)
@@ -222,6 +218,7 @@ def _cmd_certify(args) -> tuple[object, int]:
 
 def _cmd_verify_cert(args) -> tuple[object, int]:
     cert = certificate_from_dict(_read_json(args.certificate))
+    _valid_fan(cert.fan)
     check = verify_certificate(cert)
     return {"ok": check.ok, "violations": list(check.violations)}, 0 if check.ok else 1
 
@@ -276,12 +273,12 @@ _COMMANDS = {
     "recession": (_cmd_recession, ("curve",)),
     "star": (_cmd_star, ("curve", "--vertex")),
     "compactify": (_cmd_compactify, ("curve", "--emit")),
-    "subdivide": (_cmd_subdivide, ("curve", "--fan", "--trust-fan", "--emit")),
+    "subdivide": (_cmd_subdivide, ("curve", "--fan", "--emit")),
     "rescale": (_cmd_rescale, ("curve", "--emit")),
     "defcone": (_cmd_defcone, ("curve",)),
     "superabundant": (_cmd_superabundant, ("curve",)),
     "wellspaced": (_cmd_wellspaced, ("curve",)),
-    "certify": (_cmd_certify, ("curve", "--fan", "--trust-fan", "--expect-ordinary")),
+    "certify": (_cmd_certify, ("curve", "--fan", "--expect-ordinary")),
     "verify-cert": (_cmd_verify_cert, ("certificate",)),
     "selftest": (_cmd_selftest, ()),
 }
@@ -291,7 +288,6 @@ _ARGUMENTS = {
     "certificate": {"help": "certificate JSON file"},
     "--out": {"help": "write the report here instead of stdout"},
     "--fan": {"required": True, "help": "fan JSON file"},
-    "--trust-fan": {"action": "store_true", "help": "skip fan validation"},
     "--vertex": {"required": True, "help": "vertex id"},
     "--emit": {"choices": ["json", "dot"], "default": "json"},
     "--expect-ordinary": {"action": "store_true", "help": "fail on superabundant curves"},

@@ -159,7 +159,6 @@ def fan_to_dict(f: Fan) -> dict:
         "ambient_dim": f.ambient_dim,
         "rays": [list(g) for g in ray_list],
         "cones": [[index[g] for g in c.generators] for c in f.cones],
-        "trusted_complete": f.trusted_complete,
     }
 
 
@@ -178,13 +177,11 @@ def fan_from_dict(data) -> Fan:
         _require(isinstance(idx_list, list), "each cone must be a list of ray indices")
         gens = []
         for i in idx_list:
-            _require(isinstance(i, int) and 0 <= i < len(rays), f"bad ray index {i!r}")
+            _require(0 <= _int(i, "ray index") < len(rays), f"bad ray index {i!r}")
             gens.append(rays[i])
         cones.append(Cone.from_rays(gens, n) if gens else Cone((), n))
-    trusted = data.get("trusted_complete", False)
-    _require(isinstance(trusted, bool), "trusted_complete must be a boolean")
     # keep the file's cone order: certificate fields reference cones by index
-    return Fan(tuple(cones), n, trusted)
+    return Fan(tuple(cones), n)
 
 
 # ---------------------------------------------------------------------------

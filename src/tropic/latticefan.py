@@ -417,12 +417,11 @@ class Fan:
 
     cones: tuple[Cone, ...]
     ambient_dim: int
-    trusted_complete: bool = False
 
     @staticmethod
-    def build(cones: Iterable[Cone], ambient_dim: int, trusted_complete: bool = False) -> "Fan":
+    def build(cones: Iterable[Cone], ambient_dim: int) -> "Fan":
         ordered = sorted(set(cones), key=lambda c: (len(c.generators), c.generators))
-        return Fan(tuple(ordered), ambient_dim, trusted_complete)
+        return Fan(tuple(ordered), ambient_dim)
 
     def rays(self) -> tuple[IntVec, ...]:
         """Primitive generators of the one-dimensional cones."""
@@ -450,7 +449,6 @@ def fan_from_maximal(
     rays: Sequence[Sequence[int]],
     maximal: Sequence[Sequence[int]],
     ambient_dim: int,
-    trusted_complete: bool = False,
 ) -> Fan:
     """Fan generated by simplicial maximal cones given as ray index lists.
 
@@ -466,30 +464,39 @@ def fan_from_maximal(
         for k in range(1, len(subset) + 1):
             for combo in itertools.combinations(subset, k):
                 cones.add(Cone.from_rays(combo, ambient_dim))
-    return Fan.build(cones, ambient_dim, trusted_complete)
+    return Fan.build(cones, ambient_dim)
 
 
 def fan_validate(f: Fan) -> ValidationReport:
-    """Check face closure and that pairwise intersections are common faces.
+    """Check face closure and that any two cones meet in a common face.
 
-    Stops at the first violation.  Always checks the fan it is given; whether
-    a trusted fan is checked at all is the caller's decision.
+    Stops at the first violation.  Intersections are taken between maximal
+    cones only (cones that are no proper face of another): once faces are
+    closed, every cone is a face tau of a maximal sigma, and if sigma and
+    sigma' meet in a common face rho, then tau and a face tau' of sigma'
+    meet in the intersection of two faces of rho, a face of both.
     """
     report = ValidationReport()
     for c in f.cones:
         if c.ambient_dim != f.ambient_dim:
             report.add("DimMismatch", f"cone {c.generators} has ambient dim {c.ambient_dim}")
             return report
-    present = {canonical_form(c) for c in f.cones}
-    for c in f.cones:
+    keys = [canonical_form(c) for c in f.cones]
+    present = set(keys)
+    proper = set()
+    for c, key in zip(f.cones, keys):
         for face in cone_faces(c):
-            if canonical_form(face) not in present:
+            face_key = canonical_form(face)
+            if face_key not in present:
                 report.add(
                     "FaceClosureViolated",
                     f"face {face.generators} of cone {c.generators} is not in the fan",
                 )
                 return report
-    for c1, c2 in itertools.combinations(f.cones, 2):
+            if face_key != key:
+                proper.add(face_key)
+    maximal = [c for c, key in zip(f.cones, keys) if key not in proper]
+    for c1, c2 in itertools.combinations(maximal, 2):
         inter = cone_intersection(c1, c2)
         if not (is_face_of(inter, c1) and is_face_of(inter, c2)):
             report.add(

@@ -87,8 +87,8 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     verified to lie in a single cone; weights are inherited, and balancing,
     genus, support, and the recession fan are preserved.  New vertices are
     named ``<host>#k`` and pieces ``<host>:k``; an input curve already using
-    such an id raises InvalidCurve.  The fan must be complete (trusted); a
-    traversed point outside its support raises NotInSupport.
+    such an id raises InvalidCurve.  The fan is assumed complete, which is
+    not checked; a traversed point outside its support raises NotInSupport.
     """
     require_valid(c)
     if c.ambient_dim != f.ambient_dim:

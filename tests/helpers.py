@@ -6,7 +6,8 @@ Caratheodory subset enumeration, rank by transposed elimination, and the
 deformation dimension by dense Fraction elimination of the full edge
 equations instead of the integer rank of the cycle-closing matrix.
 Subdivision is checked against the earlier implementation that scanned the
-facets of every cone and walked edges and rays in two separate loops.
+facets of every cone and walked edges and rays in two separate loops, and
+fan validation against the earlier one that intersected every pair of cones.
 """
 
 from __future__ import annotations
@@ -19,15 +20,19 @@ from typing import Sequence
 
 from tropic.curves import BoundedEdge, CurveRay, TropicalCurve, require_valid
 from tropic.defspace import CombinatorialType, deformation_cone
-from tropic.errors import DimMismatch
+from tropic.errors import DimMismatch, ValidationReport
 from tropic.latticefan import (
     Cone,
     Fan,
     Matrix,
     RatVec,
+    canonical_form,
+    cone_faces,
     cone_halfspaces,
+    cone_intersection,
     dot,
     fan_from_maximal,
+    is_face_of,
     primitive,
     rank,
     smallest_containing_cone,
@@ -51,10 +56,10 @@ def monoid_closure(k: int, bound: int) -> set[tuple[int, int]]:
 
 
 def trusted_overlapping_fan() -> Fan:
-    """A fan of 51 cones marked trusted, in which the added cone {(1,0),(1,2)}
-    overlaps {(1,0),(1,1)} and {(1,1),(1,2)}."""
+    """A fan of 51 cones, in which the added cone {(1,0),(1,2)} overlaps
+    {(1,0),(1,1)} and {(1,1),(1,2)}."""
     fan = fan_from_maximal([(1, i) for i in range(25)], [[i, i + 1] for i in range(24)], 2)
-    return Fan.build(fan.cones + (Cone.from_rays([(1, 0), (1, 2)], 2),), 2, trusted_complete=True)
+    return Fan.build(fan.cones + (Cone.from_rays([(1, 0), (1, 2)], 2),), 2)
 
 
 def primitive_box_fan(bound: int = 2) -> Fan:
@@ -387,3 +392,35 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
     return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)
+
+
+def reference_fan_validate(f: Fan) -> ValidationReport:
+    """Check face closure and that pairwise intersections are common faces.
+
+    Stops at the first violation.  Always checks the fan it is given; whether
+    a trusted fan is checked at all is the caller's decision.
+    """
+    report = ValidationReport()
+    for c in f.cones:
+        if c.ambient_dim != f.ambient_dim:
+            report.add("DimMismatch", f"cone {c.generators} has ambient dim {c.ambient_dim}")
+            return report
+    present = {canonical_form(c) for c in f.cones}
+    for c in f.cones:
+        for face in cone_faces(c):
+            if canonical_form(face) not in present:
+                report.add(
+                    "FaceClosureViolated",
+                    f"face {face.generators} of cone {c.generators} is not in the fan",
+                )
+                return report
+    for c1, c2 in itertools.combinations(f.cones, 2):
+        inter = cone_intersection(c1, c2)
+        if not (is_face_of(inter, c1) and is_face_of(inter, c2)):
+            report.add(
+                "NonFaceIntersection",
+                f"cones {c1.generators} and {c2.generators} meet in {inter.generators}, "
+                "which is not a common face",
+            )
+            return report
+    return report

@@ -319,12 +319,6 @@ def test_emit_dot_library_surface():
     assert speyer_dot.count("->") == 3 + 4  # 3 edges + 4 rays
 
 
-def test_trust_fan_flag(paths, capsys):
-    code, _ = _capture(capsys, ["subdivide", paths["segfan"], "--fan", paths["fan_p1xp1"],
-                                "--trust-fan"])
-    assert code == 0
-
-
 def test_selftest_against_packaged_fixtures(capsys, monkeypatch):
     monkeypatch.delenv("TROPIC_FIXTURES", raising=False)
     code, text = _capture(capsys, ["selftest"])
@@ -484,17 +478,68 @@ def test_rationals_outside_integer_or_p_over_q_are_schema_errors(tmp_path, capsy
 def test_flags_a_subcommand_does_not_read_are_usage_errors(paths, capsys):
     for argv in (["genus", paths["segfan"], "--fan", paths["fan_p2"]],
                  ["genus", paths["segfan"], "--emit", "dot"],
-                 ["verify-cert", paths["segfan"], "--expect-ordinary"]):
+                 ["verify-cert", paths["segfan"], "--expect-ordinary"],
+                 ["subdivide", paths["segfan"], "--fan", paths["fan_p1xp1"], "--trust-fan"]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "usage: tropic" in captured.err, argv
 
 
 def test_selftest_validates_trusted_fans(tmp_path, capsys, monkeypatch):
-    # selftest validates every fan it finds, however large and whether trusted or not
+    # selftest validates every fan it finds, however large
     (tmp_path / "fan_big.json").write_text(dumps(fan_to_dict(trusted_overlapping_fan())))
     monkeypatch.setenv("TROPIC_FIXTURES", str(tmp_path))
     code, text = _capture(capsys, ["selftest"])
     assert code == 1
     (result,) = json.loads(text)["results"]
     assert result["passed"] is False and "not a common face" in result["detail"]
+
+
+def _overlapped(fan_doc: dict) -> dict:
+    """The fan document with the cone {(1,1),(3,1)} and its rays added; it
+    overlaps the positive quadrant of fan_p2."""
+    i = len(fan_doc["rays"])
+    fan_doc["rays"] += [[1, 1], [3, 1]]
+    fan_doc["cones"] += [[i], [i + 1], [i, i + 1]]
+    return fan_doc
+
+
+def test_fan_file_marked_trusted_is_still_validated(paths, capsys, tmp_path):
+    doc = _overlapped(fan_to_dict(fixtures.fan_p2()))
+    doc["trusted_complete"] = True
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(doc))
+    code, text = _capture(capsys, ["certify", paths["tripod"], "--fan", str(path)])
+    report = json.loads(text)
+    assert (code, report["error"]) == (1, "InvalidFan")
+    assert report["detail"].startswith("NonFaceIntersection")
+
+
+def test_verify_cert_validates_the_certificates_fan(paths, capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", paths["tripod"], "--fan", paths["fan_p2"], "--out", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    _overlapped(cert["fan"])
+    code, report = _verify_cert_doc(capsys, tmp_path, cert)
+    assert (code, report["error"]) == (1, "InvalidFan")
+    assert report["detail"].startswith("NonFaceIntersection")
+
+
+def test_certificate_fan_with_a_stale_trusted_key_verifies(paths, capsys, tmp_path):
+    cert = _segfan_certificate(paths, tmp_path)
+    cert["fan"]["trusted_complete"] = False
+    code, report = _verify_cert_doc(capsys, tmp_path, cert)
+    assert (code, report) == (0, {"ok": True, "violations": []})
+
+
+def test_bool_ray_indices_are_schema_errors(paths, capsys, tmp_path):
+    doc = fan_to_dict(fixtures.fan_p2())
+    doc["cones"].append([True])
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, text = _capture(capsys, ["subdivide", paths["tripod"], "--fan", str(path)])
+    assert (code, json.loads(text)["error"]) == (2, "SchemaError")
+    cert = _segfan_certificate(paths, tmp_path)
+    cert["fan"]["cones"].append([False])
+    code, report = _verify_cert_doc(capsys, tmp_path, cert)
+    assert (code, report["error"]) == (2, "SchemaError")

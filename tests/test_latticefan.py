@@ -7,7 +7,9 @@ from helpers import (
     contains_caratheodory,
     echelon,
     kernel_dimension,
+    primitive_box_fan,
     rank_by_transpose,
+    reference_fan_validate,
     trusted_overlapping_fan,
 )
 from tropic import fixtures
@@ -181,7 +183,7 @@ def test_missing_origin_breaks_face_closure():
 
 
 def test_trusted_fan_is_still_validated():
-    # trust is the CLI's decision; fan_validate checks whatever it is given
+    # fan_validate checks whatever it is given, however many cones it has
     report = fan_validate(trusted_overlapping_fan())
     assert report.violations[0].code == "NonFaceIntersection"
 
@@ -323,17 +325,68 @@ def test_canonical_form_ignores_which_lineality_basis_and_rays_are_returned(monk
     assert checked >= 100
 
 
-def test_fan_validate_on_a_fan_with_lineality():
+def _lineality_fans():
+    """{x-axis line, upper, lower half-plane}, and the same with the origin cone."""
     line = Cone.from_rays([(1, 0), (-1, 0)], 2)
     upper = Cone.from_rays([(1, 0), (-1, 0), (0, 1)], 2)
     lower = Cone.from_rays([(1, 0), (-1, 0), (0, -1)], 2)
-    assert fan_validate(Fan.build([line, upper, lower], 2)).valid
-    # the line is the minimal face of both half-planes; the origin is no face of it
-    report = fan_validate(Fan.build([Cone((), 2), line, upper, lower], 2))
+    return Fan.build([line, upper, lower], 2), Fan.build([Cone((), 2), line, upper, lower], 2)
+
+
+def test_fan_validate_on_a_fan_with_lineality():
+    without_origin, with_origin = _lineality_fans()
+    assert fan_validate(without_origin).valid
+    # the line is the minimal face of both half-planes; the origin is no face
+    # of any cone, so it is maximal and is intersected with the lower half-plane
+    report = fan_validate(with_origin)
     assert [(v.code, v.detail) for v in report.violations] == [(
         "NonFaceIntersection",
-        "cones () and ((-1, 0), (1, 0)) meet in (), which is not a common face",
+        "cones () and ((-1, 0), (0, -1), (1, 0)) meet in (), which is not a common face",
     )]
+
+
+def _random_fan(rng, dim):
+    """Face closure of random simplicial cones on a few small rays; a quarter of
+    the fans also hold the x-axis as a line."""
+    rays = sorted({primitive(v) for v in (tuple(rng.randint(-2, 2) for _ in range(dim))
+                                          for _ in range(dim + 3)) if any(v)})
+    maximal = [idx for idx in (rng.sample(range(len(rays)), min(len(rays), rng.randint(1, dim)))
+                               for _ in range(rng.randint(1, 4)))
+               if rank([rays[i] for i in idx]) == len(idx)]
+    fan = fan_from_maximal(rays, maximal, dim)
+    if rng.random() < 0.25:
+        axis = tuple(int(i == 0) for i in range(dim))
+        fan = Fan.build(fan.cones + (Cone.from_rays([axis, tuple(-x for x in axis)], dim),), dim)
+    return fan
+
+
+def _verdict(report):
+    return report.valid, report.violations[0].code if report.violations else None
+
+
+def test_fan_validate_matches_all_pairs_reference():
+    # intersecting maximal cones only gives the verdict of intersecting every pair
+    rng = random.Random(41)
+    named = [fn() for fn in fixtures.FANS.values()]
+    named += [trusted_overlapping_fan(), primitive_box_fan(), *_lineality_fans()]
+    random_fans = [_random_fan(rng, 2 + trial % 2) for trial in range(360)]
+    outcomes = {}
+    for fan in named + random_fans:
+        verdict = _verdict(fan_validate(fan))
+        assert verdict == _verdict(reference_fan_validate(fan)), fan
+        outcomes[verdict] = outcomes.get(verdict, 0) + 1
+    assert outcomes[(True, None)] >= 100 and outcomes[(False, "NonFaceIntersection")] >= 100
+
+
+def test_fan_validate_intersects_only_maximal_cones(monkeypatch):
+    from tropic import latticefan
+
+    pairs = []
+    real = latticefan.cone_intersection
+    monkeypatch.setattr(latticefan, "cone_intersection", lambda a, b: pairs.append(1) or real(a, b))
+    fan = primitive_box_fan()  # 33 cones, 16 of them two-dimensional
+    assert fan_validate(fan).valid
+    assert (len(fan.cones), len(pairs)) == (33, 16 * 15 // 2)
 
 
 def test_halfspaces_desk_scale_guard():
