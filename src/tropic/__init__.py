@@ -31,7 +31,6 @@ from .defspace import (
     deformation_cone,
     expected_dimension,
     is_superabundant,
-    point_of_curve,
     superabundance,
 )
 from .degeneration import (

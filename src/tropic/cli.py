@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -227,7 +226,9 @@ def fixture_dir() -> Path:
     env = os.environ.get("TROPIC_FIXTURES")
     if env:
         return Path(env)
-    return Path(str(resources.files("tropic").joinpath("data/fixtures")))
+    from .fixtures import DIRECTORY  # imported here to keep it out of every command's start-up
+
+    return Path(str(DIRECTORY))
 
 
 def _cmd_selftest(args) -> tuple[object, int]:
@@ -317,16 +318,22 @@ def run(argv) -> int:
         return 0 if ex.code in (0, None) else 2
     try:
         payload, code = _COMMANDS[args.subcommand][0](args)
-    except SchemaError as ex:
-        payload, code = {"error": ex.code, "detail": ex.message}, 2
     except TropicError as ex:
-        payload, code = {"error": ex.code, "detail": ex.message}, 1
+        payload, code = _error(ex)
     text = payload if isinstance(payload, str) else dumps(payload)
     if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            Path(args.out).write_text(text)
+            return code
+        except OSError as ex:
+            payload, code = _error(SchemaError(f"cannot write {args.out}: {ex}"))
+            text = dumps(payload)
+    sys.stdout.write(text)
     return code
+
+
+def _error(ex: TropicError) -> tuple[dict, int]:
+    return {"error": ex.code, "detail": ex.message}, 2 if isinstance(ex, SchemaError) else 1
 
 
 def main() -> None:

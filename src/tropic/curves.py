@@ -298,17 +298,3 @@ def compactify(c: TropicalCurve) -> CompactifiedCurve:
     require_valid(c)
     points = tuple(InfinityPoint(id=f"inf:{r.id}", ray=r.id) for r in c.rays)
     return CompactifiedCurve(base=c, infinity_points=points)
-
-
-def translated(c: TropicalCurve, offset: Sequence) -> TropicalCurve:
-    off = as_ratvec(offset)
-    vs = {v: tuple(a + b for a, b in zip(pos, off)) for v, pos in c.vertices.items()}
-    return TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
-
-
-def scaled(c: TropicalCurve, factor) -> TropicalCurve:
-    f = Fraction(factor)
-    if f <= 0:
-        raise InvalidCurve("scaling factor must be positive")
-    vs = {v: tuple(f * a for a in pos) for v, pos in c.vertices.items()}
-    return TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)

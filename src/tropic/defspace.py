@@ -16,9 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import TropicalCurve, edge_data, is_balanced, require_valid
-from .errors import TypeMismatch, Unbalanced
-from .latticefan import IntVec, RatVec, dot, rank
+from .curves import CurveRay, TropicalCurve, edge_data, is_balanced, require_valid
+from .errors import Unbalanced
+from .latticefan import IntVec, RatVec, rank
 
 
 @dataclass(frozen=True)
@@ -30,21 +30,13 @@ class TypeEdge:
 
 
 @dataclass(frozen=True)
-class TypeRay:
-    id: str
-    base: str
-    direction: IntVec
-    weight: int
-
-
-@dataclass(frozen=True)
 class CombinatorialType:
     """A curve with positions and lengths forgotten: graph, directions, weights."""
 
     ambient_dim: int
     vertices: tuple[str, ...]
     edges: tuple[TypeEdge, ...]
-    rays: tuple[TypeRay, ...]
+    rays: tuple[CurveRay, ...]
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,6 @@ class DeformationCone:
     combinatorial_type: CombinatorialType
     coordinates: tuple[str, ...]  # labels: "<vertex>[i]" blocks then "len:<edge>"
     equations: tuple[RatVec, ...]
-    length_coords: tuple[int, ...]  # indices carrying the nonnegativity constraints
     verdict: SuperabundanceVerdict
 
     @property
@@ -76,20 +67,9 @@ class DeformationCone:
 def combinatorial_type(c: TropicalCurve) -> CombinatorialType:
     """Forget positions and lengths; keep the graph, primitive directions, and weights."""
     require_valid(c)
-    edges = tuple(
-        TypeEdge(e.id, e.ends, e.weight, edge_data(c, e.id)[0])
-        for e in sorted(c.edges, key=lambda e: e.id)
-    )
-    rays = tuple(
-        TypeRay(r.id, r.base, r.direction, r.weight)
-        for r in sorted(c.rays, key=lambda r: r.id)
-    )
-    return CombinatorialType(
-        ambient_dim=c.ambient_dim,
-        vertices=tuple(sorted(c.vertices)),
-        edges=edges,
-        rays=rays,
-    )
+    # a curve keeps its vertices, edges and rays sorted by id
+    edges = tuple(TypeEdge(e.id, e.ends, e.weight, edge_data(c, e.id)[0]) for e in c.edges)
+    return CombinatorialType(c.ambient_dim, tuple(c.vertices), edges, c.rays)
 
 
 def deformation_cone(t: CombinatorialType) -> DeformationCone:
@@ -113,7 +93,6 @@ def deformation_cone(t: CombinatorialType) -> DeformationCone:
         combinatorial_type=t,
         coordinates=coordinates,
         equations=tuple(rows),
-        length_coords=tuple(range(n * len(t.vertices), ncoords)),
         verdict=superabundance(t),
     )
 
@@ -183,29 +162,6 @@ def superabundance(t: CombinatorialType) -> SuperabundanceVerdict:
     dimension = n + nedges - r
     expected = expected_dimension(t, g, len(t.rays))
     return SuperabundanceVerdict(dimension, expected, dimension - expected)
-
-
-def point_of_curve(c: TropicalCurve) -> tuple[RatVec, DeformationCone]:
-    """Coordinates of the curve inside the deformation cone of its own type.
-
-    Asserts that the point satisfies every equation exactly and has all
-    lengths positive (it lies in the cone's relative interior).
-    """
-    t = combinatorial_type(c)
-    cone = deformation_cone(t)
-    coords: list[Fraction] = []
-    for v in t.vertices:
-        coords.extend(c.position(v))
-    for e in t.edges:
-        _, length = edge_data(c, e.id)
-        coords.append(length)
-    x = tuple(coords)
-    for row in cone.equations:
-        if dot(row, x) != 0:
-            raise TypeMismatch("curve coordinates violate its own type equations")
-    if any(x[i] <= 0 for i in cone.length_coords):
-        raise TypeMismatch("curve has a nonpositive edge length")
-    return x, cone
 
 
 def overvalence(t: CombinatorialType) -> int:

@@ -70,14 +70,6 @@ class NodeMonoid:
 
     k: int
 
-    @property
-    def generators(self) -> tuple[tuple[int, int], ...]:
-        return ((1, 1), (self.k, 0), (0, self.k))
-
-    @property
-    def relation(self) -> str:
-        return f"(k,0) + (0,k) = k*(1,1) with k = {self.k}"
-
     def contains(self, n1: int, n2: int) -> bool:
         return n1 >= 0 and n2 >= 0 and (n2 - n1) % self.k == 0
 

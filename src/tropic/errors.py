@@ -53,10 +53,6 @@ class CertificateInconsistency(TropicError):
     code = "CertificateInconsistency"
 
 
-class TypeMismatch(TropicError):
-    code = "TypeMismatch"
-
-
 class DeskScaleExceeded(TropicError):
     code = "DeskScaleExceeded"
 

@@ -1,205 +1,40 @@
-"""Canonical curve and fan fixtures used by the test suite and the selftest command."""
+"""Canonical curve and fan fixtures, read from the packaged ``data/fixtures/<name>.json``.
+
+Curves: ``line``, the origin of R^2 with opposite unit rays; ``tripod``, the
+tropical line in R^2; ``unbal``, two rays only (defect (1, 1)); ``segfan``, a
+weight-2 segment from (0,0) to (2,0) with weight-2 flanking rays; ``cycle3``,
+a genus-1 triangle in R^2; ``speyer3``, a genus-1 planar triangle in R^3 whose
+origin vertex carries both out-of-plane rays, so it fails well-spacedness and
+is superabundant; ``speyer3_ws``, speyer3 rebalanced with out-of-plane ray
+pairs at two cycle vertices; ``diag``, a segment through the origin with rays
+in both diagonal directions; ``ratio``, a path with length/weight ratios 3/4
+and 5/6, so integral rescaling needs N = 12.  Complete fans: ``fan_p2``,
+``fan_p1xp1`` (the axis rays), ``fan_diag`` (the diagonal rays), and the
+simplicial ``fan_cycle3``, ``fan_r3``, ``fan_r3_ws`` on the recession
+directions of cycle3, speyer3 and speyer3_ws.
+
+``CURVES`` and ``FANS`` map each name to a callable that parses the file on
+every call: a shared curve would carry its cached validation and index along.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import partial
+from importlib import resources
 
-from .curves import TropicalCurve
-from .latticefan import Fan, fan_from_maximal
+from .jsonio import curve_from_dict, fan_from_dict, loads
 
-
-def line() -> TropicalCurve:
-    """Single vertex at the origin of R^2 with opposite unit rays."""
-    return TropicalCurve.build(
-        2,
-        {"v0": (0, 0)},
-        rays=[("r+", "v0", (1, 0), 1), ("r-", "v0", (-1, 0), 1)],
-    )
+DIRECTORY = resources.files(__package__).joinpath("data/fixtures")
 
 
-def tripod() -> TropicalCurve:
-    """Three unit rays from the origin; the tropical line in R^2."""
-    return TropicalCurve.build(
-        2,
-        {"v0": (0, 0)},
-        rays=[
-            ("r0", "v0", (1, 0), 1),
-            ("r1", "v0", (0, 1), 1),
-            ("r2", "v0", (-1, -1), 1),
-        ],
-    )
+def _load(parse, name: str):
+    return parse(loads(DIRECTORY.joinpath(f"{name}.json").read_text()))
 
 
-def unbal() -> TropicalCurve:
-    """Two rays only; fails balancing with defect (1, 1) at the vertex."""
-    return TropicalCurve.build(
-        2,
-        {"v0": (0, 0)},
-        rays=[("r0", "v0", (1, 0), 1), ("r1", "v0", (0, 1), 1)],
-    )
-
-
-def segfan() -> TropicalCurve:
-    """Weight-2 segment from (0,0) to (2,0) with weight-2 flanking rays."""
-    return TropicalCurve.build(
-        2,
-        {"v0": (0, 0), "v1": (2, 0)},
-        edges=[("e0", ("v0", "v1"), 2)],
-        rays=[("r0", "v0", (-1, 0), 2), ("r1", "v1", (1, 0), 2)],
-    )
-
-
-def cycle3() -> TropicalCurve:
-    """Genus-1 triangle in R^2 with one balancing ray per vertex."""
-    return TropicalCurve.build(
-        2,
-        {"v0": (0, 0), "v1": (1, 0), "v2": (0, 1)},
-        edges=[("e0", ("v0", "v1"), 1), ("e1", ("v1", "v2"), 1), ("e2", ("v2", "v0"), 1)],
-        rays=[
-            ("r0", "v0", (-1, -1), 1),
-            ("r1", "v1", (2, -1), 1),
-            ("r2", "v2", (-1, 2), 1),
-        ],
-    )
-
-
-def speyer3() -> TropicalCurve:
-    """Genus-1 planar triangle in R^3 whose origin vertex carries two out-of-plane rays.
-
-    The cycle spans the z = 0 plane while the rays (-1,-1,-1) and (0,0,1)
-    leave it at a single vertex, so the minimum distance from the cycle to a
-    departure point is attained only once: the classic failure of the
-    genus-1 well-spacedness condition, and a superabundant curve.
-    """
-    return TropicalCurve.build(
-        3,
-        {"v0": (0, 0, 0), "v1": (1, 0, 0), "v2": (0, 1, 0)},
-        edges=[("e0", ("v0", "v1"), 1), ("e1", ("v1", "v2"), 1), ("e2", ("v2", "v0"), 1)],
-        rays=[
-            ("r0a", "v0", (-1, -1, -1), 1),
-            ("r0b", "v0", (0, 0, 1), 1),
-            ("r1", "v1", (2, -1, 0), 1),
-            ("r2", "v2", (-1, 2, 0), 1),
-        ],
-    )
-
-
-def speyer3_wellspaced() -> TropicalCurve:
-    """Rebalanced variant of speyer3 with out-of-plane ray pairs at two cycle vertices."""
-    return TropicalCurve.build(
-        3,
-        {"v0": (0, 0, 0), "v1": (1, 0, 0), "v2": (0, 1, 0)},
-        edges=[("e0", ("v0", "v1"), 1), ("e1", ("v1", "v2"), 1), ("e2", ("v2", "v0"), 1)],
-        rays=[
-            ("r0a", "v0", (-1, -1, -1), 1),
-            ("r0b", "v0", (0, 0, 1), 1),
-            ("r1a", "v1", (2, -1, -1), 1),
-            ("r1b", "v1", (0, 0, 1), 1),
-            ("r2", "v2", (-1, 2, 0), 1),
-        ],
-    )
-
-
-def diag() -> TropicalCurve:
-    """Diagonal segment crossing the origin, balanced by rays in both diagonal directions."""
-    return TropicalCurve.build(
-        2,
-        {"a": (-1, -1), "b": (1, 1)},
-        edges=[("e0", ("a", "b"), 1)],
-        rays=[("r-", "a", (-1, -1), 1), ("r+", "b", (1, 1), 1)],
-    )
-
-
-def ratio_path() -> TropicalCurve:
-    """Two-edge path with length/weight ratios 3/4 and 5/6; integral rescaling needs N = 12."""
-    return TropicalCurve.build(
-        2,
-        {"v0": (0, 0), "v1": (Fraction(3, 4), 0), "v2": (Fraction(3, 4), Fraction(5, 6))},
-        edges=[("e0", ("v0", "v1"), 1), ("e1", ("v1", "v2"), 1)],
-        rays=[
-            ("r0", "v0", (-1, 0), 1),
-            ("r1", "v1", (1, -1), 1),
-            ("r2", "v2", (0, 1), 1),
-        ],
-    )
-
-
-def fan_p2() -> Fan:
-    """Complete fan of the projective plane: rays (1,0), (0,1), (-1,-1)."""
-    return fan_from_maximal([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]], 2)
-
-
-def fan_p1xp1() -> Fan:
-    """Complete fan with the four axis rays; supports curves with horizontal recession."""
-    return fan_from_maximal(
-        [(1, 0), (0, 1), (-1, 0), (0, -1)],
-        [[0, 1], [1, 2], [2, 3], [3, 0]],
-        2,
-    )
-
-
-def fan_diag() -> Fan:
-    """Complete fan with the four diagonal rays."""
-    return fan_from_maximal(
-        [(1, 1), (-1, 1), (-1, -1), (1, -1)],
-        [[0, 1], [1, 2], [2, 3], [3, 0]],
-        2,
-    )
-
-
-def fan_cycle3() -> Fan:
-    """Complete fan of R^2 on the recession directions of cycle3."""
-    return fan_from_maximal([(-1, -1), (2, -1), (-1, 2)], [[0, 1], [1, 2], [2, 0]], 2)
-
-
-def fan_r3() -> Fan:
-    """Complete simplicial fan of R^3 on the recession directions of speyer3."""
-    return fan_from_maximal(
-        [(-1, -1, -1), (0, 0, 1), (2, -1, 0), (-1, 2, 0)],
-        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
-        3,
-    )
-
-
-def fan_r3_wellspaced() -> Fan:
-    """Complete simplicial fan of R^3 on the recession directions of speyer3_wellspaced."""
-    return fan_from_maximal(
-        [(-1, -1, -1), (0, 0, 1), (2, -1, -1), (-1, 2, 0)],
-        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
-        3,
-    )
-
-
-CURVES = {
-    "line": line,
-    "tripod": tripod,
-    "unbal": unbal,
-    "segfan": segfan,
-    "cycle3": cycle3,
-    "speyer3": speyer3,
-    "speyer3_ws": speyer3_wellspaced,
-    "diag": diag,
-    "ratio": ratio_path,
-}
-
-FANS = {
-    "fan_p2": fan_p2,
-    "fan_p1xp1": fan_p1xp1,
-    "fan_diag": fan_diag,
-    "fan_cycle3": fan_cycle3,
-    "fan_r3": fan_r3,
-    "fan_r3_ws": fan_r3_wellspaced,
-}
-
-# balanced verdict expected per curve fixture, used by the selftest command
-BALANCED = {
-    "line": True,
-    "tripod": True,
-    "unbal": False,
-    "segfan": True,
-    "cycle3": True,
-    "speyer3": True,
-    "speyer3_ws": True,
-    "diag": True,
-    "ratio": True,
-}
+CURVES = {name: partial(_load, curve_from_dict, name) for name in (
+    "line", "tripod", "unbal", "segfan", "cycle3", "speyer3", "speyer3_ws", "diag", "ratio")}
+FANS = {name: partial(_load, fan_from_dict, name) for name in (
+    "fan_p2", "fan_p1xp1", "fan_diag", "fan_cycle3", "fan_r3", "fan_r3_ws")}
+line, tripod, unbal, segfan, cycle3, speyer3, speyer3_wellspaced, diag, ratio_path = CURVES.values()
+fan_p2, fan_p1xp1, fan_diag, fan_cycle3, fan_r3, fan_r3_wellspaced = FANS.values()
+BALANCED = {name: name != "unbal" for name in CURVES}  # expected verdicts, read by selftest

@@ -35,21 +35,29 @@ def rat_to_json(x) -> int | str:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_ECHO_CAP = 40  # characters of an input value an error detail repeats
+
+
+def _echo(text: str) -> str:
+    """An input value's text as an error detail repeats it, cut to _ECHO_CAP characters."""
+    return text if len(text) <= _ECHO_CAP else f"{text[:_ECHO_CAP]}... ({len(text)} characters)"
 
 
 def rat_from_json(value) -> Fraction:
     """An integer, or a string of exactly the form "p" or "p/q" (ASCII digits, optional minus)."""
     if isinstance(value, bool):
-        raise SchemaError(f"expected a rational, got {value!r}")
+        raise SchemaError(f"expected a rational, got {_echo(repr(value))}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
-            raise SchemaError(f"bad rational string {value!r}: expected 'p' or 'p/q'")
+            raise SchemaError(f"bad rational string {_echo(repr(value))}: expected 'p' or 'p/q'")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as ex:
-            raise SchemaError(f"bad rational string {value!r}: {ex}") from None
+        except ZeroDivisionError:
+            raise SchemaError(f"bad rational string {_echo(repr(value))}: zero denominator") from None
+        except ValueError as ex:  # more digits than Python converts
+            raise SchemaError(f"bad rational string {_echo(repr(value))}: {ex}") from None
     raise SchemaError(f"expected int or 'p/q' string, got {type(value).__name__}")
 
 
@@ -122,9 +130,9 @@ def curve_from_dict(data) -> TropicalCurve:
         _require(isinstance(entry, dict) and "id" in entry and "coords" in entry,
                  "vertex entries need 'id' and 'coords'")
         vid = _str(entry["id"], "vertex id")
-        _require(vid not in vertices, f"duplicate vertex id {vid}")
+        _require(vid not in vertices, f"duplicate vertex id {_echo(vid)}")
         _require(isinstance(entry["coords"], list) and len(entry["coords"]) == n,
-                 f"vertex {vid} needs {n} coordinates")
+                 f"vertex {_echo(vid)} needs {n} coordinates")
         vertices[vid] = tuple(rat_from_json(x) for x in entry["coords"])
     edges = []
     for entry in _list(data.get("edges", []), "edges"):
@@ -141,7 +149,7 @@ def curve_from_dict(data) -> TropicalCurve:
                  "ray entries need 'id', 'base', 'direction', 'weight'")
         direction = entry["direction"]
         _require(isinstance(direction, list) and len(direction) == n,
-                 f"ray {entry['id']} direction needs {n} integer entries")
+                 f"ray {_echo(str(entry['id']))} direction needs {n} integer entries")
         rays.append(CurveRay(_str(entry["id"], "ray id"), _str(entry["base"], "ray base"),
                              tuple(_int(x, "direction entry") for x in direction),
                              _int(entry["weight"], "ray weight")))
@@ -177,7 +185,7 @@ def fan_from_dict(data) -> Fan:
         _require(isinstance(idx_list, list), "each cone must be a list of ray indices")
         gens = []
         for i in idx_list:
-            _require(0 <= _int(i, "ray index") < len(rays), f"bad ray index {i!r}")
+            _require(0 <= _int(i, "ray index") < len(rays), f"bad ray index {_echo(repr(i))}")
             gens.append(rays[i])
         cones.append(Cone.from_rays(gens, n) if gens else Cone((), n))
     # keep the file's cone order: certificate fields reference cones by index
@@ -311,7 +319,9 @@ def dumps(obj: Any) -> str:
 
 
 def loads(text: str):
+    """Parse JSON text; a syntax error, an integer over Python's digit limit or
+    nesting deeper than the recursion limit is a SchemaError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as ex:
+    except (ValueError, RecursionError) as ex:  # ValueError covers json.JSONDecodeError
         raise SchemaError(f"malformed JSON: {ex}") from None

@@ -178,11 +178,6 @@ class Cone:
         gens = sorted(set(gens))
         return Cone(tuple(gens), ambient_dim)
 
-    def dim(self) -> int:
-        if not self.generators:
-            return 0
-        return rank(self.generators)
-
 
 @dataclass(frozen=True)
 class HRepr:
@@ -425,7 +420,7 @@ class Fan:
 
     def rays(self) -> tuple[IntVec, ...]:
         """Primitive generators of the one-dimensional cones."""
-        out = [c.generators[0] for c in self.cones if len(c.generators) == 1 and c.dim() == 1]
+        out = [c.generators[0] for c in self.cones if len(c.generators) == 1]
         return tuple(sorted(set(out)))
 
     @cached_property

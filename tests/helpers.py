@@ -1,4 +1,4 @@
-"""Shared test utilities: independent oracles and random curve generators.
+"""Shared test utilities: independent oracles, curve generators and transforms.
 
 The oracles here deliberately avoid the library code paths they are used to
 check: monoid membership by brute-force closure, cone membership by
@@ -12,20 +12,28 @@ fan validation against the earlier one that intersected every pair of cones.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
 from math import atan2, gcd
+from pathlib import Path
 from typing import Sequence
 
-from tropic.curves import BoundedEdge, CurveRay, TropicalCurve, require_valid
-from tropic.defspace import CombinatorialType, deformation_cone
+from tropic.curves import BoundedEdge, CurveRay, TropicalCurve, edge_data, require_valid
+from tropic.defspace import (
+    CombinatorialType,
+    DeformationCone,
+    combinatorial_type,
+    deformation_cone,
+)
 from tropic.errors import DimMismatch, ValidationReport
 from tropic.latticefan import (
     Cone,
     Fan,
     Matrix,
     RatVec,
+    as_ratvec,
     canonical_form,
     cone_faces,
     cone_halfspaces,
@@ -165,91 +173,57 @@ def dense_deformation_dimension(t: CombinatorialType) -> int:
     return kernel_dimension(cone.equations, len(cone.coordinates))
 
 
-def honeycomb(d: int, dim: int = 2) -> TropicalCurve:
-    """Degree-d honeycomb plane curve, placed in z = 0 when ``dim`` is 3.
+# Test curves come from the benchmark's generators, loaded by path, so the
+# tests and the benchmark draw from one source.
+_GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
-    It is dual to the unimodular triangulation of the d-simplex induced by
-    the lifting q(i, j) = i^2 + ij + j^2 (min convention): the vertex dual to
-    an up triangle (i,j),(i+1,j),(i,j+1) is -(2i+j+1, i+2j+1), the one dual
-    to the down triangle above it is -(2i+j+2, i+2j+2).  It has d^2 vertices,
-    3d(d-1)/2 unit edges, 3d unit rays and genus (d-1)(d-2)/2.
-    """
-    pad = (0,) * (dim - 2)
-    vertices, edges, rays = {}, [], []
-    for i in range(d):
-        for j in range(d - i):
-            up = f"u{i}_{j}"
-            vertices[up] = (-(2 * i + j + 1), -(i + 2 * j + 1)) + pad
-            if j == 0:
-                rays.append((f"r{up}y", up, (0, 1) + pad, 1))
-            if i == 0:
-                rays.append((f"r{up}x", up, (1, 0) + pad, 1))
-            if i + j == d - 1:
-                rays.append((f"r{up}z", up, (-1, -1) + pad, 1))
-    for i in range(d - 1):
-        for j in range(d - 1 - i):
-            down = f"d{i}_{j}"
-            vertices[down] = (-(2 * i + j + 2), -(i + 2 * j + 2)) + pad
-            for k, up in enumerate((f"u{i}_{j}", f"u{i + 1}_{j}", f"u{i}_{j + 1}")):
-                edges.append((f"e{down}_{k}", (up, down), 1))
-    return TropicalCurve.build(dim, vertices, edges, rays)
+# every primitive vector of max-norm <= 3, per ambient dimension
+DIRECTIONS = {
+    dim: [v for v in itertools.product(range(-3, 4), repeat=dim) if any(v) and primitive(v) == v]
+    for dim in (2, 3)
+}
 
 
-def content(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
-def random_primitive(rng: random.Random, dim: int):
-    while True:
-        v = tuple(rng.randint(-3, 3) for _ in range(dim))
-        if any(v):
-            return primitive(v)
-
-
-def random_balanced_trivalent_tree(
-    rng: random.Random, dim: int, max_vertices: int = 6
-) -> TropicalCurve:
-    """Balanced genus-0 curve, every vertex trivalent, grown ray by ray."""
-    while True:
-        d1 = random_primitive(rng, dim)
-        d2 = random_primitive(rng, dim)
-        s = tuple(-(a + b) for a, b in zip(d1, d2))
-        if any(s):
-            break
-    vertices = {"v0": tuple(Fraction(0) for _ in range(dim))}
-    rays = [
-        ["r0", "v0", d1, 1],
-        ["r1", "v0", d2, 1],
-        ["r2", "v0", primitive(s), content(s)],
-    ]
-    edges = []
-    next_ray = 3
-    target = rng.randint(1, max_vertices)
-    while len(vertices) < target:
-        idx = rng.randrange(len(rays))
-        _, base, d, w = rays.pop(idx)
-        step = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        new_v = f"v{len(vertices)}"
-        vertices[new_v] = tuple(p + step * x for p, x in zip(vertices[base], d))
-        edges.append((f"e{len(edges)}", (base, new_v), w))
-        # rebalance the new vertex: edge contributes w * (-d); rays must sum to w * d
-        while True:
-            e1 = random_primitive(rng, dim)
-            rem = tuple(w * x - y for x, y in zip(d, e1))
-            if any(rem):
-                break
-        rays.append([f"r{next_ray}", new_v, e1, 1])
-        rays.append([f"r{next_ray + 1}", new_v, primitive(rem), content(rem)])
-        next_ray += 2
+def random_tree(rng: random.Random, dim: int, max_vertices: int) -> TropicalCurve:
+    """Balanced trivalent tree with 1 to ``max_vertices`` vertices (``gen.tree``)."""
     return TropicalCurve.build(
-        dim,
-        vertices,
-        edges,
-        [(rid, base, d, w) for rid, base, d, w in rays],
+        *gen.tree(rng, dim, rng.randint(1, max_vertices), DIRECTIONS[dim])
     )
+
+
+def translated(c: TropicalCurve, offset: Sequence) -> TropicalCurve:
+    off = as_ratvec(offset)
+    vs = {v: tuple(a + b for a, b in zip(pos, off)) for v, pos in c.vertices.items()}
+    return TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
+
+
+def scaled(c: TropicalCurve, factor) -> TropicalCurve:
+    f = Fraction(factor)
+    assert f > 0, "scaling factor must be positive"
+    vs = {v: tuple(f * a for a in pos) for v, pos in c.vertices.items()}
+    return TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
+
+
+def point_of_curve(c: TropicalCurve) -> tuple[RatVec, DeformationCone]:
+    """Coordinates of the curve inside the deformation cone of its own type:
+    vertex positions in sorted-vertex order, then the lengths of the bounded
+    edges.  Asserts that the point satisfies every equation exactly and that
+    every length is positive (it lies in the cone's relative interior)."""
+    t = combinatorial_type(c)
+    cone = deformation_cone(t)
+    x = tuple(a for v in t.vertices for a in c.position(v))
+    x += tuple(edge_data(c, e.id)[1] for e in t.edges)
+    assert all(dot(row, x) == 0 for row in cone.equations), "violates its own type equations"
+    assert all(a > 0 for a in length_coords(x, cone)), "nonpositive edge length"
+    return x, cone
+
+
+def length_coords(x: RatVec, cone: DeformationCone) -> list[Fraction]:
+    """The entries of ``x`` at the cone's edge-length coordinates."""
+    return [a for a, label in zip(x, cone.coordinates) if label.startswith("len:")]
 
 
 # ---------------------------------------------------------------------------

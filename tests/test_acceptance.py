@@ -10,7 +10,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from helpers import monoid_closure, random_balanced_trivalent_tree
+from helpers import monoid_closure, random_tree
 from tropic import fixtures
 from tropic.curves import edge_data, genus, is_balanced, recession_fan, validate
 from tropic.defspace import combinatorial_type, is_superabundant
@@ -82,7 +82,7 @@ def test_criterion_4_genus_zero_trees_never_superabundant():
         bad = []
         for i in range(50):
             dim = 2 if i < 25 else 3
-            tree = random_balanced_trivalent_tree(rng, dim, max_vertices=6)
+            tree = random_tree(rng, dim, max_vertices=6)
             assert validate(tree).valid and is_balanced(tree).balanced
             if is_superabundant(tree).excess != 0:
                 bad.append(i)

@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -287,6 +286,48 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _check_schema_error(tmp_path, capsys, text):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    code, out = _capture(capsys, ["check", str(doc)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "SchemaError"
+    return report["detail"]
+
+
+def test_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
+    # a 5,000-digit coordinate: more digits than Python converts to an int
+    doc = curve_to_dict(fixtures.tripod())
+    doc["vertices"][0]["coords"] = ["big", 0]
+    text = json.dumps(doc).replace('"big"', "7" * 5000)
+    assert "malformed JSON" in _check_schema_error(tmp_path, capsys, text)
+
+
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    assert "malformed JSON" in _check_schema_error(tmp_path, capsys, "[" * 100_000)
+
+
+def test_error_details_cut_long_input_values(tmp_path, capsys):
+    doc = curve_to_dict(fixtures.tripod())
+    doc["vertices"][0]["coords"] = ["7" * 5000, 0]
+    detail = _check_schema_error(tmp_path, capsys, json.dumps(doc))
+    assert detail.startswith("bad rational string '7777") and len(detail) < 300
+    doc = curve_to_dict(fixtures.tripod())
+    doc["vertices"].append(dict(doc["vertices"][0]))
+    assert _check_schema_error(tmp_path, capsys, json.dumps(doc)) == "duplicate vertex id v0"
+
+
+def test_unwritable_out_path_exits_2(paths, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, text = _capture(capsys, ["genus", paths["tripod"], "--out", str(target)])
+    assert code == 2
+    report = json.loads(text)
+    assert report["error"] == "SchemaError"
+    assert report["detail"].startswith(f"cannot write {target}: ")
+    assert not target.exists()
+
+
 def test_schema_violation_exits_2(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"ambient_dim": 2, "vertices": [{"id": "a"}]}))
@@ -338,15 +379,13 @@ def test_selftest_env_override(tmp_path, capsys, monkeypatch):
     assert [r["name"] for r in json.loads(text)["results"]] == ["tripod"]
 
 
-def test_packaged_fixture_files_match_builders():
-    directory = Path(str(fixture_dir())) if not os.environ.get("TROPIC_FIXTURES") else None
-    assert directory is not None
-    for name, fn in fixtures.CURVES.items():
-        on_disk = json.loads((directory / f"{name}.json").read_text())
-        assert curve_from_dict(on_disk) == fn(), name
-    for name, fn in fixtures.FANS.items():
-        on_disk = json.loads((directory / f"{name}.json").read_text())
-        assert fan_from_dict(on_disk) == fn(), name
+def test_fixture_tables_name_every_packaged_file(monkeypatch):
+    monkeypatch.delenv("TROPIC_FIXTURES", raising=False)
+    stems = {path.stem for path in fixture_dir().glob("*.json")}
+    assert set(fixtures.CURVES) == {s for s in stems if not s.startswith("fan_")}
+    assert set(fixtures.FANS) == {s for s in stems if s.startswith("fan_")}
+    assert set(fixtures.BALANCED) == set(fixtures.CURVES)
+    assert fixtures.tripod() is not fixtures.tripod()  # a fresh curve, no shared caches
 
 
 def test_defcone_report_shape(paths, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import honeycomb
+from helpers import gen, scaled, translated
 from tropic import fixtures
 from tropic.curves import (
     TropicalCurve,
@@ -11,9 +11,7 @@ from tropic.curves import (
     genus,
     is_balanced,
     recession_fan,
-    scaled,
     star,
-    translated,
     validate,
 )
 from tropic.errors import DegenerateEdge, NoSuchVertex
@@ -194,7 +192,10 @@ def test_ambient_dimension_one_end_to_end():
 
 
 def test_incidence_index_matches_linear_scan():
-    curves = [fn() for fn in fixtures.CURVES.values()] + [honeycomb(4), honeycomb(3, 3)]
+    curves = [fn() for fn in fixtures.CURVES.values()] + [
+        TropicalCurve.build(*gen.honeycomb(4, 2, (0, 0))),
+        TropicalCurve.build(*gen.honeycomb(3, 3, (0, 0))),
+    ]
     for c in curves:
         fresh = TropicalCurve(c.ambient_dim, dict(c.vertices), c.edges, c.rays)
         for v in list(c.vertices) + ["missing"]:

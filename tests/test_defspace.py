@@ -3,11 +3,14 @@ from fractions import Fraction
 
 from helpers import (
     dense_deformation_dimension,
-    honeycomb,
-    random_balanced_trivalent_tree,
+    gen,
+    length_coords,
+    point_of_curve,
+    random_tree,
+    translated,
 )
 from tropic import fixtures
-from tropic.curves import edge_data, genus, is_balanced, translated, validate
+from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate
 from tropic.defspace import (
     combinatorial_type,
     cycle_closing_matrix,
@@ -15,7 +18,6 @@ from tropic.defspace import (
     expected_dimension,
     is_superabundant,
     overvalence,
-    point_of_curve,
     superabundance,
 )
 from tropic.latticefan import dot, rank
@@ -56,7 +58,7 @@ def test_point_of_curve_fixtures():
         x, cone = point_of_curve(fixtures.CURVES[name]())
         for row in cone.equations:
             assert dot(row, x) == 0
-        assert all(x[i] > 0 for i in cone.length_coords)
+        assert all(a > 0 for a in length_coords(x, cone))
 
 
 def test_point_of_curve_segfan_coordinates():
@@ -128,7 +130,7 @@ def test_superabundance_matches_dense_kernel_on_fixtures():
 def test_superabundance_matches_dense_kernel_on_random_trees():
     rng = random.Random(7)
     for i in range(40):
-        tree = random_balanced_trivalent_tree(rng, 2 if i % 2 else 3, max_vertices=12)
+        tree = random_tree(rng, 2 if i % 2 else 3, max_vertices=12)
         assert _check_against_dense_oracle(tree).excess == 0, i
 
 
@@ -137,7 +139,7 @@ def test_honeycomb_superabundance_oracle():
     # cycle loses the normal direction, so the excess is exactly the genus
     for d in range(3, 7):
         for dim in (2, 3):
-            c = honeycomb(d, dim)
+            c = TropicalCurve.build(*gen.honeycomb(d, dim, (0, 0)))
             assert is_balanced(c).balanced
             g = genus(c)
             assert g == (d - 1) * (d - 2) // 2
@@ -168,7 +170,7 @@ def test_random_trees_not_superabundant():
     rng = random.Random(2024)
     for i in range(50):
         dim = 2 if i < 25 else 3
-        tree = random_balanced_trivalent_tree(rng, dim, max_vertices=6)
+        tree = random_tree(rng, dim, max_vertices=6)
         assert validate(tree).valid
         assert is_balanced(tree).balanced
         verdict = is_superabundant(tree)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import primitive_box_fan, random_balanced_trivalent_tree, reference_subdivide
+from helpers import primitive_box_fan, random_tree, reference_subdivide
 from tropic import fixtures
 from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, recession_fan
 from tropic.errors import DimMismatch, InvalidCurve, TropicError
@@ -218,14 +218,13 @@ def test_subdivision_of_ray_with_crossing():
 def test_subdivision_fuzz_random_balanced_trees():
     import random as _random
 
-    from helpers import random_balanced_trivalent_tree
     from tropic.curves import validate
 
     rng = _random.Random(97)
     fans = {2: fixtures.fan_p2(), 3: fixtures.fan_r3()}
     for i in range(20):
         dim = 2 if i % 2 == 0 else 3
-        tree = random_balanced_trivalent_tree(rng, dim, max_vertices=4)
+        tree = random_tree(rng, dim, max_vertices=4)
         fan = fans[dim]
         record = subdivide_along_fan(tree, fan)
         out = record.output
@@ -275,7 +274,7 @@ def test_walker_matches_reference_on_random_trees():
     broken = 0
     for i in range(48):
         fan = fans[i % len(fans)]
-        tree = random_balanced_trivalent_tree(rng, fan.ambient_dim, max_vertices=6)
+        tree = random_tree(rng, fan.ambient_dim, max_vertices=6)
         _assert_matches_reference(tree, fan)
         broken += bool(reference_subdivide(tree, fan).new_vertices)
     assert broken >= 24  # most trees cross walls, so the pieces are compared too

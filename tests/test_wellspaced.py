@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import scaled, translated
 from tropic import fixtures
-from tropic.curves import TropicalCurve, scaled, translated
+from tropic.curves import TropicalCurve
 from tropic.defspace import is_superabundant
 from tropic.errors import GenusNotOne
 from tropic.wellspaced import cycle, well_spaced
