@@ -39,6 +39,7 @@ from .jsonio import (
     fan_from_dict,
     fan_to_dict,
     loads,
+    rat_text,
     rat_to_json,
 )
 from .latticefan import Fan, fan_validate
@@ -76,7 +77,7 @@ def emit_dot(c: TropicalCurve | CompactifiedCurve) -> str:
         infinity = {r.id: f"inf:{r.id}" for r in curve.rays}
     lines = ["digraph tropicalcurve {"]
     for v in sorted(curve.vertices):
-        coords = ", ".join(str(rat_to_json(x)) for x in curve.vertices[v])
+        coords = ", ".join(rat_text(x) for x in curve.vertices[v])
         lines.append(f'  "{v}" [label="{v} ({coords})"];')
     for r in sorted(curve.rays, key=lambda r: r.id):
         lines.append(f'  "{infinity[r.id]}" [shape=point, label=""];')
@@ -84,7 +85,7 @@ def emit_dot(c: TropicalCurve | CompactifiedCurve) -> str:
         _, length = edge_data(curve, e.id)
         lines.append(
             f'  "{e.ends[0]}" -> "{e.ends[1]}" '
-            f'[dir=none, label="w={e.weight}, l={rat_to_json(length)}"];'
+            f'[dir=none, label="w={e.weight}, l={rat_text(length)}"];'
         )
     for r in sorted(curve.rays, key=lambda r: r.id):
         direction = ", ".join(str(x) for x in r.direction)
@@ -157,16 +158,7 @@ def _cmd_subdivide(args) -> tuple[object, int]:
     return {
         "curve": curve_to_dict(record.output),
         "subdivision": {
-            "new_vertices": [
-                {
-                    "id": v.id,
-                    "host": v.host,
-                    "host_kind": v.host_kind,
-                    "cone_before": v.cone_before,
-                    "cone_after": v.cone_after,
-                }
-                for v in record.new_vertices
-            ],
+            "new_vertices": [asdict(v) for v in record.new_vertices],
             "piece_cones": dict(sorted(record.piece_cones.items())),
         },
     }, 0
@@ -318,9 +310,10 @@ def run(argv) -> int:
         return 0 if ex.code in (0, None) else 2
     try:
         payload, code = _COMMANDS[args.subcommand][0](args)
+        text = payload if isinstance(payload, str) else dumps(payload)
     except TropicError as ex:
         payload, code = _error(ex)
-    text = payload if isinstance(payload, str) else dumps(payload)
+        text = dumps(payload)
     if args.out:
         try:
             Path(args.out).write_text(text)

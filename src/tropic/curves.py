@@ -19,6 +19,7 @@ from .errors import (
     InvalidCurve,
     NoSuchVertex,
     ValidationReport,
+    _echo,
 )
 from .latticefan import (
     Cone,
@@ -84,7 +85,7 @@ class TropicalCurve:
         try:
             return self.vertices[vertex]
         except KeyError:
-            raise NoSuchVertex(f"no vertex {vertex!r}") from None
+            raise NoSuchVertex(f"no vertex {_echo(repr(vertex))}") from None
 
     # The indexes and the validation verdict below are built on first use and
     # kept in the instance __dict__; they are not dataclass fields, so
@@ -106,6 +107,11 @@ class TropicalCurve:
         return index
 
     @cached_property
+    def _edge_data(self) -> dict[str, tuple[IntVec, Fraction]]:
+        """edge id -> (primitive direction, lattice length), filled by ``edge_data``."""
+        return {}
+
+    @cached_property
     def _validation(self) -> ValidationReport:
         return _check_structure(self)
 
@@ -113,7 +119,7 @@ class TropicalCurve:
         try:
             return self._edge_by_id[edge_id]
         except KeyError:
-            raise DegenerateEdge(f"no bounded edge {edge_id!r}") from None
+            raise DegenerateEdge(f"no bounded edge {_echo(repr(edge_id))}") from None
 
     def edges_at(self, vertex: str) -> list[BoundedEdge]:
         return list(self._incidence.get(vertex, ((), ()))[0])
@@ -174,34 +180,36 @@ def _check_structure(c: TropicalCurve) -> ValidationReport:
         report.add("Empty", "curve has no vertices")
     for v, pos in c.vertices.items():
         if len(pos) != c.ambient_dim:
-            report.add("DimMismatch", f"vertex {v} has {len(pos)} coordinates")
+            report.add("DimMismatch", f"vertex {_echo(v)} has {len(pos)} coordinates")
     seen_ids: set[str] = set()
     for e in c.edges:
+        eid = _echo(e.id)
         if e.id in seen_ids:
-            report.add("DuplicateId", f"edge id {e.id} reused")
+            report.add("DuplicateId", f"edge id {eid} reused")
         seen_ids.add(e.id)
         if e.weight < 1:
-            report.add("NonpositiveWeight", f"edge {e.id} has weight {e.weight}")
+            report.add("NonpositiveWeight", f"edge {eid} has weight {e.weight}")
         missing = [v for v in e.ends if v not in c.vertices]
         if missing:
-            report.add("NoSuchVertex", f"edge {e.id} references {missing}")
+            report.add("NoSuchVertex", f"edge {eid} references {[_echo(v) for v in missing]}")
             continue
         if c.vertices[e.ends[0]] == c.vertices[e.ends[1]]:
-            report.add("DegenerateEdge", f"edge {e.id} has coincident endpoints")
+            report.add("DegenerateEdge", f"edge {eid} has coincident endpoints")
     for r in c.rays:
+        rid = _echo(r.id)
         if r.id in seen_ids:
-            report.add("DuplicateId", f"ray id {r.id} reused")
+            report.add("DuplicateId", f"ray id {rid} reused")
         seen_ids.add(r.id)
         if r.weight < 1:
-            report.add("NonpositiveWeight", f"ray {r.id} has weight {r.weight}")
+            report.add("NonpositiveWeight", f"ray {rid} has weight {r.weight}")
         if r.base not in c.vertices:
-            report.add("NoSuchVertex", f"ray {r.id} based at unknown vertex {r.base}")
+            report.add("NoSuchVertex", f"ray {rid} based at unknown vertex {_echo(r.base)}")
         if len(r.direction) != c.ambient_dim:
-            report.add("DimMismatch", f"ray {r.id} direction has {len(r.direction)} coordinates")
+            report.add("DimMismatch", f"ray {rid} direction has {len(r.direction)} coordinates")
         elif all(x == 0 for x in r.direction):
-            report.add("ZeroDirection", f"ray {r.id} has zero direction")
+            report.add("ZeroDirection", f"ray {rid} has zero direction")
         elif primitive(r.direction) != r.direction:
-            report.add("NonPrimitiveDirection", f"ray {r.id} direction {r.direction}")
+            report.add("NonPrimitiveDirection", f"ray {rid} direction {r.direction}")
     if c.vertices and not _connected(c):
         report.add("Disconnected", "underlying graph is not connected")
     return report
@@ -221,13 +229,16 @@ def _connected(c: TropicalCurve) -> bool:
 
 
 def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:
-    """Primitive direction and lattice length of a bounded edge, oriented by stored endpoint order."""
-    e = c.edge(edge_id)
-    pu, pw = c.position(e.ends[0]), c.position(e.ends[1])
-    disp = tuple(b - a for a, b in zip(pu, pw))
-    if all(x == 0 for x in disp):
-        raise DegenerateEdge(f"edge {edge_id} has zero length")
-    return primitive_and_scale(disp)
+    """Primitive direction and lattice length of a bounded edge, oriented by
+    stored endpoint order; computed once per edge of a curve instance."""
+    if edge_id not in c._edge_data:
+        e = c.edge(edge_id)
+        pu, pw = c.position(e.ends[0]), c.position(e.ends[1])
+        disp = tuple(b - a for a, b in zip(pu, pw))
+        if all(x == 0 for x in disp):
+            raise DegenerateEdge(f"edge {_echo(edge_id)} has zero length")
+        c._edge_data[edge_id] = primitive_and_scale(disp)
+    return c._edge_data[edge_id]
 
 
 def outgoing(c: TropicalCurve, vertex: str) -> list[tuple[IntVec, int]]:
@@ -280,7 +291,7 @@ def star(c: TropicalCurve, vertex: str) -> Star:
     """
     require_valid(c)
     if vertex not in c.vertices:
-        raise NoSuchVertex(f"no vertex {vertex!r}")
+        raise NoSuchVertex(f"no vertex {_echo(repr(vertex))}")
     weights: dict[IntVec, int] = {}
     for d, w in outgoing(c, vertex):
         weights[d] = weights.get(d, 0) + w

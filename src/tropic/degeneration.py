@@ -13,15 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import TropicalCurve, edge_data, is_balanced, outgoing
+from .curves import BoundedEdge, TropicalCurve, edge_data, is_balanced, outgoing
 from .errors import (
     CertificateInconsistency,
     NonIntegralRatio,
+    NotInSupport,
     RecessionNotSupported,
     Unbalanced,
 )
 from .latticefan import Fan, IntVec, RatVec, smallest_containing_cone
-from .refine import check_recession_support, rescale_integral, subdivide_along_fan
+from .refine import check_piece, check_recession_support, rescale_integral, subdivide_along_fan
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     hat, mult = rescale_integral(prepared)
 
     vertex_cones = tuple(
-        (v, f.cones.index(smallest_containing_cone(f, hat.position(v))))
+        (v, f.cone_index[smallest_containing_cone(f, hat.position(v))])
         for v in sorted(hat.vertices)
     )
     vertex_stars = tuple(
@@ -217,7 +218,9 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
 
 
 def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
-    """Re-derive every certificate field from the rescaled curve and fan and compare."""
+    """Re-derive every certificate field from the rescaled curve and fan and compare,
+    and check that the curve maps into the fan cone by cone (PieceNotInCone) with
+    every ray direction a ray of the fan (RecessionNotSupported)."""
     violations: list[str] = []
     hat = cert.rescaled_curve
     n = cert.multiplier
@@ -278,10 +281,27 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
             violations.append(f"VertexConeMismatch: unknown vertex {v}")
             continue
         actual = smallest_containing_cone(cert.fan, hat.position(v))
-        if cert.fan.cones.index(actual) != idx:
+        if cert.fan.cone_index[actual] != idx:
             violations.append(f"VertexConeMismatch: vertex {v} is interior to a different cone")
     if sorted(v for v, _ in cert.vertex_cones) != sorted(hat.vertices):
         violations.append("VertexConeMismatch: cone assignment keys differ from vertices")
+
+    # the map to the fan is cone by cone: each piece's closure lies in the
+    # cone whose relative interior holds an interior point of the piece
+    for piece in hat.edges + hat.rays:
+        if isinstance(piece, BoundedEdge):
+            ends, direction = [hat.position(v) for v in piece.ends], None
+            inner = tuple((a + b) / 2 for a, b in zip(*ends))
+        else:
+            ends, direction = [hat.position(piece.base)], piece.direction
+            inner = tuple(a + d for a, d in zip(ends[0], direction))
+        try:
+            cone = cert.fan.cone_index[smallest_containing_cone(cert.fan, inner)]
+            check_piece(cert.fan, cone, ends, direction, piece.id)
+        except NotInSupport:
+            violations.append(f"PieceNotInCone: {piece.id}")
+    for rid, d in check_recession_support(hat, cert.fan).missing:
+        violations.append(f"RecessionNotSupported: ray {rid} direction {d} is no ray of the fan")
 
     stars = dict(cert.vertex_stars)
     for v in hat.vertices:

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+_ECHO_CAP = 40  # characters of an input value an error detail repeats
+
+
+def _echo(text: str) -> str:
+    """An input value's text as an error detail repeats it, cut to _ECHO_CAP characters."""
+    return text if len(text) <= _ECHO_CAP else f"{text[:_ECHO_CAP]}... ({len(text)} characters)"
+
 
 class TropicError(Exception):
     """Base error; ``code`` is the stable machine-readable identifier."""

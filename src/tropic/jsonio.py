@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any
 
@@ -23,24 +24,27 @@ from .degeneration import (
     NodeData,
     RealizationCertificate,
 )
-from .errors import SchemaError
+from .errors import DeskScaleExceeded, SchemaError, _echo
 from .latticefan import Cone, Fan
+
+
+_OVER_LIMIT = "a number in the report exceeds Python's integer digit limit"
+
+
+def rat_text(x) -> str:
+    """A rational as "p" or "p/q"; one over Python's integer digit limit is DeskScaleExceeded."""
+    try:
+        return str(Fraction(x))
+    except ValueError:
+        raise DeskScaleExceeded(_OVER_LIMIT) from None
 
 
 def rat_to_json(x) -> int | str:
     f = Fraction(x)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+    return int(f) if f.denominator == 1 else rat_text(f)
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-_ECHO_CAP = 40  # characters of an input value an error detail repeats
-
-
-def _echo(text: str) -> str:
-    """An input value's text as an error detail repeats it, cut to _ECHO_CAP characters."""
-    return text if len(text) <= _ECHO_CAP else f"{text[:_ECHO_CAP]}... ({len(text)} characters)"
 
 
 def rat_from_json(value) -> Fraction:
@@ -203,28 +207,9 @@ def certificate_to_dict(cert: RealizationCertificate) -> dict:
         "multiplier": cert.multiplier,
         "vertex_cones": {v: idx for v, idx in cert.vertex_cones},
         "vertex_stars": {v: [list(d) for d in dirs] for v, dirs in cert.vertex_stars},
-        "dual_curve": {
-            "components": [
-                {"id": comp.id, "vertex": comp.vertex} for comp in cert.dual.components
-            ],
-            "nodes": [
-                {"id": nd.id, "edge": nd.edge, "components": list(nd.components)}
-                for nd in cert.dual.nodes
-            ],
-            "marked_points": [
-                {
-                    "id": mp.id,
-                    "ray": mp.ray,
-                    "component": mp.component,
-                    "contact_order": mp.contact_order,
-                }
-                for mp in cert.dual.marked_points
-            ],
-        },
-        "node_data": [
-            {"edge": nd.edge, "k": nd.k, "rho": nd.rho, "u_q": list(nd.u_q)}
-            for nd in cert.node_data
-        ],
+        # field order is key order; dumps writes the tuples as lists
+        "dual_curve": asdict(cert.dual),
+        "node_data": [asdict(nd) for nd in cert.node_data],
         "base_point": {
             "edge_valuations": {e: rat_to_json(v) for e, v in cert.base_point.edge_valuations},
             "vertex_positions": {
@@ -315,7 +300,10 @@ def certificate_from_dict(data) -> RealizationCertificate:
 
 def dumps(obj: Any) -> str:
     """Deterministic JSON text: fixed key order from the serializers, two-space indent."""
-    return json.dumps(obj, indent=2) + "\n"
+    try:
+        return json.dumps(obj, indent=2) + "\n"
+    except ValueError:  # raised by str() of an integer over Python's digit limit
+        raise DeskScaleExceeded(_OVER_LIMIT) from None
 
 
 def loads(text: str):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .errors import (
@@ -115,7 +116,7 @@ def _integer_row(row: Sequence) -> list[int]:
     """The row scaled by the lcm of its denominators (integer rows are kept as they are)."""
     if all(type(x) is int for x in row):
         return list(row)
-    fracs = [Fraction(x) for x in row]
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     m = lcm(*(x.denominator for x in fracs))
     return [x.numerator * (m // x.denominator) for x in fracs]
 
@@ -345,14 +346,14 @@ def cone_contains(
     """
     if len(p) != c.ambient_dim:
         raise DimMismatch(f"point of dim {len(p)} vs cone in dim {c.ambient_dim}")
-    pt = as_ratvec(p)
+    pt = _integer_row(p)  # a positive multiple of p: the same signs
     h = cone_halfspaces(c)
-    if any(dot(e, pt) != 0 for e in h.equations):
+    if any(sum(map(mul, e, pt)) for e in h.equations):
         return False
     if mode == "closure":
-        return all(dot(f, pt) >= 0 for f in h.inequalities)
+        return all(sum(map(mul, f, pt)) >= 0 for f in h.inequalities)
     if mode == "relative_interior":
-        return all(dot(f, pt) > 0 for f in h.inequalities)
+        return all(sum(map(mul, f, pt)) > 0 for f in h.inequalities)
     raise ValueError(f"unknown containment mode {mode!r}")
 
 
@@ -439,6 +440,16 @@ class Fan:
                 normals.add(n if next(x for x in n if x) > 0 else tuple(-x for x in n))
         return tuple(sorted(normals))
 
+    @cached_property
+    def cone_index(self) -> dict[Cone, int]:
+        """cone -> its first position in ``cones``."""
+        return {c: i for i, c in reversed(tuple(enumerate(self.cones)))}
+
+    @cached_property
+    def _located(self) -> dict[tuple[int, ...], int]:
+        """sign vector against ``hyperplanes`` -> cone index; see ``smallest_containing_cone``."""
+        return {}
+
 
 def fan_from_maximal(
     rays: Sequence[Sequence[int]],
@@ -504,10 +515,25 @@ def fan_validate(f: Fan) -> ValidationReport:
 
 
 def smallest_containing_cone(f: Fan, p: Sequence) -> Cone:
-    """The unique cone of a valid fan whose relative interior contains ``p``."""
+    """The first cone of ``f.cones`` whose relative interior contains ``p``
+    (on a valid fan, the only one).
+
+    Every span equation and facet normal of every cone is a positive or
+    negative multiple of one of ``f.hyperplanes``, so the signs of ``p``
+    against them decide, cone by cone, whether ``p`` is in the relative
+    interior: points with one sign vector have one first hit in the scan over
+    ``f.cones``, valid fan or not.  That hit is memoized per sign vector, at
+    most one entry per cell of the arrangement; a point outside the support
+    raises NotInSupport and is not memoized.
+    """
     if len(p) != f.ambient_dim:
         raise DimMismatch(f"point of dim {len(p)} vs fan in dim {f.ambient_dim}")
-    for c in f.cones:
-        if cone_contains(c, p, "relative_interior"):
-            return c
-    raise NotInSupport(f"point {tuple(p)} is not in the support of the fan")
+    ints = _integer_row(p)  # the same ray as p, so the same signs
+    key = tuple((s > 0) - (s < 0) for s in (sum(map(mul, n, ints)) for n in f.hyperplanes))
+    index = f._located.get(key)
+    if index is None:
+        c = next((c for c in f.cones if cone_contains(c, ints, "relative_interior")), None)
+        if c is None:
+            raise NotInSupport(f"point {tuple(p)} is not in the support of the fan")
+        index = f._located[key] = f.cone_index[c]
+    return f.cones[index]

@@ -16,7 +16,7 @@ from .curves import (
     edge_data,
     require_valid,
 )
-from .errors import DimMismatch, InvalidCurve, NotInSupport
+from .errors import DimMismatch, InvalidCurve, NotInSupport, _echo
 from .latticefan import (
     Fan,
     IntVec,
@@ -70,8 +70,8 @@ def _point_at(base: RatVec, direction: Sequence, t: Fraction) -> RatVec:
 def _claim(new_id: str, taken, host_id: str) -> None:
     if new_id in taken:
         raise InvalidCurve(
-            f"subdividing {host_id} creates id {new_id!r}, which the curve already uses; "
-            "ids <id>#k and <id>:k are reserved for subdivision"
+            f"subdividing {_echo(host_id)} creates id {_echo(repr(new_id))}, which the curve "
+            "already uses; ids <id>#k and <id>:k are reserved for subdivision"
         )
 
 
@@ -125,7 +125,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         stop = Fraction(1) if bounded else (cuts[-1] if cuts else 0) + 2
         bounds = [Fraction(0)] + cuts + [stop]
         cones = [
-            f.cones.index(smallest_containing_cone(f, _point_at(base, direction, (lo + hi) / 2)))
+            f.cone_index[smallest_containing_cone(f, _point_at(base, direction, (lo + hi) / 2))]
             for lo, hi in zip(bounds, bounds[1:])
         ]
         breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
@@ -154,17 +154,17 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                 _claim(pid, host_ids, h.id)
             if k + 1 < len(chain):
                 new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), h.weight))
-                _check_piece(f, cone, [vertices[chain[k]], vertices[chain[k + 1]]], None, pid)
+                check_piece(f, cone, [vertices[chain[k]], vertices[chain[k + 1]]], None, pid)
             else:
                 new_rays.append(CurveRay(pid, chain[k], h.direction, h.weight))
-                _check_piece(f, cone, [vertices[chain[k]]], h.direction, pid)
+                check_piece(f, cone, [vertices[chain[k]]], h.direction, pid)
             piece_cones[pid] = cone
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
     return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)
 
 
-def _check_piece(f: Fan, cone_index: int, points: list[RatVec], direction, piece_id: str):
+def check_piece(f: Fan, cone_index: int, points: list[RatVec], direction, piece_id: str):
     """Post-hoc verification that a piece lies in its assigned cone.
 
     For a segment it is enough that both endpoints are in the closed cone;

@@ -6,8 +6,10 @@ Caratheodory subset enumeration, rank by transposed elimination, and the
 deformation dimension by dense Fraction elimination of the full edge
 equations instead of the integer rank of the cycle-closing matrix.
 Subdivision is checked against the earlier implementation that scanned the
-facets of every cone and walked edges and rays in two separate loops, and
-fan validation against the earlier one that intersected every pair of cones.
+facets of every cone and walked edges and rays in two separate loops, point
+location against the linear scan over every cone that preceded the
+sign-vector memo, and fan validation against the earlier one that intersected
+every pair of cones.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from tropic.defspace import (
     combinatorial_type,
     deformation_cone,
 )
-from tropic.errors import DimMismatch, ValidationReport
+from tropic.errors import DimMismatch, NotInSupport, ValidationReport
 from tropic.latticefan import (
     Cone,
     Fan,
@@ -37,15 +39,15 @@ from tropic.latticefan import (
     canonical_form,
     cone_faces,
     cone_halfspaces,
+    cone_contains,
     cone_intersection,
     dot,
     fan_from_maximal,
     is_face_of,
     primitive,
     rank,
-    smallest_containing_cone,
 )
-from tropic.refine import NewVertex, SubdivisionRecord, _check_piece
+from tropic.refine import NewVertex, SubdivisionRecord, check_piece
 
 
 def monoid_closure(k: int, bound: int) -> set[tuple[int, int]]:
@@ -245,10 +247,18 @@ def _crossing_params(f: Fan, base: RatVec, direction: Sequence) -> list[Fraction
     return sorted(params)
 
 
+def reference_locate(f: Fan, p: Sequence) -> Cone:
+    """The first cone of ``f.cones`` whose relative interior holds ``p``, by a
+    scan over every cone (no memo)."""
+    for c in f.cones:
+        if cone_contains(c, p, "relative_interior"):
+            return c
+    raise NotInSupport(f"point {tuple(p)} is not in the support of the fan")
+
+
 def _interval_cone(f: Fan, base: RatVec, direction: Sequence, t: Fraction) -> int:
     point = tuple(b + t * d for b, d in zip(base, direction))
-    cone = smallest_containing_cone(f, point)
-    return f.cones.index(cone)
+    return f.cones.index(reference_locate(f, point))
 
 
 def _point_at(base: RatVec, direction: Sequence, t: Fraction) -> RatVec:
@@ -295,7 +305,7 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         if not breaks:
             new_edges.append(e)
             piece_cones[e.id] = cones[0]
-            _check_piece(f, cones[0], [pu, pw], None, e.id)
+            check_piece(f, cones[0], [pu, pw], None, e.id)
             continue
         chain = [e.ends[0]]
         for k, t in enumerate(breaks, start=1):
@@ -316,7 +326,7 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             pid = f"{e.id}:{k}"
             new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), e.weight))
             piece_cones[pid] = piece_cone_ids[k]
-            _check_piece(
+            check_piece(
                 f, piece_cone_ids[k], [vertices[chain[k]], vertices[chain[k + 1]]], None, pid
             )
 
@@ -336,7 +346,7 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         if not breaks:
             new_rays.append(r)
             piece_cones[r.id] = tail_cone
-            _check_piece(f, tail_cone, [pb], r.direction, r.id)
+            check_piece(f, tail_cone, [pb], r.direction, r.id)
             continue
         chain = [r.base]
         for k, t in enumerate(breaks, start=1):
@@ -356,13 +366,13 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             pid = f"{r.id}:{k}"
             new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), r.weight))
             piece_cones[pid] = piece_cone_ids[k]
-            _check_piece(
+            check_piece(
                 f, piece_cone_ids[k], [vertices[chain[k]], vertices[chain[k + 1]]], None, pid
             )
         tail_id = f"{r.id}:{len(chain) - 1}"
         new_rays.append(CurveRay(tail_id, chain[-1], r.direction, r.weight))
         piece_cones[tail_id] = piece_cone_ids[-1]
-        _check_piece(f, piece_cone_ids[-1], [vertices[chain[-1]]], r.direction, tail_id)
+        check_piece(f, piece_cone_ids[-1], [vertices[chain[-1]]], r.direction, tail_id)
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
     return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)

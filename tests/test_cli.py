@@ -582,3 +582,75 @@ def test_bool_ray_indices_are_schema_errors(paths, capsys, tmp_path):
     cert["fan"]["cones"].append([False])
     code, report = _verify_cert_doc(capsys, tmp_path, cert)
     assert (code, report["error"]) == (2, "SchemaError")
+
+
+def test_verify_cert_rejects_an_edge_through_several_cones(paths, capsys, tmp_path, monkeypatch):
+    # certify diag with subdivision skipped: e0 keeps running through the origin cone
+    from tropic import degeneration
+    from tropic.refine import SubdivisionRecord
+
+    monkeypatch.setattr(degeneration, "subdivide_along_fan",
+                        lambda c, f: SubdivisionRecord(output=c, new_vertices=(), piece_cones={}))
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", paths["diag"], "--fan", paths["fan_diag"], "--out", str(cert_path)]) == 0
+    monkeypatch.undo()
+    assert [e["id"] for e in json.loads(cert_path.read_text())["curve"]["edges"]] == ["e0"]
+    code, text = _capture(capsys, ["verify-cert", str(cert_path)])
+    assert (code, json.loads(text)) == (1, {"ok": False, "violations": ["PieceNotInCone: e0"]})
+
+
+def test_report_number_over_the_digit_limit_exits_1(tmp_path, capsys):
+    # each coordinate is under the input limit; the multiplier has about 6,000 digits
+    doc = {"ambient_dim": 1, "edges": [], "rays": [], "vertices": [
+        {"id": "a", "coords": [0]},
+        {"id": "b", "coords": ["1/" + "7" * 3000]},
+        {"id": "c", "coords": ["1/" + "3" * 2999 + "1"]},
+    ]}
+    doc["edges"] = [{"id": "e0", "ends": ["a", "b"], "weight": 1},
+                    {"id": "e1", "ends": ["b", "c"], "weight": 1}]
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    code, text = _capture(capsys, ["rescale", str(path)])
+    assert code == 1
+    assert json.loads(text) == {
+        "error": "DeskScaleExceeded",
+        "detail": "a number in the report exceeds Python's integer digit limit",
+    }
+
+
+def test_dot_report_number_over_the_digit_limit_exits_1(tmp_path, capsys):
+    # rescaled by a multiplier of about 6,000 digits, v1..v3 sit at integers of over 4,300
+    denominators = ["1" + "0" * 1499 + str(k) for k in (1, 3, 7, 9)]
+    doc = {"ambient_dim": 1, "rays": [],
+           "vertices": [{"id": f"v{i}", "coords": ["1/" + q]} for i, q in enumerate(denominators)],
+           "edges": [{"id": f"e{i}", "ends": [f"v{i}", f"v{i + 1}"], "weight": 1} for i in range(3)]}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    for emit in ("json", "dot"):
+        code, text = _capture(capsys, ["rescale", str(path), "--emit", emit])
+        assert (code, json.loads(text)["error"]) == (1, "DeskScaleExceeded"), emit
+
+
+def test_domain_error_details_cut_long_ids(tmp_path, capsys):
+    doc = curve_to_dict(fixtures.tripod())
+    doc["edges"] = [{"id": "e", "ends": ["v0", "v" * 5000], "weight": 1}]
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    code, text = _capture(capsys, ["genus", str(path)])
+    assert code == 1 and len(text) < 300
+    report = json.loads(text)
+    assert report["error"] == "InvalidCurve"
+    assert report["detail"].startswith("NoSuchVertex: edge e references ['vvvv")
+    # subdividing a long-named edge onto a vertex id that is already taken
+    long_id = "e" * 5000
+    doc = {"ambient_dim": 2, "rays": [], "vertices": [
+        {"id": "a", "coords": [-1, -1]}, {"id": "b", "coords": [1, 1]},
+        {"id": f"{long_id}#1", "coords": [5, 5]},
+    ], "edges": [{"id": long_id, "ends": ["a", "b"], "weight": 1},
+                 {"id": "f", "ends": ["b", f"{long_id}#1"], "weight": 1}]}
+    path.write_text(json.dumps(doc))
+    fan = tmp_path / "fan.json"
+    fan.write_text(dumps(fan_to_dict(fixtures.fan_diag())))
+    code, text = _capture(capsys, ["subdivide", str(path), "--fan", str(fan)])
+    assert code == 1 and len(text) < 400
+    assert json.loads(text)["detail"].startswith("subdividing eeee")

@@ -208,3 +208,50 @@ def test_incidence_index_matches_linear_scan():
         # the cached indexes are not fields: equality and serialization ignore them
         assert c == fresh and curve_to_dict(c) == curve_to_dict(fresh)
         assert repr(c) == repr(fresh)
+
+
+def test_cached_edge_data_matches_a_fresh_computation():
+    import random
+
+    from helpers import DIRECTIONS
+    from tropic.latticefan import primitive_and_scale
+
+    rng = random.Random(13)
+    curves = [TropicalCurve.build(*gen.tree(rng, dim, n, DIRECTIONS[dim]))
+              for dim in (2, 3) for n in (2, 9, 40)]
+    curves += [TropicalCurve.build(*gen.honeycomb(d, dim, (Fraction(1, 3), Fraction(2, 7))))
+               for d, dim in ((3, 2), (5, 2), (4, 3))]
+    for c in curves:
+        assert is_balanced(c).balanced  # reads every edge's data, filling the cache
+        for e in c.edges:
+            pu, pw = c.position(e.ends[0]), c.position(e.ends[1])
+            fresh = primitive_and_scale(tuple(b - a for a, b in zip(pu, pw)))
+            assert edge_data(c, e.id) == fresh == c._edge_data[e.id]
+        assert sorted(c._edge_data) == sorted(e.id for e in c.edges)
+
+
+def test_edge_data_errors_are_not_cached():
+    c = TropicalCurve.build(2, {"a": (0, 0), "b": (0, 0)}, edges=[("e0", ("a", "b"), 1)])
+    for _ in range(2):
+        with pytest.raises(DegenerateEdge, match="zero length"):
+            edge_data(c, "e0")
+        with pytest.raises(DegenerateEdge, match="no bounded edge 'x'"):
+            edge_data(c, "x")
+    assert c._edge_data == {}
+
+
+def test_error_details_cut_long_ids():
+    long_id = "v" * 5000
+    c = TropicalCurve.build(2, {"a": (0, 0), "b": (1, 0)},
+                            edges=[("e", ("a", long_id), 1), (long_id, ("a", "b"), 0)],
+                            rays=[("r", long_id, (1, 0), 1)])
+    details = [v.detail for v in validate(c).violations]
+    assert details[0] == f"edge e references ['{'v' * 40}... (5000 characters)']"
+    assert all(len(d) < 120 for d in details), details
+    for call in (lambda: c.position(long_id), lambda: star(fixtures.tripod(), long_id)):
+        with pytest.raises(NoSuchVertex) as info:
+            call()
+        assert len(info.value.message) < 120
+    with pytest.raises(DegenerateEdge) as info:
+        edge_data(c, long_id * 2)
+    assert len(info.value.message) < 120

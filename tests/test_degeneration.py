@@ -252,3 +252,69 @@ def test_certify_with_real_subdivision_keeps_split_valuations():
         "e0:1": Fraction(1),
     }
     assert verify_certificate(cert).ok
+
+
+def _unsubdivided_certificate(monkeypatch, curve, fan):
+    """A certificate of ``curve`` made with subdivision skipped, so a piece may
+    run through several cones of ``fan``."""
+    from tropic import degeneration
+    from tropic.refine import SubdivisionRecord
+
+    monkeypatch.setattr(degeneration, "subdivide_along_fan",
+                        lambda c, f: SubdivisionRecord(output=c, new_vertices=(), piece_cones={}))
+    cert = certify(curve, fan)
+    monkeypatch.undo()
+    return cert
+
+
+def test_verify_rejects_an_edge_through_several_cones(monkeypatch):
+    # diag's edge e0 runs from ray (-1,-1) through the origin to ray (1,1)
+    cert = _unsubdivided_certificate(monkeypatch, fixtures.diag(), fixtures.fan_diag())
+    assert [e.id for e in cert.rescaled_curve.edges] == ["e0"]
+    assert verify_certificate(cert).violations == ("PieceNotInCone: e0",)
+
+
+def test_verify_rejects_a_ray_through_several_cones(monkeypatch):
+    from helpers import translated
+
+    # from (2,1) the tripod's ray r2 = (-1,-1) crosses the wall on ray (1,0) at (1,0)
+    cert = _unsubdivided_certificate(monkeypatch, translated(fixtures.tripod(), (2, 1)),
+                                     fixtures.fan_p2())
+    assert verify_certificate(cert).violations == ("PieceNotInCone: r2",)
+    assert verify_certificate(certify(translated(fixtures.tripod(), (2, 1)),
+                                      fixtures.fan_p2())).ok
+
+
+def test_verify_requires_recession_support():
+    cert = certify(fixtures.tripod(), fixtures.fan_p2())
+    # on the axis fan every piece and vertex keeps its cone; only r2 = (-1,-1) has no ray
+    violations = verify_certificate(replace(cert, fan=fixtures.fan_p1xp1())).violations
+    assert violations == ("RecessionNotSupported: ray r2 direction (-1, -1) is no ray of the fan",)
+
+
+def test_second_certify_and_verify_on_a_fan_scans_no_cone(monkeypatch):
+    # every sign vector of the second round was memoized in the first
+    import random
+
+    from helpers import gen
+    from tropic import latticefan
+    from tropic.curves import TropicalCurve
+
+    scans = []
+    contains = latticefan.cone_contains
+
+    def counting(c, p, mode="closure"):
+        if mode == "relative_interior":
+            scans.append(p)
+        return contains(c, p, mode)
+
+    monkeypatch.setattr(latticefan, "cone_contains", counting)
+    rays, maximal, dim = gen.rich_fan_r3()
+    fan = latticefan.fan_from_maximal(rays, maximal, dim)
+    tree = TropicalCurve.build(*gen.tree(random.Random(3), dim, 60, rays))
+    rounds = []
+    for _ in range(2):
+        scans.clear()
+        assert verify_certificate(certify(tree, fan)).ok
+        rounds.append(len(scans))
+    assert rounds[0] > 0 and rounds[1] == 0, rounds

@@ -6,10 +6,12 @@ import pytest
 from helpers import (
     contains_caratheodory,
     echelon,
+    gen,
     kernel_dimension,
     primitive_box_fan,
     rank_by_transpose,
     reference_fan_validate,
+    reference_locate,
     trusted_overlapping_fan,
 )
 from tropic import fixtures
@@ -199,6 +201,76 @@ def test_not_in_support():
     incomplete = fan_from_maximal([(1, 0), (0, 1)], [[0, 1]], 2)
     with pytest.raises(NotInSupport):
         smallest_containing_cone(incomplete, (-1, -1))
+
+
+def _locate_outcome(locate, fan, p):
+    try:
+        return locate(fan, p)
+    except NotInSupport:
+        return NotInSupport
+
+
+def _test_points(rng, fan):
+    """The origin, a point in the relative interior of every cone (its rays and
+    walls among them), points on every hyperplane of the fan (extensions of
+    walls included) and random rational points, with small denominators."""
+    dim = fan.ambient_dim
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    points = [(0,) * dim]
+    for c in fan.cones:
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in c.generators]
+        points.append(tuple(sum((w * g[i] for w, g in zip(weights, c.generators)), Fraction(0))
+                            for i in range(dim)))
+    for n in fan.hyperplanes:
+        v = tuple(rational() for _ in range(dim))
+        t = Fraction(sum(a * b for a, b in zip(n, v)), sum(a * a for a in n))
+        points.append(tuple(a - t * b for a, b in zip(v, n)))
+    points += [tuple(rational() for _ in range(dim)) for _ in range(60)]
+    return points
+
+
+def _memo_fans():
+    fans = [fn() for fn in fixtures.FANS.values()]
+    fans += [primitive_box_fan(), trusted_overlapping_fan()]  # the last is not a fan
+    fans += [fan_from_maximal(*gen.rich_fan_r2()), fan_from_maximal(*gen.rich_fan_r3())]
+    rays, maximal, dim = gen.rich_fan_r3()
+    fans.append(fan_from_maximal(rays, maximal[:20], dim))  # incomplete
+    return fans
+
+
+def test_sign_vector_memo_matches_linear_scan():
+    rng = random.Random(11)
+    for fan in _memo_fans():
+        points = _test_points(rng, fan)
+        rng.shuffle(points)
+        expected = [_locate_outcome(reference_locate, fan, p) for p in points]
+        for _ in range(2):  # the second pass is answered from the memo
+            for p, cone in zip(points, expected):
+                assert _locate_outcome(smallest_containing_cone, fan, p) == cone, (fan, p)
+        # at most one entry per sign vector seen, and misses are not kept
+        assert 0 < len(fan._located) <= sum(cone is not NotInSupport for cone in expected)
+
+
+def test_sign_vector_memo_misses_outside_an_incomplete_fan():
+    fan = fan_from_maximal([(1, 0), (0, 1)], [[0, 1]], 2)
+    for p in [(-1, -1), (-1, 0), (3, -1), (-1, -1)]:
+        with pytest.raises(NotInSupport):
+            smallest_containing_cone(fan, p)
+        with pytest.raises(NotInSupport):
+            reference_locate(fan, p)
+    assert fan._located == {}
+    assert smallest_containing_cone(fan, (1, 0)).generators == ((1, 0),)
+    assert list(fan._located.values()) == [fan.cone_index[Cone(((1, 0),), 2)]]
+
+
+def test_cone_index_is_the_first_position():
+    for fan in _memo_fans():
+        assert all(fan.cone_index[c] == fan.cones.index(c) for c in fan.cones)
+    twice = Fan(fixtures.fan_p2().cones * 2, 2)
+    assert all(twice.cone_index[c] == twice.cones.index(c) for c in twice.cones)
 
 
 def test_halfspaces_of_halfplane_and_faces():
