@@ -40,7 +40,6 @@ from .degeneration import (
     certify,
     dual_curve,
     node_monoid,
-    node_slope,
     verify_certificate,
 )
 from .errors import TropicError, SchemaError, ValidationReport

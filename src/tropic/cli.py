@@ -76,18 +76,18 @@ def emit_dot(c: TropicalCurve | CompactifiedCurve) -> str:
         curve = c
         infinity = {r.id: f"inf:{r.id}" for r in curve.rays}
     lines = ["digraph tropicalcurve {"]
-    for v in sorted(curve.vertices):
-        coords = ", ".join(rat_text(x) for x in curve.vertices[v])
+    for v, pos in curve.vertices.items():
+        coords = ", ".join(rat_text(x) for x in pos)
         lines.append(f'  "{v}" [label="{v} ({coords})"];')
-    for r in sorted(curve.rays, key=lambda r: r.id):
+    for r in curve.rays:
         lines.append(f'  "{infinity[r.id]}" [shape=point, label=""];')
-    for e in sorted(curve.edges, key=lambda e: e.id):
+    for e in curve.edges:
         _, length = edge_data(curve, e.id)
         lines.append(
             f'  "{e.ends[0]}" -> "{e.ends[1]}" '
             f'[dir=none, label="w={e.weight}, l={rat_text(length)}"];'
         )
-    for r in sorted(curve.rays, key=lambda r: r.id):
+    for r in curve.rays:
         direction = ", ".join(str(x) for x in r.direction)
         lines.append(
             f'  "{r.base}" -> "{infinity[r.id]}" [label="w={r.weight}, d=({direction})"];'

@@ -259,7 +259,7 @@ def is_balanced(c: TropicalCurve) -> BalanceReport:
     """Balancing condition: weighted primitive outgoing directions sum to zero at every vertex."""
     require_valid(c)
     defects = []
-    for v in sorted(c.vertices):
+    for v in c.vertices:
         total = [0] * c.ambient_dim
         for d, w in outgoing(c, v):
             for i, x in enumerate(d):

@@ -56,10 +56,6 @@ class NonIntegralRatio(TropicError):
     code = "NonIntegralRatio"
 
 
-class CertificateInconsistency(TropicError):
-    code = "CertificateInconsistency"
-
-
 class DeskScaleExceeded(TropicError):
     code = "DeskScaleExceeded"
 

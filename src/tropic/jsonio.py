@@ -111,16 +111,12 @@ def curve_to_dict(c: TropicalCurve) -> dict:
     return {
         "ambient_dim": c.ambient_dim,
         "vertices": [
-            {"id": v, "coords": [rat_to_json(x) for x in c.vertices[v]]}
-            for v in sorted(c.vertices)
+            {"id": v, "coords": [rat_to_json(x) for x in pos]} for v, pos in c.vertices.items()
         ],
-        "edges": [
-            {"id": e.id, "ends": list(e.ends), "weight": e.weight}
-            for e in sorted(c.edges, key=lambda e: e.id)
-        ],
+        "edges": [{"id": e.id, "ends": list(e.ends), "weight": e.weight} for e in c.edges],
         "rays": [
             {"id": r.id, "base": r.base, "direction": list(r.direction), "weight": r.weight}
-            for r in sorted(c.rays, key=lambda r: r.id)
+            for r in c.rays
         ],
     }
 

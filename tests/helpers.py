@@ -8,8 +8,9 @@ equations instead of the integer rank of the cycle-closing matrix.
 Subdivision is checked against the earlier implementation that scanned the
 facets of every cone and walked edges and rays in two separate loops, point
 location against the linear scan over every cone that preceded the
-sign-vector memo, and fan validation against the earlier one that intersected
-every pair of cones.
+sign-vector memo, fan validation against the earlier one that intersected
+every pair of cones, and certificate verification against the earlier one
+that re-derived each field by hand.
 """
 
 from __future__ import annotations
@@ -22,13 +23,22 @@ from math import atan2, gcd
 from pathlib import Path
 from typing import Sequence
 
-from tropic.curves import BoundedEdge, CurveRay, TropicalCurve, edge_data, require_valid
+from tropic.curves import (
+    BoundedEdge,
+    CurveRay,
+    TropicalCurve,
+    edge_data,
+    is_balanced,
+    outgoing,
+    require_valid,
+)
 from tropic.defspace import (
     CombinatorialType,
     DeformationCone,
     combinatorial_type,
     deformation_cone,
 )
+from tropic.degeneration import CertificateCheck, RealizationCertificate, dual_curve
 from tropic.errors import DimMismatch, NotInSupport, ValidationReport
 from tropic.latticefan import (
     Cone,
@@ -46,8 +56,9 @@ from tropic.latticefan import (
     is_face_of,
     primitive,
     rank,
+    smallest_containing_cone,
 )
-from tropic.refine import NewVertex, SubdivisionRecord, check_piece
+from tropic.refine import NewVertex, SubdivisionRecord, check_piece, check_recession_support
 
 
 def monoid_closure(k: int, bound: int) -> set[tuple[int, int]]:
@@ -408,3 +419,100 @@ def reference_fan_validate(f: Fan) -> ValidationReport:
             )
             return report
     return report
+
+
+# The verifier that re-derived each field by hand, before certify and
+# verify_certificate shared one derivation; kept verbatim as an oracle.
+def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
+    """Re-derive every certificate field from the rescaled curve and fan and compare,
+    and check that the curve maps into the fan cone by cone (PieceNotInCone) with
+    every ray direction a ray of the fan (RecessionNotSupported)."""
+    violations: list[str] = []
+    hat = cert.rescaled_curve
+    n = cert.multiplier
+
+    report = is_balanced(hat)
+    if not report.balanced:
+        violations.append("Unbalanced: rescaled curve fails balancing")
+
+    expected_dual = dual_curve(hat) if report.balanced else None
+    if expected_dual is not None and expected_dual != cert.dual:
+        violations.append("DualGraphMismatch: dual curve disagrees with the underlying graph")
+    for mp in cert.dual.marked_points:
+        matching = [r for r in hat.rays if r.id == mp.ray]
+        if not matching or matching[0].weight != mp.contact_order:
+            violations.append(
+                f"ContactOrderMismatch: marked point {mp.id} has contact order "
+                f"{mp.contact_order}, ray weight is "
+                f"{matching[0].weight if matching else 'missing'}"
+            )
+
+    by_edge = {nd.edge: nd for nd in cert.node_data}
+    if sorted(by_edge) != sorted(e.id for e in hat.edges):
+        violations.append("NodeDataMismatch: node data edges differ from curve edges")
+    for e in hat.edges:
+        nd = by_edge.get(e.id)
+        if nd is None:
+            continue
+        _, length = edge_data(hat, e.id)
+        if nd.rho != e.weight:
+            violations.append(f"WeightMismatch: edge {e.id} rho {nd.rho} != weight {e.weight}")
+        if Fraction(nd.k) * e.weight != length:
+            violations.append(f"NodeRatioMismatch: edge {e.id} k*weight != length")
+        p1, p2 = hat.position(e.ends[0]), hat.position(e.ends[1])
+        if tuple(nd.rho * x for x in nd.u_q) != tuple(a - b for a, b in zip(p1, p2)):
+            violations.append(f"NodeSlopeMismatch: edge {e.id} rho*u_q != v1 - v2")
+
+    vals = dict(cert.base_point.edge_valuations)
+    if sorted(vals) != sorted(e.id for e in hat.edges):
+        violations.append("BasePointMismatch: valuation keys differ from curve edges")
+    for e in hat.edges:
+        if e.id not in vals:
+            continue
+        _, length = edge_data(hat, e.id)
+        if vals[e.id] * n != length / e.weight:
+            violations.append(
+                f"BasePointMismatch: edge {e.id} valuation {vals[e.id]} != original length/weight"
+            )
+    positions = dict(cert.base_point.vertex_positions)
+    if sorted(positions) != sorted(hat.vertices):
+        violations.append("BasePointMismatch: position keys differ from curve vertices")
+    else:
+        for v, pos in positions.items():
+            if tuple(n * x for x in pos) != hat.position(v):
+                violations.append(f"BasePointMismatch: vertex {v} position*N != rescaled position")
+
+    for v, idx in cert.vertex_cones:
+        if v not in hat.vertices:
+            violations.append(f"VertexConeMismatch: unknown vertex {v}")
+            continue
+        actual = smallest_containing_cone(cert.fan, hat.position(v))
+        if cert.fan.cone_index[actual] != idx:
+            violations.append(f"VertexConeMismatch: vertex {v} is interior to a different cone")
+    if sorted(v for v, _ in cert.vertex_cones) != sorted(hat.vertices):
+        violations.append("VertexConeMismatch: cone assignment keys differ from vertices")
+
+    # the map to the fan is cone by cone: each piece's closure lies in the
+    # cone whose relative interior holds an interior point of the piece
+    for piece in hat.edges + hat.rays:
+        if isinstance(piece, BoundedEdge):
+            ends, direction = [hat.position(v) for v in piece.ends], None
+            inner = tuple((a + b) / 2 for a, b in zip(*ends))
+        else:
+            ends, direction = [hat.position(piece.base)], piece.direction
+            inner = tuple(a + d for a, d in zip(ends[0], direction))
+        try:
+            cone = cert.fan.cone_index[smallest_containing_cone(cert.fan, inner)]
+            check_piece(cert.fan, cone, ends, direction, piece.id)
+        except NotInSupport:
+            violations.append(f"PieceNotInCone: {piece.id}")
+    for rid, d in check_recession_support(hat, cert.fan).missing:
+        violations.append(f"RecessionNotSupported: ray {rid} direction {d} is no ray of the fan")
+
+    stars = dict(cert.vertex_stars)
+    for v in hat.vertices:
+        expected = tuple(sorted({d for d, _ in outgoing(hat, v)}))
+        if stars.get(v) != expected:
+            violations.append(f"StarMismatch: vertex {v} star directions differ")
+
+    return CertificateCheck(ok=not violations, violations=tuple(violations))

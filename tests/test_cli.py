@@ -599,6 +599,22 @@ def test_verify_cert_rejects_an_edge_through_several_cones(paths, capsys, tmp_pa
     assert (code, json.loads(text)) == (1, {"ok": False, "violations": ["PieceNotInCone: e0"]})
 
 
+def test_verify_cert_violations_cut_long_ids(paths, capsys, tmp_path):
+    long_id = "e" * 5000
+    cert = _segfan_certificate(paths, tmp_path)
+    cert["curve"]["edges"][0]["id"] = long_id
+    cert["dual_curve"]["nodes"][0].update(id=f"q_{long_id}", edge=long_id)
+    cert["node_data"][0].update(edge=long_id, u_q=[0, 0])
+    cert["base_point"]["edge_valuations"] = {long_id: 1}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(cert))
+    code, text = _capture(capsys, ["verify-cert", str(path)])
+    assert code == 1 and len(text) < 300
+    assert json.loads(text)["violations"] == [
+        "NodeDataMismatch: edge eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee... (5000 characters)"
+    ]
+
+
 def test_report_number_over_the_digit_limit_exits_1(tmp_path, capsys):
     # each coordinate is under the input limit; the multiplier has about 6,000 digits
     doc = {"ambient_dim": 1, "edges": [], "rays": [], "vertices": [

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import monoid_closure
+from helpers import monoid_closure, reference_verify
 from tropic import fixtures
 from tropic.curves import is_balanced
 from tropic.degeneration import (
+    NodeData,
     certify,
     dual_curve,
     node_monoid,
-    node_slope,
     verify_certificate,
 )
 from tropic.errors import NonIntegralRatio, RecessionNotSupported, Unbalanced
@@ -90,18 +90,16 @@ def test_node_monoid_congruence_equals_closure():
                 assert m.contains(n1, n2) == ((n1, n2) in closure), (k, n1, n2)
 
 
-def test_node_slope_examples():
-    assert node_slope(fixtures.segfan(), "e0") == (-1, 0)
-    assert node_slope(fixtures.cycle3(), "e0") == (-1, 0)
-
-
 def test_node_slope_identity():
-    for name in ("segfan", "cycle3", "speyer3"):
-        c = fixtures.CURVES[name]()
-        for e in c.edges:
-            u_q = node_slope(c, e.id)
-            p1, p2 = c.position(e.ends[0]), c.position(e.ends[1])
-            assert tuple(e.weight * x for x in u_q) == tuple(a - b for a, b in zip(p1, p2))
+    # the orientation convention: rho * u_q = position(v1) - position(v2)
+    for curve_name, fan_name in CERTIFY_PAIRS:
+        cert = certify(fixtures.CURVES[curve_name](), fixtures.FANS[fan_name]())
+        hat = cert.rescaled_curve
+        for nd in cert.node_data:
+            p1, p2 = (hat.position(v) for v in hat.edge(nd.edge).ends)
+            assert tuple(nd.rho * x for x in nd.u_q) == tuple(a - b for a, b in zip(p1, p2))
+    (nd, _, _) = certify(fixtures.cycle3(), fixtures.fan_cycle3()).node_data
+    assert (nd.edge, nd.u_q) == ("e0", (-1, 0))
 
 
 def test_certify_tripod():
@@ -318,3 +316,89 @@ def test_second_certify_and_verify_on_a_fan_scans_no_cone(monkeypatch):
         assert verify_certificate(certify(tree, fan)).ok
         rounds.append(len(scans))
     assert rounds[0] > 0 and rounds[1] == 0, rounds
+
+
+def test_verify_rejects_a_star_for_an_unknown_vertex():
+    cert = certify(fixtures.tripod(), fixtures.fan_p2())
+    stray = replace(cert, vertex_stars=cert.vertex_stars + (("zz", ((9, 9),)),))
+    assert verify_certificate(stray).violations == ("StarMismatch: vertex zz",)
+
+
+def _first(entries, change):
+    """``entries`` with the value of its first (id, value) pair passed through ``change``."""
+    (key, value), *rest = entries
+    return ((key, change(value)),) + tuple(rest)
+
+
+def _mutations(cert):
+    """(name, certificate) for single-field changes of ``cert`` that no valid
+    certificate of its curve and fan shows."""
+    dim = cert.rescaled_curve.ambient_dim
+    dual, bp = cert.dual, cert.base_point
+    keyed = {  # field -> (its (id, value) pairs, a value for the unknown id "zz")
+        "vertex_cones": (cert.vertex_cones, 0),
+        "vertex_stars": (cert.vertex_stars, ((9,) * dim,)),
+        "edge_valuations": (bp.edge_valuations, Fraction(1)),
+        "vertex_positions": (bp.vertex_positions, (0,) * dim),
+    }
+
+    def with_field(field, entries):
+        if field in ("edge_valuations", "vertex_positions"):
+            return replace(cert, base_point=replace(bp, **{field: entries}))
+        return replace(cert, **{field: entries})
+
+    out = []
+    if cert.node_data or any(any(p) for _, p in bp.vertex_positions):
+        out.append(("multiplier", replace(cert, multiplier=cert.multiplier + 1)))
+    out.append(("vertex cone", with_field("vertex_cones", _first(cert.vertex_cones, lambda i: i + 1))))
+    out.append(("star", with_field("vertex_stars", _first(cert.vertex_stars, lambda ds: ds[1:]))))
+    out.append(("position", with_field("vertex_positions", _first(
+        bp.vertex_positions, lambda p: (p[0] + 1,) + p[1:]))))
+    comps = dual.components
+    out.append(("component", replace(cert, dual=replace(
+        dual, components=(replace(comps[0], vertex="zz"),) + comps[1:]))))
+    if dual.nodes:
+        nodes = dual.nodes
+        flipped = replace(nodes[0], components=nodes[0].components[::-1])
+        out.append(("node", replace(cert, dual=replace(dual, nodes=(flipped,) + nodes[1:]))))
+    if dual.marked_points:
+        mps = dual.marked_points
+        bumped = replace(mps[0], contact_order=mps[0].contact_order + 1)
+        out.append(("contact order", replace(cert, dual=replace(dual, marked_points=(bumped,) + mps[1:]))))
+    if cert.node_data:
+        nd, *rest = cert.node_data
+        for name, changed in (("k", replace(nd, k=nd.k + 1)), ("rho", replace(nd, rho=nd.rho + 1)),
+                              ("u_q", replace(nd, u_q=(nd.u_q[0] + 1,) + nd.u_q[1:]))):
+            out.append((name, replace(cert, node_data=(changed, *rest))))
+        out.append(("valuation", with_field("edge_valuations", _first(bp.edge_valuations,
+                                                                      lambda x: x + 1))))
+        out.append(("dropped node_data", replace(cert, node_data=tuple(rest))))
+    out.append(("unknown node_data", replace(
+        cert, node_data=cert.node_data + (NodeData("zz", 1, 1, (0,) * dim),))))
+    for field, (entries, value) in keyed.items():
+        if entries:
+            out.append((f"dropped {field}", with_field(field, entries[1:])))
+        out.append((f"unknown {field}", with_field(field, entries + (("zz", value),))))
+    return out
+
+
+def test_single_field_mutations_are_rejected_as_by_the_old_verifier():
+    import random
+
+    from helpers import gen
+    from tropic import latticefan
+    from tropic.curves import TropicalCurve
+
+    certs = [certify(fixtures.CURVES[c](), fixtures.FANS[f]()) for c, f in CERTIFY_PAIRS]
+    rays, maximal, dim = gen.rich_fan_r3()
+    tree = TropicalCurve.build(*gen.tree(random.Random(11), dim, 24, rays))
+    certs.append(certify(tree, latticefan.fan_from_maximal(rays, maximal, dim)))
+    for cert in certs:
+        assert verify_certificate(cert).ok and reference_verify(cert).ok
+        names = []
+        for name, bad in _mutations(cert):
+            names.append(name)
+            assert not verify_certificate(bad).ok, name
+            # the old verifier never compared the star ids against the curve's vertices
+            assert reference_verify(bad).ok == (name == "unknown vertex_stars"), name
+        assert len(names) >= 12, names
