@@ -87,9 +87,10 @@ class TropicalCurve:
         except KeyError:
             raise NoSuchVertex(f"no vertex {_echo(repr(vertex))}") from None
 
-    # The indexes and the validation verdict below are built on first use and
-    # kept in the instance __dict__; they are not dataclass fields, so
-    # equality, ordering and serialization only ever see the sorted fields.
+    # The indexes, the validation verdict and the balancing report below are
+    # built on first use and kept in the instance __dict__; they are not
+    # dataclass fields, so equality, ordering and serialization only ever see
+    # the sorted fields.
 
     @cached_property
     def _edge_by_id(self) -> dict[str, BoundedEdge]:
@@ -114,6 +115,10 @@ class TropicalCurve:
     @cached_property
     def _validation(self) -> ValidationReport:
         return _check_structure(self)
+
+    @cached_property
+    def _balance(self) -> "BalanceReport":
+        return _balance_report(self)
 
     def edge(self, edge_id: str) -> BoundedEdge:
         try:
@@ -256,8 +261,15 @@ def outgoing(c: TropicalCurve, vertex: str) -> list[tuple[IntVec, int]]:
 
 
 def is_balanced(c: TropicalCurve) -> BalanceReport:
-    """Balancing condition: weighted primitive outgoing directions sum to zero at every vertex."""
+    """Balancing condition: weighted primitive outgoing directions sum to zero at every vertex.
+
+    The report is computed once per curve instance and shared.
+    """
     require_valid(c)
+    return c._balance
+
+
+def _balance_report(c: TropicalCurve) -> BalanceReport:
     defects = []
     for v in c.vertices:
         total = [0] * c.ambient_dim

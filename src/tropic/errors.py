@@ -12,6 +12,14 @@ def _echo(text: str) -> str:
     return text if len(text) <= _ECHO_CAP else f"{text[:_ECHO_CAP]}... ({len(text)} characters)"
 
 
+def _echo_point(p) -> str:
+    """A point as an error detail repeats it: "(p/q, ...)", cut by ``_echo``."""
+    try:
+        return _echo(f"({', '.join(map(str, p))})")
+    except ValueError:  # str() of an integer over Python's digit limit
+        return "(a point with a coordinate over Python's integer digit limit)"
+
+
 class TropicError(Exception):
     """Base error; ``code`` is the stable machine-readable identifier."""
 

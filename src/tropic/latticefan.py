@@ -23,6 +23,7 @@ from .errors import (
     NotInSupport,
     ValidationReport,
     ZeroDirection,
+    _echo_point,
 )
 
 RatVec = tuple[Fraction, ...]
@@ -62,16 +63,13 @@ def primitive(v: Sequence[int]) -> IntVec:
 
 def primitive_and_scale(v: Sequence) -> tuple[IntVec, Fraction]:
     """Write a nonzero rational vector as scale * primitive with scale > 0."""
-    w = as_ratvec(v)
-    if all(c == 0 for c in w):
+    w = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    m = lcm(*(x.denominator for x in w))
+    ints = [x.numerator * (m // x.denominator) for x in w]  # m * v
+    g = gcd(*ints)
+    if not g:
         raise ZeroDirection("zero vector has no primitive direction")
-    m = lcm(*(c.denominator for c in w)) if w else 1
-    ints = [int(c * m) for c in w]
-    d = primitive(ints)
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return d, Fraction(g, m)
+    return tuple(c // g for c in ints), Fraction(g, m)
 
 
 def integerize(v: Sequence) -> IntVec:
@@ -530,10 +528,22 @@ def smallest_containing_cone(f: Fan, p: Sequence) -> Cone:
         raise DimMismatch(f"point of dim {len(p)} vs fan in dim {f.ambient_dim}")
     ints = _integer_row(p)  # the same ray as p, so the same signs
     key = tuple((s > 0) - (s < 0) for s in (sum(map(mul, n, ints)) for n in f.hyperplanes))
+    return f.cones[_locate(f, key, lambda: p)]
+
+
+def _locate(f: Fan, key: tuple[int, ...], point) -> int:
+    """The cone index memoized for the sign vector ``key`` against ``f.hyperplanes``.
+
+    On a miss, ``point()`` gives a point with that sign vector, and the first
+    cone whose relative interior holds it is stored (see
+    ``smallest_containing_cone``).
+    """
     index = f._located.get(key)
     if index is None:
+        p = point()
+        ints = _integer_row(p)
         c = next((c for c in f.cones if cone_contains(c, ints, "relative_interior")), None)
         if c is None:
-            raise NotInSupport(f"point {tuple(p)} is not in the support of the fan")
+            raise NotInSupport(f"point {_echo_point(p)} is not in the support of the fan")
         index = f._located[key] = f.cone_index[c]
-    return f.cones[index]
+    return index

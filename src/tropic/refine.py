@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from operator import mul
 
 from .curves import (
     BoundedEdge,
@@ -16,15 +16,8 @@ from .curves import (
     edge_data,
     require_valid,
 )
-from .errors import DimMismatch, InvalidCurve, NotInSupport, _echo
-from .latticefan import (
-    Fan,
-    IntVec,
-    RatVec,
-    cone_contains,
-    dot,
-    smallest_containing_cone,
-)
+from .errors import DimMismatch, InvalidCurve, NotInSupport, _echo, _echo_point
+from .latticefan import Fan, IntVec, RatVec, _locate, cone_contains
 
 
 @dataclass(frozen=True)
@@ -63,8 +56,10 @@ def check_recession_support(c: TropicalCurve, f: Fan) -> RecessionSupport:
     return RecessionSupport(ok=not missing, missing=missing)
 
 
-def _point_at(base: RatVec, direction: Sequence, t: Fraction) -> RatVec:
-    return tuple(b + t * d for b, d in zip(base, direction))
+def _point_at(base: IntVec, direction: IntVec, m: int, t: Fraction) -> RatVec:
+    """(base + t*direction) / m, each coordinate one Fraction built from integers."""
+    p, q = t.numerator, t.denominator
+    return tuple(Fraction(b * q + p * d, m * q) for b, d in zip(base, direction))
 
 
 def _claim(new_id: str, taken, host_id: str) -> None:
@@ -79,16 +74,22 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     """Insert 2-valent vertices where edges or rays of the curve cross cone walls of the fan.
 
     Each edge u->w is walked as u + t*(w-u) for t in (0,1), each ray as
-    base + t*direction for t in (0,inf).  Crossing candidates are the
-    parameters where the walk meets one of the fan's hyperplanes
-    (``Fan.hyperplanes``); spurious candidates (hyperplane extensions
-    crossing the interior of a cone) are discarded by merging consecutive
-    pieces that land in the same cone of the fan.  Every output piece is
-    verified to lie in a single cone; weights are inherited, and balancing,
-    genus, support, and the recession fan are preserved.  New vertices are
-    named ``<host>#k`` and pieces ``<host>:k``; an input curve already using
-    such an id raises InvalidCurve.  The fan is assumed complete, which is
-    not checked; a traversed point outside its support raises NotInSupport.
+    base + t*direction for t in (0,inf).  Scaled by the lcm of their
+    denominators, base and direction become integer B and D, and against each
+    of the fan's hyperplanes n (``Fan.hyperplanes``) the walk has the sign of
+    a + t*b, with a = n.B and b = n.D: sign(a or b) on the first interval.  A
+    real crossing, at t = -a/b, needs a and b of opposite signs (and |a| < |b|
+    on an edge) and negates that sign.  Sweeping the sorted crossings gives
+    each interval's sign vector, whose cone the fan memoizes (a point of the
+    interval is built and the cones scanned only on a miss).  Spurious
+    crossings (hyperplane extensions through the interior of a cone) are
+    discarded by merging consecutive pieces that land in the same cone.
+    Every output piece is verified to lie in a single cone; weights are
+    inherited, and balancing, genus, support, and the recession fan are
+    preserved.  New vertices are named ``<host>#k`` and pieces ``<host>:k``;
+    an input curve already using such an id raises InvalidCurve.  The fan is
+    assumed complete, which is not checked; a traversed point outside its
+    support raises NotInSupport.
     """
     require_valid(c)
     if c.ambient_dim != f.ambient_dim:
@@ -107,26 +108,35 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     for h in hosts:
         bounded = isinstance(h, BoundedEdge)
         start = h.ends[0] if bounded else h.base
-        base = vertices[start]
+        u = vertices[start]
+        w = vertices[h.ends[1]] if bounded else ()
+        m = lcm(*(x.denominator for x in u + w))
+        base = [x.numerator * (m // x.denominator) for x in u]
         if bounded:
-            direction = tuple(b - a for a, b in zip(base, vertices[h.ends[1]]))
+            direction = [x.numerator * (m // x.denominator) - b for x, b in zip(w, base)]
         else:
-            direction = h.direction
-        cuts: set[Fraction] = set()
-        for normal in f.hyperplanes:
-            slope = dot(normal, direction)
-            if slope:  # otherwise parallel to, or inside, the hyperplane
-                t = Fraction(-dot(normal, base), slope)
-                if t > 0 and (t < 1 or not bounded):
-                    cuts.add(t)
-        cuts = sorted(cuts)
-        # each open interval between candidates is sampled at its midpoint;
-        # a ray's unbounded tail at 1 past its last candidate
+            direction = [m * x for x in h.direction]
+        signs = []
+        crossings: dict[Fraction, list[int]] = {}
+        for i, n in enumerate(f.hyperplanes):
+            a, b = sum(map(mul, n, base)), sum(map(mul, n, direction))
+            s = a or b
+            signs.append((s > 0) - (s < 0))
+            if (a < 0 < b or b < 0 < a) and (not bounded or abs(a) < abs(b)):
+                crossings.setdefault(Fraction(-a, b), []).append(i)
+        cuts = sorted(crossings)
+        keys = [tuple(signs)]
+        for t in cuts:
+            for i in crossings[t]:
+                signs[i] = -signs[i]
+            keys.append(tuple(signs))
+        # a point of each interval, only built on a memo miss: the midpoint,
+        # or on a ray's unbounded tail the point 1 past its last crossing
         stop = Fraction(1) if bounded else (cuts[-1] if cuts else 0) + 2
         bounds = [Fraction(0)] + cuts + [stop]
         cones = [
-            f.cone_index[smallest_containing_cone(f, _point_at(base, direction, (lo + hi) / 2))]
-            for lo, hi in zip(bounds, bounds[1:])
+            _locate(f, key, lambda lo=lo, hi=hi: _point_at(base, direction, m, (lo + hi) / 2))
+            for key, lo, hi in zip(keys, bounds, bounds[1:])
         ]
         breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
         piece_cone_ids = [c1 for c1, c2 in zip(cones, cones[1:]) if c1 != c2] + [cones[-1]]
@@ -135,7 +145,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         for k, t in enumerate(breaks, start=1):
             vid = f"{h.id}#{k}"
             _claim(vid, vertices, h.id)
-            vertices[vid] = _point_at(base, direction, t)
+            vertices[vid] = _point_at(base, direction, m, t)
             chain.append(vid)
             record.append(
                 NewVertex(
@@ -175,12 +185,12 @@ def check_piece(f: Fan, cone_index: int, points: list[RatVec], direction, piece_
     for p in points:
         if not cone_contains(cone, p, "closure"):
             raise NotInSupport(
-                f"piece {piece_id}: point {p} escapes cone {cone.generators}"
+                f"piece {_echo(piece_id)}: point {_echo_point(p)} escapes cone {cone.generators}"
             )
     if direction is not None and not cone_contains(cone, direction, "closure"):
         raise NotInSupport(
-            f"piece {piece_id}: unbounded direction {direction} leaves cone "
-            f"{cone.generators}; fan may not be complete along the tail"
+            f"piece {_echo(piece_id)}: unbounded direction {_echo_point(direction)} leaves "
+            f"cone {cone.generators}; fan may not be complete along the tail"
         )
 
 

@@ -9,8 +9,9 @@ Subdivision is checked against the earlier implementation that scanned the
 facets of every cone and walked edges and rays in two separate loops, point
 location against the linear scan over every cone that preceded the
 sign-vector memo, fan validation against the earlier one that intersected
-every pair of cones, and certificate verification against the earlier one
-that re-derived each field by hand.
+every pair of cones, certificate verification against the earlier one
+that re-derived each field by hand, and ``primitive_and_scale`` against the
+Fraction formula it replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from math import atan2, gcd
+from math import atan2, gcd, lcm
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +40,7 @@ from tropic.defspace import (
     deformation_cone,
 )
 from tropic.degeneration import CertificateCheck, RealizationCertificate, dual_curve
-from tropic.errors import DimMismatch, NotInSupport, ValidationReport
+from tropic.errors import DimMismatch, NotInSupport, ValidationReport, ZeroDirection
 from tropic.latticefan import (
     Cone,
     Fan,
@@ -90,6 +91,20 @@ def primitive_box_fan(bound: int = 2) -> Fan:
             if gcd(x, y) == 1]
     rays.sort(key=lambda v: atan2(v[1], v[0]))
     return fan_from_maximal(rays, [[i, (i + 1) % len(rays)] for i in range(len(rays))], 2)
+
+
+def reference_primitive_and_scale(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
+    """The Fraction formula that ``primitive_and_scale`` replaced: clear the
+    denominators by int(c * m), then divide by the gcd of the entries."""
+    w = as_ratvec(v)
+    if all(c == 0 for c in w):
+        raise ZeroDirection("zero vector has no primitive direction")
+    m = lcm(*(c.denominator for c in w)) if w else 1
+    ints = [int(c * m) for c in w]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    return primitive(ints), Fraction(g, m)
 
 
 def echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:

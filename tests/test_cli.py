@@ -670,3 +670,24 @@ def test_domain_error_details_cut_long_ids(tmp_path, capsys):
     code, text = _capture(capsys, ["subdivide", str(path), "--fan", str(fan)])
     assert code == 1 and len(text) < 400
     assert json.loads(text)["detail"].startswith("subdividing eeee")
+
+
+def test_not_in_support_details_are_short(tmp_path, capsys):
+    # an edge in the fourth quadrant, at a height with a 3,000-digit denominator,
+    # against fan_p1xp1 without that quadrant's cone
+    low = "-1/" + "7" * 3000
+    doc = curve_to_dict(fixtures.segfan())
+    doc["vertices"] = [{"id": "v0", "coords": ["1/" + "3" * 3000, low]},
+                       {"id": "v1", "coords": [2, low]}]
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(doc))
+    fan_doc = fan_to_dict(fixtures.fan_p1xp1())
+    fan_doc["cones"].remove([1, 3])
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps(fan_doc))
+    for command in ("subdivide", "certify"):
+        code, text = _capture(capsys, [command, str(curve), "--fan", str(fan)])
+        assert code == 1 and len(text) < 300, (command, len(text))
+        report = json.loads(text)
+        assert report["error"] == "NotInSupport"
+        assert report["detail"].startswith("point (")

@@ -255,3 +255,30 @@ def test_error_details_cut_long_ids():
     with pytest.raises(DegenerateEdge) as info:
         edge_data(c, long_id * 2)
     assert len(info.value.message) < 120
+
+
+def test_balancing_report_is_computed_once_per_curve(monkeypatch):
+    from tropic import curves
+    from tropic.errors import InvalidCurve
+
+    calls = []
+    outgoing = curves.outgoing
+
+    def counting(c, vertex):
+        calls.append(vertex)
+        return outgoing(c, vertex)
+
+    monkeypatch.setattr(curves, "outgoing", counting)
+    for name in ("tripod", "unbal", "cycle3"):
+        c = fixtures.CURVES[name]()
+        calls.clear()
+        first = is_balanced(c)
+        assert len(calls) == len(c.vertices) and first.balanced == (name != "unbal")
+        calls.clear()
+        assert is_balanced(c) is first and calls == []
+        # the cached report is not a field
+        assert c == fixtures.CURVES[name]() and repr(c) == repr(fixtures.CURVES[name]())
+    invalid = TropicalCurve.build(2, {"a": (0, 0)}, edges=[("e", ("a", "b"), 1)])
+    for _ in range(2):
+        with pytest.raises(InvalidCurve):
+            is_balanced(invalid)

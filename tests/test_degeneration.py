@@ -1,5 +1,7 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -402,3 +404,40 @@ def test_single_field_mutations_are_rejected_as_by_the_old_verifier():
             # the old verifier never compared the star ids against the curve's vertices
             assert reference_verify(bad).ok == (name == "unknown vertex_stars"), name
         assert len(names) >= 12, names
+
+
+CERTIFY_GOLDEN = Path(__file__).parent / "data" / "certify_golden.json"
+GOLDEN_TREE_SIZES = (4, 10, 24, 60)
+
+
+def certificate_hashes() -> dict[str, str]:
+    """sha256 of the JSON certificate of every ``CERTIFY_PAIRS`` fixture and of
+    12 seeded trees on each of perfbench's two rich fans."""
+    import hashlib
+    import random
+
+    from helpers import gen
+    from tropic.curves import TropicalCurve
+    from tropic.jsonio import certificate_to_dict, dumps
+    from tropic.latticefan import fan_from_maximal
+
+    def sha(cert):
+        return hashlib.sha256(dumps(certificate_to_dict(cert)).encode()).hexdigest()
+
+    out = {}
+    for curve_name, fan_name in CERTIFY_PAIRS:
+        cert = certify(fixtures.CURVES[curve_name](), fixtures.FANS[fan_name]())
+        out[f"{curve_name}/{fan_name}"] = sha(cert)
+    for rich in (gen.rich_fan_r2, gen.rich_fan_r3):
+        rays, maximal, dim = rich()
+        fan = fan_from_maximal(rays, maximal, dim)
+        for seed in range(12):
+            size = GOLDEN_TREE_SIZES[seed % len(GOLDEN_TREE_SIZES)]
+            tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays))
+            out[f"{rich.__name__}/seed {seed}/V {size}"] = sha(certify(tree, fan))
+    return out
+
+
+def test_certificates_match_the_golden_hashes():
+    # generated by certificate_hashes() before the fraction-free walker
+    assert certificate_hashes() == json.loads(CERTIFY_GOLDEN.read_text())

@@ -12,6 +12,7 @@ from helpers import (
     rank_by_transpose,
     reference_fan_validate,
     reference_locate,
+    reference_primitive_and_scale,
     trusted_overlapping_fan,
 )
 from tropic import fixtures
@@ -57,6 +58,34 @@ def test_primitive_idempotent_and_recovers_gcd():
         d, g = primitive_and_scale(v)
         assert d == p and g > 0
         assert tuple(g * x for x in p) == v
+
+
+def test_primitive_and_scale_edge_cases():
+    cases = {
+        (-4, 6): ((-2, 3), Fraction(2)),
+        (Fraction(-3, 4), 0, Fraction(9, 2)): ((-1, 0, 6), Fraction(3, 4)),
+        (2, Fraction(1, 3)): ((6, 1), Fraction(1, 3)),
+        (0, -5): ((0, -1), Fraction(5)),
+        (Fraction(6, 4),): ((1,), Fraction(3, 2)),
+        (Fraction(-1, 6), Fraction(-1, 4), 0): ((-2, -3, 0), Fraction(1, 12)),
+    }
+    for v, expected in cases.items():
+        d, scale = primitive_and_scale(v)
+        assert (d, scale) == expected == reference_primitive_and_scale(v), v
+        assert all(type(x) is int for x in d) and type(scale) is Fraction
+    rng = random.Random(17)
+
+    def entry():
+        return rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 8))))
+
+    for _ in range(200):  # negative entries, zeros, and ints mixed with Fractions
+        v = tuple(entry() for _ in range(rng.randint(1, 4)))
+        if any(v):
+            assert primitive_and_scale(v) == reference_primitive_and_scale(v), v
+    for zero in ((0, 0), (Fraction(0), 0, 0), ()):
+        for formula in (primitive_and_scale, reference_primitive_and_scale):
+            with pytest.raises(ZeroDirection):
+                formula(zero)
 
 
 def test_cone_contains_examples():
@@ -199,8 +228,12 @@ def test_smallest_containing_cone_on_p2():
 
 def test_not_in_support():
     incomplete = fan_from_maximal([(1, 0), (0, 1)], [[0, 1]], 2)
-    with pytest.raises(NotInSupport):
-        smallest_containing_cone(incomplete, (-1, -1))
+    with pytest.raises(NotInSupport, match=r"point \(-1/2, -1\) is not"):
+        smallest_containing_cone(incomplete, (Fraction(-1, 2), -1))
+    huge = Fraction(1, 7 ** 3000)  # a denominator of 2,536 digits
+    with pytest.raises(NotInSupport) as info:
+        smallest_containing_cone(incomplete, (-huge, -huge))
+    assert len(info.value.message) < 120
 
 
 def _locate_outcome(locate, fan, p):

@@ -2,11 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import primitive_box_fan, random_tree, reference_subdivide
+from helpers import gen, primitive_box_fan, random_tree, reference_subdivide
 from tropic import fixtures
 from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, recession_fan
-from tropic.errors import DimMismatch, InvalidCurve, TropicError
-from tropic.refine import check_recession_support, rescale_integral, subdivide_along_fan
+from tropic.errors import DimMismatch, InvalidCurve, NotInSupport, TropicError
+from tropic.latticefan import Cone, fan_from_maximal
+from tropic.refine import (
+    check_piece,
+    check_recession_support,
+    rescale_integral,
+    subdivide_along_fan,
+)
 
 
 def test_recession_support_examples():
@@ -278,6 +284,108 @@ def test_walker_matches_reference_on_random_trees():
         _assert_matches_reference(tree, fan)
         broken += bool(reference_subdivide(tree, fan).new_vertices)
     assert broken >= 24  # most trees cross walls, so the pieces are compared too
+
+
+def _rich_trees(seed):
+    """Seeded trees on each of perfbench's rich fans, which share one Fan per dimension."""
+    import random as _random
+
+    rng = _random.Random(seed)
+    for spec, sizes in ((gen.rich_fan_r2, (4, 10, 24)), (gen.rich_fan_r3, (4, 12))):
+        rays, maximal, dim = spec()
+        fan = fan_from_maximal(rays, maximal, dim)
+        yield fan, [TropicalCurve.build(*gen.tree(rng, dim, n, rays)) for n in sizes * 2]
+
+
+def test_walker_matches_reference_on_rich_fans_with_a_full_memo():
+    for fan, trees in _rich_trees(41):
+        expected = [reference_subdivide(tree, fan) for tree in trees]
+        assert sum(bool(r.new_vertices) for r in expected) >= len(trees) // 2
+        for _ in range(2):  # the second pass reads every sign vector from the memo
+            assert [subdivide_along_fan(tree, fan) for tree in trees] == expected
+
+
+def _walk(curve, fan):
+    """The subdivision, checked against the reference: (new vertex positions,
+    generators of the cone of each piece, by piece id)."""
+    record = subdivide_along_fan(curve, fan)
+    assert record == reference_subdivide(curve, fan)
+    positions = [record.output.vertices[v.id] for v in record.new_vertices]
+    cones = {p: fan.cones[i].generators for p, i in record.piece_cones.items()}
+    return positions, cones
+
+
+def _path(*points, rays=()):
+    """A path through ``points`` (edges e0, e1, ...) with rays (base index, direction)."""
+    return TropicalCurve.build(
+        2,
+        {f"v{i}": p for i, p in enumerate(points)},
+        edges=[(f"e{i}", (f"v{i}", f"v{i + 1}"), 1) for i in range(len(points) - 1)],
+        rays=[(f"r{k}", f"v{i}", d, 1) for k, (i, d) in enumerate(rays)],
+    )
+
+
+def test_walker_edge_cases():
+    half = Fraction(1, 2)
+    # an edge inside the wall y = 0 (a = b = 0 there), crossing x = 0 at the origin
+    assert _walk(_path((-1, 0), (2, 0)), fixtures.fan_p1xp1()) == (
+        [(0, 0)], {"e0:0": ((-1, 0),), "e0:1": ((1, 0),)})
+    # an edge starting on the hyperplane x = 0 (a = 0): its first interval has sign(b)
+    assert _walk(_path((0, 1), (-2, -1)), fixtures.fan_p1xp1()) == (
+        [(-1, 0)], {"e0:0": ((-1, 0), (0, 1)), "e0:1": ((-1, 0), (0, -1))})
+    assert _walk(_path((0, half), (3, 2)), fixtures.fan_p1xp1()) == (
+        [], {"e0": ((0, 1), (1, 0))})
+    # a ray through the origin, inside the hyperplane x = y, crossing x = 0 and y = 0 at once
+    assert _walk(_path((-1, -1), rays=[(0, (1, 1))]), fixtures.fan_p2()) == (
+        [(0, 0)], {"r0:0": ((-1, -1),), "r0:1": ((0, 1), (1, 0))})
+    # a ray whose tail follows its last cut: through the wall x = 0 into the next cone
+    assert _walk(_path((2, 1), rays=[(0, (-1, 0))]), fixtures.fan_p1xp1()) == (
+        [(0, 1)], {"r0:0": ((0, 1), (1, 0)), "r0:1": ((-1, 0), (0, 1))})
+    # ... and one whose last cut is spurious: x = y extends a wall of fan_p2 through a cone
+    assert _walk(_path((1, 3), rays=[(0, (1, 0))]), fixtures.fan_p2()) == (
+        [], {"r0": ((0, 1), (1, 0))})
+
+
+def test_second_subdivision_on_a_fan_locates_no_point(monkeypatch):
+    from tropic import latticefan, refine
+
+    scans, locates = [], []
+    contains, locate = latticefan.cone_contains, latticefan.smallest_containing_cone
+
+    def counting_contains(c, p, mode="closure"):
+        if mode == "relative_interior":
+            scans.append(p)
+        return contains(c, p, mode)
+
+    def counting_locate(f, p):
+        locates.append(p)
+        return locate(f, p)
+
+    monkeypatch.setattr(latticefan, "cone_contains", counting_contains)
+    for module in (latticefan, refine):
+        if hasattr(module, "smallest_containing_cone"):
+            monkeypatch.setattr(module, "smallest_containing_cone", counting_locate)
+    for fan, trees in _rich_trees(43):
+        rounds = []
+        for _ in range(2):
+            scans.clear()
+            locates.clear()
+            records = [subdivide_along_fan(tree, fan) for tree in trees]
+            rounds.append((len(scans), len(locates)))
+        assert rounds[0][0] > 0 and rounds[1] == (0, 0), rounds
+        assert any(r.new_vertices for r in records)
+
+
+def test_check_piece_details_cut_long_values():
+    fan = fixtures.fan_p2()
+    quadrant = fan.cone_index[Cone(((0, 1), (1, 0)), 2)]
+    huge = Fraction(-1, 7 ** 3000)
+    with pytest.raises(NotInSupport) as info:
+        check_piece(fan, quadrant, [(huge, huge)], None, "e" * 5000)
+    assert len(info.value.message) < 200
+    assert info.value.message.startswith(f"piece {'e' * 40}... (5000 characters): point (-1/")
+    with pytest.raises(NotInSupport, match=r"^piece r: unbounded direction \(-1, -1\) leaves"):
+        check_piece(fan, quadrant, [(1, 1)], (-1, -1), "r")
 
 
 def test_subdivision_refuses_to_reuse_reserved_ids():
