@@ -300,8 +300,14 @@ def cone_halfspaces(c: Cone) -> HRepr:
 
 @lru_cache(maxsize=None)
 def cone_extreme(c: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Minimal V-description (lineality basis, extreme rays) via double dualization."""
+    """Minimal V-description (lineality basis, extreme rays) via double dualization.
+
+    Generators as many as the dimension of their span (the ambient dimension
+    less the span equations) are independent: they are the extreme rays.
+    """
     h = cone_halfspaces(c)
+    if len(c.generators) + len(h.equations) == c.ambient_dim:
+        return (), tuple(sorted(c.generators))
     return double_description(h.equations, h.inequalities, c.ambient_dim)
 
 
@@ -474,11 +480,32 @@ def fan_from_maximal(
 def fan_validate(f: Fan) -> ValidationReport:
     """Check face closure and that any two cones meet in a common face.
 
-    Stops at the first violation.  Intersections are taken between maximal
-    cones only (cones that are no proper face of another): once faces are
-    closed, every cone is a face tau of a maximal sigma, and if sigma and
-    sigma' meet in a common face rho, then tau and a face tau' of sigma'
-    meet in the intersection of two faces of rho, a face of both.
+    Stops at the first violation.  Maximal cones (cones that are no proper
+    face of another) are deduplicated as point sets; once faces are closed,
+    checking them suffices, as every cone is a face tau of a maximal sigma,
+    and if sigma and sigma' meet in a common face rho, then tau and a face
+    tau' of sigma' meet in the intersection of two faces of rho, a face of
+    both.
+
+    When every maximal cone is full-dimensional and simplicial, n >= 2
+    linearly independent rays in R^n, the fan is decided by its walls (the
+    facets of the maximal cones; see ``_validate_by_walls``).  A wall that
+    is a facet of two cones on one side is an overlap.  If every wall is a
+    facet of exactly two cones, on opposite sides, count the cones that hold
+    a point off the codim-2 cones.  Crossing a hyperplane at such a point
+    keeps the cones that hold it inside and, for each wall through it,
+    swaps the wall's cone on one side for its cone on the other, so the
+    count does not change; the points off the codim-2 cones are connected,
+    so the count is one constant.  The sum of the first cone's rays, inside
+    that cone and in no other, makes it 1: the cones cover R^n with
+    disjoint interiors, and since every wall is shared whole they meet face
+    to face (the interior-facet characterization of triangulations, De
+    Loera, Rambau and Santos, *Triangulations*, 2010).  Such a fan is valid
+    and complete, and no two cones are intersected.  Every other fan (a
+    wall that is a facet of one cone only, as on the boundary of an
+    incomplete fan; cones not simplicial, not of full dimension, or with
+    lineality; n = 1; no cones) is decided by intersecting every pair of
+    maximal cones, and its completeness is not certified.
     """
     report = ValidationReport()
     for c in f.cones:
@@ -494,19 +521,70 @@ def fan_validate(f: Fan) -> ValidationReport:
             if face_key not in present:
                 report.add(
                     "FaceClosureViolated",
-                    f"face {face.generators} of cone {c.generators} is not in the fan",
+                    f"face {_echo_point(face.generators)} of cone {_echo_point(c.generators)} "
+                    "is not in the fan",
                 )
                 return report
             if face_key != key:
                 proper.add(face_key)
-    maximal = [c for c, key in zip(f.cones, keys) if key not in proper]
-    for c1, c2 in itertools.combinations(maximal, 2):
+    maximal = {}  # canonical form -> its first cone; a cone listed twice is one cone
+    for c, key in zip(f.cones, keys):
+        if key not in proper:
+            maximal.setdefault(key, c)
+    n = f.ambient_dim
+    if maximal and n >= 2 and all(
+        not lin and len(rays) == n and not cone_halfspaces(c).equations
+        for (rays, lin), c in maximal.items()
+    ):
+        walls = _validate_by_walls(maximal)
+        if walls is not None:
+            return walls
+    for c1, c2 in itertools.combinations(maximal.values(), 2):
         inter = cone_intersection(c1, c2)
         if not (is_face_of(inter, c1) and is_face_of(inter, c2)):
             report.add(
                 "NonFaceIntersection",
-                f"cones {c1.generators} and {c2.generators} meet in {inter.generators}, "
-                "which is not a common face",
+                f"cones {_echo_point(c1.generators)} and {_echo_point(c2.generators)} meet in "
+                f"{_echo_point(inter.generators)}, which is not a common face",
+            )
+            return report
+    return report
+
+
+def _validate_by_walls(maximal: dict) -> ValidationReport | None:
+    """``fan_validate``'s verdict on maximal cones (canonical form -> cone)
+    that are full-dimensional and simplicial, in integers; None if some wall
+    is a facet of one cone only.
+
+    The wall opposite a ray g of a cone is its other rays, on the side of the
+    facet normal not tight on g: the sign of that normal's first nonzero
+    entry, as ``Fan.hyperplanes`` normalises it.
+    """
+    report = ValidationReport()
+    held: dict[tuple[IntVec, ...], dict[int, Cone]] = {}  # wall -> side -> cone
+    for (rays, _), c in maximal.items():
+        for normal in cone_halfspaces(c).inequalities:
+            wall = tuple(g for g in rays if not sum(map(mul, normal, g)))
+            side = 1 if next(x for x in normal if x) > 0 else -1
+            other = held.setdefault(wall, {}).setdefault(side, c)
+            if other is not c:
+                report.add(
+                    "NonFaceIntersection",
+                    f"cones {_echo_point(other.generators)} and {_echo_point(c.generators)} "
+                    f"lie on one side of their common facet {_echo_point(wall)}, "
+                    "so they overlap, which is not a common face",
+                )
+                return report
+    if any(len(sides) == 1 for sides in held.values()):
+        return None
+    (rays, _), first = next(iter(maximal.items()))
+    inside = [sum(col) for col in zip(*rays)]  # interior to the first cone
+    for c in maximal.values():
+        if c is not first and cone_contains(c, inside):
+            report.add(
+                "NonFaceIntersection",
+                f"cones {_echo_point(first.generators)} and {_echo_point(c.generators)} "
+                f"overlap at {_echo_point(inside)}, which is not a common face",
             )
             return report
     return report

@@ -1,6 +1,9 @@
 """Preparation of a curve against a complete fan: recession support check,
 subdivision so that every edge and ray lies in a single cone, and global
-rescaling to integral length/weight ratios."""
+rescaling to integral length/weight ratios.  Completeness is not checked
+here: ``latticefan.fan_validate`` certifies it for fans whose maximal cones
+are simplicial and full-dimensional, and a point outside the support of any
+other fan raises NotInSupport."""
 
 from __future__ import annotations
 
@@ -88,8 +91,8 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     inherited, and balancing, genus, support, and the recession fan are
     preserved.  New vertices are named ``<host>#k`` and pieces ``<host>:k``;
     an input curve already using such an id raises InvalidCurve.  The fan is
-    assumed complete, which is not checked; a traversed point outside its
-    support raises NotInSupport.
+    assumed complete; ``fan_validate`` certifies that for complete simplicial
+    fans only, and a traversed point outside the support raises NotInSupport.
     """
     require_valid(c)
     if c.ambient_dim != f.ambient_dim:

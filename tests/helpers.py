@@ -93,6 +93,27 @@ def primitive_box_fan(bound: int = 2) -> Fan:
     return fan_from_maximal(rays, [[i, (i + 1) % len(rays)] for i in range(len(rays))], 2)
 
 
+def stellar_fan(rng: random.Random, spec, steps: int):
+    """A seeded complete simplicial fan: ``steps`` stellar subdivisions of the
+    complete fan ``spec`` (rays, maximal ray index lists, dim) at random
+    primitive vectors of max-norm <= 2 that are not yet rays.  Each maximal
+    cone holding the new ray v = sum l_i g_i (l_i >= 0) is replaced by the
+    cones that put v in place of each g_i with l_i > 0."""
+    rays, maximal, dim = list(spec[0]), [list(m) for m in spec[1]], spec[2]
+    for _ in range(steps):
+        v = rng.choice([w for w in DIRECTIONS[dim] if max(map(abs, w)) <= 2 and w not in rays])
+        split = []
+        for idx in maximal:
+            coeffs = solve_exact([[rays[i][k] for i in idx] for k in range(dim)], v)
+            if any(x < 0 for x in coeffs):
+                split.append(idx)
+            else:
+                split += [idx[:k] + [len(rays)] + idx[k + 1:] for k, x in enumerate(coeffs) if x]
+        rays.append(v)
+        maximal = split
+    return rays, maximal, dim
+
+
 def reference_primitive_and_scale(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
     """The Fraction formula that ``primitive_and_scale`` replaced: clear the
     denominators by int(c * m), then divide by the gcd of the entries."""

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -691,3 +692,28 @@ def test_not_in_support_details_are_short(tmp_path, capsys):
         report = json.loads(text)
         assert report["error"] == "NotInSupport"
         assert report["detail"].startswith("point (")
+
+
+def test_fan_violation_details_are_short(paths, tmp_path, capsys):
+    # a cone on two (three) rays with 2,001-digit entries inside the positive
+    # quadrant (octant) of fan_p2 (fan_r3): with its faces it overlaps a cone
+    # of the fan, without them its faces are missing
+    big = 10**2000
+    for fan_name, curve_name, new_rays in (
+        ("fan_p2", "tripod", [[big + 7, 1], [1, big + 9]]),
+        ("fan_r3", "speyer3", [[big + 7, 1, 1], [1, big + 9, 1], [1, 1, big + 11]]),
+    ):
+        for with_faces, violation in ((True, "NonFaceIntersection"), (False, "FaceClosureViolated")):
+            fan_doc = fan_to_dict(fixtures.FANS[fan_name]())
+            first = len(fan_doc["rays"])
+            added = list(range(first, first + len(new_rays)))
+            fan_doc["rays"] += new_rays
+            sizes = range(1, len(added) + 1) if with_faces else [len(added)]
+            fan_doc["cones"] += [list(c) for k in sizes for c in itertools.combinations(added, k)]
+            fan = tmp_path / "big.json"
+            fan.write_text(json.dumps(fan_doc))
+            code, text = _capture(capsys, ["certify", paths[curve_name], "--fan", str(fan)])
+            assert code == 1 and len(text) < 300, (fan_name, violation, len(text))
+            report = json.loads(text)
+            assert report["error"] == "InvalidFan" and report["detail"].startswith(violation)
+            assert "... (" in report["detail"]  # a generator tuple was cut

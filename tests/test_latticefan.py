@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,18 @@ from helpers import (
     reference_fan_validate,
     reference_locate,
     reference_primitive_and_scale,
+    stellar_fan,
     trusted_overlapping_fan,
 )
 from tropic import fixtures
 from tropic.errors import DimMismatch, NotInSupport, ZeroDirection
+from tropic.jsonio import fan_from_dict, fan_to_dict
 from tropic.latticefan import (
     Cone,
     Fan,
     canonical_form,
     cone_contains,
+    cone_extreme,
     cone_faces,
     cone_halfspaces,
     cone_intersection,
@@ -335,6 +339,21 @@ def test_double_description_round_trip():
         assert cones_equal(cone, rebuilt)
 
 
+def test_cone_extreme_takes_independent_generators_as_they_are():
+    # the shortcut for independent generators gives what double dualization gives
+    rng = random.Random(7)
+    shortcut = 0
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        gens = [v for v in (tuple(rng.randint(-2, 2) for _ in range(dim))
+                            for _ in range(rng.randint(0, dim + 1))) if any(v)]
+        cone = Cone.from_rays(gens, dim)
+        h = cone_halfspaces(cone)
+        assert cone_extreme(cone) == double_description(h.equations, h.inequalities, dim), cone
+        shortcut += rank(cone.generators) == len(cone.generators)
+    assert min(shortcut, 400 - shortcut) >= 50  # both kinds of cone are drawn
+
+
 def test_cone_equality_ignores_redundant_generators():
     assert cones_equal(
         Cone.from_rays([(1, 0), (0, 1), (1, 1)], 2), Cone.from_rays([(1, 0), (0, 1)], 2)
@@ -450,6 +469,20 @@ def test_fan_validate_on_a_fan_with_lineality():
     )]
 
 
+def _listed_twice() -> Fan:
+    """fan_p2 read from a file that lists one maximal cone twice (a file's
+    cones are kept as listed)."""
+    doc = fan_to_dict(fixtures.fan_p2())
+    doc["cones"].append(doc["cones"][-1])
+    return fan_from_dict(doc)
+
+
+def _degenerate_fans() -> list[Fan]:
+    """A maximal cone listed twice, no cones, the origin alone, and R^1."""
+    line = Fan.build([Cone((), 1), Cone.from_rays([(1,)], 1), Cone.from_rays([(-1,)], 1)], 1)
+    return [_listed_twice(), Fan((), 2), Fan.build([Cone((), 2)], 2), line]
+
+
 def _random_fan(rng, dim):
     """Face closure of random simplicial cones on a few small rays; a quarter of
     the fans also hold the x-axis as a line."""
@@ -474,6 +507,7 @@ def test_fan_validate_matches_all_pairs_reference():
     rng = random.Random(41)
     named = [fn() for fn in fixtures.FANS.values()]
     named += [trusted_overlapping_fan(), primitive_box_fan(), *_lineality_fans()]
+    named += _degenerate_fans()
     random_fans = [_random_fan(rng, 2 + trial % 2) for trial in range(360)]
     outcomes = {}
     for fan in named + random_fans:
@@ -483,15 +517,88 @@ def test_fan_validate_matches_all_pairs_reference():
     assert outcomes[(True, None)] >= 100 and outcomes[(False, "NonFaceIntersection")] >= 100
 
 
-def test_fan_validate_intersects_only_maximal_cones(monkeypatch):
+def _count_intersections(monkeypatch) -> list:
     from tropic import latticefan
 
     pairs = []
     real = latticefan.cone_intersection
     monkeypatch.setattr(latticefan, "cone_intersection", lambda a, b: pairs.append(1) or real(a, b))
-    fan = primitive_box_fan()  # 33 cones, 16 of them two-dimensional
-    assert fan_validate(fan).valid
-    assert (len(fan.cones), len(pairs)) == (33, 16 * 15 // 2)
+    return pairs
+
+
+def test_fan_validate_intersects_only_maximal_cones(monkeypatch):
+    pairs = _count_intersections(monkeypatch)
+    box = primitive_box_fan()  # 33 cones, 16 of them two-dimensional
+    incomplete = Fan.build(box.cones[:-1], 2)  # the last cone is two-dimensional
+    assert fan_validate(incomplete).valid
+    assert (len(incomplete.cones), len(pairs)) == (32, 15 * 14 // 2)
+    # complete simplicial fans are decided by their walls, with no intersection
+    twice = _listed_twice()
+    assert len(twice.cones) == len(set(twice.cones)) + 1
+    rich = [fan_from_maximal(*spec) for spec in (gen.rich_fan_r2(), gen.rich_fan_r3())]
+    for fan in (box, twice, *rich):
+        pairs.clear()
+        assert fan_validate(fan).valid and not pairs
+
+
+def _mutations(rng, rays, maximal, dim) -> dict:
+    """The complete fan and four changes to it, each a fan_from_maximal spec."""
+    out = {"complete": (rays, maximal), "dropped": (rays, maximal[1:])}
+    cones = {frozenset(idx) for idx in maximal}
+    crossing = [idx for idx in (rng.sample(range(len(rays)), dim) for _ in range(50))
+                if frozenset(idx) not in cones and rank([rays[i] for i in idx]) == dim]
+    if crossing:  # a new cone on existing rays
+        out["crossed"] = (rays, maximal + crossing[:1])
+    if dim == 3:  # put a new ray inside one wall of the first cone, on its side only
+        first, *rest = maximal
+        g, wall = first[0], first[1:]
+        v = primitive(tuple(map(sum, zip(*(rays[i] for i in wall)))))
+        out["one-sided"] = (rays + [v], rest + [[g, len(rays), w] for w in wall])
+    negated = [tuple(-x for x in r) for r in rays]
+    out["negated"] = (rays + negated, maximal + [[i + len(rays) for i in m] for m in maximal])
+    return out
+
+
+def _points(rng, fan, count):
+    """Random rational points, and points on random faces of the maximal cones."""
+    dim = fan.ambient_dim
+    tops = [c for c in fan.cones if len(c.generators) == dim]
+    for _ in range(count):
+        yield tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
+        gens = rng.choice(tops).generators
+        weights = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) * rng.randint(0, 1) for _ in gens]
+        yield tuple(sum(w * g[k] for w, g in zip(weights, gens)) for k in range(dim))
+
+
+def test_fan_validate_decides_complete_fans_by_walls(monkeypatch):
+    # seeded complete fans: all-pairs verdicts, no intersection, and every point
+    # in the relative interior of exactly one cone
+    pairs = _count_intersections(monkeypatch)
+    rng = random.Random(43)
+    outcomes = Counter()
+    # fan_p2 itself: its union with its negative pairs every wall but covers every point twice
+    specs = [gen.fan_p2()] + [stellar_fan(rng, gen.fan_p2(), rng.randint(1, 4)) for _ in range(6)]
+    specs += [stellar_fan(rng, gen.fan_p2_r3(), rng.randint(1, 3)) for _ in range(5)]
+    for rays, maximal, dim in specs:
+        for kind, (rays_k, maximal_k) in _mutations(rng, rays, maximal, dim).items():
+            fan = fan_from_maximal(rays_k, maximal_k, dim)
+            pairs.clear()
+            verdict = _verdict(fan_validate(fan))
+            by_walls = not pairs
+            assert verdict == _verdict(reference_fan_validate(fan)), (kind, rays_k, maximal_k)
+            outcomes[kind, verdict, by_walls] += 1
+            if verdict[0] and by_walls:
+                for p in _points(rng, fan, 10):
+                    hits = [c for c in fan.cones if cone_contains(c, p, "relative_interior")]
+                    assert len(hits) == 1, (kind, p, hits)
+    valid, overlap = (True, None), (False, "NonFaceIntersection")
+    assert outcomes == {
+        ("complete", valid, True): 12,
+        ("dropped", valid, False): 12,  # incomplete: its boundary walls are facets of one cone
+        ("crossed", overlap, True): 11,  # fan_p2 has no pair of rays that is not a cone
+        ("one-sided", overlap, False): 5,
+        ("negated", overlap, True): 12,
+    }
 
 
 def test_halfspaces_desk_scale_guard():
