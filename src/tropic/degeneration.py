@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .curves import BoundedEdge, TropicalCurve, edge_data, is_balanced, outgoing
-from .errors import NonIntegralRatio, NotInSupport, RecessionNotSupported, Unbalanced, _echo
-from .latticefan import Fan, IntVec, RatVec, smallest_containing_cone
-from .refine import check_piece, check_recession_support, rescale_integral, subdivide_along_fan
+from .errors import NonIntegralRatio, RecessionNotSupported, Unbalanced, _echo
+from .latticefan import Fan, IntVec, RatVec, _locate, in_closure, locate_points, signs
+from .refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
 @dataclass(frozen=True)
@@ -135,16 +136,17 @@ class CertificateCheck:
     violations: tuple[str, ...]
 
 
-def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, dict]:
+def _derive(hat: TropicalCurve, fan: Fan) -> tuple[tuple[int, dict], dict, dict, dict]:
     """The certificate fields that the rescaled curve and the fan fix, keyed by id.
 
-    Per vertex, the index of its cone and its sorted outgoing primitive
+    The integer image (m, values) of the vertices and, per vertex, the index
+    of its cone (``locate_points``) and its sorted outgoing primitive
     directions; per bounded edge, NodeData with k = length/weight and
     u_q = -k*d for the edge's primitive direction d.  k and u_q are integers
     on a rescaled curve and exact rationals otherwise, so a tampered
     certificate is compared, not refused.
     """
-    cones = {v: fan.cone_index[smallest_containing_cone(fan, p)] for v, p in hat.vertices.items()}
+    m, values, cones = locate_points(fan, hat.vertices)
     stars = {v: tuple(sorted({d for d, _ in outgoing(hat, v)})) for v in hat.vertices}
     nodes = {}
     for e in hat.edges:
@@ -152,7 +154,7 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, dict]:
         k = length / e.weight
         k = k.numerator if k.denominator == 1 else k
         nodes[e.id] = NodeData(edge=e.id, k=k, rho=e.weight, u_q=tuple(-k * x for x in d))
-    return cones, stars, nodes
+    return (m, values), cones, stars, nodes
 
 
 def _mismatches(label: str, derived: dict, claimed: dict) -> list[str]:
@@ -182,7 +184,7 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
         )
     prepared = subdivide_along_fan(c, f).output
     hat, mult = rescale_integral(prepared)
-    cones, stars, nodes = _derive(hat, f)
+    _, cones, stars, nodes = _derive(hat, f)
     return RealizationCertificate(
         rescaled_curve=hat,
         multiplier=mult,
@@ -212,7 +214,8 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     except Unbalanced:
         violations.append("Unbalanced: rescaled curve fails balancing")
 
-    cones, stars, nodes = _derive(hat, cert.fan)
+    fan = cert.fan
+    (m, values), cones, stars, nodes = _derive(hat, fan)
     violations += _mismatches("VertexConeMismatch: vertex", cones, dict(cert.vertex_cones))
     violations += _mismatches("StarMismatch: vertex", stars, dict(cert.vertex_stars))
     violations += _mismatches(
@@ -235,17 +238,16 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     # cone whose relative interior holds an interior point of the piece
     for piece in hat.edges + hat.rays:
         if isinstance(piece, BoundedEdge):
-            ends, direction = [hat.position(v) for v in piece.ends], None
-            inner = tuple((a + b) / 2 for a, b in zip(*ends))
+            ends = [values[v] for v in piece.ends]
+            inner, tail = map(add, *ends), []  # twice the midpoint
         else:
-            ends, direction = [hat.position(piece.base)], piece.direction
-            inner = tuple(a + d for a, d in zip(ends[0], direction))
-        try:
-            cone = cert.fan.cone_index[smallest_containing_cone(cert.fan, inner)]
-            check_piece(cert.fan, cone, ends, direction, piece.id)
-        except NotInSupport:
+            ends = [values[piece.base]]
+            d = [sum(map(mul, h, piece.direction)) for h in fan.hyperplanes]
+            inner, tail = (a + m * b for a, b in zip(ends[0], d)), [d]  # base + direction
+        cone = _locate(fan, signs(inner))
+        if cone is None or not all(in_closure(fan.patterns[cone], signs(x)) for x in ends + tail):
             violations.append(f"PieceNotInCone: {_echo(piece.id)}")
-    for rid, d in check_recession_support(hat, cert.fan).missing:
+    for rid, d in check_recession_support(hat, fan).missing:
         violations.append(
             f"RecessionNotSupported: ray {_echo(rid)} direction {d} is no ray of the fan"
         )

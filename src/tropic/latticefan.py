@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DeskScaleExceeded,
@@ -337,28 +337,15 @@ def cones_equal(c1: Cone, c2: Cone) -> bool:
     return c1.ambient_dim == c2.ambient_dim and canonical_form(c1) == canonical_form(c2)
 
 
-def cone_contains(
-    c: Cone,
-    p: Sequence,
-    mode: Literal["closure", "relative_interior"] = "closure",
-) -> bool:
-    """Exact membership of a rational point, in the closed cone or its relative interior.
-
-    A point is in the relative interior iff it satisfies the span equations
-    and every facet inequality strictly, equivalently it lies in the cone but
-    in no proper face.
-    """
+def cone_contains(c: Cone, p: Sequence) -> bool:
+    """Exact membership of a rational point in the closed cone."""
     if len(p) != c.ambient_dim:
         raise DimMismatch(f"point of dim {len(p)} vs cone in dim {c.ambient_dim}")
     pt = _integer_row(p)  # a positive multiple of p: the same signs
     h = cone_halfspaces(c)
     if any(sum(map(mul, e, pt)) for e in h.equations):
         return False
-    if mode == "closure":
-        return all(sum(map(mul, f, pt)) >= 0 for f in h.inequalities)
-    if mode == "relative_interior":
-        return all(sum(map(mul, f, pt)) > 0 for f in h.inequalities)
-    raise ValueError(f"unknown containment mode {mode!r}")
+    return all(sum(map(mul, f, pt)) >= 0 for f in h.inequalities)
 
 
 def cone_intersection(c1: Cone, c2: Cone) -> Cone:
@@ -434,25 +421,69 @@ class Fan:
 
         Normals are primitive with their first nonzero entry positive, so two
         normals of the same hyperplane coincide.  Built on first use and kept
-        in the instance ``__dict__`` (not a dataclass field).
+        in the instance ``__dict__`` (not a dataclass field), as is ``patterns``.
         """
-        normals = set()
-        for c in self.cones:
-            h = cone_halfspaces(c)
-            for n in h.equations + h.inequalities:
-                n = primitive(n)
-                normals.add(n if next(x for x in n if x) > 0 else tuple(-x for x in n))
-        return tuple(sorted(normals))
+        hs = [cone_halfspaces(c) for c in self.cones]
+        return tuple(sorted({_oriented(n)[0] for h in hs for n in h.equations + h.inequalities}))
 
     @cached_property
-    def cone_index(self) -> dict[Cone, int]:
-        """cone -> its first position in ``cones``."""
-        return {c: i for i, c in reversed(tuple(enumerate(self.cones)))}
+    def patterns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per cone, its span equations and facet normals as (index into
+        ``hyperplanes``, sign) pairs: sign 0 for an equation, and for a normal
+        the sign that orients its hyperplane as the normal.  Every normal of
+        every cone is ± one of ``hyperplanes``, so a point's sign vector
+        against them decides its membership, cone by cone."""
+        index = {n: j for j, n in enumerate(self.hyperplanes)}
+        out = []
+        for h in map(cone_halfspaces, self.cones):
+            pattern = [(index[_oriented(e)[0]], 0) for e in h.equations]
+            out.append(tuple(pattern + [(index[n], s) for n, s in map(_oriented, h.inequalities)]))
+        return tuple(out)
 
     @cached_property
     def _located(self) -> dict[tuple[int, ...], int]:
-        """sign vector against ``hyperplanes`` -> cone index; see ``smallest_containing_cone``."""
+        """sign vector against ``hyperplanes`` -> cone index; see ``_locate``."""
         return {}
+
+
+def _oriented(n: IntVec) -> tuple[IntVec, int]:
+    """n's hyperplane as ``Fan.hyperplanes`` lists it, and the sign that orients it as n."""
+    n = primitive(n)
+    sign = 1 if next(x for x in n if x) > 0 else -1
+    return tuple(sign * x for x in n), sign
+
+
+def signs(values: Iterable) -> tuple[int, ...]:
+    return tuple((v > 0) - (v < 0) for v in values)
+
+
+def in_interior(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
+    """Whether sign vector ``s`` is in the relative interior of the cone of ``pattern``."""
+    return all(s[j] == sign for j, sign in pattern)
+
+
+def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
+    """Whether sign vector ``s`` is in the closed cone of ``pattern`` (``Fan.patterns``)."""
+    return all(s[j] in (0, sign) for j, sign in pattern)
+
+
+def locate_points(f: Fan, points: dict) -> tuple[int, dict, dict]:
+    """One integer image of rational points, and their cones: the lcm m of
+    their denominators, and per key the integers n.(m p) for n in
+    ``f.hyperplanes``, whose signs are p's sign vector, and the index of p's
+    cone (``_locate``).  The first point outside the support raises
+    NotInSupport."""
+    m = lcm(*(x.denominator for p in points.values() for x in p))
+    values, cones = {}, {}
+    for key, p in points.items():
+        if len(p) != f.ambient_dim:
+            raise DimMismatch(f"point of dim {len(p)} vs fan in dim {f.ambient_dim}")
+        q = [x.numerator * (m // x.denominator) for x in p]
+        values[key] = [sum(map(mul, n, q)) for n in f.hyperplanes]
+        cones[key] = _locate(f, signs(values[key]))
+        if cones[key] is None:
+            raise not_in_support(p)
+    return m, values, cones
 
 
 def fan_from_maximal(
@@ -514,8 +545,14 @@ def fan_validate(f: Fan) -> ValidationReport:
             return report
     keys = [canonical_form(c) for c in f.cones]
     present = set(keys)
-    proper = set()
-    for c, key in zip(f.cones, keys):
+    checked, visited = set(), set()
+    # most extreme rays first, so a proper face comes after its cones: a cone
+    # seen as a face had its faces checked with the larger cone, and the
+    # cones visited are the maximal ones
+    for c, key in sorted(zip(f.cones, keys), key=lambda ck: -sum(map(len, ck[1]))):
+        if key in checked:
+            continue
+        visited.add(key)
         for face in cone_faces(c):
             face_key = canonical_form(face)
             if face_key not in present:
@@ -525,11 +562,10 @@ def fan_validate(f: Fan) -> ValidationReport:
                     "is not in the fan",
                 )
                 return report
-            if face_key != key:
-                proper.add(face_key)
+            checked.add(face_key)
     maximal = {}  # canonical form -> its first cone; a cone listed twice is one cone
     for c, key in zip(f.cones, keys):
-        if key not in proper:
+        if key in visited:
             maximal.setdefault(key, c)
     n = f.ambient_dim
     if maximal and n >= 2 and all(
@@ -565,7 +601,7 @@ def _validate_by_walls(maximal: dict) -> ValidationReport | None:
     for (rays, _), c in maximal.items():
         for normal in cone_halfspaces(c).inequalities:
             wall = tuple(g for g in rays if not sum(map(mul, normal, g)))
-            side = 1 if next(x for x in normal if x) > 0 else -1
+            side = _oriented(normal)[1]
             other = held.setdefault(wall, {}).setdefault(side, c)
             if other is not c:
                 report.add(
@@ -592,36 +628,23 @@ def _validate_by_walls(maximal: dict) -> ValidationReport | None:
 
 def smallest_containing_cone(f: Fan, p: Sequence) -> Cone:
     """The first cone of ``f.cones`` whose relative interior contains ``p``
-    (on a valid fan, the only one).
-
-    Every span equation and facet normal of every cone is a positive or
-    negative multiple of one of ``f.hyperplanes``, so the signs of ``p``
-    against them decide, cone by cone, whether ``p`` is in the relative
-    interior: points with one sign vector have one first hit in the scan over
-    ``f.cones``, valid fan or not.  That hit is memoized per sign vector, at
-    most one entry per cell of the arrangement; a point outside the support
-    raises NotInSupport and is not memoized.
-    """
-    if len(p) != f.ambient_dim:
-        raise DimMismatch(f"point of dim {len(p)} vs fan in dim {f.ambient_dim}")
-    ints = _integer_row(p)  # the same ray as p, so the same signs
-    key = tuple((s > 0) - (s < 0) for s in (sum(map(mul, n, ints)) for n in f.hyperplanes))
-    return f.cones[_locate(f, key, lambda: p)]
+    (on a valid fan, the only one); NotInSupport if there is none."""
+    return f.cones[locate_points(f, {0: p})[2][0]]
 
 
-def _locate(f: Fan, key: tuple[int, ...], point) -> int:
-    """The cone index memoized for the sign vector ``key`` against ``f.hyperplanes``.
-
-    On a miss, ``point()`` gives a point with that sign vector, and the first
-    cone whose relative interior holds it is stored (see
-    ``smallest_containing_cone``).
-    """
+def _locate(f: Fan, key: tuple[int, ...]) -> int | None:
+    """The index of the first cone whose relative interior holds the points
+    with sign vector ``key`` against ``f.hyperplanes`` (see ``Fan.patterns``),
+    or None.  Hits are memoized, at most one per cell of the arrangement;
+    misses, outside the support, are not."""
     index = f._located.get(key)
     if index is None:
-        p = point()
-        ints = _integer_row(p)
-        c = next((c for c in f.cones if cone_contains(c, ints, "relative_interior")), None)
-        if c is None:
-            raise NotInSupport(f"point {_echo_point(p)} is not in the support of the fan")
-        index = f._located[key] = f.cone_index[c]
+        hits = (i for i, pattern in enumerate(f.patterns) if in_interior(pattern, key))
+        index = next(hits, None)
+        if index is not None:
+            f._located[key] = index
     return index
+
+
+def not_in_support(p: Sequence) -> NotInSupport:
+    return NotInSupport(f"point {_echo_point(p)} is not in the support of the fan")

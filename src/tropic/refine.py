@@ -20,7 +20,7 @@ from .curves import (
     require_valid,
 )
 from .errors import DimMismatch, InvalidCurve, NotInSupport, _echo, _echo_point
-from .latticefan import Fan, IntVec, RatVec, _locate, cone_contains
+from .latticefan import Fan, IntVec, RatVec, _locate, in_closure, not_in_support, signs
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,17 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     a + t*b, with a = n.B and b = n.D: sign(a or b) on the first interval.  A
     real crossing, at t = -a/b, needs a and b of opposite signs (and |a| < |b|
     on an edge) and negates that sign.  Sweeping the sorted crossings gives
-    each interval's sign vector, whose cone the fan memoizes (a point of the
-    interval is built and the cones scanned only on a miss).  Spurious
-    crossings (hyperplane extensions through the interior of a cone) are
-    discarded by merging consecutive pieces that land in the same cone.
-    Every output piece is verified to lie in a single cone; weights are
-    inherited, and balancing, genus, support, and the recession fan are
-    preserved.  New vertices are named ``<host>#k`` and pieces ``<host>:k``;
-    an input curve already using such an id raises InvalidCurve.  The fan is
-    assumed complete; ``fan_validate`` certifies that for complete simplicial
-    fans only, and a traversed point outside the support raises NotInSupport.
+    each interval's sign vector, whose cone the fan memoizes (the cones' sign
+    patterns are scanned only on a miss).  Spurious crossings (hyperplane
+    extensions through the interior of a cone) are discarded by merging
+    consecutive pieces that land in the same cone.  Every output piece is
+    checked against its cone's pattern by the sign vectors of its ends, of
+    q*a + p*b at t = p/q, and of b for a ray.  Weights are inherited, and
+    balancing, genus, support, and the recession fan are preserved.  New
+    vertices are named ``<host>#k`` and pieces ``<host>:k``; an input curve
+    already using such an id raises InvalidCurve.  The fan is assumed
+    complete; ``fan_validate`` certifies that for complete simplicial fans
+    only, and a traversed point outside the support raises NotInSupport.
     """
     require_valid(c)
     if c.ambient_dim != f.ambient_dim:
@@ -119,31 +120,27 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             direction = [x.numerator * (m // x.denominator) - b for x, b in zip(w, base)]
         else:
             direction = [m * x for x in h.direction]
-        signs = []
+        ab = [(sum(map(mul, n, base)), sum(map(mul, n, direction))) for n in f.hyperplanes]
         crossings: dict[Fraction, list[int]] = {}
-        for i, n in enumerate(f.hyperplanes):
-            a, b = sum(map(mul, n, base)), sum(map(mul, n, direction))
-            s = a or b
-            signs.append((s > 0) - (s < 0))
+        for i, (a, b) in enumerate(ab):
             if (a < 0 < b or b < 0 < a) and (not bounded or abs(a) < abs(b)):
                 crossings.setdefault(Fraction(-a, b), []).append(i)
         cuts = sorted(crossings)
-        keys = [tuple(signs)]
+        interval = list(signs(a or b for a, b in ab))
+        keys = [tuple(interval)]
         for t in cuts:
             for i in crossings[t]:
-                signs[i] = -signs[i]
-            keys.append(tuple(signs))
-        # a point of each interval, only built on a memo miss: the midpoint,
-        # or on a ray's unbounded tail the point 1 past its last crossing
-        stop = Fraction(1) if bounded else (cuts[-1] if cuts else 0) + 2
-        bounds = [Fraction(0)] + cuts + [stop]
-        cones = [
-            _locate(f, key, lambda lo=lo, hi=hi: _point_at(base, direction, m, (lo + hi) / 2))
-            for key, lo, hi in zip(keys, bounds, bounds[1:])
-        ]
+                interval[i] = -interval[i]
+            keys.append(tuple(interval))
+        cones = [_locate(f, key) for key in keys]
+        if None in cones:  # name the interval's midpoint, or 1 past a ray's last crossing
+            bounds = [Fraction(0), *cuts, Fraction(1) if bounded else (cuts[-1] if cuts else 0) + 2]
+            k = cones.index(None)
+            raise not_in_support(_point_at(base, direction, m, (bounds[k] + bounds[k + 1]) / 2))
         breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
         piece_cone_ids = [c1 for c1, c2 in zip(cones, cones[1:]) if c1 != c2] + [cones[-1]]
-
+        ends = [signs(t.denominator * a + t.numerator * b for a, b in ab)
+                for t in [Fraction(0), *breaks] + [Fraction(1)] * bounded]
         chain = [start]
         for k, t in enumerate(breaks, start=1):
             vid = f"{h.id}#{k}"
@@ -161,38 +158,38 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             )
         if bounded:
             chain.append(h.ends[1])
+        at = [(vertices[v], s) for v, s in zip(chain, ends)]
         for k, cone in enumerate(piece_cone_ids):
             pid = f"{h.id}:{k}" if breaks else h.id
             if breaks:
                 _claim(pid, host_ids, h.id)
             if k + 1 < len(chain):
                 new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), h.weight))
-                check_piece(f, cone, [vertices[chain[k]], vertices[chain[k + 1]]], None, pid)
+                check_piece(f, cone, pid, at[k:k + 2])
             else:
                 new_rays.append(CurveRay(pid, chain[k], h.direction, h.weight))
-                check_piece(f, cone, [vertices[chain[k]]], h.direction, pid)
+                check_piece(f, cone, pid, at[k:], (h.direction, signs(b for _, b in ab)))
             piece_cones[pid] = cone
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
     return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)
 
 
-def check_piece(f: Fan, cone_index: int, points: list[RatVec], direction, piece_id: str):
-    """Post-hoc verification that a piece lies in its assigned cone.
-
-    For a segment it is enough that both endpoints are in the closed cone;
-    for a ray, the base point and the direction (a cone is stable under
-    adding its own elements).
-    """
-    cone = f.cones[cone_index]
-    for p in points:
-        if not cone_contains(cone, p, "closure"):
+def check_piece(f: Fan, index: int, piece_id: str, ends, tail=None):
+    """Post-hoc verification that a piece lies in its assigned cone, given a
+    (point, sign vector) pair per end and for a ray its (direction, sign
+    vector) ``tail``.  For a segment it is enough that both endpoints are in
+    the closed cone; for a ray, the base point and the direction (a cone is
+    stable under adding its own elements)."""
+    cone, pattern = f.cones[index], f.patterns[index]
+    for p, s in ends:
+        if not in_closure(pattern, s):
             raise NotInSupport(
                 f"piece {_echo(piece_id)}: point {_echo_point(p)} escapes cone {cone.generators}"
             )
-    if direction is not None and not cone_contains(cone, direction, "closure"):
+    if tail is not None and not in_closure(pattern, tail[1]):
         raise NotInSupport(
-            f"piece {_echo(piece_id)}: unbounded direction {_echo_point(direction)} leaves "
+            f"piece {_echo(piece_id)}: unbounded direction {_echo_point(tail[0])} leaves "
             f"cone {cone.generators}; fan may not be complete along the tail"
         )
 

@@ -7,11 +7,12 @@ deformation dimension by dense Fraction elimination of the full edge
 equations instead of the integer rank of the cycle-closing matrix.
 Subdivision is checked against the earlier implementation that scanned the
 facets of every cone and walked edges and rays in two separate loops, point
-location against the linear scan over every cone that preceded the
-sign-vector memo, fan validation against the earlier one that intersected
-every pair of cones, certificate verification against the earlier one
-that re-derived each field by hand, and ``primitive_and_scale`` against the
-Fraction formula it replaced.
+location and the cones' sign patterns against the linear scan over every
+cone with rational points that preceded the sign-vector memo, fan
+validation against the earlier one that intersected every pair of cones,
+certificate verification against the earlier one that re-derived each field
+by hand, and ``primitive_and_scale`` against the Fraction formula it
+replaced.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import atan2, gcd, lcm
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -57,9 +59,8 @@ from tropic.latticefan import (
     is_face_of,
     primitive,
     rank,
-    smallest_containing_cone,
 )
-from tropic.refine import NewVertex, SubdivisionRecord, check_piece, check_recession_support
+from tropic.refine import NewVertex, SubdivisionRecord, check_recession_support
 
 
 def monoid_closure(k: int, bound: int) -> set[tuple[int, int]]:
@@ -294,13 +295,64 @@ def _crossing_params(f: Fan, base: RatVec, direction: Sequence) -> list[Fraction
     return sorted(params)
 
 
+def _cleared(p: Sequence) -> list[int]:
+    """``p`` times the lcm of its denominators: a point on the same ray."""
+    p = as_ratvec(p)
+    m = lcm(*(x.denominator for x in p))
+    return [int(x * m) for x in p]
+
+
+def relint_contains(c: Cone, p: Sequence) -> bool:
+    """Whether the rational point ``p`` satisfies every span equation of ``c``
+    and every facet inequality strictly (the relative-interior mode that
+    ``cone_contains`` had)."""
+    return _relint_contains_cleared(c, _cleared(p))
+
+
+def _relint_contains_cleared(c: Cone, q: list[int]) -> bool:
+    h = cone_halfspaces(c)
+    return (not any(sum(map(mul, e, q)) for e in h.equations)
+            and all(sum(map(mul, n, q)) > 0 for n in h.inequalities))
+
+
 def reference_locate(f: Fan, p: Sequence) -> Cone:
     """The first cone of ``f.cones`` whose relative interior holds ``p``, by a
     scan over every cone (no memo)."""
+    q = _cleared(p)
     for c in f.cones:
-        if cone_contains(c, p, "relative_interior"):
+        if _relint_contains_cleared(c, q):
             return c
     raise NotInSupport(f"point {tuple(p)} is not in the support of the fan")
+
+
+def point_signs(f: Fan, p: Sequence) -> tuple[int, ...]:
+    """The sign vector of a rational point against ``f.hyperplanes``, by Fraction dot products."""
+    return tuple((v > 0) - (v < 0) for v in (dot(n, p) for n in f.hyperplanes))
+
+
+def count_pattern_scans(f: Fan) -> list:
+    """Make ``f`` record in the returned list each scan over its cones' sign
+    patterns, which point location makes on a miss of its sign-vector memo."""
+    scans = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            scans.append(1)
+            return super().__iter__()
+
+    f.__dict__["patterns"] = Counted(f.patterns)
+    return scans
+
+
+def reference_check_piece(f: Fan, cone_index: int, points, direction, piece_id: str):
+    """The point-based piece check that the sign-pattern one replaced: the
+    endpoints, and a ray's direction, lie in the closed cone."""
+    cone = f.cones[cone_index]
+    for p in points:
+        if not cone_contains(cone, p):
+            raise NotInSupport(f"piece {piece_id}: point {tuple(p)} escapes {cone.generators}")
+    if direction is not None and not cone_contains(cone, direction):
+        raise NotInSupport(f"piece {piece_id}: unbounded direction {direction} leaves the cone")
 
 
 def _interval_cone(f: Fan, base: RatVec, direction: Sequence, t: Fraction) -> int:
@@ -352,7 +404,7 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         if not breaks:
             new_edges.append(e)
             piece_cones[e.id] = cones[0]
-            check_piece(f, cones[0], [pu, pw], None, e.id)
+            reference_check_piece(f, cones[0], [pu, pw], None, e.id)
             continue
         chain = [e.ends[0]]
         for k, t in enumerate(breaks, start=1):
@@ -373,7 +425,7 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             pid = f"{e.id}:{k}"
             new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), e.weight))
             piece_cones[pid] = piece_cone_ids[k]
-            check_piece(
+            reference_check_piece(
                 f, piece_cone_ids[k], [vertices[chain[k]], vertices[chain[k + 1]]], None, pid
             )
 
@@ -393,7 +445,7 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         if not breaks:
             new_rays.append(r)
             piece_cones[r.id] = tail_cone
-            check_piece(f, tail_cone, [pb], r.direction, r.id)
+            reference_check_piece(f, tail_cone, [pb], r.direction, r.id)
             continue
         chain = [r.base]
         for k, t in enumerate(breaks, start=1):
@@ -413,13 +465,13 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             pid = f"{r.id}:{k}"
             new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), r.weight))
             piece_cones[pid] = piece_cone_ids[k]
-            check_piece(
+            reference_check_piece(
                 f, piece_cone_ids[k], [vertices[chain[k]], vertices[chain[k + 1]]], None, pid
             )
         tail_id = f"{r.id}:{len(chain) - 1}"
         new_rays.append(CurveRay(tail_id, chain[-1], r.direction, r.weight))
         piece_cones[tail_id] = piece_cone_ids[-1]
-        check_piece(f, piece_cone_ids[-1], [vertices[chain[-1]]], r.direction, tail_id)
+        reference_check_piece(f, piece_cone_ids[-1], [vertices[chain[-1]]], r.direction, tail_id)
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
     return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)
@@ -522,8 +574,8 @@ def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
         if v not in hat.vertices:
             violations.append(f"VertexConeMismatch: unknown vertex {v}")
             continue
-        actual = smallest_containing_cone(cert.fan, hat.position(v))
-        if cert.fan.cone_index[actual] != idx:
+        actual = reference_locate(cert.fan, hat.position(v))
+        if cert.fan.cones.index(actual) != idx:
             violations.append(f"VertexConeMismatch: vertex {v} is interior to a different cone")
     if sorted(v for v, _ in cert.vertex_cones) != sorted(hat.vertices):
         violations.append("VertexConeMismatch: cone assignment keys differ from vertices")
@@ -538,8 +590,8 @@ def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
             ends, direction = [hat.position(piece.base)], piece.direction
             inner = tuple(a + d for a, d in zip(ends[0], direction))
         try:
-            cone = cert.fan.cone_index[smallest_containing_cone(cert.fan, inner)]
-            check_piece(cert.fan, cone, ends, direction, piece.id)
+            cone = cert.fan.cones.index(reference_locate(cert.fan, inner))
+            reference_check_piece(cert.fan, cone, ends, direction, piece.id)
         except NotInSupport:
             violations.append(f"PieceNotInCone: {piece.id}")
     for rid, d in check_recession_support(hat, cert.fan).missing:

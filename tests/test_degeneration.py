@@ -283,6 +283,11 @@ def test_verify_rejects_a_ray_through_several_cones(monkeypatch):
     assert verify_certificate(cert).violations == ("PieceNotInCone: r2",)
     assert verify_certificate(certify(translated(fixtures.tripod(), (2, 1)),
                                       fixtures.fan_p2())).ok
+    # from (2,1) the line's ray r- = (-1,0) has its base and base + r- in the
+    # open first quadrant: only its direction leaves the quadrant
+    cert = _unsubdivided_certificate(monkeypatch, translated(fixtures.line(), (2, 1)),
+                                     fixtures.fan_p1xp1())
+    assert verify_certificate(cert).violations == ("PieceNotInCone: r-",)
 
 
 def test_verify_requires_recession_support():
@@ -292,32 +297,67 @@ def test_verify_requires_recession_support():
     assert violations == ("RecessionNotSupported: ray r2 direction (-1, -1) is no ray of the fan",)
 
 
-def test_second_certify_and_verify_on_a_fan_scans_no_cone(monkeypatch):
-    # every sign vector of the second round was memoized in the first
+def _rich_tree(seed: int, size: int):
+    """A seeded tree on perfbench's 147-cone R^3 fan, and a new Fan of it."""
     import random
 
     from helpers import gen
     from tropic import latticefan
     from tropic.curves import TropicalCurve
 
-    scans = []
-    contains = latticefan.cone_contains
-
-    def counting(c, p, mode="closure"):
-        if mode == "relative_interior":
-            scans.append(p)
-        return contains(c, p, mode)
-
-    monkeypatch.setattr(latticefan, "cone_contains", counting)
     rays, maximal, dim = gen.rich_fan_r3()
     fan = latticefan.fan_from_maximal(rays, maximal, dim)
-    tree = TropicalCurve.build(*gen.tree(random.Random(3), dim, 60, rays))
+    return TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays)), fan
+
+
+def test_second_certify_and_verify_on_a_fan_scans_no_cone():
+    # every sign vector of the second round was memoized in the first
+    from helpers import count_pattern_scans
+
+    tree, fan = _rich_tree(3, 60)
+    scans = count_pattern_scans(fan)
     rounds = []
     for _ in range(2):
         scans.clear()
         assert verify_certificate(certify(tree, fan)).ok
         rounds.append(len(scans))
     assert rounds[0] > 0 and rounds[1] == 0, rounds
+
+
+def test_warm_certify_and_verify_build_no_fraction_point(monkeypatch):
+    # on a Fan whose memo holds every sign vector, certify and verify-cert
+    # read cones off integer sign vectors alone
+    import sys
+
+    from tropic import latticefan
+
+    calls = []
+    for name in ("cone_contains", "_integer_row"):
+        real = getattr(latticefan, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("tropic.")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    tree, fan = _rich_tree(5, 60)
+    assert verify_certificate(certify(tree, fan)).ok
+    calls.clear()
+    assert verify_certificate(certify(tree, fan)).ok
+    assert calls == []
+
+
+def test_vertex_cones_do_not_change_under_positive_scaling():
+    from helpers import scaled
+
+    cases = [(fixtures.CURVES[c](), fixtures.FANS[f]()) for c, f in CERTIFY_PAIRS]
+    cases += [_rich_tree(seed, 24) for seed in range(3)]
+    for curve, fan in cases:
+        cones = certify(curve, fan).vertex_cones
+        for factor in (2, 3, 7):
+            assert certify(scaled(curve, factor), fan).vertex_cones == cones, factor
 
 
 def test_verify_rejects_a_star_for_an_unknown_vertex():

@@ -9,11 +9,13 @@ from helpers import (
     echelon,
     gen,
     kernel_dimension,
+    point_signs,
     primitive_box_fan,
     rank_by_transpose,
     reference_fan_validate,
     reference_locate,
     reference_primitive_and_scale,
+    relint_contains,
     stellar_fan,
     trusted_overlapping_fan,
 )
@@ -33,6 +35,8 @@ from tropic.latticefan import (
     double_description,
     fan_from_maximal,
     fan_validate,
+    in_closure,
+    in_interior,
     primitive,
     primitive_and_scale,
     rank,
@@ -94,17 +98,17 @@ def test_primitive_and_scale_edge_cases():
 
 def test_cone_contains_examples():
     quadrant = Cone.from_rays([(1, 0), (0, 1)], 2)
-    assert cone_contains(quadrant, (1, 1), "relative_interior")
-    assert not cone_contains(quadrant, (1, 0), "relative_interior")
+    assert relint_contains(quadrant, (1, 1))
+    assert not relint_contains(quadrant, (1, 0))
     narrow = Cone.from_rays([(1, 0), (1, 2)], 2)
     # (2,1) = 3/2*(1,0) + 1/2*(1,2), solved by hand
-    assert cone_contains(narrow, (2, 1), "closure")
+    assert cone_contains(narrow, (2, 1))
 
 
 def test_cone_contains_generators_and_dim_mismatch():
     c = Cone.from_rays([(1, 0), (1, 2)], 2)
     for g in c.generators:
-        assert cone_contains(c, g, "closure")
+        assert cone_contains(c, g)
     with pytest.raises(DimMismatch):
         cone_contains(c, (1, 0, 0))
 
@@ -133,18 +137,18 @@ def test_relative_interiors_of_fixture_fans_are_disjoint():
     for fan in (fixtures.fan_p2(), fixtures.fan_p1xp1(), fixtures.fan_cycle3()):
         for _ in range(40):
             p = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(2))
-            hits = [c for c in fan.cones if cone_contains(c, p, "relative_interior")]
+            hits = [c for c in fan.cones if relint_contains(c, p)]
             assert len(hits) == 1
         for c in fan.cones:
             for p_gen in c.generators:
-                assert cone_contains(c, p_gen, "closure")
+                assert cone_contains(c, p_gen)
 
 
 def test_relative_interior_implies_closure():
     c = Cone.from_rays([(2, 1), (1, 3)], 2)
     for p in [(3, 4), (1, 1), (5, 5)]:
-        if cone_contains(c, p, "relative_interior"):
-            assert cone_contains(c, p, "closure")
+        if relint_contains(c, p):
+            assert cone_contains(c, p)
 
 
 def test_kernel_dimension_examples():
@@ -291,6 +295,24 @@ def test_sign_vector_memo_matches_linear_scan():
         assert 0 < len(fan._located) <= sum(cone is not NotInSupport for cone in expected)
 
 
+def test_sign_patterns_match_the_point_oracle():
+    # cone by cone, a point's sign vector conforms to a cone's pattern exactly
+    # when the point lies in the cone's relative interior, or in the closed cone
+    rng = random.Random(13)
+    checked = Counter()
+    for fan in _memo_fans():
+        points = _test_points(rng, fan)
+        for p in rng.sample(points, min(len(points), 80)):
+            s = point_signs(fan, p)
+            for c, pattern in zip(fan.cones, fan.patterns):
+                inside = relint_contains(c, p)
+                closed = cone_contains(c, p)
+                assert in_interior(pattern, s) == inside, (c, p)
+                assert in_closure(pattern, s) == closed, (c, p)
+                checked[inside, closed] += 1
+    assert min(checked[True, True], checked[False, True], checked[False, False]) >= 500
+
+
 def test_sign_vector_memo_misses_outside_an_incomplete_fan():
     fan = fan_from_maximal([(1, 0), (0, 1)], [[0, 1]], 2)
     for p in [(-1, -1), (-1, 0), (3, -1), (-1, -1)]:
@@ -300,14 +322,7 @@ def test_sign_vector_memo_misses_outside_an_incomplete_fan():
             reference_locate(fan, p)
     assert fan._located == {}
     assert smallest_containing_cone(fan, (1, 0)).generators == ((1, 0),)
-    assert list(fan._located.values()) == [fan.cone_index[Cone(((1, 0),), 2)]]
-
-
-def test_cone_index_is_the_first_position():
-    for fan in _memo_fans():
-        assert all(fan.cone_index[c] == fan.cones.index(c) for c in fan.cones)
-    twice = Fan(fixtures.fan_p2().cones * 2, 2)
-    assert all(twice.cone_index[c] == twice.cones.index(c) for c in twice.cones)
+    assert list(fan._located.values()) == [fan.cones.index(Cone(((1, 0),), 2))]
 
 
 def test_halfspaces_of_halfplane_and_faces():
@@ -541,6 +556,19 @@ def test_fan_validate_intersects_only_maximal_cones(monkeypatch):
         assert fan_validate(fan).valid and not pairs
 
 
+def test_face_closure_enumerates_the_faces_of_maximal_cones_only(monkeypatch):
+    from tropic import latticefan
+
+    visited = []
+    real = latticefan.cone_faces
+    monkeypatch.setattr(latticefan, "cone_faces", lambda c: visited.append(c) or real(c))
+    rays, maximal, dim = gen.rich_fan_r3()
+    fan = fan_from_maximal(rays, maximal, dim)
+    assert fan_validate(fan).valid
+    assert 0 < len(visited) <= len(maximal) < len(fan.cones)
+    assert all(len(c.generators) == dim for c in visited)
+
+
 def _mutations(rng, rays, maximal, dim) -> dict:
     """The complete fan and four changes to it, each a fan_from_maximal spec."""
     out = {"complete": (rays, maximal), "dropped": (rays, maximal[1:])}
@@ -589,7 +617,7 @@ def test_fan_validate_decides_complete_fans_by_walls(monkeypatch):
             outcomes[kind, verdict, by_walls] += 1
             if verdict[0] and by_walls:
                 for p in _points(rng, fan, 10):
-                    hits = [c for c in fan.cones if cone_contains(c, p, "relative_interior")]
+                    hits = [c for c in fan.cones if relint_contains(c, p)]
                     assert len(hits) == 1, (kind, p, hits)
     valid, overlap = (True, None), (False, "NonFaceIntersection")
     assert outcomes == {

@@ -347,25 +347,21 @@ def test_walker_edge_cases():
 
 
 def test_second_subdivision_on_a_fan_locates_no_point(monkeypatch):
+    from helpers import count_pattern_scans
     from tropic import latticefan, refine
 
-    scans, locates = [], []
-    contains, locate = latticefan.cone_contains, latticefan.smallest_containing_cone
-
-    def counting_contains(c, p, mode="closure"):
-        if mode == "relative_interior":
-            scans.append(p)
-        return contains(c, p, mode)
+    locates = []
+    locate = latticefan.smallest_containing_cone
 
     def counting_locate(f, p):
         locates.append(p)
         return locate(f, p)
 
-    monkeypatch.setattr(latticefan, "cone_contains", counting_contains)
     for module in (latticefan, refine):
         if hasattr(module, "smallest_containing_cone"):
             monkeypatch.setattr(module, "smallest_containing_cone", counting_locate)
     for fan, trees in _rich_trees(43):
+        scans = count_pattern_scans(fan)
         rounds = []
         for _ in range(2):
             scans.clear()
@@ -377,15 +373,21 @@ def test_second_subdivision_on_a_fan_locates_no_point(monkeypatch):
 
 
 def test_check_piece_details_cut_long_values():
+    from helpers import point_signs
+
     fan = fixtures.fan_p2()
-    quadrant = fan.cone_index[Cone(((0, 1), (1, 0)), 2)]
+    quadrant = fan.cones.index(Cone(((0, 1), (1, 0)), 2))
     huge = Fraction(-1, 7 ** 3000)
+
+    def at(p):
+        return p, point_signs(fan, p)
+
     with pytest.raises(NotInSupport) as info:
-        check_piece(fan, quadrant, [(huge, huge)], None, "e" * 5000)
+        check_piece(fan, quadrant, "e" * 5000, [at((huge, huge))])
     assert len(info.value.message) < 200
     assert info.value.message.startswith(f"piece {'e' * 40}... (5000 characters): point (-1/")
     with pytest.raises(NotInSupport, match=r"^piece r: unbounded direction \(-1, -1\) leaves"):
-        check_piece(fan, quadrant, [(1, 1)], (-1, -1), "r")
+        check_piece(fan, quadrant, "r", [at((1, 1))], at((-1, -1)))
 
 
 def test_subdivision_refuses_to_reuse_reserved_ids():
