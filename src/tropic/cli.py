@@ -67,30 +67,32 @@ def _valid_fan(fan: Fan) -> Fan:
     return fan
 
 
+def _esc(s: str) -> str:
+    """``s`` escaped for use inside a double-quoted DOT string."""
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def emit_dot(c: TropicalCurve | CompactifiedCurve) -> str:
     """Deterministic DOT text for a curve or compactified curve."""
-    if isinstance(c, CompactifiedCurve):
-        curve = c.base
-        infinity = {p.ray: p.id for p in c.infinity_points}
-    else:
-        curve = c
-        infinity = {r.id: f"inf:{r.id}" for r in curve.rays}
+    comp = c if isinstance(c, CompactifiedCurve) else compactify(c)
+    curve = comp.base
+    infinity = {p.ray: _esc(p.id) for p in comp.infinity_points}
     lines = ["digraph tropicalcurve {"]
     for v, pos in curve.vertices.items():
         coords = ", ".join(rat_text(x) for x in pos)
-        lines.append(f'  "{v}" [label="{v} ({coords})"];')
+        lines.append(f'  "{_esc(v)}" [label="{_esc(v)} ({coords})"];')
     for r in curve.rays:
         lines.append(f'  "{infinity[r.id]}" [shape=point, label=""];')
     for e in curve.edges:
         _, length = edge_data(curve, e.id)
         lines.append(
-            f'  "{e.ends[0]}" -> "{e.ends[1]}" '
+            f'  "{_esc(e.ends[0])}" -> "{_esc(e.ends[1])}" '
             f'[dir=none, label="w={e.weight}, l={rat_text(length)}"];'
         )
     for r in curve.rays:
         direction = ", ".join(str(x) for x in r.direction)
         lines.append(
-            f'  "{r.base}" -> "{infinity[r.id]}" [label="w={r.weight}, d=({direction})"];'
+            f'  "{_esc(r.base)}" -> "{infinity[r.id]}" [label="w={r.weight}, d=({direction})"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -104,15 +106,13 @@ def _cmd_check(args) -> tuple[object, int]:
     c = _load_curve(args.curve)
     report = validate(c)
     out = {"valid": report.valid, "violations": _validation_entries(report)}
-    code = 0
     if not report.valid:
         out["balanced"] = False
         return out, 1
     bal = is_balanced(c)
     out["balanced"] = bal.balanced
     out["defects"] = [{"vertex": v, "defect": list(d)} for v, d in bal.defects]
-    if not bal.balanced:
-        code = 1
+    code = 0 if bal.balanced else 1
     if args.expect_ordinary and code == 0:
         verdict = is_superabundant(c)
         out["excess"] = verdict.excess
@@ -203,8 +203,7 @@ def _cmd_certify(args) -> tuple[object, int]:
     fan = _valid_fan(fan_from_dict(_read_json(args.fan)))
     if args.expect_ordinary and is_superabundant(c).superabundant:
         return {"error": "Superabundant", "detail": "curve is superabundant"}, 1
-    cert = certify(c, fan)
-    return certificate_to_dict(cert), 0
+    return certificate_to_dict(certify(c, fan)), 0
 
 
 def _cmd_verify_cert(args) -> tuple[object, int]:

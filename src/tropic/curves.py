@@ -88,9 +88,9 @@ class TropicalCurve:
             raise NoSuchVertex(f"no vertex {_echo(repr(vertex))}") from None
 
     # The indexes, the validation verdict and the balancing report below are
-    # built on first use and kept in the instance __dict__; they are not
-    # dataclass fields, so equality, ordering and serialization only ever see
-    # the sorted fields.
+    # built on first use, or handed over by ``_inherit``, and kept in the
+    # instance __dict__; they are not dataclass fields, so equality, ordering
+    # and serialization only ever see the sorted fields.
 
     @cached_property
     def _edge_by_id(self) -> dict[str, BoundedEdge]:
@@ -244,6 +244,14 @@ def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:
             raise DegenerateEdge(f"edge {_echo(edge_id)} has zero length")
         c._edge_data[edge_id] = primitive_and_scale(disp)
     return c._edge_data[edge_id]
+
+
+def _inherit(c: TropicalCurve, source: TropicalCurve, data: dict) -> TropicalCurve:
+    """Give ``c``, a subdivision or positive dilation of ``source``, the edge
+    data ``data`` and the verdicts ``source`` has computed: neither changes."""
+    kept = {k: v for k, v in vars(source).items() if k in ("_validation", "_balance")}
+    vars(c).update(kept, _edge_data=data)
+    return c
 
 
 def outgoing(c: TropicalCurve, vertex: str) -> list[tuple[IntVec, int]]:

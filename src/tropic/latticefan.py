@@ -454,7 +454,7 @@ def _oriented(n: IntVec) -> tuple[IntVec, int]:
 
 
 def signs(values: Iterable) -> tuple[int, ...]:
-    return tuple((v > 0) - (v < 0) for v in values)
+    return tuple([(v > 0) - (v < 0) for v in values])
 
 
 def in_interior(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:

@@ -16,6 +16,7 @@ from .curves import (
     BoundedEdge,
     CurveRay,
     TropicalCurve,
+    _inherit,
     edge_data,
     require_valid,
 )
@@ -89,7 +90,10 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     consecutive pieces that land in the same cone.  Every output piece is
     checked against its cone's pattern by the sign vectors of its ends, of
     q*a + p*b at t = p/q, and of b for a ray.  Weights are inherited, and
-    balancing, genus, support, and the recession fan are preserved.  New
+    balancing, genus, support, and the recession fan are preserved: the new
+    vertices are straight, 2-valent and fresh, so the output inherits the
+    validation verdict and balancing report, and a piece from t to t' its
+    host's direction and (t'-t) times its lattice length (1 for a ray).  New
     vertices are named ``<host>#k`` and pieces ``<host>:k``; an input curve
     already using such an id raises InvalidCurve.  The fan is assumed
     complete; ``fan_validate`` certifies that for complete simplicial fans
@@ -108,6 +112,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     new_rays: list[CurveRay] = []
     record: list[NewVertex] = []
     piece_cones: dict[str, int] = {}
+    data = {}  # output edge id -> (primitive direction, lattice length)
 
     for h in hosts:
         bounded = isinstance(h, BoundedEdge)
@@ -139,8 +144,9 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             raise not_in_support(_point_at(base, direction, m, (bounds[k] + bounds[k + 1]) / 2))
         breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
         piece_cone_ids = [c1 for c1, c2 in zip(cones, cones[1:]) if c1 != c2] + [cones[-1]]
-        ends = [signs(t.denominator * a + t.numerator * b for a, b in ab)
-                for t in [Fraction(0), *breaks] + [Fraction(1)] * bounded]
+        ts = [Fraction(0), *breaks] + [Fraction(1)] * bounded
+        ends = [signs(t.denominator * a + t.numerator * b for a, b in ab) for t in ts]
+        d, scale = edge_data(c, h.id) if bounded else (h.direction, 1)
         chain = [start]
         for k, t in enumerate(breaks, start=1):
             vid = f"{h.id}#{k}"
@@ -166,13 +172,14 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             if k + 1 < len(chain):
                 new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), h.weight))
                 check_piece(f, cone, pid, at[k:k + 2])
+                data[pid] = (d, (ts[k + 1] - ts[k]) * scale)
             else:
                 new_rays.append(CurveRay(pid, chain[k], h.direction, h.weight))
                 check_piece(f, cone, pid, at[k:], (h.direction, signs(b for _, b in ab)))
             piece_cones[pid] = cone
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
-    return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)
+    return SubdivisionRecord(_inherit(out, c, data), tuple(record), piece_cones)
 
 
 def check_piece(f: Fan, index: int, piece_id: str, ends, tail=None):
@@ -197,16 +204,16 @@ def check_piece(f: Fan, index: int, piece_id: str, ends, tail=None):
 def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     """Scale all positions by the least N making every length/weight ratio integral.
 
-    Combinatorial type, primitive directions, weights, and the balancing
-    verdict are unchanged; only the embedding is dilated.
+    Only the embedding is dilated, so the output inherits the validation
+    verdict, balancing report and edge directions, and N times each length.
     """
     require_valid(c)
-    n = 1
+    n, data = 1, {}
     for e in c.edges:
-        _, length = edge_data(c, e.id)
-        ratio = length / e.weight
-        n = lcm(n, ratio.denominator)
+        _, length = data[e.id] = edge_data(c, e.id)
+        n = lcm(n, (length / e.weight).denominator)
     if n == 1:
         return c, 1
     vs = {v: tuple(n * x for x in pos) for v, pos in c.vertices.items()}
-    return TropicalCurve(c.ambient_dim, vs, c.edges, c.rays), n
+    hat = TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
+    return _inherit(hat, c, {i: (d, n * length) for i, (d, length) in data.items()}), n

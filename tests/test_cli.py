@@ -260,6 +260,29 @@ def test_traced_benchmark_wraps_existing_functions():
     assert callable(cone_halfspaces.cache_info)
 
 
+def test_benchmark_shim_traces_a_cli_run(tmp_path):
+    # the traced cli_cold workload runs each command through perfbench/shim.py,
+    # whose tracer looks up every tropic layer in sys.modules
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    shim = root / "perfbench" / "shim.py"
+    proc = subprocess.run(
+        [sys.executable, str(shim), str(spans), "genus", str(fixture_dir() / "tripod.json")],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"genus": 0}
+    assert "cli.run" in json.loads(spans.read_text())["names"]
+
+
 def test_defcone_and_superabundant_agree(paths, capsys):
     for name, balanced in fixtures.BALANCED.items():
         if not balanced:
@@ -349,6 +372,34 @@ def test_emit_dot(paths, capsys):
     assert text.count("inf:") >= 2
     code, _ = _capture(capsys, ["genus", paths["segfan"], "--emit", "dot"])
     assert code == 2  # dot not supported there
+
+
+def test_emit_dot_escapes_quotes_and_backslashes_in_ids(tmp_path, capsys):
+    # a DOT string ends at an unescaped quote, and a trailing backslash escapes
+    # the closing one: ids are written with both escaped
+    from tropic.curves import TropicalCurve
+
+    curve = TropicalCurve.build(
+        2,
+        {'a"b': (0, 0), "c": (1, 0)},
+        edges=[("e", ('a"b', "c"), 1)],
+        rays=[("r\\", "c", (1, 0), 1), ("s", 'a"b', (-1, 0), 1)],
+    )
+    path = tmp_path / "q.json"
+    path.write_text(dumps(curve_to_dict(curve)))
+    code, text = _capture(capsys, ["check", str(path), "--emit", "dot"])
+    assert code == 0
+    assert text.splitlines() == [
+        "digraph tropicalcurve {",
+        '  "a\\"b" [label="a\\"b (0, 0)"];',
+        '  "c" [label="c (1, 0)"];',
+        '  "inf:r\\\\" [shape=point, label=""];',
+        '  "inf:s" [shape=point, label=""];',
+        '  "a\\"b" -> "c" [dir=none, label="w=1, l=1"];',
+        '  "c" -> "inf:r\\\\" [label="w=1, d=(1, 0)"];',
+        '  "a\\"b" -> "inf:s" [label="w=1, d=(-1, 0)"];',
+        "}",
+    ]
 
 
 def test_emit_dot_library_surface():

@@ -349,6 +349,35 @@ def test_warm_certify_and_verify_build_no_fraction_point(monkeypatch):
     assert calls == []
 
 
+def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
+    # the subdivided and rescaled curves inherit validity, balancing and edge
+    # data, so certify checks the structure of its input alone and derives
+    # one primitive direction per input edge, however many pieces it makes
+    import sys
+
+    from tropic import curves, latticefan
+    from tropic.curves import TropicalCurve
+
+    counts = {}
+    for module, name in ((curves, "_check_structure"), (latticefan, "primitive_and_scale")):
+        real = getattr(module, name)
+
+        def counting(*args, real=real, name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        for m in [m for k, m in sys.modules.items() if k.startswith("tropic")]:
+            if getattr(m, name, None) is real:
+                monkeypatch.setattr(m, name, counting)
+    tree, fan = _rich_tree(3, 24)
+    certify(tree, fan)  # warms the fan's memo
+    fresh = TropicalCurve(tree.ambient_dim, tree.vertices, tree.edges, tree.rays)
+    counts.clear()
+    cert = certify(fresh, fan)
+    assert cert.multiplier > 1 and len(cert.rescaled_curve.edges) > len(fresh.edges)
+    assert counts == {"_check_structure": 1, "primitive_and_scale": len(fresh.edges)}
+
+
 def test_vertex_cones_do_not_change_under_positive_scaling():
     from helpers import scaled
 

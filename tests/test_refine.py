@@ -4,7 +4,14 @@ import pytest
 
 from helpers import gen, primitive_box_fan, random_tree, reference_subdivide
 from tropic import fixtures
-from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, recession_fan
+from tropic.curves import (
+    TropicalCurve,
+    edge_data,
+    genus,
+    is_balanced,
+    recession_fan,
+    validate,
+)
 from tropic.errors import DimMismatch, InvalidCurve, NotInSupport, TropicError
 from tropic.latticefan import Cone, fan_from_maximal
 from tropic.refine import (
@@ -405,3 +412,53 @@ def test_subdivision_refuses_to_reuse_reserved_ids():
     for curve, clash in ((diag(a="e0#1"), "'e0#1'"), (diag(ray="e0:1"), "'e0:1'")):
         with pytest.raises(InvalidCurve, match=clash):
             subdivide_along_fan(curve, fixtures.fan_p2())
+
+
+def _inheritance_cases():
+    """Every fixture x fan pair of one dimension, and seeded trees with 4 to 24
+    vertices on perfbench's rich fans, every second one unbalanced by raising
+    one ray's weight."""
+    import random as _random
+
+    for curve in fixtures.CURVES.values():
+        for fan in fixtures.FANS.values():
+            c, f = curve(), fan()
+            if c.ambient_dim == f.ambient_dim:
+                yield c, f
+    rng = _random.Random(1212)
+    for spec in (gen.rich_fan_r2, gen.rich_fan_r3):
+        rays, maximal, dim = spec()
+        fan = fan_from_maximal(rays, maximal, dim)
+        for i, size in enumerate((4, 8, 12, 16, 20, 24) * 2):
+            _, vertices, edges, tree_rays = gen.tree(rng, dim, size, rays)
+            if i % 2:
+                k = rng.randrange(len(tree_rays))
+                rid, base, d, w = tree_rays[k]
+                tree_rays[k] = (rid, base, d, w + 1)
+            yield TropicalCurve.build(dim, vertices, edges, tree_rays), fan
+
+
+def test_subdivided_and_rescaled_curves_inherit_what_a_fresh_curve_computes():
+    # the curves subdivide_along_fan and rescale_integral build carry their
+    # edge data, validation verdict and balancing report from the curve they
+    # came from; each must equal what a fresh curve of the same fields computes
+    seen = {"cases": 0, "unbalanced": 0, "split": 0, "rescaled": 0}
+    for c, f in _inheritance_cases():
+        is_balanced(c)  # as certify does, so there is a report to hand over
+        try:
+            record = subdivide_along_fan(c, f)
+        except TropicError:
+            continue
+        prepared = record.output
+        hat, n = rescale_integral(prepared)
+        for out in (prepared, hat):
+            assert {"_validation", "_balance", "_edge_data"} <= vars(out).keys()
+            fresh = TropicalCurve(out.ambient_dim, out.vertices, out.edges, out.rays)
+            assert validate(out) == validate(fresh)
+            assert is_balanced(out) == is_balanced(fresh)  # defects in order
+            assert out._edge_data == {e.id: edge_data(fresh, e.id) for e in fresh.edges}
+        seen["cases"] += 1
+        seen["unbalanced"] += not is_balanced(c).balanced
+        seen["split"] += bool(record.new_vertices)
+        seen["rescaled"] += n > 1
+    assert seen["cases"] >= 34 and min(seen.values()) >= 5, seen
