@@ -7,12 +7,9 @@ errors.  Every report is deterministic JSON on stdout (or --out); graph
 output is available as DOT text via --emit dot where the result is a curve.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -158,7 +155,7 @@ def _cmd_subdivide(args) -> tuple[object, int]:
     return {
         "curve": curve_to_dict(record.output),
         "subdivision": {
-            "new_vertices": [asdict(v) for v in record.new_vertices],
+            "new_vertices": [v._asdict() for v in record.new_vertices],
             "piece_cones": dict(sorted(record.piece_cones.items())),
         },
     }, 0
@@ -174,7 +171,7 @@ def _cmd_rescale(args) -> tuple[object, int]:
 def _cmd_defcone(args) -> tuple[object, int]:
     cone = deformation_cone(combinatorial_type(_load_curve(args.curve)))
     return {
-        **asdict(cone.verdict),
+        **cone.verdict._asdict(),
         "equations": [[rat_to_json(x) for x in row] for row in cone.equations],
         "coordinates": list(cone.coordinates),
     }, 0
@@ -182,7 +179,7 @@ def _cmd_defcone(args) -> tuple[object, int]:
 
 def _cmd_superabundant(args) -> tuple[object, int]:
     verdict = is_superabundant(_load_curve(args.curve))
-    return asdict(verdict), 1 if verdict.superabundant else 0
+    return verdict._asdict(), 1 if verdict.superabundant else 0
 
 
 def _cmd_wellspaced(args) -> tuple[object, int]:

@@ -7,12 +7,9 @@ balancing condition: at every vertex the weighted primitive outgoing
 directions sum to zero.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateEdge,
@@ -32,40 +29,43 @@ from .latticefan import (
 )
 
 
-@dataclass(frozen=True)
-class BoundedEdge:
+class BoundedEdge(NamedTuple):
     id: str
     ends: tuple[str, str]
     weight: int
 
 
-@dataclass(frozen=True)
-class CurveRay:
+class CurveRay(NamedTuple):
     id: str
     base: str
     direction: IntVec
     weight: int
 
 
-@dataclass(frozen=True, eq=True)
-class TropicalCurve:
+class _CurveFields(NamedTuple):
+    ambient_dim: int
+    vertices: dict[str, RatVec]
+    edges: tuple[BoundedEdge, ...]
+    rays: tuple[CurveRay, ...]
+
+
+class TropicalCurve(_CurveFields):
     """Immutable embedded tropical curve; treat all fields as read-only.
 
     Vertices, edges, and rays are kept sorted by id, so equal curves compare
     equal regardless of construction order and serialization is canonical.
     """
 
-    ambient_dim: int
-    vertices: dict[str, RatVec]
-    edges: tuple[BoundedEdge, ...]
-    rays: tuple[CurveRay, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "vertices", {v: self.vertices[v] for v in sorted(self.vertices)}
+    def __new__(cls, ambient_dim, vertices, edges, rays):
+        return super().__new__(
+            cls,
+            ambient_dim,
+            {v: vertices[v] for v in sorted(vertices)},
+            tuple(sorted(edges, key=lambda e: e.id)),
+            tuple(sorted(rays, key=lambda r: r.id)),
         )
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
-        object.__setattr__(self, "rays", tuple(sorted(self.rays, key=lambda r: r.id)))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` sorts too
 
     @staticmethod
     def build(
@@ -89,7 +89,7 @@ class TropicalCurve:
 
     # The indexes, the validation verdict and the balancing report below are
     # built on first use, or handed over by ``_inherit``, and kept in the
-    # instance __dict__; they are not dataclass fields, so equality, ordering
+    # instance __dict__, outside the tuple's fields, so equality, ordering
     # and serialization only ever see the sorted fields.
 
     @cached_property
@@ -133,28 +133,24 @@ class TropicalCurve:
         return list(self._incidence.get(vertex, ((), ()))[1])
 
 
-@dataclass(frozen=True)
-class InfinityPoint:
+class InfinityPoint(NamedTuple):
     id: str
     ray: str
 
 
-@dataclass(frozen=True)
-class CompactifiedCurve:
+class CompactifiedCurve(NamedTuple):
     """A curve plus one formal point at infinity per ray."""
 
     base: TropicalCurve
     infinity_points: tuple[InfinityPoint, ...]
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     balanced: bool
     defects: tuple[tuple[str, IntVec], ...]  # (vertex, nonzero weighted direction sum)
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(NamedTuple):
     """One-dimensional fan of outgoing directions at a vertex, with ray weights."""
 
     vertex: str
@@ -178,7 +174,7 @@ def require_valid(c: TropicalCurve) -> None:
 
 
 def _check_structure(c: TropicalCurve) -> ValidationReport:
-    report = ValidationReport()
+    report = ValidationReport([])
     if c.ambient_dim < 1:
         report.add("DimMismatch", f"ambient dimension {c.ambient_dim} < 1")
     if not c.vertices:

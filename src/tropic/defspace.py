@@ -10,27 +10,23 @@ solution space, which ``superabundance`` counts from the cycle space without
 building these equations.
 """
 
-from __future__ import annotations
-
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import CurveRay, TropicalCurve, edge_data, is_balanced, require_valid
 from .errors import Unbalanced
 from .latticefan import IntVec, RatVec, rank
 
 
-@dataclass(frozen=True)
-class TypeEdge:
+class TypeEdge(NamedTuple):
     id: str
     ends: tuple[str, str]
     weight: int
     direction: IntVec  # primitive, oriented by stored endpoint order
 
 
-@dataclass(frozen=True)
-class CombinatorialType:
+class CombinatorialType(NamedTuple):
     """A curve with positions and lengths forgotten: graph, directions, weights."""
 
     ambient_dim: int
@@ -39,8 +35,7 @@ class CombinatorialType:
     rays: tuple[CurveRay, ...]
 
 
-@dataclass(frozen=True)
-class SuperabundanceVerdict:
+class SuperabundanceVerdict(NamedTuple):
     dimension: int
     expected: int
     excess: int
@@ -50,8 +45,7 @@ class SuperabundanceVerdict:
         return self.excess > 0
 
 
-@dataclass(frozen=True)
-class DeformationCone:
+class DeformationCone(NamedTuple):
     """Exact linear model of all curves of one combinatorial type."""
 
     combinatorial_type: CombinatorialType

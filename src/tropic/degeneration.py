@@ -9,43 +9,37 @@ Flipping the orientation negates u_q; the stored order is the documented
 convention.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
+from typing import NamedTuple
 
-from .curves import BoundedEdge, TropicalCurve, edge_data, is_balanced, outgoing
+from .curves import BoundedEdge, TropicalCurve, edge_data, is_balanced
 from .errors import NonIntegralRatio, RecessionNotSupported, Unbalanced, _echo
 from .latticefan import Fan, IntVec, RatVec, _locate, in_closure, locate_points, signs
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """Rational (genus 0) component of the dual curve, one per vertex."""
 
     id: str
     vertex: str
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     edge: str
     components: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
+class MarkedPoint(NamedTuple):
     id: str
     ray: str
     component: str
     contact_order: int
 
 
-@dataclass(frozen=True)
-class DualCurve:
+class DualCurve(NamedTuple):
     """Nodal curve whose dual graph is the underlying graph of the tropical curve.
 
     Marked points and nodes are abstract labels; only incidence matters.
@@ -57,8 +51,7 @@ class DualCurve:
     marked_points: tuple[MarkedPoint, ...]
 
 
-@dataclass(frozen=True)
-class NodeMonoid:
+class NodeMonoid(NamedTuple):
     """Pushout monoid with parameter k: pairs (n1, n2) of naturals with n2 - n1 in kZ.
 
     Generated by (1,1), (k,0), (0,k) subject to the single pushout relation
@@ -100,24 +93,21 @@ def node_monoid(length: Fraction | int, weight: int) -> NodeMonoid:
     return NodeMonoid(k=int(ratio))
 
 
-@dataclass(frozen=True)
-class NodeData:
+class NodeData(NamedTuple):
     edge: str
     k: int
     rho: int
     u_q: IntVec
 
 
-@dataclass(frozen=True)
-class BasePoint:
+class BasePoint(NamedTuple):
     """The curve seen as a monoid homomorphism: original length/weight per edge, plus positions."""
 
     edge_valuations: tuple[tuple[str, Fraction], ...]
     vertex_positions: tuple[tuple[str, RatVec], ...]
 
 
-@dataclass(frozen=True)
-class RealizationCertificate:
+class RealizationCertificate(NamedTuple):
     """Combinatorial data certifying the map from the dual curve to the fan's quotient stack."""
 
     rescaled_curve: TropicalCurve
@@ -130,8 +120,7 @@ class RealizationCertificate:
     base_point: BasePoint
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -147,14 +136,17 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[tuple[int, dict], dict, dict,
     certificate is compared, not refused.
     """
     m, values, cones = locate_points(fan, hat.vertices)
-    stars = {v: tuple(sorted({d for d, _ in outgoing(hat, v)})) for v in hat.vertices}
-    nodes = {}
+    stars, nodes = {v: set() for v in hat.vertices}, {}
     for e in hat.edges:
         d, length = edge_data(hat, e.id)
+        stars[e.ends[0]].add(d)
+        stars[e.ends[1]].add(tuple(-x for x in d))
         k = length / e.weight
         k = k.numerator if k.denominator == 1 else k
         nodes[e.id] = NodeData(edge=e.id, k=k, rho=e.weight, u_q=tuple(-k * x for x in d))
-    return (m, values), cones, stars, nodes
+    for r in hat.rays:
+        stars[r.base].add(r.direction)
+    return (m, values), cones, {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes
 
 
 def _mismatches(label: str, derived: dict, claimed: dict) -> list[str]:
@@ -231,7 +223,8 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     violations += _mismatches(
         "BasePointMismatch: vertex",
         hat.vertices,
-        {v: tuple(n * x for x in pos) for v, pos in bp.vertex_positions},
+        {v: tuple([Fraction(n * x.numerator, x.denominator) for x in pos])
+         for v, pos in bp.vertex_positions},
     )
 
     # the map to the fan is cone by cone: each piece's closure lies in the

@@ -1,8 +1,6 @@
 """Error types and report containers shared across the toolkit."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 _ECHO_CAP = 40  # characters of an input value an error detail repeats
 
@@ -84,17 +82,18 @@ class RecessionNotSupported(TropicError):
     code = "RecessionNotSupported"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     detail: str
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of a well-formedness check; ``violations`` is empty iff valid."""
+class ValidationReport(NamedTuple):
+    """Outcome of a well-formedness check; ``violations`` is empty iff valid.
 
-    violations: list[Violation] = field(default_factory=list)
+    Each report owns its list: build it as ``ValidationReport([])`` and fill
+    it with ``add``."""
+
+    violations: list[Violation]
 
     @property
     def valid(self) -> bool:

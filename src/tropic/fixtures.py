@@ -17,8 +17,6 @@ directions of cycle3, speyer3 and speyer3_ws.
 every call: a shared curve would carry its cached validation and index along.
 """
 
-from __future__ import annotations
-
 from functools import partial
 from importlib import resources
 

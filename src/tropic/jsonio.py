@@ -6,11 +6,8 @@ serializers emit keys in a fixed order and sort lists, making reports
 byte-identical across runs.
 """
 
-from __future__ import annotations
-
 import json
 import re
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Any
 
@@ -204,8 +201,8 @@ def certificate_to_dict(cert: RealizationCertificate) -> dict:
         "vertex_cones": {v: idx for v, idx in cert.vertex_cones},
         "vertex_stars": {v: [list(d) for d in dirs] for v, dirs in cert.vertex_stars},
         # field order is key order; dumps writes the tuples as lists
-        "dual_curve": asdict(cert.dual),
-        "node_data": [asdict(nd) for nd in cert.node_data],
+        "dual_curve": {k: [x._asdict() for x in xs] for k, xs in cert.dual._asdict().items()},
+        "node_data": [nd._asdict() for nd in cert.node_data],
         "base_point": {
             "edge_valuations": {e: rat_to_json(v) for e, v in cert.base_point.edge_valuations},
             "vertex_positions": {

@@ -7,15 +7,12 @@ double description method and cached.  Intended scale is small ("desk scale"):
 ambient dimension <= 6 and a few dozen generators per cone.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DeskScaleExceeded,
@@ -160,8 +157,7 @@ def rank(rows: Matrix) -> int:
 # cones
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Rational polyhedral cone, stored as the nonnegative span of primitive generators."""
 
     generators: tuple[IntVec, ...]
@@ -178,8 +174,7 @@ class Cone:
         return Cone(tuple(gens), ambient_dim)
 
 
-@dataclass(frozen=True)
-class HRepr:
+class HRepr(NamedTuple):
     """H-description: x in cone iff e.x = 0 for all equations and f.x >= 0 for all facets."""
 
     equations: tuple[IntVec, ...]
@@ -398,12 +393,13 @@ def is_face_of(face: Cone, c: Cone) -> bool:
 # fans
 
 
-@dataclass(frozen=True)
-class Fan:
-    """Collection of cones closed under faces with face-to-face intersections."""
-
+class _FanFields(NamedTuple):
     cones: tuple[Cone, ...]
     ambient_dim: int
+
+
+class Fan(_FanFields):
+    """Collection of cones closed under faces with face-to-face intersections."""
 
     @staticmethod
     def build(cones: Iterable[Cone], ambient_dim: int) -> "Fan":
@@ -421,7 +417,7 @@ class Fan:
 
         Normals are primitive with their first nonzero entry positive, so two
         normals of the same hyperplane coincide.  Built on first use and kept
-        in the instance ``__dict__`` (not a dataclass field), as is ``patterns``.
+        in the instance ``__dict__``, outside the tuple's fields, as is ``patterns``.
         """
         hs = [cone_halfspaces(c) for c in self.cones]
         return tuple(sorted({_oriented(n)[0] for h in hs for n in h.equations + h.inequalities}))
@@ -538,7 +534,7 @@ def fan_validate(f: Fan) -> ValidationReport:
     lineality; n = 1; no cones) is decided by intersecting every pair of
     maximal cones, and its completeness is not certified.
     """
-    report = ValidationReport()
+    report = ValidationReport([])
     for c in f.cones:
         if c.ambient_dim != f.ambient_dim:
             report.add("DimMismatch", f"cone {c.generators} has ambient dim {c.ambient_dim}")
@@ -596,7 +592,7 @@ def _validate_by_walls(maximal: dict) -> ValidationReport | None:
     facet normal not tight on g: the sign of that normal's first nonzero
     entry, as ``Fan.hyperplanes`` normalises it.
     """
-    report = ValidationReport()
+    report = ValidationReport([])
     held: dict[tuple[IntVec, ...], dict[int, Cone]] = {}  # wall -> side -> cone
     for (rays, _), c in maximal.items():
         for normal in cone_halfspaces(c).inequalities:

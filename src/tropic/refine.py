@@ -5,12 +5,10 @@ here: ``latticefan.fan_validate`` certifies it for fans whose maximal cones
 are simplicial and full-dimensional, and a point outside the support of any
 other fan raises NotInSupport."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .curves import (
     BoundedEdge,
@@ -24,14 +22,12 @@ from .errors import DimMismatch, InvalidCurve, NotInSupport, _echo, _echo_point
 from .latticefan import Fan, IntVec, RatVec, _locate, in_closure, not_in_support, signs
 
 
-@dataclass(frozen=True)
-class RecessionSupport:
+class RecessionSupport(NamedTuple):
     ok: bool
     missing: tuple[tuple[str, IntVec], ...]  # (ray id, direction) not on a fan ray
 
 
-@dataclass(frozen=True)
-class NewVertex:
+class NewVertex(NamedTuple):
     id: str
     host: str
     host_kind: str  # "edge" or "ray"
@@ -39,8 +35,7 @@ class NewVertex:
     cone_after: int
 
 
-@dataclass(frozen=True)
-class SubdivisionRecord:
+class SubdivisionRecord(NamedTuple):
     output: TropicalCurve
     new_vertices: tuple[NewVertex, ...]
     piece_cones: dict[str, int]  # output edge/ray id -> index of its containing cone
@@ -214,6 +209,7 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
         n = lcm(n, (length / e.weight).denominator)
     if n == 1:
         return c, 1
-    vs = {v: tuple(n * x for x in pos) for v, pos in c.vertices.items()}
+    vs = {v: tuple([Fraction(n * x.numerator, x.denominator) for x in pos])
+          for v, pos in c.vertices.items()}
     hat = TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
     return _inherit(hat, c, {i: (d, n * length) for i, (d, length) in data.items()}), n

@@ -11,19 +11,16 @@ cycle is tested, not every subspace containing it; this suffices for the
 catalogued failure modes and is recorded as a limitation.
 """
 
-from __future__ import annotations
-
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import TropicalCurve, edge_data, genus
 from .errors import GenusNotOne
 from .latticefan import IntVec, RatVec, rank
 
 
-@dataclass(frozen=True)
-class CycleData:
+class CycleData(NamedTuple):
     """The unique cycle of a genus-1 curve and the affine span of its support."""
 
     vertices: tuple[str, ...]  # in cyclic walk order, starting at the smallest id
@@ -33,14 +30,12 @@ class CycleData:
     codim: int
 
 
-@dataclass(frozen=True)
-class Departure:
+class Departure(NamedTuple):
     vertex: str
     distance: Fraction
 
 
-@dataclass(frozen=True)
-class WellSpacedVerdict:
+class WellSpacedVerdict(NamedTuple):
     well_spaced: bool
     span_codim: int
     departures: tuple[Departure, ...]

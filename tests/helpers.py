@@ -483,7 +483,7 @@ def reference_fan_validate(f: Fan) -> ValidationReport:
     Stops at the first violation.  Always checks the fan it is given; whether
     a trusted fan is checked at all is the caller's decision.
     """
-    report = ValidationReport()
+    report = ValidationReport([])
     for c in f.cones:
         if c.ambient_dim != f.ambient_dim:
             report.add("DimMismatch", f"cone {c.generators} has ambient dim {c.ambient_dim}")

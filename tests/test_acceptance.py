@@ -7,7 +7,6 @@ floating point.
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from helpers import monoid_closure, random_tree
@@ -122,20 +121,17 @@ def test_criterion_6_certificate_round_trip_and_fault_injection():
             cert = certify(fixtures.CURVES[curve_name](), fixtures.FANS[fan_name]())
             ok = ok and verify_certificate(cert).ok
         cert = certify(fixtures.segfan(), fixtures.fan_p1xp1())
-        perturbed = replace(
-            cert,
+        perturbed = cert._replace(
             node_data=tuple(
-                replace(nd, u_q=(nd.u_q[0] + 1,) + nd.u_q[1:]) for nd in cert.node_data
+                nd._replace(u_q=(nd.u_q[0] + 1,) + nd.u_q[1:]) for nd in cert.node_data
             ),
         )
         ok = ok and not verify_certificate(perturbed).ok
         cert3 = certify(fixtures.speyer3(), fixtures.fan_r3())
         marked = cert3.dual.marked_points
-        tampered = replace(
-            cert3,
-            dual=replace(
-                cert3.dual,
-                marked_points=(replace(marked[0], contact_order=marked[0].contact_order + 1),)
+        tampered = cert3._replace(
+            dual=cert3.dual._replace(
+                marked_points=(marked[0]._replace(contact_order=marked[0].contact_order + 1),)
                 + marked[1:],
             ),
         )

@@ -283,6 +283,27 @@ def test_benchmark_shim_traces_a_cli_run(tmp_path):
     assert "cli.run" in json.loads(spans.read_text())["names"]
 
 
+def test_importing_the_cli_builds_no_dataclasses():
+    # every result record is a named tuple, so no tropic process imports
+    # dataclasses (or inspect, which dataclasses imports) at start-up
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    probe = ("import sys; before = set(sys.modules); import tropic.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_defcone_and_superabundant_agree(paths, capsys):
     for name, balanced in fixtures.BALANCED.items():
         if not balanced:

@@ -282,3 +282,52 @@ def test_balancing_report_is_computed_once_per_curve(monkeypatch):
     for _ in range(2):
         with pytest.raises(InvalidCurve):
             is_balanced(invalid)
+
+
+def test_build_sorts_permuted_input_into_one_curve():
+    import random
+
+    from helpers import DIRECTIONS
+    from tropic.jsonio import dumps
+
+    rng = random.Random(5)
+    curves = [fn() for fn in fixtures.CURVES.values()]
+    curves += [TropicalCurve.build(*gen.honeycomb(3, 2, (0, 0))),
+               TropicalCurve.build(*gen.tree(rng, 3, 12, DIRECTIONS[3]))]
+    for c in curves:
+        vs = list(c.vertices.items())
+        es = [(e.id, e.ends, e.weight) for e in c.edges]
+        rs = [(r.id, r.base, r.direction, r.weight) for r in c.rays]
+        for _ in range(3):
+            for items in (vs, es, rs):
+                rng.shuffle(items)
+            p = TropicalCurve.build(c.ambient_dim, dict(vs), es, rs)
+            assert p == c and list(p.vertices) == list(c.vertices)
+            assert dumps(curve_to_dict(p)) == dumps(curve_to_dict(c))
+        # _replace builds through the same sorting
+        flipped = c._replace(edges=c.edges[::-1], rays=c.rays[::-1])
+        assert flipped == c and type(flipped) is TropicalCurve
+
+
+def test_cached_state_is_no_field():
+    for name, fn in fixtures.CURVES.items():
+        c = fn()
+        is_balanced(c)  # fills the validation, balancing and edge data caches
+        assert {"_validation", "_balance"} <= vars(c).keys(), name
+        assert len(c._edge_data) == len(c.edges), name
+        fresh = TropicalCurve(c.ambient_dim, c.vertices, c.edges, c.rays)
+        assert vars(fresh) == {}
+        assert c == fresh and fresh == c and not c != fresh, name
+        assert tuple(c) == tuple(fresh) and len(c) == 4
+        assert list(c._asdict()) == ["ambient_dim", "vertices", "edges", "rays"]
+        assert curve_to_dict(c) == curve_to_dict(fresh) and repr(c) == repr(fresh)
+
+
+def test_validation_reports_do_not_share_violations():
+    weightless = TropicalCurve.build(2, {"a": (0, 0), "b": (1, 0)},
+                                     edges=[("e0", ("a", "b"), 0)])
+    dangling = TropicalCurve.build(2, {"a": (0, 0)}, rays=[("r", "z", (1, 0), 1)])
+    first, second = validate(weightless), validate(dangling)
+    assert [v.code for v in first.violations] == ["NonpositiveWeight"]
+    assert [v.code for v in second.violations] == ["NoSuchVertex"]
+    assert validate(fixtures.tripod()).violations == []

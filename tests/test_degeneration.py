@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,9 +175,9 @@ def test_certify_rejects_unbalanced():
 def test_fault_injection_u_q():
     cert = certify(fixtures.segfan(), fixtures.fan_p1xp1())
     bad_nodes = tuple(
-        replace(nd, u_q=(nd.u_q[0] + 1,) + nd.u_q[1:]) for nd in cert.node_data
+        nd._replace(u_q=(nd.u_q[0] + 1,) + nd.u_q[1:]) for nd in cert.node_data
     )
-    check = verify_certificate(replace(cert, node_data=bad_nodes))
+    check = verify_certificate(cert._replace(node_data=bad_nodes))
     assert not check.ok
     assert any("e0" in v for v in check.violations)
 
@@ -186,8 +185,8 @@ def test_fault_injection_u_q():
 def test_fault_injection_contact_order():
     cert = certify(fixtures.speyer3(), fixtures.fan_r3())
     marked = cert.dual.marked_points
-    tampered = (replace(marked[0], contact_order=marked[0].contact_order + 1),) + marked[1:]
-    check = verify_certificate(replace(cert, dual=replace(cert.dual, marked_points=tampered)))
+    tampered = (marked[0]._replace(contact_order=marked[0].contact_order + 1),) + marked[1:]
+    check = verify_certificate(cert._replace(dual=cert.dual._replace(marked_points=tampered)))
     assert not check.ok
 
 
@@ -232,16 +231,14 @@ def test_fault_injection_vertex_cone_and_base_point():
     cert = certify(fixtures.cycle3(), fixtures.fan_cycle3())
     # off-by-one cone index
     (v0, idx0), *rest = cert.vertex_cones
-    bad = replace(cert, vertex_cones=((v0, idx0 + 1),) + tuple(rest))
+    bad = cert._replace(vertex_cones=((v0, idx0 + 1),) + tuple(rest))
     assert not verify_certificate(bad).ok
     # tampered valuation
     (e0, val0), *vals = cert.base_point.edge_valuations
-    bad_bp = replace(
-        cert.base_point, edge_valuations=((e0, val0 + 1),) + tuple(vals)
-    )
-    assert not verify_certificate(replace(cert, base_point=bad_bp)).ok
+    bad_bp = cert.base_point._replace(edge_valuations=((e0, val0 + 1),) + tuple(vals))
+    assert not verify_certificate(cert._replace(base_point=bad_bp)).ok
     # tampered multiplier
-    assert not verify_certificate(replace(cert, multiplier=cert.multiplier + 1)).ok
+    assert not verify_certificate(cert._replace(multiplier=cert.multiplier + 1)).ok
 
 
 def test_certify_with_real_subdivision_keeps_split_valuations():
@@ -293,7 +290,7 @@ def test_verify_rejects_a_ray_through_several_cones(monkeypatch):
 def test_verify_requires_recession_support():
     cert = certify(fixtures.tripod(), fixtures.fan_p2())
     # on the axis fan every piece and vertex keeps its cone; only r2 = (-1,-1) has no ray
-    violations = verify_certificate(replace(cert, fan=fixtures.fan_p1xp1())).violations
+    violations = verify_certificate(cert._replace(fan=fixtures.fan_p1xp1())).violations
     assert violations == ("RecessionNotSupported: ray r2 direction (-1, -1) is no ray of the fan",)
 
 
@@ -391,7 +388,7 @@ def test_vertex_cones_do_not_change_under_positive_scaling():
 
 def test_verify_rejects_a_star_for_an_unknown_vertex():
     cert = certify(fixtures.tripod(), fixtures.fan_p2())
-    stray = replace(cert, vertex_stars=cert.vertex_stars + (("zz", ((9, 9),)),))
+    stray = cert._replace(vertex_stars=cert.vertex_stars + (("zz", ((9, 9),)),))
     assert verify_certificate(stray).violations == ("StarMismatch: vertex zz",)
 
 
@@ -415,37 +412,37 @@ def _mutations(cert):
 
     def with_field(field, entries):
         if field in ("edge_valuations", "vertex_positions"):
-            return replace(cert, base_point=replace(bp, **{field: entries}))
-        return replace(cert, **{field: entries})
+            return cert._replace(base_point=bp._replace(**{field: entries}))
+        return cert._replace(**{field: entries})
 
     out = []
     if cert.node_data or any(any(p) for _, p in bp.vertex_positions):
-        out.append(("multiplier", replace(cert, multiplier=cert.multiplier + 1)))
+        out.append(("multiplier", cert._replace(multiplier=cert.multiplier + 1)))
     out.append(("vertex cone", with_field("vertex_cones", _first(cert.vertex_cones, lambda i: i + 1))))
     out.append(("star", with_field("vertex_stars", _first(cert.vertex_stars, lambda ds: ds[1:]))))
     out.append(("position", with_field("vertex_positions", _first(
         bp.vertex_positions, lambda p: (p[0] + 1,) + p[1:]))))
     comps = dual.components
-    out.append(("component", replace(cert, dual=replace(
-        dual, components=(replace(comps[0], vertex="zz"),) + comps[1:]))))
+    out.append(("component", cert._replace(dual=dual._replace(
+        components=(comps[0]._replace(vertex="zz"),) + comps[1:]))))
     if dual.nodes:
         nodes = dual.nodes
-        flipped = replace(nodes[0], components=nodes[0].components[::-1])
-        out.append(("node", replace(cert, dual=replace(dual, nodes=(flipped,) + nodes[1:]))))
+        flipped = nodes[0]._replace(components=nodes[0].components[::-1])
+        out.append(("node", cert._replace(dual=dual._replace(nodes=(flipped,) + nodes[1:]))))
     if dual.marked_points:
         mps = dual.marked_points
-        bumped = replace(mps[0], contact_order=mps[0].contact_order + 1)
-        out.append(("contact order", replace(cert, dual=replace(dual, marked_points=(bumped,) + mps[1:]))))
+        bumped = mps[0]._replace(contact_order=mps[0].contact_order + 1)
+        out.append(("contact order", cert._replace(dual=dual._replace(marked_points=(bumped,) + mps[1:]))))
     if cert.node_data:
         nd, *rest = cert.node_data
-        for name, changed in (("k", replace(nd, k=nd.k + 1)), ("rho", replace(nd, rho=nd.rho + 1)),
-                              ("u_q", replace(nd, u_q=(nd.u_q[0] + 1,) + nd.u_q[1:]))):
-            out.append((name, replace(cert, node_data=(changed, *rest))))
+        for name, changed in (("k", nd._replace(k=nd.k + 1)), ("rho", nd._replace(rho=nd.rho + 1)),
+                              ("u_q", nd._replace(u_q=(nd.u_q[0] + 1,) + nd.u_q[1:]))):
+            out.append((name, cert._replace(node_data=(changed, *rest))))
         out.append(("valuation", with_field("edge_valuations", _first(bp.edge_valuations,
                                                                       lambda x: x + 1))))
-        out.append(("dropped node_data", replace(cert, node_data=tuple(rest))))
-    out.append(("unknown node_data", replace(
-        cert, node_data=cert.node_data + (NodeData("zz", 1, 1, (0,) * dim),))))
+        out.append(("dropped node_data", cert._replace(node_data=tuple(rest))))
+    out.append(("unknown node_data", cert._replace(
+        node_data=cert.node_data + (NodeData("zz", 1, 1, (0,) * dim),))))
     for field, (entries, value) in keyed.items():
         if entries:
             out.append((f"dropped {field}", with_field(field, entries[1:])))

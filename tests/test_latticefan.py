@@ -690,3 +690,16 @@ def test_faces_are_faces_and_closed_under_faces():
             assert is_face_of(face, cone)
             for sub in cone_faces(face):
                 assert sub.generators in keys  # transitivity of the face lattice
+
+
+def test_fan_caches_are_no_field():
+    for name, fn in fixtures.FANS.items():
+        f = fn()
+        f.patterns  # fills hyperplanes and patterns
+        assert {"hyperplanes", "patterns"} <= vars(f).keys(), name
+        rebuilt = Fan(f.cones, f.ambient_dim)
+        assert vars(rebuilt) == {}
+        assert rebuilt == f and hash(rebuilt) == hash(f) and len({f, rebuilt}) == 1, name
+        assert rebuilt.hyperplanes == f.hyperplanes and rebuilt.patterns == f.patterns
+        built = [Fan.build(cones, f.ambient_dim) for cones in (f.cones, f.cones[::-1])]
+        assert built[0] == built[1] and hash(built[0]) == hash(built[1])
