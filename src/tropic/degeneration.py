@@ -141,8 +141,8 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[tuple[int, dict], dict, dict,
         d, length = edge_data(hat, e.id)
         stars[e.ends[0]].add(d)
         stars[e.ends[1]].add(tuple(-x for x in d))
-        k = length / e.weight
-        k = k.numerator if k.denominator == 1 else k
+        p, q = length.numerator, length.denominator * e.weight
+        k = p // q if p % q == 0 else Fraction(p, q)
         nodes[e.id] = NodeData(edge=e.id, k=k, rho=e.weight, u_q=tuple(-k * x for x in d))
     for r in hat.rays:
         stars[r.base].add(r.direction)

@@ -117,40 +117,36 @@ def _integer_row(row: Sequence) -> list[int]:
 
 
 def rank(rows: Matrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination on rows scaled to integers.
+    """Rank by sparse fraction-free row reduction on rows scaled to integers.
 
-    After k pivots every remaining entry is a (k+1)-minor of the scaled
-    matrix, so the division by the previous pivot is exact and entries stay
-    as small as those minors (Bareiss, Math. Comp. 22, 1968).
+    Each row is kept as {column: nonzero entry} and reduced against the
+    pivot rows found so far, keyed by their leading column: p*row - a*pivot,
+    with p the pivot's leading entry and a the row's entry there over their
+    gcd, then divided by the gcd of its entries.  A row left nonzero becomes
+    a pivot; the rank is the number of pivots.  The work follows the
+    nonzeros, so a sparse matrix such as ``defspace.cycle_closing_matrix``
+    costs far less than dense elimination, while a dense one costs more.
     """
-    rows = [row for row in rows]
-    if not rows:
-        return 0
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
+    rows = list(rows)
+    if len({len(row) for row in rows}) > 1:
         raise DimMismatch("rows of unequal length")
-    work = [r for r in map(_integer_row, rows) if any(r)]
-    ncols = widths.pop()
-    r, prev = 0, 1
-    for c in range(ncols):
-        if r == len(work):
-            break
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        p = top[c]
-        for i in range(r + 1, len(work)):
-            row = work[i]
-            a = row[c]
-            if a:
-                row[c:] = [0] + [(p * x - a * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
-            else:
-                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
-        prev = p
-        r += 1
-    return r
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> reduced row
+    for row in rows:
+        r = {j: x for j, x in enumerate(_integer_row(row)) if x}
+        while r:
+            lead = min(r)
+            top = pivots.get(lead)
+            if top is None:
+                pivots[lead] = r
+                break
+            g = gcd(top[lead], r[lead])
+            p, a = top[lead] // g, r[lead] // g
+            r = {j: p * x for j, x in r.items()}
+            for j, y in top.items():
+                r[j] = r.get(j, 0) - a * y
+            g = gcd(*r.values()) or 1
+            r = {j: x // g for j, x in r.items() if x}
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ are simplicial and full-dimensional, and a point outside the support of any
 other fan raises NotInSupport."""
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import mul, sub
 from typing import NamedTuple
 
 from .curves import (
@@ -73,26 +73,30 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     """Insert 2-valent vertices where edges or rays of the curve cross cone walls of the fan.
 
     Each edge u->w is walked as u + t*(w-u) for t in (0,1), each ray as
-    base + t*direction for t in (0,inf).  Scaled by the lcm of their
-    denominators, base and direction become integer B and D, and against each
-    of the fan's hyperplanes n (``Fan.hyperplanes``) the walk has the sign of
-    a + t*b, with a = n.B and b = n.D: sign(a or b) on the first interval.  A
+    base + t*direction for t in (0,inf).  The curve is scaled to integers
+    once, by the lcm m of all its coordinate denominators, and each vertex v
+    gets its values A_v = n.(m v) against the fan's hyperplanes n
+    (``Fan.hyperplanes``) and their sign vector.  Along a host the walk has
+    the sign of a + t*b, with a = A_u and b = A_w - A_u on an edge, a = A_base
+    and b = m*(n.direction) on a ray: sign(a or b) on the first interval.  A
     real crossing, at t = -a/b, needs a and b of opposite signs (and |a| < |b|
     on an edge) and negates that sign.  Sweeping the sorted crossings gives
     each interval's sign vector, whose cone the fan memoizes (the cones' sign
     patterns are scanned only on a miss).  Spurious crossings (hyperplane
     extensions through the interior of a cone) are discarded by merging
     consecutive pieces that land in the same cone.  Every output piece is
-    checked against its cone's pattern by the sign vectors of its ends, of
-    q*a + p*b at t = p/q, and of b for a ray.  Weights are inherited, and
-    balancing, genus, support, and the recession fan are preserved: the new
-    vertices are straight, 2-valent and fresh, so the output inherits the
-    validation verdict and balancing report, and a piece from t to t' its
-    host's direction and (t'-t) times its lattice length (1 for a ray).  New
-    vertices are named ``<host>#k`` and pieces ``<host>:k``; an input curve
-    already using such an id raises InvalidCurve.  The fan is assumed
-    complete; ``fan_validate`` certifies that for complete simplicial fans
-    only, and a traversed point outside the support raises NotInSupport.
+    checked against its cone's pattern by the sign vectors of its ends (an
+    input vertex's own, or that of q*a + p*b at a break t = p/q), and of b
+    for a ray; a host with no crossing builds no Fraction.  Weights are
+    inherited, and balancing, genus, support, and the recession fan are
+    preserved: the new vertices are straight, 2-valent and fresh, so the
+    output inherits the validation verdict and balancing report, and a piece
+    from t to t' its host's direction and (t'-t) times its lattice length
+    (1 for a ray).  New vertices are named ``<host>#k`` and pieces
+    ``<host>:k``; an input curve already using such an id raises
+    InvalidCurve.  The fan is assumed complete; ``fan_validate`` certifies
+    that for complete simplicial fans only, and a traversed point outside
+    the support raises NotInSupport.
     """
     require_valid(c)
     if c.ambient_dim != f.ambient_dim:
@@ -109,24 +113,29 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     piece_cones: dict[str, int] = {}
     data = {}  # output edge id -> (primitive direction, lattice length)
 
+    m = lcm(*(x.denominator for p in vertices.values() for x in p))
+    image = {v: [x.numerator * (m // x.denominator) for x in p] for v, p in vertices.items()}
+    own = {}  # vertex -> (n.(m v) for n in f.hyperplanes, their sign vector)
+    for v, q in image.items():
+        a = [sum(map(mul, n, q)) for n in f.hyperplanes]
+        own[v] = (a, signs(a))
+
     for h in hosts:
         bounded = isinstance(h, BoundedEdge)
-        start = h.ends[0] if bounded else h.base
-        u = vertices[start]
-        w = vertices[h.ends[1]] if bounded else ()
-        m = lcm(*(x.denominator for x in u + w))
-        base = [x.numerator * (m // x.denominator) for x in u]
+        start, end = h.ends if bounded else (h.base, None)
+        (a, s), base = own[start], image[start]
         if bounded:
-            direction = [x.numerator * (m // x.denominator) - b for x, b in zip(w, base)]
+            b, direction = list(map(sub, own[end][0], a)), list(map(sub, image[end], base))
         else:
             direction = [m * x for x in h.direction]
-        ab = [(sum(map(mul, n, base)), sum(map(mul, n, direction))) for n in f.hyperplanes]
+            b = [sum(map(mul, n, direction)) for n in f.hyperplanes]
+        sb = signs(b)
         crossings: dict[Fraction, list[int]] = {}
-        for i, (a, b) in enumerate(ab):
-            if (a < 0 < b or b < 0 < a) and (not bounded or abs(a) < abs(b)):
-                crossings.setdefault(Fraction(-a, b), []).append(i)
+        for i, (x, y) in enumerate(zip(a, b)):
+            if (x < 0 < y or y < 0 < x) and (not bounded or abs(x) < abs(y)):
+                crossings.setdefault(Fraction(-x, y), []).append(i)
         cuts = sorted(crossings)
-        interval = list(signs(a or b for a, b in ab))
+        interval = [x or y for x, y in zip(s, sb)]
         keys = [tuple(interval)]
         for t in cuts:
             for i in crossings[t]:
@@ -139,8 +148,8 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             raise not_in_support(_point_at(base, direction, m, (bounds[k] + bounds[k + 1]) / 2))
         breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
         piece_cone_ids = [c1 for c1, c2 in zip(cones, cones[1:]) if c1 != c2] + [cones[-1]]
-        ts = [Fraction(0), *breaks] + [Fraction(1)] * bounded
-        ends = [signs(t.denominator * a + t.numerator * b for a, b in ab) for t in ts]
+        ends = [s] + [signs([t.denominator * x + t.numerator * y for x, y in zip(a, b)])
+                      for t in breaks]
         d, scale = edge_data(c, h.id) if bounded else (h.direction, 1)
         chain = [start]
         for k, t in enumerate(breaks, start=1):
@@ -158,8 +167,10 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                 )
             )
         if bounded:
-            chain.append(h.ends[1])
-        at = [(vertices[v], s) for v, s in zip(chain, ends)]
+            chain.append(end)
+            ends.append(own[end][1])
+        at = [(vertices[v], e) for v, e in zip(chain, ends)]
+        ts = [0, *breaks, 1]
         for k, cone in enumerate(piece_cone_ids):
             pid = f"{h.id}:{k}" if breaks else h.id
             if breaks:
@@ -167,10 +178,10 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             if k + 1 < len(chain):
                 new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), h.weight))
                 check_piece(f, cone, pid, at[k:k + 2])
-                data[pid] = (d, (ts[k + 1] - ts[k]) * scale)
+                data[pid] = (d, (ts[k + 1] - ts[k]) * scale if breaks else scale)
             else:
                 new_rays.append(CurveRay(pid, chain[k], h.direction, h.weight))
-                check_piece(f, cone, pid, at[k:], (h.direction, signs(b for _, b in ab)))
+                check_piece(f, cone, pid, at[k:], (h.direction, sb))
             piece_cones[pid] = cone
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
@@ -206,7 +217,7 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     n, data = 1, {}
     for e in c.edges:
         _, length = data[e.id] = edge_data(c, e.id)
-        n = lcm(n, (length / e.weight).denominator)
+        n = lcm(n, length.denominator * e.weight // gcd(length.numerator, e.weight))
     if n == 1:
         return c, 1
     vs = {v: tuple([Fraction(n * x.numerator, x.denominator) for x in pos])

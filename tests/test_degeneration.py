@@ -375,6 +375,26 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
     assert counts == {"_check_structure": 1, "primitive_and_scale": len(fresh.edges)}
 
 
+def test_derived_node_data_is_exact_on_a_curve_not_rescaled():
+    # k = length/weight is an int where it is integral and an exact Fraction
+    # elsewhere, as on the curve of a tampered certificate
+    from tropic.curves import edge_data
+    from tropic.degeneration import _derive
+    from tropic.refine import subdivide_along_fan
+
+    tree, fan = _rich_tree(3, 24)
+    prepared = subdivide_along_fan(tree, fan).output
+    nodes = _derive(prepared, fan)[3]
+    for e in prepared.edges:
+        d, length = edge_data(prepared, e.id)
+        ratio = Fraction(length) / e.weight
+        k = nodes[e.id].k
+        assert k == ratio and type(k) is (int if ratio.denominator == 1 else Fraction)
+        assert nodes[e.id].u_q == tuple(-ratio * x for x in d)
+    ks = [nd.k for nd in nodes.values()]
+    assert int in map(type, ks) and Fraction in map(type, ks)
+
+
 def test_vertex_cones_do_not_change_under_positive_scaling():
     from helpers import scaled
 

@@ -191,6 +191,49 @@ def test_bareiss_rank_matches_fraction_echelon():
         assert rank([[int(x * 60) for x in row] for row in rows]) == rank(rows)
 
 
+def test_rank_matches_echelon_on_cycle_closing_matrices():
+    # the sparse matrices superabundance reduces: full rank in R^2, and in R^3
+    # short by the genus, since the honeycomb lies in a plane
+    from tropic.curves import TropicalCurve
+    from tropic.defspace import combinatorial_type, cycle_closing_matrix
+
+    rng = random.Random(17)
+    for dim in (2, 3):
+        for d in range(3, 10):
+            offset = (Fraction(rng.randint(-20, 20), 7), Fraction(rng.randint(-20, 20), 5))
+            curve = TropicalCurve.build(*gen.honeycomb(d, dim, offset))
+            closing = cycle_closing_matrix(combinatorial_type(curve))
+            g = (d - 1) * (d - 2) // 2
+            assert len(closing) == dim * g
+            assert rank(closing) == len(echelon(closing)[1]) == 2 * g, (dim, d)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([], 0),
+        ([[0, 0, 0], [0, 0, 0]], 0),
+        ([[0, 3, 0], [0, -6, 0], [0, 0, 0]], 1),  # zero columns around one pivot
+        ([[1, 2, 3], [1, 2, 3], [1, 2, 3]], 1),  # duplicate rows
+        # the last row is r1 - r2 + r3: zero only after three pivots
+        ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], 3),
+        ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]], 4),
+        ([[Fraction(1, 2), 1], [1, 2]], 1),  # mixed Fraction and int rows
+        ([[Fraction(1, 3), Fraction(2, 3), 0], [2, 4, 1], [0, 0, Fraction(5, 7)]], 2),
+        ([[-2, 4], [3, -6]], 1),  # negative leading entries
+        ([[-3, 1], [-2, 5]], 2),
+        ([[0, -4, 6], [-2, 1, 0], [-2, -3, 6]], 2),
+    ],
+)
+def test_rank_hand_cases(rows, expected):
+    assert rank(rows) == expected == len(echelon(rows)[1])
+
+
+def test_rank_refuses_rows_of_unequal_length():
+    with pytest.raises(DimMismatch):
+        rank([[1, 2], [1, 2, 3]])
+
+
 def test_fan_p2_valid():
     report = fan_validate(fixtures.fan_p2())
     assert report.valid

@@ -5,6 +5,7 @@ import pytest
 from helpers import gen, primitive_box_fan, random_tree, reference_subdivide
 from tropic import fixtures
 from tropic.curves import (
+    BoundedEdge,
     TropicalCurve,
     edge_data,
     genus,
@@ -13,7 +14,7 @@ from tropic.curves import (
     validate,
 )
 from tropic.errors import DimMismatch, InvalidCurve, NotInSupport, TropicError
-from tropic.latticefan import Cone, fan_from_maximal
+from tropic.latticefan import Cone, dot, fan_from_maximal
 from tropic.refine import (
     check_piece,
     check_recession_support,
@@ -377,6 +378,78 @@ def test_second_subdivision_on_a_fan_locates_no_point(monkeypatch):
             rounds.append((len(scans), len(locates)))
         assert rounds[0][0] > 0 and rounds[1] == (0, 0), rounds
         assert any(r.new_vertices for r in records)
+
+
+def _honeycombs_on_p2(seed):
+    """Seeded honeycombs of degree 3-6 around the origin, so that many hosts
+    cross a wall of the P^2 fan, and a warm Fan of that fan."""
+    import random as _random
+
+    rng = _random.Random(seed)
+    fan = fan_from_maximal(*gen.fan_p2())
+    curves = []
+    for d in (3, 4, 5, 6):
+        offset = (Fraction(rng.randint(-40, 40), 7), Fraction(rng.randint(-40, 40), 5))
+        curves.append(TropicalCurve.build(*gen.honeycomb(d, 2, offset)))
+    for c in curves:
+        subdivide_along_fan(c, fan)
+    return curves, fan
+
+
+def test_walker_signs_each_input_vertex_once(monkeypatch):
+    # one sign vector per input vertex, one per host (its direction's, which
+    # also gives the first interval's) and one per new vertex: the parent
+    # walker signed each vertex again for every host it ends
+    from tropic import refine
+
+    calls = []
+    signs = refine.signs
+
+    def counting(values):
+        calls.append(None)
+        return signs(values)
+
+    monkeypatch.setattr(refine, "signs", counting)
+    curves, fan = _honeycombs_on_p2(13)
+    for c in curves:
+        calls.clear()
+        record = subdivide_along_fan(c, fan)
+        hosts = len(c.edges) + len(c.rays)
+        assert len(calls) == len(c.vertices) + hosts + len(record.new_vertices)
+    assert any(subdivide_along_fan(c, fan).new_vertices for c in curves)
+
+
+def test_walker_builds_no_fraction_for_a_host_that_crosses_no_hyperplane(monkeypatch):
+    # each host of the honeycombs is walked as a curve of its own, with every
+    # Fraction that refine builds counted; an edge with no break keeps its
+    # own length object, which no arithmetic has rebuilt
+    from tropic import refine
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(refine, "Fraction", counting)
+    curves, fan = _honeycombs_on_p2(13)
+    seen = {True: 0, False: 0}
+    for c in curves:
+        for h in c.edges + c.rays:
+            if isinstance(h, BoundedEdge):
+                ends = [c.vertices[v] for v in h.ends]
+                alone = TropicalCurve.build(2, dict(zip(h.ends, ends)), [(h.id, h.ends, h.weight)])
+            else:
+                ends = [c.vertices[h.base], h.direction]  # n.base and n.d of opposite signs
+                alone = TropicalCurve.build(2, {h.base: ends[0]}, [], [tuple(h)])
+            crosses = any(dot(n, ends[0]) * dot(n, ends[1]) < 0 for n in fan.hyperplanes)
+            built.clear()
+            out = subdivide_along_fan(alone, fan).output
+            assert bool(built) == crosses, h
+            if h.id in out._edge_data:
+                assert out._edge_data[h.id][1] is edge_data(alone, h.id)[1]
+            seen[crosses] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_check_piece_details_cut_long_values():
