@@ -9,6 +9,8 @@ directions sum to zero.
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -25,7 +27,6 @@ from .latticefan import (
     RatVec,
     as_ratvec,
     primitive,
-    primitive_and_scale,
 )
 
 
@@ -109,8 +110,22 @@ class TropicalCurve(_CurveFields):
 
     @cached_property
     def _edge_data(self) -> dict[str, tuple[IntVec, Fraction]]:
-        """edge id -> (primitive direction, lattice length), filled by ``edge_data``."""
-        return {}
+        """edge id -> (primitive direction, lattice length), from one integer
+        image of the vertices: with m the lcm of all coordinate denominators,
+        an edge u->w has q = m w - m u, direction q/gcd(q) and length gcd(q)/m.
+        The first edge of each id gets an entry if both ends are known and
+        q != 0.  The image itself is not kept."""
+        m = lcm(*(x.denominator for p in self.vertices.values() for x in p))
+        image = {v: [x.numerator * (m // x.denominator) for x in p]
+                 for v, p in self.vertices.items()}
+        data = {}
+        for e in self._edge_by_id.values():
+            u, w = image.get(e.ends[0]), image.get(e.ends[1])
+            if u is not None and w is not None:
+                q = list(map(sub, w, u))
+                if g := gcd(*q):
+                    data[e.id] = (tuple([x // g for x in q]), Fraction(g, m))
+        return data
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -185,7 +200,8 @@ def _check_structure(c: TropicalCurve) -> ValidationReport:
     seen_ids: set[str] = set()
     for e in c.edges:
         eid = _echo(e.id)
-        if e.id in seen_ids:
+        reused = e.id in seen_ids
+        if reused:
             report.add("DuplicateId", f"edge id {eid} reused")
         seen_ids.add(e.id)
         if e.weight < 1:
@@ -194,7 +210,9 @@ def _check_structure(c: TropicalCurve) -> ValidationReport:
         if missing:
             report.add("NoSuchVertex", f"edge {eid} references {[_echo(v) for v in missing]}")
             continue
-        if c.vertices[e.ends[0]] == c.vertices[e.ends[1]]:
+        pu, pw = c.vertices[e.ends[0]], c.vertices[e.ends[1]]
+        # the edge data hold the first edge of each id whose ends differ in a shared coordinate
+        if (pu == pw) if reused else (e.id not in c._edge_data and len(pu) == len(pw)):
             report.add("DegenerateEdge", f"edge {eid} has coincident endpoints")
     for r in c.rays:
         rid = _echo(r.id)
@@ -231,15 +249,15 @@ def _connected(c: TropicalCurve) -> bool:
 
 def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:
     """Primitive direction and lattice length of a bounded edge, oriented by
-    stored endpoint order; computed once per edge of a curve instance."""
-    if edge_id not in c._edge_data:
-        e = c.edge(edge_id)
-        pu, pw = c.position(e.ends[0]), c.position(e.ends[1])
-        disp = tuple(b - a for a, b in zip(pu, pw))
-        if all(x == 0 for x in disp):
-            raise DegenerateEdge(f"edge {_echo(edge_id)} has zero length")
-        c._edge_data[edge_id] = primitive_and_scale(disp)
-    return c._edge_data[edge_id]
+    stored endpoint order, as ``TropicalCurve._edge_data`` computes them for
+    every edge at once; an edge it has no entry for raises DegenerateEdge
+    (or NoSuchVertex, for an unknown end)."""
+    try:
+        return c._edge_data[edge_id]
+    except KeyError:
+        for v in c.edge(edge_id).ends:
+            c.position(v)  # NoSuchVertex for an unknown end
+        raise DegenerateEdge(f"edge {_echo(edge_id)} has zero length") from None
 
 
 def _inherit(c: TropicalCurve, source: TropicalCurve, data: dict) -> TropicalCurve:
@@ -267,22 +285,29 @@ def outgoing(c: TropicalCurve, vertex: str) -> list[tuple[IntVec, int]]:
 def is_balanced(c: TropicalCurve) -> BalanceReport:
     """Balancing condition: weighted primitive outgoing directions sum to zero at every vertex.
 
-    The report is computed once per curve instance and shared.
-    """
+    The report is computed once per curve instance, in one pass over its
+    edges and rays (``_balance_report``), and shared."""
     require_valid(c)
     return c._balance
 
 
 def _balance_report(c: TropicalCurve) -> BalanceReport:
-    defects = []
-    for v in c.vertices:
-        total = [0] * c.ambient_dim
-        for d, w in outgoing(c, v):
-            for i, x in enumerate(d):
-                total[i] += w * x
-        if any(x != 0 for x in total):
-            defects.append((v, tuple(total)))
-    return BalanceReport(balanced=not defects, defects=tuple(defects))
+    """One pass over the edges and rays of a valid curve: an edge u->w of
+    weight k and direction d adds k*d to the sum at u and -k*d at w, a ray
+    its weighted direction at its base.  Defects follow the vertex order."""
+    totals = {v: [0] * c.ambient_dim for v in c.vertices}
+    data = c._edge_data
+    for e in c.edges:
+        at_u, at_w = totals[e.ends[0]], totals[e.ends[1]]
+        for i, x in enumerate(data[e.id][0]):
+            at_u[i] += e.weight * x
+            at_w[i] -= e.weight * x
+    for r in c.rays:
+        at_base = totals[r.base]
+        for i, x in enumerate(r.direction):
+            at_base[i] += r.weight * x
+    defects = tuple((v, tuple(t)) for v, t in totals.items() if any(t))
+    return BalanceReport(balanced=not defects, defects=defects)
 
 
 def genus(c: TropicalCurve) -> int:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .curves import CurveRay, TropicalCurve, edge_data, is_balanced, require_valid
 from .errors import Unbalanced
-from .latticefan import IntVec, RatVec, rank
+from .latticefan import IntVec, RatVec, _sparse_rank
 
 
 class TypeEdge(NamedTuple):
@@ -91,8 +91,9 @@ def deformation_cone(t: CombinatorialType) -> DeformationCone:
     )
 
 
-def cycle_closing_matrix(t: CombinatorialType) -> list[list[int]]:
-    """Integer matrix C of the cycle-closing equations, shape (n*g) x E.
+def cycle_closing_matrix(t: CombinatorialType) -> list[dict[int, int]]:
+    """Integer matrix C of the cycle-closing equations, shape (n*g) x E, each
+    row as {column: nonzero entry}.
 
     A breadth-first spanning tree from the first vertex gives one fundamental
     cycle per non-tree edge; walking it, the signed edge vectors
@@ -133,10 +134,8 @@ def cycle_closing_matrix(t: CombinatorialType) -> list[list[int]]:
                 k, sign, y = parent[y]
                 coeff[k] = coeff.get(k, 0) - sign
         for i in range(t.ambient_dim):
-            row = [0] * len(t.edges)
-            for k, s in coeff.items():
-                row[k] = s * t.edges[k].direction[i]
-            rows.append(row)
+            rows.append({k: s * t.edges[k].direction[i] for k, s in coeff.items()
+                         if t.edges[k].direction[i]})
     return rows
 
 
@@ -152,7 +151,7 @@ def superabundance(t: CombinatorialType) -> SuperabundanceVerdict:
     """
     n, nedges = t.ambient_dim, len(t.edges)
     g = nedges - len(t.vertices) + 1
-    r = rank(cycle_closing_matrix(t)) if g else 0
+    r = _sparse_rank(cycle_closing_matrix(t)) if g else 0
     dimension = n + nedges - r
     expected = expected_dimension(t, g, len(t.rays))
     return SuperabundanceVerdict(dimension, expected, dimension - expected)

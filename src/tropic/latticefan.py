@@ -117,22 +117,24 @@ def _integer_row(row: Sequence) -> list[int]:
 
 
 def rank(rows: Matrix) -> int:
-    """Rank by sparse fraction-free row reduction on rows scaled to integers.
-
-    Each row is kept as {column: nonzero entry} and reduced against the
-    pivot rows found so far, keyed by their leading column: p*row - a*pivot,
-    with p the pivot's leading entry and a the row's entry there over their
-    gcd, then divided by the gcd of its entries.  A row left nonzero becomes
-    a pivot; the rank is the number of pivots.  The work follows the
-    nonzeros, so a sparse matrix such as ``defspace.cycle_closing_matrix``
-    costs far less than dense elimination, while a dense one costs more.
-    """
+    """Rank of a dense matrix: its rows scaled to integers (``_integer_row``)
+    and kept as {column: nonzero entry} for ``_sparse_rank``."""
     rows = list(rows)
     if len({len(row) for row in rows}) > 1:
         raise DimMismatch("rows of unequal length")
+    return _sparse_rank({j: x for j, x in enumerate(_integer_row(row)) if x} for row in rows)
+
+
+def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank of integer rows given as {column: nonzero entry}: each row is
+    reduced against the pivot rows found so far, keyed by leading column, as
+    p*row - a*pivot (p the pivot's leading entry, a the row's entry there,
+    over their gcd), then divided by the gcd of its entries; a row left
+    nonzero becomes a pivot.  The work follows the nonzeros, so a sparse
+    matrix such as ``defspace.cycle_closing_matrix`` costs far less than
+    dense elimination, while a dense one costs more."""
     pivots: dict[int, dict[int, int]] = {}  # leading column -> reduced row
-    for row in rows:
-        r = {j: x for j, x in enumerate(_integer_row(row)) if x}
+    for r in rows:
         while r:
             lead = min(r)
             top = pivots.get(lead)
@@ -252,21 +254,10 @@ def double_description(
         rays = new_rays
         tight = new_tight
 
-    for e in equations:
-        e = tuple(int(c) for c in e)
-        if all(c == 0 for c in e):
-            processed += 1
-            continue
-        if not reduce_lineality(e, keep_pivot_as_ray=False):
-            cut_rays(e, keep_positive=False)
-        processed += 1
-    for a in inequalities:
+    for a, inequality in [(e, False) for e in equations] + [(a, True) for a in inequalities]:
         a = tuple(int(c) for c in a)
-        if all(c == 0 for c in a):
-            processed += 1
-            continue
-        if not reduce_lineality(a, keep_pivot_as_ray=True):
-            cut_rays(a, keep_positive=True)
+        if any(a) and not reduce_lineality(a, keep_pivot_as_ray=inequality):
+            cut_rays(a, keep_positive=inequality)
         processed += 1
     return tuple(sorted(lineality)), tuple(sorted(rays))
 

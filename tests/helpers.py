@@ -157,6 +157,11 @@ def echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return work, pivots
 
 
+def densify(rows: Sequence[dict[int, int]], ncols: int) -> list[list[int]]:
+    """Dense rows of a matrix whose rows are given as {column: nonzero entry}."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 def solve_exact(rows: Matrix, rhs: Sequence) -> list[Fraction] | None:
     """One exact solution of A x = b, or None if inconsistent."""
     rows = [list(row) + [b] for row, b in zip(rows, rhs)]

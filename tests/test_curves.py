@@ -78,6 +78,11 @@ def test_balancing_catalog():
     report = is_balanced(fixtures.unbal())
     assert not report.balanced
     assert report.defects == (("v0", (1, 1)),)
+    # a defect that vanishes in its first coordinate is a defect
+    skew = TropicalCurve.build(2, {"v": (0, 0)},
+                               rays=[("r0", "v", (1, 0), 1), ("r1", "v", (0, 1), 1),
+                                     ("r2", "v", (-1, -2), 1)])
+    assert is_balanced(skew).defects == (("v", (0, -1)),)
 
 
 def test_balancing_invariant_under_translation_and_scaling():
@@ -240,6 +245,33 @@ def test_edge_data_errors_are_not_cached():
     assert c._edge_data == {}
 
 
+def test_coincident_endpoints_are_found_per_edge_on_malformed_curves():
+    # the integer image decides coincidence for the first edge of each id;
+    # a reused id, a vertex of the wrong dimension and an unknown end are
+    # reported as a Fraction comparison of the positions would
+    c = TropicalCurve.build(
+        2,
+        {"a": (0, 0), "b": (1, 0), "c": (0, 0, 1)},
+        edges=[("e", ("a", "b"), 1), ("e", ("a", "a"), 1), ("f", ("a", "c"), 1),
+               ("g", ("b", "b"), 1), ("g", ("a", "b"), 1), ("h", ("a", "z"), 1)],
+    )
+    assert [(v.code, v.detail) for v in validate(c).violations] == [
+        ("DimMismatch", "vertex c has 3 coordinates"),
+        ("DuplicateId", "edge id e reused"),
+        ("DegenerateEdge", "edge e has coincident endpoints"),
+        ("DegenerateEdge", "edge g has coincident endpoints"),
+        ("DuplicateId", "edge id g reused"),
+        ("NoSuchVertex", "edge h references ['z']"),
+    ]
+    assert edge_data(c, "e") == ((1, 0), Fraction(1))  # the first edge of an id
+    for edge_id, error, text in (("f", DegenerateEdge, "edge f has zero length"),
+                                 ("g", DegenerateEdge, "edge g has zero length"),
+                                 ("h", NoSuchVertex, "no vertex 'z'")):
+        with pytest.raises(error) as info:
+            edge_data(c, edge_id)
+        assert info.value.message == text
+
+
 def test_error_details_cut_long_ids():
     long_id = "v" * 5000
     c = TropicalCurve.build(2, {"a": (0, 0), "b": (1, 0)},
@@ -262,18 +294,18 @@ def test_balancing_report_is_computed_once_per_curve(monkeypatch):
     from tropic.errors import InvalidCurve
 
     calls = []
-    outgoing = curves.outgoing
+    report = curves._balance_report
 
-    def counting(c, vertex):
-        calls.append(vertex)
-        return outgoing(c, vertex)
+    def counting(c):
+        calls.append(c)
+        return report(c)
 
-    monkeypatch.setattr(curves, "outgoing", counting)
+    monkeypatch.setattr(curves, "_balance_report", counting)
     for name in ("tripod", "unbal", "cycle3"):
         c = fixtures.CURVES[name]()
         calls.clear()
         first = is_balanced(c)
-        assert len(calls) == len(c.vertices) and first.balanced == (name != "unbal")
+        assert calls == [c] and first.balanced == (name != "unbal")
         calls.clear()
         assert is_balanced(c) is first and calls == []
         # the cached report is not a field
@@ -282,6 +314,34 @@ def test_balancing_report_is_computed_once_per_curve(monkeypatch):
     for _ in range(2):
         with pytest.raises(InvalidCurve):
             is_balanced(invalid)
+    assert calls == []
+
+
+def test_balancing_a_fresh_curve_subtracts_no_fractions(monkeypatch):
+    # edge data come from integer differences of one integer image per curve
+    import random
+
+    from helpers import DIRECTIONS
+
+    calls = []
+    for name in ("__sub__", "__rsub__"):
+        real = getattr(Fraction, name)
+
+        def counting(a, b, real=real):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    assert Fraction(3, 2) - 1 == 1 - Fraction(1, 2) and len(calls) == 2  # the counter counts
+    calls.clear()
+    rng = random.Random(5)
+    curves = [TropicalCurve.build(*gen.tree(rng, 3, 30, DIRECTIONS[3])),
+              TropicalCurve.build(*gen.honeycomb(6, 2, (Fraction(1, 3), Fraction(-2, 7)))),
+              fixtures.unbal()]
+    for c in curves:
+        assert is_balanced(c).balanced == (c != fixtures.unbal())
+        assert len(c._edge_data) == len(c.edges)
+    assert calls == []
 
 
 def test_build_sorts_permuted_input_into_one_curve():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from helpers import (
     dense_deformation_dimension,
+    densify,
     gen,
     length_coords,
     point_of_curve,
@@ -112,7 +113,9 @@ def _check_against_dense_oracle(c):
     v = superabundance(t)
     assert v.dimension == dense_deformation_dimension(t)
     assert v.expected == expected_dimension(t, g, len(t.rays)) == n * (1 - g) + len(t.edges)
-    closing = cycle_closing_matrix(t)
+    sparse = cycle_closing_matrix(t)
+    assert all(all(row.values()) for row in sparse)  # nonzero entries only
+    closing = densify(sparse, len(t.edges))
     assert len(closing) == n * g
     lengths = [edge_data(c, e.id)[1] for e in t.edges]
     assert all(dot(row, lengths) == 0 for row in closing)  # the curve closes its cycles

@@ -348,31 +348,30 @@ def test_warm_certify_and_verify_build_no_fraction_point(monkeypatch):
 
 def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
     # the subdivided and rescaled curves inherit validity, balancing and edge
-    # data, so certify checks the structure of its input alone and derives
-    # one primitive direction per input edge, however many pieces it makes
-    import sys
-
-    from tropic import curves, latticefan
+    # data, so certify checks the structure of its input alone and builds the
+    # edge data of its input alone, however many pieces it makes
+    from tropic import curves
     from tropic.curves import TropicalCurve
 
-    counts = {}
-    for module, name in ((curves, "_check_structure"), (latticefan, "primitive_and_scale")):
-        real = getattr(module, name)
+    built = []
+    edge_data_property = TropicalCurve.__dict__["_edge_data"]  # its func builds the dict
+    for owner, name, label in ((curves, "_check_structure", "validation"),
+                               (edge_data_property, "func", "edge data")):
+        real = getattr(owner, name)
 
-        def counting(*args, real=real, name=name):
-            counts[name] = counts.get(name, 0) + 1
-            return real(*args)
+        def counting(c, real=real, label=label):
+            built.append((label, c))
+            return real(c)
 
-        for m in [m for k, m in sys.modules.items() if k.startswith("tropic")]:
-            if getattr(m, name, None) is real:
-                monkeypatch.setattr(m, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     tree, fan = _rich_tree(3, 24)
     certify(tree, fan)  # warms the fan's memo
     fresh = TropicalCurve(tree.ambient_dim, tree.vertices, tree.edges, tree.rays)
-    counts.clear()
+    built.clear()
     cert = certify(fresh, fan)
     assert cert.multiplier > 1 and len(cert.rescaled_curve.edges) > len(fresh.edges)
-    assert counts == {"_check_structure": 1, "primitive_and_scale": len(fresh.edges)}
+    assert [(label, c is fresh) for label, c in built] == [("validation", True), ("edge data", True)]
+    assert "_edge_data" in vars(cert.rescaled_curve)  # handed over, not built
 
 
 def test_derived_node_data_is_exact_on_a_curve_not_rescaled():

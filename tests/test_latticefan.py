@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     contains_caratheodory,
+    densify,
     echelon,
     gen,
     kernel_dimension,
@@ -196,16 +197,19 @@ def test_rank_matches_echelon_on_cycle_closing_matrices():
     # short by the genus, since the honeycomb lies in a plane
     from tropic.curves import TropicalCurve
     from tropic.defspace import combinatorial_type, cycle_closing_matrix
+    from tropic.latticefan import _sparse_rank
 
     rng = random.Random(17)
     for dim in (2, 3):
         for d in range(3, 10):
             offset = (Fraction(rng.randint(-20, 20), 7), Fraction(rng.randint(-20, 20), 5))
             curve = TropicalCurve.build(*gen.honeycomb(d, dim, offset))
-            closing = cycle_closing_matrix(combinatorial_type(curve))
+            sparse = cycle_closing_matrix(combinatorial_type(curve))
+            closing = densify(sparse, len(curve.edges))
             g = (d - 1) * (d - 2) // 2
             assert len(closing) == dim * g
             assert rank(closing) == len(echelon(closing)[1]) == 2 * g, (dim, d)
+            assert _sparse_rank(sparse) == 2 * g, (dim, d)  # superabundance's call
 
 
 @pytest.mark.parametrize(

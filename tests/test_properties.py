@@ -1,5 +1,6 @@
 """Property tests, derandomized so that every run draws the same examples."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from helpers import echelon  # noqa: E402
+from helpers import (  # noqa: E402
+    DIRECTIONS,
+    echelon,
+    gen,
+    reference_primitive_and_scale,
+    scaled,
+    translated,
+)
+from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate  # noqa: E402
+from tropic.defspace import combinatorial_type, superabundance  # noqa: E402
 from tropic.latticefan import rank  # noqa: E402
 
 DERANDOMIZED = hypothesis.settings(
@@ -34,3 +44,58 @@ def test_rank_matches_echelon_and_ignores_row_order_and_scaling(rows, data):
         c = data.draw(NONZERO_RATIONALS)
         scaled = [row if k != i else [c * x for x in row] for k, row in enumerate(rows)]
         assert rank(scaled) == expected
+
+
+RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30))
+POSITIVE_RATIONALS = st.builds(Fraction, st.integers(1, 60), st.integers(1, 30))
+
+
+@st.composite
+def rational_curves(draw):
+    """A seeded tree or honeycomb, translated to mixed denominators, and
+    sometimes with one vertex moved off balance."""
+    dim = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        spec = gen.tree(rng, dim, draw(st.integers(2, 12)), DIRECTIONS[dim])
+    else:
+        spec = gen.honeycomb(draw(st.integers(2, 4)), dim, (draw(RATIONALS), draw(RATIONALS)))
+    c = translated(TropicalCurve.build(*spec), [draw(RATIONALS) for _ in range(dim)])
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(sorted(c.vertices)))
+        step = [draw(RATIONALS) for _ in range(dim)]
+        moved = {**c.vertices, v: tuple(a + b for a, b in zip(c.vertices[v], step))}
+        c = TropicalCurve(dim, moved, c.edges, c.rays)
+        hypothesis.assume(validate(c).valid)
+    return c
+
+
+@DERANDOMIZED
+@hypothesis.given(c=rational_curves())
+def test_edge_data_and_balancing_match_the_fraction_formula(c):
+    totals = {v: [0] * c.ambient_dim for v in c.vertices}
+    for e in c.edges:
+        pu, pw = c.position(e.ends[0]), c.position(e.ends[1])
+        displacement = tuple(b - a for a, b in zip(pu, pw))
+        d, length = reference_primitive_and_scale(displacement)
+        assert edge_data(c, e.id) == (d, length), e.id
+        for v, sign in ((e.ends[0], 1), (e.ends[1], -1)):
+            totals[v] = [t + sign * e.weight * x for t, x in zip(totals[v], d)]
+    for r in c.rays:
+        totals[r.base] = [t + r.weight * x for t, x in zip(totals[r.base], r.direction)]
+    defects = tuple((v, tuple(t)) for v, t in totals.items() if any(t))
+    assert is_balanced(c) == (not defects, defects)
+
+
+@DERANDOMIZED
+@hypothesis.given(c=rational_curves(), factor=POSITIVE_RATIONALS, data=st.data())
+def test_balancing_genus_and_excess_survive_translation_and_scaling(c, factor, data):
+    shift = [data.draw(RATIONALS) for _ in range(c.ambient_dim)]
+    report, excess = is_balanced(c), superabundance(combinatorial_type(c)).excess
+    for image, stretch in ((translated(c, shift), 1), (scaled(c, factor), factor)):
+        assert is_balanced(image) == report
+        assert genus(image) == genus(c)
+        assert superabundance(combinatorial_type(image)).excess == excess
+        for e in c.edges:
+            d, length = edge_data(c, e.id)
+            assert edge_data(image, e.id) == (d, stretch * length), e.id
