@@ -1,5 +1,5 @@
-"""Special-fiber combinatorics: the dual nodal curve, node monoids and slopes,
-and assembly/verification of the full realization certificate.
+"""Special-fiber combinatorics: the dual nodal curve, node parameters and
+slopes, and assembly/verification of the full realization certificate.
 
 The certificate records, per bounded edge e of the prepared curve, the
 integer k = length/weight, the weight rho, and the integer node slope
@@ -10,12 +10,12 @@ convention.
 """
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, eq, mul
 from typing import NamedTuple
 
 from .curves import BoundedEdge, TropicalCurve, edge_data, is_balanced
-from .errors import NonIntegralRatio, RecessionNotSupported, Unbalanced, _echo
-from .latticefan import Fan, IntVec, RatVec, _locate, in_closure, locate_points, signs
+from .errors import RecessionNotSupported, Unbalanced, _echo
+from .latticefan import Fan, IntVec, RatVec, _locate, _locate_all, in_closure, locate_points, signs
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
@@ -51,19 +51,6 @@ class DualCurve(NamedTuple):
     marked_points: tuple[MarkedPoint, ...]
 
 
-class NodeMonoid(NamedTuple):
-    """Pushout monoid with parameter k: pairs (n1, n2) of naturals with n2 - n1 in kZ.
-
-    Generated by (1,1), (k,0), (0,k) subject to the single pushout relation
-    (k,0) + (0,k) = k*(1,1); for k = 1 this is all of N x N.
-    """
-
-    k: int
-
-    def contains(self, n1: int, n2: int) -> bool:
-        return n1 >= 0 and n2 >= 0 and (n2 - n1) % self.k == 0
-
-
 def dual_curve(c: TropicalCurve) -> DualCurve:
     """One component per vertex, one node per bounded edge, one marked point per ray."""
     bal = is_balanced(c)
@@ -79,18 +66,6 @@ def dual_curve(c: TropicalCurve) -> DualCurve:
         for r in c.rays
     )
     return DualCurve(components=components, nodes=nodes, marked_points=marked)
-
-
-def node_monoid(length: Fraction | int, weight: int) -> NodeMonoid:
-    """Node monoid for an edge of the given lattice length and weight."""
-    if weight < 1:
-        raise NonIntegralRatio(f"weight must be a positive integer, got {weight}")
-    ratio = Fraction(length) / weight
-    if ratio <= 0 or ratio.denominator != 1:
-        raise NonIntegralRatio(
-            f"length/weight ratio {ratio} is not a positive integer; rescale the curve first"
-        )
-    return NodeMonoid(k=int(ratio))
 
 
 class NodeData(NamedTuple):
@@ -125,17 +100,14 @@ class CertificateCheck(NamedTuple):
     violations: tuple[str, ...]
 
 
-def _derive(hat: TropicalCurve, fan: Fan) -> tuple[tuple[int, dict], dict, dict, dict]:
-    """The certificate fields that the rescaled curve and the fan fix, keyed by id.
+def _derive(hat: TropicalCurve) -> tuple[dict, dict]:
+    """The certificate fields that the rescaled curve alone fixes, keyed by id.
 
-    The integer image (m, values) of the vertices and, per vertex, the index
-    of its cone (``locate_points``) and its sorted outgoing primitive
-    directions; per bounded edge, NodeData with k = length/weight and
-    u_q = -k*d for the edge's primitive direction d.  k and u_q are integers
-    on a rescaled curve and exact rationals otherwise, so a tampered
-    certificate is compared, not refused.
+    Per vertex, its sorted outgoing primitive directions; per bounded edge,
+    NodeData with k = length/weight and u_q = -k*d for the edge's primitive
+    direction d.  k and u_q are integers on a rescaled curve and exact
+    rationals otherwise, so a tampered certificate is compared, not refused.
     """
-    m, values, cones = locate_points(fan, hat.vertices)
     stars, nodes = {v: set() for v in hat.vertices}, {}
     for e in hat.edges:
         d, length = edge_data(hat, e.id)
@@ -146,15 +118,16 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[tuple[int, dict], dict, dict,
         nodes[e.id] = NodeData(edge=e.id, k=k, rho=e.weight, u_q=tuple(-k * x for x in d))
     for r in hat.rays:
         stars[r.base].add(r.direction)
-    return (m, values), cones, {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes
+    return {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes
 
 
-def _mismatches(label: str, derived: dict, claimed: dict) -> list[str]:
-    """``label`` and the id, for each id whose value differs or that only one side holds."""
+def _mismatches(label: str, derived: dict, claimed: dict, same=eq) -> list[str]:
+    """``label`` and the id, for each id that only one side holds or whose
+    values are not ``same``."""
     return [
         f"{label} {_echo(i)}"
         for i in sorted(derived.keys() | claimed.keys())
-        if derived.get(i) != claimed.get(i)
+        if i not in derived or i not in claimed or not same(derived[i], claimed[i])
     ]
 
 
@@ -162,9 +135,12 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     """Run the preparation pipeline and assemble the realization certificate.
 
     Subdivides along the fan, rescales to integral length/weight ratios, and
-    records the dual curve, the fields ``_derive`` computes from the rescaled
-    curve, and the base point, whose edge valuations are the pre-rescaling
-    length/weight ratios k/N.
+    records the dual curve, the cone of each vertex, the fields ``_derive``
+    computes from the rescaled curve, and the base point, whose edge
+    valuations are the pre-rescaling length/weight ratios k/N.  Rescaling by
+    N > 0 keeps every sign vector, so each vertex's cone is found from the
+    sign vector the subdivision computed; a vertex outside the support of
+    the fan raises NotInSupport at its rescaled position.
     """
     bal = is_balanced(c)
     if not bal.balanced:
@@ -174,9 +150,10 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
         raise RecessionNotSupported(
             f"ray directions {[d for _, d in support.missing]} are not rays of the fan"
         )
-    prepared = subdivide_along_fan(c, f).output
-    hat, mult = rescale_integral(prepared)
-    _, cones, stars, nodes = _derive(hat, f)
+    record = subdivide_along_fan(c, f)
+    hat, mult = rescale_integral(record.output)
+    cones = _locate_all(f, hat.vertices, record.vertex_signs)
+    stars, nodes = _derive(hat)
     return RealizationCertificate(
         rescaled_curve=hat,
         multiplier=mult,
@@ -187,7 +164,7 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
         node_data=tuple(nodes.values()),
         base_point=BasePoint(
             edge_valuations=tuple((e, Fraction(nd.k, mult)) for e, nd in nodes.items()),
-            vertex_positions=tuple(prepared.vertices.items()),
+            vertex_positions=tuple(record.output.vertices.items()),
         ),
     )
 
@@ -207,7 +184,8 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
         violations.append("Unbalanced: rescaled curve fails balancing")
 
     fan = cert.fan
-    (m, values), cones, stars, nodes = _derive(hat, fan)
+    m, values, cones, vectors = locate_points(fan, hat.vertices)
+    stars, nodes = _derive(hat)
     violations += _mismatches("VertexConeMismatch: vertex", cones, dict(cert.vertex_cones))
     violations += _mismatches("StarMismatch: vertex", stars, dict(cert.vertex_stars))
     violations += _mismatches(
@@ -223,22 +201,24 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     violations += _mismatches(
         "BasePointMismatch: vertex",
         hat.vertices,
-        {v: tuple([Fraction(n * x.numerator, x.denominator) for x in pos])
-         for v, pos in bp.vertex_positions},
+        dict(bp.vertex_positions),
+        lambda p, q: len(p) == len(q) and all(
+            x.numerator * y.denominator == n * y.numerator * x.denominator for x, y in zip(p, q)),
     )
 
     # the map to the fan is cone by cone: each piece's closure lies in the
-    # cone whose relative interior holds an interior point of the piece
+    # cone whose relative interior holds an interior point of the piece, so
+    # the sign vectors of its ends, and of a ray's direction, are in that cone
     for piece in hat.edges + hat.rays:
         if isinstance(piece, BoundedEdge):
-            ends = [values[v] for v in piece.ends]
-            inner, tail = map(add, *ends), []  # twice the midpoint
+            closed = [vectors[v] for v in piece.ends]
+            inner = map(add, *(values[v] for v in piece.ends))  # twice the midpoint
         else:
-            ends = [values[piece.base]]
             d = [sum(map(mul, h, piece.direction)) for h in fan.hyperplanes]
-            inner, tail = (a + m * b for a, b in zip(ends[0], d)), [d]  # base + direction
+            closed = [vectors[piece.base], signs(d)]
+            inner = (a + m * b for a, b in zip(values[piece.base], d))  # base + direction
         cone = _locate(fan, signs(inner))
-        if cone is None or not all(in_closure(fan.patterns[cone], signs(x)) for x in ends + tail):
+        if cone is None or not all(in_closure(fan.patterns[cone], s) for s in closed):
             violations.append(f"PieceNotInCone: {_echo(piece.id)}")
     for rid, d in check_recession_support(hat, fan).missing:
         violations.append(

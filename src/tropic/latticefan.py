@@ -450,23 +450,32 @@ def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
     return all(s[j] in (0, sign) for j, sign in pattern)
 
 
-def locate_points(f: Fan, points: dict) -> tuple[int, dict, dict]:
+def locate_points(f: Fan, points: dict) -> tuple[int, dict, dict, dict]:
     """One integer image of rational points, and their cones: the lcm m of
     their denominators, and per key the integers n.(m p) for n in
-    ``f.hyperplanes``, whose signs are p's sign vector, and the index of p's
-    cone (``_locate``).  The first point outside the support raises
-    NotInSupport."""
+    ``f.hyperplanes``, the index of p's cone (``_locate_all``), and p's sign
+    vector, the signs of those integers.  The first point outside the
+    support raises NotInSupport."""
     m = lcm(*(x.denominator for p in points.values() for x in p))
-    values, cones = {}, {}
+    values, vectors = {}, {}
     for key, p in points.items():
         if len(p) != f.ambient_dim:
             raise DimMismatch(f"point of dim {len(p)} vs fan in dim {f.ambient_dim}")
         q = [x.numerator * (m // x.denominator) for x in p]
         values[key] = [sum(map(mul, n, q)) for n in f.hyperplanes]
-        cones[key] = _locate(f, signs(values[key]))
+        vectors[key] = signs(values[key])
+    return m, values, _locate_all(f, points, vectors), vectors
+
+
+def _locate_all(f: Fan, points: dict, vectors: dict) -> dict:
+    """Per key, the index of the cone of ``points[key]`` from its sign vector
+    ``vectors[key]``; the first point outside the support raises NotInSupport."""
+    cones = {}
+    for key, p in points.items():
+        cones[key] = _locate(f, vectors[key])
         if cones[key] is None:
             raise not_in_support(p)
-    return m, values, cones
+    return cones
 
 
 def fan_from_maximal(

@@ -36,9 +36,13 @@ class NewVertex(NamedTuple):
 
 
 class SubdivisionRecord(NamedTuple):
+    """The subdivided curve, its new vertices, each piece's cone, and each
+    vertex's sign vector against ``Fan.hyperplanes`` (kept by rescaling)."""
+
     output: TropicalCurve
     new_vertices: tuple[NewVertex, ...]
     piece_cones: dict[str, int]  # output edge/ray id -> index of its containing cone
+    vertex_signs: dict[str, tuple[int, ...]]  # output vertex id -> its sign vector
 
 
 def check_recession_support(c: TropicalCurve, f: Fan) -> RecessionSupport:
@@ -82,12 +86,13 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     real crossing, at t = -a/b, needs a and b of opposite signs (and |a| < |b|
     on an edge) and negates that sign.  Sweeping the sorted crossings gives
     each interval's sign vector, whose cone the fan memoizes (the cones' sign
-    patterns are scanned only on a miss).  Spurious crossings (hyperplane
-    extensions through the interior of a cone) are discarded by merging
-    consecutive pieces that land in the same cone.  Every output piece is
-    checked against its cone's pattern by the sign vectors of its ends (an
-    input vertex's own, or that of q*a + p*b at a break t = p/q), and of b
-    for a ray; a host with no crossing builds no Fraction.  Weights are
+    patterns are scanned only on a miss), and a break's: the vector of the
+    interval before it with the hyperplanes crossing there set to 0.
+    Spurious crossings (hyperplane extensions through the interior of a
+    cone) are discarded by merging consecutive pieces that land in the same
+    cone.  Every output piece is checked against its cone's pattern by the
+    sign vectors of its ends, which the record keeps per output vertex, and
+    of b for a ray; a host with no crossing builds no Fraction.  Weights are
     inherited, and balancing, genus, support, and the recession fan are
     preserved: the new vertices are straight, 2-valent and fresh, so the
     output inherits the validation verdict and balancing report, and a piece
@@ -115,17 +120,17 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
 
     m = lcm(*(x.denominator for p in vertices.values() for x in p))
     image = {v: [x.numerator * (m // x.denominator) for x in p] for v, p in vertices.items()}
-    own = {}  # vertex -> (n.(m v) for n in f.hyperplanes, their sign vector)
+    own, vertex_signs = {}, {}  # vertex -> n.(m v) for n in f.hyperplanes; -> their signs
     for v, q in image.items():
-        a = [sum(map(mul, n, q)) for n in f.hyperplanes]
-        own[v] = (a, signs(a))
+        own[v] = [sum(map(mul, n, q)) for n in f.hyperplanes]
+        vertex_signs[v] = signs(own[v])
 
     for h in hosts:
         bounded = isinstance(h, BoundedEdge)
         start, end = h.ends if bounded else (h.base, None)
-        (a, s), base = own[start], image[start]
+        a, s, base = own[start], vertex_signs[start], image[start]
         if bounded:
-            b, direction = list(map(sub, own[end][0], a)), list(map(sub, image[end], base))
+            b, direction = list(map(sub, own[end], a)), list(map(sub, image[end], base))
         else:
             direction = [m * x for x in h.direction]
             b = [sum(map(mul, n, direction)) for n in f.hyperplanes]
@@ -146,16 +151,22 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             bounds = [Fraction(0), *cuts, Fraction(1) if bounded else (cuts[-1] if cuts else 0) + 2]
             k = cones.index(None)
             raise not_in_support(_point_at(base, direction, m, (bounds[k] + bounds[k + 1]) / 2))
-        breaks = [t for t, c1, c2 in zip(cuts, cones, cones[1:]) if c1 != c2]
-        piece_cone_ids = [c1 for c1, c2 in zip(cones, cones[1:]) if c1 != c2] + [cones[-1]]
-        ends = [s] + [signs([t.denominator * x + t.numerator * y for x, y in zip(a, b)])
-                      for t in breaks]
+        kept = [k for k in range(len(cuts)) if cones[k] != cones[k + 1]]
+        breaks = [cuts[k] for k in kept]
+        piece_cone_ids = [cones[k] for k in kept] + [cones[-1]]
+        ends = [s]
+        for k in kept:
+            at_break = list(keys[k])
+            for i in crossings[cuts[k]]:
+                at_break[i] = 0
+            ends.append(tuple(at_break))
         d, scale = edge_data(c, h.id) if bounded else (h.direction, 1)
         chain = [start]
         for k, t in enumerate(breaks, start=1):
             vid = f"{h.id}#{k}"
             _claim(vid, vertices, h.id)
             vertices[vid] = _point_at(base, direction, m, t)
+            vertex_signs[vid] = ends[k]
             chain.append(vid)
             record.append(
                 NewVertex(
@@ -168,7 +179,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             )
         if bounded:
             chain.append(end)
-            ends.append(own[end][1])
+            ends.append(vertex_signs[end])
         at = [(vertices[v], e) for v, e in zip(chain, ends)]
         ts = [0, *breaks, 1]
         for k, cone in enumerate(piece_cone_ids):
@@ -185,7 +196,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             piece_cones[pid] = cone
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
-    return SubdivisionRecord(_inherit(out, c, data), tuple(record), piece_cones)
+    return SubdivisionRecord(_inherit(out, c, data), tuple(record), piece_cones, vertex_signs)
 
 
 def check_piece(f: Fan, index: int, piece_id: str, ends, tail=None):

@@ -1,12 +1,14 @@
 """Shared test utilities: independent oracles, curve generators and transforms.
 
 The oracles here deliberately avoid the library code paths they are used to
-check: monoid membership by brute-force closure, cone membership by
-Caratheodory subset enumeration, rank by transposed elimination, and the
-deformation dimension by dense Fraction elimination of the full edge
-equations instead of the integer rank of the cycle-closing matrix.
-Subdivision is checked against the earlier implementation that scanned the
-facets of every cone and walked edges and rays in two separate loops, point
+check: ``NodeData.k`` by the node monoid, whose membership is checked by
+brute-force closure, cone membership by Caratheodory subset enumeration,
+rank by transposed elimination, and the deformation dimension by dense
+Fraction elimination of the full edge equations instead of the integer rank
+of the cycle-closing matrix.  Subdivision is checked against the earlier
+implementation that scanned the facets of every cone and walked edges and
+rays in two separate loops, with each output vertex signed by Fraction dot
+products, point
 location and the cones' sign patterns against the linear scan over every
 cone with rational points that preceded the sign-vector memo, fan
 validation against the earlier one that intersected every pair of cones,
@@ -24,7 +26,7 @@ from fractions import Fraction
 from math import atan2, gcd, lcm
 from operator import mul
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from tropic.curves import (
     BoundedEdge,
@@ -42,7 +44,13 @@ from tropic.defspace import (
     deformation_cone,
 )
 from tropic.degeneration import CertificateCheck, RealizationCertificate, dual_curve
-from tropic.errors import DimMismatch, NotInSupport, ValidationReport, ZeroDirection
+from tropic.errors import (
+    DimMismatch,
+    NonIntegralRatio,
+    NotInSupport,
+    ValidationReport,
+    ZeroDirection,
+)
 from tropic.latticefan import (
     Cone,
     Fan,
@@ -61,6 +69,32 @@ from tropic.latticefan import (
     rank,
 )
 from tropic.refine import NewVertex, SubdivisionRecord, check_recession_support
+
+
+class NodeMonoid(NamedTuple):
+    """Pushout monoid with parameter k: pairs (n1, n2) of naturals with n2 - n1 in kZ.
+
+    Generated by (1,1), (k,0), (0,k) subject to the single pushout relation
+    (k,0) + (0,k) = k*(1,1); for k = 1 this is all of N x N.
+    """
+
+    k: int
+
+    def contains(self, n1: int, n2: int) -> bool:
+        return n1 >= 0 and n2 >= 0 and (n2 - n1) % self.k == 0
+
+
+def node_monoid(length: Fraction | int, weight: int) -> NodeMonoid:
+    """Node monoid for an edge of the given lattice length and weight, the
+    oracle of ``NodeData.k``: its parameter k is length/weight."""
+    if weight < 1:
+        raise NonIntegralRatio(f"weight must be a positive integer, got {weight}")
+    ratio = Fraction(length) / weight
+    if ratio <= 0 or ratio.denominator != 1:
+        raise NonIntegralRatio(
+            f"length/weight ratio {ratio} is not a positive integer; rescale the curve first"
+        )
+    return NodeMonoid(k=int(ratio))
 
 
 def monoid_closure(k: int, bound: int) -> set[tuple[int, int]]:
@@ -479,7 +513,15 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         reference_check_piece(f, piece_cone_ids[-1], [vertices[chain[-1]]], r.direction, tail_id)
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
-    return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)
+    return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones,
+                             vertex_signs={v: point_signs(f, p) for v, p in vertices.items()})
+
+
+def unsubdivided_record(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
+    """A subdivision record that leaves ``c`` as it is, so a piece may run
+    through several cones of ``f``, with every vertex's sign vector."""
+    signs = {v: point_signs(f, p) for v, p in c.vertices.items()}
+    return SubdivisionRecord(output=c, new_vertices=(), piece_cones={}, vertex_signs=signs)
 
 
 def reference_fan_validate(f: Fan) -> ValidationReport:

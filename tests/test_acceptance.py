@@ -9,11 +9,11 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import monoid_closure, random_tree
+from helpers import monoid_closure, node_monoid, random_tree
 from tropic import fixtures
 from tropic.curves import edge_data, genus, is_balanced, recession_fan, validate
 from tropic.defspace import combinatorial_type, is_superabundant
-from tropic.degeneration import certify, node_monoid, verify_certificate
+from tropic.degeneration import certify, verify_certificate
 from tropic.refine import rescale_integral, subdivide_along_fan
 from tropic.wellspaced import well_spaced
 

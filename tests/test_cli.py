@@ -659,11 +659,10 @@ def test_bool_ray_indices_are_schema_errors(paths, capsys, tmp_path):
 
 def test_verify_cert_rejects_an_edge_through_several_cones(paths, capsys, tmp_path, monkeypatch):
     # certify diag with subdivision skipped: e0 keeps running through the origin cone
+    from helpers import unsubdivided_record
     from tropic import degeneration
-    from tropic.refine import SubdivisionRecord
 
-    monkeypatch.setattr(degeneration, "subdivide_along_fan",
-                        lambda c, f: SubdivisionRecord(output=c, new_vertices=(), piece_cones={}))
+    monkeypatch.setattr(degeneration, "subdivide_along_fan", unsubdivided_record)
     cert_path = tmp_path / "cert.json"
     assert run(["certify", paths["diag"], "--fan", paths["fan_diag"], "--out", str(cert_path)]) == 0
     monkeypatch.undo()

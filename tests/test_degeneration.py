@@ -4,14 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import monoid_closure, reference_verify
+from helpers import monoid_closure, node_monoid, reference_verify
 from tropic import fixtures
 from tropic.curves import is_balanced
 from tropic.degeneration import (
     NodeData,
     certify,
     dual_curve,
-    node_monoid,
     verify_certificate,
 )
 from tropic.errors import NonIntegralRatio, RecessionNotSupported, Unbalanced
@@ -254,11 +253,10 @@ def test_certify_with_real_subdivision_keeps_split_valuations():
 def _unsubdivided_certificate(monkeypatch, curve, fan):
     """A certificate of ``curve`` made with subdivision skipped, so a piece may
     run through several cones of ``fan``."""
+    from helpers import unsubdivided_record
     from tropic import degeneration
-    from tropic.refine import SubdivisionRecord
 
-    monkeypatch.setattr(degeneration, "subdivide_along_fan",
-                        lambda c, f: SubdivisionRecord(output=c, new_vertices=(), piece_cones={}))
+    monkeypatch.setattr(degeneration, "subdivide_along_fan", unsubdivided_record)
     cert = certify(curve, fan)
     monkeypatch.undo()
     return cert
@@ -269,6 +267,14 @@ def test_verify_rejects_an_edge_through_several_cones(monkeypatch):
     cert = _unsubdivided_certificate(monkeypatch, fixtures.diag(), fixtures.fan_diag())
     assert [e.id for e in cert.rescaled_curve.edges] == ["e0"]
     assert verify_certificate(cert).violations == ("PieceNotInCone: e0",)
+    # segfan's e0, moved to y = 1, crosses x = 0 before or after its midpoint:
+    # then only its first or only its second end leaves the midpoint's quadrant
+    from helpers import translated
+
+    for x in (Fraction(-1, 2), Fraction(-3, 2)):
+        cert = _unsubdivided_certificate(monkeypatch, translated(fixtures.segfan(), (x, 1)),
+                                         fixtures.fan_p1xp1())
+        assert verify_certificate(cert).violations == ("PieceNotInCone: e0",), x
 
 
 def test_verify_rejects_a_ray_through_several_cones(monkeypatch):
@@ -383,7 +389,7 @@ def test_derived_node_data_is_exact_on_a_curve_not_rescaled():
 
     tree, fan = _rich_tree(3, 24)
     prepared = subdivide_along_fan(tree, fan).output
-    nodes = _derive(prepared, fan)[3]
+    nodes = _derive(prepared)[1]
     for e in prepared.edges:
         d, length = edge_data(prepared, e.id)
         ratio = Fraction(length) / e.weight
@@ -403,6 +409,49 @@ def test_vertex_cones_do_not_change_under_positive_scaling():
         cones = certify(curve, fan).vertex_cones
         for factor in (2, 3, 7):
             assert certify(scaled(curve, factor), fan).vertex_cones == cones, factor
+
+
+def test_vertex_cones_from_the_walkers_signs_match_locate_points():
+    # certify finds each vertex's cone from the sign vector the subdivision
+    # computed; locate_points signs the rescaled vertices itself
+    import random
+
+    from helpers import gen, stellar_fan
+    from tropic.curves import TropicalCurve
+    from tropic.latticefan import fan_from_maximal, locate_points
+
+    rng = random.Random(17)
+    specs = [(gen.rich_fan_r2(), GOLDEN_TREE_SIZES), (gen.rich_fan_r3(), GOLDEN_TREE_SIZES)]
+    # trees stall on P^2 x P^1 and its few stellar subdivisions, whose rays
+    # rarely split into two others, so R^3 subdivides the rich fan
+    specs += [(stellar_fan(rng, gen.fan_p2(), rng.randint(3, 6)), (4, 10)) for _ in range(3)]
+    specs += [(stellar_fan(rng, gen.rich_fan_r3(), rng.randint(1, 3)), (4, 10)) for _ in range(3)]
+    subdivided = 0
+    for spec, sizes in specs:
+        fan = fan_from_maximal(*spec)
+        for seed in range(12):
+            size = sizes[seed % len(sizes)]
+            tree = TropicalCurve.build(*gen.tree(random.Random(seed), spec[2], size, spec[0]))
+            cert = certify(tree, fan)
+            hat = cert.rescaled_curve
+            assert dict(cert.vertex_cones) == locate_points(fan, hat.vertices)[2]
+            subdivided += len(hat.vertices) > len(tree.vertices)
+    assert subdivided >= 60, subdivided
+
+
+def test_certify_names_a_vertex_with_no_cone_at_its_rescaled_position():
+    # without the cone on ray (0,1), the break where segfan's edge crosses
+    # x = 0, at (0, 1/2), lies in the closed quadrants but in no cone; the
+    # curve is rescaled by 6 before its vertices' cones are looked up
+    from helpers import translated
+    from tropic.errors import NotInSupport
+    from tropic.latticefan import Fan
+
+    fan = fixtures.fan_p1xp1()
+    fan = Fan.build([c for c in fan.cones if c.generators != ((0, 1),)], 2)
+    curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
+    with pytest.raises(NotInSupport, match=r"^point \(0, 3\) is not in the support"):
+        certify(curve, fan)
 
 
 def test_verify_rejects_a_star_for_an_unknown_vertex():
@@ -441,6 +490,10 @@ def _mutations(cert):
     out.append(("star", with_field("vertex_stars", _first(cert.vertex_stars, lambda ds: ds[1:]))))
     out.append(("position", with_field("vertex_positions", _first(
         bp.vertex_positions, lambda p: (p[0] + 1,) + p[1:]))))
+    out.append(("position with a coordinate appended", with_field("vertex_positions", _first(
+        bp.vertex_positions, lambda p: p + (Fraction(0),)))))
+    out.append(("position with a coordinate dropped", with_field("vertex_positions", _first(
+        bp.vertex_positions, lambda p: p[:-1]))))
     comps = dual.components
     out.append(("component", cert._replace(dual=dual._replace(
         components=(comps[0]._replace(vertex="zz"),) + comps[1:]))))
@@ -486,6 +539,9 @@ def test_single_field_mutations_are_rejected_as_by_the_old_verifier():
         for name, bad in _mutations(cert):
             names.append(name)
             assert not verify_certificate(bad).ok, name
+            if name.startswith("position"):
+                assert verify_certificate(bad).violations == (
+                    f"BasePointMismatch: vertex {cert.base_point.vertex_positions[0][0]}",), name
             # the old verifier never compared the star ids against the curve's vertices
             assert reference_verify(bad).ok == (name == "unknown vertex_stars"), name
         assert len(names) >= 12, names

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -14,11 +15,14 @@ from helpers import (  # noqa: E402
     gen,
     reference_primitive_and_scale,
     scaled,
+    stellar_fan,
     translated,
 )
 from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate  # noqa: E402
 from tropic.defspace import combinatorial_type, superabundance  # noqa: E402
-from tropic.latticefan import rank  # noqa: E402
+from tropic.degeneration import certify, verify_certificate  # noqa: E402
+from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads  # noqa: E402
+from tropic.latticefan import fan_from_maximal, rank  # noqa: E402
 
 DERANDOMIZED = hypothesis.settings(
     derandomize=True, database=None, max_examples=60, deadline=None
@@ -99,3 +103,24 @@ def test_balancing_genus_and_excess_survive_translation_and_scaling(c, factor, d
         for e in c.edges:
             d, length = edge_data(c, e.id)
             assert edge_data(image, e.id) == (d, stretch * length), e.id
+
+
+@cache
+def _stellar(dim: int, seed: int):
+    """A seeded stellar subdivision of P^2 (R^2) or of perfbench's rich R^3 fan, and its Fan."""
+    rng = random.Random(seed)
+    base, steps = (gen.fan_p2(), (3, 6)) if dim == 2 else (gen.rich_fan_r3(), (1, 3))
+    spec = stellar_fan(rng, base, rng.randint(*steps))
+    return spec[0], fan_from_maximal(*spec)
+
+
+@DERANDOMIZED
+@hypothesis.given(dim=st.sampled_from([2, 3]), fan_seed=st.integers(0, 3),
+                  seed=st.integers(0, 2**32), size=st.integers(2, 10), data=st.data())
+def test_certificates_survive_the_json_round_trip_and_verify(dim, fan_seed, seed, size, data):
+    rays, fan = _stellar(dim, fan_seed)
+    tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays))
+    cert = certify(translated(tree, [data.draw(RATIONALS) for _ in range(dim)]), fan)
+    back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
+    assert back == cert
+    assert verify_certificate(back).ok

@@ -397,9 +397,10 @@ def _honeycombs_on_p2(seed):
 
 
 def test_walker_signs_each_input_vertex_once(monkeypatch):
-    # one sign vector per input vertex, one per host (its direction's, which
-    # also gives the first interval's) and one per new vertex: the parent
-    # walker signed each vertex again for every host it ends
+    # one sign vector per input vertex and one per host (its direction's,
+    # which also gives the first interval's); a new vertex takes its vector
+    # from the sweep, that of the interval before it with the hyperplanes
+    # crossing there set to 0, so the walk signs no break
     from tropic import refine
 
     calls = []
@@ -415,7 +416,8 @@ def test_walker_signs_each_input_vertex_once(monkeypatch):
         calls.clear()
         record = subdivide_along_fan(c, fan)
         hosts = len(c.edges) + len(c.rays)
-        assert len(calls) == len(c.vertices) + hosts + len(record.new_vertices)
+        assert len(calls) == len(c.vertices) + hosts
+        assert record == reference_subdivide(c, fan)
     assert any(subdivide_along_fan(c, fan).new_vertices for c in curves)
 
 
