@@ -112,10 +112,10 @@ def _derive(hat: TropicalCurve) -> tuple[dict, dict]:
     for e in hat.edges:
         d, length = edge_data(hat, e.id)
         stars[e.ends[0]].add(d)
-        stars[e.ends[1]].add(tuple(-x for x in d))
+        stars[e.ends[1]].add(tuple([-x for x in d]))
         p, q = length.numerator, length.denominator * e.weight
         k = p // q if p % q == 0 else Fraction(p, q)
-        nodes[e.id] = NodeData(edge=e.id, k=k, rho=e.weight, u_q=tuple(-k * x for x in d))
+        nodes[e.id] = NodeData(e.id, k, e.weight, tuple([-k * x for x in d]))
     for r in hat.rays:
         stars[r.base].add(r.direction)
     return {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes
@@ -123,7 +123,9 @@ def _derive(hat: TropicalCurve) -> tuple[dict, dict]:
 
 def _mismatches(label: str, derived: dict, claimed: dict, same=eq) -> list[str]:
     """``label`` and the id, for each id that only one side holds or whose
-    values are not ``same``."""
+    values are not ``same``; with ``eq``, equal dicts return at once."""
+    if same is eq and derived == claimed:
+        return []
     return [
         f"{label} {_echo(i)}"
         for i in sorted(derived.keys() | claimed.keys())
@@ -191,12 +193,13 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     violations += _mismatches(
         "NodeDataMismatch: edge", nodes, {nd.edge: nd for nd in cert.node_data}
     )
-    # N times the base point is the rescaled curve: valuation * N = k, position * N = position
+    # N times the base point is the rescaled curve, compared by cross-multiplication
     bp = cert.base_point
     violations += _mismatches(
         "BasePointMismatch: edge",
         {e: nd.k for e, nd in nodes.items()},
-        {e: val * n for e, val in bp.edge_valuations},
+        dict(bp.edge_valuations),
+        lambda k, val: k * val.denominator == val.numerator * n,
     )
     violations += _mismatches(
         "BasePointMismatch: vertex",
@@ -211,14 +214,14 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     # the sign vectors of its ends, and of a ray's direction, are in that cone
     for piece in hat.edges + hat.rays:
         if isinstance(piece, BoundedEdge):
-            closed = [vectors[v] for v in piece.ends]
-            inner = map(add, *(values[v] for v in piece.ends))  # twice the midpoint
+            u, w = piece.ends
+            s, t, inner = vectors[u], vectors[w], map(add, values[u], values[w])  # 2 * midpoint
         else:
             d = [sum(map(mul, h, piece.direction)) for h in fan.hyperplanes]
-            closed = [vectors[piece.base], signs(d)]
-            inner = (a + m * b for a, b in zip(values[piece.base], d))  # base + direction
+            s, t = vectors[piece.base], signs(d)
+            inner = [a + m * b for a, b in zip(values[piece.base], d)]  # base + direction
         cone = _locate(fan, signs(inner))
-        if cone is None or not all(in_closure(fan.patterns[cone], s) for s in closed):
+        if cone is None or not (in_closure(p := fan.patterns[cone], s) and in_closure(p, t)):
             violations.append(f"PieceNotInCone: {_echo(piece.id)}")
     for rid, d in check_recession_support(hat, fan).missing:
         violations.append(

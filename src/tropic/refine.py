@@ -59,10 +59,9 @@ def check_recession_support(c: TropicalCurve, f: Fan) -> RecessionSupport:
     return RecessionSupport(ok=not missing, missing=missing)
 
 
-def _point_at(base: IntVec, direction: IntVec, m: int, t: Fraction) -> RatVec:
-    """(base + t*direction) / m, each coordinate one Fraction built from integers."""
-    p, q = t.numerator, t.denominator
-    return tuple(Fraction(b * q + p * d, m * q) for b, d in zip(base, direction))
+def _point_at(base: IntVec, direction: IntVec, m: int, p: int, q: int) -> RatVec:
+    """(base + t*direction) / m at t = p/q, each coordinate one Fraction built from integers."""
+    return tuple([Fraction(b * q + p * d, m * q) for b, d in zip(base, direction)])
 
 
 def _claim(new_id: str, taken, host_id: str) -> None:
@@ -83,22 +82,26 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     (``Fan.hyperplanes``) and their sign vector.  Along a host the walk has
     the sign of a + t*b, with a = A_u and b = A_w - A_u on an edge, a = A_base
     and b = m*(n.direction) on a ray: sign(a or b) on the first interval.  A
-    real crossing, at t = -a/b, needs a and b of opposite signs (and |a| < |b|
-    on an edge) and negates that sign.  Sweeping the sorted crossings gives
-    each interval's sign vector, whose cone the fan memoizes (the cones' sign
-    patterns are scanned only on a miss), and a break's: the vector of the
-    interval before it with the hyperplanes crossing there set to 0.
-    Spurious crossings (hyperplane extensions through the interior of a
-    cone) are discarded by merging consecutive pieces that land in the same
-    cone.  Every output piece is checked against its cone's pattern by the
-    sign vectors of its ends, which the record keeps per output vertex, and
-    of b for a ray; a host with no crossing builds no Fraction.  Weights are
+    real crossing, at t = |a|/|b|, needs a and b of opposite signs (and
+    |a| < |b| on an edge) and negates that sign; it is keyed by the integer
+    |a|*(lb/|b|) = t*lb, lb the lcm of the host's |b|, and grouped and sorted
+    by key.  Sweeping the crossings gives each interval's sign vector, whose
+    cone the fan memoizes (the cones' sign patterns are scanned only on a
+    miss), and a break's: the vector of the interval before it with the
+    hyperplanes crossing there set to 0.  Spurious crossings (hyperplane
+    extensions through the interior of a cone) are discarded by merging
+    consecutive pieces that land in the same cone.  Every output piece is
+    checked against its cone's pattern by the sign vectors of its ends, which
+    the record keeps per output vertex, and of b for a ray.  Weights are
     inherited, and balancing, genus, support, and the recession fan are
     preserved: the new vertices are straight, 2-valent and fresh, so the
     output inherits the validation verdict and balancing report, and a piece
-    from t to t' its host's direction and (t'-t) times its lattice length
-    (1 for a ray).  New vertices are named ``<host>#k`` and pieces
-    ``<host>:k``; an input curve already using such an id raises
+    from key to key' its host's direction and length (key'-key)*num/(den*lb)
+    for a host of lattice length num/den (1 for a ray).  The only Fractions
+    built are values the output stores: the coordinates of each break and
+    the lengths of a broken host's pieces; a host with no kept break builds
+    none and keeps its own length.  New vertices are named ``<host>#k`` and
+    pieces ``<host>:k``; an input curve already using such an id raises
     InvalidCurve.  The fan is assumed complete; ``fan_validate`` certifies
     that for complete simplicial fans only, and a traversed point outside
     the support raises NotInSupport.
@@ -135,10 +138,11 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             direction = [m * x for x in h.direction]
             b = [sum(map(mul, n, direction)) for n in f.hyperplanes]
         sb = signs(b)
-        crossings: dict[Fraction, list[int]] = {}
-        for i, (x, y) in enumerate(zip(a, b)):
-            if (x < 0 < y or y < 0 < x) and (not bounded or abs(x) < abs(y)):
-                crossings.setdefault(Fraction(-x, y), []).append(i)
+        real = [(i, abs(x), abs(y)) for i, (x, y) in enumerate(zip(a, b))
+                if (x < 0 < y or y < 0 < x) and (not bounded or abs(x) < abs(y))]
+        lb, crossings = lcm(*[y for _, _, y in real]), {}  # the crossing at t = key/lb
+        for i, x, y in real:
+            crossings.setdefault(x * (lb // y), []).append(i)
         cuts = sorted(crossings)
         interval = [x or y for x, y in zip(s, sb)]
         keys = [tuple(interval)]
@@ -148,9 +152,9 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             keys.append(tuple(interval))
         cones = [_locate(f, key) for key in keys]
         if None in cones:  # name the interval's midpoint, or 1 past a ray's last crossing
-            bounds = [Fraction(0), *cuts, Fraction(1) if bounded else (cuts[-1] if cuts else 0) + 2]
+            bounds = [0, *cuts, lb if bounded else (cuts[-1] if cuts else 0) + 2 * lb]
             k = cones.index(None)
-            raise not_in_support(_point_at(base, direction, m, (bounds[k] + bounds[k + 1]) / 2))
+            raise not_in_support(_point_at(base, direction, m, bounds[k] + bounds[k + 1], 2 * lb))
         kept = [k for k in range(len(cuts)) if cones[k] != cones[k + 1]]
         breaks = [cuts[k] for k in kept]
         piece_cone_ids = [cones[k] for k in kept] + [cones[-1]]
@@ -161,11 +165,12 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                 at_break[i] = 0
             ends.append(tuple(at_break))
         d, scale = edge_data(c, h.id) if bounded else (h.direction, 1)
+        num, den = scale.numerator, scale.denominator * lb
         chain = [start]
         for k, t in enumerate(breaks, start=1):
             vid = f"{h.id}#{k}"
             _claim(vid, vertices, h.id)
-            vertices[vid] = _point_at(base, direction, m, t)
+            vertices[vid] = _point_at(base, direction, m, t, lb)
             vertex_signs[vid] = ends[k]
             chain.append(vid)
             record.append(
@@ -181,7 +186,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             chain.append(end)
             ends.append(vertex_signs[end])
         at = [(vertices[v], e) for v, e in zip(chain, ends)]
-        ts = [0, *breaks, 1]
+        ts = [0, *breaks, lb]
         for k, cone in enumerate(piece_cone_ids):
             pid = f"{h.id}:{k}" if breaks else h.id
             if breaks:
@@ -189,7 +194,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             if k + 1 < len(chain):
                 new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), h.weight))
                 check_piece(f, cone, pid, at[k:k + 2])
-                data[pid] = (d, (ts[k + 1] - ts[k]) * scale if breaks else scale)
+                data[pid] = (d, Fraction((ts[k + 1] - ts[k]) * num, den) if breaks else scale)
             else:
                 new_rays.append(CurveRay(pid, chain[k], h.direction, h.weight))
                 check_piece(f, cone, pid, at[k:], (h.direction, sb))
@@ -222,7 +227,7 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     """Scale all positions by the least N making every length/weight ratio integral.
 
     Only the embedding is dilated, so the output inherits the validation
-    verdict, balancing report and edge directions, and N times each length.
+    verdict, balancing report and directions, and lengths Fraction(N*num, den).
     """
     require_valid(c)
     n, data = 1, {}
@@ -234,4 +239,5 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     vs = {v: tuple([Fraction(n * x.numerator, x.denominator) for x in pos])
           for v, pos in c.vertices.items()}
     hat = TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
-    return _inherit(hat, c, {i: (d, n * length) for i, (d, length) in data.items()}), n
+    lengths = {i: (d, Fraction(n * x.numerator, x.denominator)) for i, (d, x) in data.items()}
+    return _inherit(hat, c, lengths), n

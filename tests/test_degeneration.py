@@ -542,9 +542,34 @@ def test_single_field_mutations_are_rejected_as_by_the_old_verifier():
             if name.startswith("position"):
                 assert verify_certificate(bad).violations == (
                     f"BasePointMismatch: vertex {cert.base_point.vertex_positions[0][0]}",), name
+            if name == "valuation":
+                assert verify_certificate(bad).violations == (
+                    f"BasePointMismatch: edge {cert.base_point.edge_valuations[0][0]}",), name
             # the old verifier never compared the star ids against the curve's vertices
             assert reference_verify(bad).ok == (name == "unknown vertex_stars"), name
         assert len(names) >= 12, names
+
+
+def test_a_doubled_multiplier_names_every_edge_and_moved_vertex(monkeypatch):
+    # valuation * N = k and position * N = position are checked by
+    # cross-multiplication; the violations were recorded from the verifier
+    # that multiplied, on a certificate rescaled by 6 and on one whose
+    # rescaling is skipped, so that k = 1/6 on r0:0 is not an integer
+    from helpers import translated
+    from tropic import degeneration
+
+    curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
+    expected = ("BasePointMismatch: edge e0", "BasePointMismatch: edge r0:0",
+                "BasePointMismatch: vertex r0#1", "BasePointMismatch: vertex v0",
+                "BasePointMismatch: vertex v1")
+    cert = certify(curve, fixtures.fan_p1xp1())
+    assert cert.multiplier == 6
+    assert verify_certificate(cert._replace(multiplier=12)).violations == expected
+    monkeypatch.setattr(degeneration, "rescale_integral", lambda c: (c, 1))
+    raw = certify(curve, fixtures.fan_p1xp1())
+    assert dict((nd.edge, nd.k) for nd in raw.node_data) == {"e0": 1, "r0:0": Fraction(1, 6)}
+    assert verify_certificate(raw).ok
+    assert verify_certificate(raw._replace(multiplier=2)).violations == expected
 
 
 CERTIFY_GOLDEN = Path(__file__).parent / "data" / "certify_golden.json"

@@ -23,6 +23,7 @@ from tropic.defspace import combinatorial_type, superabundance  # noqa: E402
 from tropic.degeneration import certify, verify_certificate  # noqa: E402
 from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads  # noqa: E402
 from tropic.latticefan import fan_from_maximal, rank  # noqa: E402
+from tropic.refine import subdivide_along_fan  # noqa: E402
 
 DERANDOMIZED = hypothesis.settings(
     derandomize=True, database=None, max_examples=60, deadline=None
@@ -124,3 +125,25 @@ def test_certificates_survive_the_json_round_trip_and_verify(dim, fan_seed, seed
     back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
     assert back == cert
     assert verify_certificate(back).ok
+
+
+@DERANDOMIZED
+@hypothesis.given(dim=st.sampled_from([2, 3]), fan_seed=st.integers(0, 3),
+                  seed=st.integers(0, 2**32), size=st.integers(2, 10), data=st.data())
+def test_subdivision_is_idempotent_and_splits_each_host_by_length(dim, fan_seed, seed, size, data):
+    rays, fan = _stellar(dim, fan_seed)
+    tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays))
+    c = translated(tree, [data.draw(RATIONALS) for _ in range(dim)])
+    out = subdivide_along_fan(c, fan).output
+    again = subdivide_along_fan(out, fan)
+    assert not again.new_vertices and again.output == out
+    pieces = {}  # host id -> lattice lengths of its bounded pieces, inherited from the walk
+    for e in out.edges:
+        pieces.setdefault(e.id.partition(":")[0], []).append(edge_data(out, e.id)[1])
+    for e in c.edges:
+        assert sum(pieces[e.id]) == edge_data(c, e.id)[1], e.id
+    for r in c.rays:  # the bounded pieces reach the ray's last break
+        tail = next(t for t in out.rays if t.id.partition(":")[0] == r.id)
+        total = sum(pieces.get(r.id, []))
+        base = c.vertices[r.base]
+        assert out.vertices[tail.base] == tuple(x + total * d for x, d in zip(base, r.direction))

@@ -294,6 +294,37 @@ def test_walker_matches_reference_on_random_trees():
     assert broken >= 24  # most trees cross walls, so the pieces are compared too
 
 
+def test_walker_is_exact_where_the_lcm_of_a_host_crossings_is_large():
+    # a host's crossing at t = |a|/|b| is keyed by the integer |a|*(L/|b|),
+    # L the lcm of its |b|: on a fan with 24 hyperplanes, trees translated by
+    # offsets with 6-digit denominators, and a line whose ray (3, 2) crosses
+    # hyperplanes with pairwise-coprime |b| 1, 2, 3, 5 and 11 (L = 330)
+    import random as _random
+
+    from helpers import translated
+    from tropic.degeneration import certify, verify_certificate
+
+    rng = _random.Random(1729)
+    fan = primitive_box_fan(4)
+    assert len(fan.hyperplanes) == 24
+    curves = [TropicalCurve.build(2, {"v0": (3, -1)}, [], [("r0", "v0", (3, 2), 1),
+                                                           ("r1", "v0", (-3, -2), 1)])]
+    for _ in range(6):
+        offset = [Fraction(rng.randint(-10**6, 10**6), rng.randint(10**5, 10**6)) for _ in "xy"]
+        curves.append(translated(random_tree(rng, 2, max_vertices=6), offset))
+    breaks = 0
+    for c in curves:
+        record = subdivide_along_fan(c, fan)
+        assert record == reference_subdivide(c, fan)
+        out = record.output
+        fresh = TropicalCurve(2, out.vertices, out.edges, out.rays)
+        assert out._edge_data == {e.id: edge_data(fresh, e.id) for e in fresh.edges}
+        assert verify_certificate(certify(c, fan)).ok
+        breaks += len(record.new_vertices)
+    assert [v.host for v in subdivide_along_fan(curves[0], fan).new_vertices].count("r0") == 5
+    assert breaks >= 200, breaks
+
+
 def _rich_trees(seed):
     """Seeded trees on each of perfbench's rich fans, which share one Fan per dimension."""
     import random as _random
@@ -421,10 +452,13 @@ def test_walker_signs_each_input_vertex_once(monkeypatch):
     assert any(subdivide_along_fan(c, fan).new_vertices for c in curves)
 
 
-def test_walker_builds_no_fraction_for_a_host_that_crosses_no_hyperplane(monkeypatch):
+def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypatch):
     # each host of the honeycombs is walked as a curve of its own, with every
-    # Fraction that refine builds counted; an edge with no break keeps its
-    # own length object, which no arithmetic has rebuilt
+    # Fraction that refine builds counted.  Crossings are keyed by integers,
+    # so a host builds exactly dim Fractions per kept break (its position)
+    # and, if it breaks at all, one per bounded piece (its length); a host
+    # with no kept break, whether it crosses no hyperplane or only spurious
+    # extensions of a wall, builds none and keeps its own length object
     from tropic import refine
 
     built = []
@@ -435,7 +469,7 @@ def test_walker_builds_no_fraction_for_a_host_that_crosses_no_hyperplane(monkeyp
 
     monkeypatch.setattr(refine, "Fraction", counting)
     curves, fan = _honeycombs_on_p2(13)
-    seen = {True: 0, False: 0}
+    seen = {"no crossing": 0, "spurious only": 0, "breaks": 0}
     for c in curves:
         for h in c.edges + c.rays:
             if isinstance(h, BoundedEdge):
@@ -445,13 +479,15 @@ def test_walker_builds_no_fraction_for_a_host_that_crosses_no_hyperplane(monkeyp
                 ends = [c.vertices[h.base], h.direction]  # n.base and n.d of opposite signs
                 alone = TropicalCurve.build(2, {h.base: ends[0]}, [], [tuple(h)])
             crosses = any(dot(n, ends[0]) * dot(n, ends[1]) < 0 for n in fan.hyperplanes)
+            breaks = len(reference_subdivide(alone, fan).new_vertices)
+            pieces = breaks + 1 if isinstance(h, BoundedEdge) else breaks
             built.clear()
             out = subdivide_along_fan(alone, fan).output
-            assert bool(built) == crosses, h
-            if h.id in out._edge_data:
+            assert len(built) == (2 * breaks + pieces if breaks else 0), h
+            if not breaks and h.id in out._edge_data:
                 assert out._edge_data[h.id][1] is edge_data(alone, h.id)[1]
-            seen[crosses] += 1
-    assert min(seen.values()) >= 20, seen
+            seen["breaks" if breaks else "spurious only" if crosses else "no crossing"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_check_piece_details_cut_long_values():
