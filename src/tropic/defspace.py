@@ -91,21 +91,20 @@ def deformation_cone(t: CombinatorialType) -> DeformationCone:
     )
 
 
-def cycle_closing_matrix(t: CombinatorialType) -> list[dict[int, int]]:
-    """Integer matrix C of the cycle-closing equations, shape (n*g) x E, each
-    row as {column: nonzero entry}.
+def fundamental_cycles(t: CombinatorialType) -> list[dict[int, int]]:
+    """The fundamental cycles of a breadth-first spanning tree from the first
+    vertex, one per non-tree edge in sorted edge order.
 
-    A breadth-first spanning tree from the first vertex gives one fundamental
-    cycle per non-tree edge; walking it, the signed edge vectors
-    +-length_e * direction_e sum to zero, one row per coordinate.  Columns
-    follow the sorted edge order.
+    Each cycle maps the index of every edge it uses to +1 where the walk
+    goes from the edge's ``ends[0]`` to its ``ends[1]`` and -1 otherwise:
+    along the non-tree edge (+1), then through the tree back to its start.
     """
     incident: dict[str, list[int]] = {v: [] for v in t.vertices}
     for j, e in enumerate(t.edges):
         incident[e.ends[0]].append(j)
         incident[e.ends[1]].append(j)
     root = t.vertices[0]
-    # parent[v] = (tree edge to the parent, sign of parent - v along that edge, parent)
+    # parent[v] = (tree edge to the parent, sign of v -> parent along that edge, parent)
     parent: dict[str, tuple[int, int, str] | None] = {root: None}
     depth = {root: 0}
     queue = deque([root])
@@ -119,7 +118,7 @@ def cycle_closing_matrix(t: CombinatorialType) -> list[dict[int, int]]:
                 depth[w] = depth[u] + 1
                 queue.append(w)
     tree = {p[0] for p in parent.values() if p is not None}
-    rows: list[list[int]] = []
+    cycles: list[dict[int, int]] = []
     for j, e in enumerate(t.edges):
         if j in tree:
             continue
@@ -129,14 +128,24 @@ def cycle_closing_matrix(t: CombinatorialType) -> list[dict[int, int]]:
         while x != y:
             if depth[x] >= depth[y]:
                 k, sign, x = parent[x]
-                coeff[k] = coeff.get(k, 0) + sign
+                coeff[k] = sign
             else:
                 k, sign, y = parent[y]
-                coeff[k] = coeff.get(k, 0) - sign
-        for i in range(t.ambient_dim):
-            rows.append({k: s * t.edges[k].direction[i] for k, s in coeff.items()
-                         if t.edges[k].direction[i]})
-    return rows
+                coeff[k] = -sign
+        cycles.append(coeff)
+    return cycles
+
+
+def cycle_closing_matrix(t: CombinatorialType) -> list[dict[int, int]]:
+    """Integer matrix C of the cycle-closing equations, shape (n*g) x E, each
+    row as {column: nonzero entry}.
+
+    Along each of the ``fundamental_cycles`` the signed edge vectors
+    +-length_e * direction_e sum to zero, one row per coordinate.  Columns
+    follow the sorted edge order.
+    """
+    return [{k: s * t.edges[k].direction[i] for k, s in loop.items() if t.edges[k].direction[i]}
+            for loop in fundamental_cycles(t) for i in range(t.ambient_dim)]
 
 
 def superabundance(t: CombinatorialType) -> SuperabundanceVerdict:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
 
@@ -22,8 +23,9 @@ from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate
 from tropic.defspace import combinatorial_type, superabundance  # noqa: E402
 from tropic.degeneration import certify, verify_certificate  # noqa: E402
 from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads  # noqa: E402
-from tropic.latticefan import fan_from_maximal, rank  # noqa: E402
+from tropic.latticefan import dot, fan_from_maximal, rank  # noqa: E402
 from tropic.refine import subdivide_along_fan  # noqa: E402
+from tropic.wellspaced import Departure, cycle, well_spaced  # noqa: E402
 
 DERANDOMIZED = hypothesis.settings(
     derandomize=True, database=None, max_examples=60, deadline=None
@@ -147,3 +149,61 @@ def test_subdivision_is_idempotent_and_splits_each_host_by_length(dim, fan_seed,
         total = sum(pieces.get(r.id, []))
         base = c.vertices[r.base]
         assert out.vertices[tail.base] == tuple(x + total * d for x, d in zip(base, r.direction))
+
+
+@st.composite
+def genus_one_curves(draw):
+    """A degree-3 honeycomb, in R^3 with some rays d split into d + e3 and -e3
+    so that they leave the cycle's plane, or a seeded tree with one chord
+    between two of its vertices (a ray at each end balances the chord);
+    translated by rationals."""
+    dim = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        spec = gen.honeycomb(3, dim, (draw(RATIONALS), draw(RATIONALS)))
+        if dim == 3:
+            _, vertices, edges, rays = spec
+            tilted = draw(st.sets(st.sampled_from(range(len(rays)))))
+            spec = (dim, vertices, edges, [
+                split for i, (rid, v, d, w) in enumerate(rays)
+                for split in ([(rid + "a", v, d[:2] + (1,), w), (rid + "b", v, (0, 0, -1), w)]
+                              if i in tilted else [(rid, v, d, w)])])
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        _, vertices, edges, rays = gen.tree(rng, dim, draw(st.integers(2, 8)), DIRECTIONS[dim])
+        u, w = draw(st.lists(st.sampled_from(sorted(vertices)), min_size=2, max_size=2, unique=True))
+        d, _ = reference_primitive_and_scale([b - a for a, b in zip(vertices[u], vertices[w])])
+        spec = (dim, vertices, edges + [("chord", (u, w), 1)],
+                rays + [("ru", u, tuple(-x for x in d), 1), ("rw", w, d, 1)])
+    c = translated(TropicalCurve.build(*spec), [draw(RATIONALS) for _ in range(dim)])
+    hypothesis.assume(validate(c).valid)
+    return c
+
+
+@DERANDOMIZED
+@hypothesis.given(c=genus_one_curves())
+def test_cycle_normals_cut_out_its_span_and_count_the_excess(c):
+    data = cycle(c)
+    assert data.codim == superabundance(combinatorial_type(c)).excess
+    directions = [edge_data(c, e)[0] for e in data.edges]
+    for u in data.normals:
+        assert gcd(*u) == 1 and not any(dot(u, d) for d in directions), u
+    assert len(data.normals) == c.ambient_dim - len(echelon(directions)[1])
+    # a closed walk from the smallest id, through distinct vertices and edges,
+    # leaving the start along the smaller-id of its two cycle edges
+    walk, steps = data.vertices, data.edges
+    assert walk[0] == min(walk) and len(set(walk)) == len(walk) == len(set(steps)) == len(steps)
+    ends = {e.id: set(e.ends) for e in c.edges}
+    for i, eid in enumerate(steps):
+        assert ends[eid] == {walk[i], walk[(i + 1) % len(walk)]}, eid
+    assert steps[0] < steps[-1]
+
+
+@DERANDOMIZED
+@hypothesis.given(c=genus_one_curves(), factor=POSITIVE_RATIONALS, data=st.data())
+def test_well_spacedness_survives_translation_and_scaling(c, factor, data):
+    shift = [data.draw(RATIONALS) for _ in range(c.ambient_dim)]
+    verdict = well_spaced(c)
+    for image, stretch in ((translated(c, shift), 1), (scaled(c, factor), factor)):
+        # the same departures at scaled distances, so the same argmin and verdict
+        assert well_spaced(image) == verdict._replace(departures=tuple(
+            Departure(d.vertex, stretch * d.distance) for d in verdict.departures))

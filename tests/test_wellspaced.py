@@ -1,9 +1,11 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import scaled, translated
-from tropic import fixtures
+from helpers import gen, scaled, translated
+from tropic import fixtures, latticefan
 from tropic.curves import TropicalCurve
 from tropic.defspace import is_superabundant
 from tropic.errors import GenusNotOne
@@ -20,9 +22,7 @@ def test_cycle_of_cycle3():
 def test_cycle_of_speyer3():
     data = cycle(fixtures.speyer3())
     assert data.codim == 1
-    # the span is the z = 0 plane
-    assert all(d[2] == 0 for d in data.span_directions)
-    assert len(data.span_directions) == 2
+    assert data.normals == ((0, 0, 1),)  # the span is the z = 0 plane
 
 
 def test_cycle_requires_genus_one():
@@ -31,7 +31,7 @@ def test_cycle_requires_genus_one():
 
 
 def test_cycle_with_pending_tree_parts():
-    # leaf peeling must strip the tail vertex before walking the cycle
+    # the tail is a tree edge off the cycle: the walk must not take it
     c = TropicalCurve.build(
         2,
         {"v0": (0, 0), "v1": (1, 0), "v2": (0, 1), "tail": (-1, 0)},
@@ -186,5 +186,29 @@ def test_cycle_on_parallel_multi_edge():
     assert set(data.vertices) == {"a", "b"}
     assert set(data.edges) == {"e0", "e1"}
     assert data.codim == 1  # the doubled segment spans only a line
+    assert data.normals == ((0, 1),)
     verdict = well_spaced(c)
     assert verdict.well_spaced and not verdict.departures  # in-span rays only
+
+
+def test_well_spaced_tests_the_span_without_elimination(monkeypatch):
+    # count rank, _sparse_rank and double_description wherever a tropic module binds them
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("rank", "_sparse_rank", "double_description"):
+        real = getattr(latticefan, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("tropic") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    rng = random.Random(5)
+    offset = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(2)]
+    c = TropicalCurve.build(*gen.honeycomb(3, 3, offset))
+    verdict = well_spaced(c)
+    assert verdict.span_codim == 1 and verdict.well_spaced and not verdict.departures
+    assert calls == ["double_description"]
