@@ -9,7 +9,7 @@ directions sum to zero.
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -17,6 +17,7 @@ from .errors import (
     DegenerateEdge,
     InvalidCurve,
     NoSuchVertex,
+    Unbalanced,
     ValidationReport,
     _echo,
 )
@@ -26,6 +27,7 @@ from .latticefan import (
     IntVec,
     RatVec,
     as_ratvec,
+    integer_image,
     primitive,
 )
 
@@ -88,10 +90,9 @@ class TropicalCurve(_CurveFields):
         except KeyError:
             raise NoSuchVertex(f"no vertex {_echo(repr(vertex))}") from None
 
-    # The indexes, the validation verdict and the balancing report below are
-    # built on first use, or handed over by ``_inherit``, and kept in the
-    # instance __dict__, outside the tuple's fields, so equality, ordering
-    # and serialization only ever see the sorted fields.
+    # The caches below are built on first use or (all but ``_image``) handed over
+    # by ``_inherit``, and kept in the instance __dict__, outside the tuple's
+    # fields, so equality, ordering and serialization see the sorted fields only.
 
     @cached_property
     def _edge_by_id(self) -> dict[str, BoundedEdge]:
@@ -109,15 +110,17 @@ class TropicalCurve(_CurveFields):
         return index
 
     @cached_property
+    def _image(self) -> tuple[int, dict[str, list[int]]]:
+        """(m, vertex -> m * position), as ``integer_image``; treat it as read-only."""
+        return integer_image(self.vertices)
+
+    @cached_property
     def _edge_data(self) -> dict[str, tuple[IntVec, Fraction]]:
-        """edge id -> (primitive direction, lattice length), from one integer
-        image of the vertices: with m the lcm of all coordinate denominators,
-        an edge u->w has q = m w - m u, direction q/gcd(q) and length gcd(q)/m.
-        The first edge of each id gets an entry if both ends are known and
-        q != 0.  The image itself is not kept."""
-        m = lcm(*(x.denominator for p in self.vertices.values() for x in p))
-        image = {v: [x.numerator * (m // x.denominator) for x in p]
-                 for v, p in self.vertices.items()}
+        """edge id -> (primitive direction, lattice length), from the curve's
+        integer image ``_image``: an edge u->w has q = m w - m u, direction
+        q/gcd(q) and length gcd(q)/m.  The first edge of each id gets an
+        entry if both ends are known and q != 0."""
+        m, image = self._image
         data = {}
         for e in self._edge_by_id.values():
             u, w = image.get(e.ends[0]), image.get(e.ends[1])
@@ -289,6 +292,12 @@ def is_balanced(c: TropicalCurve) -> BalanceReport:
     edges and rays (``_balance_report``), and shared."""
     require_valid(c)
     return c._balance
+
+
+def require_balanced(c: TropicalCurve) -> None:
+    report = is_balanced(c)
+    if not report.balanced:
+        raise Unbalanced(f"defects at {[v for v, _ in report.defects]}")
 
 
 def _balance_report(c: TropicalCurve) -> BalanceReport:

@@ -14,8 +14,7 @@ from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curves import CurveRay, TropicalCurve, edge_data, is_balanced, require_valid
-from .errors import Unbalanced
+from .curves import CurveRay, TropicalCurve, edge_data, require_balanced, require_valid
 from .latticefan import IntVec, RatVec, _sparse_rank
 
 
@@ -154,36 +153,19 @@ def superabundance(t: CombinatorialType) -> SuperabundanceVerdict:
     One root position and the edge lengths fix a curve of the type, and the
     lengths must close every fundamental cycle, so the dimension is
     n + E - rank(C) with C from ``cycle_closing_matrix``.  The expected
-    dimension is the virtual count ``expected_dimension``, which equals
-    n(1-g) + E; the excess is therefore n*g - rank(C), and trees (g = 0)
-    need no elimination.
+    dimension, the virtual count ends + (n-3)(1-g) - sum of (valence - 3)
+    over all vertices, is n(1-g) + E, as the valences sum to 2E + ends and
+    V = E + 1 - g; so the excess is n*g - rank(C), and trees need no elimination.
     """
     n, nedges = t.ambient_dim, len(t.edges)
     g = nedges - len(t.vertices) + 1
     r = _sparse_rank(cycle_closing_matrix(t)) if g else 0
     dimension = n + nedges - r
-    expected = expected_dimension(t, g, len(t.rays))
+    expected = n * (1 - g) + nedges
     return SuperabundanceVerdict(dimension, expected, dimension - expected)
-
-
-def overvalence(t: CombinatorialType) -> int:
-    """Sum over vertices of valence - 3; a 2-valent vertex counts -1."""
-    return 2 * len(t.edges) + len(t.rays) - 3 * len(t.vertices)
-
-
-def expected_dimension(t: CombinatorialType, genus_: int, ends: int) -> int:
-    """Virtual count ends + (n-3)(1-g) - overvalence for a connected type.
-
-    This is the standard trivalent dimension count with every vertex counted
-    as valence - 3, unclamped.  By Euler's formula it equals n(1-g) + E, so
-    the excess over it is n*g - rank(C) (see ``superabundance``).
-    """
-    return ends + (t.ambient_dim - 3) * (1 - genus_) - overvalence(t)
 
 
 def is_superabundant(c: TropicalCurve) -> SuperabundanceVerdict:
     """Compare actual and expected deformation dimensions; excess > 0 means superabundant."""
-    report = is_balanced(c)
-    if not report.balanced:
-        raise Unbalanced(f"defects at {[v for v, _ in report.defects]}")
+    require_balanced(c)
     return superabundance(combinatorial_type(c))

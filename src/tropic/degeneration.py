@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import add, eq, mul
 from typing import NamedTuple
 
-from .curves import BoundedEdge, TropicalCurve, edge_data, is_balanced
+from .curves import BoundedEdge, TropicalCurve, edge_data, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
 from .latticefan import Fan, IntVec, RatVec, _locate, _locate_all, in_closure, locate_points, signs
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
@@ -53,9 +53,7 @@ class DualCurve(NamedTuple):
 
 def dual_curve(c: TropicalCurve) -> DualCurve:
     """One component per vertex, one node per bounded edge, one marked point per ray."""
-    bal = is_balanced(c)
-    if not bal.balanced:
-        raise Unbalanced(f"defects at {[v for v, _ in bal.defects]}")
+    require_balanced(c)
     components = tuple(Component(id=f"C_{v}", vertex=v) for v in c.vertices)
     nodes = tuple(
         Node(id=f"q_{e.id}", edge=e.id, components=(f"C_{e.ends[0]}", f"C_{e.ends[1]}"))
@@ -144,9 +142,7 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     sign vector the subdivision computed; a vertex outside the support of
     the fan raises NotInSupport at its rescaled position.
     """
-    bal = is_balanced(c)
-    if not bal.balanced:
-        raise Unbalanced(f"defects at {[v for v, _ in bal.defects]}")
+    require_balanced(c)
     support = check_recession_support(c, f)
     if not support.ok:
         raise RecessionNotSupported(

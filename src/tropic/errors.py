@@ -58,10 +58,6 @@ class GenusNotOne(TropicError):
     code = "GenusNotOne"
 
 
-class NonIntegralRatio(TropicError):
-    code = "NonIntegralRatio"
-
-
 class DeskScaleExceeded(TropicError):
     code = "DeskScaleExceeded"
 

@@ -58,21 +58,16 @@ def primitive(v: Sequence[int]) -> IntVec:
     return tuple(c // g for c in w)
 
 
-def primitive_and_scale(v: Sequence) -> tuple[IntVec, Fraction]:
-    """Write a nonzero rational vector as scale * primitive with scale > 0."""
-    w = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    m = lcm(*(x.denominator for x in w))
-    ints = [x.numerator * (m // x.denominator) for x in w]  # m * v
-    g = gcd(*ints)
-    if not g:
-        raise ZeroDirection("zero vector has no primitive direction")
-    return tuple(c // g for c in ints), Fraction(g, m)
+def integer_image(points: dict) -> tuple[int, dict]:
+    """The lcm m of all coordinate denominators of ``points`` (key -> int or
+    Fraction coordinates), and per key the integer vector m p."""
+    m = lcm(*(x.denominator for p in points.values() for x in p))
+    return m, {k: [x.numerator * (m // x.denominator) for x in p] for k, p in points.items()}
 
 
 def integerize(v: Sequence) -> IntVec:
     """Scale a rational vector to the primitive integer vector on the same ray."""
-    d, _ = primitive_and_scale(v)
-    return d
+    return primitive(_integer_row(v))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +107,7 @@ def _integer_row(row: Sequence) -> list[int]:
     if all(type(x) is int for x in row):
         return list(row)
     fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    m = lcm(*(x.denominator for x in fracs))
-    return [x.numerator * (m // x.denominator) for x in fracs]
+    return integer_image({0: fracs})[1][0]
 
 
 def rank(rows: Matrix) -> int:
@@ -450,20 +444,22 @@ def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
     return all(s[j] in (0, sign) for j, sign in pattern)
 
 
+def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
+    """Per key of an integer image, the integers n.q for n in ``f.hyperplanes`` and their signs."""
+    values = {k: [sum(map(mul, n, q)) for n in f.hyperplanes] for k, q in image.items()}
+    return values, {k: signs(v) for k, v in values.items()}
+
+
 def locate_points(f: Fan, points: dict) -> tuple[int, dict, dict, dict]:
-    """One integer image of rational points, and their cones: the lcm m of
-    their denominators, and per key the integers n.(m p) for n in
-    ``f.hyperplanes``, the index of p's cone (``_locate_all``), and p's sign
-    vector, the signs of those integers.  The first point outside the
+    """Rational points located by one ``integer_image``: its m, and per key
+    the integers n.(m p) for n in ``f.hyperplanes``, the index of p's cone
+    (``_locate_all``) and p's sign vector.  The first point outside the
     support raises NotInSupport."""
-    m = lcm(*(x.denominator for p in points.values() for x in p))
-    values, vectors = {}, {}
-    for key, p in points.items():
+    for p in points.values():
         if len(p) != f.ambient_dim:
             raise DimMismatch(f"point of dim {len(p)} vs fan in dim {f.ambient_dim}")
-        q = [x.numerator * (m // x.denominator) for x in p]
-        values[key] = [sum(map(mul, n, q)) for n in f.hyperplanes]
-        vectors[key] = signs(values[key])
+    m, image = integer_image(points)
+    values, vectors = hyperplane_values(f, image)
     return m, values, _locate_all(f, points, vectors), vectors
 
 

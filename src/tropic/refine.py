@@ -19,7 +19,16 @@ from .curves import (
     require_valid,
 )
 from .errors import DimMismatch, InvalidCurve, NotInSupport, _echo, _echo_point
-from .latticefan import Fan, IntVec, RatVec, _locate, in_closure, not_in_support, signs
+from .latticefan import (
+    Fan,
+    IntVec,
+    RatVec,
+    _locate,
+    hyperplane_values,
+    in_closure,
+    not_in_support,
+    signs,
+)
 
 
 class RecessionSupport(NamedTuple):
@@ -45,17 +54,17 @@ class SubdivisionRecord(NamedTuple):
     vertex_signs: dict[str, tuple[int, ...]]  # output vertex id -> its sign vector
 
 
-def check_recession_support(c: TropicalCurve, f: Fan) -> RecessionSupport:
-    """Whether every ray direction of the curve is a ray generator of the fan."""
+def _require_valid_in(c: TropicalCurve, f: Fan) -> None:
     require_valid(c)
     if c.ambient_dim != f.ambient_dim:
-        raise DimMismatch(
-            f"curve in dim {c.ambient_dim} against fan in dim {f.ambient_dim}"
-        )
+        raise DimMismatch(f"curve in dim {c.ambient_dim} against fan in dim {f.ambient_dim}")
+
+
+def check_recession_support(c: TropicalCurve, f: Fan) -> RecessionSupport:
+    """Whether every ray direction of the curve is a ray generator of the fan."""
+    _require_valid_in(c, f)
     fan_rays = set(f.rays())
-    missing = tuple(
-        (r.id, r.direction) for r in c.rays if r.direction not in fan_rays
-    )
+    missing = tuple((r.id, r.direction) for r in c.rays if r.direction not in fan_rays)
     return RecessionSupport(ok=not missing, missing=missing)
 
 
@@ -76,10 +85,10 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     """Insert 2-valent vertices where edges or rays of the curve cross cone walls of the fan.
 
     Each edge u->w is walked as u + t*(w-u) for t in (0,1), each ray as
-    base + t*direction for t in (0,inf).  The curve is scaled to integers
-    once, by the lcm m of all its coordinate denominators, and each vertex v
-    gets its values A_v = n.(m v) against the fan's hyperplanes n
-    (``Fan.hyperplanes``) and their sign vector.  Along a host the walk has
+    base + t*direction for t in (0,inf).  Each vertex v of the curve's
+    integer image (``TropicalCurve._image``) gets its values A_v = n.(m v)
+    against the fan's hyperplanes n and their sign vector
+    (``hyperplane_values``).  Along a host the walk has
     the sign of a + t*b, with a = A_u and b = A_w - A_u on an edge, a = A_base
     and b = m*(n.direction) on a ray: sign(a or b) on the first interval.  A
     real crossing, at t = |a|/|b|, needs a and b of opposite signs (and
@@ -106,11 +115,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     that for complete simplicial fans only, and a traversed point outside
     the support raises NotInSupport.
     """
-    require_valid(c)
-    if c.ambient_dim != f.ambient_dim:
-        raise DimMismatch(
-            f"curve in dim {c.ambient_dim} against fan in dim {f.ambient_dim}"
-        )
+    _require_valid_in(c, f)
 
     hosts = c.edges + c.rays
     host_ids = {h.id for h in hosts}
@@ -121,12 +126,8 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     piece_cones: dict[str, int] = {}
     data = {}  # output edge id -> (primitive direction, lattice length)
 
-    m = lcm(*(x.denominator for p in vertices.values() for x in p))
-    image = {v: [x.numerator * (m // x.denominator) for x in p] for v, p in vertices.items()}
-    own, vertex_signs = {}, {}  # vertex -> n.(m v) for n in f.hyperplanes; -> their signs
-    for v, q in image.items():
-        own[v] = [sum(map(mul, n, q)) for n in f.hyperplanes]
-        vertex_signs[v] = signs(own[v])
+    m, image = c._image
+    own, vertex_signs = hyperplane_values(f, image)  # vertex -> n.(m v); -> their signs
 
     for h in hosts:
         bounded = isinstance(h, BoundedEdge)

@@ -9,21 +9,25 @@ every normal vanishes on its offset from the cycle, and a ray stays in it
 iff every normal vanishes on its direction.  A shortest-path search from the
 cycle over the edges inside the span reaches exactly the span's connected
 subgraph through the cycle; each vertex of it with an edge or ray leaving
-the span is a departure, at its lattice distance from the cycle.  The curve
-is well-spaced when there are no departures or when the minimum distance is
-attained at least twice.  Only the exact affine span of the cycle is tested,
-not every subspace containing it; this suffices for the catalogued failure
-modes and is recorded as a limitation.
+the span is a departure, at its lattice distance from the cycle.  Both
+tests read the curve's integer image m p (``TropicalCurve._image``), and
+the search sums integers m * length, so each distance d/m is the one
+Fraction built.  The curve is well-spaced when there are no departures or
+when the minimum distance is attained at least twice.  Only the exact
+affine span of the cycle is tested, not every subspace containing it; this
+suffices for the catalogued failure modes and is recorded as a limitation.
 """
 
 import heapq
 from fractions import Fraction
+from math import gcd
+from operator import mul, sub
 from typing import NamedTuple
 
-from .curves import TropicalCurve, edge_data, genus
+from .curves import TropicalCurve, genus
 from .defspace import combinatorial_type, fundamental_cycles
 from .errors import GenusNotOne
-from .latticefan import IntVec, RatVec, dot, double_description
+from .latticefan import IntVec, RatVec, double_description
 
 
 class CycleData(NamedTuple):
@@ -88,21 +92,22 @@ def well_spaced(c: TropicalCurve) -> WellSpacedVerdict:
         return WellSpacedVerdict(well_spaced=True, span_codim=0, departures=())
 
     normals = data.normals
-    # every normal vanishes on p - base iff it takes the same value on p as on base
-    level = [dot(u, data.base_point) for u in normals]
-    inside = {v for v, p in c.vertices.items() if [dot(u, p) for u in normals] == level}
-    adj: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in inside}
+    m, image = c._image
+    # every normal vanishes on p - base iff it takes the same value on m p as on m base
+    level = [sum(map(mul, u, image[data.vertices[0]])) for u in normals]
+    inside = {v for v, q in image.items() if [sum(map(mul, u, q)) for u in normals] == level}
+    adj: dict[str, list[tuple[str, int]]] = {v: [] for v in inside}
     for e in c.edges:
         u, w = e.ends
         if u in inside and w in inside:
-            _, length = edge_data(c, e.id)
-            adj[u].append((w, length))
-            adj[w].append((u, length))
+            steps = gcd(*map(sub, image[w], image[u]))  # m * lattice length
+            adj[u].append((w, steps))
+            adj[w].append((u, steps))
 
-    # multi-source shortest lattice distance from the cycle; the vertices it
-    # reaches are the in-span subgraph's component through the cycle
-    dist: dict[str, Fraction] = {v: Fraction(0) for v in data.vertices}
-    heap = [(Fraction(0), v) for v in sorted(data.vertices)]
+    # multi-source shortest distance from the cycle, in units of 1/m; the
+    # vertices it reaches are the in-span subgraph's component through the cycle
+    dist: dict[str, int] = {v: 0 for v in data.vertices}
+    heap = [(0, v) for v in sorted(data.vertices)]
     heapq.heapify(heap)
     while heap:
         d, v = heapq.heappop(heap)
@@ -115,10 +120,10 @@ def well_spaced(c: TropicalCurve) -> WellSpacedVerdict:
                 heapq.heappush(heap, (nd, w))
 
     departures = tuple(
-        Departure(vertex=v, distance=dist[v])
+        Departure(vertex=v, distance=Fraction(dist[v], m))
         for v in sorted(dist)
         if any(w not in inside for e in c.edges_at(v) for w in e.ends)
-        or any(dot(u, r.direction) for r in c.rays_at(v) for u in normals)
+        or any(sum(map(mul, u, r.direction)) for r in c.rays_at(v) for u in normals)
     )
     # well-spaced: no departure, or the smallest distance attained twice
     nearest = sorted(d.distance for d in departures)[:2]

@@ -13,8 +13,9 @@ location and the cones' sign patterns against the linear scan over every
 cone with rational points that preceded the sign-vector memo, fan
 validation against the earlier one that intersected every pair of cones,
 certificate verification against the earlier one that re-derived each field
-by hand, and ``primitive_and_scale`` against the Fraction formula it
-replaced.
+by hand, and ``integerize`` and the cached edge data against the Fraction
+formula of ``reference_primitive_and_scale``.  The expected deformation
+dimension is checked against the virtual count ``expected_dimension``.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from tropic.defspace import (
 from tropic.degeneration import CertificateCheck, RealizationCertificate, dual_curve
 from tropic.errors import (
     DimMismatch,
-    NonIntegralRatio,
     NotInSupport,
+    TropicError,
     ValidationReport,
     ZeroDirection,
 )
@@ -69,6 +70,10 @@ from tropic.latticefan import (
     rank,
 )
 from tropic.refine import NewVertex, SubdivisionRecord, check_recession_support
+
+
+class NonIntegralRatio(TropicError):
+    code = "NonIntegralRatio"
 
 
 class NodeMonoid(NamedTuple):
@@ -150,8 +155,9 @@ def stellar_fan(rng: random.Random, spec, steps: int):
 
 
 def reference_primitive_and_scale(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
-    """The Fraction formula that ``primitive_and_scale`` replaced: clear the
-    denominators by int(c * m), then divide by the gcd of the entries."""
+    """A nonzero rational vector as scale * primitive with scale > 0, by the
+    Fraction formula: clear the denominators by int(c * m), then divide by
+    the gcd of the entries."""
     w = as_ratvec(v)
     if all(c == 0 for c in w):
         raise ZeroDirection("zero vector has no primitive direction")
@@ -254,6 +260,18 @@ def kernel_dimension(rows, ncols: int | None = None) -> int:
     if ncols is not None and ncols != n:
         raise DimMismatch(f"declared {ncols} columns, rows have {n}")
     return n - len(echelon(rows)[1])
+
+
+def overvalence(t: CombinatorialType) -> int:
+    """Sum over vertices of valence - 3; a 2-valent vertex counts -1."""
+    return 2 * len(t.edges) + len(t.rays) - 3 * len(t.vertices)
+
+
+def expected_dimension(t: CombinatorialType, genus_: int, ends: int) -> int:
+    """Virtual count ends + (n-3)(1-g) - overvalence for a connected type, the
+    oracle of ``superabundance``'s expected n(1-g) + E: the standard trivalent
+    dimension count with every vertex counted as valence - 3, unclamped."""
+    return ends + (t.ambient_dim - 3) * (1 - genus_) - overvalence(t)
 
 
 def dense_deformation_dimension(t: CombinatorialType) -> int:

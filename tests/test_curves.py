@@ -218,8 +218,7 @@ def test_incidence_index_matches_linear_scan():
 def test_cached_edge_data_matches_a_fresh_computation():
     import random
 
-    from helpers import DIRECTIONS
-    from tropic.latticefan import primitive_and_scale
+    from helpers import DIRECTIONS, reference_primitive_and_scale
 
     rng = random.Random(13)
     curves = [TropicalCurve.build(*gen.tree(rng, dim, n, DIRECTIONS[dim]))
@@ -230,7 +229,7 @@ def test_cached_edge_data_matches_a_fresh_computation():
         assert is_balanced(c).balanced  # reads every edge's data, filling the cache
         for e in c.edges:
             pu, pw = c.position(e.ends[0]), c.position(e.ends[1])
-            fresh = primitive_and_scale(tuple(b - a for a, b in zip(pu, pw)))
+            fresh = reference_primitive_and_scale(tuple(b - a for a, b in zip(pu, pw)))
             assert edge_data(c, e.id) == fresh == c._edge_data[e.id]
         assert sorted(c._edge_data) == sorted(e.id for e in c.edges)
 

@@ -4,8 +4,10 @@ from fractions import Fraction
 from helpers import (
     dense_deformation_dimension,
     densify,
+    expected_dimension,
     gen,
     length_coords,
+    overvalence,
     point_of_curve,
     random_tree,
     translated,
@@ -16,9 +18,7 @@ from tropic.defspace import (
     combinatorial_type,
     cycle_closing_matrix,
     deformation_cone,
-    expected_dimension,
     is_superabundant,
-    overvalence,
     superabundance,
 )
 from tropic.latticefan import dot, rank

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import monoid_closure, node_monoid, reference_verify
+from helpers import NonIntegralRatio, monoid_closure, node_monoid, reference_verify
 from tropic import fixtures
 from tropic.curves import is_balanced
 from tropic.degeneration import (
@@ -13,7 +13,7 @@ from tropic.degeneration import (
     dual_curve,
     verify_certificate,
 )
-from tropic.errors import NonIntegralRatio, RecessionNotSupported, Unbalanced
+from tropic.errors import RecessionNotSupported, Unbalanced
 from tropic.latticefan import Cone
 
 
@@ -378,6 +378,46 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
     assert cert.multiplier > 1 and len(cert.rescaled_curve.edges) > len(fresh.edges)
     assert [(label, c is fresh) for label, c in built] == [("validation", True), ("edge data", True)]
     assert "_edge_data" in vars(cert.rescaled_curve)  # handed over, not built
+
+
+def test_each_curve_builds_one_integer_image(monkeypatch):
+    # the curve keeps its integer image: balancing (through the edge data),
+    # the walker and well-spacedness all read it.  The subdivided and rescaled
+    # curves are not handed it, as their m changes, so verify-cert builds one
+    # for the certificate's curve.  integer_image is counted wherever a
+    # tropic module binds it
+    import random
+    import sys
+
+    from helpers import gen
+    from tropic import latticefan
+    from tropic.curves import TropicalCurve
+    from tropic.latticefan import fan_from_maximal
+    from tropic.refine import subdivide_along_fan
+    from tropic.wellspaced import well_spaced
+
+    rng = random.Random(19)
+    offset = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(2)]
+    c = TropicalCurve.build(*gen.honeycomb(3, 3, offset))
+    fan = fan_from_maximal(*gen.fan_p2_r3())
+    real, calls = latticefan.integer_image, []
+
+    def counting(points):
+        calls.append(points)
+        return real(points)
+
+    for module in [m for k, m in sys.modules.items() if k.startswith("tropic.")]:
+        if getattr(module, "integer_image", None) is real:
+            monkeypatch.setattr(module, "integer_image", counting)
+    assert is_balanced(c).balanced
+    assert subdivide_along_fan(c, fan).new_vertices
+    verdict = well_spaced(c)
+    assert verdict.span_codim == 1 and verdict.well_spaced
+    cert = certify(c, fan)
+    assert len(calls) == 1 and calls[0] is c.vertices
+    calls.clear()
+    assert verify_certificate(cert).ok
+    assert len(calls) == 1 and calls[0] is cert.rescaled_curve.vertices
 
 
 def test_derived_node_data_is_exact_on_a_curve_not_rescaled():

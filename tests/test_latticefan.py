@@ -38,8 +38,9 @@ from tropic.latticefan import (
     fan_validate,
     in_closure,
     in_interior,
+    integer_image,
+    integerize,
     primitive,
-    primitive_and_scale,
     rank,
     smallest_containing_cone,
 )
@@ -64,12 +65,13 @@ def test_primitive_idempotent_and_recovers_gcd():
             continue
         p = primitive(v)
         assert primitive(p) == p
-        d, g = primitive_and_scale(v)
-        assert d == p and g > 0
+        d, g = reference_primitive_and_scale(v)
+        assert d == p == integerize(v) and g > 0
         assert tuple(g * x for x in p) == v
 
 
-def test_primitive_and_scale_edge_cases():
+def test_integerize_edge_cases():
+    # integerize is the direction half of the reference scale * primitive split
     cases = {
         (-4, 6): ((-2, 3), Fraction(2)),
         (Fraction(-3, 4), 0, Fraction(9, 2)): ((-1, 0, 6), Fraction(3, 4)),
@@ -79,9 +81,11 @@ def test_primitive_and_scale_edge_cases():
         (Fraction(-1, 6), Fraction(-1, 4), 0): ((-2, -3, 0), Fraction(1, 12)),
     }
     for v, expected in cases.items():
-        d, scale = primitive_and_scale(v)
-        assert (d, scale) == expected == reference_primitive_and_scale(v), v
-        assert all(type(x) is int for x in d) and type(scale) is Fraction
+        assert reference_primitive_and_scale(v) == expected, v
+        d = integerize(v)
+        assert d == expected[0], v
+        assert all(type(x) is int for x in d)
+    assert integerize(("1/2", 0.25, Fraction(-3, 4))) == (2, 1, -3)  # any Fraction() input
     rng = random.Random(17)
 
     def entry():
@@ -90,11 +94,22 @@ def test_primitive_and_scale_edge_cases():
     for _ in range(200):  # negative entries, zeros, and ints mixed with Fractions
         v = tuple(entry() for _ in range(rng.randint(1, 4)))
         if any(v):
-            assert primitive_and_scale(v) == reference_primitive_and_scale(v), v
+            assert integerize(v) == reference_primitive_and_scale(v)[0], v
     for zero in ((0, 0), (Fraction(0), 0, 0), ()):
-        for formula in (primitive_and_scale, reference_primitive_and_scale):
+        for formula in (integerize, reference_primitive_and_scale):
             with pytest.raises(ZeroDirection):
                 formula(zero)
+
+
+def test_integer_image_scales_every_point_by_one_lcm():
+    points = {"a": (Fraction(1, 6), 2), "b": (Fraction(-3, 4), Fraction(0)), 7: (5, 0)}
+    m, image = integer_image(points)
+    assert m == 12
+    assert image == {"a": [2, 24], "b": [-9, 0], 7: [60, 0]}
+    assert all(type(x) is int for q in image.values() for x in q)
+    for key, p in points.items():
+        assert [Fraction(x, m) for x in image[key]] == list(p)
+    assert integer_image({}) == (1, {})
 
 
 def test_cone_contains_examples():

@@ -431,17 +431,21 @@ def test_walker_signs_each_input_vertex_once(monkeypatch):
     # one sign vector per input vertex and one per host (its direction's,
     # which also gives the first interval's); a new vertex takes its vector
     # from the sweep, that of the interval before it with the hyperplanes
-    # crossing there set to 0, so the walk signs no break
-    from tropic import refine
+    # crossing there set to 0, so the walk signs no break.  signs is counted
+    # wherever a tropic module binds it, as the vertices are signed in latticefan
+    import sys
+
+    from tropic.latticefan import signs
 
     calls = []
-    signs = refine.signs
 
     def counting(values):
         calls.append(None)
         return signs(values)
 
-    monkeypatch.setattr(refine, "signs", counting)
+    for module in [m for k, m in sys.modules.items() if k.startswith("tropic.")]:
+        if getattr(module, "signs", None) is signs:
+            monkeypatch.setattr(module, "signs", counting)
     curves, fan = _honeycombs_on_p2(13)
     for c in curves:
         calls.clear()
