@@ -172,7 +172,7 @@ def _cmd_defcone(args) -> tuple[object, int]:
     cone = deformation_cone(combinatorial_type(_load_curve(args.curve)))
     return {
         **cone.verdict._asdict(),
-        "equations": [[rat_to_json(x) for x in row] for row in cone.equations],
+        "equations": [list(row) for row in cone.equations],
         "coordinates": list(cone.coordinates),
     }, 0
 

@@ -11,11 +11,10 @@ building these equations.
 """
 
 from collections import deque
-from fractions import Fraction
 from typing import NamedTuple
 
 from .curves import CurveRay, TropicalCurve, edge_data, require_balanced, require_valid
-from .latticefan import IntVec, RatVec, _sparse_rank
+from .latticefan import IntVec, _sparse_rank
 
 
 class TypeEdge(NamedTuple):
@@ -49,7 +48,7 @@ class DeformationCone(NamedTuple):
 
     combinatorial_type: CombinatorialType
     coordinates: tuple[str, ...]  # labels: "<vertex>[i]" blocks then "len:<edge>"
-    equations: tuple[RatVec, ...]
+    equations: tuple[IntVec, ...]
     verdict: SuperabundanceVerdict
 
     @property
@@ -73,14 +72,14 @@ def deformation_cone(t: CombinatorialType) -> DeformationCone:
     coordinates = tuple(
         f"{v}[{i}]" for v in t.vertices for i in range(n)
     ) + tuple(f"len:{e.id}" for e in t.edges)
-    rows: list[RatVec] = []
+    rows: list[IntVec] = []
     for j, e in enumerate(t.edges):
         u, w = e.ends
         for i in range(n):
-            row = [Fraction(0)] * ncoords
+            row = [0] * ncoords
             row[n * vindex[w] + i] += 1
             row[n * vindex[u] + i] -= 1
-            row[n * len(t.vertices) + j] = Fraction(-e.direction[i])
+            row[n * len(t.vertices) + j] = -e.direction[i]
             rows.append(tuple(row))
     return DeformationCone(
         combinatorial_type=t,

@@ -15,7 +15,16 @@ from typing import NamedTuple
 
 from .curves import BoundedEdge, TropicalCurve, edge_data, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
-from .latticefan import Fan, IntVec, RatVec, _locate, _locate_all, in_closure, locate_points, signs
+from .latticefan import (
+    Fan,
+    IntVec,
+    RatVec,
+    _locate,
+    _locate_all,
+    hyperplane_values,
+    in_closure,
+    signs,
+)
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
@@ -182,7 +191,9 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
         violations.append("Unbalanced: rescaled curve fails balancing")
 
     fan = cert.fan
-    m, values, cones, vectors = locate_points(fan, hat.vertices)
+    m, image = hat._image
+    values, vectors = hyperplane_values(fan, image)
+    cones = _locate_all(fan, hat.vertices, vectors)
     stars, nodes = _derive(hat)
     violations += _mismatches("VertexConeMismatch: vertex", cones, dict(cert.vertex_cones))
     violations += _mismatches("StarMismatch: vertex", stars, dict(cert.vertex_stars))

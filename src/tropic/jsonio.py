@@ -88,16 +88,37 @@ def _list(value, what: str, length: int | None = None) -> list:
     return value
 
 
-def _entries(value, what: str, keys: tuple[str, ...]) -> list[dict]:
-    """A list of objects, each carrying every key in ``keys``."""
-    for entry in _list(value, what):
-        _require(isinstance(entry, dict) and all(k in entry for k in keys),
-                 f"{what} entries need {', '.join(repr(k) for k in keys)}")
+def _int_list(value, what: str, length: int | None = None) -> tuple[int, ...]:
+    return tuple(_int(x, f"{what} entry") for x in _list(value, what, length))
+
+
+def _rat_list(value, what: str, length: int | None = None) -> tuple[Fraction, ...]:
+    return tuple(rat_from_json(x) for x in _list(value, what, length))
+
+
+def _str_pair(value, what: str) -> tuple[str, str]:
+    return tuple(_str(x, f"{what} entry") for x in _list(value, what, 2))
+
+
+def _as_is(value, what: str):
+    """A field checked after the record's id, in a detail that names the id."""
     return value
 
 
-def _int_list(value, what: str) -> tuple[int, ...]:
-    return tuple(_int(x, f"{what} entry") for x in _list(value, what))
+def _records(value, what: str, make, fields: dict) -> tuple:
+    """A list of objects, each with every key of ``fields``, read as ``make(*parsed)``:
+    each value parsed by its key's ``(parser, error label)``, in key order."""
+    records = []
+    for entry in _list(value, what):
+        _require(isinstance(entry, dict) and all(k in entry for k in fields),
+                 f"{what} entries need {', '.join(map(repr, fields))}")
+        records.append(make(*(parse(entry[k], label) for k, (parse, label) in fields.items())))
+    return tuple(records)
+
+
+def _by_id(value, what: str, parse) -> tuple:
+    """An object read as (str(key), parse(value)) pairs, sorted by key."""
+    return tuple(sorted((str(k), parse(v)) for k, v in _object(value, what).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -119,38 +140,25 @@ def curve_to_dict(c: TropicalCurve) -> dict:
 
 
 def curve_from_dict(data) -> TropicalCurve:
-    _require(isinstance(data, dict), "curve document must be an object")
+    _object(data, "curve document")
     n = _int(data.get("ambient_dim"), "ambient_dim")
     vertices = {}
-    _require(isinstance(data.get("vertices"), list), "vertices must be a list")
-    for entry in data["vertices"]:
-        _require(isinstance(entry, dict) and "id" in entry and "coords" in entry,
-                 "vertex entries need 'id' and 'coords'")
-        vid = _str(entry["id"], "vertex id")
+    for vid, coords in _records(data.get("vertices"), "vertices", lambda *pair: pair, {
+        "id": (_str, "vertex id"), "coords": (_as_is, "vertex coordinates"),
+    }):
         _require(vid not in vertices, f"duplicate vertex id {_echo(vid)}")
-        _require(isinstance(entry["coords"], list) and len(entry["coords"]) == n,
-                 f"vertex {_echo(vid)} needs {n} coordinates")
-        vertices[vid] = tuple(rat_from_json(x) for x in entry["coords"])
-    edges = []
-    for entry in _list(data.get("edges", []), "edges"):
-        _require(isinstance(entry, dict) and {"id", "ends", "weight"} <= set(entry),
-                 "edge entries need 'id', 'ends', 'weight'")
-        ends = entry["ends"]
-        _require(isinstance(ends, list) and len(ends) == 2, "edge 'ends' must list two vertices")
-        edges.append(BoundedEdge(_str(entry["id"], "edge id"),
-                                 (_str(ends[0], "edge end"), _str(ends[1], "edge end")),
-                                 _int(entry["weight"], "edge weight")))
-    rays = []
-    for entry in _list(data.get("rays", []), "rays"):
-        _require(isinstance(entry, dict) and {"id", "base", "direction", "weight"} <= set(entry),
-                 "ray entries need 'id', 'base', 'direction', 'weight'")
-        direction = entry["direction"]
-        _require(isinstance(direction, list) and len(direction) == n,
-                 f"ray {_echo(str(entry['id']))} direction needs {n} integer entries")
-        rays.append(CurveRay(_str(entry["id"], "ray id"), _str(entry["base"], "ray base"),
-                             tuple(_int(x, "direction entry") for x in direction),
-                             _int(entry["weight"], "ray weight")))
-    return TropicalCurve(n, vertices, tuple(edges), tuple(rays))
+        vertices[vid] = _rat_list(coords, f"vertex {_echo(vid)} coordinates", n)
+    edges = _records(data.get("edges", []), "edges", BoundedEdge, {
+        "id": (_str, "edge id"), "ends": (_str_pair, "edge ends"), "weight": (_int, "edge weight"),
+    })
+    rays = _records(
+        data.get("rays", []), "rays",
+        lambda rid, base, d, weight: CurveRay(
+            rid, base, _int_list(d, f"ray {_echo(rid)} direction", n), weight),
+        {"id": (_str, "ray id"), "base": (_str, "ray base"), "direction": (_as_is, "ray direction"),
+         "weight": (_int, "ray weight")},
+    )
+    return TropicalCurve(n, vertices, edges, rays)
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +176,14 @@ def fan_to_dict(f: Fan) -> dict:
 
 
 def fan_from_dict(data) -> Fan:
-    _require(isinstance(data, dict), "fan document must be an object")
+    _object(data, "fan document")
     n = _int(data.get("ambient_dim"), "ambient_dim")
-    _require(isinstance(data.get("rays"), list), "fan needs a 'rays' list")
-    rays = []
-    for entry in data["rays"]:
-        _require(isinstance(entry, list) and len(entry) == n,
-                 f"fan rays must be integer vectors of length {n}")
-        rays.append(tuple(_int(x, "ray entry") for x in entry))
-    _require(isinstance(data.get("cones"), list), "fan needs a 'cones' list")
+    rays = [_int_list(entry, "fan ray", n) for entry in _list(data.get("rays"), "fan rays")]
     cones = []
-    for idx_list in data["cones"]:
-        _require(isinstance(idx_list, list), "each cone must be a list of ray indices")
+    for idx_list in _list(data.get("cones"), "fan cones"):
         gens = []
-        for i in idx_list:
-            _require(0 <= _int(i, "ray index") < len(rays), f"bad ray index {_echo(repr(i))}")
+        for i in _int_list(idx_list, "cone ray indices"):
+            _require(0 <= i < len(rays), f"bad ray index {_echo(repr(i))}")
             gens.append(rays[i])
         cones.append(Cone.from_rays(gens, n) if gens else Cone((), n))
     # keep the file's cone order: certificate fields reference cones by index
@@ -215,79 +216,41 @@ def certificate_to_dict(cert: RealizationCertificate) -> dict:
 
 def certificate_from_dict(data) -> RealizationCertificate:
     _object(data, "certificate document")
-    for key in ("curve", "fan", "multiplier", "vertex_cones", "dual_curve", "node_data",
-                "base_point"):
-        _require(key in data, f"certificate is missing {key!r}")
-    curve = curve_from_dict(data["curve"])
-    fan = fan_from_dict(data["fan"])
-    dual_data = _object(data["dual_curve"], "dual_curve")
+    dual_data = _object(data.get("dual_curve"), "dual_curve")
     dual = DualCurve(
-        components=tuple(
-            Component(id=_str(x["id"], "component id"),
-                      vertex=_str(x["vertex"], "component vertex"))
-            for x in _entries(dual_data.get("components", []), "components", ("id", "vertex"))
-        ),
-        nodes=tuple(
-            Node(
-                id=_str(x["id"], "node id"),
-                edge=_str(x["edge"], "node edge"),
-                components=tuple(_str(y, "node component")
-                                 for y in _list(x["components"], "node components", 2)),
-            )
-            for x in _entries(dual_data.get("nodes", []), "nodes", ("id", "edge", "components"))
-        ),
-        marked_points=tuple(
-            MarkedPoint(
-                id=_str(x["id"], "marked point id"),
-                ray=_str(x["ray"], "marked point ray"),
-                component=_str(x["component"], "marked point component"),
-                contact_order=_int(x["contact_order"], "contact_order"),
-            )
-            for x in _entries(dual_data.get("marked_points", []), "marked_points",
-                              ("id", "ray", "component", "contact_order"))
-        ),
+        components=_records(dual_data.get("components", []), "components", Component, {
+            "id": (_str, "component id"), "vertex": (_str, "component vertex"),
+        }),
+        nodes=_records(dual_data.get("nodes", []), "nodes", Node, {
+            "id": (_str, "node id"), "edge": (_str, "node edge"),
+            "components": (_str_pair, "node components"),
+        }),
+        marked_points=_records(dual_data.get("marked_points", []), "marked_points", MarkedPoint, {
+            "id": (_str, "marked point id"), "ray": (_str, "marked point ray"),
+            "component": (_str, "marked point component"), "contact_order": (_int, "contact_order"),
+        }),
     )
-    node_data = tuple(
-        NodeData(
-            edge=_str(x["edge"], "node_data edge"),
-            k=_int(x["k"], "k"),
-            rho=_int(x["rho"], "rho"),
-            u_q=_int_list(x["u_q"], "u_q"),
-        )
-        for x in _entries(data["node_data"], "node_data", ("edge", "k", "rho", "u_q"))
-    )
-    bp = _object(data["base_point"], "base_point")
-    _require("edge_valuations" in bp, "base_point needs edge_valuations")
-    base_point = BasePoint(
-        edge_valuations=tuple(
-            sorted((str(k), rat_from_json(v))
-                   for k, v in _object(bp["edge_valuations"], "edge_valuations").items())
-        ),
-        vertex_positions=tuple(
-            sorted(
-                (str(k), tuple(rat_from_json(x) for x in _list(v, "vertex position")))
-                for k, v in _object(bp.get("vertex_positions", {}), "vertex_positions").items()
-            )
-        ),
-    )
-    stars = _object(data.get("vertex_stars", {}), "vertex_stars")
+    bp = _object(data.get("base_point"), "base_point")
     return RealizationCertificate(
-        rescaled_curve=curve,
-        multiplier=_int(data["multiplier"], "multiplier"),
-        fan=fan,
-        vertex_cones=tuple(
-            sorted((str(k), _int(v, "cone index"))
-                   for k, v in _object(data["vertex_cones"], "vertex_cones").items())
-        ),
-        vertex_stars=tuple(
-            sorted(
-                (str(k), tuple(_int_list(d, "star direction") for d in _list(dirs, "vertex star")))
-                for k, dirs in stars.items()
-            )
+        rescaled_curve=curve_from_dict(data.get("curve")),
+        multiplier=_int(data.get("multiplier"), "multiplier"),
+        fan=fan_from_dict(data.get("fan")),
+        vertex_cones=_by_id(data.get("vertex_cones"), "vertex_cones",
+                            lambda v: _int(v, "cone index")),
+        vertex_stars=_by_id(
+            data.get("vertex_stars", {}), "vertex_stars",
+            lambda dirs: tuple(_int_list(d, "star direction") for d in _list(dirs, "vertex star")),
         ),
         dual=dual,
-        node_data=node_data,
-        base_point=base_point,
+        node_data=_records(data.get("node_data"), "node_data", NodeData, {
+            "edge": (_str, "node_data edge"), "k": (_int, "k"), "rho": (_int, "rho"),
+            "u_q": (_int_list, "u_q"),
+        }),
+        base_point=BasePoint(
+            edge_valuations=_by_id(bp.get("edge_valuations"), "edge_valuations", rat_from_json),
+            vertex_positions=_by_id(bp.get("vertex_positions", {}), "vertex_positions",
+                                    lambda v: _rat_list(v, "vertex position")),
+        ),
     )
 
 

@@ -446,21 +446,11 @@ def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
 
 def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
     """Per key of an integer image, the integers n.q for n in ``f.hyperplanes`` and their signs."""
+    for q in image.values():
+        if len(q) != f.ambient_dim:
+            raise DimMismatch(f"point of dim {len(q)} vs fan in dim {f.ambient_dim}")
     values = {k: [sum(map(mul, n, q)) for n in f.hyperplanes] for k, q in image.items()}
     return values, {k: signs(v) for k, v in values.items()}
-
-
-def locate_points(f: Fan, points: dict) -> tuple[int, dict, dict, dict]:
-    """Rational points located by one ``integer_image``: its m, and per key
-    the integers n.(m p) for n in ``f.hyperplanes``, the index of p's cone
-    (``_locate_all``) and p's sign vector.  The first point outside the
-    support raises NotInSupport."""
-    for p in points.values():
-        if len(p) != f.ambient_dim:
-            raise DimMismatch(f"point of dim {len(p)} vs fan in dim {f.ambient_dim}")
-    m, image = integer_image(points)
-    values, vectors = hyperplane_values(f, image)
-    return m, values, _locate_all(f, points, vectors), vectors
 
 
 def _locate_all(f: Fan, points: dict, vectors: dict) -> dict:
@@ -617,7 +607,8 @@ def _validate_by_walls(maximal: dict) -> ValidationReport | None:
 def smallest_containing_cone(f: Fan, p: Sequence) -> Cone:
     """The first cone of ``f.cones`` whose relative interior contains ``p``
     (on a valid fan, the only one); NotInSupport if there is none."""
-    return f.cones[locate_points(f, {0: p})[2][0]]
+    vectors = hyperplane_values(f, integer_image({0: p})[1])[1]
+    return f.cones[_locate_all(f, {0: p}, vectors)[0]]
 
 
 def _locate(f: Fan, key: tuple[int, ...]) -> int | None:

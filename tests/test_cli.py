@@ -216,6 +216,27 @@ def test_verify_cert_non_string_ids_exit_2(paths, capsys, tmp_path, field, bad_i
     assert (code, report["error"]) == (2, "SchemaError")
 
 
+def test_edge_ends_and_node_components_hold_exactly_two_ids(paths, capsys, tmp_path):
+    for ends in (["v0"], ["v0", "v1", "v0"]):
+        doc = curve_to_dict(fixtures.segfan())
+        doc["edges"][0]["ends"] = ends
+        p = tmp_path / "ends.json"
+        p.write_text(json.dumps(doc))
+        code, text = _capture(capsys, ["check", str(p)])
+        assert (code, json.loads(text)["error"]) == (2, "SchemaError"), ends
+        cert = _segfan_certificate(paths, tmp_path)
+        cert["dual_curve"]["nodes"][0]["components"] = ends
+        code, report = _verify_cert_doc(capsys, tmp_path, cert)
+        assert (code, report["error"]) == (2, "SchemaError"), ends
+
+
+def test_verify_cert_with_a_fan_of_another_dimension_exits_1(paths, capsys, tmp_path):
+    cert = _segfan_certificate(paths, tmp_path)
+    cert["fan"] = fan_to_dict(fixtures.fan_r3())
+    code, report = _verify_cert_doc(capsys, tmp_path, cert)
+    assert (code, report) == (1, {"error": "DimMismatch", "detail": "point of dim 2 vs fan in dim 3"})
+
+
 def test_null_vertex_id_used_consistently_exits_2(tmp_path, capsys):
     # before ids had to be strings, this file read as a valid curve on vertex "None"
     doc = curve_to_dict(fixtures.tripod())
@@ -361,6 +382,20 @@ def test_error_details_cut_long_input_values(tmp_path, capsys):
     doc = curve_to_dict(fixtures.tripod())
     doc["vertices"].append(dict(doc["vertices"][0]))
     assert _check_schema_error(tmp_path, capsys, json.dumps(doc)) == "duplicate vertex id v0"
+    # a vertex's coordinates, a ray's direction and a repeated vertex are
+    # reported by id, cut to 40 characters
+    long_id, cut = "v" * 5000, "v" * 40 + "... (5000 characters)"
+    tripod = curve_to_dict(fixtures.tripod())
+    tripod["vertices"][0]["id"] = tripod["rays"][0]["id"] = long_id
+    for ray in tripod["rays"]:
+        ray["base"] = long_id
+    broken = [dict(tripod, vertices=tripod["vertices"] * 2)]
+    for value in ([0], [0, 0, 0], "0"):
+        broken.append(dict(tripod, vertices=[dict(tripod["vertices"][0], coords=value)]))
+        broken.append(dict(tripod, rays=[dict(tripod["rays"][0], direction=value), *tripod["rays"][1:]]))
+    for doc in broken:
+        detail = _check_schema_error(tmp_path, capsys, json.dumps(doc))
+        assert cut in detail and len(detail) < 150, detail
 
 
 def test_unwritable_out_path_exits_2(paths, tmp_path, capsys):

@@ -382,9 +382,9 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
 
 def test_each_curve_builds_one_integer_image(monkeypatch):
     # the curve keeps its integer image: balancing (through the edge data),
-    # the walker and well-spacedness all read it.  The subdivided and rescaled
-    # curves are not handed it, as their m changes, so verify-cert builds one
-    # for the certificate's curve.  integer_image is counted wherever a
+    # the walker, well-spacedness and verify-cert's point location all read
+    # it.  The subdivided and rescaled curves are not handed it, as their m
+    # changes, so verify-cert builds one for the certificate's curve.  integer_image is counted wherever a
     # tropic module binds it
     import random
     import sys
@@ -392,6 +392,7 @@ def test_each_curve_builds_one_integer_image(monkeypatch):
     from helpers import gen
     from tropic import latticefan
     from tropic.curves import TropicalCurve
+    from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
     from tropic.latticefan import fan_from_maximal
     from tropic.refine import subdivide_along_fan
     from tropic.wellspaced import well_spaced
@@ -418,6 +419,12 @@ def test_each_curve_builds_one_integer_image(monkeypatch):
     calls.clear()
     assert verify_certificate(cert).ok
     assert len(calls) == 1 and calls[0] is cert.rescaled_curve.vertices
+    # a certificate read back from JSON has no edge data handed over: its
+    # point location and its edge data share the one image
+    back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
+    calls.clear()
+    assert verify_certificate(back).ok
+    assert len(calls) == 1 and calls[0] is back.rescaled_curve.vertices
 
 
 def test_derived_node_data_is_exact_on_a_curve_not_rescaled():
@@ -451,14 +458,14 @@ def test_vertex_cones_do_not_change_under_positive_scaling():
             assert certify(scaled(curve, factor), fan).vertex_cones == cones, factor
 
 
-def test_vertex_cones_from_the_walkers_signs_match_locate_points():
+def test_vertex_cones_from_the_walkers_signs_match_the_reference_scan():
     # certify finds each vertex's cone from the sign vector the subdivision
-    # computed; locate_points signs the rescaled vertices itself
+    # computed; reference_locate scans every cone for each rescaled vertex
     import random
 
-    from helpers import gen, stellar_fan
+    from helpers import gen, reference_locate, stellar_fan
     from tropic.curves import TropicalCurve
-    from tropic.latticefan import fan_from_maximal, locate_points
+    from tropic.latticefan import fan_from_maximal
 
     rng = random.Random(17)
     specs = [(gen.rich_fan_r2(), GOLDEN_TREE_SIZES), (gen.rich_fan_r3(), GOLDEN_TREE_SIZES)]
@@ -474,7 +481,9 @@ def test_vertex_cones_from_the_walkers_signs_match_locate_points():
             tree = TropicalCurve.build(*gen.tree(random.Random(seed), spec[2], size, spec[0]))
             cert = certify(tree, fan)
             hat = cert.rescaled_curve
-            assert dict(cert.vertex_cones) == locate_points(fan, hat.vertices)[2]
+            expected = {v: fan.cones.index(reference_locate(fan, p))
+                        for v, p in hat.vertices.items()}
+            assert dict(cert.vertex_cones) == expected
             subdivided += len(hat.vertices) > len(tree.vertices)
     assert subdivided >= 60, subdivided
 

@@ -294,6 +294,8 @@ def test_smallest_containing_cone_on_p2():
     assert smallest_containing_cone(fan, (5, 7)).generators == ((0, 1), (1, 0))
     assert smallest_containing_cone(fan, (0, 0)).generators == ()
     assert smallest_containing_cone(fan, (-2, -2)).generators == ((-1, -1),)
+    with pytest.raises(DimMismatch, match=r"^point of dim 3 vs fan in dim 2$"):
+        smallest_containing_cone(fan, (1, 2, 3))
 
 
 def test_not_in_support():

@@ -1,9 +1,15 @@
 """Property tests, derandomized so that every run draws the same examples."""
 
+import contextlib
+import io
+import json
 import random
+import tempfile
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd
+from operator import getitem
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +25,21 @@ from helpers import (  # noqa: E402
     stellar_fan,
     translated,
 )
+from tropic import cli, fixtures  # noqa: E402
 from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate  # noqa: E402
 from tropic.defspace import combinatorial_type, superabundance  # noqa: E402
 from tropic.degeneration import certify, verify_certificate  # noqa: E402
-from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads  # noqa: E402
+from tropic.errors import SchemaError  # noqa: E402
+from tropic.jsonio import (  # noqa: E402
+    certificate_from_dict,
+    certificate_to_dict,
+    curve_from_dict,
+    curve_to_dict,
+    dumps,
+    fan_from_dict,
+    fan_to_dict,
+    loads,
+)
 from tropic.latticefan import dot, fan_from_maximal, rank  # noqa: E402
 from tropic.refine import subdivide_along_fan  # noqa: E402
 from tropic.wellspaced import Departure, cycle, well_spaced  # noqa: E402
@@ -124,9 +141,115 @@ def test_certificates_survive_the_json_round_trip_and_verify(dim, fan_seed, seed
     rays, fan = _stellar(dim, fan_seed)
     tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays))
     cert = certify(translated(tree, [data.draw(RATIONALS) for _ in range(dim)]), fan)
-    back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
-    assert back == cert
+    text = dumps(certificate_to_dict(cert))
+    back = certificate_from_dict(loads(text))
+    assert back == cert and dumps(certificate_to_dict(back)) == text
     assert verify_certificate(back).ok
+    # the id-keyed maps are read in id order, whatever their order in the file
+    doc = loads(text)
+    bp = doc["base_point"]
+    for holder, key in [(doc, "vertex_cones"), (doc, "vertex_stars"), (bp, "edge_valuations"),
+                        (bp, "vertex_positions")]:
+        holder[key] = dict(reversed(holder[key].items()))
+    assert certificate_from_dict(doc) == cert
+
+
+@DERANDOMIZED
+@hypothesis.given(c=rational_curves(), dim=st.sampled_from([2, 3]), fan_seed=st.integers(0, 3))
+def test_curves_and_fans_survive_the_json_round_trip_byte_for_byte(c, dim, fan_seed):
+    fan = _stellar(dim, fan_seed)[1]
+    pairs = [(c, curve_to_dict, curve_from_dict), (fan, fan_to_dict, fan_from_dict)]
+    for x, to_dict, from_dict in pairs:
+        text = dumps(to_dict(x))
+        back = from_dict(loads(text))
+        assert back == x and dumps(to_dict(back)) == text
+
+
+@cache
+def _documents() -> list:
+    """(command line, document): two curves with rational coordinates for
+    check, two fans to subdivide segfan against, and two certificates for
+    verify-cert.  Every optional list they carry is non-empty."""
+    segfan = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(-1, 2)))
+    speyer3 = translated(fixtures.speyer3(), (Fraction(2, 5), 0, Fraction(-1, 7)))
+    fan = ("subdivide", "{curve}", "--fan", "{doc}")
+    return [
+        (("check", "{doc}"), curve_to_dict(segfan)),
+        (("check", "{doc}"), curve_to_dict(speyer3)),
+        (fan, fan_to_dict(fixtures.fan_p1xp1())),
+        (fan, fan_to_dict(_stellar(2, 0)[1])),
+        (("verify-cert", "{doc}"), certificate_to_dict(certify(segfan, fixtures.fan_p1xp1()))),
+        (("verify-cert", "{doc}"), certificate_to_dict(certify(speyer3, fixtures.fan_r3()))),
+    ]
+
+
+def _paths(doc, path=()):
+    """The path of every value in a JSON document, the document's own () first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, path + (key,))
+
+
+# values no field reads, each replacing a value of another JSON type
+FOREIGN = [None, True, 0.5, "x", [], {}]
+
+
+def test_every_value_of_another_type_is_a_schema_error():
+    # each value of each document in turn, replaced by one of another type
+    readers = {"check": curve_from_dict, "subdivide": fan_from_dict,
+               "verify-cert": certificate_from_dict}
+    for command, doc in _documents():
+        doc = json.loads(json.dumps(doc))
+        for i, (*parents, key) in enumerate(list(_paths(doc))[1:]):
+            holder = reduce(getitem, parents, doc)
+            value = holder[key]
+            others = [x for x in FOREIGN if type(x) is not type(value)]
+            holder[key] = others[i % len(others)]
+            with pytest.raises(SchemaError):
+                readers[command[0]](doc)
+            holder[key] = value
+
+
+@DERANDOMIZED
+@hypothesis.given(data=st.data())
+def test_structurally_mutated_json_exits_1_or_2_with_a_report(data):
+    command, doc = data.draw(st.sampled_from(_documents()))
+    doc = json.loads(json.dumps(doc))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    holder = reduce(getitem, path[:-1], doc)
+    value = holder[path[-1]] if path else doc
+    kinds = ["retype"]
+    if path and isinstance(holder, dict):
+        kinds.append("drop key")
+    # a fan without one of its cones, or with a cone cut to one of its faces,
+    # can still be a fan the curve fits in, so cone lists keep their length
+    if isinstance(value, list) and value and "cones" not in path:
+        kinds.append("shorten")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "retype":
+        new = data.draw(st.sampled_from([x for x in FOREIGN if type(x) is not type(value)]))
+        if path:
+            holder[path[-1]] = new
+        else:
+            doc = new
+    elif kind == "drop key":
+        del holder[path[-1]]
+    else:
+        del value[data.draw(st.integers(0, len(value) - 1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"doc": Path(tmp) / "doc.json", "curve": Path(tmp) / "curve.json"}
+        files["doc"].write_text(json.dumps(doc))
+        files["curve"].write_text(dumps(curve_to_dict(fixtures.segfan())))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run([arg.format(**files) for arg in command])
+    report = json.loads(out.getvalue())
+    # every field is type-checked, so a value of another type is a schema error
+    assert code == 2 if kind == "retype" else code in (1, 2), (kind, path)
+    assert isinstance(report, dict)
+    if code == 2:
+        assert set(report) == {"error", "detail"} and report["error"] == "SchemaError"
 
 
 @DERANDOMIZED
