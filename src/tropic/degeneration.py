@@ -9,8 +9,9 @@ Flipping the orientation negates u_q; the stored order is the documented
 convention.
 """
 
+from collections import Counter
 from fractions import Fraction
-from operator import add, eq, mul
+from operator import add, eq, itemgetter, mul
 from typing import NamedTuple
 
 from .curves import BoundedEdge, TropicalCurve, edge_data, require_balanced
@@ -22,7 +23,7 @@ from .latticefan import (
     _locate,
     _locate_all,
     hyperplane_values,
-    in_closure,
+    in_cone,
     signs,
 )
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
@@ -177,11 +178,11 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
 
 
 def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
-    """Re-derive the certificate from its rescaled curve and fan and compare field
-    by field, naming every vertex or edge id whose entry differs or is missing
-    on one side; then check that the curve maps into the fan cone by cone
-    (PieceNotInCone) with every ray direction a ray of the fan
-    (RecessionNotSupported)."""
+    """Refuse a multiplier or a k that is no positive int, and every id listed
+    twice; re-derive the rest from the rescaled curve and fan, naming each id
+    whose entry differs or is missing on one side; then check that the curve
+    maps into the fan cone by cone (PieceNotInCone) with every ray direction
+    a ray of the fan (RecessionNotSupported)."""
     violations: list[str] = []
     hat, n = cert.rescaled_curve, cert.multiplier
     try:
@@ -189,6 +190,14 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
             violations.append("DualGraphMismatch: dual curve disagrees with the underlying graph")
     except Unbalanced:
         violations.append("Unbalanced: rescaled curve fails balancing")
+    if not (type(n) is int and n >= 1):
+        violations.append("MultiplierNotPositive: the multiplier must be a positive int")
+    bp = cert.base_point
+    for field, entries in zip(("vertex_cones", "vertex_stars", "node_data", *BasePoint._fields),
+                              (cert.vertex_cones, cert.vertex_stars, cert.node_data, *bp)):
+        if len(set(map(itemgetter(0), entries))) < len(entries):
+            ids = Counter(map(itemgetter(0), entries))
+            violations += [f"DuplicateEntry: {field} {_echo(i)}" for i in sorted(ids) if ids[i] > 1]
 
     fan = cert.fan
     m, image = hat._image
@@ -197,11 +206,9 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     stars, nodes = _derive(hat)
     violations += _mismatches("VertexConeMismatch: vertex", cones, dict(cert.vertex_cones))
     violations += _mismatches("StarMismatch: vertex", stars, dict(cert.vertex_stars))
-    violations += _mismatches(
-        "NodeDataMismatch: edge", nodes, {nd.edge: nd for nd in cert.node_data}
-    )
+    violations += _mismatches("NodeDataMismatch: edge", nodes, {
+        nd.edge: nd for nd in cert.node_data if type(nd.k) is int and nd.k > 0})
     # N times the base point is the rescaled curve, compared by cross-multiplication
-    bp = cert.base_point
     violations += _mismatches(
         "BasePointMismatch: edge",
         {e: nd.k for e, nd in nodes.items()},
@@ -227,8 +234,7 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
             d = [sum(map(mul, h, piece.direction)) for h in fan.hyperplanes]
             s, t = vectors[piece.base], signs(d)
             inner = [a + m * b for a, b in zip(values[piece.base], d)]  # base + direction
-        cone = _locate(fan, signs(inner))
-        if cone is None or not (in_closure(p := fan.patterns[cone], s) and in_closure(p, t)):
+        if not in_cone(fan, _locate(fan, signs(inner)), s, t):
             violations.append(f"PieceNotInCone: {_echo(piece.id)}")
     for rid, d in check_recession_support(hat, fan).missing:
         violations.append(

@@ -262,10 +262,17 @@ def dumps(obj: Any) -> str:
         raise DeskScaleExceeded(_OVER_LIMIT) from None
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object; a key given twice is a ValueError, which ``loads`` reports."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError("an object repeats a key")
+    return obj
+
+
 def loads(text: str):
-    """Parse JSON text; a syntax error, an integer over Python's digit limit or
-    nesting deeper than the recursion limit is a SchemaError."""
+    """Parse JSON text; a syntax error, a repeated key, an integer over Python's
+    digit limit or nesting deeper than the recursion limit is a SchemaError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_distinct_keys)
     except (ValueError, RecursionError) as ex:  # ValueError covers json.JSONDecodeError
         raise SchemaError(f"malformed JSON: {ex}") from None

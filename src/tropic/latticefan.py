@@ -444,6 +444,11 @@ def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
     return all(s[j] in (0, sign) for j, sign in pattern)
 
 
+def in_cone(f: Fan, cone: int | None, s: Sequence[int], t: Sequence[int]) -> bool:
+    """Whether the closed cone ``f.cones[cone]`` holds sign vectors s and t; False for None."""
+    return cone is not None and in_closure(f.patterns[cone], s) and in_closure(f.patterns[cone], t)
+
+
 def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
     """Per key of an integer image, the integers n.q for n in ``f.hyperplanes`` and their signs."""
     for q in image.values():

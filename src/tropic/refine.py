@@ -18,14 +18,14 @@ from .curves import (
     edge_data,
     require_valid,
 )
-from .errors import DimMismatch, InvalidCurve, NotInSupport, _echo, _echo_point
+from .errors import DimMismatch, InvalidCurve, NotInSupport, _echo
 from .latticefan import (
     Fan,
     IntVec,
     RatVec,
     _locate,
     hyperplane_values,
-    in_closure,
+    in_cone,
     not_in_support,
     signs,
 )
@@ -99,9 +99,10 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     miss), and a break's: the vector of the interval before it with the
     hyperplanes crossing there set to 0.  Spurious crossings (hyperplane
     extensions through the interior of a cone) are discarded by merging
-    consecutive pieces that land in the same cone.  Every output piece is
-    checked against its cone's pattern by the sign vectors of its ends, which
-    the record keeps per output vertex, and of b for a ray.  Weights are
+    consecutive pieces that land in the same cone.  Each host is one list of
+    stops (vertex, key, sign vector, cone of the piece after): its start, its
+    kept breaks and its end, or for a ray b; each pair of consecutive stops is
+    a piece, checked by ``in_cone`` as in ``verify_certificate``.  Weights are
     inherited, and balancing, genus, support, and the recession fan are
     preserved: the new vertices are straight, 2-valent and fresh, so the
     output inherits the validation verdict and balancing report, and a piece
@@ -156,72 +157,37 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             bounds = [0, *cuts, lb if bounded else (cuts[-1] if cuts else 0) + 2 * lb]
             k = cones.index(None)
             raise not_in_support(_point_at(base, direction, m, bounds[k] + bounds[k + 1], 2 * lb))
-        kept = [k for k in range(len(cuts)) if cones[k] != cones[k + 1]]
-        breaks = [cuts[k] for k in kept]
-        piece_cone_ids = [cones[k] for k in kept] + [cones[-1]]
-        ends = [s]
-        for k in kept:
-            at_break = list(keys[k])
-            for i in crossings[cuts[k]]:
-                at_break[i] = 0
-            ends.append(tuple(at_break))
+        stops = [(start, 0, s, cones[0])]  # (vertex, key, sign vector, cone of the piece after)
+        for k, t in enumerate(cuts):
+            if cones[k] != cones[k + 1]:
+                vid = f"{h.id}#{len(stops)}"
+                _claim(vid, vertices, h.id)
+                vertices[vid] = _point_at(base, direction, m, t, lb)
+                at_break = list(keys[k])
+                for i in crossings[t]:
+                    at_break[i] = 0
+                vertex_signs[vid] = tuple(at_break)
+                record.append(
+                    NewVertex(vid, h.id, "edge" if bounded else "ray", cones[k], cones[k + 1]))
+                stops.append((vid, t, vertex_signs[vid], cones[k + 1]))
+        stops.append((end, lb, vertex_signs[end], None) if bounded else (None, None, sb, None))
         d, scale = edge_data(c, h.id) if bounded else (h.direction, 1)
-        num, den = scale.numerator, scale.denominator * lb
-        chain = [start]
-        for k, t in enumerate(breaks, start=1):
-            vid = f"{h.id}#{k}"
-            _claim(vid, vertices, h.id)
-            vertices[vid] = _point_at(base, direction, m, t, lb)
-            vertex_signs[vid] = ends[k]
-            chain.append(vid)
-            record.append(
-                NewVertex(
-                    id=vid,
-                    host=h.id,
-                    host_kind="edge" if bounded else "ray",
-                    cone_before=piece_cone_ids[k - 1],
-                    cone_after=piece_cone_ids[k],
-                )
-            )
-        if bounded:
-            chain.append(end)
-            ends.append(vertex_signs[end])
-        at = [(vertices[v], e) for v, e in zip(chain, ends)]
-        ts = [0, *breaks, lb]
-        for k, cone in enumerate(piece_cone_ids):
-            pid = f"{h.id}:{k}" if breaks else h.id
-            if breaks:
+        num, den, broken = scale.numerator, scale.denominator * lb, len(stops) > 2
+        for k, ((u, t0, s0, cone), (w, t1, s1, _)) in enumerate(zip(stops, stops[1:])):
+            pid = f"{h.id}:{k}" if broken else h.id
+            if broken:
                 _claim(pid, host_ids, h.id)
-            if k + 1 < len(chain):
-                new_edges.append(BoundedEdge(pid, (chain[k], chain[k + 1]), h.weight))
-                check_piece(f, cone, pid, at[k:k + 2])
-                data[pid] = (d, Fraction((ts[k + 1] - ts[k]) * num, den) if breaks else scale)
+            if w is None:
+                new_rays.append(CurveRay(pid, u, h.direction, h.weight))
             else:
-                new_rays.append(CurveRay(pid, chain[k], h.direction, h.weight))
-                check_piece(f, cone, pid, at[k:], (h.direction, sb))
+                new_edges.append(BoundedEdge(pid, (u, w), h.weight))
+                data[pid] = (d, Fraction((t1 - t0) * num, den) if broken else scale)
+            if not in_cone(f, cone, s0, s1):
+                raise NotInSupport(f"piece {_echo(pid)} leaves cone {f.cones[cone].generators}")
             piece_cones[pid] = cone
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
     return SubdivisionRecord(_inherit(out, c, data), tuple(record), piece_cones, vertex_signs)
-
-
-def check_piece(f: Fan, index: int, piece_id: str, ends, tail=None):
-    """Post-hoc verification that a piece lies in its assigned cone, given a
-    (point, sign vector) pair per end and for a ray its (direction, sign
-    vector) ``tail``.  For a segment it is enough that both endpoints are in
-    the closed cone; for a ray, the base point and the direction (a cone is
-    stable under adding its own elements)."""
-    cone, pattern = f.cones[index], f.patterns[index]
-    for p, s in ends:
-        if not in_closure(pattern, s):
-            raise NotInSupport(
-                f"piece {_echo(piece_id)}: point {_echo_point(p)} escapes cone {cone.generators}"
-            )
-    if tail is not None and not in_closure(pattern, tail[1]):
-        raise NotInSupport(
-            f"piece {_echo(piece_id)}: unbounded direction {_echo_point(tail[0])} leaves "
-            f"cone {cone.generators}; fan may not be complete along the tail"
-        )
 
 
 def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:

@@ -237,6 +237,30 @@ def test_verify_cert_with_a_fan_of_another_dimension_exits_1(paths, capsys, tmp_
     assert (code, report) == (1, {"error": "DimMismatch", "detail": "point of dim 2 vs fan in dim 3"})
 
 
+def test_a_key_repeated_in_any_json_object_exits_2(paths, capsys, tmp_path):
+    # json.loads alone keeps the last of two equal keys: here v0's true cone
+    cert = _segfan_certificate(paths, tmp_path)
+    text = json.dumps(cert)
+    assert text.count('"vertex_cones": {"v0": 0, ') == 1
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(text.replace('"vertex_cones": {', '"vertex_cones": {"v0": 99, '))
+    code, out = _capture(capsys, ["verify-cert", str(doubled)])
+    assert (code, json.loads(out)) == (
+        2, {"error": "SchemaError", "detail": "malformed JSON: an object repeats a key"})
+    # curves and fans too, at the top level and in a nested object
+    curve = json.dumps(curve_to_dict(fixtures.segfan()))
+    fan = json.dumps(fan_to_dict(fixtures.fan_p1xp1()))
+    cases = [("curve", curve.replace('"ambient_dim": 2', '"ambient_dim": 2, "ambient_dim": 2')),
+             ("curve", curve.replace('"id": "v0"', '"id": "v0", "id": "v0"')),
+             ("fan", fan.replace('"ambient_dim": 2', '"ambient_dim": 2, "ambient_dim": 2'))]
+    for kind, text in cases:
+        p = tmp_path / f"{kind}.json"
+        p.write_text(text)
+        argv = ["check", str(p)] if kind == "curve" else ["subdivide", paths["segfan"], "--fan", str(p)]
+        code, out = _capture(capsys, argv)
+        assert (code, json.loads(out)["error"]) == (2, "SchemaError"), text
+
+
 def test_null_vertex_id_used_consistently_exits_2(tmp_path, capsys):
     # before ids had to be strings, this file read as a valid curve on vertex "None"
     doc = curve_to_dict(fixtures.tripod())

@@ -603,7 +603,8 @@ def test_a_doubled_multiplier_names_every_edge_and_moved_vertex(monkeypatch):
     # valuation * N = k and position * N = position are checked by
     # cross-multiplication; the violations were recorded from the verifier
     # that multiplied, on a certificate rescaled by 6 and on one whose
-    # rescaling is skipped, so that k = 1/6 on r0:0 is not an integer
+    # rescaling is skipped, so that k = 1/6 on r0:0 is not an integer, which
+    # no certify emits: that node data alone is refused
     from helpers import translated
     from tropic import degeneration
 
@@ -617,8 +618,9 @@ def test_a_doubled_multiplier_names_every_edge_and_moved_vertex(monkeypatch):
     monkeypatch.setattr(degeneration, "rescale_integral", lambda c: (c, 1))
     raw = certify(curve, fixtures.fan_p1xp1())
     assert dict((nd.edge, nd.k) for nd in raw.node_data) == {"e0": 1, "r0:0": Fraction(1, 6)}
-    assert verify_certificate(raw).ok
-    assert verify_certificate(raw._replace(multiplier=2)).violations == expected
+    assert verify_certificate(raw).violations == ("NodeDataMismatch: edge r0:0",)
+    assert verify_certificate(raw._replace(multiplier=2)).violations == (
+        "NodeDataMismatch: edge r0:0", *expected)
 
 
 CERTIFY_GOLDEN = Path(__file__).parent / "data" / "certify_golden.json"
@@ -656,3 +658,91 @@ def certificate_hashes() -> dict[str, str]:
 def test_certificates_match_the_golden_hashes():
     # generated by certificate_hashes() before the fraction-free walker
     assert certificate_hashes() == json.loads(CERTIFY_GOLDEN.read_text())
+
+
+MULTIPLIER_NOT_POSITIVE = "MultiplierNotPositive: the multiplier must be a positive int"
+
+
+def test_verify_refuses_a_multiplier_below_1_whatever_the_base_point():
+    # the base point is compared by cross-multiplication, so negating N with
+    # every valuation and position keeps it consistent: the sign of N cancels
+    from helpers import translated
+    from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
+    from tropic.jsonio import rat_from_json, rat_to_json
+
+    doc = certificate_to_dict(certify(fixtures.segfan(), fixtures.fan_p1xp1()))
+    assert doc["multiplier"] == 1
+    bp = doc["base_point"]
+    doc["multiplier"] = -1
+    bp["edge_valuations"] = {e: rat_to_json(-rat_from_json(x))
+                             for e, x in bp["edge_valuations"].items()}
+    bp["vertex_positions"] = {v: [rat_to_json(-rat_from_json(x)) for x in p]
+                              for v, p in bp["vertex_positions"].items()}
+    assert bp["edge_valuations"] == {"e0": -1}
+    mirrored = certificate_from_dict(loads(dumps(doc)))
+    assert verify_certificate(mirrored).violations == (MULTIPLIER_NOT_POSITIVE,)
+    zero = verify_certificate(mirrored._replace(multiplier=0)).violations
+    assert zero[0] == MULTIPLIER_NOT_POSITIVE and len(zero) > 1  # and every valuation
+    # a multiplier that equals certify's N but is no int
+    curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
+    cert = certify(curve, fixtures.fan_p1xp1())
+    assert cert.multiplier == 6 and verify_certificate(cert).ok
+    for n in (Fraction(6), 6.0):
+        assert verify_certificate(cert._replace(multiplier=n)).violations == (
+            MULTIPLIER_NOT_POSITIVE,), n
+
+
+def test_verify_refuses_node_data_of_a_curve_never_rescaled(monkeypatch):
+    # with rescaling skipped, the certificate is consistent field by field at
+    # N = 1, but its k = length/weight are 3/4 and 5/6, which certify never
+    # emits (its N is 12)
+    from tropic import degeneration
+    from tropic.latticefan import fan_from_maximal
+
+    fan = fan_from_maximal([(-1, 0), (0, 1), (1, -1)], [[0, 1], [1, 2], [2, 0]], 2)
+    assert certify(fixtures.ratio_path(), fan).multiplier == 12
+    monkeypatch.setattr(degeneration, "rescale_integral", lambda c: (c, 1))
+    raw = certify(fixtures.ratio_path(), fan)
+    ks = {nd.edge: nd.k for nd in raw.node_data}
+    assert sorted(ks.values()) == [Fraction(3, 4), Fraction(5, 6)]
+    assert verify_certificate(raw).violations == tuple(
+        f"NodeDataMismatch: edge {e}" for e in sorted(ks))
+
+
+def test_verify_refuses_a_k_that_is_no_positive_int():
+    # each equals the k = 1 that the curve fixes, and none is an int
+    cert = certify(fixtures.segfan(), fixtures.fan_p1xp1())
+    (nd,) = cert.node_data
+    assert nd.k == 1 and verify_certificate(cert).ok
+    for k in (Fraction(1), 1.0, True):
+        bad = cert._replace(node_data=(nd._replace(k=k),))
+        assert verify_certificate(bad).violations == ("NodeDataMismatch: edge e0",), k
+
+
+def test_verify_names_every_id_listed_twice():
+    from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
+
+    cert = certify(fixtures.segfan(), fixtures.fan_p1xp1())
+    # a second node_data entry for e0, listed first, so that a dict keeps the true one
+    doc = certificate_to_dict(cert)
+    doc["node_data"].insert(0, {"edge": "e0", "k": 999, "rho": 2, "u_q": [5, 5]})
+    back = certificate_from_dict(loads(dumps(doc)))
+    assert verify_certificate(back).violations == ("DuplicateEntry: node_data e0",)
+    # the same for v0's cone, in process
+    bad = cert._replace(vertex_cones=(("v0", 99),) + cert.vertex_cones)
+    assert verify_certificate(bad).violations == ("DuplicateEntry: vertex_cones v0",)
+    # every listed field, each id repeated as it is, three times for v1
+    bp = cert.base_point
+    doubled = cert._replace(
+        vertex_cones=cert.vertex_cones * 2,
+        vertex_stars=cert.vertex_stars + cert.vertex_stars[1:] * 2,
+        node_data=cert.node_data * 2,
+        base_point=bp._replace(edge_valuations=bp.edge_valuations * 2,
+                               vertex_positions=bp.vertex_positions[::-1] + bp.vertex_positions),
+    )
+    assert verify_certificate(doubled).violations == (
+        "DuplicateEntry: vertex_cones v0", "DuplicateEntry: vertex_cones v1",
+        "DuplicateEntry: vertex_stars v1", "DuplicateEntry: node_data e0",
+        "DuplicateEntry: edge_valuations e0", "DuplicateEntry: vertex_positions v0",
+        "DuplicateEntry: vertex_positions v1",
+    )

@@ -37,6 +37,7 @@ from tropic.latticefan import (
     fan_from_maximal,
     fan_validate,
     in_closure,
+    in_cone,
     in_interior,
     integer_image,
     integerize,
@@ -361,20 +362,28 @@ def test_sign_vector_memo_matches_linear_scan():
 
 def test_sign_patterns_match_the_point_oracle():
     # cone by cone, a point's sign vector conforms to a cone's pattern exactly
-    # when the point lies in the cone's relative interior, or in the closed cone
+    # when the point lies in the cone's relative interior, or in the closed
+    # cone; in_cone holds two sign vectors exactly when the closed cone holds
+    # both points, and no cone (None) holds any
     rng = random.Random(13)
-    checked = Counter()
+    checked, pairs = Counter(), Counter()
     for fan in _memo_fans():
         points = _test_points(rng, fan)
         for p in rng.sample(points, min(len(points), 80)):
-            s = point_signs(fan, p)
-            for c, pattern in zip(fan.cones, fan.patterns):
+            q = rng.choice(points)
+            s, t = point_signs(fan, p), point_signs(fan, q)
+            for i, (c, pattern) in enumerate(zip(fan.cones, fan.patterns)):
                 inside = relint_contains(c, p)
                 closed = cone_contains(c, p)
                 assert in_interior(pattern, s) == inside, (c, p)
                 assert in_closure(pattern, s) == closed, (c, p)
                 checked[inside, closed] += 1
+                both = closed and cone_contains(c, q)
+                assert in_cone(fan, i, s, t) == both, (c, p, q)
+                pairs[both, closed] += 1
+            assert not in_cone(fan, None, s, t) and not in_cone(fan, None, s, s)
     assert min(checked[True, True], checked[False, True], checked[False, False]) >= 500
+    assert min(pairs[True, True], pairs[False, True], pairs[False, False]) >= 200, pairs
 
 
 def test_sign_vector_memo_misses_outside_an_incomplete_fan():

@@ -10,6 +10,7 @@ from functools import cache, reduce
 from math import gcd
 from operator import getitem
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -25,10 +26,10 @@ from helpers import (  # noqa: E402
     stellar_fan,
     translated,
 )
-from tropic import cli, fixtures  # noqa: E402
+from tropic import cli, degeneration, fixtures  # noqa: E402
 from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate  # noqa: E402
 from tropic.defspace import combinatorial_type, superabundance  # noqa: E402
-from tropic.degeneration import certify, verify_certificate  # noqa: E402
+from tropic.degeneration import BasePoint, certify, verify_certificate  # noqa: E402
 from tropic.errors import SchemaError  # noqa: E402
 from tropic.jsonio import (  # noqa: E402
     certificate_from_dict,
@@ -152,6 +153,43 @@ def test_certificates_survive_the_json_round_trip_and_verify(dim, fan_seed, seed
                         (bp, "vertex_positions")]:
         holder[key] = dict(reversed(holder[key].items()))
     assert certificate_from_dict(doc) == cert
+
+
+@DERANDOMIZED
+@hypothesis.given(dim=st.sampled_from([2, 3]), fan_seed=st.integers(0, 3),
+                  seed=st.integers(0, 2**32), size=st.integers(2, 10), data=st.data())
+def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, size, data):
+    rays, fan = _stellar(dim, fan_seed)
+    tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays))
+    curve = translated(tree, [data.draw(RATIONALS) for _ in range(dim)])
+    cert = certify(curve, fan)
+    bp = cert.base_point
+    # an entry listed twice, as it is: only the repeat shows
+    fields = {"vertex_cones": cert.vertex_cones, "vertex_stars": cert.vertex_stars,
+              "node_data": cert.node_data, **bp._asdict()}
+    field = data.draw(st.sampled_from(sorted(f for f, entries in fields.items() if entries)))
+    entries = fields[field]
+    i, j = data.draw(st.integers(0, len(entries) - 1)), data.draw(st.integers(0, len(entries)))
+    doubled = entries[:j] + (entries[i],) + entries[j:]
+    if field in bp._fields:
+        mutated = cert._replace(base_point=bp._replace(**{field: doubled}))
+    else:
+        mutated = cert._replace(**{field: doubled})
+    assert verify_certificate(mutated).violations == (f"DuplicateEntry: {field} {entries[i][0]}",)
+    # N negated with the base point, which keeps every cross-multiplication
+    negated = cert._replace(multiplier=-cert.multiplier, base_point=BasePoint(
+        tuple((e, -x) for e, x in bp.edge_valuations),
+        tuple((v, tuple([-x for x in p])) for v, p in bp.vertex_positions)))
+    assert verify_certificate(negated).violations == (
+        "MultiplierNotPositive: the multiplier must be a positive int",)
+    # the curve never rescaled, with the node data and base point certify
+    # derives from it at N = 1: each edge whose k is no integer is named
+    with mock.patch.object(degeneration, "rescale_integral", lambda c: (c, 1)):
+        raw = certify(curve, fan)
+    fractional = sorted(nd.edge for nd in raw.node_data if type(nd.k) is not int)
+    assert bool(fractional) == (cert.multiplier > 1)
+    assert verify_certificate(raw).violations == tuple(
+        f"NodeDataMismatch: edge {e}" for e in fractional)
 
 
 @DERANDOMIZED

@@ -14,9 +14,8 @@ from tropic.curves import (
     validate,
 )
 from tropic.errors import DimMismatch, InvalidCurve, NotInSupport, TropicError
-from tropic.latticefan import Cone, dot, fan_from_maximal
+from tropic.latticefan import dot, fan_from_maximal
 from tropic.refine import (
-    check_piece,
     check_recession_support,
     rescale_integral,
     subdivide_along_fan,
@@ -494,22 +493,18 @@ def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypat
     assert min(seen.values()) >= 10, seen
 
 
-def test_check_piece_details_cut_long_values():
-    from helpers import point_signs
+def test_a_piece_outside_its_cone_is_named_with_its_id_cut(monkeypatch):
+    # no input reaches the walker's piece check: a piece's cone is the cone of
+    # an interval the walker just located, so force the check to fail
+    from tropic import refine
 
-    fan = fixtures.fan_p2()
-    quadrant = fan.cones.index(Cone(((0, 1), (1, 0)), 2))
-    huge = Fraction(-1, 7 ** 3000)
-
-    def at(p):
-        return p, point_signs(fan, p)
-
+    monkeypatch.setattr(refine, "in_cone", lambda *args: False)
+    long_id = "e" * 5000
+    c = TropicalCurve.build(2, {"a": (1, 1), "b": (2, 2)}, [(long_id, ("a", "b"), 1)])
     with pytest.raises(NotInSupport) as info:
-        check_piece(fan, quadrant, "e" * 5000, [at((huge, huge))])
+        subdivide_along_fan(c, fixtures.fan_p2())
     assert len(info.value.message) < 200
-    assert info.value.message.startswith(f"piece {'e' * 40}... (5000 characters): point (-1/")
-    with pytest.raises(NotInSupport, match=r"^piece r: unbounded direction \(-1, -1\) leaves"):
-        check_piece(fan, quadrant, "r", [at((1, 1))], at((-1, -1)))
+    assert info.value.message == f"piece {'e' * 40}... (5000 characters) leaves cone ((0, 1), (1, 0))"
 
 
 def test_subdivision_refuses_to_reuse_reserved_ids():
