@@ -11,6 +11,7 @@ convention.
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from operator import add, eq, itemgetter, mul
 from typing import NamedTuple
 
@@ -178,8 +179,10 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
 
 
 def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
-    """Refuse a multiplier or a k that is no positive int, and every id listed
-    twice; re-derive the rest from the rescaled curve and fan, naming each id
+    """Refuse a multiplier or a k that is no positive int, a multiplier N > 1
+    sharing a factor with every k (certify's N, the lcm of the denominators
+    of length/weight, has gcd 1 with them), and every id listed twice;
+    re-derive the rest from the rescaled curve and fan, naming each id
     whose entry differs or is missing on one side; then check that the curve
     maps into the fan cone by cone (PieceNotInCone) with every ray direction
     a ray of the fan (RecessionNotSupported)."""
@@ -204,6 +207,10 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     values, vectors = hyperplane_values(fan, image)
     cones = _locate_all(fan, hat.vertices, vectors)
     stars, nodes = _derive(hat)
+    ks = [nd.k for nd in nodes.values()]
+    if type(n) is int and n > 1 and all(type(k) is int for k in ks) and gcd(n, *ks) > 1:
+        violations.append(
+            "MultiplierNotLeast: a smaller multiplier makes every length/weight integral")
     violations += _mismatches("VertexConeMismatch: vertex", cones, dict(cert.vertex_cones))
     violations += _mismatches("StarMismatch: vertex", stars, dict(cert.vertex_stars))
     violations += _mismatches("NodeDataMismatch: edge", nodes, {

@@ -8,6 +8,7 @@ byte-identical across runs.
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Any
 
@@ -263,9 +264,11 @@ def dumps(obj: Any) -> str:
 
 
 def _distinct_keys(pairs: list) -> dict:
-    """A JSON object; a key given twice is a ValueError, which ``loads`` reports."""
+    """A JSON object; a key given twice is a ValueError naming the first such
+    key, which ``loads`` reports."""
     if len(obj := dict(pairs)) < len(pairs):
-        raise ValueError("an object repeats a key")
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"an object repeats the key {_echo(repr(key))}")
     return obj
 
 

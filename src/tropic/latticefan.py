@@ -181,78 +181,50 @@ def double_description(
     """Extreme rays of {x : e.x = 0, a.x >= 0} by the incremental double description method.
 
     Returns (lineality_basis, rays); the cone is span(lineality) + cone(rays)
-    and the rays are extreme modulo lineality.  Adjacency is decided by the
-    standard combinatorial test on sets of tight constraints.
+    and the rays are extreme modulo lineality.  The constraints are taken in
+    turn (Fukuda and Prodon, 1996).  One, a, not constant on the lineality
+    space L pivots on a basis vector b0 with a.b0 > 0: the rest of L and every
+    ray are reduced against b0 into a's kernel, and for an inequality b0
+    becomes a ray, tight on every earlier constraint.  Otherwise a cuts the
+    rays: its zero rays stay, its positive ones too for an inequality, and
+    each adjacent pair of a positive and a negative ray adds its primitive
+    combination on a's kernel.  Adjacency is the combinatorial test: no third
+    ray is tight on every constraint both are.
     """
-    lineality: list[IntVec] = [
-        tuple(1 if j == i else 0 for j in range(ambient_dim)) for i in range(ambient_dim)
-    ]
+    lineality = [tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)]
     rays: list[IntVec] = []
-    tight: list[set[int]] = []  # per ray, indices of processed constraints at 0
-    processed = 0
-
-    def reduce_lineality(a: IntVec, keep_pivot_as_ray: bool):
-        nonlocal lineality, rays, tight
-        vals = [dot(a, b) for b in lineality]
-        pivot = next((i for i, v in enumerate(vals) if v != 0), None)
-        if pivot is None:
-            return False
-        b0, v0 = lineality[pivot], vals[pivot]
-        if v0 < 0:
-            b0 = tuple(-c for c in b0)
-            v0 = -v0
-        new_lin = []
-        for i, b in enumerate(lineality):
-            if i == pivot:
-                continue
-            vb = vals[i]
-            new_lin.append(primitive(tuple(v0 * x - vb * y for x, y in zip(b, b0))))
-        lineality = new_lin
-        fixed_rays = []
-        for r in rays:
-            vr = dot(a, r)
-            fixed_rays.append(primitive(tuple(v0 * x - vr * y for x, y in zip(r, b0))))
-        rays = fixed_rays
-        for t in tight:
-            t.add(processed)  # adjusted rays are tight on a
-        if keep_pivot_as_ray:
-            rays.append(b0)
-            tight.append(set(range(processed)))  # b0 was lineality: tight on all prior
-        return True
-
-    def cut_rays(a: IntVec, keep_positive: bool):
-        nonlocal rays, tight
-        vals = [dot(a, r) for r in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        new_rays: list[IntVec] = []
-        new_tight: list[set[int]] = []
-        if keep_positive:
-            for i in pos:
-                new_rays.append(rays[i])
-                new_tight.append(set(tight[i]))
-        for i in zero:
-            new_rays.append(rays[i])
-            new_tight.append(tight[i] | {processed})
-        for i, j in itertools.product(pos, neg):
-            common = tight[i] & tight[j]
-            adjacent = not any(
-                k != i and k != j and common <= tight[k] for k in range(len(rays))
-            )
-            if not adjacent:
-                continue
-            combo = tuple(vals[i] * y - vals[j] * x for x, y in zip(rays[i], rays[j]))
-            new_rays.append(primitive(combo))
-            new_tight.append(common | {processed})
-        rays = new_rays
-        tight = new_tight
-
-    for a, inequality in [(e, False) for e in equations] + [(a, True) for a in inequalities]:
+    tight: list[set[int]] = []  # per ray, the indices of the constraints so far at 0
+    constraints = [(e, False) for e in equations] + [(a, True) for a in inequalities]
+    for k, (a, inequality) in enumerate(constraints):
         a = tuple(int(c) for c in a)
-        if any(a) and not reduce_lineality(a, keep_pivot_as_ray=inequality):
-            cut_rays(a, keep_positive=inequality)
-        processed += 1
+        on_lin, on_rays = [dot(a, b) for b in lineality], [dot(a, r) for r in rays]
+        pivot = next((i for i, v in enumerate(on_lin) if v), None)
+        if pivot is not None:
+            b0, v0 = lineality.pop(pivot), on_lin.pop(pivot)
+            if v0 < 0:
+                b0, v0 = tuple(-y for y in b0), -v0
+            lineality = [primitive(tuple(v0 * x - v * y for x, y in zip(b, b0)))
+                         for b, v in zip(lineality, on_lin)]
+            rays = [primitive(tuple(v0 * x - v * y for x, y in zip(r, b0)))
+                    for r, v in zip(rays, on_rays)]
+            for t in tight:
+                t.add(k)
+            if inequality:
+                rays.append(b0)
+                tight.append(set(range(k)))
+        else:
+            kept = [i for i, v in enumerate(on_rays) if v == 0 or (inequality and v > 0)]
+            new_rays = [rays[i] for i in kept]
+            new_tight = [tight[i] | {k} if on_rays[i] == 0 else tight[i] for i in kept]
+            pos = [i for i, v in enumerate(on_rays) if v > 0]
+            neg = [i for i, v in enumerate(on_rays) if v < 0]
+            for i, j in itertools.product(pos, neg):
+                common = tight[i] & tight[j]
+                if not any(common <= t for n, t in enumerate(tight) if n != i and n != j):
+                    new_rays.append(primitive(tuple(
+                        on_rays[i] * y - on_rays[j] * x for x, y in zip(rays[i], rays[j]))))
+                    new_tight.append(common | {k})
+            rays, tight = new_rays, new_tight
     return tuple(sorted(lineality)), tuple(sorted(rays))
 
 
@@ -338,24 +310,6 @@ def cone_intersection(c1: Cone, c2: Cone) -> Cone:
         gens.append(b)
         gens.append(tuple(-x for x in b))
     return Cone.from_rays(gens, c1.ambient_dim)
-
-
-def cone_faces(c: Cone) -> list[Cone]:
-    """All faces of the cone, each generated by the stored generators lying on it."""
-    seen: dict[frozenset, Cone] = {}
-
-    def visit(gens: tuple[IntVec, ...]):
-        key = frozenset(gens)
-        if key in seen:
-            return
-        face = Cone(tuple(sorted(set(gens))), c.ambient_dim)
-        seen[key] = face
-        for normal in cone_halfspaces(face).inequalities:
-            sub = tuple(g for g in gens if dot(normal, g) == 0)
-            visit(sub)
-
-    visit(c.generators)
-    return sorted(seen.values(), key=lambda f: (len(f.generators), f.generators))
 
 
 def is_face_of(face: Cone, c: Cone) -> bool:
@@ -494,12 +448,15 @@ def fan_from_maximal(
 def fan_validate(f: Fan) -> ValidationReport:
     """Check face closure and that any two cones meet in a common face.
 
-    Stops at the first violation.  Maximal cones (cones that are no proper
-    face of another) are deduplicated as point sets; once faces are closed,
-    checking them suffices, as every cone is a face tau of a maximal sigma,
-    and if sigma and sigma' meet in a common face rho, then tau and a face
-    tau' of sigma' meet in the intersection of two faces of rho, a face of
-    both.
+    Stops at the first violation.  Cones are deduplicated as point sets by
+    ``canonical_form``, and each distinct cone's facets are keyed once: each
+    must be in the fan.  That closes the fan under faces, as a proper face of
+    a cone is a face of one of its facets (Ziegler, *Lectures on Polytopes*,
+    1995, 2.1), and the zero cone is the facet of every ray.  The maximal
+    cones are then the cones that are no facet of another, and checking them
+    suffices: every cone is a face tau of a maximal sigma, and if sigma and
+    sigma' meet in a common face rho, then tau and a face tau' of sigma' meet
+    in the intersection of two faces of rho, a face of both.
 
     When every maximal cone is full-dimensional and simplicial, n >= 2
     linearly independent rays in R^n, the fan is decided by its walls (the
@@ -528,37 +485,33 @@ def fan_validate(f: Fan) -> ValidationReport:
             return report
     keys = [canonical_form(c) for c in f.cones]
     present = set(keys)
-    checked, visited = set(), set()
-    # most extreme rays first, so a proper face comes after its cones: a cone
-    # seen as a face had its faces checked with the larger cone, and the
-    # cones visited are the maximal ones
-    for c, key in sorted(zip(f.cones, keys), key=lambda ck: -sum(map(len, ck[1]))):
-        if key in checked:
+    facets: dict = {}  # canonical form -> (its first cone, [(facet key, facet normal)])
+    for c, key in zip(f.cones, keys):
+        if key in facets:
             continue
-        visited.add(key)
-        for face in cone_faces(c):
-            face_key = canonical_form(face)
-            if face_key not in present:
+        facets[key] = c, []
+        for normal in cone_halfspaces(c).inequalities:
+            facet = tuple(g for g in c.generators if not sum(map(mul, normal, g)))
+            facet_key = canonical_form(Cone(facet, f.ambient_dim))
+            if facet_key not in present:
                 report.add(
                     "FaceClosureViolated",
-                    f"face {_echo_point(face.generators)} of cone {_echo_point(c.generators)} "
+                    f"facet {_echo_point(facet)} of cone {_echo_point(c.generators)} "
                     "is not in the fan",
                 )
                 return report
-            checked.add(face_key)
-    maximal = {}  # canonical form -> its first cone; a cone listed twice is one cone
-    for c, key in zip(f.cones, keys):
-        if key in visited:
-            maximal.setdefault(key, c)
+            facets[key][1].append((facet_key, normal))
+    below = {facet_key for _, walls in facets.values() for facet_key, _ in walls}
+    maximal = {key: cone_walls for key, cone_walls in facets.items() if key not in below}
     n = f.ambient_dim
     if maximal and n >= 2 and all(
         not lin and len(rays) == n and not cone_halfspaces(c).equations
-        for (rays, lin), c in maximal.items()
+        for (rays, lin), (c, _) in maximal.items()
     ):
         walls = _validate_by_walls(maximal)
         if walls is not None:
             return walls
-    for c1, c2 in itertools.combinations(maximal.values(), 2):
+    for (c1, _), (c2, _) in itertools.combinations(maximal.values(), 2):
         inter = cone_intersection(c1, c2)
         if not (is_face_of(inter, c1) and is_face_of(inter, c2)):
             report.add(
@@ -571,34 +524,32 @@ def fan_validate(f: Fan) -> ValidationReport:
 
 
 def _validate_by_walls(maximal: dict) -> ValidationReport | None:
-    """``fan_validate``'s verdict on maximal cones (canonical form -> cone)
-    that are full-dimensional and simplicial, in integers; None if some wall
-    is a facet of one cone only.
+    """``fan_validate``'s verdict on maximal cones (canonical form -> (cone,
+    its (facet key, facet normal) pairs)) that are full-dimensional and
+    simplicial, in integers; None if some wall is a facet of one cone only.
 
-    The wall opposite a ray g of a cone is its other rays, on the side of the
-    facet normal not tight on g: the sign of that normal's first nonzero
+    A wall is keyed by its facet key, whose rays are the wall's; the cone
+    lies on the side of the facet normal: the sign of its first nonzero
     entry, as ``Fan.hyperplanes`` normalises it.
     """
     report = ValidationReport([])
-    held: dict[tuple[IntVec, ...], dict[int, Cone]] = {}  # wall -> side -> cone
-    for (rays, _), c in maximal.items():
-        for normal in cone_halfspaces(c).inequalities:
-            wall = tuple(g for g in rays if not sum(map(mul, normal, g)))
-            side = _oriented(normal)[1]
-            other = held.setdefault(wall, {}).setdefault(side, c)
+    held: dict[tuple, dict[int, Cone]] = {}  # facet key -> side -> cone
+    for c, walls in maximal.values():
+        for wall, normal in walls:
+            other = held.setdefault(wall, {}).setdefault(_oriented(normal)[1], c)
             if other is not c:
                 report.add(
                     "NonFaceIntersection",
                     f"cones {_echo_point(other.generators)} and {_echo_point(c.generators)} "
-                    f"lie on one side of their common facet {_echo_point(wall)}, "
+                    f"lie on one side of their common facet {_echo_point(wall[0])}, "
                     "so they overlap, which is not a common face",
                 )
                 return report
     if any(len(sides) == 1 for sides in held.values()):
         return None
-    (rays, _), first = next(iter(maximal.items()))
+    (rays, _), (first, _) = next(iter(maximal.items()))
     inside = [sum(col) for col in zip(*rays)]  # interior to the first cone
-    for c in maximal.values():
+    for c, _ in maximal.values():
         if c is not first and cone_contains(c, inside):
             report.add(
                 "NonFaceIntersection",

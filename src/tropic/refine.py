@@ -18,14 +18,13 @@ from .curves import (
     edge_data,
     require_valid,
 )
-from .errors import DimMismatch, InvalidCurve, NotInSupport, _echo
+from .errors import DimMismatch, InvalidCurve, _echo
 from .latticefan import (
     Fan,
     IntVec,
     RatVec,
     _locate,
     hyperplane_values,
-    in_cone,
     not_in_support,
     signs,
 )
@@ -100,9 +99,10 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     hyperplanes crossing there set to 0.  Spurious crossings (hyperplane
     extensions through the interior of a cone) are discarded by merging
     consecutive pieces that land in the same cone.  Each host is one list of
-    stops (vertex, key, sign vector, cone of the piece after): its start, its
-    kept breaks and its end, or for a ray b; each pair of consecutive stops is
-    a piece, checked by ``in_cone`` as in ``verify_certificate``.  Weights are
+    stops (vertex, key, cone of the piece after): its start, its kept breaks
+    and its end (none for a ray).  Each pair of consecutive stops is a piece
+    in its cone, unchecked: a stop's sign vector is 0 wherever it differs from
+    the adjacent interval's (a crossing on an edge needs |a| < |b|).  Weights are
     inherited, and balancing, genus, support, and the recession fan are
     preserved: the new vertices are straight, 2-valent and fresh, so the
     output inherits the validation verdict and balancing report, and a piece
@@ -157,7 +157,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             bounds = [0, *cuts, lb if bounded else (cuts[-1] if cuts else 0) + 2 * lb]
             k = cones.index(None)
             raise not_in_support(_point_at(base, direction, m, bounds[k] + bounds[k + 1], 2 * lb))
-        stops = [(start, 0, s, cones[0])]  # (vertex, key, sign vector, cone of the piece after)
+        stops = [(start, 0, cones[0])]  # (vertex, key, cone of the piece after)
         for k, t in enumerate(cuts):
             if cones[k] != cones[k + 1]:
                 vid = f"{h.id}#{len(stops)}"
@@ -169,11 +169,11 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                 vertex_signs[vid] = tuple(at_break)
                 record.append(
                     NewVertex(vid, h.id, "edge" if bounded else "ray", cones[k], cones[k + 1]))
-                stops.append((vid, t, vertex_signs[vid], cones[k + 1]))
-        stops.append((end, lb, vertex_signs[end], None) if bounded else (None, None, sb, None))
+                stops.append((vid, t, cones[k + 1]))
+        stops.append((end, lb, None) if bounded else (None, None, None))
         d, scale = edge_data(c, h.id) if bounded else (h.direction, 1)
         num, den, broken = scale.numerator, scale.denominator * lb, len(stops) > 2
-        for k, ((u, t0, s0, cone), (w, t1, s1, _)) in enumerate(zip(stops, stops[1:])):
+        for k, ((u, t0, cone), (w, t1, _)) in enumerate(zip(stops, stops[1:])):
             pid = f"{h.id}:{k}" if broken else h.id
             if broken:
                 _claim(pid, host_ids, h.id)
@@ -182,8 +182,6 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             else:
                 new_edges.append(BoundedEdge(pid, (u, w), h.weight))
                 data[pid] = (d, Fraction((t1 - t0) * num, den) if broken else scale)
-            if not in_cone(f, cone, s0, s1):
-                raise NotInSupport(f"piece {_echo(pid)} leaves cone {f.cones[cone].generators}")
             piece_cones[pid] = cone
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))

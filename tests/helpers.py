@@ -10,8 +10,10 @@ implementation that scanned the facets of every cone and walked edges and
 rays in two separate loops, with each output vertex signed by Fraction dot
 products, point
 location and the cones' sign patterns against the linear scan over every
-cone with rational points that preceded the sign-vector memo, fan
-validation against the earlier one that intersected every pair of cones,
+cone with rational points that preceded the sign-vector memo, the double
+description against the earlier one written as nested closures, fan
+validation against the earlier one that intersected every pair of cones and
+enumerated every face recursively (``cone_faces``),
 certificate verification against the earlier one that re-derived each field
 by hand, and ``integerize`` and the cached edge data against the Fraction
 formula of ``reference_primitive_and_scale``.  The expected deformation
@@ -55,11 +57,11 @@ from tropic.errors import (
 from tropic.latticefan import (
     Cone,
     Fan,
+    IntVec,
     Matrix,
     RatVec,
     as_ratvec,
     canonical_form,
-    cone_faces,
     cone_halfspaces,
     cone_contains,
     cone_intersection,
@@ -540,6 +542,109 @@ def unsubdivided_record(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     through several cones of ``f``, with every vertex's sign vector."""
     signs = {v: point_signs(f, p) for v, p in c.vertices.items()}
     return SubdivisionRecord(output=c, new_vertices=(), piece_cones={}, vertex_signs=signs)
+
+
+# The double description with nested closures that preceded the single
+# loop; kept verbatim as an oracle.
+def reference_double_description(
+    equations: Sequence[IntVec],
+    inequalities: Sequence[IntVec],
+    ambient_dim: int,
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Extreme rays of {x : e.x = 0, a.x >= 0} by the incremental double description method.
+
+    Returns (lineality_basis, rays); the cone is span(lineality) + cone(rays)
+    and the rays are extreme modulo lineality.  Adjacency is decided by the
+    standard combinatorial test on sets of tight constraints.
+    """
+    lineality: list[IntVec] = [
+        tuple(1 if j == i else 0 for j in range(ambient_dim)) for i in range(ambient_dim)
+    ]
+    rays: list[IntVec] = []
+    tight: list[set[int]] = []  # per ray, indices of processed constraints at 0
+    processed = 0
+
+    def reduce_lineality(a: IntVec, keep_pivot_as_ray: bool):
+        nonlocal lineality, rays, tight
+        vals = [dot(a, b) for b in lineality]
+        pivot = next((i for i, v in enumerate(vals) if v != 0), None)
+        if pivot is None:
+            return False
+        b0, v0 = lineality[pivot], vals[pivot]
+        if v0 < 0:
+            b0 = tuple(-c for c in b0)
+            v0 = -v0
+        new_lin = []
+        for i, b in enumerate(lineality):
+            if i == pivot:
+                continue
+            vb = vals[i]
+            new_lin.append(primitive(tuple(v0 * x - vb * y for x, y in zip(b, b0))))
+        lineality = new_lin
+        fixed_rays = []
+        for r in rays:
+            vr = dot(a, r)
+            fixed_rays.append(primitive(tuple(v0 * x - vr * y for x, y in zip(r, b0))))
+        rays = fixed_rays
+        for t in tight:
+            t.add(processed)  # adjusted rays are tight on a
+        if keep_pivot_as_ray:
+            rays.append(b0)
+            tight.append(set(range(processed)))  # b0 was lineality: tight on all prior
+        return True
+
+    def cut_rays(a: IntVec, keep_positive: bool):
+        nonlocal rays, tight
+        vals = [dot(a, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        new_rays: list[IntVec] = []
+        new_tight: list[set[int]] = []
+        if keep_positive:
+            for i in pos:
+                new_rays.append(rays[i])
+                new_tight.append(set(tight[i]))
+        for i in zero:
+            new_rays.append(rays[i])
+            new_tight.append(tight[i] | {processed})
+        for i, j in itertools.product(pos, neg):
+            common = tight[i] & tight[j]
+            adjacent = not any(
+                k != i and k != j and common <= tight[k] for k in range(len(rays))
+            )
+            if not adjacent:
+                continue
+            combo = tuple(vals[i] * y - vals[j] * x for x, y in zip(rays[i], rays[j]))
+            new_rays.append(primitive(combo))
+            new_tight.append(common | {processed})
+        rays = new_rays
+        tight = new_tight
+
+    for a, inequality in [(e, False) for e in equations] + [(a, True) for a in inequalities]:
+        a = tuple(int(c) for c in a)
+        if any(a) and not reduce_lineality(a, keep_pivot_as_ray=inequality):
+            cut_rays(a, keep_positive=inequality)
+        processed += 1
+    return tuple(sorted(lineality)), tuple(sorted(rays))
+
+
+def cone_faces(c: Cone) -> list[Cone]:
+    """All faces of the cone, each generated by the stored generators lying on it."""
+    seen: dict[frozenset, Cone] = {}
+
+    def visit(gens: tuple[IntVec, ...]):
+        key = frozenset(gens)
+        if key in seen:
+            return
+        face = Cone(tuple(sorted(set(gens))), c.ambient_dim)
+        seen[key] = face
+        for normal in cone_halfspaces(face).inequalities:
+            sub = tuple(g for g in gens if dot(normal, g) == 0)
+            visit(sub)
+
+    visit(c.generators)
+    return sorted(seen.values(), key=lambda f: (len(f.generators), f.generators))
 
 
 def reference_fan_validate(f: Fan) -> ValidationReport:

@@ -246,19 +246,20 @@ def test_a_key_repeated_in_any_json_object_exits_2(paths, capsys, tmp_path):
     doubled.write_text(text.replace('"vertex_cones": {', '"vertex_cones": {"v0": 99, '))
     code, out = _capture(capsys, ["verify-cert", str(doubled)])
     assert (code, json.loads(out)) == (
-        2, {"error": "SchemaError", "detail": "malformed JSON: an object repeats a key"})
+        2, {"error": "SchemaError", "detail": "malformed JSON: an object repeats the key 'v0'"})
     # curves and fans too, at the top level and in a nested object
     curve = json.dumps(curve_to_dict(fixtures.segfan()))
     fan = json.dumps(fan_to_dict(fixtures.fan_p1xp1()))
-    cases = [("curve", curve.replace('"ambient_dim": 2', '"ambient_dim": 2, "ambient_dim": 2')),
-             ("curve", curve.replace('"id": "v0"', '"id": "v0", "id": "v0"')),
-             ("fan", fan.replace('"ambient_dim": 2', '"ambient_dim": 2, "ambient_dim": 2'))]
-    for kind, text in cases:
+    cases = [("curve", curve, "ambient_dim", "2"), ("curve", curve, "id", '"v0"'),
+             ("fan", fan, "ambient_dim", "2")]
+    for kind, text, key, value in cases:
         p = tmp_path / f"{kind}.json"
-        p.write_text(text)
+        pair = f'"{key}": {value}'
+        p.write_text(text.replace(pair, f"{pair}, {pair}"))
         argv = ["check", str(p)] if kind == "curve" else ["subdivide", paths["segfan"], "--fan", str(p)]
         code, out = _capture(capsys, argv)
-        assert (code, json.loads(out)["error"]) == (2, "SchemaError"), text
+        assert (code, json.loads(out)) == (2, {
+            "error": "SchemaError", "detail": f"malformed JSON: an object repeats the key '{key}'"})
 
 
 def test_null_vertex_id_used_consistently_exits_2(tmp_path, capsys):
@@ -420,6 +421,10 @@ def test_error_details_cut_long_input_values(tmp_path, capsys):
     for doc in broken:
         detail = _check_schema_error(tmp_path, capsys, json.dumps(doc))
         assert cut in detail and len(detail) < 150, detail
+    # so is a repeated key, as its repr
+    text = json.dumps(tripod)[:-1] + f', "{long_id}": 1, "{long_id}": 2}}'
+    assert _check_schema_error(tmp_path, capsys, text) == (
+        f"malformed JSON: an object repeats the key '{'v' * 39}... (5002 characters)")
 
 
 def test_unwritable_out_path_exits_2(paths, tmp_path, capsys):

@@ -692,6 +692,30 @@ def test_verify_refuses_a_multiplier_below_1_whatever_the_base_point():
             MULTIPLIER_NOT_POSITIVE,), n
 
 
+def test_verify_refuses_a_multiplier_that_is_not_the_least():
+    # certify's N = 6 dilated to 12: k = 6 and 1 become 12 and 2, and every
+    # other field agrees, but N = 6 makes every length/weight integral
+    from helpers import scaled, translated
+    from tropic.degeneration import _derive, dual_curve
+
+    curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
+    cert = certify(curve, fixtures.fan_p1xp1())
+    assert (cert.multiplier, sorted(nd.k for nd in cert.node_data)) == (6, [1, 6])
+    big = scaled(cert.rescaled_curve, 2)
+    stars, nodes = _derive(big)
+    dilated = cert._replace(rescaled_curve=big, multiplier=12, dual=dual_curve(big),
+                            vertex_stars=tuple(stars.items()), node_data=tuple(nodes.values()))
+    assert sorted(nd.k for nd in dilated.node_data) == [2, 12]
+    assert verify_certificate(dilated).violations == (
+        "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
+    # a curve with no bounded edge must have N = 1
+    line = certify(fixtures.tripod(), fixtures.fan_p2())
+    assert not line.rescaled_curve.edges and line.multiplier == 1 and verify_certificate(line).ok
+    assert set(line.rescaled_curve.vertices.values()) == {(0, 0)}  # N cancels on the base point
+    assert verify_certificate(line._replace(multiplier=2)).violations == (
+        "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
+
+
 def test_verify_refuses_node_data_of_a_curve_never_rescaled(monkeypatch):
     # with rescaling skipped, the certificate is consistent field by field at
     # N = 1, but its k = length/weight are 3/4 and 5/6, which certify never

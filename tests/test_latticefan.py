@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    cone_faces,
     contains_caratheodory,
     densify,
     echelon,
@@ -29,7 +30,6 @@ from tropic.latticefan import (
     canonical_form,
     cone_contains,
     cone_extreme,
-    cone_faces,
     cone_halfspaces,
     cone_intersection,
     cones_equal,
@@ -282,6 +282,20 @@ def test_missing_origin_breaks_face_closure():
     report = fan_validate(fan)
     assert not report.valid
     assert report.violations[0].code == "FaceClosureViolated"
+
+
+def test_face_closure_reaches_below_the_facets():
+    # every facet of the octant is listed, but not the ray e1, a face of two
+    # of them; and the same cones with every ray but without the origin
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    octant = [Cone.from_rays(rays, 3) for rays in ([e1, e2, e3], [e1, e2], [e1, e3], [e2, e3])]
+    no_e1 = Fan.build(octant + [Cone.from_rays([e], 3) for e in (e2, e3)] + [Cone((), 3)], 3)
+    no_origin = Fan.build(octant + [Cone.from_rays([e], 3) for e in (e1, e2, e3)], 3)
+    for fan, missing in ((no_e1, "facet ((1, 0, 0))"), (no_origin, "facet ()")):
+        report = fan_validate(fan)
+        assert _verdict(report) == _verdict(reference_fan_validate(fan)) == (
+            False, "FaceClosureViolated")
+        assert report.violations[0].detail.startswith(missing + " of cone ")
 
 
 def test_trusted_fan_is_still_validated():
@@ -629,17 +643,20 @@ def test_fan_validate_intersects_only_maximal_cones(monkeypatch):
         assert fan_validate(fan).valid and not pairs
 
 
-def test_face_closure_enumerates_the_faces_of_maximal_cones_only(monkeypatch):
+def test_face_closure_keys_each_cone_once_and_each_facet_of_a_distinct_cone_once(monkeypatch):
     from tropic import latticefan
 
-    visited = []
-    real = latticefan.cone_faces
-    monkeypatch.setattr(latticefan, "cone_faces", lambda c: visited.append(c) or real(c))
-    rays, maximal, dim = gen.rich_fan_r3()
-    fan = fan_from_maximal(rays, maximal, dim)
+    keyed = []
+    real = latticefan.canonical_form
+    monkeypatch.setattr(latticefan, "canonical_form", lambda c: keyed.append(c) or real(c))
+    fan = fan_from_maximal(*gen.rich_fan_r3())
     assert fan_validate(fan).valid
-    assert 0 < len(visited) <= len(maximal) < len(fan.cones)
-    assert all(len(c.generators) == dim for c in visited)
+    facets = sum(len(cone_halfspaces(c).inequalities) for c in fan.cones)
+    assert (len(fan.cones), facets, len(keyed)) == (147, 314, 461)
+    # a cone listed twice is keyed twice, and its facets once
+    keyed.clear()
+    assert fan_validate(Fan(fan.cones + fan.cones[-1:], fan.ambient_dim)).valid
+    assert len(keyed) == 462
 
 
 def _mutations(rng, rays, maximal, dim) -> dict:

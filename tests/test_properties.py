@@ -21,6 +21,7 @@ from helpers import (  # noqa: E402
     DIRECTIONS,
     echelon,
     gen,
+    reference_double_description,
     reference_primitive_and_scale,
     scaled,
     stellar_fan,
@@ -41,7 +42,7 @@ from tropic.jsonio import (  # noqa: E402
     fan_to_dict,
     loads,
 )
-from tropic.latticefan import dot, fan_from_maximal, rank  # noqa: E402
+from tropic.latticefan import dot, double_description, fan_from_maximal, rank  # noqa: E402
 from tropic.refine import subdivide_along_fan  # noqa: E402
 from tropic.wellspaced import Departure, cycle, well_spaced  # noqa: E402
 
@@ -73,6 +74,20 @@ def test_rank_matches_echelon_and_ignores_row_order_and_scaling(rows, data):
 
 RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30))
 POSITIVE_RATIONALS = st.builds(Fraction, st.integers(1, 60), st.integers(1, 30))
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=2000)
+@hypothesis.given(dim=st.integers(1, 5), data=st.data())
+def test_double_description_matches_the_nested_closure_version(dim, data):
+    # half the rows come from a pool of a few rows and the zero row, so
+    # repeated and zero rows are common
+    row = st.tuples(*[st.integers(-3, 3)] * dim)
+    pool = data.draw(st.lists(row, min_size=1, max_size=3)) + [(0,) * dim]
+    rows = st.one_of(row, st.sampled_from(pool))
+    equations = data.draw(st.lists(rows, max_size=2))
+    inequalities = data.draw(st.lists(rows, max_size=7))
+    assert double_description(equations, inequalities, dim) == reference_double_description(
+        equations, inequalities, dim)
 
 
 @st.composite
@@ -190,6 +205,13 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
     assert bool(fractional) == (cert.multiplier > 1)
     assert verify_certificate(raw).violations == tuple(
         f"NodeDataMismatch: edge {e}" for e in fractional)
+    # the curve dilated by 2 and N doubled, with the node data derived from
+    # it: every field agrees, but N/2 makes every length/weight integral too
+    big = scaled(cert.rescaled_curve, 2)
+    dilated = cert._replace(rescaled_curve=big, multiplier=2 * cert.multiplier,
+                            node_data=tuple(degeneration._derive(big)[1].values()))
+    assert verify_certificate(dilated).violations == (
+        "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
 
 
 @DERANDOMIZED

@@ -13,7 +13,7 @@ from tropic.curves import (
     recession_fan,
     validate,
 )
-from tropic.errors import DimMismatch, InvalidCurve, NotInSupport, TropicError
+from tropic.errors import DimMismatch, InvalidCurve, TropicError
 from tropic.latticefan import dot, fan_from_maximal
 from tropic.refine import (
     check_recession_support,
@@ -491,20 +491,6 @@ def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypat
                 assert out._edge_data[h.id][1] is edge_data(alone, h.id)[1]
             seen["breaks" if breaks else "spurious only" if crosses else "no crossing"] += 1
     assert min(seen.values()) >= 10, seen
-
-
-def test_a_piece_outside_its_cone_is_named_with_its_id_cut(monkeypatch):
-    # no input reaches the walker's piece check: a piece's cone is the cone of
-    # an interval the walker just located, so force the check to fail
-    from tropic import refine
-
-    monkeypatch.setattr(refine, "in_cone", lambda *args: False)
-    long_id = "e" * 5000
-    c = TropicalCurve.build(2, {"a": (1, 1), "b": (2, 2)}, [(long_id, ("a", "b"), 1)])
-    with pytest.raises(NotInSupport) as info:
-        subdivide_along_fan(c, fixtures.fan_p2())
-    assert len(info.value.message) < 200
-    assert info.value.message == f"piece {'e' * 40}... (5000 characters) leaves cone ((0, 1), (1, 0))"
 
 
 def test_subdivision_refuses_to_reuse_reserved_ids():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 # ROADMAP: "src/ must not grow past <cap> lines unless an item below names
 # its budget".  A change with a named budget raises this cap with it.
-SRC_LINE_CAP = 2509
+SRC_LINE_CAP = 2468
 
 
 def test_library_source_stays_within_its_line_budget():
