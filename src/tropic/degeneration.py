@@ -65,16 +65,11 @@ class DualCurve(NamedTuple):
 def dual_curve(c: TropicalCurve) -> DualCurve:
     """One component per vertex, one node per bounded edge, one marked point per ray."""
     require_balanced(c)
-    components = tuple(Component(id=f"C_{v}", vertex=v) for v in c.vertices)
-    nodes = tuple(
-        Node(id=f"q_{e.id}", edge=e.id, components=(f"C_{e.ends[0]}", f"C_{e.ends[1]}"))
-        for e in c.edges
+    return DualCurve(
+        tuple([Component(f"C_{v}", v) for v in c.vertices]),
+        tuple([Node(f"q_{e.id}", e.id, (f"C_{e.ends[0]}", f"C_{e.ends[1]}")) for e in c.edges]),
+        tuple([MarkedPoint(f"p_{r.id}", r.id, f"C_{r.base}", r.weight) for r in c.rays]),
     )
-    marked = tuple(
-        MarkedPoint(id=f"p_{r.id}", ray=r.id, component=f"C_{r.base}", contact_order=r.weight)
-        for r in c.rays
-    )
-    return DualCurve(components=components, nodes=nodes, marked_points=marked)
 
 
 class NodeData(NamedTuple):
@@ -109,14 +104,20 @@ class CertificateCheck(NamedTuple):
     violations: tuple[str, ...]
 
 
-def _derive(hat: TropicalCurve) -> tuple[dict, dict]:
-    """The certificate fields that the rescaled curve alone fixes, keyed by id.
-
-    Per vertex, its sorted outgoing primitive directions; per bounded edge,
-    NodeData with k = length/weight and u_q = -k*d for the edge's primitive
-    direction d.  k and u_q are integers on a rescaled curve and exact
-    rationals otherwise, so a tampered certificate is compared, not refused.
-    """
+def _derive(hat: TropicalCurve) -> tuple[dict, dict, DualCurve | None]:
+    """The certificate fields that the rescaled curve alone fixes: per vertex,
+    its sorted outgoing primitive directions, per bounded edge, NodeData with
+    k = length/weight and u_q = -k*d for the edge's primitive direction d, and
+    the dual curve, None if unbalanced (an invalid curve raises InvalidCurve
+    first).  k and u_q are integers on a rescaled curve and exact rationals
+    otherwise, so a tampered certificate is compared, not refused.  Like its
+    image, the curve keeps this read-only triple, for certify and verify."""
+    if "_derived" in vars(hat):
+        return vars(hat)["_derived"]
+    try:
+        dual = dual_curve(hat)
+    except Unbalanced:
+        dual = None
     stars, nodes = {v: set() for v in hat.vertices}, {}
     for e in hat.edges:
         d, length = edge_data(hat, e.id)
@@ -127,13 +128,15 @@ def _derive(hat: TropicalCurve) -> tuple[dict, dict]:
         nodes[e.id] = NodeData(e.id, k, e.weight, tuple([-k * x for x in d]))
     for r in hat.rays:
         stars[r.base].add(r.direction)
-    return {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes
+    vars(hat)["_derived"] = derived = {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes, dual
+    return derived
 
 
 def _mismatches(label: str, derived: dict, claimed: dict, same=eq) -> list[str]:
     """``label`` and the id, for each id that only one side holds or whose
-    values are not ``same``; with ``eq``, equal dicts return at once."""
-    if same is eq and derived == claimed:
+    values are not ``same``: none at once if every pair, matched by id, is."""
+    if derived.keys() == claimed.keys() and all(
+            map(same, derived.values(), map(claimed.__getitem__, derived))):
         return []
     return [
         f"{label} {_echo(i)}"
@@ -146,8 +149,8 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     """Run the preparation pipeline and assemble the realization certificate.
 
     Subdivides along the fan, rescales to integral length/weight ratios, and
-    records the dual curve, the cone of each vertex, the fields ``_derive``
-    computes from the rescaled curve, and the base point, whose edge
+    records the cone of each vertex, the fields ``_derive`` computes from
+    (and keeps on) the rescaled curve, and the base point, whose edge
     valuations are the pre-rescaling length/weight ratios k/N.  Rescaling by
     N > 0 keeps every sign vector, so each vertex's cone is found from the
     sign vector the subdivision computed; a vertex outside the support of
@@ -162,14 +165,14 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     record = subdivide_along_fan(c, f)
     hat, mult = rescale_integral(record.output)
     cones = _locate_all(f, hat.vertices, record.vertex_signs)
-    stars, nodes = _derive(hat)
+    stars, nodes, dual = _derive(hat)
     return RealizationCertificate(
         rescaled_curve=hat,
         multiplier=mult,
         fan=f,
         vertex_cones=tuple(cones.items()),
         vertex_stars=tuple(stars.items()),
-        dual=dual_curve(hat),
+        dual=dual,
         node_data=tuple(nodes.values()),
         base_point=BasePoint(
             edge_valuations=tuple((e, Fraction(nd.k, mult)) for e, nd in nodes.items()),
@@ -182,17 +185,17 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     """Refuse a multiplier or a k that is no positive int, a multiplier N > 1
     sharing a factor with every k (certify's N, the lcm of the denominators
     of length/weight, has gcd 1 with them), and every id listed twice;
-    re-derive the rest from the rescaled curve and fan, naming each id
-    whose entry differs or is missing on one side; then check that the curve
+    re-derive the rest from the rescaled curve (``_derive``) and fan, naming
+    each id whose entry differs or is missing on one side; then check the curve
     maps into the fan cone by cone (PieceNotInCone) with every ray direction
     a ray of the fan (RecessionNotSupported)."""
     violations: list[str] = []
     hat, n = cert.rescaled_curve, cert.multiplier
-    try:
-        if dual_curve(hat) != cert.dual:
-            violations.append("DualGraphMismatch: dual curve disagrees with the underlying graph")
-    except Unbalanced:
+    stars, nodes, dual = _derive(hat)
+    if dual is None:
         violations.append("Unbalanced: rescaled curve fails balancing")
+    elif dual != cert.dual:
+        violations.append("DualGraphMismatch: dual curve disagrees with the underlying graph")
     if not (type(n) is int and n >= 1):
         violations.append("MultiplierNotPositive: the multiplier must be a positive int")
     bp = cert.base_point
@@ -206,7 +209,6 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     m, image = hat._image
     values, vectors = hyperplane_values(fan, image)
     cones = _locate_all(fan, hat.vertices, vectors)
-    stars, nodes = _derive(hat)
     ks = [nd.k for nd in nodes.values()]
     if type(n) is int and n > 1 and all(type(k) is int for k in ks) and gcd(n, *ks) > 1:
         violations.append(

@@ -395,7 +395,10 @@ def in_interior(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
 
 def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
     """Whether sign vector ``s`` is in the closed cone of ``pattern`` (``Fan.patterns``)."""
-    return all(s[j] in (0, sign) for j, sign in pattern)
+    for j, sign in pattern:
+        if s[j] and s[j] != sign:
+            return False
+    return True
 
 
 def in_cone(f: Fan, cone: int | None, s: Sequence[int], t: Sequence[int]) -> bool:
@@ -404,11 +407,17 @@ def in_cone(f: Fan, cone: int | None, s: Sequence[int], t: Sequence[int]) -> boo
 
 
 def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
-    """Per key of an integer image, the integers n.q for n in ``f.hyperplanes`` and their signs."""
-    for q in image.values():
+    """Per key of an integer image, the integers n.q for n in ``f.hyperplanes`` and their
+    signs; n.q is summed by columns of the normals, x * column per nonzero coordinate x."""
+    columns, values = list(zip(*f.hyperplanes)), {}
+    for k, q in image.items():
         if len(q) != f.ambient_dim:
             raise DimMismatch(f"point of dim {len(q)} vs fan in dim {f.ambient_dim}")
-    values = {k: [sum(map(mul, n, q)) for n in f.hyperplanes] for k, q in image.items()}
+        v = None
+        for x, column in zip(q, columns):
+            if x:
+                v = [x * c for c in column] if v is None else [a + x * c for a, c in zip(v, column)]
+        values[k] = v or [0] * len(f.hyperplanes)
     return values, {k: signs(v) for k, v in values.items()}
 
 

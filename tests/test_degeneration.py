@@ -599,6 +599,53 @@ def test_single_field_mutations_are_rejected_as_by_the_old_verifier():
         assert len(names) >= 12, names
 
 
+def test_swapped_positions_are_refused_in_any_order():
+    # two vertices' base-point positions swapped and listed in swapped order:
+    # the claimed values, in list order, still pair up with the curve's
+    # vertices in theirs, so each pair is matched by id or the swap passes
+    from helpers import translated
+
+    curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
+    cert = certify(curve, fixtures.fan_p1xp1())
+    (u, p), (w, q), *rest = cert.base_point.vertex_positions
+    assert p != q and [v for v, _ in cert.base_point.vertex_positions] == list(
+        cert.rescaled_curve.vertices)
+    swapped = cert._replace(base_point=cert.base_point._replace(
+        vertex_positions=((w, p), (u, q), *rest)))
+    assert verify_certificate(swapped).violations == (
+        f"BasePointMismatch: vertex {u}", f"BasePointMismatch: vertex {w}")
+
+
+def test_the_rescaled_curve_keeps_its_derived_fields(monkeypatch):
+    # certify derives the stars, node data and dual curve once and the curve
+    # keeps them: verify reads them, and a copy of the curve derives its own
+    from tropic import degeneration
+    from tropic.curves import TropicalCurve
+    from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
+
+    real, calls = degeneration.dual_curve, []
+    monkeypatch.setattr(degeneration, "dual_curve", lambda c: calls.append(c) or real(c))
+    tree, fan = _rich_tree(5, 24)
+    cert = certify(tree, fan)
+    hat = cert.rescaled_curve
+    assert calls == [hat]
+    kept = degeneration._derive(hat)
+    assert degeneration._derive(hat) is kept and verify_certificate(cert).ok
+    assert calls == [hat]
+    fresh = TropicalCurve(*hat)
+    assert "_derived" not in vars(fresh) and degeneration._derive(fresh) == kept
+    assert kept[2] == cert.dual and calls == [hat, fresh]
+    # a certificate read from JSON inherits nothing
+    back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
+    assert verify_certificate(back).ok and calls[2:] == [back.rescaled_curve]
+    assert degeneration._derive(back.rescaled_curve) == kept
+    # an unbalanced curve keeps no dual curve, and verify names it first
+    unbalanced = hat._replace(rays=hat.rays[1:])
+    assert degeneration._derive(unbalanced)[2] is None
+    assert verify_certificate(cert._replace(rescaled_curve=unbalanced)).violations[0] == (
+        "Unbalanced: rescaled curve fails balancing")
+
+
 def test_a_doubled_multiplier_names_every_edge_and_moved_vertex(monkeypatch):
     # valuation * N = k and position * N = position are checked by
     # cross-multiplication; the violations were recorded from the verifier
@@ -702,7 +749,7 @@ def test_verify_refuses_a_multiplier_that_is_not_the_least():
     cert = certify(curve, fixtures.fan_p1xp1())
     assert (cert.multiplier, sorted(nd.k for nd in cert.node_data)) == (6, [1, 6])
     big = scaled(cert.rescaled_curve, 2)
-    stars, nodes = _derive(big)
+    stars, nodes, _ = _derive(big)
     dilated = cert._replace(rescaled_curve=big, multiplier=12, dual=dual_curve(big),
                             vertex_stars=tuple(stars.items()), node_data=tuple(nodes.values()))
     assert sorted(nd.k for nd in dilated.node_data) == [2, 12]

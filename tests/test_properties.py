@@ -42,7 +42,13 @@ from tropic.jsonio import (  # noqa: E402
     fan_to_dict,
     loads,
 )
-from tropic.latticefan import dot, double_description, fan_from_maximal, rank  # noqa: E402
+from tropic.latticefan import (  # noqa: E402
+    dot,
+    double_description,
+    fan_from_maximal,
+    hyperplane_values,
+    rank,
+)
 from tropic.refine import subdivide_along_fan  # noqa: E402
 from tropic.wellspaced import Departure, cycle, well_spaced  # noqa: E402
 
@@ -179,6 +185,15 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
     curve = translated(tree, [data.draw(RATIONALS) for _ in range(dim)])
     cert = certify(curve, fan)
     bp = cert.base_point
+
+    def violations(bad):
+        # the same verdict on a copy of the curve that keeps no derived fields
+        found = verify_certificate(bad).violations
+        copy = TropicalCurve(*bad.rescaled_curve)
+        assert not vars(copy)
+        assert verify_certificate(bad._replace(rescaled_curve=copy)).violations == found
+        return found
+
     # an entry listed twice, as it is: only the repeat shows
     fields = {"vertex_cones": cert.vertex_cones, "vertex_stars": cert.vertex_stars,
               "node_data": cert.node_data, **bp._asdict()}
@@ -190,12 +205,12 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
         mutated = cert._replace(base_point=bp._replace(**{field: doubled}))
     else:
         mutated = cert._replace(**{field: doubled})
-    assert verify_certificate(mutated).violations == (f"DuplicateEntry: {field} {entries[i][0]}",)
+    assert violations(mutated) == (f"DuplicateEntry: {field} {entries[i][0]}",)
     # N negated with the base point, which keeps every cross-multiplication
     negated = cert._replace(multiplier=-cert.multiplier, base_point=BasePoint(
         tuple((e, -x) for e, x in bp.edge_valuations),
         tuple((v, tuple([-x for x in p])) for v, p in bp.vertex_positions)))
-    assert verify_certificate(negated).violations == (
+    assert violations(negated) == (
         "MultiplierNotPositive: the multiplier must be a positive int",)
     # the curve never rescaled, with the node data and base point certify
     # derives from it at N = 1: each edge whose k is no integer is named
@@ -203,15 +218,33 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
         raw = certify(curve, fan)
     fractional = sorted(nd.edge for nd in raw.node_data if type(nd.k) is not int)
     assert bool(fractional) == (cert.multiplier > 1)
-    assert verify_certificate(raw).violations == tuple(
+    assert violations(raw) == tuple(
         f"NodeDataMismatch: edge {e}" for e in fractional)
     # the curve dilated by 2 and N doubled, with the node data derived from
     # it: every field agrees, but N/2 makes every length/weight integral too
     big = scaled(cert.rescaled_curve, 2)
     dilated = cert._replace(rescaled_curve=big, multiplier=2 * cert.multiplier,
                             node_data=tuple(degeneration._derive(big)[1].values()))
-    assert verify_certificate(dilated).violations == (
+    assert violations(dilated) == (
         "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
+
+
+# integer images with many zero and negative coordinates
+COORDINATES = st.sampled_from([0, 0, 0, 1, -1, 2, -3]) | st.integers(-10**12, 10**12)
+
+
+@DERANDOMIZED
+@hypothesis.given(dim=st.sampled_from([1, 2, 3]), fan_seed=st.integers(0, 3), data=st.data())
+def test_hyperplane_values_are_the_dot_products_and_their_signs(dim, fan_seed, data):
+    # the P^1 fan in R^1, or a stellar fan in R^2 or R^3
+    fan = fan_from_maximal([(1,), (-1,)], [[0], [1]], 1) if dim == 1 else _stellar(dim, fan_seed)[1]
+    points = st.lists(COORDINATES, min_size=dim, max_size=dim)
+    image = data.draw(st.dictionaries(st.sampled_from("abcdefgh"), points, max_size=8))
+    image["origin"] = [0] * dim
+    values, vectors = hyperplane_values(fan, image)
+    assert values == {k: [sum(x * y for x, y in zip(n, q)) for n in fan.hyperplanes]
+                      for k, q in image.items()}
+    assert vectors == {k: tuple((x > 0) - (x < 0) for x in v) for k, v in values.items()}
 
 
 @DERANDOMIZED
