@@ -14,7 +14,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .curves import CurveRay, TropicalCurve, edge_data, require_balanced, require_valid
-from .latticefan import IntVec, _sparse_rank
+from .latticefan import IntVec, _echelon
 
 
 class TypeEdge(NamedTuple):
@@ -158,7 +158,7 @@ def superabundance(t: CombinatorialType) -> SuperabundanceVerdict:
     """
     n, nedges = t.ambient_dim, len(t.edges)
     g = nedges - len(t.vertices) + 1
-    r = _sparse_rank(cycle_closing_matrix(t)) if g else 0
+    r = len(_echelon(cycle_closing_matrix(t))) if g else 0
     dimension = n + nedges - r
     expected = n * (1 - g) + nedges
     return SuperabundanceVerdict(dimension, expected, dimension - expected)

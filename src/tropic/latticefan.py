@@ -1,7 +1,7 @@
-"""Exact rational linear algebra, primitive lattice vectors, polyhedral cones, and fans.
+"""Exact linear algebra, primitive lattice vectors, polyhedral cones, and fans.
 
-Everything here is computed over arbitrary-precision rationals (``fractions.Fraction``)
-or plain Python integers; no floating point enters any predicate.  Cones are stored
+Points may be rational (``fractions.Fraction``); predicates and elimination scale
+them to plain Python integers, so no floating point enters any predicate.  Cones are stored
 by generators (V-description); facet descriptions are derived on demand with the
 double description method and cached.  Intended scale is small ("desk scale"):
 ambient dimension <= 6 and a few dozen generators per cone.
@@ -50,9 +50,7 @@ def primitive(v: Sequence[int]) -> IntVec:
     w = tuple(int(c) for c in v)
     if any(c != v[i] for i, c in enumerate(w)):
         raise ValueError("primitive() expects an integer vector")
-    g = 0
-    for c in w:
-        g = gcd(g, abs(c))
+    g = gcd(*w)
     if g == 0:
         raise ZeroDirection("zero vector has no primitive direction")
     return tuple(c // g for c in w)
@@ -71,35 +69,9 @@ def integerize(v: Sequence) -> IntVec:
 
 
 # ---------------------------------------------------------------------------
-# exact rational elimination
+# exact integer elimination
 
 Matrix = Sequence[Sequence]
-
-
-def _rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form: (nonzero rows, each with pivot 1 and zeros in
-    every other pivot column, and their pivot column indices).  It is unique
-    for the row space, so it also serves as a key of that space."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(work):
-            break
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        p = work[r][c]
-        top = work[r] = [x / p for x in work[r]]
-        for i, row in enumerate(work):
-            if i != r and row[c]:
-                f = row[c]
-                work[i] = [x - f * y for x, y in zip(row, top)]
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -112,37 +84,46 @@ def _integer_row(row: Sequence) -> list[int]:
 
 def rank(rows: Matrix) -> int:
     """Rank of a dense matrix: its rows scaled to integers (``_integer_row``)
-    and kept as {column: nonzero entry} for ``_sparse_rank``."""
+    and kept as {column: nonzero entry} for ``_echelon``."""
     rows = list(rows)
     if len({len(row) for row in rows}) > 1:
         raise DimMismatch("rows of unequal length")
-    return _sparse_rank({j: x for j, x in enumerate(_integer_row(row)) if x} for row in rows)
+    return len(_echelon(_sparse(_integer_row(row)) for row in rows))
 
 
-def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank of integer rows given as {column: nonzero entry}: each row is
-    reduced against the pivot rows found so far, keyed by leading column, as
-    p*row - a*pivot (p the pivot's leading entry, a the row's entry there,
-    over their gcd), then divided by the gcd of its entries; a row left
-    nonzero becomes a pivot.  The work follows the nonzeros, so a sparse
-    matrix such as ``defspace.cycle_closing_matrix`` costs far less than
-    dense elimination, while a dense one costs more."""
-    pivots: dict[int, dict[int, int]] = {}  # leading column -> reduced row
+def _sparse(row: Sequence[int]) -> dict[int, int]:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Pivot rows of integer rows given as {column: nonzero entry}, keyed by
+    leading column, each primitive: a row is reduced (``_eliminate``) until its
+    lead is new or it vanishes.  The work follows the nonzeros, so a sparse
+    matrix such as ``defspace.cycle_closing_matrix`` costs far less than dense
+    elimination, while a dense one costs more."""
+    pivots: dict[int, dict[int, int]] = {}
     for r in rows:
         while r:
             lead = min(r)
             top = pivots.get(lead)
             if top is None:
-                pivots[lead] = r
+                g = gcd(*r.values())
+                pivots[lead] = r if g == 1 else {j: x // g for j, x in r.items()}
                 break
-            g = gcd(top[lead], r[lead])
-            p, a = top[lead] // g, r[lead] // g
-            r = {j: p * x for j, x in r.items()}
-            for j, y in top.items():
-                r[j] = r.get(j, 0) - a * y
-            g = gcd(*r.values()) or 1
-            r = {j: x // g for j, x in r.items() if x}
-    return len(pivots)
+            r = _eliminate(r, top, lead)
+    return pivots
+
+
+def _eliminate(r: dict[int, int], top: dict[int, int], lead: int) -> dict[int, int]:
+    """p*r - a*top, p/a the ratio of top's and r's entries in column ``lead`` in lowest terms,
+    p > 0, over the gcd of its entries: zero there, a positive multiple of r plus one of top."""
+    g = gcd(top[lead], r[lead]) * (1 if top[lead] > 0 else -1)
+    p, a = top[lead] // g, r[lead] // g
+    r = {j: p * x for j, x in r.items()}
+    for j, y in top.items():
+        r[j] = r.get(j, 0) - a * y
+    g = gcd(*r.values()) or 1
+    return {j: x // g for j, x in r.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +243,24 @@ def cone_extreme(c: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
 def canonical_form(c: Cone):
     """Hashable key identifying the cone as a point set.
 
-    Extreme rays are only determined modulo the lineality space L, so L is
-    keyed by its reduced row echelon basis and each ray by the unique
-    representative of r + L that vanishes on the pivot columns of that
-    basis, made primitive.
+    Extreme rays are only determined modulo the lineality space L, so L is keyed
+    by its ``_echelon`` rows, each reduced on the others' leading columns and made
+    primitive with a positive lead (L's reduced row echelon basis, scaled), and a
+    ray r by the vector of r + L vanishing on every leading column, made primitive.
     """
     lin, rays = cone_extreme(c)
     if not lin:
         return (rays, ())
-    basis, pivots = _rref(lin)
-    reduced = []
-    for r in rays:
-        v = as_ratvec(r)
-        for row, p in zip(basis, pivots):
-            if v[p]:
-                v = tuple(x - v[p] * y for x, y in zip(v, row))
-        reduced.append(integerize(v))
-    return (tuple(sorted(reduced)), tuple(integerize(row) for row in basis))
+    pivots = _echelon(map(_sparse, lin))
+
+    def reduced(r: dict[int, int], own: int = -1) -> IntVec:
+        for lead in sorted(pivots):
+            if lead != own and lead in r:
+                r = _eliminate(r, pivots[lead], lead)
+        return tuple(r.get(j, 0) for j in range(c.ambient_dim))
+
+    basis = tuple(_oriented(reduced(pivots[lead], lead))[0] for lead in sorted(pivots))
+    return (tuple(sorted(primitive(reduced(_sparse(r))) for r in rays)), basis)
 
 
 def cones_equal(c1: Cone, c2: Cone) -> bool:
@@ -488,6 +470,9 @@ def fan_validate(f: Fan) -> ValidationReport:
     maximal cones, and its completeness is not certified.
     """
     report = ValidationReport([])
+    if f.ambient_dim < 1:
+        report.add("DimMismatch", f"ambient dimension {f.ambient_dim} < 1")
+        return report
     for c in f.cones:
         if c.ambient_dim != f.ambient_dim:
             report.add("DimMismatch", f"cone {c.generators} has ambient dim {c.ambient_dim}")

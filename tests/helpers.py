@@ -11,7 +11,8 @@ rays in two separate loops, with each output vertex signed by Fraction dot
 products, point
 location and the cones' sign patterns against the linear scan over every
 cone with rational points that preceded the sign-vector memo, the double
-description against the earlier one written as nested closures, fan
+description against the earlier one written as nested closures, cone keys
+against the earlier ``Fraction`` reduced row echelon form, fan
 validation against the earlier one that intersected every pair of cones and
 enumerated every face recursively (``cone_faces``),
 certificate verification against the earlier one that re-derived each field
@@ -64,9 +65,11 @@ from tropic.latticefan import (
     canonical_form,
     cone_halfspaces,
     cone_contains,
+    cone_extreme,
     cone_intersection,
     dot,
     fan_from_maximal,
+    integerize,
     is_face_of,
     primitive,
     rank,
@@ -197,6 +200,54 @@ def echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(work):
             break
     return work, pivots
+
+
+def _rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form: (nonzero rows, each with pivot 1 and zeros in
+    every other pivot column, and their pivot column indices).  It is unique
+    for the row space, so it also serves as a key of that space."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(work):
+            break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        p = work[r][c]
+        top = work[r] = [x / p for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                f = row[c]
+                work[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+def reference_canonical_form(c: Cone):
+    """Hashable key identifying the cone as a point set.
+
+    Extreme rays are only determined modulo the lineality space L, so L is
+    keyed by its reduced row echelon basis and each ray by the unique
+    representative of r + L that vanishes on the pivot columns of that
+    basis, made primitive.
+    """
+    lin, rays = cone_extreme(c)
+    if not lin:
+        return (rays, ())
+    basis, pivots = _rref(lin)
+    reduced = []
+    for r in rays:
+        v = as_ratvec(r)
+        for row, p in zip(basis, pivots):
+            if v[p]:
+                v = tuple(x - v[p] * y for x, y in zip(v, row))
+        reduced.append(integerize(v))
+    return (tuple(sorted(reduced)), tuple(integerize(row) for row in basis))
 
 
 def densify(rows: Sequence[dict[int, int]], ncols: int) -> list[list[int]]:

@@ -691,6 +691,15 @@ def test_fan_file_marked_trusted_is_still_validated(paths, capsys, tmp_path):
     assert report["detail"].startswith("NonFaceIntersection")
 
 
+def test_subdivide_refuses_a_fan_in_ambient_dimension_below_one(paths, capsys, tmp_path):
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps({"ambient_dim": -1, "rays": [], "cones": [[]]}))
+    code, text = _capture(capsys, ["subdivide", paths["tripod"], "--fan", str(path)])
+    report = json.loads(text)
+    assert (code, report["error"]) == (1, "InvalidFan")
+    assert report["detail"] == "DimMismatch: ambient dimension -1 < 1"
+
+
 def test_verify_cert_validates_the_certificates_fan(paths, capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     assert run(["certify", paths["tripod"], "--fan", paths["fan_p2"], "--out", str(cert_path)]) == 0

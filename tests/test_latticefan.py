@@ -14,6 +14,7 @@ from helpers import (
     point_signs,
     primitive_box_fan,
     rank_by_transpose,
+    reference_canonical_form,
     reference_fan_validate,
     reference_locate,
     reference_primitive_and_scale,
@@ -213,7 +214,7 @@ def test_rank_matches_echelon_on_cycle_closing_matrices():
     # short by the genus, since the honeycomb lies in a plane
     from tropic.curves import TropicalCurve
     from tropic.defspace import combinatorial_type, cycle_closing_matrix
-    from tropic.latticefan import _sparse_rank
+    from tropic.latticefan import _echelon
 
     rng = random.Random(17)
     for dim in (2, 3):
@@ -225,7 +226,7 @@ def test_rank_matches_echelon_on_cycle_closing_matrices():
             g = (d - 1) * (d - 2) // 2
             assert len(closing) == dim * g
             assert rank(closing) == len(echelon(closing)[1]) == 2 * g, (dim, d)
-            assert _sparse_rank(sparse) == 2 * g, (dim, d)  # superabundance's call
+            assert len(_echelon(sparse)) == 2 * g, (dim, d)  # superabundance's call
 
 
 @pytest.mark.parametrize(
@@ -524,6 +525,7 @@ def test_canonical_form_matches_mutual_containment():
             cone_contains(b, g) for g in a.generators
         )
         assert (canonical_form(a) == canonical_form(b)) == same, (a, b)
+        assert all(canonical_form(x) == reference_canonical_form(x) for x in (a, b)), (a, b)
         key = (same, bool(canonical_form(a)[1]))
         outcomes[key] = outcomes.get(key, 0) + 1
     # equal and unequal pairs, with and without lineality, are all well represented
@@ -549,6 +551,14 @@ def test_canonical_form_ignores_which_lineality_basis_and_rays_are_returned(monk
         monkeypatch.undo()
         checked += 1
     assert checked >= 100
+
+
+def test_fan_validate_refuses_an_ambient_dimension_below_one():
+    # as curves do; checked before the cones, so a cone of another dimension is not named
+    for f in (Fan((Cone((), -1),), -1), Fan((), 0), Fan((Cone(((1,),), 1),), 0)):
+        report = fan_validate(f)
+        assert [(v.code, v.detail) for v in report.violations] == [
+            ("DimMismatch", f"ambient dimension {f.ambient_dim} < 1")], f
 
 
 def _lineality_fans():

@@ -43,6 +43,7 @@ from tropic.jsonio import (  # noqa: E402
     loads,
 )
 from tropic.latticefan import (  # noqa: E402
+    _echelon,
     dot,
     double_description,
     fan_from_maximal,
@@ -69,6 +70,10 @@ NONZERO_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9).f
 def test_rank_matches_echelon_and_ignores_row_order_and_scaling(rows, data):
     expected = len(echelon(rows)[1])
     assert rank(rows) == expected
+    # the pivot rows are keyed by their leading column, and primitive
+    pivots = _echelon({j: x for j, x in enumerate(row) if x} for row in rows)
+    assert len(pivots) == expected
+    assert all(min(row) == lead and gcd(*row.values()) == 1 for lead, row in pivots.items())
     permuted = data.draw(st.permutations(rows))
     assert rank(permuted) == expected
     if rows:

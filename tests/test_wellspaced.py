@@ -192,7 +192,7 @@ def test_cycle_on_parallel_multi_edge():
 
 
 def test_well_spaced_tests_the_span_without_elimination(monkeypatch):
-    # count rank, _sparse_rank and double_description wherever a tropic module binds them
+    # count rank, _echelon and double_description wherever a tropic module binds them
     calls = []
 
     def counting(name, fn):
@@ -201,7 +201,7 @@ def test_well_spaced_tests_the_span_without_elimination(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("rank", "_sparse_rank", "double_description"):
+    for name in ("rank", "_echelon", "double_description"):
         real = getattr(latticefan, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("tropic") and getattr(module, name, None) is real:
