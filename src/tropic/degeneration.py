@@ -24,7 +24,7 @@ from .latticefan import (
     _locate,
     _locate_all,
     hyperplane_values,
-    in_cone,
+    in_closure,
     signs,
 )
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
@@ -243,7 +243,9 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
             d = [sum(map(mul, h, piece.direction)) for h in fan.hyperplanes]
             s, t = vectors[piece.base], signs(d)
             inner = [a + m * b for a, b in zip(values[piece.base], d)]  # base + direction
-        if not in_cone(fan, _locate(fan, signs(inner)), s, t):
+        cone = _locate(fan, signs(inner))
+        if cone is None or not (in_closure(fan.patterns[cone], s)
+                                and in_closure(fan.patterns[cone], t)):
             violations.append(f"PieceNotInCone: {_echo(piece.id)}")
     for rid, d in check_recession_support(hat, fan).missing:
         violations.append(

@@ -263,10 +263,6 @@ def canonical_form(c: Cone):
     return (tuple(sorted(primitive(reduced(_sparse(r))) for r in rays)), basis)
 
 
-def cones_equal(c1: Cone, c2: Cone) -> bool:
-    return c1.ambient_dim == c2.ambient_dim and canonical_form(c1) == canonical_form(c2)
-
-
 def cone_contains(c: Cone, p: Sequence) -> bool:
     """Exact membership of a rational point in the closed cone."""
     if len(p) != c.ambient_dim:
@@ -279,6 +275,7 @@ def cone_contains(c: Cone, p: Sequence) -> bool:
 
 
 def cone_intersection(c1: Cone, c2: Cone) -> Cone:
+    """The intersection of two cones, generated by its extreme rays and ± its lineality basis."""
     if c1.ambient_dim != c2.ambient_dim:
         raise DimMismatch("intersecting cones of different ambient dimension")
     h1, h2 = cone_halfspaces(c1), cone_halfspaces(c2)
@@ -292,18 +289,6 @@ def cone_intersection(c1: Cone, c2: Cone) -> Cone:
         gens.append(b)
         gens.append(tuple(-x for x in b))
     return Cone.from_rays(gens, c1.ambient_dim)
-
-
-def is_face_of(face: Cone, c: Cone) -> bool:
-    """Whether ``face`` equals the face of ``c`` cut out by its tight facet normals."""
-    if face.ambient_dim != c.ambient_dim:
-        raise DimMismatch("face test across ambient dimensions")
-    if not all(cone_contains(c, g) for g in face.generators):
-        return False
-    h = cone_halfspaces(c)
-    tight = [n for n in h.inequalities if all(dot(n, g) == 0 for g in face.generators)]
-    cut = tuple(g for g in c.generators if all(dot(n, g) == 0 for n in tight))
-    return cones_equal(face, Cone(cut, c.ambient_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +366,6 @@ def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
         if s[j] and s[j] != sign:
             return False
     return True
-
-
-def in_cone(f: Fan, cone: int | None, s: Sequence[int], t: Sequence[int]) -> bool:
-    """Whether the closed cone ``f.cones[cone]`` holds sign vectors s and t; False for None."""
-    return cone is not None and in_closure(f.patterns[cone], s) and in_closure(f.patterns[cone], t)
 
 
 def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
@@ -467,7 +447,8 @@ def fan_validate(f: Fan) -> ValidationReport:
     wall that is a facet of one cone only, as on the boundary of an
     incomplete fan; cones not simplicial, not of full dimension, or with
     lineality; n = 1; no cones) is decided by intersecting every pair of
-    maximal cones, and its completeness is not certified.
+    maximal cones, and its completeness is not certified.  Their intersection
+    must have the key of a face of both: the cone itself or a face of a facet.
     """
     report = ValidationReport([])
     if f.ambient_dim < 1:
@@ -505,9 +486,12 @@ def fan_validate(f: Fan) -> ValidationReport:
         walls = _validate_by_walls(maximal)
         if walls is not None:
             return walls
-    for (c1, _), (c2, _) in itertools.combinations(maximal.values(), 2):
+    faces: dict = {}  # canonical form -> the keys of its faces, its own included
+    for key in sorted(facets, key=lambda k: len(k[0])):  # a facet has fewer rays
+        faces[key] = {key}.union(*(faces[facet_key] for facet_key, _ in facets[key][1]))
+    for (k1, (c1, _)), (k2, (c2, _)) in itertools.combinations(maximal.items(), 2):
         inter = cone_intersection(c1, c2)
-        if not (is_face_of(inter, c1) and is_face_of(inter, c2)):
+        if canonical_form(inter) not in faces[k1] & faces[k2]:
             report.add(
                 "NonFaceIntersection",
                 f"cones {_echo_point(c1.generators)} and {_echo_point(c2.generators)} meet in "

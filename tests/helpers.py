@@ -13,7 +13,8 @@ location and the cones' sign patterns against the linear scan over every
 cone with rational points that preceded the sign-vector memo, the double
 description against the earlier one written as nested closures, cone keys
 against the earlier ``Fraction`` reduced row echelon form, fan
-validation against the earlier one that intersected every pair of cones and
+validation against the earlier one that intersected every pair of cones,
+tested each intersection by tight facet normals (``is_face_of``) and
 enumerated every face recursively (``cone_faces``),
 certificate verification against the earlier one that re-derived each field
 by hand, and ``integerize`` and the cached edge data against the Fraction
@@ -70,7 +71,6 @@ from tropic.latticefan import (
     dot,
     fan_from_maximal,
     integerize,
-    is_face_of,
     primitive,
     rank,
 )
@@ -696,6 +696,24 @@ def cone_faces(c: Cone) -> list[Cone]:
 
     visit(c.generators)
     return sorted(seen.values(), key=lambda f: (len(f.generators), f.generators))
+
+
+# The face test by tight facet normals that fan_validate used before it read
+# the faces of a cone from its facet keys; kept verbatim as an oracle.
+def cones_equal(c1: Cone, c2: Cone) -> bool:
+    return c1.ambient_dim == c2.ambient_dim and canonical_form(c1) == canonical_form(c2)
+
+
+def is_face_of(face: Cone, c: Cone) -> bool:
+    """Whether ``face`` equals the face of ``c`` cut out by its tight facet normals."""
+    if face.ambient_dim != c.ambient_dim:
+        raise DimMismatch("face test across ambient dimensions")
+    if not all(cone_contains(c, g) for g in face.generators):
+        return False
+    h = cone_halfspaces(c)
+    tight = [n for n in h.inequalities if all(dot(n, g) == 0 for g in face.generators)]
+    cut = tuple(g for g in c.generators if all(dot(n, g) == 0 for n in tight))
+    return cones_equal(face, Cone(cut, c.ambient_dim))
 
 
 def reference_fan_validate(f: Fan) -> ValidationReport:

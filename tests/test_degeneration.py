@@ -293,6 +293,27 @@ def test_verify_rejects_a_ray_through_several_cones(monkeypatch):
     assert verify_certificate(cert).violations == ("PieceNotInCone: r-",)
 
 
+def test_verify_rejects_a_piece_outside_the_support(monkeypatch):
+    # on the axis rays with no 2-cone, the edge's midpoint and the points
+    # base + direction of ra2 and rb2 lie in no cone: verify reports the
+    # pieces and does not raise
+    from tropic.curves import BoundedEdge, CurveRay, TropicalCurve
+    from tropic.latticefan import fan_from_maximal
+
+    fan = fan_from_maximal([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0], [1], [2], [3]], 2)
+    assert len(fan.cones) == 5
+    curve = TropicalCurve(
+        2,
+        {"a": (Fraction(1), Fraction(0)), "b": (Fraction(0), Fraction(1))},
+        (BoundedEdge("e", ("a", "b"), 1),),
+        (CurveRay("ra1", "a", (1, 0), 1), CurveRay("ra2", "a", (0, -1), 1),
+         CurveRay("rb1", "b", (0, 1), 1), CurveRay("rb2", "b", (-1, 0), 1)),
+    )
+    cert = _unsubdivided_certificate(monkeypatch, curve, fan)
+    assert verify_certificate(cert).violations == (
+        "PieceNotInCone: e", "PieceNotInCone: ra2", "PieceNotInCone: rb2")
+
+
 def test_verify_requires_recession_support():
     cert = certify(fixtures.tripod(), fixtures.fan_p2())
     # on the axis fan every piece and vertex keeps its cone; only r2 = (-1,-1) has no ray

@@ -6,10 +6,12 @@ import pytest
 
 from helpers import (
     cone_faces,
+    cones_equal,
     contains_caratheodory,
     densify,
     echelon,
     gen,
+    is_face_of,
     kernel_dimension,
     point_signs,
     primitive_box_fan,
@@ -33,12 +35,10 @@ from tropic.latticefan import (
     cone_extreme,
     cone_halfspaces,
     cone_intersection,
-    cones_equal,
     double_description,
     fan_from_maximal,
     fan_validate,
     in_closure,
-    in_cone,
     in_interior,
     integer_image,
     integerize,
@@ -378,8 +378,8 @@ def test_sign_vector_memo_matches_linear_scan():
 def test_sign_patterns_match_the_point_oracle():
     # cone by cone, a point's sign vector conforms to a cone's pattern exactly
     # when the point lies in the cone's relative interior, or in the closed
-    # cone; in_cone holds two sign vectors exactly when the closed cone holds
-    # both points, and no cone (None) holds any
+    # cone; the closed cone holds two sign vectors exactly when it holds both
+    # points (the pair verify_certificate checks per piece)
     rng = random.Random(13)
     checked, pairs = Counter(), Counter()
     for fan in _memo_fans():
@@ -387,16 +387,15 @@ def test_sign_patterns_match_the_point_oracle():
         for p in rng.sample(points, min(len(points), 80)):
             q = rng.choice(points)
             s, t = point_signs(fan, p), point_signs(fan, q)
-            for i, (c, pattern) in enumerate(zip(fan.cones, fan.patterns)):
+            for c, pattern in zip(fan.cones, fan.patterns):
                 inside = relint_contains(c, p)
                 closed = cone_contains(c, p)
                 assert in_interior(pattern, s) == inside, (c, p)
                 assert in_closure(pattern, s) == closed, (c, p)
                 checked[inside, closed] += 1
                 both = closed and cone_contains(c, q)
-                assert in_cone(fan, i, s, t) == both, (c, p, q)
+                assert (in_closure(pattern, s) and in_closure(pattern, t)) == both, (c, p, q)
                 pairs[both, closed] += 1
-            assert not in_cone(fan, None, s, t) and not in_cone(fan, None, s, s)
     assert min(checked[True, True], checked[False, True], checked[False, False]) >= 500
     assert min(pairs[True, True], pairs[False, True], pairs[False, False]) >= 200, pairs
 
@@ -669,6 +668,21 @@ def test_face_closure_keys_each_cone_once_and_each_facet_of_a_distinct_cone_once
     assert len(keyed) == 462
 
 
+def test_pairwise_path_keys_each_intersection_once(monkeypatch):
+    # the faces of a cone are read from the facet keys of face closure: one
+    # key per cone, per facet of a distinct cone and per pair of maximal cones
+    from tropic import latticefan
+
+    keyed = []
+    real = latticefan.canonical_form
+    monkeypatch.setattr(latticefan, "canonical_form", lambda c: keyed.append(c) or real(c))
+    box = primitive_box_fan()
+    incomplete = Fan.build(box.cones[:-1], 2)
+    assert fan_validate(incomplete).valid
+    facets = sum(len(cone_halfspaces(c).inequalities) for c in incomplete.cones)
+    assert (len(incomplete.cones), facets, len(keyed)) == (32, 46, 32 + 46 + 15 * 14 // 2)
+
+
 def _mutations(rng, rays, maximal, dim) -> dict:
     """The complete fan and four changes to it, each a fan_from_maximal spec."""
     out = {"complete": (rays, maximal), "dropped": (rays, maximal[1:])}
@@ -772,8 +786,6 @@ def test_star_and_recession_fans_are_valid():
 
 def test_faces_are_faces_and_closed_under_faces():
     rng = random.Random(61)
-    from tropic.latticefan import is_face_of
-
     for _ in range(15):
         dim = rng.randint(2, 3)
         gens = []
