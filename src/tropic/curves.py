@@ -28,7 +28,6 @@ from .latticefan import (
     RatVec,
     as_ratvec,
     integer_image,
-    primitive,
 )
 
 
@@ -192,62 +191,61 @@ def require_valid(c: TropicalCurve) -> None:
 
 
 def _check_structure(c: TropicalCurve) -> ValidationReport:
-    report = ValidationReport([])
-    if c.ambient_dim < 1:
-        report.add("DimMismatch", f"ambient dimension {c.ambient_dim} < 1")
-    if not c.vertices:
+    report, vertices, dim = ValidationReport([]), c.vertices, c.ambient_dim
+    if dim < 1:
+        report.add("DimMismatch", f"ambient dimension {dim} < 1")
+    if not vertices:
         report.add("Empty", "curve has no vertices")
-    for v, pos in c.vertices.items():
-        if len(pos) != c.ambient_dim:
+    for v, pos in vertices.items():
+        if len(pos) != dim:
             report.add("DimMismatch", f"vertex {_echo(v)} has {len(pos)} coordinates")
     seen_ids: set[str] = set()
-    for e in c.edges:
-        eid = _echo(e.id)
-        reused = e.id in seen_ids
+    data = c._edge_data
+    for eid, (u, w), weight in c.edges:  # ids are echoed only in a violation's detail
+        reused = eid in seen_ids
         if reused:
-            report.add("DuplicateId", f"edge id {eid} reused")
-        seen_ids.add(e.id)
-        if e.weight < 1:
-            report.add("NonpositiveWeight", f"edge {eid} has weight {e.weight}")
-        missing = [v for v in e.ends if v not in c.vertices]
-        if missing:
-            report.add("NoSuchVertex", f"edge {eid} references {[_echo(v) for v in missing]}")
+            report.add("DuplicateId", f"edge id {_echo(eid)} reused")
+        seen_ids.add(eid)
+        if weight < 1:
+            report.add("NonpositiveWeight", f"edge {_echo(eid)} has weight {weight}")
+        if u not in vertices or w not in vertices:
+            missing = [_echo(v) for v in (u, w) if v not in vertices]
+            report.add("NoSuchVertex", f"edge {_echo(eid)} references {missing}")
             continue
-        pu, pw = c.vertices[e.ends[0]], c.vertices[e.ends[1]]
+        pu, pw = vertices[u], vertices[w]
         # the edge data hold the first edge of each id whose ends differ in a shared coordinate
-        if (pu == pw) if reused else (e.id not in c._edge_data and len(pu) == len(pw)):
-            report.add("DegenerateEdge", f"edge {eid} has coincident endpoints")
-    for r in c.rays:
-        rid = _echo(r.id)
-        if r.id in seen_ids:
-            report.add("DuplicateId", f"ray id {rid} reused")
-        seen_ids.add(r.id)
-        if r.weight < 1:
-            report.add("NonpositiveWeight", f"ray {rid} has weight {r.weight}")
-        if r.base not in c.vertices:
-            report.add("NoSuchVertex", f"ray {rid} based at unknown vertex {_echo(r.base)}")
-        if len(r.direction) != c.ambient_dim:
-            report.add("DimMismatch", f"ray {rid} direction has {len(r.direction)} coordinates")
-        elif all(x == 0 for x in r.direction):
-            report.add("ZeroDirection", f"ray {rid} has zero direction")
-        elif primitive(r.direction) != r.direction:
-            report.add("NonPrimitiveDirection", f"ray {rid} direction {r.direction}")
-    if c.vertices and not _connected(c):
+        if (pu == pw) if reused else (eid not in data and len(pu) == len(pw)):
+            report.add("DegenerateEdge", f"edge {_echo(eid)} has coincident endpoints")
+    for rid, base, d, weight in c.rays:
+        if rid in seen_ids:
+            report.add("DuplicateId", f"ray id {_echo(rid)} reused")
+        seen_ids.add(rid)
+        if weight < 1:
+            report.add("NonpositiveWeight", f"ray {_echo(rid)} has weight {weight}")
+        if base not in vertices:
+            report.add("NoSuchVertex", f"ray {_echo(rid)} based at unknown vertex {_echo(base)}")
+        if len(d) != dim:
+            report.add("DimMismatch", f"ray {_echo(rid)} direction has {len(d)} coordinates")
+        elif not any(d):
+            report.add("ZeroDirection", f"ray {_echo(rid)} has zero direction")
+        elif gcd(*d) != 1:
+            report.add("NonPrimitiveDirection", f"ray {_echo(rid)} direction {d}")
+    if vertices and not _connected(c):
         report.add("Disconnected", "underlying graph is not connected")
     return report
 
 
 def _connected(c: TropicalCurve) -> bool:
-    start = next(iter(c.vertices))
-    seen = {start}
-    stack = [start]
+    vertices, incidence = c.vertices, c._incidence
+    start = next(iter(vertices))
+    seen, stack = {start}, [start]
     while stack:
-        for e in c.edges_at(stack.pop()):
+        for e in incidence.get(stack.pop(), ((), ()))[0]:
             for w in e.ends:
-                if w in c.vertices and w not in seen:
+                if w in vertices and w not in seen:
                     seen.add(w)
                     stack.append(w)
-    return len(seen) == len(c.vertices)
+    return len(seen) == len(vertices)
 
 
 def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:

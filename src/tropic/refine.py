@@ -98,8 +98,8 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     miss), and a break's: the vector of the interval before it with the
     hyperplanes crossing there set to 0.  Spurious crossings (hyperplane
     extensions through the interior of a cone) are discarded by merging
-    consecutive pieces that land in the same cone.  Each host is one list of
-    stops (vertex, key, cone of the piece after): its start, its kept breaks
+    consecutive pieces that land in the same cone.  Each broken host is one list
+    of stops (vertex, key, cone of the piece after): its start, its kept breaks
     and its end (none for a ray).  Each pair of consecutive stops is a piece
     in its cone, unchecked: a stop's sign vector is 0 wherever it differs from
     the adjacent interval's (a crossing on an edge needs |a| < |b|).  Weights are
@@ -109,10 +109,11 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     from key to key' its host's direction and length (key'-key)*num/(den*lb)
     for a host of lattice length num/den (1 for a ray).  The only Fractions
     built are values the output stores: the coordinates of each break and
-    the lengths of a broken host's pieces; a host with no kept break builds
-    none and keeps its own length.  New vertices are named ``<host>#k`` and
-    pieces ``<host>:k``; an input curve already using such an id raises
-    InvalidCurve.  The fan is assumed complete; ``fan_validate`` certifies
+    the lengths of a broken host's pieces.  A host whose intervals all lie in
+    one cone keeps no break and is passed through as it is, with its edge
+    data, and a curve in which no host breaks is its own output, caches and
+    all.  New vertices are named ``<host>#k`` and pieces ``<host>:k``; an
+    input curve already using such an id raises InvalidCurve.  The fan is assumed complete; ``fan_validate`` certifies
     that for complete simplicial fans only, and a traversed point outside
     the support raises NotInSupport.
     """
@@ -135,10 +136,9 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         start, end = h.ends if bounded else (h.base, None)
         a, s, base = own[start], vertex_signs[start], image[start]
         if bounded:
-            b, direction = list(map(sub, own[end], a)), list(map(sub, image[end], base))
+            b = list(map(sub, own[end], a))
         else:
-            direction = [m * x for x in h.direction]
-            b = [sum(map(mul, n, direction)) for n in f.hyperplanes]
+            b = [m * sum(map(mul, n, h.direction)) for n in f.hyperplanes]
         sb = signs(b)
         real = [(i, abs(x), abs(y)) for i, (x, y) in enumerate(zip(a, b))
                 if (x < 0 < y or y < 0 < x) and (not bounded or abs(x) < abs(y))]
@@ -153,6 +153,13 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                 interval[i] = -interval[i]
             keys.append(tuple(interval))
         cones = [_locate(f, key) for key in keys]
+        if cones[0] is not None and cones.count(cones[0]) == len(cones):  # no break kept
+            (new_edges if bounded else new_rays).append(h)
+            if bounded:
+                data[h.id] = c._edge_data[h.id]
+            piece_cones[h.id] = cones[0]
+            continue
+        direction = list(map(sub, image[end], base)) if bounded else [m * x for x in h.direction]
         if None in cones:  # name the interval's midpoint, or 1 past a ray's last crossing
             bounds = [0, *cuts, lb if bounded else (cuts[-1] if cuts else 0) + 2 * lb]
             k = cones.index(None)
@@ -171,19 +178,20 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                     NewVertex(vid, h.id, "edge" if bounded else "ray", cones[k], cones[k + 1]))
                 stops.append((vid, t, cones[k + 1]))
         stops.append((end, lb, None) if bounded else (None, None, None))
-        d, scale = edge_data(c, h.id) if bounded else (h.direction, 1)
-        num, den, broken = scale.numerator, scale.denominator * lb, len(stops) > 2
+        d, scale = c._edge_data[h.id] if bounded else (h.direction, 1)
+        num, den = scale.numerator, scale.denominator * lb
         for k, ((u, t0, cone), (w, t1, _)) in enumerate(zip(stops, stops[1:])):
-            pid = f"{h.id}:{k}" if broken else h.id
-            if broken:
-                _claim(pid, host_ids, h.id)
+            pid = f"{h.id}:{k}"
+            _claim(pid, host_ids, h.id)
             if w is None:
                 new_rays.append(CurveRay(pid, u, h.direction, h.weight))
             else:
                 new_edges.append(BoundedEdge(pid, (u, w), h.weight))
-                data[pid] = (d, Fraction((t1 - t0) * num, den) if broken else scale)
+                data[pid] = (d, Fraction((t1 - t0) * num, den))
             piece_cones[pid] = cone
 
+    if not record:  # nothing broke: the input is its own subdivision, caches and all
+        return SubdivisionRecord(c, (), piece_cones, vertex_signs)
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
     return SubdivisionRecord(_inherit(out, c, data), tuple(record), piece_cones, vertex_signs)
 

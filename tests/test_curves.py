@@ -271,6 +271,44 @@ def test_coincident_endpoints_are_found_per_edge_on_malformed_curves():
         assert info.value.message == text
 
 
+def test_valid_curves_echo_no_id(monkeypatch):
+    import random
+
+    from helpers import DIRECTIONS
+    from tropic import curves
+
+    def refuse(text):
+        raise AssertionError(f"echoed {text!r} on a valid curve")
+
+    monkeypatch.setattr(curves, "_echo", refuse)
+    rng = random.Random(31)
+    for c in (TropicalCurve.build(*gen.tree(rng, 3, 30, DIRECTIONS[3])),
+              TropicalCurve.build(*gen.honeycomb(5, 2, (Fraction(1, 3), Fraction(-2, 7))))):
+        assert validate(c).valid
+
+
+@pytest.mark.parametrize("dim,direction,violations", [
+    (2, (2, -4), [("NonPrimitiveDirection", "ray r direction (2, -4)")]),
+    (2, (0, -3), [("NonPrimitiveDirection", "ray r direction (0, -3)")]),
+    (2, (0, 0), [("ZeroDirection", "ray r has zero direction")]),
+    (2, (1, 1, 1), [("DimMismatch", "ray r direction has 3 coordinates")]),
+    (1, (-1,), []),
+])
+def test_ray_direction_violations(dim, direction, violations):
+    c = TropicalCurve.build(dim, {"a": (0,) * dim}, rays=[("r", "a", direction, 1)])
+    assert [(v.code, v.detail) for v in validate(c).violations] == violations
+
+
+def test_an_edge_lists_only_its_unknown_end():
+    c = TropicalCurve.build(2, {"a": (0, 0), "b": (1, 0)},
+                            edges=[("e", ("a", "b"), 1), ("f", ("a", "zz"), 1),
+                                   ("g", ("yy", "b"), 1)])
+    assert [(v.code, v.detail) for v in validate(c).violations] == [
+        ("NoSuchVertex", "edge f references ['zz']"),
+        ("NoSuchVertex", "edge g references ['yy']"),
+    ]
+
+
 def test_error_details_cut_long_ids():
     long_id = "v" * 5000
     c = TropicalCurve.build(2, {"a": (0, 0), "b": (1, 0)},

@@ -404,9 +404,11 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
 def test_each_curve_builds_one_integer_image(monkeypatch):
     # the curve keeps its integer image: balancing (through the edge data),
     # the walker, well-spacedness and verify-cert's point location all read
-    # it.  The subdivided and rescaled curves are not handed it, as their m
-    # changes, so verify-cert builds one for the certificate's curve.  integer_image is counted wherever a
-    # tropic module binds it
+    # it.  A curve that subdivision breaks or rescaling dilates is a new curve
+    # whose m may differ, so it is not handed the image, and verify-cert
+    # builds one for the certificate's curve; a curve with no break and
+    # N = 1 is its own rescaled curve, image included.  integer_image is
+    # counted wherever a tropic module binds it
     import random
     import sys
 
@@ -446,6 +448,12 @@ def test_each_curve_builds_one_integer_image(monkeypatch):
     calls.clear()
     assert verify_certificate(back).ok
     assert len(calls) == 1 and calls[0] is back.rescaled_curve.vertices
+    tripod = fixtures.tripod()
+    calls.clear()
+    cert = certify(tripod, fixtures.fan_p2())
+    assert cert.rescaled_curve is tripod and cert.multiplier == 1
+    assert verify_certificate(cert).ok
+    assert len(calls) == 1 and calls[0] is tripod.vertices
 
 
 def test_derived_node_data_is_exact_on_a_curve_not_rescaled():

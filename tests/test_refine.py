@@ -493,6 +493,54 @@ def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypat
     assert min(seen.values()) >= 10, seen
 
 
+def test_an_unbroken_host_passes_through_as_it_is():
+    # in a curve that other hosts break, a host whose intervals all lie in one
+    # cone is the input's own object in the output, with its edge data entry,
+    # in the cone of an interior point (an edge's midpoint, a ray's base plus
+    # its direction)
+    from helpers import reference_locate
+
+    curves, fan = _honeycombs_on_p2(29)
+    seen = {"kept": 0, "split": 0}
+    for c in curves:
+        record = subdivide_along_fan(c, fan)
+        assert record.new_vertices and record.output is not c
+        out = {h.id: h for h in record.output.edges + record.output.rays}
+        for h in c.edges + c.rays:
+            if h.id not in record.piece_cones:
+                seen["split"] += 1
+                continue
+            seen["kept"] += 1
+            assert out[h.id] is h
+            if isinstance(h, BoundedEdge):
+                assert record.output._edge_data[h.id] is c._edge_data[h.id]
+                pu, pw = (c.vertices[v] for v in h.ends)
+                inner = [(x + y) / 2 for x, y in zip(pu, pw)]
+            else:
+                inner = [x + d for x, d in zip(c.vertices[h.base], h.direction)]
+            assert fan.cones[record.piece_cones[h.id]] == reference_locate(fan, inner)
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("curve_name,fan_name", [("tripod", "fan_p2"), ("speyer3", "fan_r3")])
+def test_a_curve_with_no_break_is_its_own_subdivision(curve_name, fan_name):
+    c = fixtures.CURVES[curve_name]()
+    record = subdivide_along_fan(c, fixtures.FANS[fan_name]())
+    assert record.output is c and record.new_vertices == ()
+    assert record == reference_subdivide(c, fixtures.FANS[fan_name]())
+
+
+def test_a_host_cut_only_spuriously_is_kept_whole():
+    # r0 crosses x = y, which extends a wall of fan_p2 through the cone of
+    # (1,0) and (0,1), and stays in that cone; e0 crosses the wall x = 0
+    c = _path((1, 3), (-1, 3), rays=[(0, (1, 0))])
+    record = subdivide_along_fan(c, fixtures.fan_p2())
+    assert record == reference_subdivide(c, fixtures.fan_p2())
+    assert [v.host for v in record.new_vertices] == ["e0"]
+    assert record.output.rays == (c.rays[0],) and record.output.rays[0] is c.rays[0]
+    assert fixtures.fan_p2().cones[record.piece_cones["r0"]].generators == ((0, 1), (1, 0))
+
+
 def test_subdivision_refuses_to_reuse_reserved_ids():
     # the diag fixture with one id renamed: e0 from (-1,-1) to (1,1) crosses
     # the origin, so subdivision creates vertex e0#1 and pieces e0:0, e0:1
