@@ -89,9 +89,9 @@ class TropicalCurve(_CurveFields):
         except KeyError:
             raise NoSuchVertex(f"no vertex {_echo(repr(vertex))}") from None
 
-    # The caches below are built on first use or (all but ``_image``) handed over
-    # by ``_inherit``, and kept in the instance __dict__, outside the tuple's
-    # fields, so equality, ordering and serialization see the sorted fields only.
+    # The caches below are built on first use or handed over by ``_inherit``
+    # (``_image`` by ``rescale_integral``), and kept in the instance __dict__, outside
+    # the tuple's fields, so equality, ordering and serialization see the sorted fields only.
 
     @cached_property
     def _edge_by_id(self) -> dict[str, BoundedEdge]:

@@ -12,21 +12,12 @@ convention.
 from collections import Counter
 from fractions import Fraction
 from math import gcd
-from operator import add, eq, itemgetter, mul
+from operator import eq, itemgetter
 from typing import NamedTuple
 
-from .curves import BoundedEdge, TropicalCurve, edge_data, require_balanced
+from .curves import TropicalCurve, edge_data, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
-from .latticefan import (
-    Fan,
-    IntVec,
-    RatVec,
-    _locate,
-    _locate_all,
-    hyperplane_values,
-    in_closure,
-    signs,
-)
+from .latticefan import Fan, IntVec, RatVec, _locate_all, hyperplane_values, in_closure
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
@@ -149,23 +140,27 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     """Run the preparation pipeline and assemble the realization certificate.
 
     Subdivides along the fan, rescales to integral length/weight ratios, and
-    records the cone of each vertex, the fields ``_derive`` computes from
-    (and keeps on) the rescaled curve, and the base point, whose edge
-    valuations are the pre-rescaling length/weight ratios k/N.  Rescaling by
-    N > 0 keeps every sign vector, so each vertex's cone is found from the
-    sign vector the subdivision computed; a vertex outside the support of
-    the fan raises NotInSupport at its rescaled position.
+    records the cone of each vertex, the fields ``_derive`` computes from (and
+    keeps on) the rescaled curve, and the base point, whose edge valuations
+    k/N are the subdivided curve's length/weight ratios.  Rescaling by N > 0
+    keeps every sign vector, so each vertex's cone is found from the sign
+    vector the subdivision computed; a vertex outside the support of the fan
+    raises NotInSupport at its rescaled position.
     """
     require_balanced(c)
     support = check_recession_support(c, f)
     if not support.ok:
         raise RecessionNotSupported(
-            f"ray directions {[d for _, d in support.missing]} are not rays of the fan"
-        )
+            f"ray directions {[d for _, d in support.missing]} are not rays of the fan")
     record = subdivide_along_fan(c, f)
-    hat, mult = rescale_integral(record.output)
+    out, data = record.output, record.output._edge_data
+    hat, mult = rescale_integral(out)
     cones = _locate_all(f, hat.vertices, record.vertex_signs)
     stars, nodes, dual = _derive(hat)
+    valuations = []  # k/N: the subdivided curve's length over the weight
+    for e in out.edges:
+        x, w = data[e.id][1], e.weight
+        valuations.append((e.id, x if w == 1 else Fraction(x.numerator, x.denominator * w)))
     return RealizationCertificate(
         rescaled_curve=hat,
         multiplier=mult,
@@ -175,8 +170,8 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
         dual=dual,
         node_data=tuple(nodes.values()),
         base_point=BasePoint(
-            edge_valuations=tuple((e, Fraction(nd.k, mult)) for e, nd in nodes.items()),
-            vertex_positions=tuple(record.output.vertices.items()),
+            edge_valuations=tuple(valuations),
+            vertex_positions=tuple(out.vertices.items()),
         ),
     )
 
@@ -185,10 +180,11 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     """Refuse a multiplier or a k that is no positive int, a multiplier N > 1
     sharing a factor with every k (certify's N, the lcm of the denominators
     of length/weight, has gcd 1 with them), and every id listed twice;
-    re-derive the rest from the rescaled curve (``_derive``) and fan, naming
-    each id whose entry differs or is missing on one side; then check the curve
-    maps into the fan cone by cone (PieceNotInCone) with every ray direction
-    a ray of the fan (RecessionNotSupported)."""
+    re-derive the rest from the rescaled curve (``_derive``, its integer image)
+    and fan, naming each id whose entry differs or is missing on one side; then
+    check the curve maps into the fan cone by cone, some closed cone holding
+    both ends of each piece, a ray's base and direction (PieceNotInCone), with
+    every ray direction a ray of the fan (RecessionNotSupported)."""
     violations: list[str] = []
     hat, n = cert.rescaled_curve, cert.multiplier
     stars, nodes, dual = _derive(hat)
@@ -207,7 +203,7 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
 
     fan = cert.fan
     m, image = hat._image
-    values, vectors = hyperplane_values(fan, image)
+    vectors = hyperplane_values(fan, image)[1]
     cones = _locate_all(fan, hat.vertices, vectors)
     ks = [nd.k for nd in nodes.values()]
     if type(n) is int and n > 1 and all(type(k) is int for k in ks) and gcd(n, *ks) > 1:
@@ -217,39 +213,36 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     violations += _mismatches("StarMismatch: vertex", stars, dict(cert.vertex_stars))
     violations += _mismatches("NodeDataMismatch: edge", nodes, {
         nd.edge: nd for nd in cert.node_data if type(nd.k) is int and nd.k > 0})
-    # N times the base point is the rescaled curve, compared by cross-multiplication
+    # N times the base point is the rescaled curve, compared in integers: k per
+    # edge, and per vertex m*N*p against the curve's integer image (m, m*N*p)
     violations += _mismatches(
         "BasePointMismatch: edge",
         {e: nd.k for e, nd in nodes.items()},
         dict(bp.edge_valuations),
         lambda k, val: k * val.denominator == val.numerator * n,
     )
+    mn = m * n
     violations += _mismatches(
         "BasePointMismatch: vertex",
-        hat.vertices,
+        image,
         dict(bp.vertex_positions),
-        lambda p, q: len(p) == len(q) and all(
-            x.numerator * y.denominator == n * y.numerator * x.denominator for x, y in zip(p, q)),
+        lambda p, q: len(p) == len(q) and [
+            x * y.denominator for x, y in zip(p, q)] == [mn * y.numerator for y in q],
     )
 
-    # the map to the fan is cone by cone: each piece's closure lies in the
-    # cone whose relative interior holds an interior point of the piece, so
-    # the sign vectors of its ends, and of a ray's direction, are in that cone
-    for piece in hat.edges + hat.rays:
-        if isinstance(piece, BoundedEdge):
-            u, w = piece.ends
-            s, t, inner = vectors[u], vectors[w], map(add, values[u], values[w])  # 2 * midpoint
-        else:
-            d = [sum(map(mul, h, piece.direction)) for h in fan.hyperplanes]
-            s, t = vectors[piece.base], signs(d)
-            inner = [a + m * b for a, b in zip(values[piece.base], d)]  # base + direction
-        cone = _locate(fan, signs(inner))
-        if cone is None or not (in_closure(fan.patterns[cone], s)
-                                and in_closure(fan.patterns[cone], t)):
-            violations.append(f"PieceNotInCone: {_echo(piece.id)}")
-    for rid, d in check_recession_support(hat, fan).missing:
-        violations.append(
-            f"RecessionNotSupported: ray {_echo(rid)} direction {d} is no ray of the fan"
-        )
+    # the map to the fan is cone by cone: a piece lies in a closed cone iff
+    # both its ends do (a ray's base and direction), as cones are convex; the
+    # fan memoizes the verdict per pair of sign vectors
+    directions = hyperplane_values(fan, {r.id: r.direction for r in hat.rays})[1]
+    ends = [(e.id, vectors[e.ends[0]], vectors[e.ends[1]]) for e in hat.edges]
+    for pid, s, t in ends + [(r.id, vectors[r.base], directions[r.id]) for r in hat.rays]:
+        joined = fan._joined.get((s, t))
+        if joined is None:
+            joined = fan._joined[s, t] = any(
+                in_closure(p, s) and in_closure(p, t) for p in fan.patterns)
+        if not joined:
+            violations.append(f"PieceNotInCone: {_echo(pid)}")
+    violations += [f"RecessionNotSupported: ray {_echo(rid)} direction {d} is no ray of the fan"
+                   for rid, d in check_recession_support(hat, fan).missing]
 
     return CertificateCheck(ok=not violations, violations=tuple(violations))

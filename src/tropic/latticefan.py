@@ -314,6 +314,10 @@ class Fan(_FanFields):
         return tuple(sorted(set(out)))
 
     @cached_property
+    def _ray_set(self) -> frozenset[IntVec]:
+        return frozenset(self.rays())
+
+    @cached_property
     def hyperplanes(self) -> tuple[IntVec, ...]:
         """Every facet and span normal of every cone, once per hyperplane.
 
@@ -341,6 +345,11 @@ class Fan(_FanFields):
     @cached_property
     def _located(self) -> dict[tuple[int, ...], int]:
         """sign vector against ``hyperplanes`` -> cone index; see ``_locate``."""
+        return {}
+
+    @cached_property
+    def _joined(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], bool]:
+        """pair of sign vectors -> whether one closed cone holds both (``in_closure``)."""
         return {}
 
 

@@ -62,8 +62,7 @@ def _require_valid_in(c: TropicalCurve, f: Fan) -> None:
 def check_recession_support(c: TropicalCurve, f: Fan) -> RecessionSupport:
     """Whether every ray direction of the curve is a ray generator of the fan."""
     _require_valid_in(c, f)
-    fan_rays = set(f.rays())
-    missing = tuple((r.id, r.direction) for r in c.rays if r.direction not in fan_rays)
+    missing = tuple((r.id, r.direction) for r in c.rays if r.direction not in f._ray_set)
     return RecessionSupport(ok=not missing, missing=missing)
 
 
@@ -200,7 +199,10 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     """Scale all positions by the least N making every length/weight ratio integral.
 
     Only the embedding is dilated, so the output inherits the validation
-    verdict, balancing report and directions, and lengths Fraction(N*num, den).
+    verdict, balancing report and directions, and its integral lengths
+    Fraction(N*num // den).  With g = gcd(N, m) for the curve's integer image
+    (m, m*p), the output is handed its image (m/g, (N/g)*m*p), and a coordinate
+    is that integer over m/g: a plain int when m/g = 1 (JSON writes both alike).
     """
     require_valid(c)
     n, data = 1, {}
@@ -209,8 +211,11 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
         n = lcm(n, length.denominator * e.weight // gcd(length.numerator, e.weight))
     if n == 1:
         return c, 1
-    vs = {v: tuple([Fraction(n * x.numerator, x.denominator) for x in pos])
-          for v, pos in c.vertices.items()}
+    m, image = c._image
+    g = gcd(n, m)
+    m, image = m // g, {v: [n // g * x for x in q] for v, q in image.items()}
+    vs = {v: tuple(q) if m == 1 else tuple([Fraction(x, m) for x in q]) for v, q in image.items()}
     hat = TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
-    lengths = {i: (d, Fraction(n * x.numerator, x.denominator)) for i, (d, x) in data.items()}
+    lengths = {i: (d, Fraction(n * x.numerator // x.denominator)) for i, (d, x) in data.items()}
+    vars(hat)["_image"] = m, image
     return _inherit(hat, c, lengths), n

@@ -824,7 +824,7 @@ def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
     for piece in hat.edges + hat.rays:
         if isinstance(piece, BoundedEdge):
             ends, direction = [hat.position(v) for v in piece.ends], None
-            inner = tuple((a + b) / 2 for a, b in zip(*ends))
+            inner = tuple(Fraction(a + b, 2) for a, b in zip(*ends))  # ints on a rescaled curve
         else:
             ends, direction = [hat.position(piece.base)], piece.direction
             inner = tuple(a + d for a, d in zip(ends[0], direction))

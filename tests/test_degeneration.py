@@ -321,6 +321,69 @@ def test_verify_requires_recession_support():
     assert violations == ("RecessionNotSupported: ray r2 direction (-1, -1) is no ray of the fan",)
 
 
+def _piece_violations(check) -> list[str]:
+    return [v for v in check.violations if v.startswith("PieceNotInCone")]
+
+
+def test_piece_verdicts_equal_the_midpoint_rule_on_valid_fans():
+    # on a fan that fan_validate accepts, a piece lies in a closed cone iff
+    # the cone whose relative interior holds an interior point of the piece
+    # (reference_verify locates the midpoint, or a ray's base plus its
+    # direction, by a scan over every cone) holds its ends.  So the verdicts
+    # from the sign vectors of the ends agree with that oracle on seeded
+    # certificates, on each checked against other valid fans, and on each
+    # with a vertex moved (a curve that carries no image handed over)
+    import random
+
+    from helpers import gen, reference_verify
+    from tropic.curves import TropicalCurve, validate
+    from tropic.latticefan import fan_from_maximal, fan_validate
+
+    specs = {2: gen.rich_fan_r2(), 3: gen.rich_fan_r3()}
+    fans = {2: [fixtures.fan_p2(), fixtures.fan_p1xp1(), fixtures.fan_diag()],
+            3: [fixtures.fan_r3(), fan_from_maximal(*gen.fan_p2_r3())]}
+    rng, seen = random.Random(27), {"checked": 0, "rejected": 0}
+    for dim, spec in specs.items():
+        own = fan_from_maximal(*spec)
+        assert all(fan_validate(f).valid for f in [own, *fans[dim]])
+        for size in (4, 8):
+            cert = certify(TropicalCurve.build(*gen.tree(rng, dim, size, spec[0])), own)
+            hat = cert.rescaled_curve
+            variants = [cert] + [cert._replace(fan=f) for f in fans[dim]]
+            for v in rng.sample(sorted(hat.vertices), 3):
+                moved = {**hat.vertices, v: tuple(x + rng.randint(-2, 2) for x in hat.vertices[v])}
+                curve = hat._replace(vertices=moved)
+                if validate(curve).valid:
+                    variants += [cert._replace(rescaled_curve=curve, fan=f)
+                                 for f in (own, fans[dim][0])]
+            for variant in variants:
+                verdicts = _piece_violations(verify_certificate(variant))
+                assert verdicts == _piece_violations(reference_verify(variant))
+                seen["checked"] += 1
+                seen["rejected"] += bool(verdicts)
+    assert seen["checked"] >= 30 and seen["rejected"] >= 10, seen
+
+
+def test_a_piece_in_one_closed_cone_passes_on_an_overlapping_fan():
+    # fan_p2 with the cone {(1,1),(3,1)} and its rays added is no fan: the
+    # added cone overlaps the positive quadrant.  The edge from (1,2) to
+    # (2,1) lies in the closed quadrant, but its midpoint (3/2,3/2) is in the
+    # relative interior of the ray (1,1), first in the fan's order, which does
+    # not hold the edge: the midpoint rule reports the edge, while its ends'
+    # sign vectors share the quadrant, so verify does not
+    from helpers import reference_verify
+    from tropic.curves import BoundedEdge, TropicalCurve
+    from tropic.latticefan import Fan, fan_validate
+
+    added = [Cone.from_rays(g, 2) for g in ([(1, 1)], [(3, 1)], [(1, 1), (3, 1)])]
+    fan = Fan.build(fixtures.fan_p2().cones + tuple(added), 2)
+    assert fan_validate(fan).violations[0].code == "NonFaceIntersection"
+    curve = TropicalCurve(2, {"a": (1, 2), "b": (2, 1)}, (BoundedEdge("e", ("a", "b"), 1),), ())
+    cert = certify(fixtures.tripod(), fixtures.fan_p2())._replace(rescaled_curve=curve, fan=fan)
+    assert _piece_violations(reference_verify(cert)) == ["PieceNotInCone: e"]
+    assert _piece_violations(verify_certificate(cert)) == []
+
+
 def _rich_tree(seed: int, size: int):
     """A seeded tree on perfbench's 147-cone R^3 fan, and a new Fan of it."""
     import random
@@ -404,11 +467,13 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
 def test_each_curve_builds_one_integer_image(monkeypatch):
     # the curve keeps its integer image: balancing (through the edge data),
     # the walker, well-spacedness and verify-cert's point location all read
-    # it.  A curve that subdivision breaks or rescaling dilates is a new curve
-    # whose m may differ, so it is not handed the image, and verify-cert
-    # builds one for the certificate's curve; a curve with no break and
-    # N = 1 is its own rescaled curve, image included.  integer_image is
-    # counted wherever a tropic module binds it
+    # it.  A curve that subdivision breaks is a new curve whose m may differ,
+    # so it is not handed the image: certify builds the input's and the
+    # subdivided curve's, which rescaling reads and hands on, dilated, to the
+    # rescaled curve, so verify-cert builds none in process, and one for a
+    # curve read from JSON.  A curve with no break and N = 1 is its own
+    # rescaled curve, image included.  integer_image is counted wherever a
+    # tropic module binds it
     import random
     import sys
 
@@ -437,11 +502,17 @@ def test_each_curve_builds_one_integer_image(monkeypatch):
     assert subdivide_along_fan(c, fan).new_vertices
     verdict = well_spaced(c)
     assert verdict.span_codim == 1 and verdict.well_spaced
-    cert = certify(c, fan)
     assert len(calls) == 1 and calls[0] is c.vertices
+    cert = certify(c, fan)
+    hat = cert.rescaled_curve
+    assert cert.multiplier > 1 and len(hat.vertices) > len(c.vertices)
+    # the subdivided curve's, whose positions are the rescaled ones over N
+    assert len(calls) == 2 and calls[1].keys() == hat.vertices.keys()
+    assert calls[1] == {v: tuple(Fraction(x, cert.multiplier) for x in p)
+                        for v, p in hat.vertices.items()}
     calls.clear()
     assert verify_certificate(cert).ok
-    assert len(calls) == 1 and calls[0] is cert.rescaled_curve.vertices
+    assert calls == []
     # a certificate read back from JSON has no edge data handed over: its
     # point location and its edge data share the one image
     back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))

@@ -128,6 +128,47 @@ def test_rescale_examples():
     assert edge_data(out, "e0")[1] == 1
 
 
+def test_an_integral_rescale_has_int_coordinates_and_is_handed_its_image():
+    # the rescaled curve's image (m/g, (N/g) * m p), g = gcd(N, m), is handed
+    # over and equals the one its coordinates give; with m/g = 1 each
+    # coordinate is that int, otherwise a Fraction over m/g.  Lengths stay
+    # Fractions, so length / weight stays exact
+    from tropic.latticefan import integer_image
+
+    half = TropicalCurve.build(
+        2,
+        {"a": (0, 0), "b": (Fraction(1, 2), 0)},
+        edges=[("e0", ("a", "b"), 1)],
+        rays=[("r0", "a", (-1, 0), 1), ("r1", "b", (1, 0), 1)],
+    )
+    third = TropicalCurve.build(  # root (1/2, 0), one edge of length 1/3: N = 3, m = 6
+        2,
+        {"a": (Fraction(1, 2), 0), "b": (Fraction(5, 6), 0)},
+        edges=[("e0", ("a", "b"), 1)],
+        rays=[("r0", "a", (-1, 0), 1), ("r1", "b", (1, 0), 1)],
+    )
+    for c, n, m, positions in (
+        (half, 2, 1, {"a": (0, 0), "b": (1, 0)}),
+        (third, 3, 2, {"a": (Fraction(3, 2), 0), "b": (Fraction(5, 2), 0)}),
+        (fixtures.ratio_path(), 12, 1, None),
+    ):
+        hat, multiplier = rescale_integral(c)
+        assert multiplier == n
+        assert "_image" in vars(hat) and hat._image == integer_image(hat.vertices)
+        assert hat._image[0] == m
+        kind = int if m == 1 else Fraction
+        assert all(type(x) is kind for p in hat.vertices.values() for x in p)
+        assert positions is None or hat.vertices == positions
+        assert hat.vertices == {v: tuple(n * x for x in p) for v, p in c.vertices.items()}
+        for e in hat.edges:
+            length = edge_data(hat, e.id)[1]
+            assert type(length) is Fraction and length.denominator == 1
+            assert type(length / e.weight) is Fraction
+        assert hat == TropicalCurve.build(hat.ambient_dim, hat.vertices,
+                                          [tuple(e) for e in hat.edges],
+                                          [tuple(r) for r in hat.rays])
+
+
 def test_rescale_ratio_fixture():
     out, n = rescale_integral(fixtures.ratio_path())
     assert n == 12  # lcm of denominators 4 and 6
@@ -158,7 +199,7 @@ def test_rescale_commutes_with_subdivision_up_to_scale():
     ref = next(v for v in a.vertices if any(a.vertices[v]))
     num = next(x for x in a.vertices[ref] if x)
     den = next(x for x in b.vertices[ref] if x)
-    factor = num / den
+    factor = Fraction(num, den)  # either may be an int on a rescaled curve
     assert factor > 0
     for v in a.vertices:
         assert a.vertices[v] == tuple(factor * x for x in b.vertices[v])
@@ -515,7 +556,7 @@ def test_an_unbroken_host_passes_through_as_it_is():
             if isinstance(h, BoundedEdge):
                 assert record.output._edge_data[h.id] is c._edge_data[h.id]
                 pu, pw = (c.vertices[v] for v in h.ends)
-                inner = [(x + y) / 2 for x, y in zip(pu, pw)]
+                inner = [Fraction(x + y, 2) for x, y in zip(pu, pw)]
             else:
                 inner = [x + d for x, d in zip(c.vertices[h.base], h.direction)]
             assert fan.cones[record.piece_cones[h.id]] == reference_locate(fan, inner)
