@@ -137,12 +137,6 @@ class TropicalCurve(_CurveFields):
     def _balance(self) -> "BalanceReport":
         return _balance_report(self)
 
-    def edge(self, edge_id: str) -> BoundedEdge:
-        try:
-            return self._edge_by_id[edge_id]
-        except KeyError:
-            raise DegenerateEdge(f"no bounded edge {_echo(repr(edge_id))}") from None
-
     def edges_at(self, vertex: str) -> list[BoundedEdge]:
         return list(self._incidence.get(vertex, ((), ()))[0])
 
@@ -256,7 +250,9 @@ def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:
     try:
         return c._edge_data[edge_id]
     except KeyError:
-        for v in c.edge(edge_id).ends:
+        if edge_id not in c._edge_by_id:
+            raise DegenerateEdge(f"no bounded edge {_echo(repr(edge_id))}") from None
+        for v in c._edge_by_id[edge_id].ends:
             c.position(v)  # NoSuchVertex for an unknown end
         raise DegenerateEdge(f"edge {_echo(edge_id)} has zero length") from None
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .curves import TropicalCurve, edge_data, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
-from .latticefan import Fan, IntVec, RatVec, _locate_all, hyperplane_values, in_closure
+from .latticefan import Fan, IntVec, RatVec, _locate, hyperplane_values, in_closure, not_in_support
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
@@ -95,16 +95,19 @@ class CertificateCheck(NamedTuple):
     violations: tuple[str, ...]
 
 
-def _derive(hat: TropicalCurve) -> tuple[dict, dict, DualCurve | None]:
-    """The certificate fields that the rescaled curve alone fixes: per vertex,
-    its sorted outgoing primitive directions, per bounded edge, NodeData with
-    k = length/weight and u_q = -k*d for the edge's primitive direction d, and
-    the dual curve, None if unbalanced (an invalid curve raises InvalidCurve
-    first).  k and u_q are integers on a rescaled curve and exact rationals
-    otherwise, so a tampered certificate is compared, not refused.  Like its
-    image, the curve keeps this read-only triple, for certify and verify."""
-    if "_derived" in vars(hat):
-        return vars(hat)["_derived"]
+def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None, dict, dict]:
+    """The certificate fields that the rescaled curve and the fan fix: per
+    bounded edge, NodeData with k = length/weight and u_q = -k*d for the edge's
+    primitive direction d; the dual curve, None if unbalanced (an invalid curve
+    raises InvalidCurve first); per vertex, its sorted outgoing primitive
+    directions, its sign vector against the fan's hyperplanes and the index of
+    its cone, None outside the support.  k and u_q are integers on a rescaled
+    curve and exact rationals otherwise, so a tampered certificate is compared,
+    not refused.  For certify and verify, the curve keeps this read-only tuple
+    with its fan, and hands it back for that fan object only."""
+    kept = vars(hat).get("_derived")
+    if kept is not None and kept[0] is fan:
+        return kept[1]
     try:
         dual = dual_curve(hat)
     except Unbalanced:
@@ -119,7 +122,10 @@ def _derive(hat: TropicalCurve) -> tuple[dict, dict, DualCurve | None]:
         nodes[e.id] = NodeData(e.id, k, e.weight, tuple([-k * x for x in d]))
     for r in hat.rays:
         stars[r.base].add(r.direction)
-    vars(hat)["_derived"] = derived = {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes, dual
+    vectors = hyperplane_values(fan, hat._image[1])[1]
+    cones = {v: _locate(fan, vectors[v]) for v in hat.vertices}
+    derived = {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes, dual, vectors, cones
+    vars(hat)["_derived"] = fan, derived
     return derived
 
 
@@ -140,26 +146,26 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     """Run the preparation pipeline and assemble the realization certificate.
 
     Subdivides along the fan, rescales to integral length/weight ratios, and
-    records the cone of each vertex, the fields ``_derive`` computes from (and
-    keeps on) the rescaled curve, and the base point, whose edge valuations
-    k/N are the subdivided curve's length/weight ratios.  Rescaling by N > 0
-    keeps every sign vector, so each vertex's cone is found from the sign
-    vector the subdivision computed; a vertex outside the support of the fan
-    raises NotInSupport at its rescaled position.
+    packs ``_derive`` of the rescaled curve and the fan, which the curve keeps
+    for verify: each vertex's cone and star, the node data and the dual curve.
+    The base point's edge valuations k/N are the subdivided curve's
+    length/weight ratios.  The first vertex outside the support of the fan, in
+    curve order, raises NotInSupport at its rescaled position.
     """
     require_balanced(c)
     support = check_recession_support(c, f)
     if not support.ok:
         raise RecessionNotSupported(
             f"ray directions {[d for _, d in support.missing]} are not rays of the fan")
-    record = subdivide_along_fan(c, f)
-    out, data = record.output, record.output._edge_data
+    out = subdivide_along_fan(c, f).output
     hat, mult = rescale_integral(out)
-    cones = _locate_all(f, hat.vertices, record.vertex_signs)
-    stars, nodes, dual = _derive(hat)
+    stars, nodes, dual, _, cones = _derive(hat, f)
+    for v, cone in cones.items():
+        if cone is None:
+            raise not_in_support(hat.vertices[v])
     valuations = []  # k/N: the subdivided curve's length over the weight
     for e in out.edges:
-        x, w = data[e.id][1], e.weight
+        x, w = out._edge_data[e.id][1], e.weight
         valuations.append((e.id, x if w == 1 else Fraction(x.numerator, x.denominator * w)))
     return RealizationCertificate(
         rescaled_curve=hat,
@@ -180,14 +186,15 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     """Refuse a multiplier or a k that is no positive int, a multiplier N > 1
     sharing a factor with every k (certify's N, the lcm of the denominators
     of length/weight, has gcd 1 with them), and every id listed twice;
-    re-derive the rest from the rescaled curve (``_derive``, its integer image)
-    and fan, naming each id whose entry differs or is missing on one side; then
+    compare the rest with ``_derive`` of the rescaled curve and fan (in process,
+    the derivation certify packed), naming each id whose entry differs or is
+    missing on one side, a vertex outside the support included; then
     check the curve maps into the fan cone by cone, some closed cone holding
     both ends of each piece, a ray's base and direction (PieceNotInCone), with
     every ray direction a ray of the fan (RecessionNotSupported)."""
     violations: list[str] = []
-    hat, n = cert.rescaled_curve, cert.multiplier
-    stars, nodes, dual = _derive(hat)
+    hat, n, fan = cert.rescaled_curve, cert.multiplier, cert.fan
+    stars, nodes, dual, vectors, cones = _derive(hat, fan)
     if dual is None:
         violations.append("Unbalanced: rescaled curve fails balancing")
     elif dual != cert.dual:
@@ -201,10 +208,7 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
             ids = Counter(map(itemgetter(0), entries))
             violations += [f"DuplicateEntry: {field} {_echo(i)}" for i in sorted(ids) if ids[i] > 1]
 
-    fan = cert.fan
     m, image = hat._image
-    vectors = hyperplane_values(fan, image)[1]
-    cones = _locate_all(fan, hat.vertices, vectors)
     ks = [nd.k for nd in nodes.values()]
     if type(n) is int and n > 1 and all(type(k) is int for k in ks) and gcd(n, *ks) > 1:
         violations.append(

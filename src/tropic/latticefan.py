@@ -392,17 +392,6 @@ def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
     return values, {k: signs(v) for k, v in values.items()}
 
 
-def _locate_all(f: Fan, points: dict, vectors: dict) -> dict:
-    """Per key, the index of the cone of ``points[key]`` from its sign vector
-    ``vectors[key]``; the first point outside the support raises NotInSupport."""
-    cones = {}
-    for key, p in points.items():
-        cones[key] = _locate(f, vectors[key])
-        if cones[key] is None:
-            raise not_in_support(p)
-    return cones
-
-
 def fan_from_maximal(
     rays: Sequence[Sequence[int]],
     maximal: Sequence[Sequence[int]],
@@ -550,8 +539,10 @@ def _validate_by_walls(maximal: dict) -> ValidationReport | None:
 def smallest_containing_cone(f: Fan, p: Sequence) -> Cone:
     """The first cone of ``f.cones`` whose relative interior contains ``p``
     (on a valid fan, the only one); NotInSupport if there is none."""
-    vectors = hyperplane_values(f, integer_image({0: p})[1])[1]
-    return f.cones[_locate_all(f, {0: p}, vectors)[0]]
+    index = _locate(f, hyperplane_values(f, integer_image({0: p})[1])[1][0])
+    if index is None:
+        raise not_in_support(p)
+    return f.cones[index]
 
 
 def _locate(f: Fan, key: tuple[int, ...]) -> int | None:

@@ -44,13 +44,12 @@ class NewVertex(NamedTuple):
 
 
 class SubdivisionRecord(NamedTuple):
-    """The subdivided curve, its new vertices, each piece's cone, and each
-    vertex's sign vector against ``Fan.hyperplanes`` (kept by rescaling)."""
+    """The subdivided curve, its new vertices and each piece's cone; a
+    vertex's cone is ``degeneration._derive``'s, after rescaling."""
 
     output: TropicalCurve
     new_vertices: tuple[NewVertex, ...]
     piece_cones: dict[str, int]  # output edge/ray id -> index of its containing cone
-    vertex_signs: dict[str, tuple[int, ...]]  # output vertex id -> its sign vector
 
 
 def _require_valid_in(c: TropicalCurve, f: Fan) -> None:
@@ -94,14 +93,14 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     |a|*(lb/|b|) = t*lb, lb the lcm of the host's |b|, and grouped and sorted
     by key.  Sweeping the crossings gives each interval's sign vector, whose
     cone the fan memoizes (the cones' sign patterns are scanned only on a
-    miss), and a break's: the vector of the interval before it with the
-    hyperplanes crossing there set to 0.  Spurious crossings (hyperplane
-    extensions through the interior of a cone) are discarded by merging
-    consecutive pieces that land in the same cone.  Each broken host is one list
-    of stops (vertex, key, cone of the piece after): its start, its kept breaks
-    and its end (none for a ray).  Each pair of consecutive stops is a piece
-    in its cone, unchecked: a stop's sign vector is 0 wherever it differs from
-    the adjacent interval's (a crossing on an edge needs |a| < |b|).  Weights are
+    miss).  Spurious crossings (hyperplane extensions through the interior of
+    a cone) are discarded by merging consecutive pieces that land in the same
+    cone.  Each broken host is one list of stops (vertex, key, cone of the
+    piece after): its start, its kept breaks and its end (none for a ray).
+    Each pair of consecutive stops is a piece in its cone, unchecked: a stop's
+    sign vector (a break's is the vector of the interval before it with the
+    hyperplanes crossing there set to 0) is 0 wherever it differs from the
+    adjacent interval's (a crossing on an edge needs |a| < |b|).  Weights are
     inherited, and balancing, genus, support, and the recession fan are
     preserved: the new vertices are straight, 2-valent and fresh, so the
     output inherits the validation verdict and balancing report, and a piece
@@ -169,10 +168,6 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                 vid = f"{h.id}#{len(stops)}"
                 _claim(vid, vertices, h.id)
                 vertices[vid] = _point_at(base, direction, m, t, lb)
-                at_break = list(keys[k])
-                for i in crossings[t]:
-                    at_break[i] = 0
-                vertex_signs[vid] = tuple(at_break)
                 record.append(
                     NewVertex(vid, h.id, "edge" if bounded else "ray", cones[k], cones[k + 1]))
                 stops.append((vid, t, cones[k + 1]))
@@ -190,9 +185,9 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             piece_cones[pid] = cone
 
     if not record:  # nothing broke: the input is its own subdivision, caches and all
-        return SubdivisionRecord(c, (), piece_cones, vertex_signs)
+        return SubdivisionRecord(c, (), piece_cones)
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
-    return SubdivisionRecord(_inherit(out, c, data), tuple(record), piece_cones, vertex_signs)
+    return SubdivisionRecord(_inherit(out, c, data), tuple(record), piece_cones)
 
 
 def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:

@@ -584,15 +584,13 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         reference_check_piece(f, piece_cone_ids[-1], [vertices[chain[-1]]], r.direction, tail_id)
 
     out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
-    return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones,
-                             vertex_signs={v: point_signs(f, p) for v, p in vertices.items()})
+    return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)
 
 
 def unsubdivided_record(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     """A subdivision record that leaves ``c`` as it is, so a piece may run
-    through several cones of ``f``, with every vertex's sign vector."""
-    signs = {v: point_signs(f, p) for v, p in c.vertices.items()}
-    return SubdivisionRecord(output=c, new_vertices=(), piece_cones={}, vertex_signs=signs)
+    through several cones of ``f``."""
+    return SubdivisionRecord(output=c, new_vertices=(), piece_cones={})
 
 
 # The double description with nested closures that preceded the single

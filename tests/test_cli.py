@@ -710,6 +710,21 @@ def test_verify_cert_validates_the_certificates_fan(paths, capsys, tmp_path):
     assert report["detail"].startswith("NonFaceIntersection")
 
 
+def test_verify_cert_reports_a_vertex_outside_the_support(paths, capsys, tmp_path):
+    # the fourth quadrant dropped (a valid fan, but not complete) and v0 moved
+    # into it: its cone is a mismatch and the pieces at v0 lie in no cone,
+    # reported with the rest, as for v0 on the fan's boundary at (0, -1)
+    cert = _segfan_certificate(paths, tmp_path)
+    cert["fan"]["cones"].remove([1, 3])
+    expected = ["Unbalanced: rescaled curve fails balancing", "VertexConeMismatch: vertex v0",
+                "StarMismatch: vertex v0", "StarMismatch: vertex v1", "NodeDataMismatch: edge e0",
+                "BasePointMismatch: edge e0", "BasePointMismatch: vertex v0", "PieceNotInCone: e0"]
+    for coords, outside in (([1, -1], ["PieceNotInCone: r0"]), ([0, -1], [])):
+        cert["curve"]["vertices"][0] = {"id": "v0", "coords": coords}
+        code, report = _verify_cert_doc(capsys, tmp_path, cert)
+        assert (code, report) == (1, {"ok": False, "violations": expected + outside}), coords
+
+
 def test_certificate_fan_with_a_stale_trusted_key_verifies(paths, capsys, tmp_path):
     cert = _segfan_certificate(paths, tmp_path)
     cert["fan"]["trusted_complete"] = False

@@ -207,9 +207,9 @@ def test_incidence_index_matches_linear_scan():
             assert c.edges_at(v) == [e for e in c.edges if v in e.ends]
             assert c.rays_at(v) == [r for r in c.rays if r.base == v]
         for e in c.edges:
-            assert c.edge(e.id) is e
-        with pytest.raises(DegenerateEdge):
-            c.edge("missing")
+            assert c._edge_by_id[e.id] is e and edge_data(c, e.id) == c._edge_data[e.id]
+        with pytest.raises(DegenerateEdge, match="^no bounded edge 'missing'$"):
+            edge_data(c, "missing")
         # the cached indexes are not fields: equality and serialization ignore them
         assert c == fresh and curve_to_dict(c) == curve_to_dict(fresh)
         assert repr(c) == repr(fresh)

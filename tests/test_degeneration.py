@@ -96,7 +96,7 @@ def test_node_slope_identity():
         cert = certify(fixtures.CURVES[curve_name](), fixtures.FANS[fan_name]())
         hat = cert.rescaled_curve
         for nd in cert.node_data:
-            p1, p2 = (hat.position(v) for v in hat.edge(nd.edge).ends)
+            p1, p2 = (hat.position(v) for v in hat._edge_by_id[nd.edge].ends)
             assert tuple(nd.rho * x for x in nd.u_q) == tuple(a - b for a, b in zip(p1, p2))
     (nd, _, _) = certify(fixtures.cycle3(), fixtures.fan_cycle3()).node_data
     assert (nd.edge, nd.u_q) == ("e0", (-1, 0))
@@ -536,7 +536,7 @@ def test_derived_node_data_is_exact_on_a_curve_not_rescaled():
 
     tree, fan = _rich_tree(3, 24)
     prepared = subdivide_along_fan(tree, fan).output
-    nodes = _derive(prepared)[1]
+    nodes = _derive(prepared, fan)[1]
     for e in prepared.edges:
         d, length = edge_data(prepared, e.id)
         ratio = Fraction(length) / e.weight
@@ -558,9 +558,9 @@ def test_vertex_cones_do_not_change_under_positive_scaling():
             assert certify(scaled(curve, factor), fan).vertex_cones == cones, factor
 
 
-def test_vertex_cones_from_the_walkers_signs_match_the_reference_scan():
-    # certify finds each vertex's cone from the sign vector the subdivision
-    # computed; reference_locate scans every cone for each rescaled vertex
+def test_vertex_cones_from_the_derivation_match_the_reference_scan():
+    # certify finds each vertex's cone from the rescaled curve's sign vectors
+    # (``_derive``); reference_locate scans every cone for each rescaled vertex
     import random
 
     from helpers import gen, reference_locate, stellar_fan
@@ -729,21 +729,47 @@ def test_the_rescaled_curve_keeps_its_derived_fields(monkeypatch):
     cert = certify(tree, fan)
     hat = cert.rescaled_curve
     assert calls == [hat]
-    kept = degeneration._derive(hat)
-    assert degeneration._derive(hat) is kept and verify_certificate(cert).ok
+    kept = degeneration._derive(hat, fan)
+    assert degeneration._derive(hat, fan) is kept and verify_certificate(cert).ok
     assert calls == [hat]
     fresh = TropicalCurve(*hat)
-    assert "_derived" not in vars(fresh) and degeneration._derive(fresh) == kept
+    assert "_derived" not in vars(fresh) and degeneration._derive(fresh, fan) == kept
     assert kept[2] == cert.dual and calls == [hat, fresh]
     # a certificate read from JSON inherits nothing
     back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
     assert verify_certificate(back).ok and calls[2:] == [back.rescaled_curve]
-    assert degeneration._derive(back.rescaled_curve) == kept
+    assert degeneration._derive(back.rescaled_curve, back.fan) == kept
     # an unbalanced curve keeps no dual curve, and verify names it first
     unbalanced = hat._replace(rays=hat.rays[1:])
-    assert degeneration._derive(unbalanced)[2] is None
+    assert degeneration._derive(unbalanced, fan)[2] is None
     assert verify_certificate(cert._replace(rescaled_curve=unbalanced)).violations[0] == (
         "Unbalanced: rescaled curve fails balancing")
+
+
+def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(monkeypatch):
+    # the derivation certify packs holds every vertex's sign vector and cone,
+    # and verify reads it back for the same fan object; a certificate read
+    # from JSON, or given an equal fan that is another object, derives again
+    from tropic import degeneration
+    from tropic.jsonio import (
+        certificate_from_dict, certificate_to_dict, dumps, fan_from_dict, fan_to_dict, loads)
+
+    real, calls = degeneration.hyperplane_values, []
+    monkeypatch.setattr(degeneration, "hyperplane_values",
+                        lambda f, image: calls.append(set(image)) or real(f, image))
+    tree, fan = _rich_tree(6, 24)
+    cert = certify(tree, fan)
+    hat = cert.rescaled_curve
+    vertices, rays = set(hat.vertices), {r.id for r in hat.rays}
+    assert calls == [vertices] and rays
+    calls.clear()
+    assert verify_certificate(cert).ok and calls == [rays]
+    back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
+    calls.clear()
+    assert verify_certificate(back).ok and calls == [vertices, rays]
+    calls.clear()
+    assert verify_certificate(cert._replace(fan=fan_from_dict(fan_to_dict(fan)))).ok
+    assert calls == [vertices, rays]
 
 
 def test_a_doubled_multiplier_names_every_edge_and_moved_vertex(monkeypatch):
@@ -849,7 +875,7 @@ def test_verify_refuses_a_multiplier_that_is_not_the_least():
     cert = certify(curve, fixtures.fan_p1xp1())
     assert (cert.multiplier, sorted(nd.k for nd in cert.node_data)) == (6, [1, 6])
     big = scaled(cert.rescaled_curve, 2)
-    stars, nodes, _ = _derive(big)
+    stars, nodes, *_ = _derive(big, cert.fan)
     dilated = cert._replace(rescaled_curve=big, multiplier=12, dual=dual_curve(big),
                             vertex_stars=tuple(stars.items()), node_data=tuple(nodes.values()))
     assert sorted(nd.k for nd in dilated.node_data) == [2, 12]

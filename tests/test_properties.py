@@ -229,7 +229,7 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
     # it: every field agrees, but N/2 makes every length/weight integral too
     big = scaled(cert.rescaled_curve, 2)
     dilated = cert._replace(rescaled_curve=big, multiplier=2 * cert.multiplier,
-                            node_data=tuple(degeneration._derive(big)[1].values()))
+                            node_data=tuple(degeneration._derive(big, fan)[1].values()))
     assert violations(dilated) == (
         "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
 
