@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .curves import TropicalCurve, edge_data, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
-from .latticefan import Fan, IntVec, RatVec, _locate, hyperplane_values, in_closure, not_in_support
+from .latticefan import Fan, IntVec, RatVec, _closed, _locate, hyperplane_values, not_in_support
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
@@ -235,17 +235,12 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     )
 
     # the map to the fan is cone by cone: a piece lies in a closed cone iff
-    # both its ends do (a ray's base and direction), as cones are convex; the
-    # fan memoizes the verdict per pair of sign vectors
-    directions = hyperplane_values(fan, {r.id: r.direction for r in hat.rays})[1]
-    ends = [(e.id, vectors[e.ends[0]], vectors[e.ends[1]]) for e in hat.edges]
-    for pid, s, t in ends + [(r.id, vectors[r.base], directions[r.id]) for r in hat.rays]:
-        joined = fan._joined.get((s, t))
-        if joined is None:
-            joined = fan._joined[s, t] = any(
-                in_closure(p, s) and in_closure(p, t) for p in fan.patterns)
-        if not joined:
-            violations.append(f"PieceNotInCone: {_echo(pid)}")
+    # both its ends do (a ray's base and direction), as cones are convex
+    masks = {v: _closed(fan, s) for v, s in vectors.items()}
+    directions = hyperplane_values(fan, {r.direction: r.direction for r in hat.rays})[1]
+    ends = [(e.id, masks[e.ends[0]], masks[e.ends[1]]) for e in hat.edges]
+    ends += [(r.id, masks[r.base], _closed(fan, directions[r.direction])) for r in hat.rays]
+    violations += [f"PieceNotInCone: {_echo(pid)}" for pid, s, t in ends if not s & t]
     violations += [f"RecessionNotSupported: ray {_echo(rid)} direction {d} is no ray of the fan"
                    for rid, d in check_recession_support(hat, fan).missing]
 

@@ -348,8 +348,8 @@ class Fan(_FanFields):
         return {}
 
     @cached_property
-    def _joined(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], bool]:
-        """pair of sign vectors -> whether one closed cone holds both (``in_closure``)."""
+    def _closures(self) -> dict[tuple[int, ...], int]:
+        """sign vector against ``hyperplanes`` -> its closure mask; see ``_closed``."""
         return {}
 
 
@@ -557,6 +557,16 @@ def _locate(f: Fan, key: tuple[int, ...]) -> int | None:
         if index is not None:
             f._located[key] = index
     return index
+
+
+def _closed(f: Fan, key: tuple[int, ...]) -> int:
+    """The closure mask of sign vector ``key``: bit i is set iff the closed cone
+    ``f.cones[i]`` holds its points (``in_closure``); memoized per vector."""
+    mask = f._closures.get(key)
+    if mask is None:
+        mask = f._closures[key] = sum(
+            1 << i for i, p in enumerate(f.patterns) if in_closure(p, key))
+    return mask
 
 
 def not_in_support(p: Sequence) -> NotInSupport:

@@ -7,7 +7,7 @@ other fan raises NotInSupport."""
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, sub
+from operator import sub
 from typing import NamedTuple
 
 from .curves import (
@@ -26,7 +26,6 @@ from .latticefan import (
     _locate,
     hyperplane_values,
     not_in_support,
-    signs,
 )
 
 
@@ -84,36 +83,37 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     Each edge u->w is walked as u + t*(w-u) for t in (0,1), each ray as
     base + t*direction for t in (0,inf).  Each vertex v of the curve's
     integer image (``TropicalCurve._image``) gets its values A_v = n.(m v)
-    against the fan's hyperplanes n and their sign vector
-    (``hyperplane_values``).  Along a host the walk has
-    the sign of a + t*b, with a = A_u and b = A_w - A_u on an edge, a = A_base
-    and b = m*(n.direction) on a ray: sign(a or b) on the first interval.  A
-    real crossing, at t = |a|/|b|, needs a and b of opposite signs (and
-    |a| < |b| on an edge) and negates that sign; it is keyed by the integer
-    |a|*(lb/|b|) = t*lb, lb the lcm of the host's |b|, and grouped and sorted
-    by key.  Sweeping the crossings gives each interval's sign vector, whose
-    cone the fan memoizes (the cones' sign patterns are scanned only on a
-    miss).  Spurious crossings (hyperplane extensions through the interior of
-    a cone) are discarded by merging consecutive pieces that land in the same
-    cone.  Each broken host is one list of stops (vertex, key, cone of the
-    piece after): its start, its kept breaks and its end (none for a ray).
-    Each pair of consecutive stops is a piece in its cone, unchecked: a stop's
-    sign vector (a break's is the vector of the interval before it with the
-    hyperplanes crossing there set to 0) is 0 wherever it differs from the
-    adjacent interval's (a crossing on an edge needs |a| < |b|).  Weights are
-    inherited, and balancing, genus, support, and the recession fan are
-    preserved: the new vertices are straight, 2-valent and fresh, so the
-    output inherits the validation verdict and balancing report, and a piece
-    from key to key' its host's direction and length (key'-key)*num/(den*lb)
-    for a host of lattice length num/den (1 for a ray).  The only Fractions
-    built are values the output stores: the coordinates of each break and
-    the lengths of a broken host's pieces.  A host whose intervals all lie in
-    one cone keeps no break and is passed through as it is, with its edge
-    data, and a curve in which no host breaks is its own output, caches and
-    all.  New vertices are named ``<host>#k`` and pieces ``<host>:k``; an
-    input curve already using such an id raises InvalidCurve.  The fan is assumed complete; ``fan_validate`` certifies
-    that for complete simplicial fans only, and a traversed point outside
-    the support raises NotInSupport.
+    against the fan's hyperplanes n and their sign vector, and each distinct
+    ray direction D its values n.(m D) and theirs (``hyperplane_values``).  A
+    host crosses hyperplane n iff the sign vectors of its two ends, its start
+    and its far end (w, or a ray's D), are strictly opposite there; its first
+    interval has the start's sign, or the far end's where the start's is 0.
+    Values are read only at a real crossing: with a = A_start, it lies at
+    t = |a|/|b|, |b| = |A_u| + |A_w| on an edge and |n.(m D)| on a ray,
+    negates that sign, and is keyed by the integer |a|*(lb/|b|) = t*lb, lb
+    the lcm of the host's |b|, grouped and sorted by key.  Sweeping the
+    crossings gives each interval's sign vector and its memoized cone
+    (``_locate``).  Spurious crossings (hyperplane extensions through the
+    interior of a cone) are discarded by merging consecutive pieces that land
+    in the same cone.  Each broken host is one list of stops (vertex, key,
+    cone of the piece after): its start, its kept breaks and its end (none
+    for a ray).  Each pair of consecutive stops is a piece in its cone,
+    unchecked: a stop's sign vector (a break's is the vector of the interval
+    before it with the hyperplanes crossing there set to 0) is 0 wherever it
+    differs from the adjacent interval's.  Weights are inherited, and
+    balancing, genus, support, and the recession fan are preserved: the new
+    vertices are straight, 2-valent and fresh, so the output inherits the
+    validation verdict and balancing report, and a piece from key to key' its
+    host's direction and length (key'-key)*num/(den*lb) for a host of lattice
+    length num/den (1 for a ray).  Fractions are built only for the values
+    the output stores: each break's coordinates and a broken host's pieces'
+    lengths.  A host whose intervals all lie in one cone keeps no break and
+    is passed through as it is, with its edge data, and a curve in which no
+    host breaks is its own output, caches and all.  New vertices are named
+    ``<host>#k`` and pieces ``<host>:k``; an input curve already using such
+    an id raises InvalidCurve.  The fan is assumed complete; ``fan_validate``
+    certifies that for complete simplicial fans only, and a traversed point
+    outside the support raises NotInSupport.
     """
     _require_valid_in(c, f)
 
@@ -128,23 +128,22 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
 
     m, image = c._image
     own, vertex_signs = hyperplane_values(f, image)  # vertex -> n.(m v); -> their signs
+    far, far_signs = hyperplane_values(  # ray direction D -> n.(m D); -> their signs
+        f, {r.direction: [m * x for x in r.direction] for r in c.rays})
 
     for h in hosts:
         bounded = isinstance(h, BoundedEdge)
         start, end = h.ends if bounded else (h.base, None)
         a, s, base = own[start], vertex_signs[start], image[start]
-        if bounded:
-            b = list(map(sub, own[end], a))
-        else:
-            b = [m * sum(map(mul, n, h.direction)) for n in f.hyperplanes]
-        sb = signs(b)
-        real = [(i, abs(x), abs(y)) for i, (x, y) in enumerate(zip(a, b))
-                if (x < 0 < y or y < 0 < x) and (not bounded or abs(x) < abs(y))]
+        a_far, s_far = (own[end], vertex_signs[end]) if bounded else (  # the far end
+            far[h.direction], far_signs[h.direction])
+        real = [(i, abs(a[i]), abs(a[i] - a_far[i]) if bounded else abs(a_far[i]))
+                for i, (x, y) in enumerate(zip(s, s_far)) if x * y < 0]
         lb, crossings = lcm(*[y for _, _, y in real]), {}  # the crossing at t = key/lb
         for i, x, y in real:
             crossings.setdefault(x * (lb // y), []).append(i)
         cuts = sorted(crossings)
-        interval = [x or y for x, y in zip(s, sb)]
+        interval = [x or y for x, y in zip(s, s_far)]
         keys = [tuple(interval)]
         for t in cuts:
             for i in crossings[t]:

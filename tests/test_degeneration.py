@@ -325,6 +325,29 @@ def _piece_violations(check) -> list[str]:
     return [v for v in check.violations if v.startswith("PieceNotInCone")]
 
 
+def _check_closure_masks(cert, seen: dict) -> None:
+    """For each piece of ``cert``, its ends' closure masks share a bit iff
+    some closed cone holds both ends (the pattern-by-pattern pair rule); each
+    end's sign vector is added to ``seen``, per fan."""
+    from tropic.latticefan import _closed, hyperplane_values, in_closure
+
+    hat, fan = cert.rescaled_curve, cert.fan
+    vectors = hyperplane_values(fan, hat._image[1])[1]
+    directions = hyperplane_values(fan, {r.id: r.direction for r in hat.rays})[1]
+    ends = [(vectors[e.ends[0]], vectors[e.ends[1]]) for e in hat.edges]
+    ends += [(vectors[r.base], directions[r.id]) for r in hat.rays]
+    for s, t in ends:
+        pair_rule = any(in_closure(p, s) and in_closure(p, t) for p in fan.patterns)
+        assert (_closed(fan, s) & _closed(fan, t) != 0) == pair_rule, (s, t)
+    seen.setdefault(id(fan), (fan, set()))[1].update(v for pair in ends for v in pair)
+
+
+def _check_closure_memo(seen: dict) -> None:
+    # at most one closure mask per distinct sign vector, none per pair
+    for fan, vectors in seen.values():
+        assert 0 < len(fan._closures) <= len(vectors)
+
+
 def test_piece_verdicts_equal_the_midpoint_rule_on_valid_fans():
     # on a fan that fan_validate accepts, a piece lies in a closed cone iff
     # the cone whose relative interior holds an interior point of the piece
@@ -332,7 +355,8 @@ def test_piece_verdicts_equal_the_midpoint_rule_on_valid_fans():
     # direction, by a scan over every cone) holds its ends.  So the verdicts
     # from the sign vectors of the ends agree with that oracle on seeded
     # certificates, on each checked against other valid fans, and on each
-    # with a vertex moved (a curve that carries no image handed over)
+    # with a vertex moved (a curve that carries no image handed over).  The
+    # closure masks of each piece's ends share a bit iff the pair rule holds
     import random
 
     from helpers import gen, reference_verify
@@ -342,7 +366,7 @@ def test_piece_verdicts_equal_the_midpoint_rule_on_valid_fans():
     specs = {2: gen.rich_fan_r2(), 3: gen.rich_fan_r3()}
     fans = {2: [fixtures.fan_p2(), fixtures.fan_p1xp1(), fixtures.fan_diag()],
             3: [fixtures.fan_r3(), fan_from_maximal(*gen.fan_p2_r3())]}
-    rng, seen = random.Random(27), {"checked": 0, "rejected": 0}
+    rng, seen, vectors = random.Random(27), {"checked": 0, "rejected": 0}, {}
     for dim, spec in specs.items():
         own = fan_from_maximal(*spec)
         assert all(fan_validate(f).valid for f in [own, *fans[dim]])
@@ -359,9 +383,11 @@ def test_piece_verdicts_equal_the_midpoint_rule_on_valid_fans():
             for variant in variants:
                 verdicts = _piece_violations(verify_certificate(variant))
                 assert verdicts == _piece_violations(reference_verify(variant))
+                _check_closure_masks(variant, vectors)
                 seen["checked"] += 1
                 seen["rejected"] += bool(verdicts)
     assert seen["checked"] >= 30 and seen["rejected"] >= 10, seen
+    _check_closure_memo(vectors)
 
 
 def test_a_piece_in_one_closed_cone_passes_on_an_overlapping_fan():
@@ -382,6 +408,9 @@ def test_a_piece_in_one_closed_cone_passes_on_an_overlapping_fan():
     cert = certify(fixtures.tripod(), fixtures.fan_p2())._replace(rescaled_curve=curve, fan=fan)
     assert _piece_violations(reference_verify(cert)) == ["PieceNotInCone: e"]
     assert _piece_violations(verify_certificate(cert)) == []
+    vectors = {}
+    _check_closure_masks(cert, vectors)
+    _check_closure_memo(vectors)
 
 
 def _rich_tree(seed: int, size: int):
@@ -749,7 +778,8 @@ def test_the_rescaled_curve_keeps_its_derived_fields(monkeypatch):
 def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(monkeypatch):
     # the derivation certify packs holds every vertex's sign vector and cone,
     # and verify reads it back for the same fan object; a certificate read
-    # from JSON, or given an equal fan that is another object, derives again
+    # from JSON, or given an equal fan that is another object, derives again.
+    # The ray directions are signed once each, keyed by direction, not by ray
     from tropic import degeneration
     from tropic.jsonio import (
         certificate_from_dict, certificate_to_dict, dumps, fan_from_dict, fan_to_dict, loads)
@@ -760,16 +790,16 @@ def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(m
     tree, fan = _rich_tree(6, 24)
     cert = certify(tree, fan)
     hat = cert.rescaled_curve
-    vertices, rays = set(hat.vertices), {r.id for r in hat.rays}
-    assert calls == [vertices] and rays
+    vertices, directions = set(hat.vertices), {r.direction for r in hat.rays}
+    assert calls == [vertices] and 0 < len(directions) < len(hat.rays)
     calls.clear()
-    assert verify_certificate(cert).ok and calls == [rays]
+    assert verify_certificate(cert).ok and calls == [directions]
     back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
     calls.clear()
-    assert verify_certificate(back).ok and calls == [vertices, rays]
+    assert verify_certificate(back).ok and calls == [vertices, directions]
     calls.clear()
     assert verify_certificate(cert._replace(fan=fan_from_dict(fan_to_dict(fan)))).ok
-    assert calls == [vertices, rays]
+    assert calls == [vertices, directions]
 
 
 def test_a_doubled_multiplier_names_every_edge_and_moved_vertex(monkeypatch):

@@ -423,6 +423,21 @@ def test_walker_edge_cases():
     # ... and one whose last cut is spurious: x = y extends a wall of fan_p2 through a cone
     assert _walk(_path((1, 3), rays=[(0, (1, 0))]), fixtures.fan_p2()) == (
         [], {"r0": ((0, 1), (1, 0))})
+    # an edge ending exactly on the wall x = 0 (A_w = 0): no crossing, no break
+    assert _walk(_path((1, 1), (0, 2)), fixtures.fan_p1xp1()) == (
+        [], {"e0": ((0, 1), (1, 0))})
+    # edges whose two ends lie on one hyperplane: x = y, spurious inside the
+    # positive quadrant of fan_p2, and the wall x = 0, crossing y = 0 at the origin
+    assert _walk(_path((1, 1), (3, 3)), fixtures.fan_p2()) == (
+        [], {"e0": ((0, 1), (1, 0))})
+    assert _walk(_path((0, -1), (0, 2)), fixtures.fan_p1xp1()) == (
+        [(0, 0)], {"e0:0": ((0, -1),), "e0:1": ((0, 1),)})
+    # a ray based on the wall x = 0 pointing away from it, and one with its
+    # direction inside that wall, which crosses y = 0 at the origin
+    assert _walk(_path((0, 1), rays=[(0, (1, 0))]), fixtures.fan_p1xp1()) == (
+        [], {"r0": ((0, 1), (1, 0))})
+    assert _walk(_path((0, -1), rays=[(0, (0, 1))]), fixtures.fan_p1xp1()) == (
+        [(0, 0)], {"r0:0": ((0, -1),), "r0:1": ((0, 1),)})
 
 
 def test_second_subdivision_on_a_fan_locates_no_point(monkeypatch):
@@ -468,11 +483,12 @@ def _honeycombs_on_p2(seed):
 
 
 def test_walker_signs_each_input_vertex_once(monkeypatch):
-    # one sign vector per input vertex and one per host (its direction's,
-    # which also gives the first interval's); a new vertex takes its vector
-    # from the sweep, that of the interval before it with the hyperplanes
-    # crossing there set to 0, so the walk signs no break.  signs is counted
-    # wherever a tropic module binds it, as the vertices are signed in latticefan
+    # one sign vector per input vertex and one per distinct ray direction, a
+    # ray's far end; a bounded edge signs nothing, as its far end is its end
+    # vertex, and a new vertex takes its vector from the sweep, that of the
+    # interval before it with the hyperplanes crossing there set to 0, so the
+    # walk signs no break.  signs is counted wherever a tropic module binds
+    # it, as the vertices are signed in latticefan
     import sys
 
     from tropic.latticefan import signs
@@ -490,8 +506,8 @@ def test_walker_signs_each_input_vertex_once(monkeypatch):
     for c in curves:
         calls.clear()
         record = subdivide_along_fan(c, fan)
-        hosts = len(c.edges) + len(c.rays)
-        assert len(calls) == len(c.vertices) + hosts
+        directions = {r.direction for r in c.rays}
+        assert len(calls) == len(c.vertices) + len(directions)
         assert record == reference_subdivide(c, fan)
     assert any(subdivide_along_fan(c, fan).new_vertices for c in curves)
 
