@@ -89,8 +89,8 @@ class TropicalCurve(_CurveFields):
         except KeyError:
             raise NoSuchVertex(f"no vertex {_echo(repr(vertex))}") from None
 
-    # The caches below are built on first use or handed over by ``_inherit``
-    # (``_image`` by ``rescale_integral``), and kept in the instance __dict__, outside
+    # The caches below are built on first use or handed over (``_inherit``; ``_image`` and
+    # ``_signs`` by ``rescale_integral``), and kept in the instance __dict__, outside
     # the tuple's fields, so equality, ordering and serialization see the sorted fields only.
 
     @cached_property

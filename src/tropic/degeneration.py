@@ -101,10 +101,11 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None,
     primitive direction d; the dual curve, None if unbalanced (an invalid curve
     raises InvalidCurve first); per vertex, its sorted outgoing primitive
     directions, its sign vector against the fan's hyperplanes and the index of
-    its cone, None outside the support.  k and u_q are integers on a rescaled
-    curve and exact rationals otherwise, so a tampered certificate is compared,
-    not refused.  For certify and verify, the curve keeps this read-only tuple
-    with its fan, and hands it back for that fan object only."""
+    its cone, None outside the support, from the walker's sign vectors (``_signs``, handed
+    over by rescaling) for the fan object it signed for, else from the curve's own.  k and
+    u_q are integers on a rescaled curve and exact rationals otherwise, so a tampered
+    certificate is compared, not refused.  For certify and verify, the curve keeps this
+    read-only tuple with its fan, and hands it back for that fan object only."""
     kept = vars(hat).get("_derived")
     if kept is not None and kept[0] is fan:
         return kept[1]
@@ -122,7 +123,8 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None,
         nodes[e.id] = NodeData(e.id, k, e.weight, tuple([-k * x for x in d]))
     for r in hat.rays:
         stars[r.base].add(r.direction)
-    vectors = hyperplane_values(fan, hat._image[1])[1]
+    signed = vars(hat).get("_signs")
+    vectors = signed[1] if signed and signed[0] is fan else hyperplane_values(fan, hat._image[1])[1]
     cones = {v: _locate(fan, vectors[v]) for v in hat.vertices}
     derived = {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes, dual, vectors, cones
     vars(hat)["_derived"] = fan, derived

@@ -43,8 +43,8 @@ class NewVertex(NamedTuple):
 
 
 class SubdivisionRecord(NamedTuple):
-    """The subdivided curve, its new vertices and each piece's cone; a
-    vertex's cone is ``degeneration._derive``'s, after rescaling."""
+    """The subdivided curve, carrying its vertices' sign vectors, its new vertices
+    and each piece's cone; a vertex's cone is ``degeneration._derive``'s, after rescaling."""
 
     output: TropicalCurve
     new_vertices: tuple[NewVertex, ...]
@@ -100,7 +100,8 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     for a ray).  Each pair of consecutive stops is a piece in its cone,
     unchecked: a stop's sign vector (a break's is the vector of the interval
     before it with the hyperplanes crossing there set to 0) is 0 wherever it
-    differs from the adjacent interval's.  Weights are inherited, and
+    differs from the adjacent interval's.  The output carries every vertex's vector,
+    for this fan object only (``_signs``).  Weights are inherited, and
     balancing, genus, support, and the recession fan are preserved: the new
     vertices are straight, 2-valent and fresh, so the output inherits the
     validation verdict and balancing report, and a piece from key to key' its
@@ -167,6 +168,10 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                 vid = f"{h.id}#{len(stops)}"
                 _claim(vid, vertices, h.id)
                 vertices[vid] = _point_at(base, direction, m, t, lb)
+                vector = list(keys[k])
+                for i in crossings[t]:
+                    vector[i] = 0
+                vertex_signs[vid] = tuple(vector)
                 record.append(
                     NewVertex(vid, h.id, "edge" if bounded else "ray", cones[k], cones[k + 1]))
                 stops.append((vid, t, cones[k + 1]))
@@ -183,10 +188,10 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                 data[pid] = (d, Fraction((t1 - t0) * num, den))
             piece_cones[pid] = cone
 
-    if not record:  # nothing broke: the input is its own subdivision, caches and all
-        return SubdivisionRecord(c, (), piece_cones)
-    out = TropicalCurve(c.ambient_dim, vertices, tuple(new_edges), tuple(new_rays))
-    return SubdivisionRecord(_inherit(out, c, data), tuple(record), piece_cones)
+    if record:  # else nothing broke: the input is its own subdivision, caches and all
+        c = _inherit(TropicalCurve(c.ambient_dim, vertices, new_edges, new_rays), c, data)
+    vars(c)["_signs"] = f, vertex_signs
+    return SubdivisionRecord(c, tuple(record), piece_cones)
 
 
 def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
@@ -197,6 +202,7 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     Fraction(N*num // den).  With g = gcd(N, m) for the curve's integer image
     (m, m*p), the output is handed its image (m/g, (N/g)*m*p), and a coordinate
     is that integer over m/g: a plain int when m/g = 1 (JSON writes both alike).
+    It is handed the input's sign vectors too (``_signs``): N > 0 keeps every sign.
     """
     require_valid(c)
     n, data = 1, {}
@@ -211,5 +217,5 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     vs = {v: tuple(q) if m == 1 else tuple([Fraction(x, m) for x in q]) for v, q in image.items()}
     hat = TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
     lengths = {i: (d, Fraction(n * x.numerator // x.denominator)) for i, (d, x) in data.items()}
-    vars(hat)["_image"] = m, image
+    vars(hat).update(_image=(m, image), _signs=vars(c).get("_signs"))
     return _inherit(hat, c, lengths), n

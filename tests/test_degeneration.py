@@ -617,6 +617,79 @@ def test_vertex_cones_from_the_derivation_match_the_reference_scan():
     assert subdivided >= 60, subdivided
 
 
+def _carried_signs(cert):
+    """The sign vectors that certify packs, checked to be the ones the walker
+    handed over (through rescaling) for the certificate's own fan object, and
+    to equal those of the rescaled curve's integer image, computed afresh."""
+    from tropic.degeneration import _derive
+    from tropic.latticefan import hyperplane_values, integer_image
+
+    hat, fan = cert.rescaled_curve, cert.fan
+    carried = vars(hat)["_signs"]
+    vectors = _derive(hat, fan)[3]
+    assert carried[0] is fan and vectors is carried[1]
+    assert vectors == hyperplane_values(fan, integer_image(hat.vertices)[1])[1]
+    return vectors
+
+
+def test_the_carried_sign_vectors_are_those_of_the_rescaled_image():
+    # the walker signs each input vertex and hands each kept break the vector
+    # of the interval before it with every hyperplane crossing there set to 0;
+    # rescaling by N > 0 keeps every sign, so _derive signs no vertex again.
+    # Trees on the rich and stellar fans, honeycombs moved by a fractional
+    # offset (N > 1 and an image denominator m/g > 1), a break on two
+    # hyperplanes at once and a curve with no break
+    import random
+
+    from helpers import gen, stellar_fan, translated
+    from tropic.curves import TropicalCurve
+    from tropic.latticefan import fan_from_maximal
+
+    rng = random.Random(17)  # the stellar fans of the reference scan above
+    seen = {"certificates": 0, "breaks": 0, "rescaled": 0, "denominator": 0}
+    specs = [(gen.rich_fan_r2(), (4, 10, 24)), (gen.rich_fan_r3(), (4, 10, 24))]
+    specs += [(stellar_fan(rng, gen.fan_p2(), rng.randint(3, 6)), (4, 10)) for _ in range(3)]
+    specs += [(stellar_fan(rng, gen.rich_fan_r3(), rng.randint(1, 3)), (4, 10)) for _ in range(3)]
+    cases = []
+    for spec, sizes in specs:
+        fan = fan_from_maximal(*spec)
+        cases += [(TropicalCurve.build(
+            *gen.tree(random.Random(seed), spec[2], sizes[seed % len(sizes)], spec[0])), fan)
+            for seed in range(4)]
+    # the plane z = k/11 of a honeycomb in R^3 crosses no wall, so k/11 stays
+    # in the rescaled image's denominator
+    for dim, spec in ((2, gen.fan_p2()), (3, gen.fan_p2_r3())):
+        fan = fan_from_maximal(*spec)
+        for d in (3, 4, 5):
+            offset = [Fraction(rng.randint(-30, 30), rng.randint(2, 9)) for _ in range(2)]
+            curve = TropicalCurve.build(*gen.honeycomb(d, dim, offset))
+            lift = [0, 0, Fraction(rng.randint(1, 10), 11)][:dim]
+            cases.append((translated(curve, lift), fan))
+    for curve, fan in cases:
+        cert = certify(curve, fan)
+        _carried_signs(cert)
+        hat = cert.rescaled_curve
+        seen["certificates"] += 1
+        seen["breaks"] += len(hat.vertices) - len(curve.vertices)
+        seen["rescaled"] += cert.multiplier > 1
+        seen["denominator"] += hat._image[0] > 1
+    assert seen["certificates"] == 38 and seen["breaks"] >= 200, seen
+    assert seen["rescaled"] >= 30 and seen["denominator"] == 3, seen
+    # the edge (-1,-1)-(1,1) crosses both walls of P^1 x P^1 at the origin,
+    # so its break reads 0 on both hyperplanes
+    cross = TropicalCurve.build(
+        2, {"a": (-1, -1), "b": (1, 1)}, edges=[("e0", ("a", "b"), 1)],
+        rays=[("r0", "a", (-1, 0), 1), ("r1", "a", (0, -1), 1),
+              ("r2", "b", (1, 0), 1), ("r3", "b", (0, 1), 1)])
+    vectors = _carried_signs(certify(cross, fixtures.fan_p1xp1()))
+    assert vectors["e0#1"] == (0, 0) and len(vectors) == 3
+    # a curve with no break is its own subdivision and rescaled curve, and
+    # carries the walker's vectors of its own vertices
+    tripod = fixtures.tripod()
+    cert = certify(tripod, fixtures.fan_p2())
+    assert cert.rescaled_curve is tripod and _carried_signs(cert).keys() == tripod.vertices.keys()
+
+
 def test_certify_names_a_vertex_with_no_cone_at_its_rescaled_position():
     # without the cone on ray (0,1), the break where segfan's edge crosses
     # x = 0, at (0, 1/2), lies in the closed quadrants but in no cone; the
@@ -776,10 +849,14 @@ def test_the_rescaled_curve_keeps_its_derived_fields(monkeypatch):
 
 
 def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(monkeypatch):
-    # the derivation certify packs holds every vertex's sign vector and cone,
-    # and verify reads it back for the same fan object; a certificate read
-    # from JSON, or given an equal fan that is another object, derives again.
-    # The ray directions are signed once each, keyed by direction, not by ray
+    # the walker's sign vectors ride the subdivided and rescaled curve into
+    # _derive, so certify signs no vertex in degeneration, and the derivation
+    # it packs holds every vertex's sign vector and cone, which verify reads
+    # back for the same fan object.  The carried vectors bind to their fan
+    # object and their curve object: given an equal fan that is another
+    # object, a copy of the curve or a certificate read from JSON, the
+    # vertices are signed afresh.  The ray directions are signed once each,
+    # keyed by direction, not by ray
     from tropic import degeneration
     from tropic.jsonio import (
         certificate_from_dict, certificate_to_dict, dumps, fan_from_dict, fan_to_dict, loads)
@@ -791,14 +868,23 @@ def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(m
     cert = certify(tree, fan)
     hat = cert.rescaled_curve
     vertices, directions = set(hat.vertices), {r.direction for r in hat.rays}
-    assert calls == [vertices] and 0 < len(directions) < len(hat.rays)
-    calls.clear()
+    assert calls == [] and 0 < len(directions) < len(hat.rays)
+    assert cert.multiplier > 1 and len(hat.vertices) > len(tree.vertices)
     assert verify_certificate(cert).ok and calls == [directions]
     back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
     calls.clear()
     assert verify_certificate(back).ok and calls == [vertices, directions]
     calls.clear()
-    assert verify_certificate(cert._replace(fan=fan_from_dict(fan_to_dict(fan)))).ok
+    other = fan_from_dict(fan_to_dict(fan))
+    assert other == fan and other is not fan
+    assert degeneration._derive(hat, other) == degeneration._derive(hat, fan)
+    assert calls == [vertices]  # the vectors carried for fan still serve fan
+    calls.clear()
+    assert verify_certificate(cert._replace(fan=other)).ok and calls == [vertices, directions]
+    calls.clear()
+    copy = hat._replace(rays=hat.rays)
+    assert copy == hat and "_signs" not in vars(copy)
+    assert verify_certificate(cert._replace(rescaled_curve=copy)).ok
     assert calls == [vertices, directions]
 
 
