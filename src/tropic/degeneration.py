@@ -15,7 +15,7 @@ from math import gcd
 from operator import eq, itemgetter
 from typing import NamedTuple
 
-from .curves import TropicalCurve, edge_data, require_balanced
+from .curves import TropicalCurve, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
 from .latticefan import Fan, IntVec, RatVec, _closed, _locate, hyperplane_values, not_in_support
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
@@ -113,11 +113,11 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None,
         dual = dual_curve(hat)
     except Unbalanced:
         dual = None
-    stars, nodes = {v: set() for v in hat.vertices}, {}
+    stars, nodes, data, back = {v: set() for v in hat.vertices}, {}, hat._edge_data, {}
     for e in hat.edges:
-        d, length = edge_data(hat, e.id)
+        d, length = data[e.id]
         stars[e.ends[0]].add(d)
-        stars[e.ends[1]].add(tuple([-x for x in d]))
+        stars[e.ends[1]].add(back.get(d) or back.setdefault(d, tuple([-x for x in d])))
         p, q = length.numerator, length.denominator * e.weight
         k = p // q if p % q == 0 else Fraction(p, q)
         nodes[e.id] = NodeData(e.id, k, e.weight, tuple([-k * x for x in d]))
@@ -228,13 +228,15 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
         lambda k, val: k * val.denominator == val.numerator * n,
     )
     mn = m * n
+
+    def same_point(p, q):  # up to the first differing coordinate
+        for x, y in zip(p, q):
+            if x * y.denominator != mn * y.numerator:
+                return False
+        return len(p) == len(q)
+
     violations += _mismatches(
-        "BasePointMismatch: vertex",
-        image,
-        dict(bp.vertex_positions),
-        lambda p, q: len(p) == len(q) and [
-            x * y.denominator for x, y in zip(p, q)] == [mn * y.numerator for y in q],
-    )
+        "BasePointMismatch: vertex", image, dict(bp.vertex_positions), same_point)
 
     # the map to the fan is cone by cone: a piece lies in a closed cone iff
     # both its ends do (a ray's base and direction), as cones are convex

@@ -10,14 +10,7 @@ from math import gcd, lcm
 from operator import sub
 from typing import NamedTuple
 
-from .curves import (
-    BoundedEdge,
-    CurveRay,
-    TropicalCurve,
-    _inherit,
-    edge_data,
-    require_valid,
-)
+from .curves import BoundedEdge, CurveRay, TropicalCurve, _inherit, require_valid
 from .errors import DimMismatch, InvalidCurve, _echo
 from .latticefan import (
     Fan,
@@ -198,22 +191,23 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     """Scale all positions by the least N making every length/weight ratio integral.
 
     Only the embedding is dilated, so the output inherits the validation
-    verdict, balancing report and directions, and its integral lengths
-    Fraction(N*num // den).  With g = gcd(N, m) for the curve's integer image
-    (m, m*p), the output is handed its image (m/g, (N/g)*m*p), and a coordinate
-    is that integer over m/g: a plain int when m/g = 1 (JSON writes both alike).
-    It is handed the input's sign vectors too (``_signs``): N > 0 keeps every sign.
+    verdict, balancing report and directions, its integral lengths
+    Fraction(N*num // den), and the input's sign vectors (``_signs``: N > 0
+    keeps every sign).  It is handed its integer image (m, m*N*p), built from
+    the positions in one pass: N*length is integral on every edge of a valid,
+    so connected, curve, so each vertex's N*p has the first vertex's
+    coordinate denominators, whose lcm is the least m.  A coordinate is an
+    integer over m: a plain int when m = 1 (JSON writes both alike).
     """
     require_valid(c)
-    n, data = 1, {}
+    n, data = 1, c._edge_data
     for e in c.edges:
-        _, length = data[e.id] = edge_data(c, e.id)
+        length = data[e.id][1]
         n = lcm(n, length.denominator * e.weight // gcd(length.numerator, e.weight))
     if n == 1:
         return c, 1
-    m, image = c._image
-    g = gcd(n, m)
-    m, image = m // g, {v: [n // g * x for x in q] for v, q in image.items()}
+    m = lcm(*[(n * x).denominator for x in next(iter(c.vertices.values()))])
+    image = {v: [x.numerator * (n * m // x.denominator) for x in p] for v, p in c.vertices.items()}
     vs = {v: tuple(q) if m == 1 else tuple([Fraction(x, m) for x in q]) for v, q in image.items()}
     hat = TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
     lengths = {i: (d, Fraction(n * x.numerator // x.denominator)) for i, (d, x) in data.items()}

@@ -496,13 +496,12 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
 def test_each_curve_builds_one_integer_image(monkeypatch):
     # the curve keeps its integer image: balancing (through the edge data),
     # the walker, well-spacedness and verify-cert's point location all read
-    # it.  A curve that subdivision breaks is a new curve whose m may differ,
-    # so it is not handed the image: certify builds the input's and the
-    # subdivided curve's, which rescaling reads and hands on, dilated, to the
-    # rescaled curve, so verify-cert builds none in process, and one for a
-    # curve read from JSON.  A curve with no break and N = 1 is its own
-    # rescaled curve, image included.  integer_image is counted wherever a
-    # tropic module binds it
+    # it.  certify builds the input's only: the subdivided curve carries its
+    # edge data and needs none, and rescaling builds the rescaled curve's
+    # image from its positions and hands it over, so verify-cert builds none
+    # in process, and one for a curve read from JSON.  A curve with no break
+    # and N = 1 is its own rescaled curve, image included.  integer_image is
+    # counted wherever a tropic module binds it
     import random
     import sys
 
@@ -535,10 +534,8 @@ def test_each_curve_builds_one_integer_image(monkeypatch):
     cert = certify(c, fan)
     hat = cert.rescaled_curve
     assert cert.multiplier > 1 and len(hat.vertices) > len(c.vertices)
-    # the subdivided curve's, whose positions are the rescaled ones over N
-    assert len(calls) == 2 and calls[1].keys() == hat.vertices.keys()
-    assert calls[1] == {v: tuple(Fraction(x, cert.multiplier) for x in p)
-                        for v, p in hat.vertices.items()}
+    assert len(calls) == 1  # the input's, counted above: certify builds none
+    assert "_image" in vars(hat) and hat._image == real(hat.vertices)
     calls.clear()
     assert verify_certificate(cert).ok
     assert calls == []
@@ -816,6 +813,38 @@ def test_swapped_positions_are_refused_in_any_order():
         vertex_positions=((w, p), (u, q), *rest)))
     assert verify_certificate(swapped).violations == (
         f"BasePointMismatch: vertex {u}", f"BasePointMismatch: vertex {w}")
+
+
+def test_a_break_vertex_position_off_by_one_coordinate_is_named_alone():
+    # verify compares each vertex's base point with the rescaled curve's
+    # image (m, m*N*p), coordinate by coordinate up to the first that differs:
+    # a break's position off by 1/(m*N) in its last coordinate, short of one
+    # coordinate or with one too many names that vertex and nothing else
+    from tropic.curves import TropicalCurve
+
+    shifted = TropicalCurve.build(  # the edge breaks at (0, 1/5): N = 7 and m = 5
+        2,
+        {"a": (Fraction(-13, 7), Fraction(1, 5)), "b": (Fraction(15, 7), Fraction(1, 5))},
+        edges=[("e", ("a", "b"), 1)],
+        rays=[("r0", "a", (-1, 0), 1), ("r1", "b", (1, 0), 1)],
+    )
+    cases = [(shifted, fixtures.fan_p1xp1()), _rich_tree(11, 24)]
+    seen_m = set()
+    for curve, fan in cases:
+        cert = certify(curve, fan)
+        m, n = cert.rescaled_curve._image[0], cert.multiplier
+        seen_m.add(m)
+        positions = cert.base_point.vertex_positions
+        breaks = [k for k, (v, _) in enumerate(positions) if "#" in v and k > 0]
+        assert breaks and verify_certificate(cert).ok
+        for k in breaks:
+            v, p = positions[k]
+            for bad in ((*p[:-1], p[-1] + Fraction(1, m * n)), p[:-1], (*p, p[0])):
+                tampered = cert._replace(base_point=cert.base_point._replace(
+                    vertex_positions=(*positions[:k], (v, bad), *positions[k + 1:])))
+                assert verify_certificate(tampered).violations == (
+                    f"BasePointMismatch: vertex {v}",), (v, bad)
+    assert max(seen_m) > 1, seen_m
 
 
 def test_the_rescaled_curve_keeps_its_derived_fields(monkeypatch):

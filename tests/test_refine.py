@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import gen, primitive_box_fan, random_tree, reference_subdivide
+from helpers import gen, primitive_box_fan, random_tree, reference_subdivide, translated
 from tropic import fixtures
 from tropic.curves import (
     BoundedEdge,
@@ -14,7 +14,7 @@ from tropic.curves import (
     validate,
 )
 from tropic.errors import DimMismatch, InvalidCurve, TropicError
-from tropic.latticefan import dot, fan_from_maximal
+from tropic.latticefan import dot, fan_from_maximal, integer_image
 from tropic.refine import (
     check_recession_support,
     rescale_integral,
@@ -616,9 +616,11 @@ def test_subdivision_refuses_to_reuse_reserved_ids():
 
 
 def _inheritance_cases():
-    """Every fixture x fan pair of one dimension, and seeded trees with 4 to 24
-    vertices on perfbench's rich fans, every second one unbalanced by raising
-    one ray's weight."""
+    """Every fixture x fan pair of one dimension, the fixture as it is and
+    translated by (1/7, 1/5, 1/3)[:dim] (where N absorbs only some of those
+    denominators, the rescaled positions keep the rest), and seeded trees with
+    4 to 24 vertices on perfbench's rich fans, every second one unbalanced by
+    raising one ray's weight."""
     import random as _random
 
     for curve in fixtures.CURVES.values():
@@ -626,6 +628,7 @@ def _inheritance_cases():
             c, f = curve(), fan()
             if c.ambient_dim == f.ambient_dim:
                 yield c, f
+                yield translated(c, [Fraction(1, p) for p in (7, 5, 3)[:c.ambient_dim]]), f
     rng = _random.Random(1212)
     for spec in (gen.rich_fan_r2, gen.rich_fan_r3):
         rays, maximal, dim = spec()
@@ -642,8 +645,11 @@ def _inheritance_cases():
 def test_subdivided_and_rescaled_curves_inherit_what_a_fresh_curve_computes():
     # the curves subdivide_along_fan and rescale_integral build carry their
     # edge data, validation verdict and balancing report from the curve they
-    # came from; each must equal what a fresh curve of the same fields computes
-    seen = {"cases": 0, "unbalanced": 0, "split": 0, "rescaled": 0}
+    # came from; each must equal what a fresh curve of the same fields computes.
+    # With N > 1 the rescaled curve is handed its integer image, built from its
+    # positions by way of the first vertex's denominators; "fractional" counts
+    # the rescaled curves whose image's m is more than 1
+    seen = {"cases": 0, "unbalanced": 0, "split": 0, "rescaled": 0, "fractional": 0}
     for c, f in _inheritance_cases():
         is_balanced(c)  # as certify does, so there is a report to hand over
         try:
@@ -658,8 +664,10 @@ def test_subdivided_and_rescaled_curves_inherit_what_a_fresh_curve_computes():
             assert validate(out) == validate(fresh)
             assert is_balanced(out) == is_balanced(fresh)  # defects in order
             assert out._edge_data == {e.id: edge_data(fresh, e.id) for e in fresh.edges}
+        assert (n == 1 or "_image" in vars(hat)) and hat._image == integer_image(hat.vertices)
         seen["cases"] += 1
         seen["unbalanced"] += not is_balanced(c).balanced
         seen["split"] += bool(record.new_vertices)
         seen["rescaled"] += n > 1
+        seen["fractional"] += n > 1 and hat._image[0] > 1
     assert seen["cases"] >= 34 and min(seen.values()) >= 5, seen
