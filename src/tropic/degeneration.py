@@ -56,10 +56,11 @@ class DualCurve(NamedTuple):
 def dual_curve(c: TropicalCurve) -> DualCurve:
     """One component per vertex, one node per bounded edge, one marked point per ray."""
     require_balanced(c)
+    ids = {v: f"C_{v}" for v in c.vertices}
     return DualCurve(
-        tuple([Component(f"C_{v}", v) for v in c.vertices]),
-        tuple([Node(f"q_{e.id}", e.id, (f"C_{e.ends[0]}", f"C_{e.ends[1]}")) for e in c.edges]),
-        tuple([MarkedPoint(f"p_{r.id}", r.id, f"C_{r.base}", r.weight) for r in c.rays]),
+        tuple([Component(i, v) for v, i in ids.items()]),
+        tuple([Node(f"q_{e.id}", e.id, (ids[e.ends[0]], ids[e.ends[1]])) for e in c.edges]),
+        tuple([MarkedPoint(f"p_{r.id}", r.id, ids[r.base], r.weight) for r in c.rays]),
     )
 
 

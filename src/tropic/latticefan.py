@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DeskScaleExceeded,
@@ -319,36 +319,35 @@ class Fan(_FanFields):
 
     @cached_property
     def hyperplanes(self) -> tuple[IntVec, ...]:
-        """Every facet and span normal of every cone, once per hyperplane.
-
-        Normals are primitive with their first nonzero entry positive, so two
-        normals of the same hyperplane coincide.  Built on first use and kept
-        in the instance ``__dict__``, outside the tuple's fields, as is ``patterns``.
-        """
-        hs = [cone_halfspaces(c) for c in self.cones]
-        return tuple(sorted({_oriented(n)[0] for h in hs for n in h.equations + h.inequalities}))
+        """Every facet and span normal of every cone, once per hyperplane: primitive, its first
+        nonzero entry positive.  Built on first use with ``_cells``, outside the tuple's fields."""
+        return self._cells[0]
 
     @cached_property
-    def patterns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per cone, its span equations and facet normals as (index into
-        ``hyperplanes``, sign) pairs: sign 0 for an equation, and for a normal
-        the sign that orients its hyperplane as the normal.  Every normal of
-        every cone is ± one of ``hyperplanes``, so a point's sign vector
-        against them decides its membership, cone by cone."""
-        index = {n: j for j, n in enumerate(self.hyperplanes)}
-        out = []
-        for h in map(cone_halfspaces, self.cones):
-            pattern = [(index[_oriented(e)[0]], 0) for e in h.equations]
-            out.append(tuple(pattern + [(index[n], s) for n, s in map(_oriented, h.inequalities)]))
-        return tuple(out)
+    def _cells(self) -> tuple[tuple[IntVec, ...], dict[int, tuple[int, ...]]]:
+        """``hyperplanes``, and per sign s (1, -1, 0) and hyperplane j the bitset of the
+        cones whose relative interior allows sign s at j: bit i is clear iff j is a span
+        equation of cone i (sign 0) or a facet normal of it (the sign that orients j as
+        the normal) and s is not that sign.  Each distinct normal is oriented once."""
+        rows = [[(e, 0) for e in h.equations] + [(n, 1) for n in h.inequalities]
+                for h in map(cone_halfspaces, self.cones)]  # (normal, 1 for a facet)
+        oriented = {n: _oriented(n) for n in {n for row in rows for n, _ in row}}
+        hyperplanes = tuple(sorted({n for n, _ in oriented.values()}))
+        index = {n: j for j, n in enumerate(hyperplanes)}
+        allowed = {s: [(1 << len(self.cones)) - 1] * len(hyperplanes) for s in (1, -1, 0)}
+        for i, row in enumerate(rows):
+            for n, facet in row:
+                for s in {1, -1, 0} - {oriented[n][1] * facet}:
+                    allowed[s][index[oriented[n][0]]] &= ~(1 << i)
+        return hyperplanes, {s: tuple(bits) for s, bits in allowed.items()}
 
     @cached_property
-    def _located(self) -> dict[tuple[int, ...], int]:
+    def _located(self) -> dict[tuple[int, int], int]:
         """sign vector against ``hyperplanes`` -> cone index; see ``_locate``."""
         return {}
 
     @cached_property
-    def _closures(self) -> dict[tuple[int, ...], int]:
+    def _closures(self) -> dict[tuple[int, int], int]:
         """sign vector against ``hyperplanes`` -> its closure mask; see ``_closed``."""
         return {}
 
@@ -360,27 +359,13 @@ def _oriented(n: IntVec) -> tuple[IntVec, int]:
     return tuple(sign * x for x in n), sign
 
 
-def signs(values: Iterable) -> tuple[int, ...]:
-    return tuple([(v > 0) - (v < 0) for v in values])
-
-
-def in_interior(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
-    """Whether sign vector ``s`` is in the relative interior of the cone of ``pattern``."""
-    return all(s[j] == sign for j, sign in pattern)
-
-
-def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
-    """Whether sign vector ``s`` is in the closed cone of ``pattern`` (``Fan.patterns``)."""
-    for j, sign in pattern:
-        if s[j] and s[j] != sign:
-            return False
-    return True
-
-
 def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
     """Per key of an integer image, the integers n.q for n in ``f.hyperplanes`` and their
-    signs; n.q is summed by columns of the normals, x * column per nonzero coordinate x."""
-    columns, values = list(zip(*f.hyperplanes)), {}
+    sign vector, the pair (positive bits, negative bits): bit j is set in the first iff
+    n_j.q > 0, in the second iff n_j.q < 0.  n.q is summed by columns of the normals, x *
+    column per nonzero coordinate x."""
+    columns, values, vectors = list(zip(*f.hyperplanes)), {}, {}
+    bits = [1 << j for j in range(len(f.hyperplanes))]
     for k, q in image.items():
         if len(q) != f.ambient_dim:
             raise DimMismatch(f"point of dim {len(q)} vs fan in dim {f.ambient_dim}")
@@ -388,8 +373,15 @@ def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
         for x, column in zip(q, columns):
             if x:
                 v = [x * c for c in column] if v is None else [a + x * c for a, c in zip(v, column)]
-        values[k] = v or [0] * len(f.hyperplanes)
-    return values, {k: signs(v) for k, v in values.items()}
+        values[k] = v = v or [0] * len(bits)
+        pos = neg = 0
+        for bit, x in zip(bits, v):
+            if x > 0:
+                pos |= bit
+            elif x:
+                neg |= bit
+        vectors[k] = pos, neg
+    return values, vectors
 
 
 def fan_from_maximal(
@@ -545,28 +537,45 @@ def smallest_containing_cone(f: Fan, p: Sequence) -> Cone:
     return f.cones[index]
 
 
-def _locate(f: Fan, key: tuple[int, ...]) -> int | None:
+def _locate(f: Fan, key: tuple[int, int]) -> int | None:
     """The index of the first cone whose relative interior holds the points
-    with sign vector ``key`` against ``f.hyperplanes`` (see ``Fan.patterns``),
-    or None.  Hits are memoized, at most one per cell of the arrangement;
-    misses, outside the support, are not."""
+    with sign vector ``key`` against ``f.hyperplanes``, or None: the lowest bit
+    of ``_cones`` over every sign, 0 included.  Hits are memoized, at most one
+    per cell of the arrangement; misses, outside the support, are not."""
     index = f._located.get(key)
     if index is None:
-        hits = (i for i, pattern in enumerate(f.patterns) if in_interior(pattern, key))
-        index = next(hits, None)
-        if index is not None:
-            f._located[key] = index
+        cones = _cones(f, *key, ~(key[0] | key[1]) & ((1 << len(f.hyperplanes)) - 1))
+        if cones:
+            index = f._located[key] = (cones & -cones).bit_length() - 1
     return index
 
 
-def _closed(f: Fan, key: tuple[int, ...]) -> int:
+def _closed(f: Fan, key: tuple[int, int]) -> int:
     """The closure mask of sign vector ``key``: bit i is set iff the closed cone
-    ``f.cones[i]`` holds its points (``in_closure``); memoized per vector."""
+    ``f.cones[i]`` holds its points, ``_cones`` over its nonzero signs; memoized
+    per vector."""
     mask = f._closures.get(key)
     if mask is None:
-        mask = f._closures[key] = sum(
-            1 << i for i, p in enumerate(f.patterns) if in_closure(p, key))
+        mask = f._closures[key] = _cones(f, *key)
     return mask
+
+
+def _cones(f: Fan, pos: int, neg: int, zero: int = 0) -> int:
+    """The bitset of the cones that allow sign 1 at every bit of ``pos``, -1
+    at every bit of ``neg`` and 0 at every bit of ``zero`` (``Fan._cells``)."""
+    cones = (1 << len(f.cones)) - 1
+    for sign, bits in ((1, pos), (-1, neg), (0, zero)):
+        for j in set_bits(bits):
+            cones &= f._cells[1][sign][j]
+    return cones
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def not_in_support(p: Sequence) -> NotInSupport:

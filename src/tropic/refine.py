@@ -12,14 +12,7 @@ from typing import NamedTuple
 
 from .curves import BoundedEdge, CurveRay, TropicalCurve, _inherit, require_valid
 from .errors import DimMismatch, InvalidCurve, _echo
-from .latticefan import (
-    Fan,
-    IntVec,
-    RatVec,
-    _locate,
-    hyperplane_values,
-    not_in_support,
-)
+from .latticefan import Fan, IntVec, RatVec, _locate, hyperplane_values, not_in_support, set_bits
 
 
 class RecessionSupport(NamedTuple):
@@ -73,41 +66,41 @@ def _claim(new_id: str, taken, host_id: str) -> None:
 def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     """Insert 2-valent vertices where edges or rays of the curve cross cone walls of the fan.
 
-    Each edge u->w is walked as u + t*(w-u) for t in (0,1), each ray as
-    base + t*direction for t in (0,inf).  Each vertex v of the curve's
-    integer image (``TropicalCurve._image``) gets its values A_v = n.(m v)
-    against the fan's hyperplanes n and their sign vector, and each distinct
-    ray direction D its values n.(m D) and theirs (``hyperplane_values``).  A
-    host crosses hyperplane n iff the sign vectors of its two ends, its start
-    and its far end (w, or a ray's D), are strictly opposite there; its first
-    interval has the start's sign, or the far end's where the start's is 0.
-    Values are read only at a real crossing: with a = A_start, it lies at
-    t = |a|/|b|, |b| = |A_u| + |A_w| on an edge and |n.(m D)| on a ray,
-    negates that sign, and is keyed by the integer |a|*(lb/|b|) = t*lb, lb
-    the lcm of the host's |b|, grouped and sorted by key.  Sweeping the
-    crossings gives each interval's sign vector and its memoized cone
-    (``_locate``).  Spurious crossings (hyperplane extensions through the
-    interior of a cone) are discarded by merging consecutive pieces that land
-    in the same cone.  Each broken host is one list of stops (vertex, key,
-    cone of the piece after): its start, its kept breaks and its end (none
-    for a ray).  Each pair of consecutive stops is a piece in its cone,
-    unchecked: a stop's sign vector (a break's is the vector of the interval
-    before it with the hyperplanes crossing there set to 0) is 0 wherever it
-    differs from the adjacent interval's.  The output carries every vertex's vector,
-    for this fan object only (``_signs``).  Weights are inherited, and
+    Each edge u->w is walked as u + t*(w-u) for t in (0,1), each ray as base +
+    t*direction for t in (0,inf).  Each vertex v of the curve's integer image
+    (``TropicalCurve._image``) gets its values A_v = n.(m v) against the fan's
+    hyperplanes n and their sign vector, a pair of bit masks (positive,
+    negative), and each distinct ray direction D its values n.(m D) and theirs
+    (``hyperplane_values``).  A host crosses n iff its two ends, its start and
+    far end (w, or a ray's D), have strictly opposite signs there: the set bits
+    of (start+ & far-) | (start- & far+).  Its first interval has the start's
+    signs, the far end's where the start's is 0.  Values are read only at a
+    crossing: with a = A_start, it lies at t = |a|/|b|, |b| = |A_u| + |A_w| on
+    an edge and |n.(m D)| on a ray, and is keyed by the integer |a|*(lb/|b|) =
+    t*lb, lb the lcm of the host's |b|; the crossings at one key form one flip
+    mask.  Sweeping the keys in order, each interval's vector is the one before
+    with the flip mask XORed into both masks, and gets its memoized cone
+    (``_locate``).  Spurious crossings (through the interior of a cone) are
+    discarded by merging consecutive pieces in the same cone.  Each broken host
+    is one list of stops (vertex, key, cone of the piece after): its start, its
+    kept breaks and its end (none for a ray).  Each pair of consecutive stops is
+    a piece in its cone, unchecked: a stop's sign vector (a break's is the
+    interval's before it, its flip mask cleared from both masks) is 0 wherever
+    it differs from the adjacent interval's.  The output carries every vertex's
+    vector, for this fan object only (``_signs``).  Weights are inherited, and
     balancing, genus, support, and the recession fan are preserved: the new
     vertices are straight, 2-valent and fresh, so the output inherits the
     validation verdict and balancing report, and a piece from key to key' its
     host's direction and length (key'-key)*num/(den*lb) for a host of lattice
-    length num/den (1 for a ray).  Fractions are built only for the values
-    the output stores: each break's coordinates and a broken host's pieces'
-    lengths.  A host whose intervals all lie in one cone keeps no break and
-    is passed through as it is, with its edge data, and a curve in which no
-    host breaks is its own output, caches and all.  New vertices are named
-    ``<host>#k`` and pieces ``<host>:k``; an input curve already using such
-    an id raises InvalidCurve.  The fan is assumed complete; ``fan_validate``
-    certifies that for complete simplicial fans only, and a traversed point
-    outside the support raises NotInSupport.
+    length num/den (1 for a ray).  Fractions are built only for the values the
+    output stores: each break's coordinates and a broken host's pieces' lengths.
+    A host whose intervals all lie in one cone keeps no break and is passed
+    through as it is, with its edge data, and a curve in which no host breaks is
+    its own output, caches and all.  New vertices are named ``<host>#k`` and
+    pieces ``<host>:k``; an input curve already using such an id raises
+    InvalidCurve.  The fan is assumed complete; ``fan_validate`` certifies that
+    for complete simplicial fans only, and a traversed point outside the support
+    raises NotInSupport.
     """
     _require_valid_in(c, f)
 
@@ -128,21 +121,21 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     for h in hosts:
         bounded = isinstance(h, BoundedEdge)
         start, end = h.ends if bounded else (h.base, None)
-        a, s, base = own[start], vertex_signs[start], image[start]
-        a_far, s_far = (own[end], vertex_signs[end]) if bounded else (  # the far end
+        a, (sp, sn), base = own[start], vertex_signs[start], image[start]
+        a_far, (fp, fn) = (own[end], vertex_signs[end]) if bounded else (  # the far end
             far[h.direction], far_signs[h.direction])
-        real = [(i, abs(a[i]), abs(a[i] - a_far[i]) if bounded else abs(a_far[i]))
-                for i, (x, y) in enumerate(zip(s, s_far)) if x * y < 0]
+        real = [(1 << i, abs(a[i]), abs(a[i] - a_far[i]) if bounded else abs(a_far[i]))
+                for i in set_bits((sp & fn) | (sn & fp))]  # the strictly opposite signs
         lb, crossings = lcm(*[y for _, _, y in real]), {}  # the crossing at t = key/lb
-        for i, x, y in real:
-            crossings.setdefault(x * (lb // y), []).append(i)
+        for bit, x, y in real:
+            t = x * (lb // y)
+            crossings[t] = crossings.get(t, 0) | bit
         cuts = sorted(crossings)
-        interval = [x or y for x, y in zip(s, s_far)]
-        keys = [tuple(interval)]
+        pos, neg = sp | fp & ~sn, sn | fn & ~sp
+        keys = [(pos, neg)]
         for t in cuts:
-            for i in crossings[t]:
-                interval[i] = -interval[i]
-            keys.append(tuple(interval))
+            pos, neg = pos ^ crossings[t], neg ^ crossings[t]
+            keys.append((pos, neg))
         cones = [_locate(f, key) for key in keys]
         if cones[0] is not None and cones.count(cones[0]) == len(cones):  # no break kept
             (new_edges if bounded else new_rays).append(h)
@@ -161,10 +154,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
                 vid = f"{h.id}#{len(stops)}"
                 _claim(vid, vertices, h.id)
                 vertices[vid] = _point_at(base, direction, m, t, lb)
-                vector = list(keys[k])
-                for i in crossings[t]:
-                    vector[i] = 0
-                vertex_signs[vid] = tuple(vector)
+                vertex_signs[vid] = keys[k][0] & ~crossings[t], keys[k][1] & ~crossings[t]
                 record.append(
                     NewVertex(vid, h.id, "edge" if bounded else "ray", cones[k], cones[k + 1]))
                 stops.append((vid, t, cones[k + 1]))
@@ -191,25 +181,25 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     """Scale all positions by the least N making every length/weight ratio integral.
 
     Only the embedding is dilated, so the output inherits the validation
-    verdict, balancing report and directions, its integral lengths
-    Fraction(N*num // den), and the input's sign vectors (``_signs``: N > 0
-    keeps every sign).  It is handed its integer image (m, m*N*p), built from
-    the positions in one pass: N*length is integral on every edge of a valid,
-    so connected, curve, so each vertex's N*p has the first vertex's
+    verdict, balancing report and directions, its integral lengths (one
+    Fraction(N*num // den) per value), and the input's sign vectors (``_signs``:
+    N > 0 keeps every sign).  It is handed its integer image (m, m*N*p), built
+    from the positions in one pass: N*length is integral on every edge of a
+    valid, so connected, curve, so each vertex's N*p has the first vertex's
     coordinate denominators, whose lcm is the least m.  A coordinate is an
     integer over m: a plain int when m = 1 (JSON writes both alike).
     """
     require_valid(c)
-    n, data = 1, c._edge_data
-    for e in c.edges:
-        length = data[e.id][1]
-        n = lcm(n, length.denominator * e.weight // gcd(length.numerator, e.weight))
+    data = c._edge_data
+    n = lcm(*{x.denominator * e.weight // gcd(x.numerator, e.weight)
+              for e in c.edges for x in [data[e.id][1]]})
     if n == 1:
         return c, 1
     m = lcm(*[(n * x).denominator for x in next(iter(c.vertices.values()))])
     image = {v: [x.numerator * (n * m // x.denominator) for x in p] for v, p in c.vertices.items()}
     vs = {v: tuple(q) if m == 1 else tuple([Fraction(x, m) for x in q]) for v, q in image.items()}
     hat = TropicalCurve(c.ambient_dim, vs, c.edges, c.rays)
-    lengths = {i: (d, Fraction(n * x.numerator // x.denominator)) for i, (d, x) in data.items()}
+    made = {k: Fraction(k) for k in {n * x.numerator // x.denominator for _, x in data.values()}}
+    lengths = {i: (d, made[n * x.numerator // x.denominator]) for i, (d, x) in data.items()}
     vars(hat).update(_image=(m, image), _signs=vars(c).get("_signs"))
     return _inherit(hat, c, lengths), n

@@ -9,8 +9,10 @@ of the cycle-closing matrix.  Subdivision is checked against the earlier
 implementation that scanned the facets of every cone and walked edges and
 rays in two separate loops, with each output vertex signed by Fraction dot
 products, point
-location and the cones' sign patterns against the linear scan over every
-cone with rational points that preceded the sign-vector memo, the double
+location against the linear scan over every cone with rational points that
+preceded the sign-vector memo, the bit-mask sign vectors' location and
+closure against the tuple sign vectors and per-cone (hyperplane, sign)
+patterns they replaced (``sign_patterns``), the double
 description against the earlier one written as nested closures, cone keys
 against the earlier ``Fraction`` reduced row echelon form, fan
 validation against the earlier one that intersected every pair of cones,
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import atan2, gcd, lcm
 from operator import mul
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from tropic.curves import (
     BoundedEdge,
@@ -435,23 +437,61 @@ def reference_locate(f: Fan, p: Sequence) -> Cone:
     raise NotInSupport(f"point {tuple(p)} is not in the support of the fan")
 
 
+def signs(values: Iterable) -> tuple[int, ...]:
+    return tuple((v > 0) - (v < 0) for v in values)
+
+
 def point_signs(f: Fan, p: Sequence) -> tuple[int, ...]:
     """The sign vector of a rational point against ``f.hyperplanes``, by Fraction dot products."""
-    return tuple((v > 0) - (v < 0) for v in (dot(n, p) for n in f.hyperplanes))
+    return signs(dot(n, p) for n in f.hyperplanes)
 
 
-def count_pattern_scans(f: Fan) -> list:
-    """Make ``f`` record in the returned list each scan over its cones' sign
-    patterns, which point location makes on a miss of its sign-vector memo."""
-    scans = []
+def as_signs(key: tuple[int, int], size: int) -> tuple[int, ...]:
+    """The sign vector (positive bits, negative bits) as a tuple of ``size`` signs."""
+    pos, neg = key
+    return tuple((pos >> j & 1) - (neg >> j & 1) for j in range(size))
+
+
+def sign_patterns(f: Fan) -> list[tuple[tuple[int, int], ...]]:
+    """Per cone, its span equations and facet normals as (index into
+    ``f.hyperplanes``, sign) pairs: sign 0 for an equation, and for a normal
+    the sign that orients its hyperplane as the normal.  Point location
+    scanned these patterns before sign vectors became bit masks."""
+    index = {n: j for j, n in enumerate(f.hyperplanes)}
+
+    def oriented(n: IntVec) -> tuple[int, int]:
+        n = primitive(n)
+        sign = 1 if next(x for x in n if x) > 0 else -1
+        return index[tuple(sign * x for x in n)], sign
+
+    return [tuple([(oriented(e)[0], 0) for e in h.equations]
+                  + [oriented(n) for n in h.inequalities]) for h in map(cone_halfspaces, f.cones)]
+
+
+def in_interior(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
+    """Whether sign vector ``s`` is in the relative interior of the cone of ``pattern``."""
+    return all(s[j] == sign for j, sign in pattern)
+
+
+def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
+    """Whether sign vector ``s`` is in the closed cone of ``pattern``."""
+    return all(not s[j] or s[j] == sign for j, sign in pattern)
+
+
+def count_cell_reads(f: Fan) -> list:
+    """Make ``f`` record in the returned list each read of its cone bitsets
+    (``Fan._cells``), which point location and closure make on a miss of
+    their sign-vector memos."""
+    reads = []
 
     class Counted(tuple):
-        def __iter__(self):
-            scans.append(1)
-            return super().__iter__()
+        def __getitem__(self, j):
+            reads.append(j)
+            return super().__getitem__(j)
 
-    f.__dict__["patterns"] = Counted(f.patterns)
-    return scans
+    hyperplanes, allowed = f._cells
+    f.__dict__["_cells"] = hyperplanes, {s: Counted(bits) for s, bits in allowed.items()}
+    return reads
 
 
 def reference_check_piece(f: Fan, cone_index: int, points, direction, piece_id: str):

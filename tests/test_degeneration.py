@@ -327,19 +327,26 @@ def _piece_violations(check) -> list[str]:
 
 def _check_closure_masks(cert, seen: dict) -> None:
     """For each piece of ``cert``, its ends' closure masks share a bit iff
-    some closed cone holds both ends (the pattern-by-pattern pair rule); each
-    end's sign vector is added to ``seen``, per fan."""
-    from tropic.latticefan import _closed, hyperplane_values, in_closure
+    some closed cone holds both ends by the tuple rule (``helpers.in_closure``
+    on each cone's pattern), on tuple sign vectors from Fraction dot products,
+    which each end's mask pair spells; each end's mask pair is added to
+    ``seen``, per fan."""
+    from helpers import as_signs, in_closure, point_signs, sign_patterns
+    from tropic.latticefan import _closed, hyperplane_values
 
     hat, fan = cert.rescaled_curve, cert.fan
-    vectors = hyperplane_values(fan, hat._image[1])[1]
+    masks = hyperplane_values(fan, hat._image[1])[1]
     directions = hyperplane_values(fan, {r.id: r.direction for r in hat.rays})[1]
-    ends = [(vectors[e.ends[0]], vectors[e.ends[1]]) for e in hat.edges]
-    ends += [(vectors[r.base], directions[r.id]) for r in hat.rays]
-    for s, t in ends:
-        pair_rule = any(in_closure(p, s) and in_closure(p, t) for p in fan.patterns)
-        assert (_closed(fan, s) & _closed(fan, t) != 0) == pair_rule, (s, t)
-    seen.setdefault(id(fan), (fan, set()))[1].update(v for pair in ends for v in pair)
+    ends = {v: (masks[v], point_signs(fan, p)) for v, p in hat.vertices.items()}
+    pairs = [(ends[e.ends[0]], ends[e.ends[1]]) for e in hat.edges]
+    pairs += [(ends[r.base], (directions[r.id], point_signs(fan, r.direction))) for r in hat.rays]
+    patterns = sign_patterns(fan)
+    for (s, s_tuple), (t, t_tuple) in pairs:
+        assert as_signs(s, len(fan.hyperplanes)) == s_tuple
+        assert as_signs(t, len(fan.hyperplanes)) == t_tuple
+        pair_rule = any(in_closure(p, s_tuple) and in_closure(p, t_tuple) for p in patterns)
+        assert (_closed(fan, s) & _closed(fan, t) != 0) == pair_rule, (s_tuple, t_tuple)
+    seen.setdefault(id(fan), (fan, set()))[1].update(v for pair in pairs for v, _ in pair)
 
 
 def _check_closure_memo(seen: dict) -> None:
@@ -428,10 +435,10 @@ def _rich_tree(seed: int, size: int):
 
 def test_second_certify_and_verify_on_a_fan_scans_no_cone():
     # every sign vector of the second round was memoized in the first
-    from helpers import count_pattern_scans
+    from helpers import count_cell_reads
 
     tree, fan = _rich_tree(3, 60)
-    scans = count_pattern_scans(fan)
+    scans = count_cell_reads(fan)
     rounds = []
     for _ in range(2):
         scans.clear()

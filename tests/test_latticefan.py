@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    as_signs,
     cone_faces,
     cones_equal,
     contains_caratheodory,
     densify,
     echelon,
     gen,
+    in_closure,
+    in_interior,
     is_face_of,
     kernel_dimension,
     point_signs,
@@ -21,6 +24,7 @@ from helpers import (
     reference_locate,
     reference_primitive_and_scale,
     relint_contains,
+    sign_patterns,
     stellar_fan,
     trusted_overlapping_fan,
 )
@@ -30,6 +34,8 @@ from tropic.jsonio import fan_from_dict, fan_to_dict
 from tropic.latticefan import (
     Cone,
     Fan,
+    _closed,
+    _locate,
     canonical_form,
     cone_contains,
     cone_extreme,
@@ -38,8 +44,7 @@ from tropic.latticefan import (
     double_description,
     fan_from_maximal,
     fan_validate,
-    in_closure,
-    in_interior,
+    hyperplane_values,
     integer_image,
     integerize,
     primitive,
@@ -387,7 +392,7 @@ def test_sign_patterns_match_the_point_oracle():
         for p in rng.sample(points, min(len(points), 80)):
             q = rng.choice(points)
             s, t = point_signs(fan, p), point_signs(fan, q)
-            for c, pattern in zip(fan.cones, fan.patterns):
+            for c, pattern in zip(fan.cones, sign_patterns(fan)):
                 inside = relint_contains(c, p)
                 closed = cone_contains(c, p)
                 assert in_interior(pattern, s) == inside, (c, p)
@@ -398,6 +403,85 @@ def test_sign_patterns_match_the_point_oracle():
                 pairs[both, closed] += 1
     assert min(checked[True, True], checked[False, True], checked[False, False]) >= 500
     assert min(pairs[True, True], pairs[False, True], pairs[False, False]) >= 200, pairs
+
+
+def _oracle_fans() -> dict:
+    fans = {name: fn() for name, fn in fixtures.FANS.items()}
+    fans["rich_r2"] = fan_from_maximal(*gen.rich_fan_r2())
+    rays, maximal, dim = gen.rich_fan_r3()
+    fans["rich_r3"] = fan_from_maximal(rays, maximal, dim)
+    fans["rich_r3_part"] = fan_from_maximal(rays, maximal[:20], dim)  # incomplete
+    return fans
+
+
+def _lattice_points(rng, fan):
+    """The origin, integer points on every hyperplane of the fan (its walls
+    among them), integer points in the relative interior of every cone and
+    random integer points."""
+    dim = fan.ambient_dim
+    points = [(0,) * dim]
+    for n in fan.hyperplanes:
+        v = [rng.randint(-9, 9) for _ in range(dim)]
+        nn, nv = sum(x * x for x in n), sum(x * y for x, y in zip(n, v))
+        points.append(tuple(nn * x - nv * y for x, y in zip(v, n)))  # on n.x = 0
+    for c in fan.cones:
+        weights = [rng.randint(1, 5) for _ in c.generators]
+        points.append(tuple(sum(w * g[i] for w, g in zip(weights, c.generators))
+                            for i in range(dim)))
+    points += [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(40)]
+    return points
+
+
+def test_mask_location_and_closure_equal_the_pattern_scan():
+    # on every fixture fan, both rich fans and part of one, seeded lattice
+    # points (the origin, points on the walls and their extensions, the
+    # relative interior of every cone) and rational points: a point's mask
+    # pair spells its sign vector from Fraction dot products, and _locate and
+    # _closed on it, cold and then from the memo, equal the scan of each
+    # cone's (hyperplane, sign) pattern; so do both on random sign vectors
+    # that no point need have
+    rng, seen = random.Random(17), Counter()
+    for name, fan in _oracle_fans().items():
+        patterns, size = sign_patterns(fan), len(fan.hyperplanes)
+        points = _lattice_points(rng, fan) + _test_points(rng, fan)
+        keys = [hyperplane_values(fan, integer_image({0: p})[1])[1][0] for p in points]
+        for p, key in zip(points, keys):
+            assert as_signs(key, size) == point_signs(fan, p), (name, p)
+        for _ in range(40):
+            pos = rng.getrandbits(size)
+            keys.append((pos, rng.getrandbits(size) & ~pos))
+        for _ in range(2):
+            for key in keys:
+                s = as_signs(key, size)
+                inside = [i for i, pattern in enumerate(patterns) if in_interior(pattern, s)]
+                closed = sum(1 << i for i, pattern in enumerate(patterns) if in_closure(pattern, s))
+                assert _locate(fan, key) == (inside[0] if inside else None), (name, s)
+                assert _closed(fan, key) == closed, (name, s)
+                seen[name, bool(inside)] += 1
+    assert all(seen[name, True] >= 100 for name in _oracle_fans()), seen
+    assert seen["rich_r3_part", False] >= 100, seen  # points outside its support
+
+
+def test_fan_tables_orient_each_distinct_normal_once(monkeypatch):
+    # hyperplanes and the cone bitsets are built in one pass, which orients
+    # each distinct span equation and facet normal once, although the cones
+    # share most of them
+    from tropic import latticefan
+
+    calls = []
+
+    def counting(n, real=latticefan._oriented):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(latticefan, "_oriented", counting)
+    for name, fan in _oracle_fans().items():
+        normals = [n for h in map(cone_halfspaces, fan.cones) for n in h.equations + h.inequalities]
+        calls.clear()
+        assert fan.hyperplanes and _locate(fan, (0, 0)) is not None and _closed(fan, (1, 0))
+        assert sorted(calls) == sorted(set(normals)), name
+        if name.startswith("rich"):
+            assert len(calls) < len(normals) / 3, (name, len(calls), len(normals))
 
 
 def test_sign_vector_memo_misses_outside_an_incomplete_fan():
@@ -807,11 +891,12 @@ def test_faces_are_faces_and_closed_under_faces():
 def test_fan_caches_are_no_field():
     for name, fn in fixtures.FANS.items():
         f = fn()
-        f.patterns  # fills hyperplanes and patterns
-        assert {"hyperplanes", "patterns"} <= vars(f).keys(), name
+        _locate(f, (0, 0))  # fills hyperplanes, the cone bitsets and the memo
+        _closed(f, (1, 0))
+        assert {"hyperplanes", "_cells", "_located", "_closures"} <= vars(f).keys(), name
         rebuilt = Fan(f.cones, f.ambient_dim)
         assert vars(rebuilt) == {}
         assert rebuilt == f and hash(rebuilt) == hash(f) and len({f, rebuilt}) == 1, name
-        assert rebuilt.hyperplanes == f.hyperplanes and rebuilt.patterns == f.patterns
+        assert rebuilt.hyperplanes == f.hyperplanes and rebuilt._cells == f._cells
         built = [Fan.build(cones, f.ambient_dim) for cones in (f.cones, f.cones[::-1])]
         assert built[0] == built[1] and hash(built[0]) == hash(built[1])

@@ -19,11 +19,13 @@ st = hypothesis.strategies
 
 from helpers import (  # noqa: E402
     DIRECTIONS,
+    as_signs,
     echelon,
     gen,
     reference_double_description,
     reference_primitive_and_scale,
     scaled,
+    signs,
     stellar_fan,
     translated,
 )
@@ -249,7 +251,13 @@ def test_hyperplane_values_are_the_dot_products_and_their_signs(dim, fan_seed, d
     values, vectors = hyperplane_values(fan, image)
     assert values == {k: [sum(x * y for x, y in zip(n, q)) for n in fan.hyperplanes]
                       for k, q in image.items()}
-    assert vectors == {k: tuple((x > 0) - (x < 0) for x in v) for k, v in values.items()}
+    # bit j of the first mask is set iff n_j.q > 0, of the second iff n_j.q < 0
+    assert vectors == {k: (sum(1 << j for j, x in enumerate(v) if x > 0),
+                           sum(1 << j for j, x in enumerate(v) if x < 0))
+                       for k, v in values.items()}
+    assert {k: as_signs(key, len(fan.hyperplanes)) for k, key in vectors.items()} == {
+        k: signs(v) for k, v in values.items()}
+    assert vectors["origin"] == (0, 0)
 
 
 @DERANDOMIZED

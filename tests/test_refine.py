@@ -441,7 +441,7 @@ def test_walker_edge_cases():
 
 
 def test_second_subdivision_on_a_fan_locates_no_point(monkeypatch):
-    from helpers import count_pattern_scans
+    from helpers import count_cell_reads
     from tropic import latticefan, refine
 
     locates = []
@@ -455,7 +455,7 @@ def test_second_subdivision_on_a_fan_locates_no_point(monkeypatch):
         if hasattr(module, "smallest_containing_cone"):
             monkeypatch.setattr(module, "smallest_containing_cone", counting_locate)
     for fan, trees in _rich_trees(43):
-        scans = count_pattern_scans(fan)
+        scans = count_cell_reads(fan)
         rounds = []
         for _ in range(2):
             scans.clear()
@@ -486,28 +486,28 @@ def test_walker_signs_each_input_vertex_once(monkeypatch):
     # one sign vector per input vertex and one per distinct ray direction, a
     # ray's far end; a bounded edge signs nothing, as its far end is its end
     # vertex, and a new vertex takes its vector from the sweep, that of the
-    # interval before it with the hyperplanes crossing there set to 0, so the
-    # walk signs no break.  signs is counted wherever a tropic module binds
-    # it, as the vertices are signed in latticefan
+    # interval before it with the hyperplanes crossing there cleared from both
+    # masks, so the walk signs no break.  Every key handed to
+    # hyperplane_values is counted wherever a tropic module binds it
     import sys
 
-    from tropic.latticefan import signs
+    from tropic.latticefan import hyperplane_values
 
-    calls = []
+    signed = []
 
-    def counting(values):
-        calls.append(None)
-        return signs(values)
+    def counting(f, image):
+        signed.extend(image)
+        return hyperplane_values(f, image)
 
     for module in [m for k, m in sys.modules.items() if k.startswith("tropic.")]:
-        if getattr(module, "signs", None) is signs:
-            monkeypatch.setattr(module, "signs", counting)
+        if getattr(module, "hyperplane_values", None) is hyperplane_values:
+            monkeypatch.setattr(module, "hyperplane_values", counting)
     curves, fan = _honeycombs_on_p2(13)
     for c in curves:
-        calls.clear()
+        signed.clear()
         record = subdivide_along_fan(c, fan)
         directions = {r.direction for r in c.rays}
-        assert len(calls) == len(c.vertices) + len(directions)
+        assert len(signed) == len(c.vertices) + len(directions)
         assert record == reference_subdivide(c, fan)
     assert any(subdivide_along_fan(c, fan).new_vertices for c in curves)
 
