@@ -10,7 +10,7 @@ directions sum to zero.
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -63,8 +63,8 @@ class TropicalCurve(_CurveFields):
             cls,
             ambient_dim,
             {v: vertices[v] for v in sorted(vertices)},
-            tuple(sorted(edges, key=lambda e: e.id)),
-            tuple(sorted(rays, key=lambda r: r.id)),
+            tuple(sorted(edges, key=itemgetter(0))),
+            tuple(sorted(rays, key=itemgetter(0))),
         )
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` sorts too
@@ -109,7 +109,7 @@ class TropicalCurve(_CurveFields):
         return index
 
     @cached_property
-    def _image(self) -> tuple[int, dict[str, list[int]]]:
+    def _image(self) -> tuple[int, dict[str, IntVec]]:
         """(m, vertex -> m * position), as ``integer_image``; treat it as read-only."""
         return integer_image(self.vertices)
 

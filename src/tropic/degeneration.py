@@ -11,13 +11,15 @@ convention.
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .curves import TropicalCurve, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
-from .latticefan import Fan, IntVec, RatVec, _closed, _locate, hyperplane_values, not_in_support
+from .latticefan import (
+    Fan, IntVec, RatVec, _closed, _locate, direction_values, hyperplane_values, not_in_support)
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
@@ -58,10 +60,9 @@ def dual_curve(c: TropicalCurve) -> DualCurve:
     require_balanced(c)
     ids = {v: f"C_{v}" for v in c.vertices}
     return DualCurve(
-        tuple([Component(i, v) for v, i in ids.items()]),
-        tuple([Node(f"q_{e.id}", e.id, (ids[e.ends[0]], ids[e.ends[1]])) for e in c.edges]),
-        tuple([MarkedPoint(f"p_{r.id}", r.id, ids[r.base], r.weight) for r in c.rays]),
-    )
+        tuple([_component((i, v)) for v, i in ids.items()]),
+        tuple([_node((f"q_{e}", e, (ids[u], ids[w]))) for e, (u, w), _ in c.edges]),
+        tuple([_marked((f"p_{r}", r, ids[b], k)) for r, b, _, k in c.rays]))
 
 
 class NodeData(NamedTuple):
@@ -69,6 +70,10 @@ class NodeData(NamedTuple):
     k: int
     rho: int
     u_q: IntVec
+
+
+_component, _node, _marked, _node_data = (  # records built by tuple's C constructor
+    partial(tuple.__new__, k) for k in (Component, Node, MarkedPoint, NodeData))
 
 
 class BasePoint(NamedTuple):
@@ -102,11 +107,13 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None,
     primitive direction d; the dual curve, None if unbalanced (an invalid curve
     raises InvalidCurve first); per vertex, its sorted outgoing primitive
     directions, its sign vector against the fan's hyperplanes and the index of
-    its cone, None outside the support, from the walker's sign vectors (``_signs``, handed
-    over by rescaling) for the fan object it signed for, else from the curve's own.  k and
-    u_q are integers on a rescaled curve and exact rationals otherwise, so a tampered
-    certificate is compared, not refused.  For certify and verify, the curve keeps this
-    read-only tuple with its fan, and hands it back for that fan object only."""
+    its cone, None outside the support, from the walker's sign vectors
+    (``_signs``, handed over by rescaling) for the fan object it signed for,
+    else from the curve's own.  Records are built by tuple's C constructor from
+    the unpacked edges and rays.  k and u_q are integers on a rescaled curve and
+    exact rationals otherwise, so a tampered certificate is compared, not
+    refused.  For certify and verify, the curve keeps this read-only tuple with
+    its fan, and hands it back for that fan object only."""
     kept = vars(hat).get("_derived")
     if kept is not None and kept[0] is fan:
         return kept[1]
@@ -115,15 +122,15 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None,
     except Unbalanced:
         dual = None
     stars, nodes, data, back = {v: set() for v in hat.vertices}, {}, hat._edge_data, {}
-    for e in hat.edges:
-        d, length = data[e.id]
-        stars[e.ends[0]].add(d)
-        stars[e.ends[1]].add(back.get(d) or back.setdefault(d, tuple([-x for x in d])))
-        p, q = length.numerator, length.denominator * e.weight
+    for e, (u, w), weight in hat.edges:
+        d, length = data[e]
+        stars[u].add(d)
+        stars[w].add(back.get(d) or back.setdefault(d, tuple([-x for x in d])))
+        p, q = length.numerator, length.denominator * weight
         k = p // q if p % q == 0 else Fraction(p, q)
-        nodes[e.id] = NodeData(e.id, k, e.weight, tuple([-k * x for x in d]))
-    for r in hat.rays:
-        stars[r.base].add(r.direction)
+        nodes[e] = _node_data((e, k, weight, tuple([-k * x for x in d])))
+    for _, base, d, _ in hat.rays:
+        stars[base].add(d)
     signed = vars(hat).get("_signs")
     vectors = signed[1] if signed and signed[0] is fan else hyperplane_values(fan, hat._image[1])[1]
     cones = {v: _locate(fan, vectors[v]) for v in hat.vertices}
@@ -135,14 +142,11 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None,
 def _mismatches(label: str, derived: dict, claimed: dict, same=eq) -> list[str]:
     """``label`` and the id, for each id that only one side holds or whose
     values are not ``same``: none at once if every pair, matched by id, is."""
-    if derived.keys() == claimed.keys() and all(
+    if (derived == claimed) if same is eq else derived.keys() == claimed.keys() and all(
             map(same, derived.values(), map(claimed.__getitem__, derived))):
         return []
-    return [
-        f"{label} {_echo(i)}"
-        for i in sorted(derived.keys() | claimed.keys())
-        if i not in derived or i not in claimed or not same(derived[i], claimed[i])
-    ]
+    return [f"{label} {_echo(i)}" for i in sorted(derived.keys() | claimed.keys())
+            if i not in derived or i not in claimed or not same(derived[i], claimed[i])]
 
 
 def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
@@ -152,7 +156,8 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     packs ``_derive`` of the rescaled curve and the fan, which the curve keeps
     for verify: each vertex's cone and star, the node data and the dual curve.
     The base point's edge valuations k/N are the subdivided curve's
-    length/weight ratios.  The first vertex outside the support of the fan, in
+    length/weight ratios, built once: an int where integral, else the length
+    itself at weight 1.  The first vertex outside the support of the fan, in
     curve order, raises NotInSupport at its rescaled position.
     """
     require_balanced(c)
@@ -163,13 +168,12 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     out = subdivide_along_fan(c, f).output
     hat, mult = rescale_integral(out)
     stars, nodes, dual, _, cones = _derive(hat, f)
-    for v, cone in cones.items():
-        if cone is None:
-            raise not_in_support(hat.vertices[v])
-    valuations = []  # k/N: the subdivided curve's length over the weight
-    for e in out.edges:
-        x, w = out._edge_data[e.id][1], e.weight
-        valuations.append((e.id, x if w == 1 else Fraction(x.numerator, x.denominator * w)))
+    if None in cones.values():
+        raise not_in_support(hat.vertices[next(v for v, i in cones.items() if i is None)])
+    valuations, data = [], out._edge_data  # k/N: the length over the weight
+    for e, _, w in out.edges:
+        p, q = (x := data[e][1]).numerator, x.denominator * w
+        valuations.append((e, p // q if p % q == 0 else x if w == 1 else Fraction(p, q)))
     return RealizationCertificate(
         rescaled_curve=hat,
         multiplier=mult,
@@ -194,7 +198,9 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     missing on one side, a vertex outside the support included; then
     check the curve maps into the fan cone by cone, some closed cone holding
     both ends of each piece, a ray's base and direction (PieceNotInCone), with
-    every ray direction a ray of the fan (RecessionNotSupported)."""
+    every ray direction a ray of the fan (RecessionNotSupported).  Each end's
+    closure mask is read from the fan's memo (``Fan._closures``), each ray
+    direction's sign vector from its table (``direction_values``)."""
     violations: list[str] = []
     hat, n, fan = cert.rescaled_curve, cert.multiplier, cert.fan
     stars, nodes, dual, vectors, cones = _derive(hat, fan)
@@ -213,7 +219,7 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
 
     m, image = hat._image
     ks = [nd.k for nd in nodes.values()]
-    if type(n) is int and n > 1 and all(type(k) is int for k in ks) and gcd(n, *ks) > 1:
+    if type(n) is int and n > 1 and set(map(type, ks)) <= {int} and gcd(n, *ks) > 1:
         violations.append(
             "MultiplierNotLeast: a smaller multiplier makes every length/weight integral")
     violations += _mismatches("VertexConeMismatch: vertex", cones, dict(cert.vertex_cones))
@@ -223,11 +229,8 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     # N times the base point is the rescaled curve, compared in integers: k per
     # edge, and per vertex m*N*p against the curve's integer image (m, m*N*p)
     violations += _mismatches(
-        "BasePointMismatch: edge",
-        {e: nd.k for e, nd in nodes.items()},
-        dict(bp.edge_valuations),
-        lambda k, val: k * val.denominator == val.numerator * n,
-    )
+        "BasePointMismatch: edge", {e: nd.k for e, nd in nodes.items()}, dict(bp.edge_valuations),
+        lambda k, val: k * val.denominator == val.numerator * n)
     mn = m * n
 
     def same_point(p, q):  # up to the first differing coordinate
@@ -241,10 +244,12 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
 
     # the map to the fan is cone by cone: a piece lies in a closed cone iff
     # both its ends do (a ray's base and direction), as cones are convex
-    masks = {v: _closed(fan, s) for v, s in vectors.items()}
-    directions = hyperplane_values(fan, {r.direction: r.direction for r in hat.rays})[1]
-    ends = [(e.id, masks[e.ends[0]], masks[e.ends[1]]) for e in hat.edges]
-    ends += [(r.id, masks[r.base], _closed(fan, directions[r.direction])) for r in hat.rays]
+    masks = dict(zip(vectors, map(fan._closures.get, vectors.values())))
+    if None in masks.values():  # a vector whose closure mask is not memoized yet
+        masks = {v: _closed(fan, s) for v, s in vectors.items()}
+    directions = direction_values(fan, {r.direction for r in hat.rays})
+    ends = [(e, masks[u], masks[w]) for e, (u, w), _ in hat.edges]
+    ends += [(r, masks[b], _closed(fan, directions[d][1])) for r, b, d, _ in hat.rays]
     violations += [f"PieceNotInCone: {_echo(pid)}" for pid, s, t in ends if not s & t]
     violations += [f"RecessionNotSupported: ray {_echo(rid)} direction {d} is no ray of the fan"
                    for rid, d in check_recession_support(hat, fan).missing]

@@ -58,9 +58,10 @@ def primitive(v: Sequence[int]) -> IntVec:
 
 def integer_image(points: dict) -> tuple[int, dict]:
     """The lcm m of all coordinate denominators of ``points`` (key -> int or
-    Fraction coordinates), and per key the integer vector m p."""
+    Fraction coordinates), and per key the integer vector m p, a tuple."""
     m = lcm(*(x.denominator for p in points.values() for x in p))
-    return m, {k: [x.numerator * (m // x.denominator) for x in p] for k, p in points.items()}
+    return m, {k: tuple([x.numerator * (m // x.denominator) for x in p])
+               for k, p in points.items()}
 
 
 def integerize(v: Sequence) -> IntVec:
@@ -74,7 +75,7 @@ def integerize(v: Sequence) -> IntVec:
 Matrix = Sequence[Sequence]
 
 
-def _integer_row(row: Sequence) -> list[int]:
+def _integer_row(row: Sequence) -> Sequence[int]:
     """The row scaled by the lcm of its denominators (integer rows are kept as they are)."""
     if all(type(x) is int for x in row):
         return list(row)
@@ -301,7 +302,8 @@ class _FanFields(NamedTuple):
 
 
 class Fan(_FanFields):
-    """Collection of cones closed under faces with face-to-face intersections."""
+    """Collection of cones closed under faces with face-to-face intersections; its
+    tables and memos (below) are built on first use, outside the tuple's fields."""
 
     @staticmethod
     def build(cones: Iterable[Cone], ambient_dim: int) -> "Fan":
@@ -319,8 +321,7 @@ class Fan(_FanFields):
 
     @cached_property
     def hyperplanes(self) -> tuple[IntVec, ...]:
-        """Every facet and span normal of every cone, once per hyperplane: primitive, its first
-        nonzero entry positive.  Built on first use with ``_cells``, outside the tuple's fields."""
+        """Every facet and span normal of every cone, once: primitive, first nonzero entry > 0."""
         return self._cells[0]
 
     @cached_property
@@ -349,6 +350,11 @@ class Fan(_FanFields):
     @cached_property
     def _closures(self) -> dict[tuple[int, int], int]:
         """sign vector against ``hyperplanes`` -> its closure mask; see ``_closed``."""
+        return {}
+
+    @cached_property
+    def _directions(self) -> dict[IntVec, tuple[list[int], tuple[int, int]]]:
+        """ray direction -> its ``hyperplane_values`` entry; see ``direction_values``."""
         return {}
 
 
@@ -382,6 +388,16 @@ def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
                 neg |= bit
         vectors[k] = pos, neg
     return values, vectors
+
+
+def direction_values(f: Fan, directions: Iterable[IntVec]) -> dict:
+    """``f._directions``, holding each of ``directions`` D: the integers n.D for n in
+    ``f.hyperplanes`` and their sign vector, computed once per fan object."""
+    new = {d: d for d in directions if d not in f._directions}
+    if new:
+        values, vectors = hyperplane_values(f, new)
+        f._directions.update({d: (values[d], vectors[d]) for d in new})
+    return f._directions
 
 
 def fan_from_maximal(

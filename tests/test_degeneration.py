@@ -506,9 +506,11 @@ def test_each_curve_builds_one_integer_image(monkeypatch):
     # it.  certify builds the input's only: the subdivided curve carries its
     # edge data and needs none, and rescaling builds the rescaled curve's
     # image from its positions and hands it over, so verify-cert builds none
-    # in process, and one for a curve read from JSON.  A curve with no break
-    # and N = 1 is its own rescaled curve, image included.  integer_image is
-    # counted wherever a tropic module binds it
+    # in process, and one for a curve read from JSON.  Every image holds
+    # tuples, handed or built, and with m = 1 the rescaled curve's vertices
+    # are its image's dict.  A curve with no break and N = 1 is its own
+    # rescaled curve, image included.  integer_image is counted wherever a
+    # tropic module binds it
     import random
     import sys
 
@@ -543,6 +545,8 @@ def test_each_curve_builds_one_integer_image(monkeypatch):
     assert cert.multiplier > 1 and len(hat.vertices) > len(c.vertices)
     assert len(calls) == 1  # the input's, counted above: certify builds none
     assert "_image" in vars(hat) and hat._image == real(hat.vertices)
+    assert hat._image[0] > 1 or hat.vertices is hat._image[1]
+    assert {type(q) for q in [*hat._image[1].values(), *c._image[1].values()]} == {tuple}
     calls.clear()
     assert verify_certificate(cert).ok
     assert calls == []
@@ -884,6 +888,25 @@ def test_the_rescaled_curve_keeps_its_derived_fields(monkeypatch):
         "Unbalanced: rescaled curve fails balancing")
 
 
+def _count_signed_keys(monkeypatch) -> list[set]:
+    """The keys of every ``hyperplane_values`` call, one set per call, counted
+    wherever a tropic module binds it."""
+    import sys
+
+    from tropic.latticefan import hyperplane_values
+
+    calls = []
+
+    def counting(f, image):
+        calls.append(set(image))
+        return hyperplane_values(f, image)
+
+    for module in [m for k, m in sys.modules.items() if k.startswith("tropic.")]:
+        if getattr(module, "hyperplane_values", None) is hyperplane_values:
+            monkeypatch.setattr(module, "hyperplane_values", counting)
+    return calls
+
+
 def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(monkeypatch):
     # the walker's sign vectors ride the subdivided and rescaled curve into
     # _derive, so certify signs no vertex in degeneration, and the derivation
@@ -891,26 +914,26 @@ def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(m
     # back for the same fan object.  The carried vectors bind to their fan
     # object and their curve object: given an equal fan that is another
     # object, a copy of the curve or a certificate read from JSON, the
-    # vertices are signed afresh.  The ray directions are signed once each,
-    # keyed by direction, not by ray
+    # vertices are signed afresh.  The ray directions are read from the fan's
+    # table (``Fan._directions``): each is signed once per fan object, keyed
+    # by direction, not by ray, by the first walk or verify on that object
     from tropic import degeneration
     from tropic.jsonio import (
         certificate_from_dict, certificate_to_dict, dumps, fan_from_dict, fan_to_dict, loads)
 
-    real, calls = degeneration.hyperplane_values, []
-    monkeypatch.setattr(degeneration, "hyperplane_values",
-                        lambda f, image: calls.append(set(image)) or real(f, image))
+    calls = _count_signed_keys(monkeypatch)
     tree, fan = _rich_tree(6, 24)
     cert = certify(tree, fan)
     hat = cert.rescaled_curve
     vertices, directions = set(hat.vertices), {r.direction for r in hat.rays}
-    assert calls == [] and 0 < len(directions) < len(hat.rays)
+    assert calls == [set(tree.vertices), directions] and 0 < len(directions) < len(hat.rays)
     assert cert.multiplier > 1 and len(hat.vertices) > len(tree.vertices)
-    assert verify_certificate(cert).ok and calls == [directions]
-    back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
     calls.clear()
+    assert verify_certificate(cert).ok and calls == []
+    back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
     assert verify_certificate(back).ok and calls == [vertices, directions]
     calls.clear()
+    assert verify_certificate(back).ok and calls == []
     other = fan_from_dict(fan_to_dict(fan))
     assert other == fan and other is not fan
     assert degeneration._derive(hat, other) == degeneration._derive(hat, fan)
@@ -921,7 +944,31 @@ def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(m
     copy = hat._replace(rays=hat.rays)
     assert copy == hat and "_signs" not in vars(copy)
     assert verify_certificate(cert._replace(rescaled_curve=copy)).ok
-    assert calls == [vertices, directions]
+    assert calls == [vertices]
+
+
+def test_a_second_certify_and_verify_on_a_fan_signs_no_ray_direction(monkeypatch):
+    # count gate: the fan keeps every ray direction's values and signs, so
+    # of two certify+verify rounds on one fan object only the first signs a
+    # direction, once each, however many rays share it; a vertex is a str
+    # key, a direction a tuple
+    import random
+
+    from helpers import gen
+    from tropic.curves import TropicalCurve
+    from tropic.latticefan import fan_from_maximal
+
+    calls = _count_signed_keys(monkeypatch)
+    rays, maximal, dim = gen.rich_fan_r2()
+    tree2 = TropicalCurve.build(*gen.tree(random.Random(8), dim, 40, rays))
+    for tree, fan in ((tree2, fan_from_maximal(rays, maximal, dim)), _rich_tree(8, 40)):
+        directions = {r.direction for r in tree.rays}
+        assert len(directions) < len(tree.rays)
+        for first in (True, False):
+            calls.clear()
+            assert verify_certificate(certify(TropicalCurve(*tree), fan)).ok
+            signed = [k for keys in calls for k in keys if type(k) is tuple]
+            assert sorted(signed) == (sorted(directions) if first else []), tree.ambient_dim
 
 
 def test_a_doubled_multiplier_names_every_edge_and_moved_vertex(monkeypatch):
@@ -983,6 +1030,43 @@ def certificate_hashes() -> dict[str, str]:
 def test_certificates_match_the_golden_hashes():
     # generated by certificate_hashes() before the fraction-free walker
     assert certificate_hashes() == json.loads(CERTIFY_GOLDEN.read_text())
+
+
+def test_every_record_of_a_certificate_has_its_class_and_field_count():
+    # count gate: the walker and the derivation build their records with
+    # tuple.__new__, which skips _make's length check, so every record of
+    # seeded subdivisions and certificates on both rich fans is checked for
+    # its class's exact type and number of fields
+    import random
+    from collections import Counter
+
+    from helpers import gen
+    from tropic.curves import BoundedEdge, CurveRay, TropicalCurve
+    from tropic.degeneration import Component, MarkedPoint, Node, NodeData
+    from tropic.latticefan import fan_from_maximal
+    from tropic.refine import NewVertex, subdivide_along_fan
+
+    seen = Counter()
+    for rich in (gen.rich_fan_r2, gen.rich_fan_r3):
+        rays, maximal, dim = rich()
+        fan = fan_from_maximal(rays, maximal, dim)
+        for seed in range(6):
+            tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, 4 + 8 * seed, rays))
+            record = subdivide_along_fan(tree, fan)
+            cert = certify(tree, fan)
+            hat, dual = cert.rescaled_curve, cert.dual
+            for records, cls in (
+                    (record.new_vertices, NewVertex), (record.output.edges, BoundedEdge),
+                    (record.output.rays, CurveRay), (hat.edges, BoundedEdge),
+                    (hat.rays, CurveRay), (dual.components, Component), (dual.nodes, Node),
+                    (dual.marked_points, MarkedPoint), (cert.node_data, NodeData)):
+                for r in records:
+                    assert type(r) is cls and len(r) == len(cls._fields), r
+                seen[cls.__name__] += len(records)
+            assert all(len(nd.u_q) == dim for nd in cert.node_data)
+            assert all(len(e.ends) == 2 for e in hat.edges)
+            assert all(len(n.components) == 2 for n in dual.nodes)
+    assert len(seen) == 7 and min(seen.values()) >= 50, seen
 
 
 MULTIPLIER_NOT_POSITIVE = "MultiplierNotPositive: the multiplier must be a positive int"

@@ -41,6 +41,7 @@ from tropic.latticefan import (
     cone_extreme,
     cone_halfspaces,
     cone_intersection,
+    direction_values,
     double_description,
     fan_from_maximal,
     fan_validate,
@@ -112,7 +113,7 @@ def test_integer_image_scales_every_point_by_one_lcm():
     points = {"a": (Fraction(1, 6), 2), "b": (Fraction(-3, 4), Fraction(0)), 7: (5, 0)}
     m, image = integer_image(points)
     assert m == 12
-    assert image == {"a": [2, 24], "b": [-9, 0], 7: [60, 0]}
+    assert image == {"a": (2, 24), "b": (-9, 0), 7: (60, 0)}  # tuples, as a rescaled curve's
     assert all(type(x) is int for q in image.values() for x in q)
     for key, p in points.items():
         assert [Fraction(x, m) for x in image[key]] == list(p)
@@ -893,9 +894,13 @@ def test_fan_caches_are_no_field():
         f = fn()
         _locate(f, (0, 0))  # fills hyperplanes, the cone bitsets and the memo
         _closed(f, (1, 0))
-        assert {"hyperplanes", "_cells", "_located", "_closures"} <= vars(f).keys(), name
+        ray = f.rays()[0]
+        assert direction_values(f, [ray]) is f._directions and list(f._directions) == [ray]
+        values, vectors = hyperplane_values(f, {ray: ray})
+        assert f._directions[ray] == (values[ray], vectors[ray]), name
+        assert {"hyperplanes", "_cells", "_located", "_closures", "_directions"} <= vars(f).keys()
         rebuilt = Fan(f.cones, f.ambient_dim)
-        assert vars(rebuilt) == {}
+        assert vars(rebuilt) == {} and rebuilt._directions == {}, name
         assert rebuilt == f and hash(rebuilt) == hash(f) and len({f, rebuilt}) == 1, name
         assert rebuilt.hyperplanes == f.hyperplanes and rebuilt._cells == f._cells
         built = [Fan.build(cones, f.ambient_dim) for cones in (f.cones, f.cones[::-1])]

@@ -130,9 +130,10 @@ def test_rescale_examples():
 
 def test_an_integral_rescale_has_int_coordinates_and_is_handed_its_image():
     # the rescaled curve's image (m/g, (N/g) * m p), g = gcd(N, m), is handed
-    # over and equals the one its coordinates give; with m/g = 1 each
-    # coordinate is that int, otherwise a Fraction over m/g.  Lengths stay
-    # Fractions, so length / weight stays exact
+    # over and equals the one its coordinates give, both holding tuples; with
+    # m/g = 1 each coordinate is that int, and the vertices are the image's
+    # own dict, otherwise a Fraction over m/g.  The fields keep the input's
+    # sorted order.  Lengths stay Fractions, so length / weight stays exact
     from tropic.latticefan import integer_image
 
     half = TropicalCurve.build(
@@ -155,7 +156,9 @@ def test_an_integral_rescale_has_int_coordinates_and_is_handed_its_image():
         hat, multiplier = rescale_integral(c)
         assert multiplier == n
         assert "_image" in vars(hat) and hat._image == integer_image(hat.vertices)
-        assert hat._image[0] == m
+        assert hat._image[0] == m and {type(q) for q in hat._image[1].values()} == {tuple}
+        assert (hat.vertices is hat._image[1]) == (m == 1)
+        assert list(hat.vertices) == sorted(hat.vertices) and hat == TropicalCurve(*hat)
         kind = int if m == 1 else Fraction
         assert all(type(x) is kind for p in hat.vertices.values() for x in p)
         assert positions is None or hat.vertices == positions
@@ -384,6 +387,30 @@ def test_walker_matches_reference_on_rich_fans_with_a_full_memo():
             assert [subdivide_along_fan(tree, fan) for tree in trees] == expected
 
 
+def test_integral_break_coordinates_are_ints_and_change_no_comparison_or_json():
+    # a break coordinate that is integral is a plain int, which equals and
+    # hashes as the Fraction the reference walker builds: the subdivided
+    # curve compares equal to the reference's all-Fraction one and writes the
+    # same JSON, and so does the rescaled curve made from each
+    from tropic.jsonio import curve_to_dict, dumps
+
+    kinds = {int: 0, Fraction: 0}
+    for fan, trees in _rich_trees(43):
+        for tree in trees:
+            out, expected = subdivide_along_fan(tree, fan).output, reference_subdivide(tree, fan)
+            assert out == expected.output
+            assert dumps(curve_to_dict(out)) == dumps(curve_to_dict(expected.output))
+            for v in expected.new_vertices:
+                assert hash(out.vertices[v.id]) == hash(expected.output.vertices[v.id])
+                for x in out.vertices[v.id]:
+                    assert type(x) is (int if x.denominator == 1 else Fraction)
+                    kinds[type(x)] += 1
+            hat, expected_hat = rescale_integral(out)[0], rescale_integral(expected.output)[0]
+            assert hat == expected_hat
+            assert dumps(curve_to_dict(hat)) == dumps(curve_to_dict(expected_hat))
+    assert kinds[int] >= 100 and kinds[Fraction] >= 100, kinds
+
+
 def _walk(curve, fan):
     """The subdivision, checked against the reference: (new vertex positions,
     generators of the cone of each piece, by piece id)."""
@@ -483,12 +510,14 @@ def _honeycombs_on_p2(seed):
 
 
 def test_walker_signs_each_input_vertex_once(monkeypatch):
-    # one sign vector per input vertex and one per distinct ray direction, a
-    # ray's far end; a bounded edge signs nothing, as its far end is its end
-    # vertex, and a new vertex takes its vector from the sweep, that of the
-    # interval before it with the hyperplanes crossing there cleared from both
-    # masks, so the walk signs no break.  Every key handed to
-    # hyperplane_values is counted wherever a tropic module binds it
+    # one sign vector per input vertex, and one per distinct ray direction, a
+    # ray's far end, once per fan object: the fan keeps each direction's
+    # entry (``Fan._directions``), so no later walk on that fan signs it
+    # again.  A bounded edge signs nothing, as its far end is its end vertex,
+    # and a new vertex takes its vector from the sweep, that of the interval
+    # before it with the hyperplanes crossing there cleared from both masks,
+    # so the walk signs no break.  Every key handed to hyperplane_values is
+    # counted wherever a tropic module binds it
     import sys
 
     from tropic.latticefan import hyperplane_values
@@ -502,23 +531,30 @@ def test_walker_signs_each_input_vertex_once(monkeypatch):
     for module in [m for k, m in sys.modules.items() if k.startswith("tropic.")]:
         if getattr(module, "hyperplane_values", None) is hyperplane_values:
             monkeypatch.setattr(module, "hyperplane_values", counting)
-    curves, fan = _honeycombs_on_p2(13)
+    curves, fan = _honeycombs_on_p2(13)  # walked once: the fan holds their directions
     for c in curves:
         signed.clear()
         record = subdivide_along_fan(c, fan)
-        directions = {r.direction for r in c.rays}
-        assert len(signed) == len(c.vertices) + len(directions)
+        assert sorted(signed) == sorted(c.vertices)
         assert record == reference_subdivide(c, fan)
     assert any(subdivide_along_fan(c, fan).new_vertices for c in curves)
+    fresh = fan_from_maximal(*gen.fan_p2())  # an equal fan, another object: a table of its own
+    for k, c in enumerate(curves):
+        signed.clear()  # both walks sign the vertices; the first walk on fresh, the directions
+        assert subdivide_along_fan(c, fresh) == subdivide_along_fan(c, fan)
+        directions = {r.direction for r in c.rays} if k == 0 else set()
+        assert len(signed) == len(c.vertices) * 2 + len(directions)
+        assert set(signed) == set(c.vertices) | directions
 
 
 def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypatch):
     # each host of the honeycombs is walked as a curve of its own, with every
     # Fraction that refine builds counted.  Crossings are keyed by integers,
-    # so a host builds exactly dim Fractions per kept break (its position)
-    # and, if it breaks at all, one per bounded piece (its length); a host
-    # with no kept break, whether it crosses no hyperplane or only spurious
-    # extensions of a wall, builds none and keeps its own length object
+    # so a host builds one Fraction per non-integral coordinate of a kept
+    # break (an integral one is a plain int) and, if it breaks at all, one per
+    # bounded piece (its length); a host with no kept break, whether it
+    # crosses no hyperplane or only spurious extensions of a wall, builds none
+    # and keeps its own length object
     from tropic import refine
 
     built = []
@@ -529,7 +565,7 @@ def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypat
 
     monkeypatch.setattr(refine, "Fraction", counting)
     curves, fan = _honeycombs_on_p2(13)
-    seen = {"no crossing": 0, "spurious only": 0, "breaks": 0}
+    seen = {"no crossing": 0, "spurious only": 0, "breaks": 0, "int": 0, "Fraction": 0}
     for c in curves:
         for h in c.edges + c.rays:
             if isinstance(h, BoundedEdge):
@@ -539,15 +575,23 @@ def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypat
                 ends = [c.vertices[h.base], h.direction]  # n.base and n.d of opposite signs
                 alone = TropicalCurve.build(2, {h.base: ends[0]}, [], [tuple(h)])
             crosses = any(dot(n, ends[0]) * dot(n, ends[1]) < 0 for n in fan.hyperplanes)
-            breaks = len(reference_subdivide(alone, fan).new_vertices)
+            reference = reference_subdivide(alone, fan)
+            breaks = len(reference.new_vertices)
             pieces = breaks + 1 if isinstance(h, BoundedEdge) else breaks
+            fractional = sum(x.denominator > 1 for v in reference.new_vertices
+                             for x in reference.output.vertices[v.id])
             built.clear()
             out = subdivide_along_fan(alone, fan).output
-            assert len(built) == (2 * breaks + pieces if breaks else 0), h
+            assert len(built) == (fractional + pieces if breaks else 0), h
+            assert out == reference.output
+            for x in (x for v in reference.new_vertices for x in out.vertices[v.id]):
+                seen[type(x).__name__] += 1
+                assert type(x) is (int if x.denominator == 1 else Fraction)
             if not breaks and h.id in out._edge_data:
                 assert out._edge_data[h.id][1] is edge_data(alone, h.id)[1]
             seen["breaks" if breaks else "spurious only" if crosses else "no crossing"] += 1
-    assert min(seen.values()) >= 10, seen
+    assert min(seen["no crossing"], seen["spurious only"], seen["breaks"]) >= 10, seen
+    assert seen["int"] >= 2 and seen["Fraction"] >= 10, seen  # integral break coordinates
 
 
 def test_an_unbroken_host_passes_through_as_it_is():
@@ -647,8 +691,9 @@ def test_subdivided_and_rescaled_curves_inherit_what_a_fresh_curve_computes():
     # edge data, validation verdict and balancing report from the curve they
     # came from; each must equal what a fresh curve of the same fields computes.
     # With N > 1 the rescaled curve is handed its integer image, built from its
-    # positions by way of the first vertex's denominators; "fractional" counts
-    # the rescaled curves whose image's m is more than 1
+    # positions by way of the first vertex's denominators, as tuples, each in
+    # the order of a fresh curve; "fractional" counts the rescaled curves whose
+    # image's m is more than 1
     seen = {"cases": 0, "unbalanced": 0, "split": 0, "rescaled": 0, "fractional": 0}
     for c, f in _inheritance_cases():
         is_balanced(c)  # as certify does, so there is a report to hand over
@@ -664,7 +709,9 @@ def test_subdivided_and_rescaled_curves_inherit_what_a_fresh_curve_computes():
             assert validate(out) == validate(fresh)
             assert is_balanced(out) == is_balanced(fresh)  # defects in order
             assert out._edge_data == {e.id: edge_data(fresh, e.id) for e in fresh.edges}
+            assert list(out.vertices) == list(fresh.vertices) and out == fresh
         assert (n == 1 or "_image" in vars(hat)) and hat._image == integer_image(hat.vertices)
+        assert all(type(q) is tuple for q in hat._image[1].values())
         seen["cases"] += 1
         seen["unbalanced"] += not is_balanced(c).balanced
         seen["split"] += bool(record.new_vertices)
