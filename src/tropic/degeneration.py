@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .curves import TropicalCurve, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
 from .latticefan import (
-    Fan, IntVec, RatVec, _closed, _locate, direction_values, hyperplane_values, not_in_support)
+    Fan, IntVec, RatVec, _locate, direction_values, hyperplane_values, not_in_support)
 from .refine import check_recession_support, rescale_integral, subdivide_along_fan
 
 
@@ -106,10 +106,10 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None,
     bounded edge, NodeData with k = length/weight and u_q = -k*d for the edge's
     primitive direction d; the dual curve, None if unbalanced (an invalid curve
     raises InvalidCurve first); per vertex, its sorted outgoing primitive
-    directions, its sign vector against the fan's hyperplanes and the index of
-    its cone, None outside the support, from the walker's sign vectors
-    (``_signs``, handed over by rescaling) for the fan object it signed for,
-    else from the curve's own.  Records are built by tuple's C constructor from
+    directions, and its cell in the fan (``_locate``): its closure mask and the
+    index of its cone, None outside the support, both read off the walker's sign
+    vectors (``_signs``, handed over by rescaling) for the fan object it signed
+    for, else off the curve's own.  Records are built by tuple's C constructor from
     the unpacked edges and rays.  k and u_q are integers on a rescaled curve and
     exact rationals otherwise, so a tampered certificate is compared, not
     refused.  For certify and verify, the curve keeps this read-only tuple with
@@ -133,8 +133,10 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None,
         stars[base].add(d)
     signed = vars(hat).get("_signs")
     vectors = signed[1] if signed and signed[0] is fan else hyperplane_values(fan, hat._image[1])[1]
-    cones = {v: _locate(fan, vectors[v]) for v in hat.vertices}
-    derived = {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes, dual, vectors, cones
+    masks, cones = {}, {}
+    for v in hat.vertices:
+        cones[v], masks[v] = _locate(fan, vectors[v])
+    derived = {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes, dual, masks, cones
     vars(hat)["_derived"] = fan, derived
     return derived
 
@@ -198,12 +200,12 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     missing on one side, a vertex outside the support included; then
     check the curve maps into the fan cone by cone, some closed cone holding
     both ends of each piece, a ray's base and direction (PieceNotInCone), with
-    every ray direction a ray of the fan (RecessionNotSupported).  Each end's
-    closure mask is read from the fan's memo (``Fan._closures``), each ray
-    direction's sign vector from its table (``direction_values``)."""
+    every ray direction a ray of the fan (RecessionNotSupported).  Each vertex's
+    closure mask is read from ``_derive``, each ray direction's from its cell
+    (``_locate``, memoized by ``direction_values``)."""
     violations: list[str] = []
     hat, n, fan = cert.rescaled_curve, cert.multiplier, cert.fan
-    stars, nodes, dual, vectors, cones = _derive(hat, fan)
+    stars, nodes, dual, masks, cones = _derive(hat, fan)
     if dual is None:
         violations.append("Unbalanced: rescaled curve fails balancing")
     elif dual != cert.dual:
@@ -244,12 +246,9 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
 
     # the map to the fan is cone by cone: a piece lies in a closed cone iff
     # both its ends do (a ray's base and direction), as cones are convex
-    masks = dict(zip(vectors, map(fan._closures.get, vectors.values())))
-    if None in masks.values():  # a vector whose closure mask is not memoized yet
-        masks = {v: _closed(fan, s) for v, s in vectors.items()}
     directions = direction_values(fan, {r.direction for r in hat.rays})
     ends = [(e, masks[u], masks[w]) for e, (u, w), _ in hat.edges]
-    ends += [(r, masks[b], _closed(fan, directions[d][1])) for r, b, d, _ in hat.rays]
+    ends += [(r, masks[b], _locate(fan, directions[d][1])[1]) for r, b, d, _ in hat.rays]
     violations += [f"PieceNotInCone: {_echo(pid)}" for pid, s, t in ends if not s & t]
     violations += [f"RecessionNotSupported: ray {_echo(rid)} direction {d} is no ray of the fan"
                    for rid, d in check_recession_support(hat, fan).missing]

@@ -302,8 +302,8 @@ class _FanFields(NamedTuple):
 
 
 class Fan(_FanFields):
-    """Collection of cones closed under faces with face-to-face intersections; its
-    tables and memos (below) are built on first use, outside the tuple's fields."""
+    """Collection of cones closed under faces with face-to-face intersections; its tables
+    and its two memos, cells and directions (below), are built on first use, off the fields."""
 
     @staticmethod
     def build(cones: Iterable[Cone], ambient_dim: int) -> "Fan":
@@ -343,13 +343,8 @@ class Fan(_FanFields):
         return hyperplanes, {s: tuple(bits) for s, bits in allowed.items()}
 
     @cached_property
-    def _located(self) -> dict[tuple[int, int], int]:
-        """sign vector against ``hyperplanes`` -> cone index; see ``_locate``."""
-        return {}
-
-    @cached_property
-    def _closures(self) -> dict[tuple[int, int], int]:
-        """sign vector against ``hyperplanes`` -> its closure mask; see ``_closed``."""
+    def _located(self) -> dict[tuple[int, int], tuple[int | None, int]]:
+        """sign vector against ``hyperplanes`` -> its cell; see ``_locate``."""
         return {}
 
     @cached_property
@@ -392,11 +387,14 @@ def hyperplane_values(f: Fan, image: dict) -> tuple[dict, dict]:
 
 def direction_values(f: Fan, directions: Iterable[IntVec]) -> dict:
     """``f._directions``, holding each of ``directions`` D: the integers n.D for n in
-    ``f.hyperplanes`` and their sign vector, computed once per fan object."""
+    ``f.hyperplanes`` and their sign vector, computed once per fan object, its
+    cell memoized too (``_locate``)."""
     new = {d: d for d in directions if d not in f._directions}
     if new:
         values, vectors = hyperplane_values(f, new)
         f._directions.update({d: (values[d], vectors[d]) for d in new})
+        for d in new:
+            _locate(f, vectors[d])
     return f._directions
 
 
@@ -547,43 +545,30 @@ def _validate_by_walls(maximal: dict) -> ValidationReport | None:
 def smallest_containing_cone(f: Fan, p: Sequence) -> Cone:
     """The first cone of ``f.cones`` whose relative interior contains ``p``
     (on a valid fan, the only one); NotInSupport if there is none."""
-    index = _locate(f, hyperplane_values(f, integer_image({0: p})[1])[1][0])
+    index = _locate(f, hyperplane_values(f, integer_image({0: p})[1])[1][0])[0]
     if index is None:
         raise not_in_support(p)
     return f.cones[index]
 
 
-def _locate(f: Fan, key: tuple[int, int]) -> int | None:
-    """The index of the first cone whose relative interior holds the points
-    with sign vector ``key`` against ``f.hyperplanes``, or None: the lowest bit
-    of ``_cones`` over every sign, 0 included.  Hits are memoized, at most one
-    per cell of the arrangement; misses, outside the support, are not."""
-    index = f._located.get(key)
-    if index is None:
-        cones = _cones(f, *key, ~(key[0] | key[1]) & ((1 << len(f.hyperplanes)) - 1))
-        if cones:
-            index = f._located[key] = (cones & -cones).bit_length() - 1
-    return index
-
-
-def _closed(f: Fan, key: tuple[int, int]) -> int:
-    """The closure mask of sign vector ``key``: bit i is set iff the closed cone
-    ``f.cones[i]`` holds its points, ``_cones`` over its nonzero signs; memoized
-    per vector."""
-    mask = f._closures.get(key)
-    if mask is None:
-        mask = f._closures[key] = _cones(f, *key)
-    return mask
-
-
-def _cones(f: Fan, pos: int, neg: int, zero: int = 0) -> int:
-    """The bitset of the cones that allow sign 1 at every bit of ``pos``, -1
-    at every bit of ``neg`` and 0 at every bit of ``zero`` (``Fan._cells``)."""
-    cones = (1 << len(f.cones)) - 1
-    for sign, bits in ((1, pos), (-1, neg), (0, zero)):
-        for j in set_bits(bits):
-            cones &= f._cells[1][sign][j]
-    return cones
+def _locate(f: Fan, key: tuple[int, int]) -> tuple[int | None, int]:
+    """The cell of sign vector ``key`` against ``f.hyperplanes``: the index of the first
+    cone whose relative interior holds its points, None outside the support, and its
+    closure mask, bit i set iff the closed cone ``f.cones[i]`` holds them.  The mask is
+    the AND of the cone bitsets (``Fan._cells``) over its nonzero signs, the interiors
+    that AND over its zero signs too.  Memoized per vector, misses included."""
+    cell = f._located.get(key)
+    if cell is None:
+        (pos, neg), allowed = key, f._cells[1]
+        mask = (1 << len(f.cones)) - 1
+        for sign, bits in ((1, pos), (-1, neg)):
+            for j in set_bits(bits):
+                mask &= allowed[sign][j]
+        inside = mask
+        for j in set_bits(~(pos | neg) & ((1 << len(f.hyperplanes)) - 1)):
+            inside &= allowed[0][j]
+        cell = f._located[key] = ((inside & -inside).bit_length() - 1 if inside else None, mask)
+    return cell
 
 
 def set_bits(mask: int) -> Iterator[int]:

@@ -62,11 +62,8 @@ def _point_at(base: IntVec, direction: IntVec, m: int, p: int, q: int) -> RatVec
                   for b, d in zip(base, direction)])
 
 
-def _claim(new_id: str, taken, host_id: str) -> None:
-    if new_id in taken:
-        raise InvalidCurve(
-            f"subdividing {_echo(host_id)} creates id {_echo(repr(new_id))}, which the curve "
-            "already uses; ids <id>#k and <id>:k are reserved for subdivision")
+_REUSED = ("subdividing {} creates id {}, which the curve already uses; "
+           "ids <id>#k and <id>:k are reserved for subdivision")
 
 
 def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
@@ -87,14 +84,15 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     the integer |a|*(lb/|b|) = t*lb, lb the lcm of the host's |b|; the
     crossings at one key form one flip mask.  Sweeping the keys in order, each
     interval's vector is the one before with the flip mask XORed into both
-    masks, and gets its memoized cone (``_locate``).  Spurious crossings (through
-    the interior of a cone) are discarded by merging consecutive pieces in the
-    same cone.  Each broken host is one list of stops (vertex, key, cone of the
-    piece after): its start, its kept breaks and its end (none for a ray), and
-    each pair of consecutive stops is a piece in its cone, unchecked: a stop's
-    sign vector (a break's is the interval's before it, its flip mask cleared
-    from both masks) is 0 wherever it differs from the adjacent interval's.  The
-    output carries every vertex's vector, for this fan object only (``_signs``).
+    masks, and its memoized cell gives its cone (``_locate``).  Spurious
+    crossings (through the interior of a cone) are discarded by merging
+    consecutive pieces in the same cone.  Each broken host is one list of stops
+    (vertex, key, cone of the piece after): its start, its kept breaks and its
+    end (none for a ray), and each pair of consecutive stops is a piece in its
+    cone, unchecked: a stop's sign vector (a break's is the interval's before it,
+    its flip mask cleared from both masks) is 0 wherever it differs from the
+    adjacent interval's.  The output carries every vertex's vector, for this fan
+    object only (``_signs``).
     Weights are inherited, and balancing, genus, support, and the recession fan
     are preserved: the new vertices are straight, 2-valent and fresh, so the
     output inherits the validation verdict and balancing report, and a piece
@@ -106,9 +104,9 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     through as it is, with its edge data, and a curve in which no host breaks is
     its own output, caches and all.  New vertices are named ``<host>#k`` and
     pieces ``<host>:k``; an input curve already using such an id raises
-    InvalidCurve.  The fan is assumed complete; ``fan_validate`` certifies that
-    for complete simplicial fans only, and a traversed point outside the support
-    raises NotInSupport.
+    InvalidCurve before the id is written, the first in host order.  The fan is
+    assumed complete; ``fan_validate`` certifies that for complete simplicial
+    fans only, and a traversed point outside the support raises NotInSupport.
     """
     _require_valid_in(c, f)
 
@@ -120,7 +118,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
 
     m, image = c._image
     own, vertex_signs = hyperplane_values(f, image)  # vertex -> n.(m v); -> their signs
-    far, located = direction_values(f, {r.direction for r in c.rays}), f._located  # D -> n.D; signs
+    far, located = direction_values(f, {r.direction for r in c.rays}), f._located  # D -> n.D; cells
 
     for h in hosts:
         bounded = type(h) is BoundedEdge
@@ -139,7 +137,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
             cuts = sorted(crossings)
             for t in cuts:
                 keys.append((keys[-1][0] ^ crossings[t], keys[-1][1] ^ crossings[t]))
-        cones = [located[key] if key in located else _locate(f, key) for key in keys]
+        cones = [(located.get(key) or _locate(f, key))[0] for key in keys]
         if cones[0] is not None and cones.count(cones[0]) == len(cones):  # no break kept
             (new_edges if bounded else new_rays).append(h)
             if bounded:
@@ -155,7 +153,8 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         for k, t in enumerate(cuts):
             if cones[k] != cones[k + 1]:
                 vid = f"{h.id}#{len(stops)}"
-                _claim(vid, vertices, h.id)
+                if vid in vertices:
+                    raise InvalidCurve(_REUSED.format(_echo(h.id), _echo(repr(vid))))
                 vertices[vid] = _point_at(base, direction, m, t, lb)
                 vertex_signs[vid] = keys[k][0] & ~crossings[t], keys[k][1] & ~crossings[t]
                 record.append(
@@ -166,7 +165,8 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
         num, den = scale.numerator, scale.denominator * lb
         for k, ((u, t0, cone), (w, t1, _)) in enumerate(zip(stops, stops[1:])):
             pid = f"{h.id}:{k}"
-            _claim(pid, host_ids, h.id)
+            if pid in host_ids:
+                raise InvalidCurve(_REUSED.format(_echo(h.id), _echo(repr(pid))))
             if w is None:
                 new_rays.append(_ray((pid, u, h.direction, h.weight)))
             else:

@@ -478,10 +478,30 @@ def in_closure(pattern: Sequence[tuple[int, int]], s: Sequence[int]) -> bool:
     return all(not s[j] or s[j] == sign for j, sign in pattern)
 
 
+def reference_cell(f: Fan, key: tuple[int, int], patterns=None) -> tuple[int | None, int]:
+    """The cell of sign vector ``key`` by a scan of every cone's pattern
+    (``sign_patterns``, or ``patterns`` if given): the first cone whose relative
+    interior holds it, None if none does, and the bitset of the closed cones
+    that hold it."""
+    s = as_signs(key, len(f.hyperplanes))
+    patterns = patterns or sign_patterns(f)
+    inside = [i for i, pattern in enumerate(patterns) if in_interior(pattern, s)]
+    closed = sum(1 << i for i, pattern in enumerate(patterns) if in_closure(pattern, s))
+    return (inside[0] if inside else None), closed
+
+
+def check_cells(f: Fan) -> int:
+    """Assert that every cell of ``f``'s memo (``Fan._located``) is the
+    ``reference_cell`` of its sign vector; the number of cells."""
+    patterns = sign_patterns(f)
+    for key, cell in f._located.items():
+        assert cell == reference_cell(f, key, patterns), (key, cell)
+    return len(f._located)
+
+
 def count_cell_reads(f: Fan) -> list:
     """Make ``f`` record in the returned list each read of its cone bitsets
-    (``Fan._cells``), which point location and closure make on a miss of
-    their sign-vector memos."""
+    (``Fan._cells``), which point location makes on a miss of its cell memo."""
     reads = []
 
     class Counted(tuple):

@@ -326,18 +326,20 @@ def _piece_violations(check) -> list[str]:
 
 
 def _check_closure_masks(cert, seen: dict) -> None:
-    """For each piece of ``cert``, its ends' closure masks share a bit iff
-    some closed cone holds both ends by the tuple rule (``helpers.in_closure``
-    on each cone's pattern), on tuple sign vectors from Fraction dot products,
-    which each end's mask pair spells; each end's mask pair is added to
-    ``seen``, per fan."""
+    """For each piece of ``cert``, its ends' closure masks (``_locate``) share
+    a bit iff some closed cone holds both ends by the tuple rule
+    (``helpers.in_closure`` on each cone's pattern), on tuple sign vectors from
+    Fraction dot products, which each end's mask pair spells; the closure masks
+    ``_derive`` packs are those of the vertices' cells; each end's mask pair is
+    added to ``seen``, per fan."""
     from helpers import as_signs, in_closure, point_signs, sign_patterns
-    from tropic.latticefan import _closed, hyperplane_values
+    from tropic.degeneration import _derive
+    from tropic.latticefan import _locate, hyperplane_values
 
     hat, fan = cert.rescaled_curve, cert.fan
-    masks = hyperplane_values(fan, hat._image[1])[1]
+    vectors = hyperplane_values(fan, hat._image[1])[1]
     directions = hyperplane_values(fan, {r.id: r.direction for r in hat.rays})[1]
-    ends = {v: (masks[v], point_signs(fan, p)) for v, p in hat.vertices.items()}
+    ends = {v: (vectors[v], point_signs(fan, p)) for v, p in hat.vertices.items()}
     pairs = [(ends[e.ends[0]], ends[e.ends[1]]) for e in hat.edges]
     pairs += [(ends[r.base], (directions[r.id], point_signs(fan, r.direction))) for r in hat.rays]
     patterns = sign_patterns(fan)
@@ -345,14 +347,18 @@ def _check_closure_masks(cert, seen: dict) -> None:
         assert as_signs(s, len(fan.hyperplanes)) == s_tuple
         assert as_signs(t, len(fan.hyperplanes)) == t_tuple
         pair_rule = any(in_closure(p, s_tuple) and in_closure(p, t_tuple) for p in patterns)
-        assert (_closed(fan, s) & _closed(fan, t) != 0) == pair_rule, (s_tuple, t_tuple)
+        assert (_locate(fan, s)[1] & _locate(fan, t)[1] != 0) == pair_rule, (s_tuple, t_tuple)
+    assert _derive(hat, fan)[3] == {v: _locate(fan, s)[1] for v, s in vectors.items()}
     seen.setdefault(id(fan), (fan, set()))[1].update(v for pair in pairs for v, _ in pair)
 
 
 def _check_closure_memo(seen: dict) -> None:
-    # at most one closure mask per distinct sign vector, none per pair
+    # every end's sign vector has one cell in its fan's memo, and every cell
+    # there, the walker's included, is the pattern scan's
+    from helpers import check_cells
+
     for fan, vectors in seen.values():
-        assert 0 < len(fan._closures) <= len(vectors)
+        assert vectors <= fan._located.keys() and check_cells(fan) >= len(vectors)
 
 
 def test_piece_verdicts_equal_the_midpoint_rule_on_valid_fans():
@@ -431,6 +437,23 @@ def _rich_tree(seed: int, size: int):
     rays, maximal, dim = gen.rich_fan_r3()
     fan = latticefan.fan_from_maximal(rays, maximal, dim)
     return TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays)), fan
+
+
+def test_verify_right_after_certify_reads_no_cone_bitset():
+    # certify locates every vertex of the rescaled curve (``_derive``) and
+    # every ray direction (``direction_values``) in the fan's one cell memo,
+    # and an in-process verify on the same fan reads both kinds of closure
+    # mask from there: on a new fan, certify reads cone bitsets, verify none
+    from helpers import count_cell_reads
+
+    cases = [(fixtures.CURVES[c](), fixtures.FANS[f]()) for c, f in CERTIFY_PAIRS]
+    cases += [_rich_tree(seed, size) for seed, size in ((1, 4), (2, 24), (3, 60), (4, 60))]
+    for curve, fan in cases:
+        reads = count_cell_reads(fan)
+        cert = certify(curve, fan)
+        assert reads
+        reads.clear()
+        assert verify_certificate(cert).ok and reads == []
 
 
 def test_second_certify_and_verify_on_a_fan_scans_no_cone():
@@ -626,33 +649,42 @@ def test_vertex_cones_from_the_derivation_match_the_reference_scan():
 
 
 def _carried_signs(cert):
-    """The sign vectors that certify packs, checked to be the ones the walker
-    handed over (through rescaling) for the certificate's own fan object, and
-    to equal those of the rescaled curve's integer image, computed afresh."""
+    """The sign vectors that the walker handed over (through rescaling) for the
+    certificate's own fan object, checked to equal those of the rescaled
+    curve's integer image, computed afresh, and to be the ones whose cells,
+    closure mask and cone, ``_derive`` packs."""
     from tropic.degeneration import _derive
-    from tropic.latticefan import hyperplane_values, integer_image
+    from tropic.latticefan import _locate, hyperplane_values, integer_image
 
     hat, fan = cert.rescaled_curve, cert.fan
-    carried = vars(hat)["_signs"]
-    vectors = _derive(hat, fan)[3]
-    assert carried[0] is fan and vectors is carried[1]
+    carried, vectors = vars(hat)["_signs"]
+    assert carried is fan
     assert vectors == hyperplane_values(fan, integer_image(hat.vertices)[1])[1]
+    _, _, _, masks, cones = _derive(hat, fan)
+    assert {v: _locate(fan, s) for v, s in vectors.items()} == {
+        v: (cones[v], masks[v]) for v in hat.vertices}
     return vectors
 
 
-def test_the_carried_sign_vectors_are_those_of_the_rescaled_image():
+def test_the_carried_sign_vectors_are_those_of_the_rescaled_image(monkeypatch):
     # the walker signs each input vertex and hands each kept break the vector
     # of the interval before it with every hyperplane crossing there set to 0;
-    # rescaling by N > 0 keeps every sign, so _derive signs no vertex again.
-    # Trees on the rich and stellar fans, honeycombs moved by a fractional
-    # offset (N > 1 and an image denominator m/g > 1), a break on two
-    # hyperplanes at once and a curve with no break
+    # rescaling by N > 0 keeps every sign, so _derive signs no vertex again:
+    # certify runs with degeneration's signing call disabled.  Trees on the
+    # rich and stellar fans, honeycombs moved by a fractional offset (N > 1 and
+    # an image denominator m/g > 1), a break on two hyperplanes at once and a
+    # curve with no break
     import random
 
     from helpers import gen, stellar_fan, translated
+    from tropic import degeneration
     from tropic.curves import TropicalCurve
     from tropic.latticefan import fan_from_maximal
 
+    def signing(*args):
+        raise AssertionError("_derive signed a vertex the walker had signed")
+
+    monkeypatch.setattr(degeneration, "hyperplane_values", signing)
     rng = random.Random(17)  # the stellar fans of the reference scan above
     seen = {"certificates": 0, "breaks": 0, "rescaled": 0, "denominator": 0}
     specs = [(gen.rich_fan_r2(), (4, 10, 24)), (gen.rich_fan_r3(), (4, 10, 24))]

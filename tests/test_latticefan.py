@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     as_signs,
+    check_cells,
     cone_faces,
     cones_equal,
     contains_caratheodory,
@@ -20,6 +21,7 @@ from helpers import (
     primitive_box_fan,
     rank_by_transpose,
     reference_canonical_form,
+    reference_cell,
     reference_fan_validate,
     reference_locate,
     reference_primitive_and_scale,
@@ -34,7 +36,6 @@ from tropic.jsonio import fan_from_dict, fan_to_dict
 from tropic.latticefan import (
     Cone,
     Fan,
-    _closed,
     _locate,
     canonical_form,
     cone_contains,
@@ -377,8 +378,12 @@ def test_sign_vector_memo_matches_linear_scan():
         for _ in range(2):  # the second pass is answered from the memo
             for p, cone in zip(points, expected):
                 assert _locate_outcome(smallest_containing_cone, fan, p) == cone, (fan, p)
-        # at most one entry per sign vector seen, and misses are not kept
-        assert 0 < len(fan._located) <= sum(cone is not NotInSupport for cone in expected)
+        # one cell per sign vector seen, misses included, each the pattern scan's
+        keys = {hyperplane_values(fan, integer_image({0: p})[1])[1][0] for p in points}
+        assert fan._located.keys() == keys and check_cells(fan) == len(keys)
+        misses = [cell for cell in fan._located.values() if cell[0] is None]
+        assert len(misses) == len({point_signs(fan, p) for p, cone in zip(points, expected)
+                                   if cone is NotInSupport})
 
 
 def test_sign_patterns_match_the_point_oracle():
@@ -437,10 +442,11 @@ def test_mask_location_and_closure_equal_the_pattern_scan():
     # on every fixture fan, both rich fans and part of one, seeded lattice
     # points (the origin, points on the walls and their extensions, the
     # relative interior of every cone) and rational points: a point's mask
-    # pair spells its sign vector from Fraction dot products, and _locate and
-    # _closed on it, cold and then from the memo, equal the scan of each
-    # cone's (hyperplane, sign) pattern; so do both on random sign vectors
-    # that no point need have
+    # pair spells its sign vector from Fraction dot products, and its cell
+    # (_locate: the first cone whose relative interior holds it and its
+    # closure mask), cold and then from the memo, equals the scan of each
+    # cone's (hyperplane, sign) pattern; so does the cell of each random sign
+    # vector, which no point need have
     rng, seen = random.Random(17), Counter()
     for name, fan in _oracle_fans().items():
         patterns, size = sign_patterns(fan), len(fan.hyperplanes)
@@ -453,12 +459,9 @@ def test_mask_location_and_closure_equal_the_pattern_scan():
             keys.append((pos, rng.getrandbits(size) & ~pos))
         for _ in range(2):
             for key in keys:
-                s = as_signs(key, size)
-                inside = [i for i, pattern in enumerate(patterns) if in_interior(pattern, s)]
-                closed = sum(1 << i for i, pattern in enumerate(patterns) if in_closure(pattern, s))
-                assert _locate(fan, key) == (inside[0] if inside else None), (name, s)
-                assert _closed(fan, key) == closed, (name, s)
-                seen[name, bool(inside)] += 1
+                cell = reference_cell(fan, key, patterns)
+                assert _locate(fan, key) == cell, (name, as_signs(key, size))
+                seen[name, cell[0] is not None] += 1
     assert all(seen[name, True] >= 100 for name in _oracle_fans()), seen
     assert seen["rich_r3_part", False] >= 100, seen  # points outside its support
 
@@ -479,22 +482,31 @@ def test_fan_tables_orient_each_distinct_normal_once(monkeypatch):
     for name, fan in _oracle_fans().items():
         normals = [n for h in map(cone_halfspaces, fan.cones) for n in h.equations + h.inequalities]
         calls.clear()
-        assert fan.hyperplanes and _locate(fan, (0, 0)) is not None and _closed(fan, (1, 0))
+        assert fan.hyperplanes and _locate(fan, (0, 0))[0] is not None and _locate(fan, (1, 0))[1]
         assert sorted(calls) == sorted(set(normals)), name
         if name.startswith("rich"):
             assert len(calls) < len(normals) / 3, (name, len(calls), len(normals))
 
 
 def test_sign_vector_memo_misses_outside_an_incomplete_fan():
+    # a miss is kept as (None, its closure mask), once per sign vector ((3, -1)
+    # and (1, -1) share one): here no closed cone holds a point that no
+    # relative interior holds, so every mask the pattern scan gives is 0
     fan = fan_from_maximal([(1, 0), (0, 1)], [[0, 1]], 2)
-    for p in [(-1, -1), (-1, 0), (3, -1), (-1, -1)]:
+    points = [(-1, -1), (-1, 0), (3, -1), (-1, -1), (1, -1)]
+    for p in points:
         with pytest.raises(NotInSupport):
             smallest_containing_cone(fan, p)
         with pytest.raises(NotInSupport):
             reference_locate(fan, p)
-    assert fan._located == {}
+    assert len(fan._located) == len({point_signs(fan, p) for p in points}) == 3
+    assert all(index is None for index, _ in fan._located.values()) and check_cells(fan) == 3
+    assert _locate(fan, hyperplane_values(fan, {0: (-1, 0)})[1][0]) == (None, 0)
     assert smallest_containing_cone(fan, (1, 0)).generators == ((1, 0),)
-    assert list(fan._located.values()) == [fan.cones.index(Cone(((1, 0),), 2))]
+    ray = fan.cones.index(Cone(((1, 0),), 2))
+    quadrant = fan.cones.index(Cone(((0, 1), (1, 0)), 2))
+    assert list(fan._located.values())[-1] == (ray, 1 << ray | 1 << quadrant)
+    assert check_cells(fan) == 4
 
 
 def test_halfspaces_of_halfplane_and_faces():
@@ -893,12 +905,12 @@ def test_fan_caches_are_no_field():
     for name, fn in fixtures.FANS.items():
         f = fn()
         _locate(f, (0, 0))  # fills hyperplanes, the cone bitsets and the memo
-        _closed(f, (1, 0))
         ray = f.rays()[0]
         assert direction_values(f, [ray]) is f._directions and list(f._directions) == [ray]
         values, vectors = hyperplane_values(f, {ray: ray})
-        assert f._directions[ray] == (values[ray], vectors[ray]), name
-        assert {"hyperplanes", "_cells", "_located", "_closures", "_directions"} <= vars(f).keys()
+        assert f._directions[ray] == (values[ray], vectors[ray])
+        assert list(f._located) == [(0, 0), vectors[ray]], name  # the direction's cell too
+        assert vars(f).keys() == {"hyperplanes", "_cells", "_located", "_directions"}, name
         rebuilt = Fan(f.cones, f.ambient_dim)
         assert vars(rebuilt) == {} and rebuilt._directions == {}, name
         assert rebuilt == f and hash(rebuilt) == hash(f) and len({f, rebuilt}) == 1, name

@@ -658,6 +658,44 @@ def test_subdivision_refuses_to_reuse_reserved_ids():
         with pytest.raises(InvalidCurve, match=clash):
             subdivide_along_fan(curve, fixtures.fan_p2())
 
+    # a reserved-form id is no clash while its host does not break: e0 from
+    # (1,1) to (2,2) stays in the open quadrant, while r- breaks at the origin
+    kept = TropicalCurve.build(
+        2, {"e0#1": (1, 1), "b": (2, 2)}, edges=[("e0", ("e0#1", "b"), 1)],
+        rays=[("r-", "e0#1", (-1, -1), 1), ("r+", "b", (1, 1), 1)])
+    record = subdivide_along_fan(kept, fixtures.fan_p2())
+    assert [v.id for v in record.new_vertices] == ["r-#1"]
+    assert record.output.vertices["e0#1"] == (1, 1) and "e0" in record.piece_cones
+
+    # a ray from b in direction (-1, 0) breaks at (0, 1); named e0:1, it is a
+    # host that breaks itself, and e0's piece e0:1 still clashes with it
+    def crossed(a="a", ray="x", other="r-"):
+        return TropicalCurve.build(
+            2, {a: (-1, -1), "b": (1, 1)}, edges=[("e0", (a, "b"), 1)],
+            rays=[(other, a, (-1, -1), 1), (ray, "b", (-1, 0), 1)])
+
+    record = subdivide_along_fan(crossed(), fixtures.fan_p2())
+    assert [v.id for v in record.new_vertices] == ["e0#1", "x#1"]
+    # the first clash in host order is reported, a host's vertices before its
+    # pieces: edges come before rays
+    for curve, clash in (
+        (crossed(ray="e0:1"), "subdividing e0 creates id 'e0:1'"),
+        (crossed(a="x#1", other="e0:0"), "subdividing e0 creates id 'e0:0'"),
+        (crossed(a="e0#1", ray="e0:1"), "subdividing e0 creates id 'e0#1'"),
+        (crossed(a="x#1"), "subdividing x creates id 'x#1'"),
+    ):
+        with pytest.raises(InvalidCurve, match=clash):
+            subdivide_along_fan(curve, fixtures.fan_p2())
+
+    # e0 breaks at (0, 1), the new id e0#1 naming an input vertex that the
+    # later hosts x and y read: the clash is refused before e0#1's sign vector
+    # could replace the input vertex's, which would send x across y = 0
+    later = TropicalCurve.build(
+        2, {"a": (-1, 1), "b": (1, 1), "e0#1": (2, -1), "c": (3, -1)},
+        edges=[("e0", ("a", "b"), 1), ("x", ("e0#1", "c"), 1), ("y", ("b", "e0#1"), 1)])
+    with pytest.raises(InvalidCurve, match="subdividing e0 creates id 'e0#1'"):
+        subdivide_along_fan(later, fixtures.fan_p2())
+
 
 def _inheritance_cases():
     """Every fixture x fan pair of one dimension, the fixture as it is and
