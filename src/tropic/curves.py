@@ -89,8 +89,8 @@ class TropicalCurve(_CurveFields):
         except KeyError:
             raise NoSuchVertex(f"no vertex {_echo(repr(vertex))}") from None
 
-    # The caches below are built on first use or handed over (``_inherit``; ``_image`` and
-    # ``_signs`` by ``rescale_integral``), and kept in the instance __dict__, outside
+    # The caches below are built on first use, or handed over (the verdicts by ``_inherit``,
+    # ``_image`` by ``refine._dilate``), and kept in the instance __dict__, outside
     # the tuple's fields, so equality, ordering and serialization see the sorted fields only.
 
     @cached_property
@@ -257,11 +257,9 @@ def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:
         raise DegenerateEdge(f"edge {_echo(edge_id)} has zero length") from None
 
 
-def _inherit(c: TropicalCurve, source: TropicalCurve, data: dict) -> TropicalCurve:
-    """Give ``c``, a subdivision or positive dilation of ``source``, the edge
-    data ``data`` and the verdicts ``source`` has computed: neither changes."""
-    kept = {k: v for k, v in vars(source).items() if k in ("_validation", "_balance")}
-    vars(c).update(kept, _edge_data=data)
+def _inherit(c: TropicalCurve, source: TropicalCurve) -> TropicalCurve:
+    """Give ``c``, a subdivision or dilation of ``source``, the verdicts ``source`` computed."""
+    vars(c).update({k: v for k, v in vars(source).items() if k in ("_validation", "_balance")})
     return c
 
 

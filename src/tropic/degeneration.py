@@ -12,7 +12,7 @@ convention.
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 from operator import eq, itemgetter
 from typing import NamedTuple
 
@@ -20,7 +20,7 @@ from .curves import TropicalCurve, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
 from .latticefan import (
     Fan, IntVec, RatVec, _locate, direction_values, hyperplane_values, not_in_support)
-from .refine import check_recession_support, rescale_integral, subdivide_along_fan
+from .refine import _dilate, _walk, check_recession_support
 
 
 class Component(NamedTuple):
@@ -101,19 +101,40 @@ class CertificateCheck(NamedTuple):
     violations: tuple[str, ...]
 
 
-def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None, dict, dict]:
+def _stars(c: TropicalCurve) -> dict[str, tuple[IntVec, ...]]:
+    """vertex -> its sorted outgoing primitive directions, in vertex order."""
+    stars, data, back = {v: set() for v in c.vertices}, c._edge_data, {}
+    for e, (u, w), _ in c.edges:
+        stars[u].add(d := data[e][0])
+        stars[w].add(back.get(d) or back.setdefault(d, tuple([-x for x in d])))
+    for _, base, d, _ in c.rays:
+        stars[base].add(d)
+    return {v: tuple(sorted(ds)) for v, ds in stars.items()}
+
+
+def _state(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, dict]:
+    """The stars, node data and sign vectors of a curve that certify did not
+    hand ``_derive`` (read from JSON, copied or tampered), from the curve alone."""
+    nodes, data = {}, hat._edge_data
+    for e, _, weight in hat.edges:
+        d, length = data[e]
+        p, q = length.numerator, length.denominator * weight
+        k = p // q if p % q == 0 else Fraction(p, q)
+        nodes[e] = _node_data((e, k, weight, tuple([-k * x for x in d])))
+    return _stars(hat), nodes, hyperplane_values(fan, hat._image[1])[1]
+
+
+def _derive(hat: TropicalCurve, fan: Fan, state: tuple | None = None
+            ) -> tuple[dict, dict, DualCurve | None, dict, dict]:
     """The certificate fields that the rescaled curve and the fan fix: per
-    bounded edge, NodeData with k = length/weight and u_q = -k*d for the edge's
-    primitive direction d; the dual curve, None if unbalanced (an invalid curve
-    raises InvalidCurve first); per vertex, its sorted outgoing primitive
-    directions, and its cell in the fan (``_locate``): its closure mask and the
-    index of its cone, None outside the support, both read off the walker's sign
-    vectors (``_signs``, handed over by rescaling) for the fan object it signed
-    for, else off the curve's own.  Records are built by tuple's C constructor from
-    the unpacked edges and rays.  k and u_q are integers on a rescaled curve and
-    exact rationals otherwise, so a tampered certificate is compared, not
-    refused.  For certify and verify, the curve keeps this read-only tuple with
-    its fan, and hands it back for that fan object only."""
+    vertex its star (sorted outgoing primitive directions); per bounded edge,
+    NodeData, k = length/weight and u_q = -k*d for its primitive direction d,
+    ints on a rescaled curve and exact rationals otherwise (a tampered
+    certificate is compared, not refused); the dual curve, None if unbalanced;
+    and per vertex its cell (``_locate``), closure mask and cone index (None
+    outside the support), from its sign vector.  Stars, node data and sign
+    vectors are ``state``, which certify hands over, else ``_state`` of the
+    curve.  The curve keeps this read-only tuple, for that fan object only."""
     kept = vars(hat).get("_derived")
     if kept is not None and kept[0] is fan:
         return kept[1]
@@ -121,22 +142,12 @@ def _derive(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, DualCurve | None,
         dual = dual_curve(hat)
     except Unbalanced:
         dual = None
-    stars, nodes, data, back = {v: set() for v in hat.vertices}, {}, hat._edge_data, {}
-    for e, (u, w), weight in hat.edges:
-        d, length = data[e]
-        stars[u].add(d)
-        stars[w].add(back.get(d) or back.setdefault(d, tuple([-x for x in d])))
-        p, q = length.numerator, length.denominator * weight
-        k = p // q if p % q == 0 else Fraction(p, q)
-        nodes[e] = _node_data((e, k, weight, tuple([-k * x for x in d])))
-    for _, base, d, _ in hat.rays:
-        stars[base].add(d)
-    signed = vars(hat).get("_signs")
-    vectors = signed[1] if signed and signed[0] is fan else hyperplane_values(fan, hat._image[1])[1]
-    masks, cones = {}, {}
+    given, nodes, vectors = state or _state(hat, fan)
+    stars, masks, cones = {}, {}, {}
     for v in hat.vertices:
+        stars[v] = given[v]
         cones[v], masks[v] = _locate(fan, vectors[v])
-    derived = {v: tuple(sorted(ds)) for v, ds in stars.items()}, nodes, dual, masks, cones
+    derived = stars, nodes, dual, masks, cones
     vars(hat)["_derived"] = fan, derived
     return derived
 
@@ -154,41 +165,34 @@ def _mismatches(label: str, derived: dict, claimed: dict, same=eq) -> list[str]:
 def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     """Run the preparation pipeline and assemble the realization certificate.
 
-    Subdivides along the fan, rescales to integral length/weight ratios, and
-    packs ``_derive`` of the rescaled curve and the fan, which the curve keeps
-    for verify: each vertex's cone and star, the node data and the dual curve.
-    The base point's edge valuations k/N are the subdivided curve's
-    length/weight ratios, built once: an int where integral, else the length
-    itself at weight 1.  The first vertex outside the support of the fan, in
-    curve order, raises NotInSupport at its rescaled position.
+    Walks the curve against the fan (``refine._walk``) and dilates it by the
+    least N that makes every piece's length/weight p/q integral
+    (``refine._dilate``).  One pass over the pieces builds each base-point
+    valuation k/N = p/q and its NodeData, k = N*p/q, each an int where
+    integral.  ``_derive`` packs these with the walk's sign vectors and the
+    stars, the input's and the walk's breaks', and the rescaled curve keeps
+    that derivation for verify.  The first vertex outside the support of the
+    fan, in curve order, raises NotInSupport at its rescaled position.
     """
     require_balanced(c)
     support = check_recession_support(c, f)
     if not support.ok:
         raise RecessionNotSupported(
             f"ray directions {[d for _, d in support.missing]} are not rays of the fan")
-    out = subdivide_along_fan(c, f).output
-    hat, mult = rescale_integral(out)
-    stars, nodes, dual, _, cones = _derive(hat, f)
+    out, signs, breaks, ratios = _walk(c, f)
+    hat, mult = _dilate(out, lcm(*{q // gcd(p, q) for _, p, q in ratios.values()}))
+    valuations, nodes = [], {}
+    for e, _, w in out.edges:
+        d, p, q = ratios[e]
+        k = x // q if (x := mult * p) % q == 0 else Fraction(x, q)
+        nodes[e] = _node_data((e, k, w, tuple([-k * y for y in d])))
+        valuations.append((e, p // q if p % q == 0 else Fraction(p, q)))
+    stars, nodes, dual, _, cones = _derive(hat, f, (_stars(c) | breaks, nodes, signs))
     if None in cones.values():
         raise not_in_support(hat.vertices[next(v for v, i in cones.items() if i is None)])
-    valuations, data = [], out._edge_data  # k/N: the length over the weight
-    for e, _, w in out.edges:
-        p, q = (x := data[e][1]).numerator, x.denominator * w
-        valuations.append((e, p // q if p % q == 0 else x if w == 1 else Fraction(p, q)))
     return RealizationCertificate(
-        rescaled_curve=hat,
-        multiplier=mult,
-        fan=f,
-        vertex_cones=tuple(cones.items()),
-        vertex_stars=tuple(stars.items()),
-        dual=dual,
-        node_data=tuple(nodes.values()),
-        base_point=BasePoint(
-            edge_valuations=tuple(valuations),
-            vertex_positions=tuple(out.vertices.items()),
-        ),
-    )
+        hat, mult, f, tuple(cones.items()), tuple(stars.items()), dual, tuple(nodes.values()),
+        BasePoint(tuple(valuations), tuple(out.vertices.items())))
 
 
 def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:

@@ -26,6 +26,7 @@ dimension is checked against the virtual count ``expected_dimension``.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import itertools
 import random
@@ -34,6 +35,7 @@ from math import atan2, gcd, lcm
 from operator import mul
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
+from unittest import mock
 
 from tropic.curves import (
     BoundedEdge,
@@ -50,7 +52,9 @@ from tropic.defspace import (
     combinatorial_type,
     deformation_cone,
 )
-from tropic.degeneration import CertificateCheck, RealizationCertificate, dual_curve
+from tropic import degeneration
+from tropic.degeneration import (
+    BasePoint, CertificateCheck, RealizationCertificate, _derive, dual_curve)
 from tropic.errors import (
     DimMismatch,
     NotInSupport,
@@ -76,7 +80,7 @@ from tropic.latticefan import (
     primitive,
     rank,
 )
-from tropic.refine import NewVertex, SubdivisionRecord, check_recession_support
+from tropic.refine import NewVertex, SubdivisionRecord, check_recession_support, rescale_integral
 
 
 class NonIntegralRatio(TropicError):
@@ -647,10 +651,33 @@ def reference_subdivide(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     return SubdivisionRecord(output=out, new_vertices=tuple(record), piece_cones=piece_cones)
 
 
-def unsubdivided_record(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
-    """A subdivision record that leaves ``c`` as it is, so a piece may run
-    through several cones of ``f``."""
-    return SubdivisionRecord(output=c, new_vertices=(), piece_cones={})
+def packed_certificate(c: TropicalCurve, f: Fan, rescale: bool = True) -> RealizationCertificate:
+    """The certificate that ``certify`` would pack if ``c`` were its own
+    subdivision, so a piece may run through several cones of ``f``, and with
+    ``rescale`` False its own rescaled curve at N = 1, so a k may be no
+    integer: every field is ``_derive``'s of the curve, with the base point at
+    ``c`` and each edge valuation k/N."""
+    hat, n = rescale_integral(c) if rescale else (c, 1)
+    stars, nodes, dual, _, cones = _derive(hat, f)
+    valuations = tuple((e, Fraction(nd.k, n)) for e, nd in nodes.items())
+    return RealizationCertificate(
+        hat, n, f, tuple(cones.items()), tuple(stars.items()), dual, tuple(nodes.values()),
+        BasePoint(valuations, tuple(c.vertices.items())))
+
+
+@contextlib.contextmanager
+def handed_states():
+    """Within the block, each (curve, fan, state) that certify hands
+    ``degeneration._derive``, recorded in order."""
+    real, handed = degeneration._derive, []
+
+    def recording(hat, fan, state=None):
+        if state is not None:
+            handed.append((hat, fan, state))
+        return real(hat, fan, state)
+
+    with mock.patch.object(degeneration, "_derive", recording):
+        yield handed
 
 
 # The double description with nested closures that preceded the single

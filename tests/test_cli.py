@@ -747,10 +747,10 @@ def test_bool_ray_indices_are_schema_errors(paths, capsys, tmp_path):
 
 def test_verify_cert_rejects_an_edge_through_several_cones(paths, capsys, tmp_path, monkeypatch):
     # certify diag with subdivision skipped: e0 keeps running through the origin cone
-    from helpers import unsubdivided_record
-    from tropic import degeneration
+    from helpers import packed_certificate
+    from tropic import cli
 
-    monkeypatch.setattr(degeneration, "subdivide_along_fan", unsubdivided_record)
+    monkeypatch.setattr(cli, "certify", packed_certificate)
     cert_path = tmp_path / "cert.json"
     assert run(["certify", paths["diag"], "--fan", paths["fan_diag"], "--out", str(cert_path)]) == 0
     monkeypatch.undo()

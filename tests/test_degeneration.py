@@ -250,21 +250,13 @@ def test_certify_with_real_subdivision_keeps_split_valuations():
     assert verify_certificate(cert).ok
 
 
-def _unsubdivided_certificate(monkeypatch, curve, fan):
-    """A certificate of ``curve`` made with subdivision skipped, so a piece may
-    run through several cones of ``fan``."""
-    from helpers import unsubdivided_record
-    from tropic import degeneration
+def test_verify_rejects_an_edge_through_several_cones():
+    # certificates packed with subdivision skipped, so a piece may run through
+    # several cones: diag's edge e0 runs from ray (-1,-1) through the origin
+    # to ray (1,1)
+    from helpers import packed_certificate
 
-    monkeypatch.setattr(degeneration, "subdivide_along_fan", unsubdivided_record)
-    cert = certify(curve, fan)
-    monkeypatch.undo()
-    return cert
-
-
-def test_verify_rejects_an_edge_through_several_cones(monkeypatch):
-    # diag's edge e0 runs from ray (-1,-1) through the origin to ray (1,1)
-    cert = _unsubdivided_certificate(monkeypatch, fixtures.diag(), fixtures.fan_diag())
+    cert = packed_certificate(fixtures.diag(), fixtures.fan_diag())
     assert [e.id for e in cert.rescaled_curve.edges] == ["e0"]
     assert verify_certificate(cert).violations == ("PieceNotInCone: e0",)
     # segfan's e0, moved to y = 1, crosses x = 0 before or after its midpoint:
@@ -272,31 +264,29 @@ def test_verify_rejects_an_edge_through_several_cones(monkeypatch):
     from helpers import translated
 
     for x in (Fraction(-1, 2), Fraction(-3, 2)):
-        cert = _unsubdivided_certificate(monkeypatch, translated(fixtures.segfan(), (x, 1)),
-                                         fixtures.fan_p1xp1())
+        cert = packed_certificate(translated(fixtures.segfan(), (x, 1)), fixtures.fan_p1xp1())
         assert verify_certificate(cert).violations == ("PieceNotInCone: e0",), x
 
 
-def test_verify_rejects_a_ray_through_several_cones(monkeypatch):
-    from helpers import translated
+def test_verify_rejects_a_ray_through_several_cones():
+    from helpers import packed_certificate, translated
 
     # from (2,1) the tripod's ray r2 = (-1,-1) crosses the wall on ray (1,0) at (1,0)
-    cert = _unsubdivided_certificate(monkeypatch, translated(fixtures.tripod(), (2, 1)),
-                                     fixtures.fan_p2())
+    cert = packed_certificate(translated(fixtures.tripod(), (2, 1)), fixtures.fan_p2())
     assert verify_certificate(cert).violations == ("PieceNotInCone: r2",)
     assert verify_certificate(certify(translated(fixtures.tripod(), (2, 1)),
                                       fixtures.fan_p2())).ok
     # from (2,1) the line's ray r- = (-1,0) has its base and base + r- in the
     # open first quadrant: only its direction leaves the quadrant
-    cert = _unsubdivided_certificate(monkeypatch, translated(fixtures.line(), (2, 1)),
-                                     fixtures.fan_p1xp1())
+    cert = packed_certificate(translated(fixtures.line(), (2, 1)), fixtures.fan_p1xp1())
     assert verify_certificate(cert).violations == ("PieceNotInCone: r-",)
 
 
-def test_verify_rejects_a_piece_outside_the_support(monkeypatch):
+def test_verify_rejects_a_piece_outside_the_support():
     # on the axis rays with no 2-cone, the edge's midpoint and the points
     # base + direction of ra2 and rb2 lie in no cone: verify reports the
     # pieces and does not raise
+    from helpers import packed_certificate
     from tropic.curves import BoundedEdge, CurveRay, TropicalCurve
     from tropic.latticefan import fan_from_maximal
 
@@ -309,7 +299,7 @@ def test_verify_rejects_a_piece_outside_the_support(monkeypatch):
         (CurveRay("ra1", "a", (1, 0), 1), CurveRay("ra2", "a", (0, -1), 1),
          CurveRay("rb1", "b", (0, 1), 1), CurveRay("rb2", "b", (-1, 0), 1)),
     )
-    cert = _unsubdivided_certificate(monkeypatch, curve, fan)
+    cert = packed_certificate(curve, fan)
     assert verify_certificate(cert).violations == (
         "PieceNotInCone: e", "PieceNotInCone: ra2", "PieceNotInCone: rb2")
 
@@ -495,10 +485,52 @@ def test_warm_certify_and_verify_build_no_fraction_point(monkeypatch):
     assert calls == []
 
 
+def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch):
+    # count gate (counts, not times), on R^2 rich-fan trees at V = 100 and
+    # V = 400: certify builds, in refine and degeneration, at most one
+    # Fraction per non-integral value of the certificate that the input does
+    # not hold, a break's coordinates and each edge valuation, plus the
+    # rescaled coordinates when m > 1.  Piece lengths, N*length and k are
+    # ints, and no value is built twice
+    import random
+
+    from helpers import gen
+    from tropic import degeneration, refine
+    from tropic.curves import TropicalCurve
+    from tropic.latticefan import fan_from_maximal
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for module in (refine, degeneration):
+        monkeypatch.setattr(module, "Fraction", counting)
+    rays, maximal, dim = gen.rich_fan_r2()
+    fan = fan_from_maximal(rays, maximal, dim)
+    seen = []
+    for size in (100, 400):
+        tree = TropicalCurve.build(*gen.tree(random.Random(size), dim, size, rays))
+        built.clear()
+        cert = certify(tree, fan)
+        hat, bp = cert.rescaled_curve, cert.base_point
+        values = [x for v, p in bp.vertex_positions if v not in tree.vertices for x in p]
+        values += [x for _, x in bp.edge_valuations]
+        values += [x for p in hat.vertices.values() for x in p] if hat._image[0] > 1 else []
+        held = sum(x.denominator > 1 for x in values)
+        assert len(built) <= held, (size, len(built), held)
+        assert all(type(nd.k) is int for nd in cert.node_data) and verify_certificate(cert).ok
+        seen.append((len(hat.vertices), cert.multiplier > 1, held))
+    assert seen[1][0] > 3 * seen[0][0] and all(n and held for _, n, held in seen), seen
+
+
 def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
-    # the subdivided and rescaled curves inherit validity, balancing and edge
-    # data, so certify checks the structure of its input alone and builds the
-    # edge data of its input alone, however many pieces it makes
+    # the subdivided and rescaled curves inherit validity and balancing, and
+    # the walk hands certify each piece's length/weight as integers, so certify
+    # checks the structure of its input alone and builds the edge data of its
+    # input alone, however many pieces it makes; the rescaled curve builds its
+    # own from its image only if asked, and verify does not ask
     from tropic import curves
     from tropic.curves import TropicalCurve
 
@@ -519,19 +551,20 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
     built.clear()
     cert = certify(fresh, fan)
     assert cert.multiplier > 1 and len(cert.rescaled_curve.edges) > len(fresh.edges)
+    assert verify_certificate(cert).ok
     assert [(label, c is fresh) for label, c in built] == [("validation", True), ("edge data", True)]
-    assert "_edge_data" in vars(cert.rescaled_curve)  # handed over, not built
+    assert "_edge_data" not in vars(cert.rescaled_curve)  # neither handed over nor built
 
 
 def test_each_curve_builds_one_integer_image(monkeypatch):
     # the curve keeps its integer image: balancing (through the edge data),
     # the walker, well-spacedness and verify-cert's point location all read
-    # it.  certify builds the input's only: the subdivided curve carries its
-    # edge data and needs none, and rescaling builds the rescaled curve's
-    # image from its positions and hands it over, so verify-cert builds none
-    # in process, and one for a curve read from JSON.  Every image holds
-    # tuples, handed or built, and with m = 1 the rescaled curve's vertices
-    # are its image's dict.  A curve with no break and N = 1 is its own
+    # it.  certify builds the input's only: the walk hands it each piece's
+    # length/weight in integers, so the subdivided curve needs none, and
+    # dilation builds the rescaled curve's image from its positions and hands
+    # it over, so verify-cert builds none in process, and one for a curve read
+    # from JSON.  Every image holds tuples, handed or built, and with m = 1
+    # the rescaled curve's vertices are its image's dict.  A curve with no break and N = 1 is its own
     # rescaled curve, image included.  integer_image is counted wherever a
     # tropic module binds it
     import random
@@ -572,7 +605,7 @@ def test_each_curve_builds_one_integer_image(monkeypatch):
     assert {type(q) for q in [*hat._image[1].values(), *c._image[1].values()]} == {tuple}
     calls.clear()
     assert verify_certificate(cert).ok
-    assert calls == []
+    assert calls == [] and "_edge_data" not in vars(hat)
     # a certificate read back from JSON has no edge data handed over: its
     # point location and its edge data share the one image
     back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
@@ -648,17 +681,17 @@ def test_vertex_cones_from_the_derivation_match_the_reference_scan():
     assert subdivided >= 60, subdivided
 
 
-def _carried_signs(cert):
-    """The sign vectors that the walker handed over (through rescaling) for the
-    certificate's own fan object, checked to equal those of the rescaled
-    curve's integer image, computed afresh, and to be the ones whose cells,
-    closure mask and cone, ``_derive`` packs."""
+def _carried_signs(cert, handed):
+    """The sign vectors that the walk handed ``_derive`` for the certificate's
+    own curve and fan object, checked to equal those of the rescaled curve's
+    integer image, computed afresh, and to be the ones whose cells, closure
+    mask and cone, ``_derive`` packs."""
     from tropic.degeneration import _derive
     from tropic.latticefan import _locate, hyperplane_values, integer_image
 
-    hat, fan = cert.rescaled_curve, cert.fan
-    carried, vectors = vars(hat)["_signs"]
-    assert carried is fan
+    (hat, fan, (_, _, vectors)), = handed
+    handed.clear()
+    assert hat is cert.rescaled_curve and fan is cert.fan
     assert vectors == hyperplane_values(fan, integer_image(hat.vertices)[1])[1]
     _, _, _, masks, cones = _derive(hat, fan)
     assert {v: _locate(fan, s) for v, s in vectors.items()} == {
@@ -669,14 +702,15 @@ def _carried_signs(cert):
 def test_the_carried_sign_vectors_are_those_of_the_rescaled_image(monkeypatch):
     # the walker signs each input vertex and hands each kept break the vector
     # of the interval before it with every hyperplane crossing there set to 0;
-    # rescaling by N > 0 keeps every sign, so _derive signs no vertex again:
-    # certify runs with degeneration's signing call disabled.  Trees on the
-    # rich and stellar fans, honeycombs moved by a fractional offset (N > 1 and
-    # an image denominator m/g > 1), a break on two hyperplanes at once and a
-    # curve with no break
+    # rescaling by N > 0 keeps every sign, and certify hands the walk's vectors
+    # to _derive, which signs no vertex again: certify runs with
+    # degeneration's signing call disabled.  Trees on the rich and stellar
+    # fans, honeycombs moved by a fractional offset (N > 1 and an image
+    # denominator m/g > 1), a break on two hyperplanes at once and a curve with
+    # no break
     import random
 
-    from helpers import gen, stellar_fan, translated
+    from helpers import gen, handed_states, stellar_fan, translated
     from tropic import degeneration
     from tropic.curves import TropicalCurve
     from tropic.latticefan import fan_from_maximal
@@ -705,29 +739,31 @@ def test_the_carried_sign_vectors_are_those_of_the_rescaled_image(monkeypatch):
             curve = TropicalCurve.build(*gen.honeycomb(d, dim, offset))
             lift = [0, 0, Fraction(rng.randint(1, 10), 11)][:dim]
             cases.append((translated(curve, lift), fan))
-    for curve, fan in cases:
-        cert = certify(curve, fan)
-        _carried_signs(cert)
-        hat = cert.rescaled_curve
-        seen["certificates"] += 1
-        seen["breaks"] += len(hat.vertices) - len(curve.vertices)
-        seen["rescaled"] += cert.multiplier > 1
-        seen["denominator"] += hat._image[0] > 1
-    assert seen["certificates"] == 38 and seen["breaks"] >= 200, seen
-    assert seen["rescaled"] >= 30 and seen["denominator"] == 3, seen
-    # the edge (-1,-1)-(1,1) crosses both walls of P^1 x P^1 at the origin,
-    # so its break reads 0 on both hyperplanes
-    cross = TropicalCurve.build(
-        2, {"a": (-1, -1), "b": (1, 1)}, edges=[("e0", ("a", "b"), 1)],
-        rays=[("r0", "a", (-1, 0), 1), ("r1", "a", (0, -1), 1),
-              ("r2", "b", (1, 0), 1), ("r3", "b", (0, 1), 1)])
-    vectors = _carried_signs(certify(cross, fixtures.fan_p1xp1()))
-    assert vectors["e0#1"] == (0, 0) and len(vectors) == 3
-    # a curve with no break is its own subdivision and rescaled curve, and
-    # carries the walker's vectors of its own vertices
-    tripod = fixtures.tripod()
-    cert = certify(tripod, fixtures.fan_p2())
-    assert cert.rescaled_curve is tripod and _carried_signs(cert).keys() == tripod.vertices.keys()
+    with handed_states() as handed:
+        for curve, fan in cases:
+            cert = certify(curve, fan)
+            _carried_signs(cert, handed)
+            hat = cert.rescaled_curve
+            seen["certificates"] += 1
+            seen["breaks"] += len(hat.vertices) - len(curve.vertices)
+            seen["rescaled"] += cert.multiplier > 1
+            seen["denominator"] += hat._image[0] > 1
+        assert seen["certificates"] == 38 and seen["breaks"] >= 200, seen
+        assert seen["rescaled"] >= 30 and seen["denominator"] == 3, seen
+        # the edge (-1,-1)-(1,1) crosses both walls of P^1 x P^1 at the
+        # origin, so its break reads 0 on both hyperplanes
+        cross = TropicalCurve.build(
+            2, {"a": (-1, -1), "b": (1, 1)}, edges=[("e0", ("a", "b"), 1)],
+            rays=[("r0", "a", (-1, 0), 1), ("r1", "a", (0, -1), 1),
+                  ("r2", "b", (1, 0), 1), ("r3", "b", (0, 1), 1)])
+        vectors = _carried_signs(certify(cross, fixtures.fan_p1xp1()), handed)
+        assert vectors["e0#1"] == (0, 0) and len(vectors) == 3
+        # a curve with no break is its own subdivision and rescaled curve,
+        # and is handed the walker's vectors of its own vertices
+        tripod = fixtures.tripod()
+        cert = certify(tripod, fixtures.fan_p2())
+        assert cert.rescaled_curve is tripod
+        assert _carried_signs(cert, handed).keys() == tripod.vertices.keys()
 
 
 def test_certify_names_a_vertex_with_no_cone_at_its_rescaled_position():
@@ -940,12 +976,11 @@ def _count_signed_keys(monkeypatch) -> list[set]:
 
 
 def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(monkeypatch):
-    # the walker's sign vectors ride the subdivided and rescaled curve into
-    # _derive, so certify signs no vertex in degeneration, and the derivation
-    # it packs holds every vertex's sign vector and cone, which verify reads
-    # back for the same fan object.  The carried vectors bind to their fan
-    # object and their curve object: given an equal fan that is another
-    # object, a copy of the curve or a certificate read from JSON, the
+    # certify hands the walker's sign vectors to _derive, so it signs no
+    # vertex in degeneration, and the derivation it packs holds every vertex's
+    # cone, which verify reads back for the same fan object.  The derivation
+    # binds to its fan object and its curve object: given an equal fan that is
+    # another object, a copy of the curve or a certificate read from JSON, the
     # vertices are signed afresh.  The ray directions are read from the fan's
     # table (``Fan._directions``): each is signed once per fan object, keyed
     # by direction, not by ray, by the first walk or verify on that object
@@ -969,12 +1004,12 @@ def test_verify_signs_only_the_ray_directions_of_a_certificate_made_in_process(m
     other = fan_from_dict(fan_to_dict(fan))
     assert other == fan and other is not fan
     assert degeneration._derive(hat, other) == degeneration._derive(hat, fan)
-    assert calls == [vertices]  # the vectors carried for fan still serve fan
+    assert calls == [vertices, vertices]  # the curve keeps one derivation, for other, then fan
     calls.clear()
     assert verify_certificate(cert._replace(fan=other)).ok and calls == [vertices, directions]
     calls.clear()
     copy = hat._replace(rays=hat.rays)
-    assert copy == hat and "_signs" not in vars(copy)
+    assert copy == hat and "_derived" not in vars(copy)
     assert verify_certificate(cert._replace(rescaled_curve=copy)).ok
     assert calls == [vertices]
 
@@ -1003,14 +1038,14 @@ def test_a_second_certify_and_verify_on_a_fan_signs_no_ray_direction(monkeypatch
             assert sorted(signed) == (sorted(directions) if first else []), tree.ambient_dim
 
 
-def test_a_doubled_multiplier_names_every_edge_and_moved_vertex(monkeypatch):
+def test_a_doubled_multiplier_names_every_edge_and_moved_vertex():
     # valuation * N = k and position * N = position are checked by
     # cross-multiplication; the violations were recorded from the verifier
-    # that multiplied, on a certificate rescaled by 6 and on one whose
-    # rescaling is skipped, so that k = 1/6 on r0:0 is not an integer, which
-    # no certify emits: that node data alone is refused
-    from helpers import translated
-    from tropic import degeneration
+    # that multiplied, on a certificate rescaled by 6 and on one packed from
+    # the subdivided curve with rescaling skipped, so that k = 1/6 on r0:0 is
+    # not an integer, which no certify emits: that node data alone is refused
+    from helpers import packed_certificate, translated
+    from tropic.refine import subdivide_along_fan
 
     curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
     expected = ("BasePointMismatch: edge e0", "BasePointMismatch: edge r0:0",
@@ -1019,8 +1054,8 @@ def test_a_doubled_multiplier_names_every_edge_and_moved_vertex(monkeypatch):
     cert = certify(curve, fixtures.fan_p1xp1())
     assert cert.multiplier == 6
     assert verify_certificate(cert._replace(multiplier=12)).violations == expected
-    monkeypatch.setattr(degeneration, "rescale_integral", lambda c: (c, 1))
-    raw = certify(curve, fixtures.fan_p1xp1())
+    out = subdivide_along_fan(curve, fixtures.fan_p1xp1()).output
+    raw = packed_certificate(out, fixtures.fan_p1xp1(), rescale=False)
     assert dict((nd.edge, nd.k) for nd in raw.node_data) == {"e0": 1, "r0:0": Fraction(1, 6)}
     assert verify_certificate(raw).violations == ("NodeDataMismatch: edge r0:0",)
     assert verify_certificate(raw._replace(multiplier=2)).violations == (
@@ -1157,17 +1192,18 @@ def test_verify_refuses_a_multiplier_that_is_not_the_least():
         "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
 
 
-def test_verify_refuses_node_data_of_a_curve_never_rescaled(monkeypatch):
-    # with rescaling skipped, the certificate is consistent field by field at
-    # N = 1, but its k = length/weight are 3/4 and 5/6, which certify never
-    # emits (its N is 12)
-    from tropic import degeneration
+def test_verify_refuses_node_data_of_a_curve_never_rescaled():
+    # packed with rescaling skipped, the certificate is consistent field by
+    # field at N = 1, but its k = length/weight are 3/4 and 5/6, which certify
+    # never emits (its N is 12)
+    from helpers import packed_certificate
     from tropic.latticefan import fan_from_maximal
+    from tropic.refine import subdivide_along_fan
 
     fan = fan_from_maximal([(-1, 0), (0, 1), (1, -1)], [[0, 1], [1, 2], [2, 0]], 2)
     assert certify(fixtures.ratio_path(), fan).multiplier == 12
-    monkeypatch.setattr(degeneration, "rescale_integral", lambda c: (c, 1))
-    raw = certify(fixtures.ratio_path(), fan)
+    raw = packed_certificate(subdivide_along_fan(fixtures.ratio_path(), fan).output, fan,
+                             rescale=False)
     ks = {nd.edge: nd.k for nd in raw.node_data}
     assert sorted(ks.values()) == [Fraction(3, 4), Fraction(5, 6)]
     assert verify_certificate(raw).violations == tuple(

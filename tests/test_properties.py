@@ -10,7 +10,6 @@ from functools import cache, reduce
 from math import gcd
 from operator import getitem
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -22,6 +21,8 @@ from helpers import (  # noqa: E402
     as_signs,
     echelon,
     gen,
+    handed_states,
+    packed_certificate,
     reference_double_description,
     reference_primitive_and_scale,
     scaled,
@@ -33,7 +34,7 @@ from tropic import cli, degeneration, fixtures  # noqa: E402
 from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate  # noqa: E402
 from tropic.defspace import combinatorial_type, superabundance  # noqa: E402
 from tropic.degeneration import BasePoint, certify, verify_certificate  # noqa: E402
-from tropic.errors import SchemaError  # noqa: E402
+from tropic.errors import SchemaError, TropicError  # noqa: E402
 from tropic.jsonio import (  # noqa: E402
     certificate_from_dict,
     certificate_to_dict,
@@ -219,10 +220,9 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
         tuple((v, tuple([-x for x in p])) for v, p in bp.vertex_positions)))
     assert violations(negated) == (
         "MultiplierNotPositive: the multiplier must be a positive int",)
-    # the curve never rescaled, with the node data and base point certify
-    # derives from it at N = 1: each edge whose k is no integer is named
-    with mock.patch.object(degeneration, "rescale_integral", lambda c: (c, 1)):
-        raw = certify(curve, fan)
+    # the subdivided curve never rescaled, packed with the node data and base
+    # point derived from it at N = 1: each edge whose k is no integer is named
+    raw = packed_certificate(subdivide_along_fan(curve, fan).output, fan, rescale=False)
     fractional = sorted(nd.edge for nd in raw.node_data if type(nd.k) is not int)
     assert bool(fractional) == (cert.multiplier > 1)
     assert violations(raw) == tuple(
@@ -234,6 +234,87 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
                             node_data=tuple(degeneration._derive(big, fan)[1].values()))
     assert violations(dilated) == (
         "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
+
+
+@cache
+def _rich(dim: int):
+    """perfbench's rich fan in R^dim: its rays and one shared Fan."""
+    rays, maximal, _ = (gen.rich_fan_r2 if dim == 2 else gen.rich_fan_r3)()
+    return rays, fan_from_maximal(rays, maximal, dim)
+
+
+def _handed_state_is_derived_afresh(curve, fan):
+    """Certify ``curve`` and check that the stars, node data and sign vectors
+    it hands ``_derive``, and the cells and dual curve that ``_derive`` builds
+    from them, equal what ``_derive`` computes from a copy of the rescaled
+    curve that keeps no cache; the certificate, or None if certify refuses."""
+    with handed_states() as handed:
+        try:
+            cert = certify(curve, fan)
+        except TropicError:
+            assert not handed
+            return None
+    (hat, _, (stars, nodes, vectors)), = handed
+    assert hat is cert.rescaled_curve
+    copy = tuple.__new__(TropicalCurve, tuple(hat))
+    assert copy == hat and not vars(copy)
+    fresh_stars, fresh_nodes, fresh_vectors = degeneration._state(copy, fan)
+    assert stars == fresh_stars and vectors == fresh_vectors
+    assert list(nodes.items()) == list(fresh_nodes.items())
+    kinds = [(type(nd.k), *map(type, nd.u_q)) for nd in nodes.values()]
+    assert kinds == [(type(nd.k), *map(type, nd.u_q)) for nd in fresh_nodes.values()]
+    assert set(kinds) <= {(int,) * (1 + hat.ambient_dim)}
+    derived, fresh = degeneration._derive(hat, fan), degeneration._derive(copy, fan)
+    assert [list(x.items()) if isinstance(x, dict) else x for x in derived] == [
+        list(x.items()) if isinstance(x, dict) else x for x in fresh]
+    return cert
+
+
+@DERANDOMIZED
+@hypothesis.given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32),
+                  size=st.integers(2, 30), data=st.data())
+def test_the_state_certify_hands_derive_is_what_a_fresh_copy_derives(dim, seed, size, data):
+    # seeded trees on both rich fans, whose hosts may have weight > 1, and
+    # honeycombs moved by a fractional offset on P^2 and P^2 x P^1, lifted in
+    # R^3 to a height k/11 that crosses no wall, which may keep m > 1
+    rays, fan = _rich(dim)
+    assert _handed_state_is_derived_afresh(
+        TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays)), fan)
+    offset = [data.draw(RATIONALS) for _ in range(2)]
+    honeycomb = TropicalCurve.build(*gen.honeycomb(data.draw(st.integers(2, 6)), dim, offset))
+    lift = [0, 0, Fraction(data.draw(st.integers(1, 10)), 11)][:dim]
+    assert _handed_state_is_derived_afresh(translated(honeycomb, lift), _p2(dim))
+
+
+@cache
+def _p2(dim: int):
+    return fan_from_maximal(*(gen.fan_p2() if dim == 2 else gen.fan_p2_r3()))
+
+
+def test_the_state_certify_hands_derive_on_every_fixture_and_fan():
+    # every fixture x fan pair of one dimension that certify accepts, trees on
+    # both rich fans, which hold hosts of weight > 1, and honeycombs lifted to
+    # z = k/11 in R^3 (the stellar fans' test's seed), some of which keep m > 1
+    seen = {"certified": 0, "broken": 0, "heavy": 0, "m > 1": 0}
+    cases = [(curve(), fan()) for curve in fixtures.CURVES.values() for fan in fixtures.FANS.values()]
+    cases += [(TropicalCurve.build(*gen.tree(random.Random(seed), dim, 24, _rich(dim)[0])),
+               _rich(dim)[1]) for dim in (2, 3) for seed in range(4)]
+    rng = random.Random(17)
+    for d in (3, 4, 5):
+        offset = [Fraction(rng.randint(-30, 30), rng.randint(2, 9)) for _ in range(2)]
+        lift = (0, 0, Fraction(rng.randint(1, 10), 11))
+        cases.append((translated(TropicalCurve.build(*gen.honeycomb(d, 3, offset)), lift), _p2(3)))
+    for curve, fan in cases:
+        if curve.ambient_dim == fan.ambient_dim:
+            cert = _handed_state_is_derived_afresh(curve, fan)
+            if cert is not None:
+                hat = cert.rescaled_curve
+                seen["certified"] += 1
+                seen["broken"] += len(hat.vertices) > len(curve.vertices)
+                seen["heavy"] += any(nd.rho > 1 for nd in cert.node_data)
+                seen["m > 1"] += hat._image[0] > 1
+    assert seen["certified"] >= 15 and seen["broken"] >= 8 and seen["heavy"] >= 4, seen
+    assert seen["m > 1"] >= 1, seen
 
 
 # integer images with many zero and negative coordinates

@@ -516,10 +516,13 @@ def test_walker_signs_each_input_vertex_once(monkeypatch):
     # again.  A bounded edge signs nothing, as its far end is its end vertex,
     # and a new vertex takes its vector from the sweep, that of the interval
     # before it with the hyperplanes crossing there cleared from both masks,
-    # so the walk signs no break.  Every key handed to hyperplane_values is
-    # counted wherever a tropic module binds it
+    # so the walk signs no break.  certify hands the walk's vectors to
+    # _derive, so certify and verify sign the input's vertices once too.
+    # Every key handed to hyperplane_values is counted wherever a tropic
+    # module binds it
     import sys
 
+    from tropic.degeneration import certify, verify_certificate
     from tropic.latticefan import hyperplane_values
 
     signed = []
@@ -537,6 +540,9 @@ def test_walker_signs_each_input_vertex_once(monkeypatch):
         record = subdivide_along_fan(c, fan)
         assert sorted(signed) == sorted(c.vertices)
         assert record == reference_subdivide(c, fan)
+        signed.clear()
+        assert verify_certificate(certify(c, fan)).ok
+        assert sorted(signed) == sorted(c.vertices)
     assert any(subdivide_along_fan(c, fan).new_vertices for c in curves)
     fresh = fan_from_maximal(*gen.fan_p2())  # an equal fan, another object: a table of its own
     for k, c in enumerate(curves):
@@ -547,14 +553,14 @@ def test_walker_signs_each_input_vertex_once(monkeypatch):
         assert set(signed) == set(c.vertices) | directions
 
 
-def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypatch):
+def test_walker_builds_fractions_only_for_kept_breaks(monkeypatch):
     # each host of the honeycombs is walked as a curve of its own, with every
     # Fraction that refine builds counted.  Crossings are keyed by integers,
-    # so a host builds one Fraction per non-integral coordinate of a kept
-    # break (an integral one is a plain int) and, if it breaks at all, one per
-    # bounded piece (its length); a host with no kept break, whether it
-    # crosses no hyperplane or only spurious extensions of a wall, builds none
-    # and keeps its own length object
+    # and piece lengths handed over as integers, so a host builds one
+    # Fraction per non-integral coordinate of a kept break (an integral one
+    # is a plain int) and none for its pieces; a host with no kept break,
+    # whether it crosses no hyperplane or only spurious extensions of a wall,
+    # builds none and keeps its own length object
     from tropic import refine
 
     built = []
@@ -577,12 +583,11 @@ def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypat
             crosses = any(dot(n, ends[0]) * dot(n, ends[1]) < 0 for n in fan.hyperplanes)
             reference = reference_subdivide(alone, fan)
             breaks = len(reference.new_vertices)
-            pieces = breaks + 1 if isinstance(h, BoundedEdge) else breaks
             fractional = sum(x.denominator > 1 for v in reference.new_vertices
                              for x in reference.output.vertices[v.id])
             built.clear()
             out = subdivide_along_fan(alone, fan).output
-            assert len(built) == (fractional + pieces if breaks else 0), h
+            assert len(built) == fractional, h
             assert out == reference.output
             for x in (x for v in reference.new_vertices for x in out.vertices[v.id]):
                 seen[type(x).__name__] += 1
@@ -596,15 +601,16 @@ def test_walker_builds_fractions_only_for_kept_breaks_and_their_pieces(monkeypat
 
 def test_an_unbroken_host_passes_through_as_it_is():
     # in a curve that other hosts break, a host whose intervals all lie in one
-    # cone is the input's own object in the output, with its edge data entry,
-    # in the cone of an interior point (an edge's midpoint, a ray's base plus
-    # its direction)
+    # cone is the input's own object in the output, with its length/weight
+    # from the input's edge data, in the cone of an interior point (an edge's
+    # midpoint, a ray's base plus its direction)
     from helpers import reference_locate
+    from tropic.refine import _walk
 
     curves, fan = _honeycombs_on_p2(29)
     seen = {"kept": 0, "split": 0}
     for c in curves:
-        record = subdivide_along_fan(c, fan)
+        record, ratios = subdivide_along_fan(c, fan), _walk(c, fan).ratios
         assert record.new_vertices and record.output is not c
         out = {h.id: h for h in record.output.edges + record.output.rays}
         for h in c.edges + c.rays:
@@ -614,7 +620,9 @@ def test_an_unbroken_host_passes_through_as_it_is():
             seen["kept"] += 1
             assert out[h.id] is h
             if isinstance(h, BoundedEdge):
-                assert record.output._edge_data[h.id] is c._edge_data[h.id]
+                d, length = c._edge_data[h.id]
+                assert ratios[h.id] == (d, length.numerator, length.denominator * h.weight)
+                assert record.output._edge_data[h.id] == c._edge_data[h.id]
                 pu, pw = (c.vertices[v] for v in h.ends)
                 inner = [Fraction(x + y, 2) for x, y in zip(pu, pw)]
             else:
@@ -725,13 +733,17 @@ def _inheritance_cases():
 
 
 def test_subdivided_and_rescaled_curves_inherit_what_a_fresh_curve_computes():
-    # the curves subdivide_along_fan and rescale_integral build carry their
-    # edge data, validation verdict and balancing report from the curve they
-    # came from; each must equal what a fresh curve of the same fields computes.
-    # With N > 1 the rescaled curve is handed its integer image, built from its
-    # positions by way of the first vertex's denominators, as tuples, each in
-    # the order of a fresh curve; "fractional" counts the rescaled curves whose
-    # image's m is more than 1
+    # the curves subdivide_along_fan and rescale_integral build carry the
+    # validation verdict and balancing report of the curve they came from, and
+    # build their edge data from their own image only when asked; each must
+    # equal what a fresh curve of the same fields computes, and so must the
+    # walk's piece lengths over weights, in integers.  With N > 1 the rescaled
+    # curve is handed its integer image, built from its positions by way of
+    # the first vertex's denominators, as tuples, each in the order of a fresh
+    # curve; "fractional" counts the rescaled curves whose image's m is more
+    # than 1
+    from tropic.refine import _walk
+
     seen = {"cases": 0, "unbalanced": 0, "split": 0, "rescaled": 0, "fractional": 0}
     for c, f in _inheritance_cases():
         is_balanced(c)  # as certify does, so there is a report to hand over
@@ -740,14 +752,20 @@ def test_subdivided_and_rescaled_curves_inherit_what_a_fresh_curve_computes():
         except TropicError:
             continue
         prepared = record.output
-        hat, n = rescale_integral(prepared)
+        assert prepared is c or "_edge_data" not in vars(prepared)
+        hat, n = rescale_integral(prepared)  # builds the subdivided curve's edge data
+        assert hat is prepared or "_edge_data" not in vars(hat)
         for out in (prepared, hat):
-            assert {"_validation", "_balance", "_edge_data"} <= vars(out).keys()
+            assert {"_validation", "_balance"} <= vars(out).keys()
             fresh = TropicalCurve(out.ambient_dim, out.vertices, out.edges, out.rays)
             assert validate(out) == validate(fresh)
             assert is_balanced(out) == is_balanced(fresh)  # defects in order
             assert out._edge_data == {e.id: edge_data(fresh, e.id) for e in fresh.edges}
             assert list(out.vertices) == list(fresh.vertices) and out == fresh
+        ratios = {e: (d, Fraction(p, q)) for e, (d, p, q) in _walk(c, f).ratios.items()}
+        copy = TropicalCurve(*prepared)
+        assert ratios == {e.id: (d, length / e.weight) for e in copy.edges
+                          for d, length in [edge_data(copy, e.id)]}
         assert (n == 1 or "_image" in vars(hat)) and hat._image == integer_image(hat.vertices)
         assert all(type(q) is tuple for q in hat._image[1].values())
         seen["cases"] += 1
