@@ -100,8 +100,8 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Pivot rows of integer rows given as {column: nonzero entry}, keyed by
     leading column, each primitive: a row is reduced (``_eliminate``) until its
     lead is new or it vanishes.  The work follows the nonzeros, so a sparse
-    matrix such as ``defspace.cycle_closing_matrix`` costs far less than dense
-    elimination, while a dense one costs more."""
+    matrix such as the edge equations of ``defspace._equations`` costs far
+    less than dense elimination, while a dense one costs more."""
     pivots: dict[int, dict[int, int]] = {}
     for r in rows:
         while r:

@@ -1,21 +1,22 @@
 """Genus-1 well-spacedness: the known combinatorial obstruction to realizing
 superabundant genus-1 curves.
 
-The unique cycle is the one fundamental cycle of ``defspace``'s spanning
-tree, the cycle whose closing equations ``superabundance`` counts.  Its
-affine span is cut out by ``normals``, a primitive integer basis of the
-vectors orthogonal to its edge directions: a point lies in the span iff
-every normal vanishes on its offset from the cycle, and a ray stays in it
-iff every normal vanishes on its direction.  A shortest-path search from the
-cycle over the edges inside the span reaches exactly the span's connected
-subgraph through the cycle; each vertex of it with an edge or ray leaving
-the span is a departure, at its lattice distance from the cycle.  Both
-tests read the curve's integer image m p (``TropicalCurve._image``), and
-the search sums integers m * length, so each distance d/m is the one
-Fraction built.  The curve is well-spaced when there are no departures or
-when the minimum distance is attained at least twice.  Only the exact
-affine span of the cycle is tested, not every subspace containing it; this
-suffices for the catalogued failure modes and is recorded as a limitation.
+The unique cycle is what is left once degree-1 vertices are peeled off
+until none remains.  Its affine span, whose codimension is the excess
+``defspace.superabundance`` counts, is cut out by ``normals``, a primitive
+integer basis of the vectors orthogonal to its edge directions: a point
+lies in the span iff every normal vanishes on its offset from the cycle,
+and a ray stays in it iff every normal vanishes on its direction.  A
+shortest-path search from the cycle over the edges inside the span reaches
+exactly the span's connected subgraph through the cycle; each vertex of it
+with an edge or ray leaving the span is a departure, at its lattice
+distance from the cycle.  Both tests read the curve's integer image m p
+(``TropicalCurve._image``), and the search sums integers m * length, so
+each distance d/m is the one Fraction built.  The curve is well-spaced when
+there are no departures or when the minimum distance is attained at least
+twice.  Only the exact affine span of the cycle is tested, not every
+subspace containing it; this suffices for the catalogued failure modes and
+is recorded as a limitation.
 """
 
 import heapq
@@ -24,8 +25,7 @@ from math import gcd
 from operator import mul, sub
 from typing import NamedTuple
 
-from .curves import TropicalCurve, genus
-from .defspace import combinatorial_type, fundamental_cycles
+from .curves import TropicalCurve, edge_data, genus
 from .errors import GenusNotOne
 from .latticefan import IntVec, RatVec, double_description
 
@@ -60,23 +60,29 @@ def cycle(c: TropicalCurve) -> CycleData:
     g = genus(c)
     if g != 1:
         raise GenusNotOne(f"genus is {g}, not 1")
-    t = combinatorial_type(c)
-    (loop,) = fundamental_cycles(t)
-    at: dict[str, list[int]] = {}  # cycle vertex -> its two cycle edges, in id order
-    for j in sorted(loop):
-        for v in t.edges[j].ends:
-            at.setdefault(v, []).append(j)
-    start = current = min(at)
-    walk, steps = [start], [at[start][0]]
+    # peel degree-1 vertices until none is left: what stays is the cycle
+    degree = {v: len(c.edges_at(v)) for v in c.vertices}
+    leaves = [v for v, k in degree.items() if k == 1]
+    for v in leaves:  # the list grows as it is read
+        degree[v] = 0
+        for e in c.edges_at(v):
+            w = e.ends[e.ends[0] == v]
+            if degree[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    start = current = min(v for v, k in degree.items() if k)
+    walk, steps = [start], []
     while True:
-        a, b = t.edges[steps[-1]].ends
-        current = b if a == current else a
+        steps.append(next(e for e in c.edges_at(current)
+                          if degree[e.ends[0]] and degree[e.ends[1]] and e not in steps[-1:]))
+        current = steps[-1].ends[steps[-1].ends[0] == current]
         if current == start:
             break
         walk.append(current)
-        steps.append(next(j for j in at[current] if j != steps[-1]))
-    normals, _ = double_description([t.edges[j].direction for j in steps], (), t.ambient_dim)
-    return CycleData(tuple(walk), tuple(t.edges[j].id for j in steps), c.position(start), normals)
+    directions = [edge_data(c, e.id)[0] for e in steps]
+    normals, _ = double_description(directions, (), c.ambient_dim)
+    return CycleData(tuple(walk), tuple(e.id for e in steps), c.position(start), normals)
 
 
 def well_spaced(c: TropicalCurve) -> WellSpacedVerdict:

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library code paths they are used to
 check: ``NodeData.k`` by the node monoid, whose membership is checked by
 brute-force closure, cone membership by Caratheodory subset enumeration,
 rank by transposed elimination, and the deformation dimension by dense
-Fraction elimination of the full edge equations instead of the integer rank
-of the cycle-closing matrix.  Subdivision is checked against the earlier
+Fraction elimination of the edge equations, written out here from the
+``defspace`` docstring (``dense_edge_equations``) instead of taken from the
+library's sparse rows and their integer reduction.  Subdivision is checked against the earlier
 implementation that scanned the facets of every cone and walked edges and
 rays in two separate loops, with each output vertex signed by Fraction dot
 products, point
@@ -333,10 +334,29 @@ def expected_dimension(t: CombinatorialType, genus_: int, ends: int) -> int:
     return ends + (t.ambient_dim - 3) * (1 - genus_) - overvalence(t)
 
 
+def dense_edge_equations(t: CombinatorialType) -> list[IntVec]:
+    """The (n*E) x (n*V + E) edge equations as the ``defspace`` docstring states
+    them, written out densely: n position coordinates per vertex in the type's
+    vertex order, then one length per bounded edge in its edge order; an edge
+    u -> w with direction d and length l gives position(w)[i] - position(u)[i]
+    - l * d[i] = 0 for each coordinate i."""
+    n, nvertices = t.ambient_dim, len(t.vertices)
+    block = {v: n * k for k, v in enumerate(t.vertices)}
+    rows = []
+    for j, e in enumerate(t.edges):
+        u, w = e.ends
+        for i in range(n):
+            row = [0] * (n * nvertices + len(t.edges))
+            row[block[w] + i] += 1
+            row[block[u] + i] -= 1
+            row[n * nvertices + j] = -e.direction[i]
+            rows.append(tuple(row))
+    return rows
+
+
 def dense_deformation_dimension(t: CombinatorialType) -> int:
-    """Kernel dimension of the (n*E) x (n*V + E) edge equations of the deformation cone."""
-    cone = deformation_cone(t)
-    return kernel_dimension(cone.equations, len(cone.coordinates))
+    """Kernel dimension of ``dense_edge_equations``, by dense Fraction elimination."""
+    return kernel_dimension(dense_edge_equations(t), t.ambient_dim * len(t.vertices) + len(t.edges))
 
 
 # Test curves come from the benchmark's generators, loaded by path, so the

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from helpers import (
     dense_deformation_dimension,
+    dense_edge_equations,
     densify,
     expected_dimension,
     gen,
@@ -12,11 +13,11 @@ from helpers import (
     random_tree,
     translated,
 )
-from tropic import fixtures
+from tropic import fixtures, latticefan
 from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate
 from tropic.defspace import (
+    _equations,
     combinatorial_type,
-    cycle_closing_matrix,
     deformation_cone,
     is_superabundant,
     superabundance,
@@ -107,19 +108,22 @@ def test_superabundance_catalog():
 
 
 def _check_against_dense_oracle(c):
-    """The cycle-space count agrees with the dense kernel and the virtual count."""
+    """The sparse rank of the edge equations agrees with the dense kernel and the virtual count."""
     t = combinatorial_type(c)
-    n, g = c.ambient_dim, genus(c)
+    n, g, nvertices = c.ambient_dim, genus(c), len(t.vertices)
     v = superabundance(t)
     assert v.dimension == dense_deformation_dimension(t)
     assert v.expected == expected_dimension(t, g, len(t.rays)) == n * (1 - g) + len(t.edges)
-    sparse = cycle_closing_matrix(t)
+    ncols = n * nvertices + len(t.edges)
+    sparse = _equations(t, {u: n * k for k, u in enumerate(t.vertices)}, n * nvertices)
     assert all(all(row.values()) for row in sparse)  # nonzero entries only
-    closing = densify(sparse, len(t.edges))
-    assert len(closing) == n * g
-    lengths = [edge_data(c, e.id)[1] for e in t.edges]
-    assert all(dot(row, lengths) == 0 for row in closing)  # the curve closes its cycles
-    assert v.excess == n * g - rank(closing)
+    equations = densify(sparse, ncols)
+    assert equations == [list(row) for row in dense_edge_equations(t)]
+    assert len(equations) == n * len(t.edges)
+    x, _ = point_of_curve(c)
+    assert all(dot(row, x) == 0 for row in equations)  # the curve solves its equations
+    # translations are the kernel on the positions, so rank = n(V - 1) + the rank of the cycles
+    assert v.excess == n * g - (rank(equations) - n * (nvertices - 1))
     return v
 
 
@@ -148,6 +152,36 @@ def test_honeycomb_superabundance_oracle():
             assert g == (d - 1) * (d - 2) // 2
             assert _check_against_dense_oracle(c).excess == (0 if dim == 2 else g), (d, dim)
             assert is_superabundant(c).excess == (0 if dim == 2 else g)
+
+
+def test_deformation_cone_equations_are_the_documented_rows():
+    for name, fn in fixtures.CURVES.items():
+        t = combinatorial_type(fn())
+        assert deformation_cone(t).equations == tuple(dense_edge_equations(t)), name
+    for d in range(3, 7):
+        for dim in (2, 3):
+            t = combinatorial_type(TropicalCurve.build(*gen.honeycomb(d, dim, (0, 0))))
+            assert deformation_cone(t).equations == tuple(dense_edge_equations(t)), (d, dim)
+
+
+def test_superabundance_eliminations_per_edge_do_not_grow(monkeypatch):
+    # most edge equations meet a new pivot at once: on R^2 honeycombs only the
+    # second row of each diagonal edge is reduced, once, against the first
+    calls = []
+    real = latticefan._eliminate
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(latticefan, "_eliminate", counting)
+    per_edge = {}
+    for d in (10, 20):
+        t = combinatorial_type(TropicalCurve.build(*gen.honeycomb(d, 2, (0, 0))))
+        calls.clear()
+        assert superabundance(t).excess == 0
+        per_edge[d] = Fraction(len(calls), len(t.edges))
+    assert per_edge[20] <= per_edge[10], per_edge
 
 
 def test_speyer3_excess_equals_cycle_closing_corank():

@@ -216,24 +216,25 @@ def test_bareiss_rank_matches_fraction_echelon():
         assert rank([[int(x * 60) for x in row] for row in rows]) == rank(rows)
 
 
-def test_rank_matches_echelon_on_cycle_closing_matrices():
-    # the sparse matrices superabundance reduces: full rank in R^2, and in R^3
-    # short by the genus, since the honeycomb lies in a plane
+def test_rank_matches_echelon_on_edge_equations():
+    # the deformation cone's edge equations, whose rank superabundance takes:
+    # translations leave n(V - 1) for the positions, and each of the g cycles
+    # adds 2, in R^3 too, since the honeycomb lies in a plane
     from tropic.curves import TropicalCurve
-    from tropic.defspace import combinatorial_type, cycle_closing_matrix
+    from tropic.defspace import _equations, combinatorial_type
     from tropic.latticefan import _echelon
 
     rng = random.Random(17)
     for dim in (2, 3):
         for d in range(3, 10):
             offset = (Fraction(rng.randint(-20, 20), 7), Fraction(rng.randint(-20, 20), 5))
-            curve = TropicalCurve.build(*gen.honeycomb(d, dim, offset))
-            sparse = cycle_closing_matrix(combinatorial_type(curve))
-            closing = densify(sparse, len(curve.edges))
-            g = (d - 1) * (d - 2) // 2
-            assert len(closing) == dim * g
-            assert rank(closing) == len(echelon(closing)[1]) == 2 * g, (dim, d)
-            assert len(_echelon(sparse)) == 2 * g, (dim, d)  # superabundance's call
+            t = combinatorial_type(TropicalCurve.build(*gen.honeycomb(d, dim, offset)))
+            nvertices, g = len(t.vertices), (d - 1) * (d - 2) // 2
+            sparse = _equations(t, {v: dim * k for k, v in enumerate(t.vertices)}, dim * nvertices)
+            dense = densify(sparse, dim * nvertices + len(t.edges))
+            assert len(dense) == dim * len(t.edges)
+            assert len(_echelon(sparse)) == rank(dense) == dim * (nvertices - 1) + 2 * g, (dim, d)
+            assert len(echelon(dense)[1]) == rank(dense)
 
 
 @pytest.mark.parametrize(

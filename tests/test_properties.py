@@ -19,6 +19,8 @@ st = hypothesis.strategies
 from helpers import (  # noqa: E402
     DIRECTIONS,
     as_signs,
+    dense_deformation_dimension,
+    dense_edge_equations,
     echelon,
     gen,
     handed_states,
@@ -32,7 +34,13 @@ from helpers import (  # noqa: E402
 )
 from tropic import cli, degeneration, fixtures  # noqa: E402
 from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate  # noqa: E402
-from tropic.defspace import combinatorial_type, superabundance  # noqa: E402
+from tropic.defspace import (  # noqa: E402
+    CombinatorialType,
+    TypeEdge,
+    combinatorial_type,
+    deformation_cone,
+    superabundance,
+)
 from tropic.degeneration import BasePoint, certify, verify_certificate  # noqa: E402
 from tropic.errors import SchemaError, TropicError  # noqa: E402
 from tropic.jsonio import (  # noqa: E402
@@ -60,7 +68,7 @@ DERANDOMIZED = hypothesis.settings(
     derandomize=True, database=None, max_examples=60, deadline=None
 )
 
-# mostly zeros, as in the cycle-closing matrices rank serves
+# mostly zeros, as in the edge equations superabundance reduces
 ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
 SPARSE_MATRICES = st.integers(1, 7).flatmap(
     lambda ncols: st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), max_size=8)
@@ -459,6 +467,38 @@ def test_subdivision_is_idempotent_and_splits_each_host_by_length(dim, fan_seed,
         total = sum(pieces.get(r.id, []))
         base = c.vertices[r.base]
         assert out.vertices[tail.base] == tuple(x + total * d for x, d in zip(base, r.direction))
+
+
+@st.composite
+def connected_types(draw):
+    """A connected combinatorial type in R^2 to R^4 with at most 12 vertices:
+    a random spanning tree plus up to V/2 more edges, parallel ones allowed
+    but no loops, randomly oriented.  Directions are random primitive
+    vectors, or, in about half the types, come from the small plane set
+    e1, e2, e1 + e2, so that cycles lose rank and the excess is often
+    positive."""
+    n, nvertices = draw(st.integers(2, 4)), draw(st.integers(1, 12))
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, nvertices)]
+    for _ in range(draw(st.integers(0, nvertices // 2)) if nvertices > 1 else 0):
+        pairs.append(tuple(draw(st.lists(st.integers(0, nvertices - 1), min_size=2,
+                                         max_size=2, unique=True))))
+    plane = [(1, 0) + (0,) * (n - 2), (0, 1) + (0,) * (n - 2), (1, 1) + (0,) * (n - 2)]
+    vectors = (st.sampled_from(plane) if draw(st.booleans())
+               else st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    edges = []
+    for j, (a, b) in enumerate(pairs):
+        d = draw(vectors)
+        ends = (f"v{a:02d}", f"v{b:02d}")
+        edges.append(TypeEdge(f"e{j:02d}", ends if draw(st.booleans()) else ends[::-1], 1,
+                              tuple(x // gcd(*d) for x in d)))
+    return CombinatorialType(n, tuple(f"v{k:02d}" for k in range(nvertices)), tuple(edges), ())
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=200)
+@hypothesis.given(t=connected_types())
+def test_superabundance_matches_the_dense_kernel_on_random_types(t):
+    assert superabundance(t).dimension == dense_deformation_dimension(t)
+    assert deformation_cone(t).equations == tuple(dense_edge_equations(t))
 
 
 @st.composite

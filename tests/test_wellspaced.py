@@ -9,20 +9,19 @@ from tropic import fixtures, latticefan
 from tropic.curves import TropicalCurve
 from tropic.defspace import is_superabundant
 from tropic.errors import GenusNotOne
-from tropic.wellspaced import cycle, well_spaced
+from tropic.wellspaced import CycleData, cycle, well_spaced
 
 
 def test_cycle_of_cycle3():
     data = cycle(fixtures.cycle3())
-    assert data.vertices == ("v0", "v1", "v2")
-    assert set(data.edges) == {"e0", "e1", "e2"}
+    assert data == CycleData(("v0", "v1", "v2"), ("e0", "e1", "e2"), (0, 0), ())
     assert data.codim == 0
 
 
 def test_cycle_of_speyer3():
     data = cycle(fixtures.speyer3())
-    assert data.codim == 1
-    assert data.normals == ((0, 0, 1),)  # the span is the z = 0 plane
+    assert data == CycleData(("v0", "v1", "v2"), ("e0", "e1", "e2"), (0, 0, 0), ((0, 0, 1),))
+    assert data.codim == 1  # the span is the z = 0 plane
 
 
 def test_cycle_requires_genus_one():
@@ -52,6 +51,91 @@ def test_cycle_with_pending_tree_parts():
     )
     data = cycle(c)
     assert data.vertices == ("v0", "v1", "v2")
+
+
+def _bridgeless_edges(c):
+    """Oracle: the cycle edges are those whose removal leaves the graph connected."""
+    def connected(edges):
+        first = next(iter(c.vertices))
+        seen, stack = {first}, [first]
+        while stack:
+            v = stack.pop()
+            for e in edges:
+                if v in e.ends:
+                    new = set(e.ends) - seen
+                    seen |= new
+                    stack.extend(new)
+        return len(seen) == len(c.vertices)
+
+    return {e.id for e in c.edges if connected([f for f in c.edges if f is not e])}
+
+
+def _check_cycle(c):
+    data = cycle(c)
+    on_cycle = _bridgeless_edges(c)
+    assert set(data.edges) == on_cycle and len(data.edges) == len(on_cycle)
+    ends = {e.id: set(e.ends) for e in c.edges}
+    walk = data.vertices
+    assert set(walk) == set().union(*(ends[e] for e in on_cycle)) and len(set(walk)) == len(walk)
+    # from the smallest id along the smaller-id of its two cycle edges, then around
+    assert walk[0] == min(walk) and data.base_point == c.position(walk[0])
+    assert data.edges[0] == min(e for e in on_cycle if walk[0] in ends[e])
+    for i, eid in enumerate(data.edges):
+        assert ends[eid] == {walk[i], walk[(i + 1) % len(walk)]}, eid
+    return data
+
+
+def test_cycle_with_trees_off_it_and_away_from_the_first_vertex():
+    # "a" hangs off the triangle b, c, d, which carries a two-edge tree at d
+    c = TropicalCurve.build(
+        2,
+        {"a": (-1, 0), "b": (0, 0), "c": (2, 0), "d": (0, 2), "x": (0, 3), "y": (1, 4)},
+        edges=[
+            ("k0", ("a", "b"), 1),
+            ("k1", ("c", "b"), 1),
+            ("k2", ("d", "c"), 1),
+            ("k3", ("b", "d"), 1),
+            ("k4", ("d", "x"), 1),
+            ("k5", ("x", "y"), 1),
+        ],
+    )
+    data = _check_cycle(c)
+    assert data.vertices == ("b", "c", "d") and data.edges == ("k1", "k2", "k3")
+
+
+def test_cycle_of_two_parallel_edges_with_trees_off_it():
+    c = TropicalCurve.build(
+        3,
+        {"a": (0, 0, 1), "b": (0, 0, 0), "c": (1, 1, 0), "d": (2, 1, 0)},
+        edges=[
+            ("p1", ("c", "b"), 1),
+            ("p0", ("b", "c"), 2),
+            ("t0", ("b", "a"), 1),
+            ("t1", ("c", "d"), 1),
+        ],
+    )
+    data = _check_cycle(c)
+    assert data.vertices == ("b", "c") and data.edges == ("p0", "p1")
+    assert data.normals == ((-1, 1, 0), (0, 0, 1))
+
+
+def test_cycle_matches_the_bridge_oracle_on_seeded_genus_one_graphs():
+    # a cycle of 2 to 5 vertices (2: two parallel edges) with a random forest
+    # hung off it, under shuffled vertex and edge ids and random orientations
+    rng = random.Random(11)
+    for trial in range(60):
+        dim, nvertices = rng.choice((2, 3)), rng.randint(2, 10)
+        names = [f"v{k}" for k in rng.sample(range(20), nvertices)]
+        length = rng.randint(2, min(nvertices, 5))
+        pairs = [(names[i], names[(i + 1) % length]) for i in range(length)]
+        pairs += [(names[rng.randrange(k)], names[k]) for k in range(length, nvertices)]
+        points = rng.sample(range(8**dim), nvertices)  # distinct points of a box
+        vertices = {v: tuple((p // 8**i) % 8 for i in range(dim)) for v, p in zip(names, points)}
+        ids = rng.sample(range(100), len(pairs))
+        edges = [(f"e{i}", pair if rng.random() < 0.5 else pair[::-1], 1)
+                 for i, pair in zip(ids, pairs)]
+        c = TropicalCurve.build(dim, vertices, edges)
+        _check_cycle(c)
 
 
 def test_cycle3_vacuously_well_spaced():
