@@ -332,8 +332,7 @@ def star(c: TropicalCurve, vertex: str) -> Star:
     one ray whose weight is the sum.
     """
     require_valid(c)
-    if vertex not in c.vertices:
-        raise NoSuchVertex(f"no vertex {_echo(repr(vertex))}")
+    c.position(vertex)  # raises NoSuchVertex for an unknown vertex
     weights: dict[IntVec, int] = {}
     for d, w in outgoing(c, vertex):
         weights[d] = weights.get(d, 0) + w

@@ -12,7 +12,7 @@ convention.
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 from operator import eq, itemgetter
 from typing import NamedTuple
 
@@ -179,8 +179,8 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     if not support.ok:
         raise RecessionNotSupported(
             f"ray directions {[d for _, d in support.missing]} are not rays of the fan")
-    out, signs, breaks, ratios = _walk(c, f)
-    hat, mult = _dilate(out, lcm(*{q // gcd(p, q) for _, p, q in ratios.values()}))
+    out, signs, breaks, ratios, _ = _walk(c, f)
+    hat, mult = _dilate(out, ratios)
     valuations, nodes = [], {}
     for e, _, w in out.edges:
         d, p, q = ratios[e]

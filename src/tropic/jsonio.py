@@ -186,7 +186,7 @@ def fan_from_dict(data) -> Fan:
         for i in _int_list(idx_list, "cone ray indices"):
             _require(0 <= i < len(rays), f"bad ray index {_echo(repr(i))}")
             gens.append(rays[i])
-        cones.append(Cone.from_rays(gens, n) if gens else Cone((), n))
+        cones.append(Cone.from_rays(gens, n))
     # keep the file's cone order: certificate fields reference cones by index
     return Fan(tuple(cones), n)
 

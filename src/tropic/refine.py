@@ -44,6 +44,7 @@ class _Walk(NamedTuple):
     signs: dict[str, tuple[int, int]]  # vertex -> its sign vector
     stars: dict[str, tuple[IntVec, IntVec]]  # break -> its host's sorted (d, -d), in walk order
     ratios: dict[str, tuple[IntVec, int, int]]  # bounded piece -> (d, p, q), length/weight p/q
+    cones: dict[str, int]  # output edge/ray id -> index of its containing cone
 
 
 def _require_valid_in(c: TropicalCurve, f: Fan) -> None:
@@ -71,15 +72,8 @@ _REUSED = ("subdividing {} creates id {}, which the curve already uses; "
 
 
 def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
-    """The walk's subdivided curve (``_walk``), each new vertex's host and the
-    cones of the pieces before and after it, and each piece's cone: that of
-    its points just past its start, whose sign vector its ends' give."""
-    out, signs, breaks, _ = _walk(c, f)
-    far, located, cones = direction_values(f, {r.direction for r in c.rays}), f._located, {}
-    ends = [(e, signs[u], signs[w]) for e, (u, w), _ in out.edges]
-    for pid, (sp, sn), (fp, fn) in ends + [(r, signs[b], far[d][1]) for r, b, d, _ in out.rays]:
-        key = sp | fp & ~sn, sn | fn & ~sp
-        cones[pid] = (located.get(key) or _locate(f, key))[0]
+    """The walk's curve and piece cones (``_walk``), and its breaks' ``NewVertex`` records."""
+    out, _, breaks, _, cones = _walk(c, f)
     record = [_new_vertex((v, h, "edge" if h in c._edge_by_id else "ray",
                            cones[f"{h}:{int(k) - 1}"], cones[f"{h}:{k}"]))
               for v in breaks for h, _, k in [v.rpartition("#")]]
@@ -106,23 +100,24 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
     spurious crossing), so a host breaks where the cone changes, and a break's
     vector is the interval's before it with the flip mask cleared from both.
     The walk returns (``_Walk``) the subdivided curve, every vertex's sign
-    vector, each break's star, and each bounded piece's direction and
-    length/weight p/q in integers, its length (key'-key)*num/(den*lb) from key
-    to key' on a host of lattice length num/den (1 for a ray).  The new
-    vertices are straight, 2-valent and fresh, so the output inherits the
-    verdicts.  Only break coordinates that are not integral are Fractions.  A
-    host that keeps no break passes through as it is, and a curve in which none
-    breaks is its own output, caches and all.  New vertices are named
-    ``<host>#k`` and pieces ``<host>:k``; an input curve already using such an
-    id raises InvalidCurve before the id is written, the first in host order.
-    A traversed point outside the support raises NotInSupport.
+    vector, each break's star, each bounded piece's direction and length/weight
+    p/q in integers, its length (key'-key)*num/(den*lb) from key to key' on a
+    host of lattice length num/den (1 for a ray), and each piece's cone, its
+    first interval's: the host's first, or the one after a kept break.  New
+    vertices are straight, 2-valent and fresh: the output inherits the verdicts.
+    Only break coordinates that are not integral are Fractions.  A host that
+    keeps no break passes through as it is, and a curve in which none breaks
+    is its own output, caches and all.  New vertices are named ``<host>#k``
+    and pieces ``<host>:k``; an input curve already using such an id raises
+    InvalidCurve before the id is written, the first in host order.  A
+    traversed point outside the support raises NotInSupport.
     """
     _require_valid_in(c, f)
 
     hosts = c.edges + c.rays
     host_ids = {h.id for h in hosts}
     vertices, data = dict(c.vertices), c._edge_data
-    new_edges, new_rays, stars, ratios = [], [], {}, {}
+    new_edges, new_rays, stars, ratios, pieces = [], [], {}, {}, {}
 
     m, image = c._image
     own, signs = hyperplane_values(f, image)  # vertex -> n.(m v); -> their signs
@@ -149,6 +144,7 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
         d, scale = data[h.id] if bounded else (h.direction, 1)
         if cones[0] is not None and cones.count(cones[0]) == len(cones):  # no break kept
             (new_edges if bounded else new_rays).append(h)
+            pieces[h.id] = cones[0]
             if bounded:
                 ratios[h.id] = d, scale.numerator, scale.denominator * h.weight
             continue
@@ -157,7 +153,7 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
             bounds = [0, *cuts, lb if bounded else (cuts[-1] if cuts else 0) + 2 * lb]
             k = cones.index(None)
             raise not_in_support(_point_at(base, direction, m, bounds[k] + bounds[k + 1], 2 * lb))
-        stops, star = [(start, 0)], tuple(sorted((d, tuple([-x for x in d]))))
+        stops, star = [(start, 0, cones[0])], tuple(sorted((d, tuple([-x for x in d]))))
         for k, t in enumerate(cuts):
             if cones[k] != cones[k + 1]:
                 vid = f"{h.id}#{len(stops)}"
@@ -166,13 +162,14 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
                 vertices[vid] = _point_at(base, direction, m, t, lb)
                 signs[vid] = keys[k][0] & ~crossings[t], keys[k][1] & ~crossings[t]
                 stars[vid] = star
-                stops.append((vid, t))
-        stops.append((end, lb) if bounded else (None, None))
+                stops.append((vid, t, cones[k + 1]))
+        stops.append((end, lb, None) if bounded else (None, None, None))
         num, den = scale.numerator, scale.denominator * lb * h.weight
-        for k, ((u, t0), (w, t1)) in enumerate(zip(stops, stops[1:])):
+        for k, ((u, t0, cone), (w, t1, _)) in enumerate(zip(stops, stops[1:])):
             pid = f"{h.id}:{k}"
             if pid in host_ids:
                 raise InvalidCurve(_REUSED.format(_echo(h.id), _echo(repr(pid))))
+            pieces[pid] = cone
             if w is None:
                 new_rays.append(_ray((pid, u, h.direction, h.weight)))
             else:
@@ -181,24 +178,25 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
 
     if stars:  # else nothing broke: the input is its own subdivision, caches and all
         c = _inherit(TropicalCurve(c.ambient_dim, vertices, new_edges, new_rays), c)
-    return _Walk(c, signs, stars, ratios)
+    return _Walk(c, signs, stars, ratios, pieces)
 
 
 def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
-    """Scale all positions by the least N making every length/weight ratio integral."""
+    """Scale all positions by the least N making every length/weight integral (``_dilate``)."""
     require_valid(c)
-    return _dilate(c, lcm(*{x.denominator * e.weight // gcd(x.numerator, e.weight)
-                            for e in c.edges for x in [c._edge_data[e.id][1]]}))
+    return _dilate(c, {e.id: (d, x.numerator, x.denominator * e.weight)
+                       for e in c.edges for d, x in [c._edge_data[e.id]]})
 
 
-def _dilate(c: TropicalCurve, n: int) -> tuple[TropicalCurve, int]:
-    """The valid curve dilated by n, which makes every length/weight integral,
-    and n.  It keeps the input's field order and verdicts, and builds its edge
-    data from its own image if asked.  It is handed that image (m, m*n*p), from
-    one ``as_integer_ratio`` per coordinate: each n*p has the first vertex's
-    coordinate denominators (the curve is connected), whose lcm is the least m.
-    A coordinate is an int when m = 1 (the vertices are the image's dict), else
-    a Fraction over m."""
+def _dilate(c: TropicalCurve, ratios: dict[str, tuple]) -> tuple[TropicalCurve, int]:
+    """The valid curve dilated by N, the least making each piece's length/weight
+    p/q integral (``ratios``: piece -> (d, p, q)), and N.  It keeps the input's
+    field order and verdicts, and builds its edge data from its own image if
+    asked.  It is handed that image (m, m*N*p), from one ``as_integer_ratio``
+    per coordinate: each N*p has the first vertex's coordinate denominators
+    (the curve is connected), whose lcm is the least m.  A coordinate is an
+    int when m = 1 (the vertices are the image's dict), else a Fraction over m."""
+    n = lcm(*{q // gcd(p, q) for _, p, q in ratios.values()})
     if n == 1:
         return c, 1
     num, den = zip(*[x.as_integer_ratio() for p in c.vertices.values() for x in p])

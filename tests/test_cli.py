@@ -82,6 +82,18 @@ def test_expect_ordinary_flag(paths, capsys):
     code, text = _capture(capsys, ["check", paths["speyer3"], "--expect-ordinary"])
     assert code == 1
     assert json.loads(text)["excess"] == 1
+    # certify: speyer3 certifies on fan_r3, but not under the flag; tripod is
+    # ordinary, so the flag leaves its certificate byte for byte as it is
+    code, _ = _capture(capsys, ["certify", paths["speyer3"], "--fan", paths["fan_r3"]])
+    assert code == 0
+    code, text = _capture(
+        capsys, ["certify", paths["speyer3"], "--fan", paths["fan_r3"], "--expect-ordinary"])
+    assert code == 1
+    assert text == dumps({"error": "Superabundant", "detail": "curve is superabundant"})
+    plain = _capture(capsys, ["certify", paths["tripod"], "--fan", paths["fan_p2"]])
+    flagged = _capture(
+        capsys, ["certify", paths["tripod"], "--fan", paths["fan_p2"], "--expect-ordinary"])
+    assert plain[0] == flagged[0] == 0 and flagged[1] == plain[1]
 
 
 def test_genus_recession_star(paths, capsys):

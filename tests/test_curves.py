@@ -151,7 +151,7 @@ def test_star():
     assert s.ray_weights == (((-1, 0), 2), ((1, 0), 2))
     s = star(fixtures.cycle3(), "v0")  # two cycle edges plus the balancing ray
     assert s.ray_weights == (((-1, -1), 1), ((0, 1), 1), ((1, 0), 1))
-    with pytest.raises(NoSuchVertex):
+    with pytest.raises(NoSuchVertex, match="^no vertex 'nope'$"):
         star(fixtures.tripod(), "nope")
 
 
