@@ -95,14 +95,10 @@ def emit_dot(c: TropicalCurve | CompactifiedCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validation_entries(report):
-    return [{"code": v.code, "detail": v.detail} for v in report.violations]
-
-
 def _cmd_check(args) -> tuple[object, int]:
     c = _load_curve(args.curve)
     report = validate(c)
-    out = {"valid": report.valid, "violations": _validation_entries(report)}
+    out = {"valid": report.valid, "violations": [v._asdict() for v in report.violations]}
     if not report.valid:
         out["balanced"] = False
         return out, 1

@@ -317,12 +317,15 @@ def genus(c: TropicalCurve) -> int:
     return len(c.edges) - len(c.vertices) + 1
 
 
+def _ray_fan(directions: Iterable[IntVec], n: int) -> Fan:
+    """The fan in R^n of the origin and one ray per direction."""
+    return Fan.build([Cone((), n)] + [Cone((d,), n) for d in directions], n)
+
+
 def recession_fan(c: TropicalCurve) -> Fan:
     """Fan of unbounded directions: one ray per distinct primitive ray direction, plus the origin."""
     require_valid(c)
-    dirs = sorted({r.direction for r in c.rays})
-    cones = [Cone((), c.ambient_dim)] + [Cone((d,), c.ambient_dim) for d in dirs]
-    return Fan.build(cones, c.ambient_dim)
+    return _ray_fan({r.direction for r in c.rays}, c.ambient_dim)
 
 
 def star(c: TropicalCurve, vertex: str) -> Star:
@@ -336,13 +339,7 @@ def star(c: TropicalCurve, vertex: str) -> Star:
     weights: dict[IntVec, int] = {}
     for d, w in outgoing(c, vertex):
         weights[d] = weights.get(d, 0) + w
-    dirs = sorted(weights)
-    cones = [Cone((), c.ambient_dim)] + [Cone((d,), c.ambient_dim) for d in dirs]
-    return Star(
-        vertex=vertex,
-        fan=Fan.build(cones, c.ambient_dim),
-        ray_weights=tuple((d, weights[d]) for d in dirs),
-    )
+    return Star(vertex, _ray_fan(weights, c.ambient_dim), tuple(sorted(weights.items())))
 
 
 def compactify(c: TropicalCurve) -> CompactifiedCurve:

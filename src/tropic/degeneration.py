@@ -20,7 +20,7 @@ from .curves import TropicalCurve, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
 from .latticefan import (
     Fan, IntVec, RatVec, _locate, direction_values, hyperplane_values, not_in_support)
-from .refine import _dilate, _walk, check_recession_support
+from .refine import _dilate, _ratios, _walk, check_recession_support
 
 
 class Component(NamedTuple):
@@ -112,29 +112,35 @@ def _stars(c: TropicalCurve) -> dict[str, tuple[IntVec, ...]]:
     return {v: tuple(sorted(ds)) for v, ds in stars.items()}
 
 
+def _nodes(c: TropicalCurve, ratios: dict, n: int) -> tuple[dict, tuple]:
+    """Per bounded edge of ``c``, from its (d, p, q) in ``ratios``: its NodeData (k = n*p/q,
+    rho its weight, u_q = -k*d) and its valuation p/q, each an int where integral."""
+    nodes, valuations = {}, []
+    for e, _, w in c.edges:
+        d, p, q = ratios[e]
+        k = x // q if (x := n * p) % q == 0 else Fraction(x, q)
+        nodes[e] = _node_data((e, k, w, tuple([-k * y for y in d])))
+        valuations.append((e, p // q if p % q == 0 else Fraction(p, q)))
+    return nodes, tuple(valuations)
+
+
 def _state(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, dict]:
-    """The stars, node data and sign vectors of a curve that certify did not
-    hand ``_derive`` (read from JSON, copied or tampered), from the curve alone."""
-    nodes, data = {}, hat._edge_data
-    for e, _, weight in hat.edges:
-        d, length = data[e]
-        p, q = length.numerator, length.denominator * weight
-        k = p // q if p % q == 0 else Fraction(p, q)
-        nodes[e] = _node_data((e, k, weight, tuple([-k * x for x in d])))
-    return _stars(hat), nodes, hyperplane_values(fan, hat._image[1])[1]
+    """The stars, node data (N = 1) and sign vectors of a curve that certify did
+    not hand ``_derive`` (read from JSON, copied or tampered), from the curve alone."""
+    return _stars(hat), _nodes(hat, _ratios(hat), 1)[0], hyperplane_values(fan, hat._image[1])[1]
 
 
 def _derive(hat: TropicalCurve, fan: Fan, state: tuple | None = None
             ) -> tuple[dict, dict, DualCurve | None, dict, dict]:
     """The certificate fields that the rescaled curve and the fan fix: per
     vertex its star (sorted outgoing primitive directions); per bounded edge,
-    NodeData, k = length/weight and u_q = -k*d for its primitive direction d,
-    ints on a rescaled curve and exact rationals otherwise (a tampered
-    certificate is compared, not refused); the dual curve, None if unbalanced;
-    and per vertex its cell (``_locate``), closure mask and cone index (None
-    outside the support), from its sign vector.  Stars, node data and sign
-    vectors are ``state``, which certify hands over, else ``_state`` of the
-    curve.  The curve keeps this read-only tuple, for that fan object only."""
+    NodeData (``_nodes``, N = 1), ints on a rescaled curve and exact rationals
+    otherwise (a tampered certificate is compared, not refused); the dual
+    curve, None if unbalanced; and per vertex its cell (``_locate``), closure
+    mask and cone index (None outside the support), from its sign vector.
+    Stars, node data and sign vectors are ``state``, which certify hands
+    over, else ``_state`` of the curve.  The curve keeps this read-only
+    tuple, for that fan object only."""
     kept = vars(hat).get("_derived")
     if kept is not None and kept[0] is fan:
         return kept[1]
@@ -167,12 +173,12 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
 
     Walks the curve against the fan (``refine._walk``) and dilates it by the
     least N that makes every piece's length/weight p/q integral
-    (``refine._dilate``).  One pass over the pieces builds each base-point
-    valuation k/N = p/q and its NodeData, k = N*p/q, each an int where
-    integral.  ``_derive`` packs these with the walk's sign vectors and the
-    stars, the input's and the walk's breaks', and the rescaled curve keeps
-    that derivation for verify.  The first vertex outside the support of the
-    fan, in curve order, raises NotInSupport at its rescaled position.
+    (``refine._dilate``).  ``_nodes`` builds each piece's base-point
+    valuation p/q and its NodeData from the walk's ratios and N.  ``_derive``
+    packs these with the walk's sign vectors and the stars, the input's and
+    the walk's breaks', and the rescaled curve keeps that derivation for
+    verify.  The first vertex outside the support of the fan, in curve
+    order, raises NotInSupport at its rescaled position.
     """
     require_balanced(c)
     support = check_recession_support(c, f)
@@ -181,18 +187,13 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
             f"ray directions {[d for _, d in support.missing]} are not rays of the fan")
     out, signs, breaks, ratios, _ = _walk(c, f)
     hat, mult = _dilate(out, ratios)
-    valuations, nodes = [], {}
-    for e, _, w in out.edges:
-        d, p, q = ratios[e]
-        k = x // q if (x := mult * p) % q == 0 else Fraction(x, q)
-        nodes[e] = _node_data((e, k, w, tuple([-k * y for y in d])))
-        valuations.append((e, p // q if p % q == 0 else Fraction(p, q)))
+    nodes, valuations = _nodes(out, ratios, mult)
     stars, nodes, dual, _, cones = _derive(hat, f, (_stars(c) | breaks, nodes, signs))
     if None in cones.values():
         raise not_in_support(hat.vertices[next(v for v, i in cones.items() if i is None)])
     return RealizationCertificate(
         hat, mult, f, tuple(cones.items()), tuple(stars.items()), dual, tuple(nodes.values()),
-        BasePoint(tuple(valuations), tuple(out.vertices.items())))
+        BasePoint(valuations, tuple(out.vertices.items())))
 
 
 def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:

@@ -101,8 +101,8 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
     vector is the interval's before it with the flip mask cleared from both.
     The walk returns (``_Walk``) the subdivided curve, every vertex's sign
     vector, each break's star, each bounded piece's direction and length/weight
-    p/q in integers, its length (key'-key)*num/(den*lb) from key to key' on a
-    host of lattice length num/den (1 for a ray), and each piece's cone, its
+    in integers, (key'-key)*p/(q*lb) from key to key' on a host whose own is
+    p/q (``_ratios``; (D, 1, weight) for a ray), and each piece's cone, its
     first interval's: the host's first, or the one after a kept break.  New
     vertices are straight, 2-valent and fresh: the output inherits the verdicts.
     Only break coordinates that are not integral are Fractions.  A host that
@@ -116,7 +116,7 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
 
     hosts = c.edges + c.rays
     host_ids = {h.id for h in hosts}
-    vertices, data = dict(c.vertices), c._edge_data
+    vertices, edge_ratios = dict(c.vertices), _ratios(c)
     new_edges, new_rays, stars, ratios, pieces = [], [], {}, {}, {}
 
     m, image = c._image
@@ -141,12 +141,12 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
             for t in cuts:
                 keys.append((keys[-1][0] ^ crossings[t], keys[-1][1] ^ crossings[t]))
         cones = [(located.get(key) or _locate(f, key))[0] for key in keys]
-        d, scale = data[h.id] if bounded else (h.direction, 1)
+        d, p, q = edge_ratios[h.id] if bounded else (h.direction, 1, h.weight)
         if cones[0] is not None and cones.count(cones[0]) == len(cones):  # no break kept
             (new_edges if bounded else new_rays).append(h)
             pieces[h.id] = cones[0]
             if bounded:
-                ratios[h.id] = d, scale.numerator, scale.denominator * h.weight
+                ratios[h.id] = d, p, q
             continue
         direction = list(map(sub, image[end], base)) if bounded else [m * x for x in h.direction]
         if None in cones:  # name the interval's midpoint, or 1 past a ray's last crossing
@@ -164,7 +164,6 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
                 stars[vid] = star
                 stops.append((vid, t, cones[k + 1]))
         stops.append((end, lb, None) if bounded else (None, None, None))
-        num, den = scale.numerator, scale.denominator * lb * h.weight
         for k, ((u, t0, cone), (w, t1, _)) in enumerate(zip(stops, stops[1:])):
             pid = f"{h.id}:{k}"
             if pid in host_ids:
@@ -174,7 +173,7 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
                 new_rays.append(_ray((pid, u, h.direction, h.weight)))
             else:
                 new_edges.append(_edge((pid, (u, w), h.weight)))
-                ratios[pid] = d, (t1 - t0) * num, den
+                ratios[pid] = d, (t1 - t0) * p, q * lb
 
     if stars:  # else nothing broke: the input is its own subdivision, caches and all
         c = _inherit(TropicalCurve(c.ambient_dim, vertices, new_edges, new_rays), c)
@@ -184,8 +183,13 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
 def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     """Scale all positions by the least N making every length/weight integral (``_dilate``)."""
     require_valid(c)
-    return _dilate(c, {e.id: (d, x.numerator, x.denominator * e.weight)
-                       for e in c.edges for d, x in [c._edge_data[e.id]]})
+    return _dilate(c, _ratios(c))
+
+
+def _ratios(c: TropicalCurve) -> dict[str, tuple[IntVec, int, int]]:
+    """Each bounded edge -> (d, p, q): its primitive direction, and length/weight as p/q."""
+    data = c._edge_data
+    return {e: (d, x.numerator, x.denominator * w) for e, _, w in c.edges for d, x in [data[e]]}
 
 
 def _dilate(c: TropicalCurve, ratios: dict[str, tuple]) -> tuple[TropicalCurve, int]:
