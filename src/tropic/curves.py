@@ -26,7 +26,6 @@ from .latticefan import (
     Fan,
     IntVec,
     RatVec,
-    as_ratvec,
     integer_image,
 )
 
@@ -76,11 +75,10 @@ class TropicalCurve(_CurveFields):
         edges: Iterable[tuple[str, tuple[str, str], int]] = (),
         rays: Iterable[tuple[str, str, Sequence[int], int]] = (),
     ) -> "TropicalCurve":
-        vs = {str(k): as_ratvec(v) for k, v in vertices.items()}
-        es = tuple(BoundedEdge(str(i), (str(u), str(w)), int(wt)) for i, (u, w), wt in edges)
-        rs = tuple(
-            CurveRay(str(i), str(b), tuple(int(c) for c in d), int(wt)) for i, b, d, wt in rays
-        )
+        vs = {str(k): tuple([_exact(x) for x in v]) for k, v in vertices.items()}
+        es = tuple(BoundedEdge(str(i), (str(u), str(w)), _exact(k, int)) for i, (u, w), k in edges)
+        rs = tuple(CurveRay(str(i), str(b), tuple([_exact(x, int) for x in d]), _exact(k, int))
+                   for i, b, d, k in rays)
         return TropicalCurve(ambient_dim, vs, es, rs)
 
     def position(self, vertex: str) -> RatVec:
@@ -142,6 +140,15 @@ class TropicalCurve(_CurveFields):
 
     def rays_at(self, vertex: str) -> list[CurveRay]:
         return list(self._incidence.get(vertex, ((), ()))[1])
+
+
+def _exact(x, kind: type = Fraction):
+    """x as a Fraction or an int (``kind``); a float or a non-integral int is InvalidCurve."""
+    if type(x) is kind:
+        return x
+    if isinstance(x, float) or (f := Fraction(x)).denominator != 1 and kind is int:
+        raise InvalidCurve(f"{_echo(repr(x))} is no exact {'integer' if kind is int else 'number'}")
+    return f if kind is Fraction else f.numerator
 
 
 class InfinityPoint(NamedTuple):

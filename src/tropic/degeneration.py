@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .curves import TropicalCurve, require_balanced
 from .errors import RecessionNotSupported, Unbalanced, _echo
 from .latticefan import (
-    Fan, IntVec, RatVec, _locate, direction_values, hyperplane_values, not_in_support)
+    Fan, IntVec, _locate, direction_values, hyperplane_values, not_in_support)
 from .refine import _dilate, _ratios, _walk, check_recession_support
 
 
@@ -77,10 +77,12 @@ _component, _node, _marked, _node_data = (  # records built by tuple's C constru
 
 
 class BasePoint(NamedTuple):
-    """The curve seen as a monoid homomorphism: original length/weight per edge, plus positions."""
+    """The curve as a monoid homomorphism: the original length/weight per edge and the
+    positions, each value held as its numerator over the one ``denominator``."""
 
-    edge_valuations: tuple[tuple[str, Fraction], ...]
-    vertex_positions: tuple[tuple[str, RatVec], ...]
+    edge_valuations: tuple[tuple[str, int], ...]
+    vertex_positions: tuple[tuple[str, IntVec], ...]
+    denominator: int
 
 
 class RealizationCertificate(NamedTuple):
@@ -112,22 +114,21 @@ def _stars(c: TropicalCurve) -> dict[str, tuple[IntVec, ...]]:
     return {v: tuple(sorted(ds)) for v, ds in stars.items()}
 
 
-def _nodes(c: TropicalCurve, ratios: dict, n: int) -> tuple[dict, tuple]:
-    """Per bounded edge of ``c``, from its (d, p, q) in ``ratios``: its NodeData (k = n*p/q,
-    rho its weight, u_q = -k*d) and its valuation p/q, each an int where integral."""
-    nodes, valuations = {}, []
+def _nodes(c: TropicalCurve, ratios: dict, n: int) -> dict:
+    """Per bounded edge of ``c``, from its (d, p, q) in ``ratios``, its NodeData: k = n*p/q,
+    an int where integral, rho its weight and u_q = -k*d."""
+    nodes = {}
     for e, _, w in c.edges:
         d, p, q = ratios[e]
         k = x // q if (x := n * p) % q == 0 else Fraction(x, q)
         nodes[e] = _node_data((e, k, w, tuple([-k * y for y in d])))
-        valuations.append((e, p // q if p % q == 0 else Fraction(p, q)))
-    return nodes, tuple(valuations)
+    return nodes
 
 
 def _state(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, dict]:
     """The stars, node data (N = 1) and sign vectors of a curve that certify did
     not hand ``_derive`` (read from JSON, copied or tampered), from the curve alone."""
-    return _stars(hat), _nodes(hat, _ratios(hat), 1)[0], hyperplane_values(fan, hat._image[1])[1]
+    return _stars(hat), _nodes(hat, _ratios(hat), 1), hyperplane_values(fan, hat._image[1])[1]
 
 
 def _derive(hat: TropicalCurve, fan: Fan, state: tuple | None = None
@@ -171,14 +172,14 @@ def _mismatches(label: str, derived: dict, claimed: dict, same=eq) -> list[str]:
 def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     """Run the preparation pipeline and assemble the realization certificate.
 
-    Walks the curve against the fan (``refine._walk``) and dilates it by the
-    least N that makes every piece's length/weight p/q integral
-    (``refine._dilate``).  ``_nodes`` builds each piece's base-point
-    valuation p/q and its NodeData from the walk's ratios and N.  ``_derive``
-    packs these with the walk's sign vectors and the stars, the input's and
-    the walk's breaks', and the rescaled curve keeps that derivation for
-    verify.  The first vertex outside the support of the fan, in curve
-    order, raises NotInSupport at its rescaled position.
+    Walks the curve against the fan (``refine._walk``) and dilates its integer
+    points by the least N making every piece's length/weight p/q integral
+    (``refine._dilate``); ``_nodes`` builds each piece's NodeData from the
+    walk's ratios and N.  ``_derive`` packs these with the walk's sign vectors
+    and the stars, the input's and the breaks', for verify.  The base point is
+    the rescaled image (m, m*N*p) over D = m*N, valuations k*m: with m = 1 no
+    Fraction is built.  The first vertex outside the support of the fan, in
+    curve order, raises NotInSupport at its rescaled position.
     """
     require_balanced(c)
     support = check_recession_support(c, f)
@@ -186,14 +187,15 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
         raise RecessionNotSupported(
             f"ray directions {[d for _, d in support.missing]} are not rays of the fan")
     out, signs, breaks, ratios, _ = _walk(c, f)
-    hat, mult = _dilate(out, ratios)
-    nodes, valuations = _nodes(out, ratios, mult)
+    hat, n = _dilate(out, ratios, out.vertices if breaks else None)
+    nodes = _nodes(out, ratios, n)
     stars, nodes, dual, _, cones = _derive(hat, f, (_stars(c) | breaks, nodes, signs))
     if None in cones.values():
         raise not_in_support(hat.vertices[next(v for v, i in cones.items() if i is None)])
+    m, image = hat._image
     return RealizationCertificate(
-        hat, mult, f, tuple(cones.items()), tuple(stars.items()), dual, tuple(nodes.values()),
-        BasePoint(valuations, tuple(out.vertices.items())))
+        hat, n, f, tuple(cones.items()), tuple(stars.items()), dual, tuple(nodes.values()),
+        BasePoint(tuple([(e, nd.k * m) for e, nd in nodes.items()]), tuple(image.items()), m * n))
 
 
 def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
@@ -202,7 +204,10 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     of length/weight, has gcd 1 with them), and every id listed twice;
     compare the rest with ``_derive`` of the rescaled curve and fan (in process,
     the derivation certify packed), naming each id whose entry differs or is
-    missing on one side, a vertex outside the support included; then
+    missing on one side, a vertex outside the support included.  N times the
+    base point is the rescaled curve, whose image (m, m*N*p) and k*m are the
+    numerators over certify's denominator m*N, compared as they are (in C);
+    over another, cross-multiplied.  Then
     check the curve maps into the fan cone by cone, some closed cone holding
     both ends of each piece, a ray's base and direction (PieceNotInCone), with
     every ray direction a ray of the fan (RecessionNotSupported).  Each vertex's
@@ -218,8 +223,8 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     if not (type(n) is int and n >= 1):
         violations.append("MultiplierNotPositive: the multiplier must be a positive int")
     bp = cert.base_point
-    for field, entries in zip(("vertex_cones", "vertex_stars", "node_data", *BasePoint._fields),
-                              (cert.vertex_cones, cert.vertex_stars, cert.node_data, *bp)):
+    for field, entries in zip(("vertex_cones", "vertex_stars", "node_data", *BasePoint._fields[:2]),
+                              (cert.vertex_cones, cert.vertex_stars, cert.node_data, *bp[:2])):
         if len(set(map(itemgetter(0), entries))) < len(entries):
             ids = Counter(map(itemgetter(0), entries))
             violations += [f"DuplicateEntry: {field} {_echo(i)}" for i in sorted(ids) if ids[i] > 1]
@@ -233,21 +238,13 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     violations += _mismatches("StarMismatch: vertex", stars, dict(cert.vertex_stars))
     violations += _mismatches("NodeDataMismatch: edge", nodes, {
         nd.edge: nd for nd in cert.node_data if type(nd.k) is int and nd.k > 0})
-    # N times the base point is the rescaled curve, compared in integers: k per
-    # edge, and per vertex m*N*p against the curve's integer image (m, m*N*p)
-    violations += _mismatches(
-        "BasePointMismatch: edge", {e: nd.k for e, nd in nodes.items()}, dict(bp.edge_valuations),
-        lambda k, val: k * val.denominator == val.numerator * n)
-    mn = m * n
-
-    def same_point(p, q):  # up to the first differing coordinate
-        for x, y in zip(p, q):
-            if x * y.denominator != mn * y.numerator:
-                return False
-        return len(p) == len(q)
-
-    violations += _mismatches(
-        "BasePointMismatch: vertex", image, dict(bp.vertex_positions), same_point)
+    den, mn = bp.denominator, m * n  # a zero denominator matches nothing
+    same = eq if den == mn else lambda a, b: den != 0 and a * den == b * mn
+    point = eq if den == mn else (
+        lambda p, q: den != 0 and [x * den for x in p] == [y * mn for y in q])
+    violations += _mismatches("BasePointMismatch: edge", {e: nd.k * m for e, nd in nodes.items()},
+                              dict(bp.edge_valuations), same)
+    violations += _mismatches("BasePointMismatch: vertex", image, dict(bp.vertex_positions), point)
 
     # the map to the fan is cone by cone: a piece lies in a closed cone iff
     # both its ends do (a ray's base and direction), as cones are convex

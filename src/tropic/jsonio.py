@@ -23,7 +23,7 @@ from .degeneration import (
     RealizationCertificate,
 )
 from .errors import DeskScaleExceeded, SchemaError, _echo
-from .latticefan import Cone, Fan
+from .latticefan import Cone, Fan, integer_image
 
 
 _OVER_LIMIT = "a number in the report exceeds Python's integer digit limit"
@@ -196,6 +196,8 @@ def fan_from_dict(data) -> Fan:
 
 
 def certificate_to_dict(cert: RealizationCertificate) -> dict:
+    bp = cert.base_point
+    over = lambda x: rat_to_json(Fraction(x, bp.denominator))
     return {
         "curve": curve_to_dict(cert.rescaled_curve),
         "fan": fan_to_dict(cert.fan),
@@ -206,11 +208,8 @@ def certificate_to_dict(cert: RealizationCertificate) -> dict:
         "dual_curve": {k: [x._asdict() for x in xs] for k, xs in cert.dual._asdict().items()},
         "node_data": [nd._asdict() for nd in cert.node_data],
         "base_point": {
-            "edge_valuations": {e: rat_to_json(v) for e, v in cert.base_point.edge_valuations},
-            "vertex_positions": {
-                v: [rat_to_json(x) for x in pos]
-                for v, pos in cert.base_point.vertex_positions
-            },
+            "edge_valuations": {e: over(x) for e, x in bp.edge_valuations},
+            "vertex_positions": {v: [over(x) for x in pos] for v, pos in bp.vertex_positions},
         },
     }
 
@@ -247,12 +246,16 @@ def certificate_from_dict(data) -> RealizationCertificate:
             "edge": (_str, "node_data edge"), "k": (_int, "k"), "rho": (_int, "rho"),
             "u_q": (_int_list, "u_q"),
         }),
-        base_point=BasePoint(
-            edge_valuations=_by_id(bp.get("edge_valuations"), "edge_valuations", rat_from_json),
-            vertex_positions=_by_id(bp.get("vertex_positions", {}), "vertex_positions",
-                                    lambda v: _rat_list(v, "vertex position")),
-        ),
+        base_point=_base_point(bp),
     )
+
+
+def _base_point(bp: dict) -> BasePoint:
+    """The base point's rationals as integers over the lcm of their denominators."""
+    vals = _by_id(bp.get("edge_valuations"), "edge_valuations", rat_from_json)
+    d, image = integer_image({0: [x for _, x in vals]} | dict(_by_id(bp.get(
+        "vertex_positions", {}), "vertex_positions", lambda v: _rat_list(v, "vertex position"))))
+    return BasePoint(tuple(zip([e for e, _ in vals], image.pop(0))), tuple(image.items()), d)
 
 
 def dumps(obj: Any) -> str:

@@ -35,10 +35,6 @@ H_DESCRIPTION_MAX_GENERATORS = 32
 # vectors
 
 
-def as_ratvec(coords: Iterable) -> RatVec:
-    return tuple(Fraction(c) for c in coords)
-
-
 def dot(a: Sequence, b: Sequence):
     if len(a) != len(b):
         raise DimMismatch(f"dot product of lengths {len(a)} and {len(b)}")

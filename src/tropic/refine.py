@@ -8,7 +8,7 @@ other fan raises NotInSupport."""
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from operator import mul, sub
+from operator import sub
 from typing import NamedTuple
 
 from .curves import BoundedEdge, CurveRay, TropicalCurve, _inherit, require_valid
@@ -40,7 +40,7 @@ class SubdivisionRecord(NamedTuple):
 
 
 class _Walk(NamedTuple):
-    output: TropicalCurve  # the subdivided curve
+    output: TropicalCurve  # the subdivided curve; if any host broke, vertex -> integer point
     signs: dict[str, tuple[int, int]]  # vertex -> its sign vector
     stars: dict[str, tuple[IntVec, IntVec]]  # break -> its host's sorted (d, -d), in walk order
     ratios: dict[str, tuple[IntVec, int, int]]  # bounded piece -> (d, p, q), length/weight p/q
@@ -60,11 +60,9 @@ def check_recession_support(c: TropicalCurve, f: Fan) -> RecessionSupport:
     return RecessionSupport(ok=not missing, missing=missing)
 
 
-def _point_at(base: IntVec, direction: IntVec, m: int, p: int, q: int) -> RatVec:
-    """(base + t*direction) / m at t = p/q: an int per integral coordinate, else a Fraction."""
-    mq = m * q
-    return tuple([x // mq if (x := b * q + p * d) % mq == 0 else Fraction(x, mq)
-                  for b, d in zip(base, direction)])
+def _point_at(y: IntVec, s: int) -> RatVec:
+    """The integer point (y, s) as y/s: an int per integral coordinate, else a Fraction."""
+    return tuple([x // s if x % s == 0 else Fraction(x, s) for x in y])
 
 
 _REUSED = ("subdividing {} creates id {}, which the curve already uses; "
@@ -72,8 +70,12 @@ _REUSED = ("subdividing {} creates id {}, which the curve already uses; "
 
 
 def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
-    """The walk's curve and piece cones (``_walk``), and its breaks' ``NewVertex`` records."""
+    """The walk's curve and piece cones (``_walk``), and its breaks' ``NewVertex`` records;
+    the input's vertices keep their coordinates, and the breaks get theirs (``_point_at``)."""
     out, _, breaks, _, cones = _walk(c, f)
+    if breaks:
+        vs = {v: c.vertices.get(v) or _point_at(*p) for v, p in out.vertices.items()}
+        out = _inherit(tuple.__new__(TropicalCurve, (out.ambient_dim, vs, out.edges, out.rays)), c)
     record = [_new_vertex((v, h, "edge" if h in c._edge_by_id else "ray",
                            cones[f"{h}:{int(k) - 1}"], cones[f"{h}:{k}"]))
               for v in breaks for h, _, k in [v.rpartition("#")]]
@@ -105,18 +107,20 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
     p/q (``_ratios``; (D, 1, weight) for a ray), and each piece's cone, its
     first interval's: the host's first, or the one after a kept break.  New
     vertices are straight, 2-valent and fresh: the output inherits the verdicts.
-    Only break coordinates that are not integral are Fractions.  A host that
-    keeps no break passes through as it is, and a curve in which none breaks
-    is its own output, caches and all.  New vertices are named ``<host>#k``
-    and pieces ``<host>:k``; an input curve already using such an id raises
-    InvalidCurve before the id is written, the first in host order.  A
-    traversed point outside the support raises NotInSupport.
+    If any host breaks, its vertices are integer points (y, s), at y/s: (m v, m)
+    for an input v, (lb*m*u + key*m*x, m*lb) for a break on a host from u along
+    x (w - u, or D), so the walk builds no Fraction.  A host that keeps no break
+    passes through as it is, and a curve in which none breaks is its own
+    output, caches and all.  New vertices are named ``<host>#k`` and pieces
+    ``<host>:k``; an input curve already using such an id raises InvalidCurve
+    before the id is written, the first in host order.  A traversed point
+    outside the support raises NotInSupport.
     """
     _require_valid_in(c, f)
 
     hosts = c.edges + c.rays
     host_ids = {h.id for h in hosts}
-    vertices, edge_ratios = dict(c.vertices), _ratios(c)
+    points, edge_ratios = {}, _ratios(c)
     new_edges, new_rays, stars, ratios, pieces = [], [], {}, {}, {}
 
     m, image = c._image
@@ -151,15 +155,16 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
         direction = list(map(sub, image[end], base)) if bounded else [m * x for x in h.direction]
         if None in cones:  # name the interval's midpoint, or 1 past a ray's last crossing
             bounds = [0, *cuts, lb if bounded else (cuts[-1] if cuts else 0) + 2 * lb]
-            k = cones.index(None)
-            raise not_in_support(_point_at(base, direction, m, bounds[k] + bounds[k + 1], 2 * lb))
+            t = bounds[(k := cones.index(None))] + bounds[k + 1]
+            raise not_in_support(_point_at(
+                [2 * lb * b + t * x for b, x in zip(base, direction)], 2 * m * lb))
         stops, star = [(start, 0, cones[0])], tuple(sorted((d, tuple([-x for x in d]))))
         for k, t in enumerate(cuts):
             if cones[k] != cones[k + 1]:
                 vid = f"{h.id}#{len(stops)}"
-                if vid in vertices:
+                if vid in image:
                     raise InvalidCurve(_REUSED.format(_echo(h.id), _echo(repr(vid))))
-                vertices[vid] = _point_at(base, direction, m, t, lb)
+                points[vid] = tuple([lb * b + t * x for b, x in zip(base, direction)]), m * lb
                 signs[vid] = keys[k][0] & ~crossings[t], keys[k][1] & ~crossings[t]
                 stars[vid] = star
                 stops.append((vid, t, cones[k + 1]))
@@ -176,14 +181,15 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
                 ratios[pid] = d, (t1 - t0) * p, q * lb
 
     if stars:  # else nothing broke: the input is its own subdivision, caches and all
-        c = _inherit(TropicalCurve(c.ambient_dim, vertices, new_edges, new_rays), c)
+        points = {**{v: (y, m) for v, y in image.items()}, **points}
+        c = _inherit(TropicalCurve(c.ambient_dim, points, new_edges, new_rays), c)
     return _Walk(c, signs, stars, ratios, pieces)
 
 
 def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
     """Scale all positions by the least N making every length/weight integral (``_dilate``)."""
     require_valid(c)
-    return _dilate(c, _ratios(c))
+    return _dilate(c, _ratios(c), None)
 
 
 def _ratios(c: TropicalCurve) -> dict[str, tuple[IntVec, int, int]]:
@@ -192,22 +198,23 @@ def _ratios(c: TropicalCurve) -> dict[str, tuple[IntVec, int, int]]:
     return {e: (d, x.numerator, x.denominator * w) for e, _, w in c.edges for d, x in [data[e]]}
 
 
-def _dilate(c: TropicalCurve, ratios: dict[str, tuple]) -> tuple[TropicalCurve, int]:
+def _dilate(c: TropicalCurve, ratios: dict, points: dict | None) -> tuple[TropicalCurve, int]:
     """The valid curve dilated by N, the least making each piece's length/weight
-    p/q integral (``ratios``: piece -> (d, p, q)), and N.  It keeps the input's
-    field order and verdicts, and builds its edge data from its own image if
-    asked.  It is handed that image (m, m*N*p), from one ``as_integer_ratio``
-    per coordinate: each N*p has the first vertex's coordinate denominators
-    (the curve is connected), whose lcm is the least m.  A coordinate is an
-    int when m = 1 (the vertices are the image's dict), else a Fraction over m."""
+    p/q integral (``ratios``: piece -> (d, p, q)), and N, from each vertex's
+    integer point (y, s) at y/s, in curve order: the walk's ``points``, else the
+    curve's image, when N = 1 leaves the curve as it is.  Each N*y/s has the
+    first's fractional part (the curve is connected), so the least m making it
+    integral makes each m*N*y/s an int: the handed-over image.  Coordinates are
+    these ints if m = 1, else ``_point_at`` over m.  It keeps the input's field
+    order and verdicts, and builds its edge data from its image if asked."""
     n = lcm(*{q // gcd(p, q) for _, p, q in ratios.values()})
-    if n == 1:
+    if not points and n == 1:
         return c, 1
-    num, den = zip(*[x.as_integer_ratio() for p in c.vertices.values() for x in p])
-    m = lcm(*[q // gcd(n, q) for q in den[:c.ambient_dim]])
-    column = map(mul, num, map((n * m).__floordiv__, den))  # m*N*p, coordinate by coordinate
-    image = dict(zip(c.vertices, zip(*[column] * c.ambient_dim)))
-    vs = image if m == 1 else {v: tuple([Fraction(x, m) for x in q]) for v, q in image.items()}
+    points = points or {v: (y, m) for m, image in [c._image] for v, y in image.items()}
+    y, s = next(iter(points.values()))
+    m = s // gcd(s, n * gcd(*y))
+    image = {v: tuple([m * n * x // s for x in y]) for v, (y, s) in points.items()}
+    vs = image if m == 1 else {v: _point_at(y, m) for v, y in image.items()}
     hat = tuple.__new__(TropicalCurve, (c.ambient_dim, vs, c.edges, c.rays))
     vars(hat)["_image"] = m, image
     return _inherit(hat, c), n

@@ -69,7 +69,6 @@ from tropic.latticefan import (
     IntVec,
     Matrix,
     RatVec,
-    as_ratvec,
     canonical_form,
     cone_halfspaces,
     cone_contains,
@@ -99,6 +98,11 @@ class NodeMonoid(NamedTuple):
 
     def contains(self, n1: int, n2: int) -> bool:
         return n1 >= 0 and n2 >= 0 and (n2 - n1) % self.k == 0
+
+
+def as_ratvec(coords) -> RatVec:
+    """The coordinates as Fractions."""
+    return tuple(Fraction(c) for c in coords)
 
 
 def node_monoid(length: Fraction | int, weight: int) -> NodeMonoid:
@@ -676,13 +680,16 @@ def packed_certificate(c: TropicalCurve, f: Fan, rescale: bool = True) -> Realiz
     subdivision, so a piece may run through several cones of ``f``, and with
     ``rescale`` False its own rescaled curve at N = 1, so a k may be no
     integer: every field is ``_derive``'s of the curve, with the base point at
-    ``c`` and each edge valuation k/N."""
+    ``c`` and each edge valuation k/N, as certify holds them: over m*N, with
+    (m, m*N*p) the rescaled curve's image, each position is that image and each
+    valuation k*m (no integer where k is none)."""
     hat, n = rescale_integral(c) if rescale else (c, 1)
     stars, nodes, dual, _, cones = _derive(hat, f)
-    valuations = tuple((e, Fraction(nd.k, n)) for e, nd in nodes.items())
+    m, image = hat._image
+    valuations = tuple((e, nd.k * m) for e, nd in nodes.items())
     return RealizationCertificate(
         hat, n, f, tuple(cones.items()), tuple(stars.items()), dual, tuple(nodes.values()),
-        BasePoint(valuations, tuple(c.vertices.items())))
+        BasePoint(valuations, tuple(image.items()), m * n))
 
 
 @contextlib.contextmanager
@@ -895,7 +902,8 @@ def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
         if tuple(nd.rho * x for x in nd.u_q) != tuple(a - b for a, b in zip(p1, p2)):
             violations.append(f"NodeSlopeMismatch: edge {e.id} rho*u_q != v1 - v2")
 
-    vals = dict(cert.base_point.edge_valuations)
+    d = cert.base_point.denominator  # each base-point value is its integer / d
+    vals = {e: Fraction(x, d) for e, x in cert.base_point.edge_valuations}
     if sorted(vals) != sorted(e.id for e in hat.edges):
         violations.append("BasePointMismatch: valuation keys differ from curve edges")
     for e in hat.edges:
@@ -906,7 +914,7 @@ def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
             violations.append(
                 f"BasePointMismatch: edge {e.id} valuation {vals[e.id]} != original length/weight"
             )
-    positions = dict(cert.base_point.vertex_positions)
+    positions = {v: tuple(Fraction(x, d) for x in p) for v, p in cert.base_point.vertex_positions}
     if sorted(positions) != sorted(hat.vertices):
         violations.append("BasePointMismatch: position keys differ from curve vertices")
     else:

@@ -14,13 +14,43 @@ from tropic.curves import (
     star,
     validate,
 )
-from tropic.errors import DegenerateEdge, NoSuchVertex
+from tropic.errors import DegenerateEdge, InvalidCurve, NoSuchVertex
 from tropic.jsonio import curve_to_dict
 
 
 def test_fixtures_validate():
     for name, fn in fixtures.CURVES.items():
         assert validate(fn()).valid, name
+
+
+def test_build_takes_exact_values_and_refuses_floats_and_fractional_integers():
+    # ints, Fractions and "p/q" strings build as they are; a float is a binary
+    # fraction, not the number written, and a weight or direction entry that
+    # is no integer would be truncated (a ray (1.7, 0) of weight 1.9 became
+    # (1, 0) of weight 1 and balanced), so each is refused, naming the value
+    from tropic.curves import BoundedEdge, CurveRay
+
+    c = TropicalCurve.build(2, {"a": (Fraction(1, 3), "1/2"), "b": ("-4/2", 7)},
+                            edges=[("e", ("a", "b"), "6/3")],
+                            rays=[("r", "a", (Fraction(-2, 2), "0"), Fraction(4, 2))])
+    assert c.vertices == {"a": (Fraction(1, 3), Fraction(1, 2)), "b": (-2, 7)}
+    assert all(type(x) is Fraction for p in c.vertices.values() for x in p)
+    assert c.edges == (BoundedEdge("e", ("a", "b"), 2),)
+    assert c.rays == (CurveRay("r", "a", (-1, 0), 2),)
+    assert all(type(x) is int for x in (c.edges[0].weight, c.rays[0].weight, *c.rays[0].direction))
+    for vertices, rays, shown in (
+        ({"a": (0.1, 0)}, [], "0.1 is no exact number"),
+        ({"a": (0, 0)}, [("r", "a", (1.7, 0), 1)], "1.7 is no exact integer"),
+        ({"a": (0, 0)}, [("r", "a", (1, 0), 1.9)], "1.9 is no exact integer"),
+        ({"a": (0, 0)}, [("r", "a", (1, 0), 2.0)], "2.0 is no exact integer"),
+        ({"a": (0, 0)}, [("r", "a", (Fraction(3, 2), 0), 1)],
+         r"Fraction\(3, 2\) is no exact integer"),
+        ({"a": (0, 0)}, [("r", "a", (1, 0), "5/2")], "'5/2' is no exact integer"),
+    ):
+        with pytest.raises(InvalidCurve, match=f"^{shown}$"):
+            TropicalCurve.build(2, vertices, rays=rays)
+    with pytest.raises(InvalidCurve, match="^0.5 is no exact integer$"):
+        TropicalCurve.build(2, {"a": (0, 0), "b": (1, 0)}, edges=[("e", ("a", "b"), 0.5)])
 
 
 def test_disconnected_reported():

@@ -114,7 +114,7 @@ def test_certify_segfan():
     cert = certify(fixtures.segfan(), fixtures.fan_p1xp1())
     (nd,) = cert.node_data
     assert (nd.k, nd.rho, nd.u_q) == (1, 2, (-1, 0))
-    assert dict(cert.base_point.edge_valuations) == {"e0": Fraction(1)}
+    assert cert.base_point.denominator == 1 and dict(cert.base_point.edge_valuations) == {"e0": 1}
 
 
 def test_certify_speyer3():
@@ -243,10 +243,8 @@ def test_fault_injection_vertex_cone_and_base_point():
 def test_certify_with_real_subdivision_keeps_split_valuations():
     cert = certify(fixtures.diag(), fixtures.fan_diag())
     assert [nd.edge for nd in cert.node_data] == ["e0:0", "e0:1"]
-    assert dict(cert.base_point.edge_valuations) == {
-        "e0:0": Fraction(1),
-        "e0:1": Fraction(1),
-    }
+    assert cert.base_point.denominator == 1
+    assert dict(cert.base_point.edge_valuations) == {"e0:0": 1, "e0:1": 1}
     assert verify_certificate(cert).ok
 
 
@@ -486,15 +484,16 @@ def test_warm_certify_and_verify_build_no_fraction_point(monkeypatch):
 
 
 def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch):
-    # count gate (counts, not times), on R^2 rich-fan trees at V = 100 and
-    # V = 400: certify builds, in refine and degeneration, at most one
-    # Fraction per non-integral value of the certificate that the input does
-    # not hold, a break's coordinates and each edge valuation, plus the
-    # rescaled coordinates when m > 1.  Piece lengths, N*length and k are
-    # ints, and no value is built twice
+    # count gate (counts, not times), at V = 100 and V = 400: the walk keeps
+    # each break as an integer point and the base point is the rescaled
+    # curve's integer image over m*N, so the only non-integral values certify
+    # builds, in refine and degeneration, are the rescaled curve's
+    # coordinates, one Fraction each.  With m = 1 (R^2 rich-fan trees) that is
+    # none; honeycombs of degree 10 and 20 lifted to z = 1/5 on P^2 x P^1 keep
+    # the 1/5 (m = 5), one Fraction per vertex
     import random
 
-    from helpers import gen
+    from helpers import gen, translated
     from tropic import degeneration, refine
     from tropic.curves import TropicalCurve
     from tropic.latticefan import fan_from_maximal
@@ -508,21 +507,53 @@ def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch
     for module in (refine, degeneration):
         monkeypatch.setattr(module, "Fraction", counting)
     rays, maximal, dim = gen.rich_fan_r2()
-    fan = fan_from_maximal(rays, maximal, dim)
+    rich, p2xp1 = fan_from_maximal(rays, maximal, dim), fan_from_maximal(*gen.fan_p2_r3())
     seen = []
-    for size in (100, 400):
+    for size, degree in ((100, 10), (400, 20)):
         tree = TropicalCurve.build(*gen.tree(random.Random(size), dim, size, rays))
-        built.clear()
+        lifted = translated(TropicalCurve.build(*gen.honeycomb(
+            degree, 3, (Fraction(1, 7), Fraction(1, 3)))), (0, 0, Fraction(1, 5)))
+        for curve, fan in ((tree, rich), (lifted, p2xp1)):
+            built.clear()
+            cert = certify(curve, fan)
+            hat, bp = cert.rescaled_curve, cert.base_point
+            fractional = [x for p in hat.vertices.values() for x in p if type(x) is Fraction]
+            assert len(built) == len(fractional), (size, len(built), len(fractional))
+            assert all(type(x) is int for _, x in bp.edge_valuations)
+            assert all(type(nd.k) is int for nd in cert.node_data) and verify_certificate(cert).ok
+            seen.append((len(curve.vertices), hat._image[0], cert.multiplier > 1, len(built)))
+    assert [(v, m, n) for v, m, n, _ in seen] == [
+        (100, 1, True), (100, 5, True), (400, 1, True), (400, 5, True)], seen
+    assert [b for *_, b in seen] == [0, 110, 0, 420], seen
+
+
+def test_certify_and_verify_keep_a_flat_number_of_objects_per_output_vertex():
+    # count gate: the gc-tracked objects that a certificate and its in-process
+    # verify leave alive, per vertex of the rescaled curve, on R^2 rich-fan
+    # trees at V = 400 and V = 1,600 (the fan's memo warmed by a first
+    # certify).  The base point shares the rescaled curve's image and holds no
+    # Fraction, so the count is bounded and does not grow with V
+    import gc
+    import random
+
+    from helpers import gen
+    from tropic.curves import TropicalCurve
+    from tropic.latticefan import fan_from_maximal
+
+    rays, maximal, dim = gen.rich_fan_r2()
+    fan = fan_from_maximal(rays, maximal, dim)
+    per_vertex = []
+    for size in (400, 1600):
+        tree = TropicalCurve.build(*gen.tree(random.Random(5), dim, size, rays))
+        assert verify_certificate(certify(tree, fan)).ok
+        gc.collect()
+        before = len(gc.get_objects())
         cert = certify(tree, fan)
-        hat, bp = cert.rescaled_curve, cert.base_point
-        values = [x for v, p in bp.vertex_positions if v not in tree.vertices for x in p]
-        values += [x for _, x in bp.edge_valuations]
-        values += [x for p in hat.vertices.values() for x in p] if hat._image[0] > 1 else []
-        held = sum(x.denominator > 1 for x in values)
-        assert len(built) <= held, (size, len(built), held)
-        assert all(type(nd.k) is int for nd in cert.node_data) and verify_certificate(cert).ok
-        seen.append((len(hat.vertices), cert.multiplier > 1, held))
-    assert seen[1][0] > 3 * seen[0][0] and all(n and held for _, n, held in seen), seen
+        assert verify_certificate(cert).ok
+        gc.collect()
+        per_vertex.append((len(gc.get_objects()) - before) / len(cert.rescaled_curve.vertices))
+        del cert
+    assert max(per_vertex) < 5 and abs(per_vertex[1] - per_vertex[0]) < 0.5, per_vertex
 
 
 def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
@@ -801,7 +832,7 @@ def _mutations(cert):
     keyed = {  # field -> (its (id, value) pairs, a value for the unknown id "zz")
         "vertex_cones": (cert.vertex_cones, 0),
         "vertex_stars": (cert.vertex_stars, ((9,) * dim,)),
-        "edge_valuations": (bp.edge_valuations, Fraction(1)),
+        "edge_valuations": (bp.edge_valuations, 1),
         "vertex_positions": (bp.vertex_positions, (0,) * dim),
     }
 
@@ -818,7 +849,7 @@ def _mutations(cert):
     out.append(("position", with_field("vertex_positions", _first(
         bp.vertex_positions, lambda p: (p[0] + 1,) + p[1:]))))
     out.append(("position with a coordinate appended", with_field("vertex_positions", _first(
-        bp.vertex_positions, lambda p: p + (Fraction(0),)))))
+        bp.vertex_positions, lambda p: p + (0,)))))
     out.append(("position with a coordinate dropped", with_field("vertex_positions", _first(
         bp.vertex_positions, lambda p: p[:-1]))))
     comps = dual.components
@@ -895,10 +926,10 @@ def test_swapped_positions_are_refused_in_any_order():
 
 
 def test_a_break_vertex_position_off_by_one_coordinate_is_named_alone():
-    # verify compares each vertex's base point with the rescaled curve's
-    # image (m, m*N*p), coordinate by coordinate up to the first that differs:
-    # a break's position off by 1/(m*N) in its last coordinate, short of one
-    # coordinate or with one too many names that vertex and nothing else
+    # verify compares each vertex's base point, integers over m*N, with the
+    # rescaled curve's image (m, m*N*p): a break's position off by 1/(m*N) in
+    # its last coordinate, short of one coordinate or with one too many names
+    # that vertex and nothing else, over certify's denominator and over twice it
     from tropic.curves import TropicalCurve
 
     shifted = TropicalCurve.build(  # the edge breaks at (0, 1/5): N = 7 and m = 5
@@ -916,13 +947,22 @@ def test_a_break_vertex_position_off_by_one_coordinate_is_named_alone():
         positions = cert.base_point.vertex_positions
         breaks = [k for k, (v, _) in enumerate(positions) if "#" in v and k > 0]
         assert breaks and verify_certificate(cert).ok
+        assert cert.base_point.denominator == m * n
+        doubled = cert.base_point._replace(
+            edge_valuations=tuple((e, 2 * x) for e, x in cert.base_point.edge_valuations),
+            vertex_positions=tuple((v, tuple(2 * x for x in p)) for v, p in positions),
+            denominator=2 * m * n)
+        assert verify_certificate(cert._replace(base_point=doubled)).ok
         for k in breaks:
-            v, p = positions[k]
-            for bad in ((*p[:-1], p[-1] + Fraction(1, m * n)), p[:-1], (*p, p[0])):
-                tampered = cert._replace(base_point=cert.base_point._replace(
-                    vertex_positions=(*positions[:k], (v, bad), *positions[k + 1:])))
-                assert verify_certificate(tampered).violations == (
-                    f"BasePointMismatch: vertex {v}",), (v, bad)
+            v = positions[k][0]
+            for bp, step in ((cert.base_point, 1), (doubled, 2)):
+                q = bp.vertex_positions[k][1]
+                for bad in ((*q[:-1], q[-1] + step), q[:-1], (*q, q[0])):
+                    tampered = cert._replace(base_point=bp._replace(
+                        vertex_positions=(*bp.vertex_positions[:k], (v, bad),
+                                          *bp.vertex_positions[k + 1:])))
+                    assert verify_certificate(tampered).violations == (
+                        f"BasePointMismatch: vertex {v}",), (v, bad)
     assert max(seen_m) > 1, seen_m
 
 
@@ -1166,6 +1206,23 @@ def test_verify_refuses_a_multiplier_below_1_whatever_the_base_point():
     for n in (Fraction(6), 6.0):
         assert verify_certificate(cert._replace(multiplier=n)).violations == (
             MULTIPLIER_NOT_POSITIVE,), n
+
+
+def test_verify_refuses_a_base_point_over_a_zero_denominator():
+    # x/0 is no value: a base point over 0, all of whose numerators are 0 so
+    # that every cross-multiplication by 0 would agree, names every edge and
+    # every vertex, zero positions included
+    from helpers import translated
+    from tropic.degeneration import BasePoint
+
+    cert = certify(translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2))),
+                   fixtures.fan_p1xp1())
+    bp = cert.base_point
+    zeros = BasePoint(tuple((e, 0) for e, _ in bp.edge_valuations),
+                      tuple((v, (0,) * len(p)) for v, p in bp.vertex_positions), 0)
+    assert verify_certificate(cert._replace(base_point=zeros)).violations == tuple(
+        [f"BasePointMismatch: edge {e}" for e, _ in bp.edge_valuations]
+        + [f"BasePointMismatch: vertex {v}" for v, _ in bp.vertex_positions])
 
 
 def test_verify_refuses_a_multiplier_that_is_not_the_least():

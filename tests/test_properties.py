@@ -212,7 +212,8 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
 
     # an entry listed twice, as it is: only the repeat shows
     fields = {"vertex_cones": cert.vertex_cones, "vertex_stars": cert.vertex_stars,
-              "node_data": cert.node_data, **bp._asdict()}
+              "node_data": cert.node_data, "edge_valuations": bp.edge_valuations,
+              "vertex_positions": bp.vertex_positions}
     field = data.draw(st.sampled_from(sorted(f for f, entries in fields.items() if entries)))
     entries = fields[field]
     i, j = data.draw(st.integers(0, len(entries) - 1)), data.draw(st.integers(0, len(entries)))
@@ -225,7 +226,7 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
     # N negated with the base point, which keeps every cross-multiplication
     negated = cert._replace(multiplier=-cert.multiplier, base_point=BasePoint(
         tuple((e, -x) for e, x in bp.edge_valuations),
-        tuple((v, tuple([-x for x in p])) for v, p in bp.vertex_positions)))
+        tuple((v, tuple([-x for x in p])) for v, p in bp.vertex_positions), bp.denominator))
     assert violations(negated) == (
         "MultiplierNotPositive: the multiplier must be a positive int",)
     # the subdivided curve never rescaled, packed with the node data and base
@@ -242,6 +243,39 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
                             node_data=tuple(degeneration._derive(big, fan)[1].values()))
     assert violations(dilated) == (
         "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=12)
+@hypothesis.given(dim=st.sampled_from([2, 3]), fan_seed=st.integers(0, 3),
+                  seed=st.integers(0, 2**32), size=st.integers(2, 10), data=st.data())
+def test_verify_names_the_same_violations_before_and_after_the_json_round_trip(
+        dim, fan_seed, seed, size, data):
+    # in process, verify reads certify's derivation and its base point over
+    # m*N; behind the JSON reader it derives afresh, with the base point over
+    # the lcm of the denominators read.  On a certificate, on its base point
+    # put over three times its denominator, and on each single-field mutation
+    # (``test_degeneration._mutations``), each of which verify must refuse, both name the
+    # same violations in order
+    from test_degeneration import _mutations
+
+    rays, fan = _stellar(dim, fan_seed)
+    tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays))
+    cert = certify(translated(tree, [data.draw(RATIONALS) for _ in range(dim)]), fan)
+    bp = cert.base_point
+    tripled = bp._replace(
+        edge_valuations=tuple((e, 3 * x) for e, x in bp.edge_valuations),
+        vertex_positions=tuple((v, tuple([3 * x for x in p])) for v, p in bp.vertex_positions),
+        denominator=3 * bp.denominator)
+    cases = [("certified", cert), ("tripled", cert._replace(base_point=tripled))]
+    cases += [(f"tripled, then {name}", bad) for name, bad in _mutations(cert._replace(
+        base_point=tripled)) if name.startswith(("position", "valuation"))]
+    for name, c in cases + _mutations(cert):
+        back = certificate_from_dict(loads(json.dumps(certificate_to_dict(c))))
+        if name in ("certified", "tripled"):  # the reader puts it over certify's m*N
+            assert back.base_point == bp, name
+        found = verify_certificate(c).violations
+        assert bool(found) != (name in ("certified", "tripled")), name
+        assert verify_certificate(back).violations == found, name
 
 
 @cache

@@ -26,7 +26,7 @@ SRC = Path(cli.__file__).resolve().parent
 
 ALLOWED = {
     "curves.TropicalCurve.build": "perfbench builds its input curves with it",
-    "latticefan.as_ratvec": "TropicalCurve.build calls it, for perfbench",
+    "curves._exact": "TropicalCurve.build calls it, for perfbench",
     "latticefan.fan_from_maximal": "perfbench builds its rich fans with it",
     "fixtures._load": "perfbench reads the packaged fixtures with it",
     "latticefan.rank": "perfbench/tracer.py wraps every name in WRAPPED, rank among them",

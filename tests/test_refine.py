@@ -132,7 +132,8 @@ def test_an_integral_rescale_has_int_coordinates_and_is_handed_its_image():
     # the rescaled curve's image (m/g, (N/g) * m p), g = gcd(N, m), is handed
     # over and equals the one its coordinates give, both holding tuples; with
     # m/g = 1 each coordinate is that int, and the vertices are the image's
-    # own dict, otherwise a Fraction over m/g.  The fields keep the input's
+    # own dict, otherwise an int where integral and a Fraction over m/g
+    # elsewhere, as the walk's breaks (``_point_at``).  The fields keep the input's
     # sorted order.  Lengths stay Fractions, so length / weight stays exact
     from tropic.latticefan import integer_image
 
@@ -159,8 +160,9 @@ def test_an_integral_rescale_has_int_coordinates_and_is_handed_its_image():
         assert hat._image[0] == m and {type(q) for q in hat._image[1].values()} == {tuple}
         assert (hat.vertices is hat._image[1]) == (m == 1)
         assert list(hat.vertices) == sorted(hat.vertices) and hat == TropicalCurve(*hat)
-        kind = int if m == 1 else Fraction
-        assert all(type(x) is kind for p in hat.vertices.values() for x in p)
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for p in hat.vertices.values() for x in p)
+        assert m == 1 or any(type(x) is Fraction for p in hat.vertices.values() for x in p)
         assert positions is None or hat.vertices == positions
         assert hat.vertices == {v: tuple(n * x for x in p) for v, p in c.vertices.items()}
         for e in hat.edges:
