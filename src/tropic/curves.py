@@ -7,6 +7,7 @@ balancing condition: at every vertex the weighted primitive outgoing
 directions sum to zero.
 """
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -28,6 +29,8 @@ from .latticefan import (
     RatVec,
     integer_image,
 )
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # the file format's "p" or "p/q"
 
 
 class BoundedEdge(NamedTuple):
@@ -143,10 +146,15 @@ class TropicalCurve(_CurveFields):
 
 
 def _exact(x, kind: type = Fraction):
-    """x as a Fraction or an int (``kind``); a float or a non-integral int is InvalidCurve."""
+    """x (an exact number or "p"/"p/q" text) as a Fraction or int (``kind``), else InvalidCurve."""
     if type(x) is kind:
         return x
-    if isinstance(x, float) or (f := Fraction(x)).denominator != 1 and kind is int:
+    refused = isinstance(x, (bool, float)) or isinstance(x, str) and not _RATIONAL.fullmatch(x)
+    try:
+        f = None if refused else Fraction(x)
+    except (ArithmeticError, TypeError, ValueError):  # no number, "p/0" or too many digits
+        f = None
+    if f is None or f.denominator != 1 and kind is int:
         raise InvalidCurve(f"{_echo(repr(x))} is no exact {'integer' if kind is int else 'number'}")
     return f if kind is Fraction else f.numerator
 

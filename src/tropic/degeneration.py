@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .curves import TropicalCurve, require_balanced
@@ -80,8 +80,8 @@ class BasePoint(NamedTuple):
     """The curve as a monoid homomorphism: the original length/weight per edge and the
     positions, each value held as its numerator over the one ``denominator``."""
 
-    edge_valuations: tuple[tuple[str, int], ...]
-    vertex_positions: tuple[tuple[str, IntVec], ...]
+    edge_valuations: dict[str, int]
+    vertex_positions: dict[str, IntVec]
     denominator: int
 
 
@@ -91,8 +91,8 @@ class RealizationCertificate(NamedTuple):
     rescaled_curve: TropicalCurve
     multiplier: int
     fan: Fan
-    vertex_cones: tuple[tuple[str, int], ...]  # vertex -> index into fan.cones
-    vertex_stars: tuple[tuple[str, tuple[IntVec, ...]], ...]  # directions a refinement must contain
+    vertex_cones: dict[str, int]  # vertex -> index into fan.cones
+    vertex_stars: dict[str, tuple[IntVec, ...]]  # directions a refinement must contain
     dual: DualCurve
     node_data: tuple[NodeData, ...]
     base_point: BasePoint
@@ -159,14 +159,13 @@ def _derive(hat: TropicalCurve, fan: Fan, state: tuple | None = None
     return derived
 
 
-def _mismatches(label: str, derived: dict, claimed: dict, same=eq) -> list[str]:
+def _mismatches(label: str, derived: dict, claimed: dict) -> list[str]:
     """``label`` and the id, for each id that only one side holds or whose
-    values are not ``same``: none at once if every pair, matched by id, is."""
-    if (derived == claimed) if same is eq else derived.keys() == claimed.keys() and all(
-            map(same, derived.values(), map(claimed.__getitem__, derived))):
+    values differ: none at once if the dicts are equal."""
+    if derived == claimed:
         return []
     return [f"{label} {_echo(i)}" for i in sorted(derived.keys() | claimed.keys())
-            if i not in derived or i not in claimed or not same(derived[i], claimed[i])]
+            if i not in derived or i not in claimed or derived[i] != claimed[i]]
 
 
 def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
@@ -178,7 +177,8 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     walk's ratios and N.  ``_derive`` packs these with the walk's sign vectors
     and the stars, the input's and the breaks', for verify.  The base point is
     the rescaled image (m, m*N*p) over D = m*N, valuations k*m: with m = 1 no
-    Fraction is built.  The first vertex outside the support of the fan, in
+    Fraction is built.  Each per-id dict is the certificate's own, shared with
+    nothing verify reads.  The first vertex outside the support of the fan, in
     curve order, raises NotInSupport at its rescaled position.
     """
     require_balanced(c)
@@ -194,20 +194,20 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
         raise not_in_support(hat.vertices[next(v for v, i in cones.items() if i is None)])
     m, image = hat._image
     return RealizationCertificate(
-        hat, n, f, tuple(cones.items()), tuple(stars.items()), dual, tuple(nodes.values()),
-        BasePoint(tuple([(e, nd.k * m) for e, nd in nodes.items()]), tuple(image.items()), m * n))
+        hat, n, f, dict(cones), dict(stars), dual, tuple(nodes.values()),
+        BasePoint({e: nd.k * m for e, nd in nodes.items()}, dict(image), m * n))
 
 
 def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     """Refuse a multiplier or a k that is no positive int, a multiplier N > 1
     sharing a factor with every k (certify's N, the lcm of the denominators
-    of length/weight, has gcd 1 with them), and every id listed twice;
-    compare the rest with ``_derive`` of the rescaled curve and fan (in process,
-    the derivation certify packed), naming each id whose entry differs or is
-    missing on one side, a vertex outside the support included.  N times the
-    base point is the rescaled curve, whose image (m, m*N*p) and k*m are the
-    numerators over certify's denominator m*N, compared as they are (in C);
-    over another, cross-multiplied.  Then
+    of length/weight, has gcd 1 with them), and every edge listed twice in
+    ``node_data``; compare the rest, dict by dict, with ``_derive`` of the
+    rescaled curve and fan (in process, the derivation certify packed), naming
+    each id whose entry differs or is missing on one side, a vertex outside the
+    support included.  N times the base point is the rescaled curve: its image
+    (m, m*N*p) and k*m are the numerators over m*N, certify's denominator, and a
+    base point over another is first put over m*N (over 0, matching nothing).  Then
     check the curve maps into the fan cone by cone, some closed cone holding
     both ends of each piece, a ray's base and direction (PieceNotInCone), with
     every ray direction a ray of the fan (RecessionNotSupported).  Each vertex's
@@ -222,29 +222,26 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
         violations.append("DualGraphMismatch: dual curve disagrees with the underlying graph")
     if not (type(n) is int and n >= 1):
         violations.append("MultiplierNotPositive: the multiplier must be a positive int")
-    bp = cert.base_point
-    for field, entries in zip(("vertex_cones", "vertex_stars", "node_data", *BasePoint._fields[:2]),
-                              (cert.vertex_cones, cert.vertex_stars, cert.node_data, *bp[:2])):
-        if len(set(map(itemgetter(0), entries))) < len(entries):
-            ids = Counter(map(itemgetter(0), entries))
-            violations += [f"DuplicateEntry: {field} {_echo(i)}" for i in sorted(ids) if ids[i] > 1]
+    ids = Counter(map(itemgetter(0), cert.node_data))
+    violations += [f"DuplicateEntry: node_data {_echo(e)}" for e in sorted(ids) if ids[e] > 1]
 
     m, image = hat._image
     ks = [nd.k for nd in nodes.values()]
     if type(n) is int and n > 1 and set(map(type, ks)) <= {int} and gcd(n, *ks) > 1:
         violations.append(
             "MultiplierNotLeast: a smaller multiplier makes every length/weight integral")
-    violations += _mismatches("VertexConeMismatch: vertex", cones, dict(cert.vertex_cones))
-    violations += _mismatches("StarMismatch: vertex", stars, dict(cert.vertex_stars))
+    violations += _mismatches("VertexConeMismatch: vertex", cones, cert.vertex_cones)
+    violations += _mismatches("StarMismatch: vertex", stars, cert.vertex_stars)
     violations += _mismatches("NodeDataMismatch: edge", nodes, {
         nd.edge: nd for nd in cert.node_data if type(nd.k) is int and nd.k > 0})
-    den, mn = bp.denominator, m * n  # a zero denominator matches nothing
-    same = eq if den == mn else lambda a, b: den != 0 and a * den == b * mn
-    point = eq if den == mn else (
-        lambda p, q: den != 0 and [x * den for x in p] == [y * mn for y in q])
+    (vals, points, den), mn = cert.base_point, m * n
+    if den != mn:  # each value over m*N; over a zero denominator, none matches
+        over = (lambda x: x * Fraction(mn, den)) if den else (lambda x: None)
+        vals = {e: over(x) for e, x in vals.items()}
+        points = {v: tuple([over(x) for x in p]) for v, p in points.items()}
     violations += _mismatches("BasePointMismatch: edge", {e: nd.k * m for e, nd in nodes.items()},
-                              dict(bp.edge_valuations), same)
-    violations += _mismatches("BasePointMismatch: vertex", image, dict(bp.vertex_positions), point)
+                              vals)
+    violations += _mismatches("BasePointMismatch: vertex", image, points)
 
     # the map to the fan is cone by cone: a piece lies in a closed cone iff
     # both its ends do (a ray's base and direction), as cones are convex

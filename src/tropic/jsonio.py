@@ -7,12 +7,11 @@ byte-identical across runs.
 """
 
 import json
-import re
 from collections import Counter
 from fractions import Fraction
 from typing import Any
 
-from .curves import BoundedEdge, CurveRay, TropicalCurve
+from .curves import _RATIONAL, BoundedEdge, CurveRay, TropicalCurve
 from .degeneration import (
     BasePoint,
     Component,
@@ -42,14 +41,9 @@ def rat_to_json(x) -> int | str:
     return int(f) if f.denominator == 1 else rat_text(f)
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
 def rat_from_json(value) -> Fraction:
     """An integer, or a string of exactly the form "p" or "p/q" (ASCII digits, optional minus)."""
-    if isinstance(value, bool):
-        raise SchemaError(f"expected a rational, got {_echo(repr(value))}")
-    if isinstance(value, int):
+    if type(value) is int:  # a bool is no rational
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
@@ -117,9 +111,9 @@ def _records(value, what: str, make, fields: dict) -> tuple:
     return tuple(records)
 
 
-def _by_id(value, what: str, parse) -> tuple:
-    """An object read as (str(key), parse(value)) pairs, sorted by key."""
-    return tuple(sorted((str(k), parse(v)) for k, v in _object(value, what).items()))
+def _by_id(value, what: str, parse) -> dict:
+    """An object read as {key: parse(value)}, in the file's key order."""
+    return {k: parse(v) for k, v in _object(value, what).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +196,14 @@ def certificate_to_dict(cert: RealizationCertificate) -> dict:
         "curve": curve_to_dict(cert.rescaled_curve),
         "fan": fan_to_dict(cert.fan),
         "multiplier": cert.multiplier,
-        "vertex_cones": {v: idx for v, idx in cert.vertex_cones},
-        "vertex_stars": {v: [list(d) for d in dirs] for v, dirs in cert.vertex_stars},
+        "vertex_cones": dict(cert.vertex_cones),
+        "vertex_stars": {v: [list(d) for d in dirs] for v, dirs in cert.vertex_stars.items()},
         # field order is key order; dumps writes the tuples as lists
         "dual_curve": {k: [x._asdict() for x in xs] for k, xs in cert.dual._asdict().items()},
         "node_data": [nd._asdict() for nd in cert.node_data],
         "base_point": {
-            "edge_valuations": {e: over(x) for e, x in bp.edge_valuations},
-            "vertex_positions": {v: [over(x) for x in pos] for v, pos in bp.vertex_positions},
+            "edge_valuations": {e: over(x) for e, x in bp.edge_valuations.items()},
+            "vertex_positions": {v: [over(x) for x in p] for v, p in bp.vertex_positions.items()},
         },
     }
 
@@ -253,9 +247,9 @@ def certificate_from_dict(data) -> RealizationCertificate:
 def _base_point(bp: dict) -> BasePoint:
     """The base point's rationals as integers over the lcm of their denominators."""
     vals = _by_id(bp.get("edge_valuations"), "edge_valuations", rat_from_json)
-    d, image = integer_image({0: [x for _, x in vals]} | dict(_by_id(bp.get(
-        "vertex_positions", {}), "vertex_positions", lambda v: _rat_list(v, "vertex position"))))
-    return BasePoint(tuple(zip([e for e, _ in vals], image.pop(0))), tuple(image.items()), d)
+    d, image = integer_image({0: list(vals.values())} | _by_id(bp.get(
+        "vertex_positions", {}), "vertex_positions", lambda v: _rat_list(v, "vertex position")))
+    return BasePoint(dict(zip(vals, image.pop(0))), image, d)
 
 
 def dumps(obj: Any) -> str:

@@ -686,10 +686,10 @@ def packed_certificate(c: TropicalCurve, f: Fan, rescale: bool = True) -> Realiz
     hat, n = rescale_integral(c) if rescale else (c, 1)
     stars, nodes, dual, _, cones = _derive(hat, f)
     m, image = hat._image
-    valuations = tuple((e, nd.k * m) for e, nd in nodes.items())
+    valuations = {e: nd.k * m for e, nd in nodes.items()}
     return RealizationCertificate(
-        hat, n, f, tuple(cones.items()), tuple(stars.items()), dual, tuple(nodes.values()),
-        BasePoint(valuations, tuple(image.items()), m * n))
+        hat, n, f, dict(cones), dict(stars), dual, tuple(nodes.values()),
+        BasePoint(valuations, dict(image), m * n))
 
 
 @contextlib.contextmanager
@@ -903,7 +903,7 @@ def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
             violations.append(f"NodeSlopeMismatch: edge {e.id} rho*u_q != v1 - v2")
 
     d = cert.base_point.denominator  # each base-point value is its integer / d
-    vals = {e: Fraction(x, d) for e, x in cert.base_point.edge_valuations}
+    vals = {e: Fraction(x, d) for e, x in cert.base_point.edge_valuations.items()}
     if sorted(vals) != sorted(e.id for e in hat.edges):
         violations.append("BasePointMismatch: valuation keys differ from curve edges")
     for e in hat.edges:
@@ -914,7 +914,8 @@ def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
             violations.append(
                 f"BasePointMismatch: edge {e.id} valuation {vals[e.id]} != original length/weight"
             )
-    positions = {v: tuple(Fraction(x, d) for x in p) for v, p in cert.base_point.vertex_positions}
+    positions = {v: tuple(Fraction(x, d) for x in p)
+                 for v, p in cert.base_point.vertex_positions.items()}
     if sorted(positions) != sorted(hat.vertices):
         violations.append("BasePointMismatch: position keys differ from curve vertices")
     else:
@@ -922,14 +923,14 @@ def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
             if tuple(n * x for x in pos) != hat.position(v):
                 violations.append(f"BasePointMismatch: vertex {v} position*N != rescaled position")
 
-    for v, idx in cert.vertex_cones:
+    for v, idx in cert.vertex_cones.items():
         if v not in hat.vertices:
             violations.append(f"VertexConeMismatch: unknown vertex {v}")
             continue
         actual = reference_locate(cert.fan, hat.position(v))
         if cert.fan.cones.index(actual) != idx:
             violations.append(f"VertexConeMismatch: vertex {v} is interior to a different cone")
-    if sorted(v for v, _ in cert.vertex_cones) != sorted(hat.vertices):
+    if sorted(cert.vertex_cones) != sorted(hat.vertices):
         violations.append("VertexConeMismatch: cone assignment keys differ from vertices")
 
     # the map to the fan is cone by cone: each piece's closure lies in the
@@ -949,7 +950,7 @@ def reference_verify(cert: RealizationCertificate) -> CertificateCheck:
     for rid, d in check_recession_support(hat, cert.fan).missing:
         violations.append(f"RecessionNotSupported: ray {rid} direction {d} is no ray of the fan")
 
-    stars = dict(cert.vertex_stars)
+    stars = cert.vertex_stars
     for v in hat.vertices:
         expected = tuple(sorted({d for d, _ in outgoing(hat, v)}))
         if stars.get(v) != expected:

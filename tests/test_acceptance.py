@@ -199,5 +199,6 @@ def test_criterion_9_base_point_bookkeeping():
             e.id: edge_data(prepared, e.id)[1] / e.weight for e in prepared.edges
         }
         d = cert.base_point.denominator
-        ok = ok and {e: Fraction(x, d) for e, x in cert.base_point.edge_valuations} == expected
+        valuations = {e: Fraction(x, d) for e, x in cert.base_point.edge_valuations.items()}
+        ok = ok and valuations == expected
     _report(9, ok, "certificate valuations equal original length/weight on all fixtures")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,9 @@ def test_build_takes_exact_values_and_refuses_floats_and_fractional_integers():
     # ints, Fractions and "p/q" strings build as they are; a float is a binary
     # fraction, not the number written, and a weight or direction entry that
     # is no integer would be truncated (a ray (1.7, 0) of weight 1.9 became
-    # (1, 0) of weight 1 and balanced), so each is refused, naming the value
+    # (1, 0) of weight 1 and balanced), so each is refused, naming the value;
+    # so is a bool, and a string that the file format refuses ("p" or "p/q"
+    # only, no zero denominator), neither as a raw Python error
     from tropic.curves import BoundedEdge, CurveRay
 
     c = TropicalCurve.build(2, {"a": (Fraction(1, 3), "1/2"), "b": ("-4/2", 7)},
@@ -51,6 +54,13 @@ def test_build_takes_exact_values_and_refuses_floats_and_fractional_integers():
             TropicalCurve.build(2, vertices, rays=rays)
     with pytest.raises(InvalidCurve, match="^0.5 is no exact integer$"):
         TropicalCurve.build(2, {"a": (0, 0), "b": (1, 0)}, edges=[("e", ("a", "b"), 0.5)])
+    for value in ("1/0", "abc", None, "0.1", "1e-1", " 1/2 ", "1_000", True):
+        with pytest.raises(InvalidCurve, match=f"^{re.escape(repr(value))} is no exact number$"):
+            TropicalCurve.build(2, {"a": (value, 0)})
+    with pytest.raises(InvalidCurve, match="^True is no exact integer$"):
+        TropicalCurve.build(2, {"a": (0, 0)}, rays=[("r", "a", (1, 0), True)])
+    assert TropicalCurve.build(1, {"a": ("3",), "b": ("-3/4",)}).vertices == {
+        "a": (3,), "b": (Fraction(-3, 4),)}
 
 
 def test_disconnected_reported():

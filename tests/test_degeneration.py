@@ -106,15 +106,15 @@ def test_certify_tripod():
     cert = certify(fixtures.tripod(), fixtures.fan_p2())
     assert cert.node_data == ()
     assert [m.contact_order for m in cert.dual.marked_points] == [1, 1, 1]
-    (pair,) = cert.vertex_cones
-    assert cert.fan.cones[pair[1]] == Cone((), 2)  # the origin cone
+    (index,) = cert.vertex_cones.values()
+    assert cert.fan.cones[index] == Cone((), 2)  # the origin cone
 
 
 def test_certify_segfan():
     cert = certify(fixtures.segfan(), fixtures.fan_p1xp1())
     (nd,) = cert.node_data
     assert (nd.k, nd.rho, nd.u_q) == (1, 2, (-1, 0))
-    assert cert.base_point.denominator == 1 and dict(cert.base_point.edge_valuations) == {"e0": 1}
+    assert cert.base_point.denominator == 1 and cert.base_point.edge_valuations == {"e0": 1}
 
 
 def test_certify_speyer3():
@@ -229,12 +229,11 @@ def test_node_monoid_rejects_bad_weight():
 def test_fault_injection_vertex_cone_and_base_point():
     cert = certify(fixtures.cycle3(), fixtures.fan_cycle3())
     # off-by-one cone index
-    (v0, idx0), *rest = cert.vertex_cones
-    bad = cert._replace(vertex_cones=((v0, idx0 + 1),) + tuple(rest))
+    bad = cert._replace(vertex_cones=_first(cert.vertex_cones, lambda i: i + 1))
     assert not verify_certificate(bad).ok
     # tampered valuation
-    (e0, val0), *vals = cert.base_point.edge_valuations
-    bad_bp = cert.base_point._replace(edge_valuations=((e0, val0 + 1),) + tuple(vals))
+    bad_bp = cert.base_point._replace(
+        edge_valuations=_first(cert.base_point.edge_valuations, lambda x: x + 1))
     assert not verify_certificate(cert._replace(base_point=bad_bp)).ok
     # tampered multiplier
     assert not verify_certificate(cert._replace(multiplier=cert.multiplier + 1)).ok
@@ -244,7 +243,7 @@ def test_certify_with_real_subdivision_keeps_split_valuations():
     cert = certify(fixtures.diag(), fixtures.fan_diag())
     assert [nd.edge for nd in cert.node_data] == ["e0:0", "e0:1"]
     assert cert.base_point.denominator == 1
-    assert dict(cert.base_point.edge_valuations) == {"e0:0": 1, "e0:1": 1}
+    assert cert.base_point.edge_valuations == {"e0:0": 1, "e0:1": 1}
     assert verify_certificate(cert).ok
 
 
@@ -519,7 +518,7 @@ def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch
             hat, bp = cert.rescaled_curve, cert.base_point
             fractional = [x for p in hat.vertices.values() for x in p if type(x) is Fraction]
             assert len(built) == len(fractional), (size, len(built), len(fractional))
-            assert all(type(x) is int for _, x in bp.edge_valuations)
+            assert all(type(x) is int for x in bp.edge_valuations.values())
             assert all(type(nd.k) is int for nd in cert.node_data) and verify_certificate(cert).ok
             seen.append((len(curve.vertices), hat._image[0], cert.multiplier > 1, len(built)))
     assert [(v, m, n) for v, m, n, _ in seen] == [
@@ -814,14 +813,14 @@ def test_certify_names_a_vertex_with_no_cone_at_its_rescaled_position():
 
 def test_verify_rejects_a_star_for_an_unknown_vertex():
     cert = certify(fixtures.tripod(), fixtures.fan_p2())
-    stray = cert._replace(vertex_stars=cert.vertex_stars + (("zz", ((9, 9),)),))
+    stray = cert._replace(vertex_stars=cert.vertex_stars | {"zz": ((9, 9),)})
     assert verify_certificate(stray).violations == ("StarMismatch: vertex zz",)
 
 
 def _first(entries, change):
-    """``entries`` with the value of its first (id, value) pair passed through ``change``."""
-    (key, value), *rest = entries
-    return ((key, change(value)),) + tuple(rest)
+    """A copy of the dict ``entries`` with the value of its first id passed through ``change``."""
+    key = next(iter(entries))
+    return entries | {key: change(entries[key])}
 
 
 def _mutations(cert):
@@ -829,7 +828,7 @@ def _mutations(cert):
     certificate of its curve and fan shows."""
     dim = cert.rescaled_curve.ambient_dim
     dual, bp = cert.dual, cert.base_point
-    keyed = {  # field -> (its (id, value) pairs, a value for the unknown id "zz")
+    keyed = {  # field -> (its dict, a value for the unknown id "zz")
         "vertex_cones": (cert.vertex_cones, 0),
         "vertex_stars": (cert.vertex_stars, ((9,) * dim,)),
         "edge_valuations": (bp.edge_valuations, 1),
@@ -842,7 +841,7 @@ def _mutations(cert):
         return cert._replace(**{field: entries})
 
     out = []
-    if cert.node_data or any(any(p) for _, p in bp.vertex_positions):
+    if cert.node_data or any(any(p) for p in bp.vertex_positions.values()):
         out.append(("multiplier", cert._replace(multiplier=cert.multiplier + 1)))
     out.append(("vertex cone", with_field("vertex_cones", _first(cert.vertex_cones, lambda i: i + 1))))
     out.append(("star", with_field("vertex_stars", _first(cert.vertex_stars, lambda ds: ds[1:]))))
@@ -875,8 +874,8 @@ def _mutations(cert):
         node_data=cert.node_data + (NodeData("zz", 1, 1, (0,) * dim),))))
     for field, (entries, value) in keyed.items():
         if entries:
-            out.append((f"dropped {field}", with_field(field, entries[1:])))
-        out.append((f"unknown {field}", with_field(field, entries + (("zz", value),))))
+            out.append((f"dropped {field}", with_field(field, dict(list(entries.items())[1:]))))
+        out.append((f"unknown {field}", with_field(field, entries | {"zz": value})))
     return out
 
 
@@ -899,30 +898,52 @@ def test_single_field_mutations_are_rejected_as_by_the_old_verifier():
             assert not verify_certificate(bad).ok, name
             if name.startswith("position"):
                 assert verify_certificate(bad).violations == (
-                    f"BasePointMismatch: vertex {cert.base_point.vertex_positions[0][0]}",), name
+                    f"BasePointMismatch: vertex {next(iter(cert.base_point.vertex_positions))}",
+                ), name
             if name == "valuation":
                 assert verify_certificate(bad).violations == (
-                    f"BasePointMismatch: edge {cert.base_point.edge_valuations[0][0]}",), name
+                    f"BasePointMismatch: edge {next(iter(cert.base_point.edge_valuations))}",), name
             # the old verifier never compared the star ids against the curve's vertices
             assert reference_verify(bad).ok == (name == "unknown vertex_stars"), name
         assert len(names) >= 12, names
 
 
 def test_swapped_positions_are_refused_in_any_order():
-    # two vertices' base-point positions swapped and listed in swapped order:
-    # the claimed values, in list order, still pair up with the curve's
+    # two vertices' base-point positions swapped and inserted in swapped order:
+    # the claimed values, in dict order, still pair up with the curve's
     # vertices in theirs, so each pair is matched by id or the swap passes
     from helpers import translated
 
     curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
     cert = certify(curve, fixtures.fan_p1xp1())
-    (u, p), (w, q), *rest = cert.base_point.vertex_positions
-    assert p != q and [v for v, _ in cert.base_point.vertex_positions] == list(
-        cert.rescaled_curve.vertices)
+    (u, p), (w, q), *rest = cert.base_point.vertex_positions.items()
+    assert p != q and list(cert.base_point.vertex_positions) == list(cert.rescaled_curve.vertices)
     swapped = cert._replace(base_point=cert.base_point._replace(
-        vertex_positions=((w, p), (u, q), *rest)))
+        vertex_positions=dict([(w, p), (u, q), *rest])))
     assert verify_certificate(swapped).violations == (
         f"BasePointMismatch: vertex {u}", f"BasePointMismatch: vertex {w}")
+
+
+def test_an_edit_in_place_of_each_per_id_dict_is_named():
+    # each per-id dict of a certificate is its own copy: a cone index, a star,
+    # a valuation or a coordinate edited in place is named, where it would pass
+    # if certify handed over the dict that its derivation or the curve's image holds
+    from helpers import translated
+
+    edits = [
+        ("VertexConeMismatch: vertex", lambda c: c.vertex_cones, lambda i: i + 1),
+        ("StarMismatch: vertex", lambda c: c.vertex_stars, lambda ds: ds[1:]),
+        ("BasePointMismatch: edge", lambda c: c.base_point.edge_valuations, lambda x: x + 1),
+        ("BasePointMismatch: vertex", lambda c: c.base_point.vertex_positions,
+         lambda p: (p[0] + 1, *p[1:])),
+    ]
+    for label, field, change in edits:
+        curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
+        cert = certify(curve, fixtures.fan_p1xp1())
+        entries = field(cert)
+        key = next(iter(entries))
+        entries[key] = change(entries[key])
+        assert verify_certificate(cert).violations == (f"{label} {key}",), label
 
 
 def test_a_break_vertex_position_off_by_one_coordinate_is_named_alone():
@@ -945,22 +966,20 @@ def test_a_break_vertex_position_off_by_one_coordinate_is_named_alone():
         m, n = cert.rescaled_curve._image[0], cert.multiplier
         seen_m.add(m)
         positions = cert.base_point.vertex_positions
-        breaks = [k for k, (v, _) in enumerate(positions) if "#" in v and k > 0]
+        breaks = [v for k, v in enumerate(positions) if "#" in v and k > 0]
         assert breaks and verify_certificate(cert).ok
         assert cert.base_point.denominator == m * n
         doubled = cert.base_point._replace(
-            edge_valuations=tuple((e, 2 * x) for e, x in cert.base_point.edge_valuations),
-            vertex_positions=tuple((v, tuple(2 * x for x in p)) for v, p in positions),
+            edge_valuations={e: 2 * x for e, x in cert.base_point.edge_valuations.items()},
+            vertex_positions={v: tuple(2 * x for x in p) for v, p in positions.items()},
             denominator=2 * m * n)
         assert verify_certificate(cert._replace(base_point=doubled)).ok
-        for k in breaks:
-            v = positions[k][0]
+        for v in breaks:
             for bp, step in ((cert.base_point, 1), (doubled, 2)):
-                q = bp.vertex_positions[k][1]
+                q = bp.vertex_positions[v]
                 for bad in ((*q[:-1], q[-1] + step), q[:-1], (*q, q[0])):
                     tampered = cert._replace(base_point=bp._replace(
-                        vertex_positions=(*bp.vertex_positions[:k], (v, bad),
-                                          *bp.vertex_positions[k + 1:])))
+                        vertex_positions=bp.vertex_positions | {v: bad}))
                     assert verify_certificate(tampered).violations == (
                         f"BasePointMismatch: vertex {v}",), (v, bad)
     assert max(seen_m) > 1, seen_m
@@ -1180,7 +1199,7 @@ MULTIPLIER_NOT_POSITIVE = "MultiplierNotPositive: the multiplier must be a posit
 
 
 def test_verify_refuses_a_multiplier_below_1_whatever_the_base_point():
-    # the base point is compared by cross-multiplication, so negating N with
+    # the base point is put over m*N before it is compared, so negating N with
     # every valuation and position keeps it consistent: the sign of N cancels
     from helpers import translated
     from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
@@ -1210,19 +1229,22 @@ def test_verify_refuses_a_multiplier_below_1_whatever_the_base_point():
 
 def test_verify_refuses_a_base_point_over_a_zero_denominator():
     # x/0 is no value: a base point over 0, all of whose numerators are 0 so
-    # that every cross-multiplication by 0 would agree, names every edge and
-    # every vertex, zero positions included
+    # that every product by 0 would agree, names every edge and every vertex,
+    # zero positions included
     from helpers import translated
     from tropic.degeneration import BasePoint
 
     cert = certify(translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2))),
                    fixtures.fan_p1xp1())
     bp = cert.base_point
-    zeros = BasePoint(tuple((e, 0) for e, _ in bp.edge_valuations),
-                      tuple((v, (0,) * len(p)) for v, p in bp.vertex_positions), 0)
-    assert verify_certificate(cert._replace(base_point=zeros)).violations == tuple(
-        [f"BasePointMismatch: edge {e}" for e, _ in bp.edge_valuations]
-        + [f"BasePointMismatch: vertex {v}" for v, _ in bp.vertex_positions])
+    zeros = BasePoint({e: 0 for e in bp.edge_valuations},
+                      {v: (0,) * len(p) for v, p in bp.vertex_positions.items()}, 0)
+    every_id = tuple([f"BasePointMismatch: edge {e}" for e in bp.edge_valuations]
+                     + [f"BasePointMismatch: vertex {v}" for v in bp.vertex_positions])
+    assert verify_certificate(cert._replace(base_point=zeros)).violations == every_id
+    # certify's own numerators, over 0 in place of m*N, are no values either
+    over_zero = cert._replace(base_point=bp._replace(denominator=0))
+    assert verify_certificate(over_zero).violations == every_id
 
 
 def test_verify_refuses_a_multiplier_that_is_not_the_least():
@@ -1237,7 +1259,7 @@ def test_verify_refuses_a_multiplier_that_is_not_the_least():
     big = scaled(cert.rescaled_curve, 2)
     stars, nodes, *_ = _derive(big, cert.fan)
     dilated = cert._replace(rescaled_curve=big, multiplier=12, dual=dual_curve(big),
-                            vertex_stars=tuple(stars.items()), node_data=tuple(nodes.values()))
+                            vertex_stars=dict(stars), node_data=tuple(nodes.values()))
     assert sorted(nd.k for nd in dilated.node_data) == [2, 12]
     assert verify_certificate(dilated).violations == (
         "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
@@ -1253,7 +1275,8 @@ def test_verify_refuses_node_data_of_a_curve_never_rescaled():
     # packed with rescaling skipped, the certificate is consistent field by
     # field at N = 1, but its k = length/weight are 3/4 and 5/6, which certify
     # never emits (its N is 12)
-    from helpers import packed_certificate
+    from helpers import packed_certificate, scaled
+    from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
     from tropic.latticefan import fan_from_maximal
     from tropic.refine import subdivide_along_fan
 
@@ -1263,8 +1286,25 @@ def test_verify_refuses_node_data_of_a_curve_never_rescaled():
                              rescale=False)
     ks = {nd.edge: nd.k for nd in raw.node_data}
     assert sorted(ks.values()) == [Fraction(3, 4), Fraction(5, 6)]
-    assert verify_certificate(raw).violations == tuple(
-        f"NodeDataMismatch: edge {e}" for e in sorted(ks))
+    expected = tuple(f"NodeDataMismatch: edge {e}" for e in sorted(ks))
+    assert verify_certificate(raw).violations == expected
+    # segfan halved, never rescaled: k = 1/2, so its valuation k*m is no
+    # integer.  Its base point over twice its denominator, and behind the JSON
+    # reader over the lcm of the denominators read (no file holds such a k,
+    # so no node data), is the same point: put over m*N, it still matches
+    half = packed_certificate(scaled(fixtures.segfan(), Fraction(1, 2)), fixtures.fan_p1xp1(),
+                              rescale=False)
+    bp = half.base_point
+    assert bp.edge_valuations == {"e0": Fraction(1, 2)} and bp.denominator == 1
+    doubled = bp._replace(edge_valuations={e: 2 * x for e, x in bp.edge_valuations.items()},
+                          vertex_positions={v: tuple([2 * x for x in p])
+                                            for v, p in bp.vertex_positions.items()},
+                          denominator=2)
+    assert verify_certificate(half._replace(base_point=doubled)).violations == (
+        "NodeDataMismatch: edge e0",)
+    back = certificate_from_dict(loads(dumps(certificate_to_dict(half._replace(node_data=())))))
+    assert back.base_point.denominator == 2
+    assert verify_certificate(back).violations == ("NodeDataMismatch: edge e0",)
 
 
 def test_verify_refuses_a_k_that_is_no_positive_int():
@@ -1286,21 +1326,7 @@ def test_verify_names_every_id_listed_twice():
     doc["node_data"].insert(0, {"edge": "e0", "k": 999, "rho": 2, "u_q": [5, 5]})
     back = certificate_from_dict(loads(dumps(doc)))
     assert verify_certificate(back).violations == ("DuplicateEntry: node_data e0",)
-    # the same for v0's cone, in process
-    bad = cert._replace(vertex_cones=(("v0", 99),) + cert.vertex_cones)
-    assert verify_certificate(bad).violations == ("DuplicateEntry: vertex_cones v0",)
-    # every listed field, each id repeated as it is, three times for v1
-    bp = cert.base_point
-    doubled = cert._replace(
-        vertex_cones=cert.vertex_cones * 2,
-        vertex_stars=cert.vertex_stars + cert.vertex_stars[1:] * 2,
-        node_data=cert.node_data * 2,
-        base_point=bp._replace(edge_valuations=bp.edge_valuations * 2,
-                               vertex_positions=bp.vertex_positions[::-1] + bp.vertex_positions),
-    )
-    assert verify_certificate(doubled).violations == (
-        "DuplicateEntry: vertex_cones v0", "DuplicateEntry: vertex_cones v1",
-        "DuplicateEntry: vertex_stars v1", "DuplicateEntry: node_data e0",
-        "DuplicateEntry: edge_valuations e0", "DuplicateEntry: vertex_positions v0",
-        "DuplicateEntry: vertex_positions v1",
-    )
+    # the entry repeated as it is, in process, twice and three times: named once
+    for times in (2, 3):
+        assert verify_certificate(cert._replace(node_data=cert.node_data * times)).violations == (
+            "DuplicateEntry: node_data e0",), times

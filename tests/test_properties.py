@@ -183,7 +183,7 @@ def test_certificates_survive_the_json_round_trip_and_verify(dim, fan_seed, seed
     back = certificate_from_dict(loads(text))
     assert back == cert and dumps(certificate_to_dict(back)) == text
     assert verify_certificate(back).ok
-    # the id-keyed maps are read in id order, whatever their order in the file
+    # the id-keyed maps are read as dicts, equal whatever their order in the file
     doc = loads(text)
     bp = doc["base_point"]
     for holder, key in [(doc, "vertex_cones"), (doc, "vertex_stars"), (bp, "edge_valuations"),
@@ -210,23 +210,17 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
         assert verify_certificate(bad._replace(rescaled_curve=copy)).violations == found
         return found
 
-    # an entry listed twice, as it is: only the repeat shows
-    fields = {"vertex_cones": cert.vertex_cones, "vertex_stars": cert.vertex_stars,
-              "node_data": cert.node_data, "edge_valuations": bp.edge_valuations,
-              "vertex_positions": bp.vertex_positions}
-    field = data.draw(st.sampled_from(sorted(f for f, entries in fields.items() if entries)))
-    entries = fields[field]
+    # an edge listed twice in node_data, the one per-id list, as it is: only
+    # the repeat shows (every other per-id field is a dict, which holds no repeat)
+    entries = cert.node_data
     i, j = data.draw(st.integers(0, len(entries) - 1)), data.draw(st.integers(0, len(entries)))
     doubled = entries[:j] + (entries[i],) + entries[j:]
-    if field in bp._fields:
-        mutated = cert._replace(base_point=bp._replace(**{field: doubled}))
-    else:
-        mutated = cert._replace(**{field: doubled})
-    assert violations(mutated) == (f"DuplicateEntry: {field} {entries[i][0]}",)
-    # N negated with the base point, which keeps every cross-multiplication
+    assert violations(cert._replace(node_data=doubled)) == (
+        f"DuplicateEntry: node_data {entries[i].edge}",)
+    # N negated with the base point, which keeps every value over m*N
     negated = cert._replace(multiplier=-cert.multiplier, base_point=BasePoint(
-        tuple((e, -x) for e, x in bp.edge_valuations),
-        tuple((v, tuple([-x for x in p])) for v, p in bp.vertex_positions), bp.denominator))
+        {e: -x for e, x in bp.edge_valuations.items()},
+        {v: tuple([-x for x in p]) for v, p in bp.vertex_positions.items()}, bp.denominator))
     assert violations(negated) == (
         "MultiplierNotPositive: the multiplier must be a positive int",)
     # the subdivided curve never rescaled, packed with the node data and base
@@ -255,7 +249,8 @@ def test_verify_names_the_same_violations_before_and_after_the_json_round_trip(
     # the lcm of the denominators read.  On a certificate, on its base point
     # put over three times its denominator, and on each single-field mutation
     # (``test_degeneration._mutations``), each of which verify must refuse, both name the
-    # same violations in order
+    # same violations in order; so do they on node_data that lists every edge
+    # twice, the one repeat a file can hold
     from test_degeneration import _mutations
 
     rays, fan = _stellar(dim, fan_seed)
@@ -263,10 +258,11 @@ def test_verify_names_the_same_violations_before_and_after_the_json_round_trip(
     cert = certify(translated(tree, [data.draw(RATIONALS) for _ in range(dim)]), fan)
     bp = cert.base_point
     tripled = bp._replace(
-        edge_valuations=tuple((e, 3 * x) for e, x in bp.edge_valuations),
-        vertex_positions=tuple((v, tuple([3 * x for x in p])) for v, p in bp.vertex_positions),
+        edge_valuations={e: 3 * x for e, x in bp.edge_valuations.items()},
+        vertex_positions={v: tuple([3 * x for x in p]) for v, p in bp.vertex_positions.items()},
         denominator=3 * bp.denominator)
     cases = [("certified", cert), ("tripled", cert._replace(base_point=tripled))]
+    cases.append(("repeated node_data", cert._replace(node_data=cert.node_data * 2)))
     cases += [(f"tripled, then {name}", bad) for name, bad in _mutations(cert._replace(
         base_point=tripled)) if name.startswith(("position", "valuation"))]
     for name, c in cases + _mutations(cert):
