@@ -8,10 +8,11 @@ directions sum to zero.
 """
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -95,40 +96,70 @@ class TropicalCurve(_CurveFields):
     # the tuple's fields, so equality, ordering and serialization see the sorted fields only.
 
     @cached_property
-    def _edge_by_id(self) -> dict[str, BoundedEdge]:
-        return {e.id: e for e in reversed(self.edges)}  # first of any duplicate ids wins
-
-    @cached_property
-    def _incidence(self) -> dict[str, tuple[list[BoundedEdge], list[CurveRay]]]:
-        """vertex -> (bounded edges touching it, rays based at it), in id order."""
-        index: dict[str, tuple[list[BoundedEdge], list[CurveRay]]] = {}
+    def _pass(self) -> tuple[dict, tuple[dict, dict], list, "BalanceReport"]:
+        """One pass over the edges, then the rays, in id order, on the integer image
+        ``_image``: (edge data, incidence, the edges' and rays' violations in
+        ``_check_structure``'s order, balancing report).  An edge u->w with known ends
+        has coincident endpoints iff m u == m w; else q = m w - m u, and the first edge
+        of its id gets the edge data (q/g, g) if g = gcd(q) != 0: its direction, and
+        its lattice length g/m as the int g.  The incidence is (vertex -> edges touching
+        it, vertex -> rays based at it), for each vertex an edge or ray names.  Each
+        edge with edge data adds k*d (k its weight) to the sum at u and -k*d at w, each
+        ray its weighted direction at its base; the report, read only for a valid curve
+        (where every edge has edge data), has the nonzero sums as defects, in vertex order."""
+        image = self._image[1]
+        dim, data, report, seen = self.ambient_dim, {}, ValidationReport([]), set()
+        edges_at, rays_at = defaultdict(list), defaultdict(list)
+        sums = dict.fromkeys(image, (0,) * dim)
         for e in self.edges:
-            for v in dict.fromkeys(e.ends):
-                index.setdefault(v, ([], []))[0].append(e)
+            eid, (u, w), k = e  # ids are echoed only in a violation's detail
+            if reused := eid in seen:
+                report.add("DuplicateId", f"edge id {_echo(eid)} reused")
+            if k < 1:
+                report.add("NonpositiveWeight", f"edge {_echo(eid)} has weight {k}")
+            edges_at[u].append(e)
+            if w != u:
+                edges_at[w].append(e)
+            if u not in image or w not in image:
+                missing = [_echo(v) for v in (u, w) if v not in image]
+                report.add("NoSuchVertex", f"edge {_echo(eid)} references {missing}")
+            elif (pu := image[u]) == (pw := image[w]):
+                report.add("DegenerateEdge", f"edge {_echo(eid)} has coincident endpoints")
+            elif not reused and (g := gcd(*(q := [*map(sub, pw, pu)]))):
+                data[eid] = (d := tuple([x // g for x in q])), g
+                kd = d if k == 1 else [k * x for x in d]
+                sums[u], sums[w] = [*map(add, sums[u], kd)], [*map(sub, sums[w], kd)]
+            seen.add(eid)
         for r in self.rays:
-            index.setdefault(r.base, ([], []))[1].append(r)
-        return index
+            rid, base, d, k = r
+            if rid in seen:
+                report.add("DuplicateId", f"ray id {_echo(rid)} reused")
+            seen.add(rid)
+            if k < 1:
+                report.add("NonpositiveWeight", f"ray {_echo(rid)} has weight {k}")
+            rays_at[base].append(r)
+            if base not in sums:
+                report.add("NoSuchVertex",
+                           f"ray {_echo(rid)} based at unknown vertex {_echo(base)}")
+            else:
+                sums[base] = [*map(add, sums[base], d if k == 1 else [k * x for x in d])]
+            if len(d) != dim:
+                report.add("DimMismatch", f"ray {_echo(rid)} direction has {len(d)} coordinates")
+            elif not any(d):
+                report.add("ZeroDirection", f"ray {_echo(rid)} has zero direction")
+            elif gcd(*d) != 1:
+                report.add("NonPrimitiveDirection", f"ray {_echo(rid)} direction {d}")
+        defects = tuple((v, tuple(t)) for v, t in sums.items() if any(t))
+        balance = BalanceReport(not defects, defects)
+        return data, (dict(edges_at), dict(rays_at)), report.violations, balance
+
+    _edge_data = cached_property(lambda self: self._pass[0])  # edge id -> (direction, m*length)
+    _incidence = cached_property(lambda self: self._pass[1])  # (vertex -> edges, vertex -> rays)
 
     @cached_property
     def _image(self) -> tuple[int, dict[str, IntVec]]:
         """(m, vertex -> m * position), as ``integer_image``; treat it as read-only."""
         return integer_image(self.vertices)
-
-    @cached_property
-    def _edge_data(self) -> dict[str, tuple[IntVec, Fraction]]:
-        """edge id -> (primitive direction, lattice length), from the curve's
-        integer image ``_image``: an edge u->w has q = m w - m u, direction
-        q/gcd(q) and length gcd(q)/m.  The first edge of each id gets an
-        entry if both ends are known and q != 0."""
-        m, image = self._image
-        data = {}
-        for e in self._edge_by_id.values():
-            u, w = image.get(e.ends[0]), image.get(e.ends[1])
-            if u is not None and w is not None:
-                q = list(map(sub, w, u))
-                if g := gcd(*q):
-                    data[e.id] = (tuple([x // g for x in q]), Fraction(g, m))
-        return data
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -139,20 +170,38 @@ class TropicalCurve(_CurveFields):
         return _balance_report(self)
 
     def edges_at(self, vertex: str) -> list[BoundedEdge]:
-        return list(self._incidence.get(vertex, ((), ()))[0])
+        return list(self._incidence[0].get(vertex, ()))
 
     def rays_at(self, vertex: str) -> list[CurveRay]:
-        return list(self._incidence.get(vertex, ((), ()))[1])
+        return list(self._incidence[1].get(vertex, ()))
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction if it is an exact rational: an int (not a bool), a Fraction, or
+    text of the file format's form "p" or "p/q" (``_RATIONAL``) with q nonzero and
+    digits that Python converts; anything else raises ValueError, saying why."""
+    if isinstance(x, (int, Fraction)) and type(x) is not bool:
+        return Fraction(x)
+    if not isinstance(x, str):
+        raise ValueError(f"expected int or 'p/q' string, got {type(x).__name__}")
+    why = "expected 'p' or 'p/q'"
+    try:
+        if _RATIONAL.fullmatch(x):
+            return Fraction(x)
+    except ZeroDivisionError:
+        why = "zero denominator"
+    except ValueError as ex:  # more digits than Python converts
+        why = str(ex)
+    raise ValueError(f"bad rational string {_echo(repr(x))}: {why}")
 
 
 def _exact(x, kind: type = Fraction):
-    """x (an exact number or "p"/"p/q" text) as a Fraction or int (``kind``), else InvalidCurve."""
+    """x, an exact rational (``_rational``), as a Fraction or int (``kind``), else InvalidCurve."""
     if type(x) is kind:
         return x
-    refused = isinstance(x, (bool, float)) or isinstance(x, str) and not _RATIONAL.fullmatch(x)
     try:
-        f = None if refused else Fraction(x)
-    except (ArithmeticError, TypeError, ValueError):  # no number, "p/0" or too many digits
+        f = _rational(x)
+    except ValueError:
         f = None
     if f is None or f.denominator != 1 and kind is int:
         raise InvalidCurve(f"{_echo(repr(x))} is no exact {'integer' if kind is int else 'number'}")
@@ -208,50 +257,20 @@ def _check_structure(c: TropicalCurve) -> ValidationReport:
     for v, pos in vertices.items():
         if len(pos) != dim:
             report.add("DimMismatch", f"vertex {_echo(v)} has {len(pos)} coordinates")
-    seen_ids: set[str] = set()
-    data = c._edge_data
-    for eid, (u, w), weight in c.edges:  # ids are echoed only in a violation's detail
-        reused = eid in seen_ids
-        if reused:
-            report.add("DuplicateId", f"edge id {_echo(eid)} reused")
-        seen_ids.add(eid)
-        if weight < 1:
-            report.add("NonpositiveWeight", f"edge {_echo(eid)} has weight {weight}")
-        if u not in vertices or w not in vertices:
-            missing = [_echo(v) for v in (u, w) if v not in vertices]
-            report.add("NoSuchVertex", f"edge {_echo(eid)} references {missing}")
-            continue
-        pu, pw = vertices[u], vertices[w]
-        # the edge data hold the first edge of each id whose ends differ in a shared coordinate
-        if (pu == pw) if reused else (eid not in data and len(pu) == len(pw)):
-            report.add("DegenerateEdge", f"edge {_echo(eid)} has coincident endpoints")
-    for rid, base, d, weight in c.rays:
-        if rid in seen_ids:
-            report.add("DuplicateId", f"ray id {_echo(rid)} reused")
-        seen_ids.add(rid)
-        if weight < 1:
-            report.add("NonpositiveWeight", f"ray {_echo(rid)} has weight {weight}")
-        if base not in vertices:
-            report.add("NoSuchVertex", f"ray {_echo(rid)} based at unknown vertex {_echo(base)}")
-        if len(d) != dim:
-            report.add("DimMismatch", f"ray {_echo(rid)} direction has {len(d)} coordinates")
-        elif not any(d):
-            report.add("ZeroDirection", f"ray {_echo(rid)} has zero direction")
-        elif gcd(*d) != 1:
-            report.add("NonPrimitiveDirection", f"ray {_echo(rid)} direction {d}")
+    report.violations.extend(c._pass[2])
     if vertices and not _connected(c):
         report.add("Disconnected", "underlying graph is not connected")
     return report
 
 
 def _connected(c: TropicalCurve) -> bool:
-    vertices, incidence = c.vertices, c._incidence
+    vertices, incidence = c.vertices, c._incidence[0]
     start = next(iter(vertices))
     seen, stack = {start}, [start]
     while stack:
-        for e in incidence.get(stack.pop(), ((), ()))[0]:
+        for e in incidence.get(stack.pop(), ()):
             for w in e.ends:
-                if w in vertices and w not in seen:
+                if w not in seen and w in vertices:
                     seen.add(w)
                     stack.append(w)
     return len(seen) == len(vertices)
@@ -259,17 +278,17 @@ def _connected(c: TropicalCurve) -> bool:
 
 def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:
     """Primitive direction and lattice length of a bounded edge, oriented by
-    stored endpoint order, as ``TropicalCurve._edge_data`` computes them for
-    every edge at once; an edge it has no entry for raises DegenerateEdge
-    (or NoSuchVertex, for an unknown end)."""
-    try:
-        return c._edge_data[edge_id]
-    except KeyError:
-        if edge_id not in c._edge_by_id:
-            raise DegenerateEdge(f"no bounded edge {_echo(repr(edge_id))}") from None
-        for v in c._edge_by_id[edge_id].ends:
-            c.position(v)  # NoSuchVertex for an unknown end
-        raise DegenerateEdge(f"edge {_echo(edge_id)} has zero length") from None
+    stored endpoint order, from its edge data (d, g) in ``TropicalCurve._pass``:
+    the length g/m; an edge with none raises DegenerateEdge (or NoSuchVertex,
+    for an unknown end of the first edge of its id)."""
+    if edge_id in (data := c._edge_data):
+        return data[edge_id][0], Fraction(data[edge_id][1], c._image[0])
+    ends = next((e.ends for e in c.edges if e.id == edge_id), None)
+    if ends is None:
+        raise DegenerateEdge(f"no bounded edge {_echo(repr(edge_id))}")
+    for v in ends:
+        c.position(v)  # NoSuchVertex for an unknown end
+    raise DegenerateEdge(f"edge {_echo(edge_id)} has zero length")
 
 
 def _inherit(c: TropicalCurve, source: TropicalCurve) -> TropicalCurve:
@@ -308,22 +327,8 @@ def require_balanced(c: TropicalCurve) -> None:
 
 
 def _balance_report(c: TropicalCurve) -> BalanceReport:
-    """One pass over the edges and rays of a valid curve: an edge u->w of
-    weight k and direction d adds k*d to the sum at u and -k*d at w, a ray
-    its weighted direction at its base.  Defects follow the vertex order."""
-    totals = {v: [0] * c.ambient_dim for v in c.vertices}
-    data = c._edge_data
-    for e in c.edges:
-        at_u, at_w = totals[e.ends[0]], totals[e.ends[1]]
-        for i, x in enumerate(data[e.id][0]):
-            at_u[i] += e.weight * x
-            at_w[i] -= e.weight * x
-    for r in c.rays:
-        at_base = totals[r.base]
-        for i, x in enumerate(r.direction):
-            at_base[i] += r.weight * x
-    defects = tuple((v, tuple(t)) for v, t in totals.items() if any(t))
-    return BalanceReport(balanced=not defects, defects=defects)
+    """The balancing report of a valid curve, from its one pass (``TropicalCurve._pass``)."""
+    return c._pass[3]
 
 
 def genus(c: TropicalCurve) -> int:

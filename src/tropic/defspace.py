@@ -11,9 +11,10 @@ solution space.  ``_equations`` builds these rows once, sparse;
 ``superabundance`` takes their rank in a column order that keeps it cheap.
 """
 
+from functools import partial
 from typing import NamedTuple
 
-from .curves import CurveRay, TropicalCurve, edge_data, require_balanced, require_valid
+from .curves import CurveRay, TropicalCurve, require_balanced, require_valid
 from .latticefan import IntVec, _echelon
 
 
@@ -22,6 +23,9 @@ class TypeEdge(NamedTuple):
     ends: tuple[str, str]
     weight: int
     direction: IntVec  # primitive, oriented by stored endpoint order
+
+
+_type_edge = partial(tuple.__new__, TypeEdge)  # built by tuple's C constructor
 
 
 class CombinatorialType(NamedTuple):
@@ -60,7 +64,8 @@ def combinatorial_type(c: TropicalCurve) -> CombinatorialType:
     """Forget positions and lengths; keep the graph, primitive directions, and weights."""
     require_valid(c)
     # a curve keeps its vertices, edges and rays sorted by id
-    edges = tuple(TypeEdge(e.id, e.ends, e.weight, edge_data(c, e.id)[0]) for e in c.edges)
+    data = c._edge_data
+    edges = tuple([_type_edge((e, ends, w, data[e][0])) for e, ends, w in c.edges])
     return CombinatorialType(c.ambient_dim, tuple(c.vertices), edges, c.rays)
 
 

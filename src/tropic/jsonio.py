@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Any
 
-from .curves import _RATIONAL, BoundedEdge, CurveRay, TropicalCurve
+from .curves import BoundedEdge, CurveRay, TropicalCurve, _rational
 from .degeneration import (
     BasePoint,
     Component,
@@ -42,19 +42,11 @@ def rat_to_json(x) -> int | str:
 
 
 def rat_from_json(value) -> Fraction:
-    """An integer, or a string of exactly the form "p" or "p/q" (ASCII digits, optional minus)."""
-    if type(value) is int:  # a bool is no rational
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise SchemaError(f"bad rational string {_echo(repr(value))}: expected 'p' or 'p/q'")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise SchemaError(f"bad rational string {_echo(repr(value))}: zero denominator") from None
-        except ValueError as ex:  # more digits than Python converts
-            raise SchemaError(f"bad rational string {_echo(repr(value))}: {ex}") from None
-    raise SchemaError(f"expected int or 'p/q' string, got {type(value).__name__}")
+    """An integer, or a string of exactly the form "p" or "p/q" (``curves._rational``)."""
+    try:
+        return _rational(value)
+    except ValueError as ex:
+        raise SchemaError(str(ex)) from None
 
 
 def _require(cond: bool, message: str) -> None:

@@ -76,7 +76,7 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     if breaks:
         vs = {v: c.vertices.get(v) or _point_at(*p) for v, p in out.vertices.items()}
         out = _inherit(tuple.__new__(TropicalCurve, (out.ambient_dim, vs, out.edges, out.rays)), c)
-    record = [_new_vertex((v, h, "edge" if h in c._edge_by_id else "ray",
+    record = [_new_vertex((v, h, "edge" if h in c._edge_data else "ray",
                            cones[f"{h}:{int(k) - 1}"], cones[f"{h}:{k}"]))
               for v in breaks for h, _, k in [v.rpartition("#")]]
     return SubdivisionRecord(out, tuple(record), cones)
@@ -193,9 +193,11 @@ def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:
 
 
 def _ratios(c: TropicalCurve) -> dict[str, tuple[IntVec, int, int]]:
-    """Each bounded edge -> (d, p, q): its primitive direction, and length/weight as p/q."""
-    data = c._edge_data
-    return {e: (d, x.numerator, x.denominator * w) for e, _, w in c.edges for d, x in [data[e]]}
+    """Each bounded edge -> (d, p, q): its primitive direction, and length/weight as p/q,
+    from its edge data (d, g), length g/m: p = g/h and q = (m/h)*weight, h = gcd(g, m)."""
+    m, data = c._image[0], c._edge_data
+    return {e: (d, g // h, m // h * w)
+            for e, _, w in c.edges for d, g in [data[e]] for h in [gcd(g, m)]}
 
 
 def _dilate(c: TropicalCurve, ratios: dict, points: dict | None) -> tuple[TropicalCurve, int]:

@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul, sub
 from typing import NamedTuple
 
-from .curves import TropicalCurve, edge_data, genus
+from .curves import TropicalCurve, genus
 from .errors import GenusNotOne
 from .latticefan import IntVec, RatVec, double_description
 
@@ -80,7 +80,7 @@ def cycle(c: TropicalCurve) -> CycleData:
         if current == start:
             break
         walk.append(current)
-    directions = [edge_data(c, e.id)[0] for e in steps]
+    directions = [c._edge_data[e.id][0] for e in steps]
     normals, _ = double_description(directions, (), c.ambient_dim)
     return CycleData(tuple(walk), tuple(e.id for e in steps), c.position(start), normals)
 

@@ -21,7 +21,11 @@ tested each intersection by tight facet normals (``is_face_of``) and
 enumerated every face recursively (``cone_faces``),
 certificate verification against the earlier one that re-derived each field
 by hand, and ``integerize`` and the cached edge data against the Fraction
-formula of ``reference_primitive_and_scale``.  The expected deformation
+formula of ``reference_primitive_and_scale``.  A curve's first read (edge
+data, incidence, structure checks and balancing, one pass of
+``TropicalCurve._pass``) is checked against the five separate passes that
+preceded it (``reference_check_structure`` and the functions it calls, and
+``reference_balance_report``).  The expected deformation
 dimension is checked against the virtual count ``expected_dimension``.
 """
 
@@ -33,12 +37,13 @@ import itertools
 import random
 from fractions import Fraction
 from math import atan2, gcd, lcm
-from operator import mul
+from operator import mul, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 from unittest import mock
 
 from tropic.curves import (
+    BalanceReport,
     BoundedEdge,
     CurveRay,
     TropicalCurve,
@@ -62,6 +67,7 @@ from tropic.errors import (
     TropicError,
     ValidationReport,
     ZeroDirection,
+    _echo,
 )
 from tropic.latticefan import (
     Cone,
@@ -76,6 +82,7 @@ from tropic.latticefan import (
     cone_intersection,
     dot,
     fan_from_maximal,
+    integer_image,
     integerize,
     primitive,
     rank,
@@ -183,6 +190,126 @@ def reference_primitive_and_scale(v: Sequence) -> tuple[tuple[int, ...], Fractio
     for c in ints:
         g = gcd(g, abs(c))
     return primitive(ints), Fraction(g, m)
+
+
+def edge_lengths(c: TropicalCurve) -> dict[str, tuple[IntVec, Fraction]]:
+    """The curve's edge data (``TropicalCurve._edge_data``: direction, and the
+    length as an int g over the image's m), each length as the Fraction g/m."""
+    m = c._image[0]
+    return {e: (d, Fraction(g, m)) for e, (d, g) in c._edge_data.items()}
+
+
+# A curve's first read as five passes, as it was before ``TropicalCurve._pass``:
+# the integer image, the edge data (one Fraction length per edge), the
+# incidence index, the structure checks and the balancing report.
+
+
+def reference_edge_by_id(c: TropicalCurve) -> dict[str, BoundedEdge]:
+    return {e.id: e for e in reversed(c.edges)}  # first of any duplicate ids wins
+
+
+def reference_incidence(c: TropicalCurve) -> dict[str, tuple[list[BoundedEdge], list[CurveRay]]]:
+    """vertex -> (bounded edges touching it, rays based at it), in id order."""
+    index: dict[str, tuple[list[BoundedEdge], list[CurveRay]]] = {}
+    for e in c.edges:
+        for v in dict.fromkeys(e.ends):
+            index.setdefault(v, ([], []))[0].append(e)
+    for r in c.rays:
+        index.setdefault(r.base, ([], []))[1].append(r)
+    return index
+
+
+def reference_edge_data(c: TropicalCurve) -> dict[str, tuple[IntVec, Fraction]]:
+    """edge id -> (primitive direction, lattice length), from the curve's
+    integer image: an edge u->w has q = m w - m u, direction q/gcd(q) and
+    length gcd(q)/m.  The first edge of each id gets an entry if both ends
+    are known and q != 0."""
+    m, image = integer_image(c.vertices)
+    data = {}
+    for e in reference_edge_by_id(c).values():
+        u, w = image.get(e.ends[0]), image.get(e.ends[1])
+        if u is not None and w is not None:
+            q = list(map(sub, w, u))
+            if g := gcd(*q):
+                data[e.id] = (tuple([x // g for x in q]), Fraction(g, m))
+    return data
+
+
+def reference_check_structure(c: TropicalCurve) -> ValidationReport:
+    report, vertices, dim = ValidationReport([]), c.vertices, c.ambient_dim
+    if dim < 1:
+        report.add("DimMismatch", f"ambient dimension {dim} < 1")
+    if not vertices:
+        report.add("Empty", "curve has no vertices")
+    for v, pos in vertices.items():
+        if len(pos) != dim:
+            report.add("DimMismatch", f"vertex {_echo(v)} has {len(pos)} coordinates")
+    seen_ids: set[str] = set()
+    data = reference_edge_data(c)
+    for eid, (u, w), weight in c.edges:
+        reused = eid in seen_ids
+        if reused:
+            report.add("DuplicateId", f"edge id {_echo(eid)} reused")
+        seen_ids.add(eid)
+        if weight < 1:
+            report.add("NonpositiveWeight", f"edge {_echo(eid)} has weight {weight}")
+        if u not in vertices or w not in vertices:
+            missing = [_echo(v) for v in (u, w) if v not in vertices]
+            report.add("NoSuchVertex", f"edge {_echo(eid)} references {missing}")
+            continue
+        pu, pw = vertices[u], vertices[w]
+        # the edge data hold the first edge of each id whose ends differ in a shared coordinate
+        if (pu == pw) if reused else (eid not in data and len(pu) == len(pw)):
+            report.add("DegenerateEdge", f"edge {_echo(eid)} has coincident endpoints")
+    for rid, base, d, weight in c.rays:
+        if rid in seen_ids:
+            report.add("DuplicateId", f"ray id {_echo(rid)} reused")
+        seen_ids.add(rid)
+        if weight < 1:
+            report.add("NonpositiveWeight", f"ray {_echo(rid)} has weight {weight}")
+        if base not in vertices:
+            report.add("NoSuchVertex", f"ray {_echo(rid)} based at unknown vertex {_echo(base)}")
+        if len(d) != dim:
+            report.add("DimMismatch", f"ray {_echo(rid)} direction has {len(d)} coordinates")
+        elif not any(d):
+            report.add("ZeroDirection", f"ray {_echo(rid)} has zero direction")
+        elif gcd(*d) != 1:
+            report.add("NonPrimitiveDirection", f"ray {_echo(rid)} direction {d}")
+    if vertices and not _reference_connected(c):
+        report.add("Disconnected", "underlying graph is not connected")
+    return report
+
+
+def _reference_connected(c: TropicalCurve) -> bool:
+    vertices, incidence = c.vertices, reference_incidence(c)
+    start = next(iter(vertices))
+    seen, stack = {start}, [start]
+    while stack:
+        for e in incidence.get(stack.pop(), ((), ()))[0]:
+            for w in e.ends:
+                if w in vertices and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return len(seen) == len(vertices)
+
+
+def reference_balance_report(c: TropicalCurve) -> BalanceReport:
+    """One pass over the edges and rays of a valid curve: an edge u->w of
+    weight k and direction d adds k*d to the sum at u and -k*d at w, a ray
+    its weighted direction at its base.  Defects follow the vertex order."""
+    totals = {v: [0] * c.ambient_dim for v in c.vertices}
+    data = reference_edge_data(c)
+    for e in c.edges:
+        at_u, at_w = totals[e.ends[0]], totals[e.ends[1]]
+        for i, x in enumerate(data[e.id][0]):
+            at_u[i] += e.weight * x
+            at_w[i] -= e.weight * x
+    for r in c.rays:
+        at_base = totals[r.base]
+        for i, x in enumerate(r.direction):
+            at_base[i] += r.weight * x
+    defects = tuple((v, tuple(t)) for v, t in totals.items() if any(t))
+    return BalanceReport(balanced=not defects, defects=defects)
 
 
 def echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:

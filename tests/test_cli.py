@@ -648,6 +648,38 @@ def test_star_rejects_invalid_curve(tmp_path, capsys):
     assert report["error"] == "InvalidCurve" and "DuplicateId" in report["detail"]
 
 
+def test_the_reader_and_build_share_one_rule_for_an_exact_rational():
+    # curves._rational holds the rule: the JSON reader's schema error carries
+    # its reason as the detail, and TropicalCurve.build refuses the same values
+    # as InvalidCurve naming the value; both take the same values alike
+    import re
+    from fractions import Fraction
+
+    from tropic.curves import TropicalCurve
+    from tropic.errors import InvalidCurve, SchemaError
+
+    refused = {
+        True: "expected int or 'p/q' string, got bool",
+        None: "expected int or 'p/q' string, got NoneType",
+        0.5: "expected int or 'p/q' string, got float",
+        "0.5": "bad rational string '0.5': expected 'p' or 'p/q'",
+        "1e3": "bad rational string '1e3': expected 'p' or 'p/q'",
+        " 3/4 ": "bad rational string ' 3/4 ': expected 'p' or 'p/q'",
+        "1_000": "bad rational string '1_000': expected 'p' or 'p/q'",
+        "1/0": "bad rational string '1/0': zero denominator",
+        "7" * 5000: f"bad rational string '{'7' * 39}... (5002 characters): Exceeds the limit",
+    }
+    for value, detail in refused.items():
+        with pytest.raises(SchemaError) as info:
+            rat_from_json(value)
+        assert info.value.message.startswith(detail), info.value.message
+        assert info.value.message == detail or len(str(value)) == 5000
+        with pytest.raises(InvalidCurve, match=f"^{re.escape(repr(value)[:40])}"):
+            TropicalCurve.build(1, {"a": (value,)})
+    for value, number in ((3, 3), ("-3/4", Fraction(-3, 4)), ("6/3", 2), ("-0", 0)):
+        built = TropicalCurve.build(1, {"a": (value,)}).vertices["a"][0]
+        assert rat_from_json(value) == number == built
+
 def test_rationals_outside_integer_or_p_over_q_are_schema_errors(tmp_path, capsys):
     from tropic.errors import SchemaError
 

@@ -246,8 +246,11 @@ def test_incidence_index_matches_linear_scan():
         for v in list(c.vertices) + ["missing"]:
             assert c.edges_at(v) == [e for e in c.edges if v in e.ends]
             assert c.rays_at(v) == [r for r in c.rays if r.base == v]
+        m = c._image[0]
         for e in c.edges:
-            assert c._edge_by_id[e.id] is e and edge_data(c, e.id) == c._edge_data[e.id]
+            assert all(any(x is e for x in c.edges_at(v)) for v in e.ends)
+            d, g = c._edge_data[e.id]  # the length as an int over the image's m
+            assert type(g) is int and edge_data(c, e.id) == (d, Fraction(g, m))
         with pytest.raises(DegenerateEdge, match="^no bounded edge 'missing'$"):
             edge_data(c, "missing")
         # the cached indexes are not fields: equality and serialization ignore them
@@ -270,7 +273,8 @@ def test_cached_edge_data_matches_a_fresh_computation():
         for e in c.edges:
             pu, pw = c.position(e.ends[0]), c.position(e.ends[1])
             fresh = reference_primitive_and_scale(tuple(b - a for a, b in zip(pu, pw)))
-            assert edge_data(c, e.id) == fresh == c._edge_data[e.id]
+            d, g = c._edge_data[e.id]  # the length as an int over the image's m
+            assert type(g) is int and edge_data(c, e.id) == fresh == (d, Fraction(g, c._image[0]))
         assert sorted(c._edge_data) == sorted(e.id for e in c.edges)
 
 
@@ -419,6 +423,46 @@ def test_balancing_a_fresh_curve_subtracts_no_fractions(monkeypatch):
         assert is_balanced(c).balanced == (c != fixtures.unbal())
         assert len(c._edge_data) == len(c.edges)
     assert calls == []
+
+
+def test_a_first_balancing_builds_no_fraction_and_reads_the_curve_once(monkeypatch):
+    # count gate (counts, not times), at V = 100 and V = 400: a first
+    # is_balanced on a fresh tree runs the one pass (TropicalCurve._pass)
+    # once, and the pass holds each lattice length as an int over the image's
+    # m, so no tropic module builds a Fraction (the five separate passes
+    # before it built one per edge: 99 and 399)
+    import random
+    import sys
+
+    from helpers import DIRECTIONS
+    from tropic.curves import TropicalCurve
+
+    built, passes = [], []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropic") and getattr(module, "Fraction", None) is Fraction:
+            monkeypatch.setattr(module, "Fraction", counting)
+    one_pass = TropicalCurve.__dict__["_pass"]
+    real = one_pass.func
+
+    def reading(c):
+        passes.append(c)
+        return real(c)
+
+    monkeypatch.setattr(one_pass, "func", reading)
+    for size in (100, 400):
+        c = TropicalCurve.build(*gen.tree(random.Random(size), 3, size, DIRECTIONS[3]))
+        built.clear()
+        passes.clear()
+        assert is_balanced(c).balanced
+        assert len(c.vertices) == size and c._image[0] > 1
+        assert passes == [c] and built == [], (size, len(passes), len(built))
+        assert is_balanced(c).balanced and len(c.edges_at(c.edges[0].ends[0])) >= 1
+        assert passes == [c] and built == []
 
 
 def test_build_sorts_permuted_input_into_one_curve():

@@ -95,8 +95,9 @@ def test_node_slope_identity():
     for curve_name, fan_name in CERTIFY_PAIRS:
         cert = certify(fixtures.CURVES[curve_name](), fixtures.FANS[fan_name]())
         hat = cert.rescaled_curve
+        ends = {e.id: e.ends for e in hat.edges}
         for nd in cert.node_data:
-            p1, p2 = (hat.position(v) for v in hat._edge_by_id[nd.edge].ends)
+            p1, p2 = (hat.position(v) for v in ends[nd.edge])
             assert tuple(nd.rho * x for x in nd.u_q) == tuple(a - b for a, b in zip(p1, p2))
     (nd, _, _) = certify(fixtures.cycle3(), fixtures.fan_cycle3()).node_data
     assert (nd.edge, nd.u_q) == ("e0", (-1, 0))
@@ -486,14 +487,15 @@ def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch
     # count gate (counts, not times), at V = 100 and V = 400: the walk keeps
     # each break as an integer point and the base point is the rescaled
     # curve's integer image over m*N, so the only non-integral values certify
-    # builds, in refine and degeneration, are the rescaled curve's
-    # coordinates, one Fraction each.  With m = 1 (R^2 rich-fan trees) that is
+    # builds, in curves (the first read of its input included), refine and
+    # degeneration, are the rescaled curve's coordinates, one Fraction each.
+    # With m = 1 (R^2 rich-fan trees) that is
     # none; honeycombs of degree 10 and 20 lifted to z = 1/5 on P^2 x P^1 keep
     # the 1/5 (m = 5), one Fraction per vertex
     import random
 
     from helpers import gen, translated
-    from tropic import degeneration, refine
+    from tropic import curves, degeneration, refine
     from tropic.curves import TropicalCurve
     from tropic.latticefan import fan_from_maximal
 
@@ -503,7 +505,7 @@ def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch
         built.append(args)
         return Fraction(*args)
 
-    for module in (refine, degeneration):
+    for module in (curves, refine, degeneration):
         monkeypatch.setattr(module, "Fraction", counting)
     rays, maximal, dim = gen.rich_fan_r2()
     rich, p2xp1 = fan_from_maximal(rays, maximal, dim), fan_from_maximal(*gen.fan_p2_r3())
@@ -558,16 +560,17 @@ def test_certify_and_verify_keep_a_flat_number_of_objects_per_output_vertex():
 def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
     # the subdivided and rescaled curves inherit validity and balancing, and
     # the walk hands certify each piece's length/weight as integers, so certify
-    # checks the structure of its input alone and builds the edge data of its
-    # input alone, however many pieces it makes; the rescaled curve builds its
-    # own from its image only if asked, and verify does not ask
+    # checks the structure of its input alone and reads its input alone, in
+    # one pass that gives the edge data too, however many pieces it makes; the
+    # rescaled curve reads its own from its image only if asked, and verify
+    # does not ask
     from tropic import curves
     from tropic.curves import TropicalCurve
 
     built = []
-    edge_data_property = TropicalCurve.__dict__["_edge_data"]  # its func builds the dict
+    one_pass = TropicalCurve.__dict__["_pass"]  # its func reads the curve
     for owner, name, label in ((curves, "_check_structure", "validation"),
-                               (edge_data_property, "func", "edge data")):
+                               (one_pass, "func", "pass")):
         real = getattr(owner, name)
 
         def counting(c, real=real, label=label):
@@ -582,8 +585,8 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
     cert = certify(fresh, fan)
     assert cert.multiplier > 1 and len(cert.rescaled_curve.edges) > len(fresh.edges)
     assert verify_certificate(cert).ok
-    assert [(label, c is fresh) for label, c in built] == [("validation", True), ("edge data", True)]
-    assert "_edge_data" not in vars(cert.rescaled_curve)  # neither handed over nor built
+    assert [(label, c is fresh) for label, c in built] == [("validation", True), ("pass", True)]
+    assert "_pass" not in vars(cert.rescaled_curve)  # neither handed over nor run
 
 
 def test_each_curve_builds_one_integer_image(monkeypatch):
@@ -635,7 +638,7 @@ def test_each_curve_builds_one_integer_image(monkeypatch):
     assert {type(q) for q in [*hat._image[1].values(), *c._image[1].values()]} == {tuple}
     calls.clear()
     assert verify_certificate(cert).ok
-    assert calls == [] and "_edge_data" not in vars(hat)
+    assert calls == [] and "_pass" not in vars(hat)
     # a certificate read back from JSON has no edge data handed over: its
     # point location and its edge data share the one image
     back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))

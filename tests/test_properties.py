@@ -22,10 +22,16 @@ from helpers import (  # noqa: E402
     dense_deformation_dimension,
     dense_edge_equations,
     echelon,
+    edge_lengths,
     gen,
     handed_states,
     packed_certificate,
+    reference_balance_report,
+    reference_check_structure,
     reference_double_description,
+    reference_edge_by_id,
+    reference_edge_data,
+    reference_incidence,
     reference_primitive_and_scale,
     scaled,
     signs,
@@ -33,7 +39,8 @@ from helpers import (  # noqa: E402
     translated,
 )
 from tropic import cli, degeneration, fixtures  # noqa: E402
-from tropic.curves import TropicalCurve, edge_data, genus, is_balanced, validate  # noqa: E402
+from tropic.curves import (  # noqa: E402
+    BoundedEdge, CurveRay, TropicalCurve, edge_data, genus, is_balanced, validate)
 from tropic.defspace import (  # noqa: E402
     CombinatorialType,
     TypeEdge,
@@ -42,7 +49,7 @@ from tropic.defspace import (  # noqa: E402
     superabundance,
 )
 from tropic.degeneration import BasePoint, certify, verify_certificate  # noqa: E402
-from tropic.errors import SchemaError, TropicError  # noqa: E402
+from tropic.errors import DegenerateEdge, NoSuchVertex, SchemaError, TropicError  # noqa: E402
 from tropic.jsonio import (  # noqa: E402
     certificate_from_dict,
     certificate_to_dict,
@@ -148,6 +155,102 @@ def test_edge_data_and_balancing_match_the_fraction_formula(c):
     defects = tuple((v, tuple(t)) for v, t in totals.items() if any(t))
     assert is_balanced(c) == (not defects, defects)
 
+
+_BREAKS = (["edge"] * 3 + ["ray"] * 3 + ["vertex"] * 2
+           + ["move", "shift", "drop", "ambient", "empty"])
+
+
+def _hostile_curve(rng: random.Random) -> TropicalCurve:
+    """A seeded tree or honeycomb, kept as it is one time in four, else broken
+    one to four times (``_BREAKS``): an edge or a ray under a drawn id, often
+    one in use, with drawn ends or base (maybe unknown, maybe equal) and weight
+    (maybe below 1), a ray with a drawn direction (maybe zero, non-primitive or
+    of another length); a new vertex joined to nothing, maybe of another length
+    or at a position in use; a vertex moved onto another's position, or by a
+    drawn step (so that a valid curve is unbalanced); a vertex dropped, so
+    that its edges' ends are unknown; ambient dimension 0; or no vertex at
+    all."""
+    dim = rng.choice([2, 3])
+    offset = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in "xy"]
+    spec = (gen.tree(rng, dim, rng.randint(1, 9), DIRECTIONS[dim]) if rng.random() < 0.5
+            else gen.honeycomb(rng.randint(2, 3), dim, offset))
+    c = TropicalCurve.build(*spec)
+    if rng.random() < 0.25:
+        return c
+    ambient, vertices, edges, rays = dim, dict(c.vertices), list(c.edges), list(c.rays)
+    ids = [h.id for h in c.edges + c.rays] + ["x"]
+    for _ in range(rng.randint(1, 4)):
+        names, points, kind = [*vertices, "zz"], list(vertices.values()), rng.choice(_BREAKS)
+        if kind == "edge":
+            ends = (rng.choice(names), rng.choice(names))
+            edges.append(BoundedEdge(rng.choice(ids), ends, rng.randint(-1, 2)))
+        elif kind == "ray":
+            direction = tuple(rng.randint(-2, 2) for _ in range(rng.choice([dim, dim, dim + 1])))
+            direction = rng.choice([direction, direction, (0,) * dim])
+            rays.append(CurveRay(rng.choice(ids), rng.choice(names), direction, rng.randint(-1, 2)))
+        elif kind == "vertex":
+            p = rng.choice(points or [(0,) * dim])
+            vertices[f"n{len(vertices)}"] = rng.choice([p, p + (Fraction(1, 2),), p[1:]])
+        elif kind == "move" and points:
+            vertices[rng.choice(names[:-1])] = rng.choice(points)
+        elif kind == "shift" and points:
+            v = rng.choice(names[:-1])
+            vertices[v] = tuple(x + Fraction(rng.randint(-3, 3), 7) for x in vertices[v])
+        elif kind == "drop" and points:
+            del vertices[rng.choice(names[:-1])]
+        elif kind == "ambient":
+            ambient = 0
+        elif kind == "empty":
+            vertices = {}
+    return TropicalCurve(ambient, vertices, edges, rays)
+
+
+def _old_edge_data(c: TropicalCurve, edge_id: str):
+    """``edge_data`` as it read the five passes: the value, or the error's (type, message)."""
+    data, first = reference_edge_data(c), reference_edge_by_id(c)
+    if edge_id in data:
+        return data[edge_id]
+    if edge_id not in first:
+        return DegenerateEdge, f"no bounded edge {edge_id!r}"
+    unknown = [v for v in first[edge_id].ends if v not in c.vertices]
+    if unknown:
+        return NoSuchVertex, f"no vertex {unknown[0]!r}"
+    return DegenerateEdge, f"edge {edge_id} has zero length"
+
+
+def test_one_pass_reads_a_curve_as_the_five_passes_did():
+    # seeded: trees and honeycombs, as they are and broken (``_hostile_curve``).
+    # The one pass gives the violations of the structure check, text and order,
+    # the edge data, the incidence and the balancing report of the five passes
+    # it replaced (tests/helpers.py), and edge_data its values and errors
+    rng = random.Random(44)
+    seen: dict[str, int] = {}
+    for _ in range(400):
+        c = _hostile_curve(rng)
+        report = reference_check_structure(c)
+        assert validate(c).violations == report.violations, c
+        assert edge_lengths(c) == reference_edge_data(c), c
+        index = reference_incidence(c)
+        for v in [*c.vertices, *index, "missing"]:
+            edges, rays = index.get(v, ([], []))
+            assert c.edges_at(v) == edges and c.rays_at(v) == rays, (c, v)
+        for edge_id in {*reference_edge_by_id(c), "missing"}:
+            expected = _old_edge_data(c, edge_id)
+            if type(expected[0]) is type and issubclass(expected[0], TropicError):
+                with pytest.raises(expected[0]) as info:
+                    edge_data(c, edge_id)
+                assert info.value.message == expected[1], (c, edge_id)
+            else:
+                assert edge_data(c, edge_id) == expected, (c, edge_id)
+        if report.valid:
+            assert is_balanced(c) == reference_balance_report(c), c
+            key = "balanced" if is_balanced(c).balanced else "unbalanced"
+            seen[key] = seen.get(key, 0) + 1
+        for code in {v.code for v in report.violations}:
+            seen[code] = seen.get(code, 0) + 1
+    codes = ("DuplicateId", "NonpositiveWeight", "NoSuchVertex", "DegenerateEdge", "DimMismatch",
+             "ZeroDirection", "NonPrimitiveDirection", "Disconnected", "Empty")
+    assert min(seen.get(k, 0) for k in codes + ("balanced", "unbalanced")) >= 5, seen
 
 @DERANDOMIZED
 @hypothesis.given(c=rational_curves(), factor=POSITIVE_RATIONALS, data=st.data())

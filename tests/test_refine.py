@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import gen, primitive_box_fan, random_tree, reference_subdivide, translated
+from helpers import (
+    edge_lengths, gen, primitive_box_fan, random_tree, reference_subdivide, translated)
 from tropic import fixtures
 from tropic.curves import (
     BoundedEdge,
@@ -363,7 +364,7 @@ def test_walker_is_exact_where_the_lcm_of_a_host_crossings_is_large():
         assert record == reference_subdivide(c, fan)
         out = record.output
         fresh = TropicalCurve(2, out.vertices, out.edges, out.rays)
-        assert out._edge_data == {e.id: edge_data(fresh, e.id) for e in fresh.edges}
+        assert edge_lengths(out) == {e.id: edge_data(fresh, e.id) for e in fresh.edges}
         assert verify_certificate(certify(c, fan)).ok
         breaks += len(record.new_vertices)
     assert [v.host for v in subdivide_along_fan(curves[0], fan).new_vertices].count("r0") == 5
@@ -562,7 +563,7 @@ def test_walker_builds_fractions_only_for_kept_breaks(monkeypatch):
     # Fraction per non-integral coordinate of a kept break (an integral one
     # is a plain int) and none for its pieces; a host with no kept break,
     # whether it crosses no hyperplane or only spurious extensions of a wall,
-    # builds none and keeps its own length object
+    # builds none and keeps its own edge data
     from tropic import refine
 
     built = []
@@ -595,7 +596,7 @@ def test_walker_builds_fractions_only_for_kept_breaks(monkeypatch):
                 seen[type(x).__name__] += 1
                 assert type(x) is (int if x.denominator == 1 else Fraction)
             if not breaks and h.id in out._edge_data:
-                assert out._edge_data[h.id][1] is edge_data(alone, h.id)[1]
+                assert out._edge_data[h.id] is alone._edge_data[h.id]
             seen["breaks" if breaks else "spurious only" if crosses else "no crossing"] += 1
     assert min(seen["no crossing"], seen["spurious only"], seen["breaks"]) >= 10, seen
     assert seen["int"] >= 2 and seen["Fraction"] >= 10, seen  # integral break coordinates
@@ -622,9 +623,9 @@ def test_an_unbroken_host_passes_through_as_it_is():
             seen["kept"] += 1
             assert out[h.id] is h
             if isinstance(h, BoundedEdge):
-                d, length = c._edge_data[h.id]
+                d, length = edge_data(c, h.id)
                 assert ratios[h.id] == (d, length.numerator, length.denominator * h.weight)
-                assert record.output._edge_data[h.id] == c._edge_data[h.id]
+                assert edge_data(record.output, h.id) == (d, length)
                 pu, pw = (c.vertices[v] for v in h.ends)
                 inner = [Fraction(x + y, 2) for x, y in zip(pu, pw)]
             else:
@@ -754,15 +755,15 @@ def test_subdivided_and_rescaled_curves_inherit_what_a_fresh_curve_computes():
         except TropicError:
             continue
         prepared = record.output
-        assert prepared is c or "_edge_data" not in vars(prepared)
+        assert prepared is c or "_pass" not in vars(prepared)
         hat, n = rescale_integral(prepared)  # builds the subdivided curve's edge data
-        assert hat is prepared or "_edge_data" not in vars(hat)
+        assert hat is prepared or "_pass" not in vars(hat)
         for out in (prepared, hat):
             assert {"_validation", "_balance"} <= vars(out).keys()
             fresh = TropicalCurve(out.ambient_dim, out.vertices, out.edges, out.rays)
             assert validate(out) == validate(fresh)
             assert is_balanced(out) == is_balanced(fresh)  # defects in order
-            assert out._edge_data == {e.id: edge_data(fresh, e.id) for e in fresh.edges}
+            assert edge_lengths(out) == {e.id: edge_data(fresh, e.id) for e in fresh.edges}
             assert list(out.vertices) == list(fresh.vertices) and out == fresh
         ratios = {e: (d, Fraction(p, q)) for e, (d, p, q) in _walk(c, f).ratios.items()}
         copy = TropicalCurve(*prepared)
