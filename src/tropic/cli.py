@@ -3,8 +3,7 @@
 Exit codes: 0 when the computation succeeds and any checked property holds,
 1 when a check fails or a domain error occurs (unbalanced input, genus not
 one, point outside the fan's support, ...), 2 for parse, schema, or usage
-errors.  Every report is deterministic JSON on stdout (or --out); graph
-output is available as DOT text via --emit dot where the result is a curve.
+errors.  Every report is deterministic JSON on stdout (or --out).
 """
 
 import argparse
@@ -13,17 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .curves import (
-    CompactifiedCurve,
-    TropicalCurve,
-    compactify,
-    edge_data,
-    genus,
-    is_balanced,
-    recession_fan,
-    star,
-    validate,
-)
+from .curves import TropicalCurve, genus, is_balanced, recession_fan, star, validate
 from .defspace import combinatorial_type, deformation_cone, is_superabundant
 from .degeneration import certify, verify_certificate
 from .errors import InvalidFan, SchemaError, TropicError
@@ -36,7 +25,6 @@ from .jsonio import (
     fan_from_dict,
     fan_to_dict,
     loads,
-    rat_text,
     rat_to_json,
 )
 from .latticefan import Fan, fan_validate
@@ -64,38 +52,7 @@ def _valid_fan(fan: Fan) -> Fan:
     return fan
 
 
-def _esc(s: str) -> str:
-    """``s`` escaped for use inside a double-quoted DOT string."""
-    return s.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def emit_dot(c: TropicalCurve | CompactifiedCurve) -> str:
-    """Deterministic DOT text for a curve or compactified curve."""
-    comp = c if isinstance(c, CompactifiedCurve) else compactify(c)
-    curve = comp.base
-    infinity = {p.ray: _esc(p.id) for p in comp.infinity_points}
-    lines = ["digraph tropicalcurve {"]
-    for v, pos in curve.vertices.items():
-        coords = ", ".join(rat_text(x) for x in pos)
-        lines.append(f'  "{_esc(v)}" [label="{_esc(v)} ({coords})"];')
-    for r in curve.rays:
-        lines.append(f'  "{infinity[r.id]}" [shape=point, label=""];')
-    for e in curve.edges:
-        _, length = edge_data(curve, e.id)
-        lines.append(
-            f'  "{_esc(e.ends[0])}" -> "{_esc(e.ends[1])}" '
-            f'[dir=none, label="w={e.weight}, l={rat_text(length)}"];'
-        )
-    for r in curve.rays:
-        direction = ", ".join(str(x) for x in r.direction)
-        lines.append(
-            f'  "{_esc(r.base)}" -> "{infinity[r.id]}" [label="w={r.weight}, d=({direction})"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_check(args) -> tuple[object, int]:
+def _cmd_check(args) -> tuple[dict, int]:
     c = _load_curve(args.curve)
     report = validate(c)
     out = {"valid": report.valid, "violations": [v._asdict() for v in report.violations]}
@@ -111,20 +68,18 @@ def _cmd_check(args) -> tuple[object, int]:
         out["excess"] = verdict.excess
         if verdict.superabundant:
             code = 1
-    if args.emit == "dot":
-        return emit_dot(c), code
     return out, code
 
 
-def _cmd_genus(args) -> tuple[object, int]:
+def _cmd_genus(args) -> tuple[dict, int]:
     return {"genus": genus(_load_curve(args.curve))}, 0
 
 
-def _cmd_recession(args) -> tuple[object, int]:
+def _cmd_recession(args) -> tuple[dict, int]:
     return {"recession_fan": fan_to_dict(recession_fan(_load_curve(args.curve)))}, 0
 
 
-def _cmd_star(args) -> tuple[object, int]:
+def _cmd_star(args) -> tuple[dict, int]:
     s = star(_load_curve(args.curve), args.vertex)
     return {
         "vertex": s.vertex,
@@ -132,22 +87,10 @@ def _cmd_star(args) -> tuple[object, int]:
     }, 0
 
 
-def _cmd_compactify(args) -> tuple[object, int]:
-    comp = compactify(_load_curve(args.curve))
-    if args.emit == "dot":
-        return emit_dot(comp), 0
-    return {
-        "curve": curve_to_dict(comp.base),
-        "infinity_points": [{"id": p.id, "ray": p.ray} for p in comp.infinity_points],
-    }, 0
-
-
-def _cmd_subdivide(args) -> tuple[object, int]:
+def _cmd_subdivide(args) -> tuple[dict, int]:
     c = _load_curve(args.curve)
     fan = _valid_fan(fan_from_dict(_read_json(args.fan)))
     record = subdivide_along_fan(c, fan)
-    if args.emit == "dot":
-        return emit_dot(record.output), 0
     return {
         "curve": curve_to_dict(record.output),
         "subdivision": {
@@ -157,14 +100,12 @@ def _cmd_subdivide(args) -> tuple[object, int]:
     }, 0
 
 
-def _cmd_rescale(args) -> tuple[object, int]:
+def _cmd_rescale(args) -> tuple[dict, int]:
     out, multiplier = rescale_integral(_load_curve(args.curve))
-    if args.emit == "dot":
-        return emit_dot(out), 0
     return {"curve": curve_to_dict(out), "multiplier": multiplier}, 0
 
 
-def _cmd_defcone(args) -> tuple[object, int]:
+def _cmd_defcone(args) -> tuple[dict, int]:
     cone = deformation_cone(combinatorial_type(_load_curve(args.curve)))
     return {
         **cone.verdict._asdict(),
@@ -173,12 +114,12 @@ def _cmd_defcone(args) -> tuple[object, int]:
     }, 0
 
 
-def _cmd_superabundant(args) -> tuple[object, int]:
+def _cmd_superabundant(args) -> tuple[dict, int]:
     verdict = is_superabundant(_load_curve(args.curve))
     return verdict._asdict(), 1 if verdict.superabundant else 0
 
 
-def _cmd_wellspaced(args) -> tuple[object, int]:
+def _cmd_wellspaced(args) -> tuple[dict, int]:
     verdict = well_spaced(_load_curve(args.curve))
     report = {
         "well_spaced": verdict.well_spaced,
@@ -191,7 +132,7 @@ def _cmd_wellspaced(args) -> tuple[object, int]:
     return report, 0 if verdict.well_spaced else 1
 
 
-def _cmd_certify(args) -> tuple[object, int]:
+def _cmd_certify(args) -> tuple[dict, int]:
     c = _load_curve(args.curve)
     fan = _valid_fan(fan_from_dict(_read_json(args.fan)))
     if args.expect_ordinary and is_superabundant(c).superabundant:
@@ -199,7 +140,7 @@ def _cmd_certify(args) -> tuple[object, int]:
     return certificate_to_dict(certify(c, fan)), 0
 
 
-def _cmd_verify_cert(args) -> tuple[object, int]:
+def _cmd_verify_cert(args) -> tuple[dict, int]:
     cert = certificate_from_dict(_read_json(args.certificate))
     _valid_fan(cert.fan)
     check = verify_certificate(cert)
@@ -215,7 +156,7 @@ def fixture_dir() -> Path:
     return Path(str(DIRECTORY))
 
 
-def _cmd_selftest(args) -> tuple[object, int]:
+def _cmd_selftest(args) -> tuple[dict, int]:
     from .fixtures import BALANCED
 
     directory = fixture_dir()
@@ -253,13 +194,12 @@ def _cmd_selftest(args) -> tuple[object, int]:
 
 # subcommand -> (handler, the arguments it reads besides --out)
 _COMMANDS = {
-    "check": (_cmd_check, ("curve", "--emit", "--expect-ordinary")),
+    "check": (_cmd_check, ("curve", "--expect-ordinary")),
     "genus": (_cmd_genus, ("curve",)),
     "recession": (_cmd_recession, ("curve",)),
     "star": (_cmd_star, ("curve", "--vertex")),
-    "compactify": (_cmd_compactify, ("curve", "--emit")),
-    "subdivide": (_cmd_subdivide, ("curve", "--fan", "--emit")),
-    "rescale": (_cmd_rescale, ("curve", "--emit")),
+    "subdivide": (_cmd_subdivide, ("curve", "--fan")),
+    "rescale": (_cmd_rescale, ("curve",)),
     "defcone": (_cmd_defcone, ("curve",)),
     "superabundant": (_cmd_superabundant, ("curve",)),
     "wellspaced": (_cmd_wellspaced, ("curve",)),
@@ -274,7 +214,6 @@ _ARGUMENTS = {
     "--out": {"help": "write the report here instead of stdout"},
     "--fan": {"required": True, "help": "fan JSON file"},
     "--vertex": {"required": True, "help": "vertex id"},
-    "--emit": {"choices": ["json", "dot"], "default": "json"},
     "--expect-ordinary": {"action": "store_true", "help": "fail on superabundant curves"},
 }
 
@@ -302,7 +241,7 @@ def run(argv) -> int:
         return 0 if ex.code in (0, None) else 2
     try:
         payload, code = _COMMANDS[args.subcommand][0](args)
-        text = payload if isinstance(payload, str) else dumps(payload)
+        text = dumps(payload)
     except TropicError as ex:
         payload, code = _error(ex)
         text = dumps(payload)

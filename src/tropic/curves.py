@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateEdge,
+    DimMismatch,
     InvalidCurve,
     NoSuchVertex,
     Unbalanced,
@@ -101,14 +102,16 @@ class TropicalCurve(_CurveFields):
         ``_image``: (edge data, incidence, the edges' and rays' violations in
         ``_check_structure``'s order, balancing report).  An edge u->w with known ends
         has coincident endpoints iff m u == m w; else q = m w - m u, and the first edge
-        of its id gets the edge data (q/g, g) if g = gcd(q) != 0: its direction, and
-        its lattice length g/m as the int g.  The incidence is (vertex -> edges touching
-        it, vertex -> rays based at it), for each vertex an edge or ray names.  Each
-        edge with edge data adds k*d (k its weight) to the sum at u and -k*d at w, each
-        ray its weighted direction at its base; the report, read only for a valid curve
-        (where every edge has edge data), has the nonzero sums as defects, in vertex order."""
+        of its id gets the edge data (q/g, g) if its ends have ``ambient_dim`` coordinates
+        and g = gcd(q) != 0: its direction, and its lattice length g/m as the int g.  The
+        incidence is (vertex -> edges touching it, vertex -> rays based at it), for each
+        vertex an edge or ray names.  Each edge with edge data adds k*d (k its weight) to
+        the sum at u and -k*d at w, each ray its weighted direction at its base; the
+        report, read only for a valid curve (where every edge has edge data), has the
+        nonzero sums as defects, in vertex order."""
         image = self._image[1]
         dim, data, report, seen = self.ambient_dim, {}, ValidationReport([]), set()
+        wrong = {v for v, p in image.items() if len(p) != dim}  # validate's DimMismatch
         edges_at, rays_at = defaultdict(list), defaultdict(list)
         sums = dict.fromkeys(image, (0,) * dim)
         for e in self.edges:
@@ -125,7 +128,8 @@ class TropicalCurve(_CurveFields):
                 report.add("NoSuchVertex", f"edge {_echo(eid)} references {missing}")
             elif (pu := image[u]) == (pw := image[w]):
                 report.add("DegenerateEdge", f"edge {_echo(eid)} has coincident endpoints")
-            elif not reused and (g := gcd(*(q := [*map(sub, pw, pu)]))):
+            elif not reused and not (wrong and (u in wrong or w in wrong)) and (
+                    g := gcd(*(q := [*map(sub, pw, pu)]))):
                 data[eid] = (d := tuple([x // g for x in q])), g
                 kd = d if k == 1 else [k * x for x in d]
                 sums[u], sums[w] = [*map(add, sums[u], kd)], [*map(sub, sums[w], kd)]
@@ -208,18 +212,6 @@ def _exact(x, kind: type = Fraction):
     return f if kind is Fraction else f.numerator
 
 
-class InfinityPoint(NamedTuple):
-    id: str
-    ray: str
-
-
-class CompactifiedCurve(NamedTuple):
-    """A curve plus one formal point at infinity per ray."""
-
-    base: TropicalCurve
-    infinity_points: tuple[InfinityPoint, ...]
-
-
 class BalanceReport(NamedTuple):
     balanced: bool
     defects: tuple[tuple[str, IntVec], ...]  # (vertex, nonzero weighted direction sum)
@@ -279,15 +271,17 @@ def _connected(c: TropicalCurve) -> bool:
 def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:
     """Primitive direction and lattice length of a bounded edge, oriented by
     stored endpoint order, from its edge data (d, g) in ``TropicalCurve._pass``:
-    the length g/m; an edge with none raises DegenerateEdge (or NoSuchVertex,
-    for an unknown end of the first edge of its id)."""
+    the length g/m; an edge with none raises DegenerateEdge (or, for the first
+    edge of its id, NoSuchVertex for an unknown end and DimMismatch for an end
+    without ``ambient_dim`` coordinates, named as ``validate`` names it)."""
     if edge_id in (data := c._edge_data):
         return data[edge_id][0], Fraction(data[edge_id][1], c._image[0])
     ends = next((e.ends for e in c.edges if e.id == edge_id), None)
     if ends is None:
         raise DegenerateEdge(f"no bounded edge {_echo(repr(edge_id))}")
     for v in ends:
-        c.position(v)  # NoSuchVertex for an unknown end
+        if len(pos := c.position(v)) != c.ambient_dim:  # NoSuchVertex for an unknown end
+            raise DimMismatch(f"vertex {_echo(v)} has {len(pos)} coordinates")
     raise DegenerateEdge(f"edge {_echo(edge_id)} has zero length")
 
 
@@ -361,9 +355,3 @@ def star(c: TropicalCurve, vertex: str) -> Star:
         weights[d] = weights.get(d, 0) + w
     return Star(vertex, _ray_fan(weights, c.ambient_dim), tuple(sorted(weights.items())))
 
-
-def compactify(c: TropicalCurve) -> CompactifiedCurve:
-    """Adjoin one 1-valent point at infinity per ray; the base curve is unchanged."""
-    require_valid(c)
-    points = tuple(InfinityPoint(id=f"inf:{r.id}", ray=r.id) for r in c.rays)
-    return CompactifiedCurve(base=c, infinity_points=points)

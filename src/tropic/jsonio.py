@@ -28,17 +28,16 @@ from .latticefan import Cone, Fan, integer_image
 _OVER_LIMIT = "a number in the report exceeds Python's integer digit limit"
 
 
-def rat_text(x) -> str:
-    """A rational as "p" or "p/q"; one over Python's integer digit limit is DeskScaleExceeded."""
+def rat_to_json(x) -> int | str:
+    """A rational as an int, or as "p/q" text; text over Python's integer digit
+    limit is DeskScaleExceeded (an int is left for ``dumps`` to refuse)."""
+    f = Fraction(x)
+    if f.denominator == 1:
+        return int(f)
     try:
-        return str(Fraction(x))
+        return str(f)
     except ValueError:
         raise DeskScaleExceeded(_OVER_LIMIT) from None
-
-
-def rat_to_json(x) -> int | str:
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else rat_text(f)
 
 
 def rat_from_json(value) -> Fraction:

@@ -223,12 +223,12 @@ def reference_edge_data(c: TropicalCurve) -> dict[str, tuple[IntVec, Fraction]]:
     """edge id -> (primitive direction, lattice length), from the curve's
     integer image: an edge u->w has q = m w - m u, direction q/gcd(q) and
     length gcd(q)/m.  The first edge of each id gets an entry if both ends
-    are known and q != 0."""
+    are known, both have ``ambient_dim`` coordinates and q != 0."""
     m, image = integer_image(c.vertices)
     data = {}
     for e in reference_edge_by_id(c).values():
         u, w = image.get(e.ends[0]), image.get(e.ends[1])
-        if u is not None and w is not None:
+        if u is not None and w is not None and len(u) == len(w) == c.ambient_dim:
             q = list(map(sub, w, u))
             if g := gcd(*q):
                 data[e.id] = (tuple([x // g for x in q]), Fraction(g, m))
@@ -245,7 +245,6 @@ def reference_check_structure(c: TropicalCurve) -> ValidationReport:
         if len(pos) != dim:
             report.add("DimMismatch", f"vertex {_echo(v)} has {len(pos)} coordinates")
     seen_ids: set[str] = set()
-    data = reference_edge_data(c)
     for eid, (u, w), weight in c.edges:
         reused = eid in seen_ids
         if reused:
@@ -257,9 +256,7 @@ def reference_check_structure(c: TropicalCurve) -> ValidationReport:
             missing = [_echo(v) for v in (u, w) if v not in vertices]
             report.add("NoSuchVertex", f"edge {_echo(eid)} references {missing}")
             continue
-        pu, pw = vertices[u], vertices[w]
-        # the edge data hold the first edge of each id whose ends differ in a shared coordinate
-        if (pu == pw) if reused else (eid not in data and len(pu) == len(pw)):
+        if vertices[u] == vertices[w]:
             report.add("DegenerateEdge", f"edge {_echo(eid)} has coincident endpoints")
     for rid, base, d, weight in c.rays:
         if rid in seen_ids:

@@ -6,8 +6,7 @@ import pytest
 
 from helpers import trusted_overlapping_fan
 from tropic import fixtures
-from tropic.cli import emit_dot, fixture_dir, run
-from tropic.curves import compactify
+from tropic.cli import fixture_dir, run
 from tropic.jsonio import (
     curve_from_dict,
     curve_to_dict,
@@ -44,6 +43,21 @@ def test_rat_round_trip():
 
     for value in (0, 5, -3, Fraction(1, 2), Fraction(-22, 7)):
         assert rat_from_json(rat_to_json(value)) == Fraction(value)
+
+
+def test_rat_to_json_over_the_digit_limit():
+    # "p/q" text over Python's integer digit limit is refused where it is made;
+    # an integer stays an int, which dumps then refuses
+    from fractions import Fraction
+
+    from tropic.errors import DeskScaleExceeded
+
+    with pytest.raises(DeskScaleExceeded):
+        rat_to_json(Fraction(1, 10**5000))
+    big = rat_to_json(10**5000)
+    assert type(big) is int and big == 10**5000
+    with pytest.raises(DeskScaleExceeded):
+        dumps({"n": big})
 
 
 def test_curve_round_trip_all_fixtures():
@@ -462,53 +476,6 @@ def test_reports_are_deterministic(paths, capsys):
     assert a == b
 
 
-def test_emit_dot(paths, capsys):
-    code, text = _capture(capsys, ["check", paths["segfan"], "--emit", "dot"])
-    assert code == 0
-    assert 'label="w=2, l=2"' in text
-    assert text.count("inf:") >= 2
-    code, _ = _capture(capsys, ["genus", paths["segfan"], "--emit", "dot"])
-    assert code == 2  # dot not supported there
-
-
-def test_emit_dot_escapes_quotes_and_backslashes_in_ids(tmp_path, capsys):
-    # a DOT string ends at an unescaped quote, and a trailing backslash escapes
-    # the closing one: ids are written with both escaped
-    from tropic.curves import TropicalCurve
-
-    curve = TropicalCurve.build(
-        2,
-        {'a"b': (0, 0), "c": (1, 0)},
-        edges=[("e", ('a"b', "c"), 1)],
-        rays=[("r\\", "c", (1, 0), 1), ("s", 'a"b', (-1, 0), 1)],
-    )
-    path = tmp_path / "q.json"
-    path.write_text(dumps(curve_to_dict(curve)))
-    code, text = _capture(capsys, ["check", str(path), "--emit", "dot"])
-    assert code == 0
-    assert text.splitlines() == [
-        "digraph tropicalcurve {",
-        '  "a\\"b" [label="a\\"b (0, 0)"];',
-        '  "c" [label="c (1, 0)"];',
-        '  "inf:r\\\\" [shape=point, label=""];',
-        '  "inf:s" [shape=point, label=""];',
-        '  "a\\"b" -> "c" [dir=none, label="w=1, l=1"];',
-        '  "c" -> "inf:r\\\\" [label="w=1, d=(1, 0)"];',
-        '  "a\\"b" -> "inf:s" [label="w=1, d=(-1, 0)"];',
-        "}",
-    ]
-
-
-def test_emit_dot_library_surface():
-    text = emit_dot(fixtures.tripod())
-    assert text == emit_dot(fixtures.tripod())  # byte-stable
-    assert text.count("inf:") == 2 * 3  # node line + arrow line per ray
-    comp = emit_dot(compactify(fixtures.segfan()))
-    assert '"v0" -> "v1"' in comp
-    speyer_dot = emit_dot(fixtures.speyer3())
-    assert speyer_dot.count("->") == 3 + 4  # 3 edges + 4 rays
-
-
 def test_selftest_against_packaged_fixtures(capsys, monkeypatch):
     monkeypatch.delenv("TROPIC_FIXTURES", raising=False)
     code, text = _capture(capsys, ["selftest"])
@@ -546,13 +513,6 @@ def test_defcone_report_shape(paths, capsys):
     assert len(report["equations"]) == 6
     assert report["coordinates"][:2] == ["v0[0]", "v0[1]"]
     assert report["coordinates"][-1] == "len:e2"
-
-
-def test_compactify_report(paths, capsys):
-    code, text = _capture(capsys, ["compactify", paths["line"]])
-    assert code == 0
-    report = json.loads(text)
-    assert [p["id"] for p in report["infinity_points"]] == ["inf:r+", "inf:r-"]
 
 
 def test_floats_rejected_in_files(tmp_path, capsys):
@@ -595,7 +555,6 @@ def _fixture_matrix(paths, tmp_path):
             ["genus", curve_file],
             ["recession", curve_file],
             ["star", curve_file, "--vertex", "v0"],
-            ["compactify", curve_file],
             ["subdivide", curve_file, "--fan", fan_for[dim]],
             ["rescale", curve_file],
             ["defcone", curve_file],
@@ -696,10 +655,15 @@ def test_rationals_outside_integer_or_p_over_q_are_schema_errors(tmp_path, capsy
 
 
 def test_flags_a_subcommand_does_not_read_are_usage_errors(paths, capsys):
+    # no subcommand reads --emit, and compactify is no subcommand
     for argv in (["genus", paths["segfan"], "--fan", paths["fan_p2"]],
                  ["genus", paths["segfan"], "--emit", "dot"],
                  ["verify-cert", paths["segfan"], "--expect-ordinary"],
-                 ["subdivide", paths["segfan"], "--fan", paths["fan_p1xp1"], "--trust-fan"]):
+                 ["subdivide", paths["segfan"], "--fan", paths["fan_p1xp1"], "--trust-fan"],
+                 ["check", paths["segfan"], "--emit", "dot"],
+                 ["rescale", paths["segfan"], "--emit", "json"],
+                 ["subdivide", paths["segfan"], "--fan", paths["fan_p1xp1"], "--emit", "dot"],
+                 ["compactify", paths["segfan"]]):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "usage: tropic" in captured.err, argv
@@ -838,7 +802,7 @@ def test_report_number_over_the_digit_limit_exits_1(tmp_path, capsys):
     }
 
 
-def test_dot_report_number_over_the_digit_limit_exits_1(tmp_path, capsys):
+def test_rescaled_coordinates_over_the_digit_limit_exit_1(tmp_path, capsys):
     # rescaled by a multiplier of about 6,000 digits, v1..v3 sit at integers of over 4,300
     denominators = ["1" + "0" * 1499 + str(k) for k in (1, 3, 7, 9)]
     doc = {"ambient_dim": 1, "rays": [],
@@ -846,9 +810,8 @@ def test_dot_report_number_over_the_digit_limit_exits_1(tmp_path, capsys):
            "edges": [{"id": f"e{i}", "ends": [f"v{i}", f"v{i + 1}"], "weight": 1} for i in range(3)]}
     path = tmp_path / "path.json"
     path.write_text(json.dumps(doc))
-    for emit in ("json", "dot"):
-        code, text = _capture(capsys, ["rescale", str(path), "--emit", emit])
-        assert (code, json.loads(text)["error"]) == (1, "DeskScaleExceeded"), emit
+    code, text = _capture(capsys, ["rescale", str(path)])
+    assert (code, json.loads(text)["error"]) == (1, "DeskScaleExceeded")
 
 
 def test_domain_error_details_cut_long_ids(tmp_path, capsys):

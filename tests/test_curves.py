@@ -7,7 +7,6 @@ from helpers import gen, scaled, translated
 from tropic import fixtures
 from tropic.curves import (
     TropicalCurve,
-    compactify,
     edge_data,
     genus,
     is_balanced,
@@ -15,7 +14,7 @@ from tropic.curves import (
     star,
     validate,
 )
-from tropic.errors import DegenerateEdge, InvalidCurve, NoSuchVertex
+from tropic.errors import DegenerateEdge, DimMismatch, InvalidCurve, NoSuchVertex
 from tropic.jsonio import curve_to_dict
 
 
@@ -112,6 +111,20 @@ def test_edge_data_degenerate():
         edge_data(c, "e0")
 
 
+def test_edge_data_refuses_an_end_of_the_wrong_length():
+    # an end without two coordinates in R^2 (shorter, longer, or both ends
+    # longer): the edge has no edge data, and edge_data names that end as
+    # validate does, even where the ends coincide
+    for a, b, named in (((0, 0), (1, 2, 3), "b"), ((0, 0, 5), (1, 2, 3), "a"),
+                        ((0, 0, 5), (0, 0, 5), "a"), ((0, 0), (0, 0, 7), "b")):
+        c = TropicalCurve.build(2, {"a": a, "b": b}, [("e", ("a", "b"), 1)])
+        message = f"vertex {named} has 3 coordinates"
+        assert message in [v.detail for v in validate(c).violations], (a, b)
+        assert c._edge_data == {}, (a, b)
+        with pytest.raises(DimMismatch, match=f"^{message}$"):
+            edge_data(c, "e")
+
+
 def test_balancing_catalog():
     for name in ("line", "tripod", "segfan", "cycle3", "speyer3"):
         assert is_balanced(fixtures.CURVES[name]()).balanced, name
@@ -193,15 +206,6 @@ def test_star():
     assert s.ray_weights == (((-1, -1), 1), ((0, 1), 1), ((1, 0), 1))
     with pytest.raises(NoSuchVertex, match="^no vertex 'nope'$"):
         star(fixtures.tripod(), "nope")
-
-
-def test_compactify():
-    comp = compactify(fixtures.tripod())
-    assert len(comp.infinity_points) == 3
-    assert compactify(fixtures.line()).infinity_points[0].ray == "r+"
-    assert len(compactify(fixtures.segfan()).infinity_points) == 2
-    # forgetting the infinity points recovers the curve
-    assert comp.base == fixtures.tripod()
 
 
 def test_two_valent_vertex_allowed_when_collinear():
@@ -307,7 +311,7 @@ def test_coincident_endpoints_are_found_per_edge_on_malformed_curves():
         ("NoSuchVertex", "edge h references ['z']"),
     ]
     assert edge_data(c, "e") == ((1, 0), Fraction(1))  # the first edge of an id
-    for edge_id, error, text in (("f", DegenerateEdge, "edge f has zero length"),
+    for edge_id, error, text in (("f", DimMismatch, "vertex c has 3 coordinates"),
                                  ("g", DegenerateEdge, "edge g has zero length"),
                                  ("h", NoSuchVertex, "no vertex 'z'")):
         with pytest.raises(error) as info:

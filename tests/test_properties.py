@@ -49,7 +49,13 @@ from tropic.defspace import (  # noqa: E402
     superabundance,
 )
 from tropic.degeneration import BasePoint, certify, verify_certificate  # noqa: E402
-from tropic.errors import DegenerateEdge, NoSuchVertex, SchemaError, TropicError  # noqa: E402
+from tropic.errors import (  # noqa: E402
+    DegenerateEdge,
+    DimMismatch,
+    NoSuchVertex,
+    SchemaError,
+    TropicError,
+)
 from tropic.jsonio import (  # noqa: E402
     certificate_from_dict,
     certificate_to_dict,
@@ -205,16 +211,18 @@ def _hostile_curve(rng: random.Random) -> TropicalCurve:
     return TropicalCurve(ambient, vertices, edges, rays)
 
 
-def _old_edge_data(c: TropicalCurve, edge_id: str):
-    """``edge_data`` as it read the five passes: the value, or the error's (type, message)."""
+def _expected_edge_data(c: TropicalCurve, edge_id: str):
+    """``edge_data`` from the five passes' edge data: the value, or the error's (type, message)."""
     data, first = reference_edge_data(c), reference_edge_by_id(c)
     if edge_id in data:
         return data[edge_id]
     if edge_id not in first:
         return DegenerateEdge, f"no bounded edge {edge_id!r}"
-    unknown = [v for v in first[edge_id].ends if v not in c.vertices]
-    if unknown:
-        return NoSuchVertex, f"no vertex {unknown[0]!r}"
+    for v in first[edge_id].ends:  # each end known and of the ambient length, in order
+        if v not in c.vertices:
+            return NoSuchVertex, f"no vertex {v!r}"
+        if len(c.vertices[v]) != c.ambient_dim:
+            return DimMismatch, f"vertex {v} has {len(c.vertices[v])} coordinates"
     return DegenerateEdge, f"edge {edge_id} has zero length"
 
 
@@ -222,7 +230,8 @@ def test_one_pass_reads_a_curve_as_the_five_passes_did():
     # seeded: trees and honeycombs, as they are and broken (``_hostile_curve``).
     # The one pass gives the violations of the structure check, text and order,
     # the edge data, the incidence and the balancing report of the five passes
-    # it replaced (tests/helpers.py), and edge_data its values and errors
+    # it replaced (tests/helpers.py), and edge_data its values and errors; an
+    # edge with an end of the wrong length has no edge data
     rng = random.Random(44)
     seen: dict[str, int] = {}
     for _ in range(400):
@@ -235,8 +244,10 @@ def test_one_pass_reads_a_curve_as_the_five_passes_did():
             edges, rays = index.get(v, ([], []))
             assert c.edges_at(v) == edges and c.rays_at(v) == rays, (c, v)
         for edge_id in {*reference_edge_by_id(c), "missing"}:
-            expected = _old_edge_data(c, edge_id)
+            expected = _expected_edge_data(c, edge_id)
             if type(expected[0]) is type and issubclass(expected[0], TropicError):
+                key = f"edge_data {expected[0].code}"
+                seen[key] = seen.get(key, 0) + 1
                 with pytest.raises(expected[0]) as info:
                     edge_data(c, edge_id)
                 assert info.value.message == expected[1], (c, edge_id)
@@ -250,7 +261,8 @@ def test_one_pass_reads_a_curve_as_the_five_passes_did():
             seen[code] = seen.get(code, 0) + 1
     codes = ("DuplicateId", "NonpositiveWeight", "NoSuchVertex", "DegenerateEdge", "DimMismatch",
              "ZeroDirection", "NonPrimitiveDirection", "Disconnected", "Empty")
-    assert min(seen.get(k, 0) for k in codes + ("balanced", "unbalanced")) >= 5, seen
+    raised = tuple(f"edge_data {k}" for k in ("NoSuchVertex", "DimMismatch", "DegenerateEdge"))
+    assert min(seen.get(k, 0) for k in codes + raised + ("balanced", "unbalanced")) >= 5, seen
 
 @DERANDOMIZED
 @hypothesis.given(c=rational_curves(), factor=POSITIVE_RATIONALS, data=st.data())

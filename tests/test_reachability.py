@@ -89,9 +89,6 @@ def test_every_library_function_is_reached_by_the_cli_or_allowed(
                "edges": [{"id": "e0", "ends": ["v0", "v1"], "weight": 1}]}
     honeycomb = dumps(curve_to_dict(TropicalCurve.build(*gen.honeycomb(4, 2, (0, 0)))))
     expected = {  # the commands beyond the fixture matrix: exit code, start of stdout
-        **{(cmd, *args, "--emit", "dot"): (0, "digraph") for cmd, *args in (
-            ["check", paths["diag"]], ["compactify", paths["diag"]],
-            ["subdivide", paths["diag"], "--fan", paths["fan_diag"]], ["rescale", paths["diag"]])},
         ("check", _write(tmp_path / "invalid.json", invalid)): (1, '{\n  "valid": false'),
         ("subdivide", paths["diag"], "--fan", _write(tmp_path / "p1xp1_part.json", p1xp1)): (
             1, '{\n  "error": "NotInSupport"'),
