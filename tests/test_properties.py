@@ -535,10 +535,12 @@ def _paths(doc, path=()):
 FOREIGN = [None, True, 0.5, "x", [], {}]
 
 
+READERS = {"check": curve_from_dict, "subdivide": fan_from_dict,
+           "verify-cert": certificate_from_dict}
+
+
 def test_every_value_of_another_type_is_a_schema_error():
     # each value of each document in turn, replaced by one of another type
-    readers = {"check": curve_from_dict, "subdivide": fan_from_dict,
-               "verify-cert": certificate_from_dict}
     for command, doc in _documents():
         doc = json.loads(json.dumps(doc))
         for i, (*parents, key) in enumerate(list(_paths(doc))[1:]):
@@ -547,8 +549,46 @@ def test_every_value_of_another_type_is_a_schema_error():
             others = [x for x in FOREIGN if type(x) is not type(value)]
             holder[key] = others[i % len(others)]
             with pytest.raises(SchemaError):
-                readers[command[0]](doc)
+                READERS[command[0]](doc)
             holder[key] = value
+
+
+SCHEMA_GOLDEN = Path(__file__).parent / "data" / "schema_details_golden.json"
+
+
+def schema_details() -> dict[str, str]:
+    """What the reader makes of each single fault in each ``_documents()``
+    entry: every value replaced by one of another type (the replacement of
+    the test above), and every key of every object dropped, each in a fresh
+    copy.  Keyed "<document index> <path> -> <new value>" or "<...> dropped";
+    the value is "<error class>: <detail>", or "accepted"."""
+    out = {}
+    for n, (command, doc) in enumerate(_documents()):
+        text = json.dumps(doc)
+        for i, (*parents, key) in enumerate(list(_paths(json.loads(text)))[1:]):
+            value = reduce(getitem, [*parents, key], json.loads(text))
+            others = [x for x in FOREIGN if type(x) is not type(value)]
+            new = others[i % len(others)]
+            for fault in [f"-> {json.dumps(new)}"] + ["dropped"] * isinstance(key, str):
+                holder = reduce(getitem, parents, copy := json.loads(text))
+                if fault == "dropped":
+                    del holder[key]
+                else:
+                    holder[key] = new
+                try:
+                    READERS[command[0]](copy)
+                    detail = "accepted"
+                except Exception as ex:  # noqa: BLE001 - the class is recorded
+                    detail = f"{type(ex).__name__}: {ex}"
+                out[f"{n} {json.dumps([*parents, key])} {fault}"] = detail
+    return out
+
+
+def test_every_single_fault_gets_its_recorded_detail():
+    # generated by schema_details() from the row-by-row reader, before the
+    # reader checked each field as a column; a document with one fault must
+    # be refused with the same text, byte for byte
+    assert schema_details() == json.loads(SCHEMA_GOLDEN.read_text())
 
 
 @DERANDOMIZED
