@@ -140,8 +140,8 @@ def _derive(hat: TropicalCurve, fan: Fan, state: tuple | None = None
     curve, None if unbalanced; and per vertex its cell (``_locate``), closure
     mask and cone index (None outside the support), from its sign vector.
     Stars, node data and sign vectors are ``state``, which certify hands
-    over, else ``_state`` of the curve.  The curve keeps this read-only
-    tuple, for that fan object only."""
+    over (the input's stars, then the breaks'), else ``_state`` of the
+    curve.  The curve keeps this read-only tuple, for that fan object only."""
     kept = vars(hat).get("_derived")
     if kept is not None and kept[0] is fan:
         return kept[1]
@@ -149,10 +149,9 @@ def _derive(hat: TropicalCurve, fan: Fan, state: tuple | None = None
         dual = dual_curve(hat)
     except Unbalanced:
         dual = None
-    given, nodes, vectors = state or _state(hat, fan)
-    stars, masks, cones = {}, {}, {}
+    stars, nodes, vectors = state or _state(hat, fan)
+    masks, cones = {}, {}
     for v in hat.vertices:
-        stars[v] = given[v]
         cones[v], masks[v] = _locate(fan, vectors[v])
     derived = stars, nodes, dual, masks, cones
     vars(hat)["_derived"] = fan, derived
@@ -178,8 +177,9 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     and the stars, the input's and the breaks', for verify.  The base point is
     the rescaled image (m, m*N*p) over D = m*N, valuations k*m: with m = 1 no
     Fraction is built.  Each per-id dict is the certificate's own, shared with
-    nothing verify reads.  The first vertex outside the support of the fan, in
-    curve order, raises NotInSupport at its rescaled position.
+    nothing verify reads, each per-vertex one in the rescaled curve's vertex
+    order.  The first vertex outside the support of the fan, in curve order,
+    raises NotInSupport at its rescaled position.
     """
     require_balanced(c)
     support = check_recession_support(c, f)
@@ -194,7 +194,7 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
         raise not_in_support(hat.vertices[next(v for v, i in cones.items() if i is None)])
     m, image = hat._image
     return RealizationCertificate(
-        hat, n, f, dict(cones), dict(stars), dual, tuple(nodes.values()),
+        hat, n, f, dict(cones), {v: stars[v] for v in hat.vertices}, dual, tuple(nodes.values()),
         BasePoint({e: nd.k * m for e, nd in nodes.items()}, dict(image), m * n))
 
 

@@ -3,7 +3,9 @@
 Rationals are serialized as plain integers when possible and as exact "p/q"
 strings otherwise, so no value is ever routed through floating point.  All
 serializers emit keys in a fixed order and sort lists, making reports
-byte-identical across runs.
+byte-identical across runs.  The readers check each list of records once for
+its shape, then each field as a column, and keep a JSON integer as an int: a
+Fraction is built only for "p" or "p/q" text.
 """
 
 import json
@@ -53,16 +55,6 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _int(value, what: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer")
-    return value
-
-
-def _str(value, what: str) -> str:
-    _require(isinstance(value, str), f"{what} must be a string")
-    return value
-
-
 def _object(value, what: str) -> dict:
     _require(isinstance(value, dict), f"{what} must be an object")
     return value
@@ -74,37 +66,46 @@ def _list(value, what: str, length: int | None = None) -> list:
     return value
 
 
-def _int_list(value, what: str, length: int | None = None) -> tuple[int, ...]:
-    return tuple(_int(x, f"{what} entry") for x in _list(value, what, length))
+def _ints(xs, what: str):
+    """xs if each is an integer (an int, not a bool), else "<what> must be an integer"."""
+    _require(all(type(x) is int or isinstance(x, int) and type(x) is not bool for x in xs),
+             f"{what} must be an integer")
+    return xs
 
 
-def _rat_list(value, what: str, length: int | None = None) -> tuple[Fraction, ...]:
-    return tuple(rat_from_json(x) for x in _list(value, what, length))
+def _strs(xs, what: str):
+    _require(all(isinstance(x, str) for x in xs), f"{what} must be a string")
+    return xs
 
 
-def _str_pair(value, what: str) -> tuple[str, str]:
-    return tuple(_str(x, f"{what} entry") for x in _list(value, what, 2))
+def _rats(xs) -> tuple:
+    """Each x an exact rational: an int as it is, anything else through ``rat_from_json``."""
+    return tuple([x if type(x) is int else rat_from_json(x) for x in xs])
 
 
-def _as_is(value, what: str):
-    """A field checked after the record's id, in a detail that names the id."""
-    return value
+def _rows(rows: list, what: str, length: int | None = None, entries: type | None = None,
+          ids: list | None = None) -> list:
+    """rows if each is a list (of ``length`` entries) and, with ``entries``
+    int or str, each entry is one.  When one pass over all rows with exact
+    types fails, the rows are checked one by one, as ``_list`` and ``_ints``
+    or ``_strs`` check and word it, each named ``what``, or
+    ``what.format(<its id>)`` with ``ids``; a subclass of int (not bool) or str passes there."""
+    if not (all(isinstance(r, list) and (length is None or len(r) == length) for r in rows)
+            and (entries is None or all(type(x) is entries for r in rows for x in r))):
+        for i, r in enumerate(rows):
+            label = what if ids is None else what.format(_echo(ids[i]))
+            _list(r, label, length)
+            if entries is not None:
+                (_ints if entries is int else _strs)(r, f"{label} entry")
+    return rows
 
 
-def _records(value, what: str, make, fields: dict) -> tuple:
-    """A list of objects, each with every key of ``fields``, read as ``make(*parsed)``:
-    each value parsed by its key's ``(parser, error label)``, in key order."""
-    records = []
-    for entry in _list(value, what):
-        _require(isinstance(entry, dict) and all(k in entry for k in fields),
-                 f"{what} entries need {', '.join(map(repr, fields))}")
-        records.append(make(*(parse(entry[k], label) for k, (parse, label) in fields.items())))
-    return tuple(records)
-
-
-def _by_id(value, what: str, parse) -> dict:
-    """An object read as {key: parse(value)}, in the file's key order."""
-    return {k: parse(v) for k, v in _object(value, what).items()}
+def _columns(value, what: str, *keys: str) -> list[list]:
+    """A list of objects that each carry every key, read as one list of values per key."""
+    entries, need = _list(value, what), set(keys)
+    _require(all(isinstance(e, dict) and need <= e.keys() for e in entries),
+             f"{what} entries need {', '.join(map(repr, keys))}")
+    return [[e[k] for e in entries] for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -127,24 +128,22 @@ def curve_to_dict(c: TropicalCurve) -> dict:
 
 def curve_from_dict(data) -> TropicalCurve:
     _object(data, "curve document")
-    n = _int(data.get("ambient_dim"), "ambient_dim")
-    vertices = {}
-    for vid, coords in _records(data.get("vertices"), "vertices", lambda *pair: pair, {
-        "id": (_str, "vertex id"), "coords": (_as_is, "vertex coordinates"),
-    }):
-        _require(vid not in vertices, f"duplicate vertex id {_echo(vid)}")
-        vertices[vid] = _rat_list(coords, f"vertex {_echo(vid)} coordinates", n)
-    edges = _records(data.get("edges", []), "edges", BoundedEdge, {
-        "id": (_str, "edge id"), "ends": (_str_pair, "edge ends"), "weight": (_int, "edge weight"),
-    })
-    rays = _records(
-        data.get("rays", []), "rays",
-        lambda rid, base, d, weight: CurveRay(
-            rid, base, _int_list(d, f"ray {_echo(rid)} direction", n), weight),
-        {"id": (_str, "ray id"), "base": (_str, "ray base"), "direction": (_as_is, "ray direction"),
-         "weight": (_int, "ray weight")},
-    )
-    return TropicalCurve(n, vertices, edges, rays)
+    [n] = _ints([data.get("ambient_dim")], "ambient_dim")
+    ids, coords = _columns(data.get("vertices"), "vertices", "id", "coords")
+    if len(set(_strs(ids, "vertex id"))) < len(ids):
+        seen = set()
+        dup = next(v for v in ids if v in seen or seen.add(v))
+        raise SchemaError(f"duplicate vertex id {_echo(dup)}")
+    vertices = dict(zip(ids, map(_rats, _rows(coords, "vertex {} coordinates", n, ids=ids))))
+    eids, ends, weights = _columns(data.get("edges", []), "edges", "id", "ends", "weight")
+    edges = map(BoundedEdge, _strs(eids, "edge id"), map(tuple, _rows(ends, "edge ends", 2, str)),
+                _ints(weights, "edge weight"))
+    rids, bases, dirs, weights = _columns(
+        data.get("rays", []), "rays", "id", "base", "direction", "weight")
+    rays = map(CurveRay, _strs(rids, "ray id"), _strs(bases, "ray base"),
+               map(tuple, _rows(dirs, "ray {} direction", n, int, rids)),
+               _ints(weights, "ray weight"))
+    return TropicalCurve(n, vertices, tuple(edges), tuple(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +162,13 @@ def fan_to_dict(f: Fan) -> dict:
 
 def fan_from_dict(data) -> Fan:
     _object(data, "fan document")
-    n = _int(data.get("ambient_dim"), "ambient_dim")
-    rays = [_int_list(entry, "fan ray", n) for entry in _list(data.get("rays"), "fan rays")]
-    cones = []
-    for idx_list in _list(data.get("cones"), "fan cones"):
-        gens = []
-        for i in _int_list(idx_list, "cone ray indices"):
-            _require(0 <= i < len(rays), f"bad ray index {_echo(repr(i))}")
-            gens.append(rays[i])
-        cones.append(Cone.from_rays(gens, n))
+    [n] = _ints([data.get("ambient_dim")], "ambient_dim")
+    rays = [*map(tuple, _rows(_list(data.get("rays"), "fan rays"), "fan ray", n, int))]
+    cones = _rows(_list(data.get("cones"), "fan cones"), "cone ray indices", entries=int)
+    if bad := [i for c in cones for i in c if not 0 <= i < len(rays)]:
+        raise SchemaError(f"bad ray index {_echo(repr(bad[0]))}")
     # keep the file's cone order: certificate fields reference cones by index
-    return Fan(tuple(cones), n)
+    return Fan(tuple([Cone.from_rays([rays[i] for i in c], n) for c in cones]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -202,44 +197,40 @@ def certificate_to_dict(cert: RealizationCertificate) -> dict:
 def certificate_from_dict(data) -> RealizationCertificate:
     _object(data, "certificate document")
     dual_data = _object(data.get("dual_curve"), "dual_curve")
-    dual = DualCurve(
-        components=_records(dual_data.get("components", []), "components", Component, {
-            "id": (_str, "component id"), "vertex": (_str, "component vertex"),
-        }),
-        nodes=_records(dual_data.get("nodes", []), "nodes", Node, {
-            "id": (_str, "node id"), "edge": (_str, "node edge"),
-            "components": (_str_pair, "node components"),
-        }),
-        marked_points=_records(dual_data.get("marked_points", []), "marked_points", MarkedPoint, {
-            "id": (_str, "marked point id"), "ray": (_str, "marked point ray"),
-            "component": (_str, "marked point component"), "contact_order": (_int, "contact_order"),
-        }),
-    )
+    ids, vertices = _columns(dual_data.get("components", []), "components", "id", "vertex")
+    components = map(Component, _strs(ids, "component id"), _strs(vertices, "component vertex"))
+    ids, edges, pairs = _columns(dual_data.get("nodes", []), "nodes", "id", "edge", "components")
+    nodes = map(Node, _strs(ids, "node id"), _strs(edges, "node edge"),
+                map(tuple, _rows(pairs, "node components", 2, str)))
+    ids, rays, comps, orders = _columns(dual_data.get("marked_points", []), "marked_points",
+                                        "id", "ray", "component", "contact_order")
+    marked = map(MarkedPoint, _strs(ids, "marked point id"), _strs(rays, "marked point ray"),
+                 _strs(comps, "marked point component"), _ints(orders, "contact_order"))
+    dual = DualCurve(tuple(components), tuple(nodes), tuple(marked))
     bp = _object(data.get("base_point"), "base_point")
+    curve = curve_from_dict(data.get("curve"))
+    [multiplier] = _ints([data.get("multiplier")], "multiplier")
+    fan = fan_from_dict(data.get("fan"))
+    cones = dict(_object(data.get("vertex_cones"), "vertex_cones"))
+    _ints(cones.values(), "cone index")
+    stars = _object(data.get("vertex_stars", {}), "vertex_stars")
+    directions = [d for dirs in _rows([*stars.values()], "vertex star") for d in dirs]
+    _rows(directions, "star direction", entries=int)
+    edges, ks, rhos, u_qs = _columns(data.get("node_data"), "node_data", "edge", "k", "rho", "u_q")
+    node_data = map(NodeData, _strs(edges, "node_data edge"), _ints(ks, "k"), _ints(rhos, "rho"),
+                    map(tuple, _rows(u_qs, "u_q", entries=int)))
     return RealizationCertificate(
-        rescaled_curve=curve_from_dict(data.get("curve")),
-        multiplier=_int(data.get("multiplier"), "multiplier"),
-        fan=fan_from_dict(data.get("fan")),
-        vertex_cones=_by_id(data.get("vertex_cones"), "vertex_cones",
-                            lambda v: _int(v, "cone index")),
-        vertex_stars=_by_id(
-            data.get("vertex_stars", {}), "vertex_stars",
-            lambda dirs: tuple(_int_list(d, "star direction") for d in _list(dirs, "vertex star")),
-        ),
-        dual=dual,
-        node_data=_records(data.get("node_data"), "node_data", NodeData, {
-            "edge": (_str, "node_data edge"), "k": (_int, "k"), "rho": (_int, "rho"),
-            "u_q": (_int_list, "u_q"),
-        }),
-        base_point=_base_point(bp),
-    )
+        curve, multiplier, fan, cones, {v: tuple(map(tuple, dirs)) for v, dirs in stars.items()},
+        dual, tuple(node_data), _base_point(bp))
 
 
 def _base_point(bp: dict) -> BasePoint:
     """The base point's rationals as integers over the lcm of their denominators."""
-    vals = _by_id(bp.get("edge_valuations"), "edge_valuations", rat_from_json)
-    d, image = integer_image({0: list(vals.values())} | _by_id(bp.get(
-        "vertex_positions", {}), "vertex_positions", lambda v: _rat_list(v, "vertex position")))
+    vals = _object(bp.get("edge_valuations"), "edge_valuations")
+    rats = {0: _rats(vals.values())}
+    positions = _object(bp.get("vertex_positions", {}), "vertex_positions")
+    rats.update(zip(positions, map(_rats, _rows([*positions.values()], "vertex position"))))
+    d, image = integer_image(rats)
     return BasePoint(dict(zip(vals, image.pop(0))), image, d)
 
 

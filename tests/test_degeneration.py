@@ -528,6 +528,57 @@ def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch
     assert [b for *_, b in seen] == [0, 110, 0, 420], seen
 
 
+def test_reading_a_certificate_builds_one_fraction_per_non_integral_value_in_it(monkeypatch):
+    # count gate (counts, not times), on the trees and honeycombs of the test
+    # above: certificate_from_dict builds one Fraction per "p/q" value of the
+    # file (rescaled coordinates and base point) and none for a JSON integer,
+    # which it reads as the int it is; the curve read back is the rescaled
+    # curve, and its certificate verifies
+    import random
+
+    from helpers import gen, translated
+    from tropic import curves, jsonio
+    from tropic.curves import TropicalCurve
+    from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
+    from tropic.latticefan import fan_from_maximal
+
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    rays, maximal, dim = gen.rich_fan_r2()
+    rich, p2xp1 = fan_from_maximal(rays, maximal, dim), fan_from_maximal(*gen.fan_p2_r3())
+    seen = []
+    for size, degree in ((100, 10), (400, 20)):
+        tree = TropicalCurve.build(*gen.tree(random.Random(size), dim, size, rays))
+        lifted = translated(TropicalCurve.build(*gen.honeycomb(
+            degree, 3, (Fraction(1, 7), Fraction(1, 3)))), (0, 0, Fraction(1, 5)))
+        for curve, fan in ((tree, rich), (lifted, p2xp1)):
+            cert = certify(curve, fan)
+            data = loads(dumps(certificate_to_dict(cert)))
+            coords = [x for v in data["curve"]["vertices"] for x in v["coords"]]
+            bp = data["base_point"]
+            values = [*bp["edge_valuations"].values()]
+            values += [x for p in bp["vertex_positions"].values() for x in p]
+            built.clear()
+            with monkeypatch.context() as patch:
+                for module in (curves, jsonio):
+                    patch.setattr(module, "Fraction", Counting)
+                back = certificate_from_dict(data)
+            fractional = sum(type(x) is str for x in coords + values)
+            assert len(built) == fractional, (size, len(built), fractional)
+            read = [x for p in back.rescaled_curve.vertices.values() for x in p]
+            assert [type(x) is int for x in read] == [type(x) is int for x in coords]
+            assert back.rescaled_curve == cert.rescaled_curve and verify_certificate(back).ok
+            seen.append((len(curve.vertices), sum(type(x) is str for x in coords), fractional))
+    # (V, "p/q" coordinates, "p/q" values): the trees keep m = 1, so only their
+    # base points, over N, hold non-integral values
+    assert seen == [(100, 0, 2265), (100, 110, 459), (400, 0, 9053), (400, 420, 1719)], seen
+
+
 def test_certify_and_verify_keep_a_flat_number_of_objects_per_output_vertex():
     # count gate: the gc-tracked objects that a certificate and its in-process
     # verify leave alive, per vertex of the rescaled curve, on R^2 rich-fan

@@ -418,8 +418,11 @@ def _handed_state_is_derived_afresh(curve, fan):
     assert kinds == [(type(nd.k), *map(type, nd.u_q)) for nd in fresh_nodes.values()]
     assert set(kinds) <= {(int,) * (1 + hat.ambient_dim)}
     derived, fresh = degeneration._derive(hat, fan), degeneration._derive(copy, fan)
-    assert [list(x.items()) if isinstance(x, dict) else x for x in derived] == [
-        list(x.items()) if isinstance(x, dict) else x for x in fresh]
+    # the stars keep the order certify handed them in (the input's vertices,
+    # then the breaks); certify writes them in the curve's vertex order
+    assert derived[0] == fresh[0] and list(cert.vertex_stars) == list(hat.vertices)
+    assert [list(x.items()) if isinstance(x, dict) else x for x in derived[1:]] == [
+        list(x.items()) if isinstance(x, dict) else x for x in fresh[1:]]
     return cert
 
 
@@ -589,6 +592,19 @@ def test_every_single_fault_gets_its_recorded_detail():
     # reader checked each field as a column; a document with one fault must
     # be refused with the same text, byte for byte
     assert schema_details() == json.loads(SCHEMA_GOLDEN.read_text())
+
+
+def test_of_two_faults_the_one_in_the_earlier_column_is_named():
+    # the reader checks each field as a column, in key order, so of a bad
+    # weight in the first edge and a bad id in the last, the id is named
+    # (the row-by-row reader named the weight); README "File formats" says so
+    doc = json.loads(json.dumps(curve_to_dict(fixtures.speyer3())))
+    doc["edges"][0]["weight"], doc["edges"][-1]["id"] = None, None
+    with pytest.raises(SchemaError, match="^edge id must be a string$"):
+        curve_from_dict(doc)
+    doc["edges"][-1]["id"] = "e"
+    with pytest.raises(SchemaError, match="^edge weight must be an integer$"):
+        curve_from_dict(doc)
 
 
 @DERANDOMIZED
