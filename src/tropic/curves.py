@@ -119,7 +119,7 @@ class TropicalCurve(_CurveFields):
             if reused := eid in seen:
                 report.add("DuplicateId", f"edge id {_echo(eid)} reused")
             if k < 1:
-                report.add("NonpositiveWeight", f"edge {_echo(eid)} has weight {k}")
+                report.add("NonpositiveWeight", f"edge {_echo(eid)} has weight {_echo(k)}")
             edges_at[u].append(e)
             if w != u:
                 edges_at[w].append(e)
@@ -140,7 +140,7 @@ class TropicalCurve(_CurveFields):
                 report.add("DuplicateId", f"ray id {_echo(rid)} reused")
             seen.add(rid)
             if k < 1:
-                report.add("NonpositiveWeight", f"ray {_echo(rid)} has weight {k}")
+                report.add("NonpositiveWeight", f"ray {_echo(rid)} has weight {_echo(k)}")
             rays_at[base].append(r)
             if base not in sums:
                 report.add("NoSuchVertex",
@@ -152,13 +152,14 @@ class TropicalCurve(_CurveFields):
             elif not any(d):
                 report.add("ZeroDirection", f"ray {_echo(rid)} has zero direction")
             elif gcd(*d) != 1:
-                report.add("NonPrimitiveDirection", f"ray {_echo(rid)} direction {d}")
+                report.add("NonPrimitiveDirection", f"ray {_echo(rid)} direction {_echo(d)}")
         defects = tuple((v, tuple(t)) for v, t in sums.items() if any(t))
         balance = BalanceReport(not defects, defects)
         return data, (dict(edges_at), dict(rays_at)), report.violations, balance
 
     _edge_data = cached_property(lambda self: self._pass[0])  # edge id -> (direction, m*length)
     _incidence = cached_property(lambda self: self._pass[1])  # (vertex -> edges, vertex -> rays)
+    _balance = cached_property(lambda self: self._pass[3])  # read only for a valid curve
 
     @cached_property
     def _image(self) -> tuple[int, dict[str, IntVec]]:
@@ -168,10 +169,6 @@ class TropicalCurve(_CurveFields):
     @cached_property
     def _validation(self) -> ValidationReport:
         return _check_structure(self)
-
-    @cached_property
-    def _balance(self) -> "BalanceReport":
-        return _balance_report(self)
 
     def edges_at(self, vertex: str) -> list[BoundedEdge]:
         return list(self._incidence[0].get(vertex, ()))
@@ -308,8 +305,8 @@ def outgoing(c: TropicalCurve, vertex: str) -> list[tuple[IntVec, int]]:
 def is_balanced(c: TropicalCurve) -> BalanceReport:
     """Balancing condition: weighted primitive outgoing directions sum to zero at every vertex.
 
-    The report is computed once per curve instance, in one pass over its
-    edges and rays (``_balance_report``), and shared."""
+    The report is computed once per curve instance, in its one pass over
+    its edges and rays (``TropicalCurve._pass``), and shared."""
     require_valid(c)
     return c._balance
 
@@ -318,11 +315,6 @@ def require_balanced(c: TropicalCurve) -> None:
     report = is_balanced(c)
     if not report.balanced:
         raise Unbalanced(f"defects at {[v for v, _ in report.defects]}")
-
-
-def _balance_report(c: TropicalCurve) -> BalanceReport:
-    """The balancing report of a valid curve, from its one pass (``TropicalCurve._pass``)."""
-    return c._pass[3]
 
 
 def genus(c: TropicalCurve) -> int:

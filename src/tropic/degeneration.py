@@ -185,7 +185,7 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     support = check_recession_support(c, f)
     if not support.ok:
         raise RecessionNotSupported(
-            f"ray directions {[d for _, d in support.missing]} are not rays of the fan")
+            f"ray directions {_echo([d for _, d in support.missing])} are not rays of the fan")
     out, signs, breaks, ratios, _ = _walk(c, f)
     hat, n = _dilate(out, ratios, out.vertices if breaks else None)
     nodes = _nodes(out, ratios, n)
@@ -249,7 +249,8 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     ends = [(e, masks[u], masks[w]) for e, (u, w), _ in hat.edges]
     ends += [(r, masks[b], _locate(fan, directions[d][1])[1]) for r, b, d, _ in hat.rays]
     violations += [f"PieceNotInCone: {_echo(pid)}" for pid, s, t in ends if not s & t]
-    violations += [f"RecessionNotSupported: ray {_echo(rid)} direction {d} is no ray of the fan"
+    violations += [f"RecessionNotSupported: ray {_echo(rid)} direction {_echo(d)} "
+                   "is no ray of the fan"
                    for rid, d in check_recession_support(hat, fan).missing]
 
     return CertificateCheck(ok=not violations, violations=tuple(violations))

@@ -5,8 +5,13 @@ from typing import NamedTuple
 _ECHO_CAP = 40  # characters of an input value an error detail repeats
 
 
-def _echo(text: str) -> str:
-    """An input value's text as an error detail repeats it, cut to _ECHO_CAP characters."""
+def _echo(value) -> str:
+    """An input value's text, ``str(value)``, as an error detail repeats it, cut to
+    _ECHO_CAP characters."""
+    try:
+        text = str(value)
+    except ValueError:  # str() of an integer over Python's digit limit
+        return "(a number over Python's integer digit limit)"
     return text if len(text) <= _ECHO_CAP else f"{text[:_ECHO_CAP]}... ({len(text)} characters)"
 
 

@@ -85,11 +85,7 @@ def rank(rows: Matrix) -> int:
     rows = list(rows)
     if len({len(row) for row in rows}) > 1:
         raise DimMismatch("rows of unequal length")
-    return len(_echelon(_sparse(_integer_row(row)) for row in rows))
-
-
-def _sparse(row: Sequence[int]) -> dict[int, int]:
-    return {j: x for j, x in enumerate(row) if x}
+    return len(_echelon({j: x for j, x in enumerate(_integer_row(row)) if x} for row in rows))
 
 
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -226,10 +222,10 @@ def cone_halfspaces(c: Cone) -> HRepr:
 
 @lru_cache(maxsize=None)
 def cone_extreme(c: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Minimal V-description (lineality basis, extreme rays) via double dualization.
-
-    Generators as many as the dimension of their span (the ambient dimension
-    less the span equations) are independent: they are the extreme rays.
+    """Minimal V-description (lineality basis, extreme rays) via double dualization;
+    the basis is empty iff the cone is pointed.  Generators as many as the
+    dimension of their span (the ambient dimension less the span equations)
+    are independent: they are the extreme rays.
     """
     h = cone_halfspaces(c)
     if len(c.generators) + len(h.equations) == c.ambient_dim:
@@ -237,27 +233,11 @@ def cone_extreme(c: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     return double_description(h.equations, h.inequalities, c.ambient_dim)
 
 
-def canonical_form(c: Cone):
-    """Hashable key identifying the cone as a point set.
-
-    Extreme rays are only determined modulo the lineality space L, so L is keyed
-    by its ``_echelon`` rows, each reduced on the others' leading columns and made
-    primitive with a positive lead (L's reduced row echelon basis, scaled), and a
-    ray r by the vector of r + L vanishing on every leading column, made primitive.
-    """
-    lin, rays = cone_extreme(c)
-    if not lin:
-        return (rays, ())
-    pivots = _echelon(map(_sparse, lin))
-
-    def reduced(r: dict[int, int], own: int = -1) -> IntVec:
-        for lead in sorted(pivots):
-            if lead != own and lead in r:
-                r = _eliminate(r, pivots[lead], lead)
-        return tuple(r.get(j, 0) for j in range(c.ambient_dim))
-
-    basis = tuple(_oriented(reduced(pivots[lead], lead))[0] for lead in sorted(pivots))
-    return (tuple(sorted(primitive(reduced(_sparse(r))) for r in rays)), basis)
+def canonical_form(c: Cone) -> tuple[IntVec, ...]:
+    """Hashable key identifying a pointed cone as a point set: its sorted extreme
+    rays.  It keys pointed cones only; ``fan_validate`` refuses a cone that holds
+    a line before it keys any cone."""
+    return cone_extreme(c)[1]
 
 
 def cone_contains(c: Cone, p: Sequence) -> bool:
@@ -269,23 +249,6 @@ def cone_contains(c: Cone, p: Sequence) -> bool:
     if any(sum(map(mul, e, pt)) for e in h.equations):
         return False
     return all(sum(map(mul, f, pt)) >= 0 for f in h.inequalities)
-
-
-def cone_intersection(c1: Cone, c2: Cone) -> Cone:
-    """The intersection of two cones, generated by its extreme rays and ± its lineality basis."""
-    if c1.ambient_dim != c2.ambient_dim:
-        raise DimMismatch("intersecting cones of different ambient dimension")
-    h1, h2 = cone_halfspaces(c1), cone_halfspaces(c2)
-    lin, rays = double_description(
-        h1.equations + h2.equations,
-        h1.inequalities + h2.inequalities,
-        c1.ambient_dim,
-    )
-    gens = list(rays)
-    for b in lin:
-        gens.append(b)
-        gens.append(tuple(-x for x in b))
-    return Cone.from_rays(gens, c1.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +380,13 @@ def fan_from_maximal(
 
 
 def fan_validate(f: Fan) -> ValidationReport:
-    """Check face closure and that any two cones meet in a common face.
+    """Check that no cone holds a line, face closure, and that any two cones
+    meet in a common face.
 
-    Stops at the first violation.  Cones are deduplicated as point sets by
+    Stops at the first violation.  A toric variety's fan has pointed cones
+    (Cox, Little and Schenck, *Toric Varieties*, 2011, 3.1.2), so a cone
+    whose ``cone_extreme`` has a lineality basis is ``NotStronglyConvex``,
+    before any cone is keyed.  Cones are then deduplicated as point sets by
     ``canonical_form``, and each distinct cone's facets are keyed once: each
     must be in the fan.  That closes the fan under faces, as a proper face of
     a cone is a face of one of its facets (Ziegler, *Lectures on Polytopes*,
@@ -445,10 +412,11 @@ def fan_validate(f: Fan) -> ValidationReport:
     Loera, Rambau and Santos, *Triangulations*, 2010).  Such a fan is valid
     and complete, and no two cones are intersected.  Every other fan (a
     wall that is a facet of one cone only, as on the boundary of an
-    incomplete fan; cones not simplicial, not of full dimension, or with
-    lineality; n = 1; no cones) is decided by intersecting every pair of
-    maximal cones, and its completeness is not certified.  Their intersection
-    must have the key of a face of both: the cone itself or a face of a facet.
+    incomplete fan; cones not simplicial or not of full dimension; n = 1;
+    no cones) is decided by intersecting every pair of maximal cones, and
+    its completeness is not certified.  Their intersection, keyed by the
+    extreme rays of their joint H-description, must have the key of a face
+    of both: the cone itself or a face of a facet.
     """
     report = ValidationReport([])
     if f.ambient_dim < 1:
@@ -457,6 +425,11 @@ def fan_validate(f: Fan) -> ValidationReport:
     for c in f.cones:
         if c.ambient_dim != f.ambient_dim:
             report.add("DimMismatch", f"cone {c.generators} has ambient dim {c.ambient_dim}")
+            return report
+    for c in f.cones:
+        if lin := cone_extreme(c)[0]:
+            report.add("NotStronglyConvex", f"cone {_echo_point(c.generators)} contains the "
+                                            f"line through {_echo_point(lin[0])}")
             return report
     keys = [canonical_form(c) for c in f.cones]
     present = set(keys)
@@ -480,22 +453,23 @@ def fan_validate(f: Fan) -> ValidationReport:
     maximal = {key: cone_walls for key, cone_walls in facets.items() if key not in below}
     n = f.ambient_dim
     if maximal and n >= 2 and all(
-        not lin and len(rays) == n and not cone_halfspaces(c).equations
-        for (rays, lin), (c, _) in maximal.items()
+        len(rays) == n and not cone_halfspaces(c).equations for rays, (c, _) in maximal.items()
     ):
         walls = _validate_by_walls(maximal)
         if walls is not None:
             return walls
     faces: dict = {}  # canonical form -> the keys of its faces, its own included
-    for key in sorted(facets, key=lambda k: len(k[0])):  # a facet has fewer rays
+    for key in sorted(facets, key=len):  # a facet has fewer rays
         faces[key] = {key}.union(*(faces[facet_key] for facet_key, _ in facets[key][1]))
     for (k1, (c1, _)), (k2, (c2, _)) in itertools.combinations(maximal.items(), 2):
-        inter = cone_intersection(c1, c2)
-        if canonical_form(inter) not in faces[k1] & faces[k2]:
+        h1, h2 = cone_halfspaces(c1), cone_halfspaces(c2)
+        inter = double_description(
+            h1.equations + h2.equations, h1.inequalities + h2.inequalities, n)[1]
+        if inter not in faces[k1] & faces[k2]:
             report.add(
                 "NonFaceIntersection",
                 f"cones {_echo_point(c1.generators)} and {_echo_point(c2.generators)} meet in "
-                f"{_echo_point(inter.generators)}, which is not a common face",
+                f"{_echo_point(inter)}, which is not a common face",
             )
             return report
     return report
@@ -503,12 +477,12 @@ def fan_validate(f: Fan) -> ValidationReport:
 
 def _validate_by_walls(maximal: dict) -> ValidationReport | None:
     """``fan_validate``'s verdict on maximal cones (canonical form -> (cone,
-    its (facet key, facet normal) pairs)) that are full-dimensional and
-    simplicial, in integers; None if some wall is a facet of one cone only.
+    its (facet key, facet normal) pairs)) that are pointed, full-dimensional
+    and simplicial, in integers; None if some wall is a facet of one cone only.
 
-    A wall is keyed by its facet key, whose rays are the wall's; the cone
-    lies on the side of the facet normal: the sign of its first nonzero
-    entry, as ``Fan.hyperplanes`` normalises it.
+    A wall is keyed by its facet key, the wall's rays; the cone lies on the
+    side of the facet normal: the sign of its first nonzero entry, as
+    ``Fan.hyperplanes`` normalises it.
     """
     report = ValidationReport([])
     held: dict[tuple, dict[int, Cone]] = {}  # facet key -> side -> cone
@@ -519,13 +493,13 @@ def _validate_by_walls(maximal: dict) -> ValidationReport | None:
                 report.add(
                     "NonFaceIntersection",
                     f"cones {_echo_point(other.generators)} and {_echo_point(c.generators)} "
-                    f"lie on one side of their common facet {_echo_point(wall[0])}, "
+                    f"lie on one side of their common facet {_echo_point(wall)}, "
                     "so they overlap, which is not a common face",
                 )
                 return report
     if any(len(sides) == 1 for sides in held.values()):
         return None
-    (rays, _), (first, _) = next(iter(maximal.items()))
+    rays, (first, _) = next(iter(maximal.items()))
     inside = [sum(col) for col in zip(*rays)]  # interior to the first cone
     for c, _ in maximal.values():
         if c is not first and cone_contains(c, inside):

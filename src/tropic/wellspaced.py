@@ -21,8 +21,7 @@ is recorded as a limitation.
 
 import heapq
 from fractions import Fraction
-from math import gcd
-from operator import mul, sub
+from operator import mul
 from typing import NamedTuple
 
 from .curves import TropicalCurve, genus
@@ -106,7 +105,7 @@ def well_spaced(c: TropicalCurve) -> WellSpacedVerdict:
     for e in c.edges:
         u, w = e.ends
         if u in inside and w in inside:
-            steps = gcd(*map(sub, image[w], image[u]))  # m * lattice length
+            steps = c._edge_data[e.id][1]  # m * lattice length
             adj[u].append((w, steps))
             adj[w].append((u, steps))
 

@@ -15,8 +15,9 @@ preceded the sign-vector memo, the bit-mask sign vectors' location and
 closure against the tuple sign vectors and per-cone (hyperplane, sign)
 patterns they replaced (``sign_patterns``), the double
 description against the earlier one written as nested closures, cone keys
-against the earlier ``Fraction`` reduced row echelon form, fan
-validation against the earlier one that intersected every pair of cones,
+against the generators that Caratheodory membership finds extreme, fan
+validation against the earlier one that found a line by the rank of a
+cone's H-description (``holds_line``), intersected every pair of cones,
 tested each intersection by tight facet normals (``is_face_of``) and
 enumerated every face recursively (``cone_faces``),
 certificate verification against the earlier one that re-derived each field
@@ -78,12 +79,9 @@ from tropic.latticefan import (
     canonical_form,
     cone_halfspaces,
     cone_contains,
-    cone_extreme,
-    cone_intersection,
     dot,
     fan_from_maximal,
     integer_image,
-    integerize,
     primitive,
     rank,
 )
@@ -251,7 +249,7 @@ def reference_check_structure(c: TropicalCurve) -> ValidationReport:
             report.add("DuplicateId", f"edge id {_echo(eid)} reused")
         seen_ids.add(eid)
         if weight < 1:
-            report.add("NonpositiveWeight", f"edge {_echo(eid)} has weight {weight}")
+            report.add("NonpositiveWeight", f"edge {_echo(eid)} has weight {_echo(weight)}")
         if u not in vertices or w not in vertices:
             missing = [_echo(v) for v in (u, w) if v not in vertices]
             report.add("NoSuchVertex", f"edge {_echo(eid)} references {missing}")
@@ -263,7 +261,7 @@ def reference_check_structure(c: TropicalCurve) -> ValidationReport:
             report.add("DuplicateId", f"ray id {_echo(rid)} reused")
         seen_ids.add(rid)
         if weight < 1:
-            report.add("NonpositiveWeight", f"ray {_echo(rid)} has weight {weight}")
+            report.add("NonpositiveWeight", f"ray {_echo(rid)} has weight {_echo(weight)}")
         if base not in vertices:
             report.add("NoSuchVertex", f"ray {_echo(rid)} based at unknown vertex {_echo(base)}")
         if len(d) != dim:
@@ -271,7 +269,7 @@ def reference_check_structure(c: TropicalCurve) -> ValidationReport:
         elif not any(d):
             report.add("ZeroDirection", f"ray {_echo(rid)} has zero direction")
         elif gcd(*d) != 1:
-            report.add("NonPrimitiveDirection", f"ray {_echo(rid)} direction {d}")
+            report.add("NonPrimitiveDirection", f"ray {_echo(rid)} direction {_echo(d)}")
     if vertices and not _reference_connected(c):
         report.add("Disconnected", "underlying graph is not connected")
     return report
@@ -337,52 +335,14 @@ def echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return work, pivots
 
 
-def _rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form: (nonzero rows, each with pivot 1 and zeros in
-    every other pivot column, and their pivot column indices).  It is unique
-    for the row space, so it also serves as a key of that space."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(work):
-            break
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        p = work[r][c]
-        top = work[r] = [x / p for x in work[r]]
-        for i, row in enumerate(work):
-            if i != r and row[c]:
-                f = row[c]
-                work[i] = [x - f * y for x, y in zip(row, top)]
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
-
-
 def reference_canonical_form(c: Cone):
-    """Hashable key identifying the cone as a point set.
-
-    Extreme rays are only determined modulo the lineality space L, so L is
-    keyed by its reduced row echelon basis and each ray by the unique
-    representative of r + L that vanishes on the pivot columns of that
-    basis, made primitive.
-    """
-    lin, rays = cone_extreme(c)
-    if not lin:
-        return (rays, ())
-    basis, pivots = _rref(lin)
-    reduced = []
-    for r in rays:
-        v = as_ratvec(r)
-        for row, p in zip(basis, pivots):
-            if v[p]:
-                v = tuple(x - v[p] * y for x, y in zip(v, row))
-        reduced.append(integerize(v))
-    return (tuple(sorted(reduced)), tuple(integerize(row) for row in basis))
+    """Key of a pointed cone as a point set: its primitive generators that the
+    others do not generate (``contains_caratheodory``), sorted.  In a pointed
+    cone no two distinct primitive generators lie on one ray, so these are its
+    extreme rays."""
+    gens = sorted(set(c.generators))
+    return tuple(g for g in gens
+                 if not contains_caratheodory([h for h in gens if h != g], g, c.ambient_dim))
 
 
 def densify(rows: Sequence[dict[int, int]], ncols: int) -> list[list[int]]:
@@ -935,9 +895,12 @@ def cone_faces(c: Cone) -> list[Cone]:
 
 
 # The face test by tight facet normals that fan_validate used before it read
-# the faces of a cone from its facet keys; kept verbatim as an oracle.
+# the faces of a cone from its facet keys; kept as an oracle, with equality
+# by mutual containment.
 def cones_equal(c1: Cone, c2: Cone) -> bool:
-    return c1.ambient_dim == c2.ambient_dim and canonical_form(c1) == canonical_form(c2)
+    """Equality as point sets, lines allowed: each cone holds the other's generators."""
+    return c1.ambient_dim == c2.ambient_dim and all(
+        cone_contains(b, g) for a, b in ((c1, c2), (c2, c1)) for g in a.generators)
 
 
 def is_face_of(face: Cone, c: Cone) -> bool:
@@ -952,8 +915,26 @@ def is_face_of(face: Cone, c: Cone) -> bool:
     return cones_equal(face, Cone(cut, c.ambient_dim))
 
 
+def holds_line(c: Cone) -> bool:
+    """Whether the cone contains a line: its lineality space, the kernel of its
+    stacked equations and facet normals, has dimension n - their rank > 0."""
+    h = cone_halfspaces(c)
+    return rank_by_transpose(h.equations + h.inequalities) < c.ambient_dim
+
+
+def reference_intersection(c1: Cone, c2: Cone) -> Cone:
+    """The intersection of two pointed cones, generated by the extreme rays of
+    their joint H-description (``reference_double_description``)."""
+    h1, h2 = cone_halfspaces(c1), cone_halfspaces(c2)
+    lin, rays = reference_double_description(
+        h1.equations + h2.equations, h1.inequalities + h2.inequalities, c1.ambient_dim)
+    assert not lin, (c1, c2)
+    return Cone.from_rays(rays, c1.ambient_dim)
+
+
 def reference_fan_validate(f: Fan) -> ValidationReport:
-    """Check face closure and that pairwise intersections are common faces.
+    """Check that no cone holds a line (``holds_line``), face closure and that
+    pairwise intersections are common faces.
 
     Stops at the first violation.  Always checks the fan it is given; whether
     a trusted fan is checked at all is the caller's decision.
@@ -962,6 +943,10 @@ def reference_fan_validate(f: Fan) -> ValidationReport:
     for c in f.cones:
         if c.ambient_dim != f.ambient_dim:
             report.add("DimMismatch", f"cone {c.generators} has ambient dim {c.ambient_dim}")
+            return report
+    for c in f.cones:
+        if holds_line(c):
+            report.add("NotStronglyConvex", f"cone {c.generators} contains a line")
             return report
     present = {canonical_form(c) for c in f.cones}
     for c in f.cones:
@@ -973,7 +958,7 @@ def reference_fan_validate(f: Fan) -> ValidationReport:
                 )
                 return report
     for c1, c2 in itertools.combinations(f.cones, 2):
-        inter = cone_intersection(c1, c2)
+        inter = reference_intersection(c1, c2)
         if not (is_face_of(inter, c1) and is_face_of(inter, c2)):
             report.add(
                 "NonFaceIntersection",

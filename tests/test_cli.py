@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -858,6 +859,66 @@ def test_not_in_support_details_are_short(tmp_path, capsys):
         report = json.loads(text)
         assert report["error"] == "NotInSupport"
         assert report["detail"].startswith("point (")
+
+
+def test_number_details_are_cut(paths, tmp_path, capsys):
+    # a detail repeats at most 40 characters of a number it names
+    def cut(detail, label):
+        assert "... (" in detail and len(detail) < 200, (label, detail)
+        assert max(map(len, re.findall(r"\d+", detail))) <= 40, (label, detail)
+
+    def written(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    for label, field, key, value in (
+        ("edge weight", "edges", "weight", -10**1000),
+        ("ray weight", "rays", "weight", -10**500),
+        ("ray direction", "rays", "direction", [2 * 10**200, 4 * 10**200]),
+    ):
+        doc = curve_to_dict(fixtures.segfan())
+        doc[field][0][key] = value
+        code, text = _capture(capsys, ["check", written("curve.json", doc)])
+        violations = json.loads(text)["violations"]
+        assert code == 1 and len(violations) == 1, (label, violations)
+        cut(violations[0]["detail"], label)
+    # 60 rays at one vertex, in 30 opposite pairs off the rays of fan_p2
+    doc = {"ambient_dim": 2, "vertices": [{"id": "v", "coords": [0, 0]}], "edges": [], "rays": [
+        {"id": f"r{i}{s}", "base": "v", "direction": [s * (10**50 + i), s], "weight": 1}
+        for i in range(30) for s in (1, -1)]}
+    code, text = _capture(capsys, ["certify", written("rays.json", doc), "--fan", paths["fan_p2"]])
+    report = json.loads(text)
+    assert (code, report["error"]) == (1, "RecessionNotSupported")
+    cut(report["detail"], "certify")
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", paths["tripod"], "--fan", paths["fan_p2"], "--out", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    cert["curve"]["rays"][0]["direction"] = [10**300 + 1, 1]
+    code, report = _verify_cert_doc(capsys, tmp_path, cert)
+    unsupported = [v for v in report["violations"] if v.startswith("RecessionNotSupported")]
+    assert code == 1 and len(unsupported) == 1, report
+    cut(unsupported[0], "verify-cert")
+
+
+def test_a_fan_with_a_line_is_invalid(paths, capsys, tmp_path):
+    # the x-axis and the two half-planes at it: no fan of a toric variety
+    halves = {"ambient_dim": 2, "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+              "cones": [[0, 1], [0, 1, 2], [0, 1, 3]]}
+    fan = tmp_path / "halves.json"
+    fan.write_text(json.dumps(halves))
+    cert = _segfan_certificate(paths, tmp_path)
+    cert["fan"] = halves
+    cert_path = tmp_path / "halves_cert.json"
+    cert_path.write_text(json.dumps(cert))
+    for argv in (["subdivide", paths["tripod"], "--fan", str(fan)],
+                 ["certify", paths["tripod"], "--fan", str(fan)],
+                 ["verify-cert", str(cert_path)]):
+        code, text = _capture(capsys, argv)
+        assert (code, json.loads(text)) == (1, {
+            "error": "InvalidFan",
+            "detail": "NotStronglyConvex: cone ((-1, 0), (1, 0)) contains the line through (1, 0)",
+        }), argv
 
 
 def test_fan_violation_details_are_short(paths, tmp_path, capsys):

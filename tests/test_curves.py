@@ -375,31 +375,32 @@ def test_error_details_cut_long_ids():
 
 
 def test_balancing_report_is_computed_once_per_curve(monkeypatch):
-    from tropic import curves
     from tropic.errors import InvalidCurve
 
     calls = []
-    report = curves._balance_report
+    one_pass = TropicalCurve.__dict__["_pass"]
+    real = one_pass.func
 
     def counting(c):
         calls.append(c)
-        return report(c)
+        return real(c)
 
-    monkeypatch.setattr(curves, "_balance_report", counting)
+    monkeypatch.setattr(one_pass, "func", counting)
     for name in ("tripod", "unbal", "cycle3"):
         c = fixtures.CURVES[name]()
         calls.clear()
         first = is_balanced(c)
-        assert calls == [c] and first.balanced == (name != "unbal")
+        assert calls == [c] and first.balanced == (name != "unbal") and first is c._pass[3]
         calls.clear()
         assert is_balanced(c) is first and calls == []
         # the cached report is not a field
         assert c == fixtures.CURVES[name]() and repr(c) == repr(fixtures.CURVES[name]())
     invalid = TropicalCurve.build(2, {"a": (0, 0)}, edges=[("e", ("a", "b"), 1)])
+    calls.clear()
     for _ in range(2):
         with pytest.raises(InvalidCurve):
             is_balanced(invalid)
-    assert calls == []
+    assert calls == [invalid] and "_balance" not in vars(invalid)  # one pass, to validate
 
 
 def test_balancing_a_fresh_curve_subtracts_no_fractions(monkeypatch):

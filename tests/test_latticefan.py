@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from helpers import (
     densify,
     echelon,
     gen,
+    holds_line,
     in_closure,
     in_interior,
     is_face_of,
@@ -23,6 +25,7 @@ from helpers import (
     reference_canonical_form,
     reference_cell,
     reference_fan_validate,
+    reference_intersection,
     reference_locate,
     reference_primitive_and_scale,
     relint_contains,
@@ -41,7 +44,6 @@ from tropic.latticefan import (
     cone_contains,
     cone_extreme,
     cone_halfspaces,
-    cone_intersection,
     direction_values,
     double_description,
     fan_from_maximal,
@@ -277,10 +279,13 @@ def test_overlapping_cones_reported():
     cones.add(Cone((), 2))
     fan = Fan.build(cones, 2)
     report = fan_validate(fan)
-    assert not report.valid
-    assert report.violations[0].code == "NonFaceIntersection"
     # the offending overlap: intersection of the two 2-cones is cone{(1,1),(1,2)}
-    inter = cone_intersection(
+    assert [(v.code, v.detail) for v in report.violations] == [(
+        "NonFaceIntersection",
+        "cones ((0, 1), (1, 1)) and ((1, 0), (1, 2)) meet in ((1, 1), (1, 2)), "
+        "which is not a common face",
+    )]
+    inter = reference_intersection(
         Cone.from_rays([(1, 0), (1, 2)], 2), Cone.from_rays([(1, 1), (0, 1)], 2)
     )
     assert cones_equal(inter, Cone.from_rays([(1, 1), (1, 2)], 2))
@@ -572,36 +577,14 @@ def _nonzero(rng, vectors, bound=2):
             return v
 
 
-def _rewrite(rng, lin, rays, dim):
-    """Another description of span(lin) + cone(rays): lin recombined by an
-    invertible integer matrix, each ray scaled and shifted by a vector of span(lin)."""
-    while True:
-        m = [[rng.randint(-2, 2) for _ in lin] for _ in lin]
-        if rank(m) == len(lin):
-            break
-
-    def combination(cs):
-        return tuple(sum(c * v[i] for c, v in zip(cs, lin)) for i in range(dim))
-
-    other_rays = []
-    for r in rays:
-        shift, s = combination([rng.randint(-2, 2) for _ in lin]), rng.randint(1, 3)
-        other_rays.append(tuple(s * (x + y) for x, y in zip(r, shift)))
-    return [combination(row) for row in m], other_rays
-
-
 def _cone_pair(rng, dim):
-    """Generators of a cone span(L) + cone(P) inside a random subspace, and of
-    a rewriting of it (``_rewrite``, plus nonnegative combinations) that is
-    the same point set.  A third of the rewrites then lose or replace one
-    generator."""
+    """Generators of a cone inside a random subspace, and of a rewriting of it
+    (each generator scaled, plus nonnegative combinations) that is the same
+    point set.  A third of the rewrites then lose or replace one generator."""
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     space = [_nonzero(rng, units) for _ in range(rng.randint(1, dim))]
-    lin = [_nonzero(rng, space, 1) for _ in range(rng.randint(0, len(space)))]
-    pointed = [_nonzero(rng, space, 1) for _ in range(rng.randint(0, 3))]
-    a = pointed + lin + [tuple(-x for x in v) for v in lin]
-    lin_b, pointed_b = _rewrite(rng, lin, pointed, dim)
-    b = pointed_b + lin_b + [tuple(-x for x in v) for v in lin_b]
+    a = [_nonzero(rng, space, 1) for _ in range(rng.randint(0, 4))]
+    b = [tuple(rng.randint(1, 3) * x for x in g) for g in a]
     for _ in range(rng.randint(0, 2)):
         b.append(tuple(sum(rng.randint(0, 2) * g[i] for g in a) for i in range(dim)))
     b = [v for v in b if any(v)]
@@ -614,40 +597,21 @@ def _cone_pair(rng, dim):
 
 
 def test_canonical_form_matches_mutual_containment():
+    # keys are for pointed cones, so pairs with a line are drawn again
     rng = random.Random(2024)
-    outcomes = {}
-    for trial in range(360):
-        a, b = _cone_pair(rng, 2 + trial % 3)
+    outcomes = Counter()
+    while sum(outcomes.values()) < 360:
+        a, b = _cone_pair(rng, 2 + sum(outcomes.values()) % 3)
+        if holds_line(a) or holds_line(b):
+            continue
         same = all(cone_contains(a, g) for g in b.generators) and all(
             cone_contains(b, g) for g in a.generators
         )
         assert (canonical_form(a) == canonical_form(b)) == same, (a, b)
         assert all(canonical_form(x) == reference_canonical_form(x) for x in (a, b)), (a, b)
-        key = (same, bool(canonical_form(a)[1]))
-        outcomes[key] = outcomes.get(key, 0) + 1
-    # equal and unequal pairs, with and without lineality, are all well represented
-    assert min(outcomes.get((same, lin), 0) for same in (True, False) for lin in (True, False)) >= 40
-
-
-def test_canonical_form_ignores_which_lineality_basis_and_rays_are_returned(monkeypatch):
-    # double description happens to return the same description for equal
-    # cones, so the key is also fed other valid descriptions of the same cone
-    from tropic import latticefan
-
-    rng = random.Random(2025)
-    checked = 0
-    for trial in range(300):
-        cone, _ = _cone_pair(rng, 2 + trial % 3)
-        lin, rays = latticefan.cone_extreme(cone)
-        if not lin:
-            continue
-        key = canonical_form(cone)
-        other = _rewrite(rng, lin, rays, cone.ambient_dim)
-        monkeypatch.setattr(latticefan, "cone_extreme", lambda c: tuple(map(tuple, other)))
-        assert canonical_form(cone) == key, (cone, other)
-        monkeypatch.undo()
-        checked += 1
-    assert checked >= 100
+        outcomes[same] += 1
+    # equal and unequal pairs are both well represented
+    assert min(outcomes[True], outcomes[False]) >= 100, outcomes
 
 
 def test_fan_validate_refuses_an_ambient_dimension_below_one():
@@ -667,15 +631,11 @@ def _lineality_fans():
 
 
 def test_fan_validate_on_a_fan_with_lineality():
-    without_origin, with_origin = _lineality_fans()
-    assert fan_validate(without_origin).valid
-    # the line is the minimal face of both half-planes; the origin is no face
-    # of any cone, so it is maximal and is intersected with the lower half-plane
-    report = fan_validate(with_origin)
-    assert [(v.code, v.detail) for v in report.violations] == [(
-        "NonFaceIntersection",
-        "cones () and ((-1, 0), (0, -1), (1, 0)) meet in (), which is not a common face",
-    )]
+    # a toric variety's fan has pointed cones: the first cone with a line is named
+    for fan in _lineality_fans():
+        report = fan_validate(fan)
+        assert [(v.code, v.detail) for v in report.violations] == [(
+            "NotStronglyConvex", "cone ((-1, 0), (1, 0)) contains the line through (1, 0)")]
 
 
 def _listed_twice() -> Fan:
@@ -694,7 +654,7 @@ def _degenerate_fans() -> list[Fan]:
 
 def _random_fan(rng, dim):
     """Face closure of random simplicial cones on a few small rays; a quarter of
-    the fans also hold the x-axis as a line."""
+    the fans also hold the x-axis as a line, which makes them no fan."""
     rays = sorted({primitive(v) for v in (tuple(rng.randint(-2, 2) for _ in range(dim))
                                           for _ in range(dim + 3)) if any(v)})
     maximal = [idx for idx in (rng.sample(range(len(rays)), min(len(rays), rng.randint(1, dim)))
@@ -717,21 +677,30 @@ def test_fan_validate_matches_all_pairs_reference():
     named = [fn() for fn in fixtures.FANS.values()]
     named += [trusted_overlapping_fan(), primitive_box_fan(), *_lineality_fans()]
     named += _degenerate_fans()
-    random_fans = [_random_fan(rng, 2 + trial % 2) for trial in range(360)]
+    random_fans = [_random_fan(rng, 2 + trial % 2) for trial in range(960)]
     outcomes = {}
     for fan in named + random_fans:
         verdict = _verdict(fan_validate(fan))
         assert verdict == _verdict(reference_fan_validate(fan)), fan
         outcomes[verdict] = outcomes.get(verdict, 0) + 1
-    assert outcomes[(True, None)] >= 100 and outcomes[(False, "NonFaceIntersection")] >= 100
+    assert min(outcomes[True, None], outcomes[False, "NonFaceIntersection"],
+               outcomes[False, "NotStronglyConvex"]) >= 100, outcomes
 
 
 def _count_intersections(monkeypatch) -> list:
+    """The double descriptions that fan_validate runs itself, one per pair of maximal
+    cones it intersects; every other one runs in cone_halfspaces or cone_extreme."""
     from tropic import latticefan
 
     pairs = []
-    real = latticefan.cone_intersection
-    monkeypatch.setattr(latticefan, "cone_intersection", lambda a, b: pairs.append(1) or real(a, b))
+    real, caller = latticefan.double_description, latticefan.fan_validate.__code__
+
+    def counting(*args):
+        if sys._getframe(1).f_code is caller:
+            pairs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(latticefan, "double_description", counting)
     return pairs
 
 
@@ -768,17 +737,20 @@ def test_face_closure_keys_each_cone_once_and_each_facet_of_a_distinct_cone_once
 
 def test_pairwise_path_keys_each_intersection_once(monkeypatch):
     # the faces of a cone are read from the facet keys of face closure: one
-    # key per cone, per facet of a distinct cone and per pair of maximal cones
+    # key per cone and per facet of a distinct cone, and one double description
+    # per pair of maximal cones, whose extreme rays are the intersection's key
     from tropic import latticefan
 
     keyed = []
     real = latticefan.canonical_form
     monkeypatch.setattr(latticefan, "canonical_form", lambda c: keyed.append(c) or real(c))
+    pairs = _count_intersections(monkeypatch)
     box = primitive_box_fan()
     incomplete = Fan.build(box.cones[:-1], 2)
     assert fan_validate(incomplete).valid
     facets = sum(len(cone_halfspaces(c).inequalities) for c in incomplete.cones)
-    assert (len(incomplete.cones), facets, len(keyed)) == (32, 46, 32 + 46 + 15 * 14 // 2)
+    assert (len(incomplete.cones), facets, len(keyed), len(pairs)) == (
+        32, 46, 32 + 46, 15 * 14 // 2)
 
 
 def _mutations(rng, rays, maximal, dim) -> dict:

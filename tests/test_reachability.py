@@ -93,7 +93,7 @@ def test_every_library_function_is_reached_by_the_cli_or_allowed(
         ("subdivide", paths["diag"], "--fan", _write(tmp_path / "p1xp1_part.json", p1xp1)): (
             1, '{\n  "error": "NotInSupport"'),
         ("subdivide", paths["tripod"], "--fan", _write(tmp_path / "halves.json", halves)): (
-            0, '{\n  "curve"'),
+            1, '{\n  "error": "InvalidFan"'),
         ("superabundant", _write(tmp_path / "honeycomb4.json", honeycomb)): (0, "{"),
     }
     for argv in runs:
