@@ -7,7 +7,6 @@ errors.  Every report is deterministic JSON on stdout (or --out).
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -62,13 +61,7 @@ def _cmd_check(args) -> tuple[dict, int]:
     bal = is_balanced(c)
     out["balanced"] = bal.balanced
     out["defects"] = [{"vertex": v, "defect": list(d)} for v, d in bal.defects]
-    code = 0 if bal.balanced else 1
-    if args.expect_ordinary and code == 0:
-        verdict = is_superabundant(c)
-        out["excess"] = verdict.excess
-        if verdict.superabundant:
-            code = 1
-    return out, code
+    return out, 0 if bal.balanced else 1
 
 
 def _cmd_genus(args) -> tuple[dict, int]:
@@ -135,8 +128,6 @@ def _cmd_wellspaced(args) -> tuple[dict, int]:
 def _cmd_certify(args) -> tuple[dict, int]:
     c = _load_curve(args.curve)
     fan = _valid_fan(fan_from_dict(_read_json(args.fan)))
-    if args.expect_ordinary and is_superabundant(c).superabundant:
-        return {"error": "Superabundant", "detail": "curve is superabundant"}, 1
     return certificate_to_dict(certify(c, fan)), 0
 
 
@@ -147,54 +138,39 @@ def _cmd_verify_cert(args) -> tuple[dict, int]:
     return {"ok": check.ok, "violations": list(check.violations)}, 0 if check.ok else 1
 
 
-def fixture_dir() -> Path:
-    env = os.environ.get("TROPIC_FIXTURES")
-    if env:
-        return Path(env)
-    from .fixtures import DIRECTORY  # imported here to keep it out of every command's start-up
-
-    return Path(str(DIRECTORY))
-
-
 def _cmd_selftest(args) -> tuple[dict, int]:
-    from .fixtures import BALANCED
+    from . import fixtures  # imported here to keep it out of every command's start-up
 
-    directory = fixture_dir()
     results = []
-    ok = True
-    for path in sorted(directory.glob("*.json")):
-        name = path.stem
+    for name, load in sorted({**fixtures.CURVES, **fixtures.FANS}.items()):
         try:
-            data = _read_json(str(path))
-            if name.startswith("fan_"):
-                fan = fan_from_dict(data)
+            if name in fixtures.FANS:
+                fan = load()
                 report = fan_validate(fan)
                 passed = report.valid
                 detail = "valid fan" if passed else report.violations[0].detail
                 if fan_to_dict(fan_from_dict(fan_to_dict(fan))) != fan_to_dict(fan):
                     passed, detail = False, "fan serialization round-trip failed"
             else:
-                curve = curve_from_dict(data)
+                curve = load()
                 passed = validate(curve).valid
                 detail = "valid curve"
-                if passed and name in BALANCED:
+                if passed:
                     bal = is_balanced(curve).balanced
-                    passed = bal == BALANCED[name]
+                    passed = bal == fixtures.BALANCED[name]
                     detail = f"balanced={bal}"
                 if passed and curve_from_dict(curve_to_dict(curve)) != curve:
                     passed, detail = False, "curve serialization round-trip failed"
         except TropicError as ex:
             passed, detail = False, f"{ex.code}: {ex.message}"
         results.append({"name": name, "passed": passed, "detail": detail})
-        ok = ok and passed
-    if not results:
-        return {"ok": False, "results": [], "error": f"no fixtures under {directory}"}, 1
+    ok = all(r["passed"] for r in results)
     return {"ok": ok, "results": results}, 0 if ok else 1
 
 
 # subcommand -> (handler, the arguments it reads besides --out)
 _COMMANDS = {
-    "check": (_cmd_check, ("curve", "--expect-ordinary")),
+    "check": (_cmd_check, ("curve",)),
     "genus": (_cmd_genus, ("curve",)),
     "recession": (_cmd_recession, ("curve",)),
     "star": (_cmd_star, ("curve", "--vertex")),
@@ -203,7 +179,7 @@ _COMMANDS = {
     "defcone": (_cmd_defcone, ("curve",)),
     "superabundant": (_cmd_superabundant, ("curve",)),
     "wellspaced": (_cmd_wellspaced, ("curve",)),
-    "certify": (_cmd_certify, ("curve", "--fan", "--expect-ordinary")),
+    "certify": (_cmd_certify, ("curve", "--fan")),
     "verify-cert": (_cmd_verify_cert, ("certificate",)),
     "selftest": (_cmd_selftest, ()),
 }
@@ -214,7 +190,6 @@ _ARGUMENTS = {
     "--out": {"help": "write the report here instead of stdout"},
     "--fan": {"required": True, "help": "fan JSON file"},
     "--vertex": {"required": True, "help": "vertex id"},
-    "--expect-ordinary": {"action": "store_true", "help": "fail on superabundant curves"},
 }
 
 

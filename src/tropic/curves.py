@@ -113,7 +113,9 @@ class TropicalCurve(_CurveFields):
         dim, data, report, seen = self.ambient_dim, {}, ValidationReport([]), set()
         wrong = {v for v, p in image.items() if len(p) != dim}  # validate's DimMismatch
         edges_at, rays_at = defaultdict(list), defaultdict(list)
-        sums = dict.fromkeys(image, (0,) * dim)
+        # dim zeros only if a vertex has dim coordinates: else dim may not fit an index
+        zero = next(((0,) * dim for p in image.values() if len(p) == dim), ())
+        sums = dict.fromkeys(image, zero)
         for e in self.edges:
             eid, (u, w), k = e  # ids are echoed only in a violation's detail
             if reused := eid in seen:
@@ -240,7 +242,7 @@ def require_valid(c: TropicalCurve) -> None:
 def _check_structure(c: TropicalCurve) -> ValidationReport:
     report, vertices, dim = ValidationReport([]), c.vertices, c.ambient_dim
     if dim < 1:
-        report.add("DimMismatch", f"ambient dimension {dim} < 1")
+        report.add("DimMismatch", f"ambient dimension {_echo(dim)} < 1")
     if not vertices:
         report.add("Empty", "curve has no vertices")
     for v, pos in vertices.items():
@@ -314,7 +316,7 @@ def is_balanced(c: TropicalCurve) -> BalanceReport:
 def require_balanced(c: TropicalCurve) -> None:
     report = is_balanced(c)
     if not report.balanced:
-        raise Unbalanced(f"defects at {[v for v, _ in report.defects]}")
+        raise Unbalanced(f"defects at {_echo([v for v, _ in report.defects])}")
 
 
 def genus(c: TropicalCurve) -> int:

@@ -62,7 +62,7 @@ def _object(value, what: str) -> dict:
 
 def _list(value, what: str, length: int | None = None) -> list:
     _require(isinstance(value, list) and (length is None or len(value) == length),
-             f"{what} must be a list" + ("" if length is None else f" of {length} entries"))
+             f"{what} must be a list" + ("" if length is None else f" of {_echo(length)} entries"))
     return value
 
 

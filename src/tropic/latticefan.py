@@ -20,6 +20,7 @@ from .errors import (
     NotInSupport,
     ValidationReport,
     ZeroDirection,
+    _echo,
     _echo_point,
 )
 
@@ -213,7 +214,7 @@ def cone_halfspaces(c: Cone) -> HRepr:
     if c.ambient_dim > H_DESCRIPTION_MAX_DIM or len(c.generators) > H_DESCRIPTION_MAX_GENERATORS:
         raise DeskScaleExceeded(
             f"facet enumeration limited to dim <= {H_DESCRIPTION_MAX_DIM} and "
-            f"{H_DESCRIPTION_MAX_GENERATORS} generators; got dim {c.ambient_dim}, "
+            f"{H_DESCRIPTION_MAX_GENERATORS} generators; got dim {_echo(c.ambient_dim)}, "
             f"{len(c.generators)} generators"
         )
     lin, rays = double_description((), c.generators, c.ambient_dim)
@@ -420,7 +421,7 @@ def fan_validate(f: Fan) -> ValidationReport:
     """
     report = ValidationReport([])
     if f.ambient_dim < 1:
-        report.add("DimMismatch", f"ambient dimension {f.ambient_dim} < 1")
+        report.add("DimMismatch", f"ambient dimension {_echo(f.ambient_dim)} < 1")
         return report
     for c in f.cones:
         if c.ambient_dim != f.ambient_dim:

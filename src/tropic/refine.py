@@ -50,7 +50,7 @@ class _Walk(NamedTuple):
 def _require_valid_in(c: TropicalCurve, f: Fan) -> None:
     require_valid(c)
     if c.ambient_dim != f.ambient_dim:
-        raise DimMismatch(f"curve in dim {c.ambient_dim} against fan in dim {f.ambient_dim}")
+        raise DimMismatch(f"curve in dim {c.ambient_dim} against fan in dim {_echo(f.ambient_dim)}")
 
 
 def check_recession_support(c: TropicalCurve, f: Fan) -> RecessionSupport:

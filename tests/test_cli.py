@@ -7,7 +7,7 @@ import pytest
 
 from helpers import trusted_overlapping_fan
 from tropic import fixtures
-from tropic.cli import fixture_dir, run
+from tropic.cli import run
 from tropic.jsonio import (
     curve_from_dict,
     curve_to_dict,
@@ -91,24 +91,15 @@ def test_superabundant_exit_and_payload(paths, capsys):
     assert code == 0
 
 
-def test_expect_ordinary_flag(paths, capsys):
+def test_a_superabundant_curve_certifies_and_verifies(paths, capsys, tmp_path):
+    # every balanced curve is realizable over the toric Artin fan, superabundant
+    # ones included: speyer3 (excess 1) checks, certifies on fan_r3 and verifies
     code, _ = _capture(capsys, ["check", paths["speyer3"]])
     assert code == 0
-    code, text = _capture(capsys, ["check", paths["speyer3"], "--expect-ordinary"])
-    assert code == 1
-    assert json.loads(text)["excess"] == 1
-    # certify: speyer3 certifies on fan_r3, but not under the flag; tripod is
-    # ordinary, so the flag leaves its certificate byte for byte as it is
-    code, _ = _capture(capsys, ["certify", paths["speyer3"], "--fan", paths["fan_r3"]])
-    assert code == 0
-    code, text = _capture(
-        capsys, ["certify", paths["speyer3"], "--fan", paths["fan_r3"], "--expect-ordinary"])
-    assert code == 1
-    assert text == dumps({"error": "Superabundant", "detail": "curve is superabundant"})
-    plain = _capture(capsys, ["certify", paths["tripod"], "--fan", paths["fan_p2"]])
-    flagged = _capture(
-        capsys, ["certify", paths["tripod"], "--fan", paths["fan_p2"], "--expect-ordinary"])
-    assert plain[0] == flagged[0] == 0 and flagged[1] == plain[1]
+    cert_path = tmp_path / "speyer3.cert"
+    assert run(["certify", paths["speyer3"], "--fan", paths["fan_r3"], "--out", str(cert_path)]) == 0
+    code, text = _capture(capsys, ["verify-cert", str(cert_path)])
+    assert code == 0 and json.loads(text)["ok"] is True
 
 
 def test_genus_recession_star(paths, capsys):
@@ -344,7 +335,7 @@ def test_benchmark_shim_traces_a_cli_run(tmp_path):
     spans = tmp_path / "spans.json"
     shim = root / "perfbench" / "shim.py"
     proc = subprocess.run(
-        [sys.executable, str(shim), str(spans), "genus", str(fixture_dir() / "tripod.json")],
+        [sys.executable, str(shim), str(spans), "genus", str(fixtures.DIRECTORY / "tripod.json")],
         cwd=root,
         env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
@@ -477,8 +468,7 @@ def test_reports_are_deterministic(paths, capsys):
     assert a == b
 
 
-def test_selftest_against_packaged_fixtures(capsys, monkeypatch):
-    monkeypatch.delenv("TROPIC_FIXTURES", raising=False)
+def test_selftest_against_packaged_fixtures(capsys):
     code, text = _capture(capsys, ["selftest"])
     assert code == 0
     report = json.loads(text)
@@ -487,18 +477,9 @@ def test_selftest_against_packaged_fixtures(capsys, monkeypatch):
     assert {"tripod", "unbal", "speyer3", "fan_p2"} <= names
 
 
-def test_selftest_env_override(tmp_path, capsys, monkeypatch):
-    (tmp_path / "tripod.json").write_text(dumps(curve_to_dict(fixtures.tripod())))
-    monkeypatch.setenv("TROPIC_FIXTURES", str(tmp_path))
-    assert fixture_dir() == tmp_path
-    code, text = _capture(capsys, ["selftest"])
-    assert code == 0
-    assert [r["name"] for r in json.loads(text)["results"]] == ["tripod"]
-
-
-def test_fixture_tables_name_every_packaged_file(monkeypatch):
-    monkeypatch.delenv("TROPIC_FIXTURES", raising=False)
-    stems = {path.stem for path in fixture_dir().glob("*.json")}
+def test_fixture_tables_name_every_packaged_file():
+    stems = {Path(path.name).stem for path in fixtures.DIRECTORY.iterdir()
+             if path.name.endswith(".json")}
     assert set(fixtures.CURVES) == {s for s in stems if not s.startswith("fan_")}
     assert set(fixtures.FANS) == {s for s in stems if s.startswith("fan_")}
     assert set(fixtures.BALANCED) == set(fixtures.CURVES)
@@ -660,6 +641,8 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(paths, capsys):
     for argv in (["genus", paths["segfan"], "--fan", paths["fan_p2"]],
                  ["genus", paths["segfan"], "--emit", "dot"],
                  ["verify-cert", paths["segfan"], "--expect-ordinary"],
+                 ["check", paths["segfan"], "--expect-ordinary"],
+                 ["certify", paths["segfan"], "--fan", paths["fan_p1xp1"], "--expect-ordinary"],
                  ["subdivide", paths["segfan"], "--fan", paths["fan_p1xp1"], "--trust-fan"],
                  ["check", paths["segfan"], "--emit", "dot"],
                  ["rescale", paths["segfan"], "--emit", "json"],
@@ -670,13 +653,15 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(paths, capsys):
         assert captured.out == "" and "usage: tropic" in captured.err, argv
 
 
-def test_selftest_validates_trusted_fans(tmp_path, capsys, monkeypatch):
-    # selftest validates every fan it finds, however large
-    (tmp_path / "fan_big.json").write_text(dumps(fan_to_dict(trusted_overlapping_fan())))
-    monkeypatch.setenv("TROPIC_FIXTURES", str(tmp_path))
+def test_selftest_validates_trusted_fans(capsys, monkeypatch):
+    # selftest validates every fan in the fixture tables, however large
+    monkeypatch.setattr(fixtures, "FANS", {"fan_big": trusted_overlapping_fan})
     code, text = _capture(capsys, ["selftest"])
     assert code == 1
-    (result,) = json.loads(text)["results"]
+    results = {r["name"]: r for r in json.loads(text)["results"]}
+    assert set(results) == set(fixtures.CURVES) | {"fan_big"}
+    assert all(results[name]["passed"] for name in fixtures.CURVES)
+    result = results["fan_big"]
     assert result["passed"] is False and "not a common face" in result["detail"]
 
 
@@ -899,6 +884,59 @@ def test_number_details_are_cut(paths, tmp_path, capsys):
     unsupported = [v for v in report["violations"] if v.startswith("RecessionNotSupported")]
     assert code == 1 and len(unsupported) == 1, report
     cut(unsupported[0], "verify-cert")
+
+
+def test_an_ambient_dimension_past_an_index_is_reported(tmp_path, capsys):
+    # a curve without vertices builds no zero vector of ambient_dim entries
+    for dim in (10**30, -10**1000):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"ambient_dim": dim, "vertices": []}))
+        for command in ("check", "genus"):
+            code, text = _capture(capsys, [command, str(path)])
+            report = json.loads(text)
+            assert code == 1 and ("valid" in report or report["error"] == "InvalidCurve"), text
+            assert "Empty" in text and len(text) < 400, text
+
+
+def test_details_cut_a_long_dimension_or_vertex_id(paths, tmp_path, capsys):
+    # each detail repeats at most 40 characters of the dimension or id it names
+    def written(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    unbal = curve_to_dict(fixtures.unbal())
+    long_id = "v" * 5000
+    unbal["vertices"][0]["id"] = long_id
+    for ray in unbal["rays"]:
+        ray["base"] = long_id
+    one_vertex = {"ambient_dim": -(10**1000 - 1), "vertices": [{"id": "a", "coords": [0]}]}
+    no_vertex = {"ambient_dim": -10**1000, "vertices": []}
+    fan_below = {"ambient_dim": -(10**1000 - 1), "rays": [], "cones": [[]]}
+    fan_above = {"ambient_dim": 10**1000, "rays": [], "cones": [[]]}
+    fan_coneless = {"ambient_dim": 10**1000, "rays": [], "cones": []}
+    unbal_path = written("long_unbal.json", unbal)
+    runs = {
+        ("check", written("one_vertex.json", one_vertex)): (2, "SchemaError"),
+        ("subdivide", paths["tripod"], "--fan", written("below.json", fan_below)): (
+            1, "InvalidFan"),
+        ("certify", paths["tripod"], "--fan", written("above.json", fan_above)): (
+            1, "DeskScaleExceeded"),
+        ("subdivide", paths["tripod"], "--fan", written("coneless.json", fan_coneless)): (
+            1, "DimMismatch"),
+        ("check", written("no_vertex.json", no_vertex)): (1, None),
+        ("certify", unbal_path, "--fan", paths["fan_p2"]): (1, "Unbalanced"),
+        ("superabundant", unbal_path): (1, "Unbalanced"),
+    }
+    for argv, (code, error) in runs.items():
+        got, text = _capture(capsys, list(argv))
+        report = json.loads(text)
+        details = [report["detail"]] if error else [v["detail"] for v in report["violations"]]
+        assert (got, report.get("error")) == (code, error), text
+        assert "... (" in details[0] and len(details[0]) < 200, details
+        assert max(map(len, re.findall(r"\d+|v+", details[0]))) <= 40, details
+    code, text = _capture(capsys, ["certify", paths["unbal"], "--fan", paths["fan_p2"]])
+    assert json.loads(text) == {"error": "Unbalanced", "detail": "defects at ['v0']"}
 
 
 def test_a_fan_with_a_line_is_invalid(paths, capsys, tmp_path):

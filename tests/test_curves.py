@@ -125,6 +125,16 @@ def test_edge_data_refuses_an_end_of_the_wrong_length():
             edge_data(c, "e")
 
 
+def test_an_ambient_dimension_past_an_index_is_a_violation():
+    # no vertex has 10**30 coordinates, so no zero vector of that length is built
+    c = TropicalCurve.build(10**30, {"a": (0, 0), "b": (1, 0)}, [("e", ("a", "b"), 1)],
+                            [("r", "a", (1, 0), 1)])
+    assert [v.detail for v in validate(c).violations] == [
+        "vertex a has 2 coordinates", "vertex b has 2 coordinates",
+        "ray r direction has 2 coordinates"]
+    assert c._edge_data == {}
+
+
 def test_balancing_catalog():
     for name in ("line", "tripod", "segfan", "cycle3", "speyer3"):
         assert is_balanced(fixtures.CURVES[name]()).balanced, name

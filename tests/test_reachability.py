@@ -28,7 +28,6 @@ ALLOWED = {
     "curves.TropicalCurve.build": "perfbench builds its input curves with it",
     "curves._exact": "TropicalCurve.build calls it, for perfbench",
     "latticefan.fan_from_maximal": "perfbench builds its rich fans with it",
-    "fixtures._load": "perfbench reads the packaged fixtures with it",
     "latticefan.rank": "perfbench/tracer.py wraps every name in WRAPPED, rank among them",
     "latticefan.smallest_containing_cone": "perfbench/tracer.py wraps it (WRAPPED)",
     "defspace.DeformationCone.dimension": "perfbench/tracer.py's _observe_deformation_cone",
