@@ -179,18 +179,21 @@ class TropicalCurve(_CurveFields):
         return list(self._incidence[1].get(vertex, ()))
 
 
-def _rational(x) -> Fraction:
-    """x as a Fraction if it is an exact rational: an int (not a bool), a Fraction, or
-    text of the file format's form "p" or "p/q" (``_RATIONAL``) with q nonzero and
-    digits that Python converts; anything else raises ValueError, saying why."""
-    if isinstance(x, (int, Fraction)) and type(x) is not bool:
-        return Fraction(x)
-    if not isinstance(x, str):
+def _rational(x) -> int | Fraction:
+    """x, if it is an exact rational, as an int where integral and else as a Fraction:
+    an int (not a bool), a Fraction, or text of the file format's form "p" or "p/q"
+    (``_RATIONAL``) with q nonzero and digits that Python converts; anything else
+    raises ValueError, saying why."""
+    if type(x) is int:
+        return x
+    exact = isinstance(x, (int, Fraction)) and type(x) is not bool
+    if not exact and not isinstance(x, str):
         raise ValueError(f"expected int or 'p/q' string, got {type(x).__name__}")
     why = "expected 'p' or 'p/q'"
     try:
-        if _RATIONAL.fullmatch(x):
-            return Fraction(x)
+        if exact or _RATIONAL.fullmatch(x):
+            f = Fraction(x)
+            return f.numerator if f.denominator == 1 else f
     except ZeroDivisionError:
         why = "zero denominator"
     except ValueError as ex:  # more digits than Python converts
@@ -198,17 +201,16 @@ def _rational(x) -> Fraction:
     raise ValueError(f"bad rational string {_echo(repr(x))}: {why}")
 
 
-def _exact(x, kind: type = Fraction):
-    """x, an exact rational (``_rational``), as a Fraction or int (``kind``), else InvalidCurve."""
-    if type(x) is kind:
-        return x
+def _exact(x, kind: type | tuple = (int, Fraction)):
+    """x, an exact rational (``_rational``), an int where integral; with ``kind``
+    int, an integer only; else InvalidCurve."""
     try:
         f = _rational(x)
     except ValueError:
         f = None
-    if f is None or f.denominator != 1 and kind is int:
+    if not isinstance(f, kind):
         raise InvalidCurve(f"{_echo(repr(x))} is no exact {'integer' if kind is int else 'number'}")
-    return f if kind is Fraction else f.numerator
+    return f
 
 
 class BalanceReport(NamedTuple):

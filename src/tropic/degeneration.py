@@ -1,12 +1,17 @@
-"""Special-fiber combinatorics: the dual nodal curve, node parameters and
-slopes, and assembly/verification of the full realization certificate.
+"""Special-fiber combinatorics: node parameters and slopes, and assembly and
+verification of the realization certificate, the map from a nodal curve to
+the toric Artin fan.
 
-The certificate records, per bounded edge e of the prepared curve, the
-integer k = length/weight, the weight rho, and the integer node slope
-u_q = (position(v1) - position(v2)) / rho = -k*d, where (v1, v2) is the
-stored endpoint order of e and d the primitive direction from v1 to v2.
-Flipping the orientation negates u_q; the stored order is the documented
-convention.
+The certificate states that map once.  Its nodal curve is the rescaled
+curve's graph: a component per vertex, a node per bounded edge, and a marked
+point per ray, whose weight is its contact order (``dual_curve`` builds these
+as records).  Its base point is the rescaled curve over the multiplier N,
+each edge's original length/weight k/N.  The certificate records, per
+bounded edge e of the prepared curve, the integer k = length/weight, the
+weight rho, and the integer node slope u_q = (position(v1) - position(v2))
+/ rho = -k*d, where (v1, v2) is the stored endpoint order of e and d the
+primitive direction from v1 to v2.  Flipping the orientation negates u_q;
+the stored order is the documented convention.
 """
 
 from collections import Counter
@@ -16,8 +21,8 @@ from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
-from .curves import TropicalCurve, require_balanced
-from .errors import RecessionNotSupported, Unbalanced, _echo
+from .curves import TropicalCurve, is_balanced, require_balanced
+from .errors import RecessionNotSupported, _echo
 from .latticefan import (
     Fan, IntVec, _locate, direction_values, hyperplane_values, not_in_support)
 from .refine import _dilate, _ratios, _walk, check_recession_support
@@ -76,42 +81,21 @@ _component, _node, _marked, _node_data = (  # records built by tuple's C constru
     partial(tuple.__new__, k) for k in (Component, Node, MarkedPoint, NodeData))
 
 
-class BasePoint(NamedTuple):
-    """The curve as a monoid homomorphism: the original length/weight per edge and the
-    positions, each value held as its numerator over the one ``denominator``."""
-
-    edge_valuations: dict[str, int]
-    vertex_positions: dict[str, IntVec]
-    denominator: int
-
-
 class RealizationCertificate(NamedTuple):
-    """Combinatorial data certifying the map from the dual curve to the fan's quotient stack."""
+    """The map from the nodal curve to the fan's quotient stack, stated once: the
+    rescaled curve, whose graph is the nodal curve's dual graph and which over
+    N is the original curve, the fan, N, each vertex's cone and each node's data."""
 
     rescaled_curve: TropicalCurve
     multiplier: int
     fan: Fan
     vertex_cones: dict[str, int]  # vertex -> index into fan.cones
-    vertex_stars: dict[str, tuple[IntVec, ...]]  # directions a refinement must contain
-    dual: DualCurve
     node_data: tuple[NodeData, ...]
-    base_point: BasePoint
 
 
 class CertificateCheck(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
-
-
-def _stars(c: TropicalCurve) -> dict[str, tuple[IntVec, ...]]:
-    """vertex -> its sorted outgoing primitive directions, in vertex order."""
-    stars, data, back = {v: set() for v in c.vertices}, c._edge_data, {}
-    for e, (u, w), _ in c.edges:
-        stars[u].add(d := data[e][0])
-        stars[w].add(back.get(d) or back.setdefault(d, tuple([-x for x in d])))
-    for _, base, d, _ in c.rays:
-        stars[base].add(d)
-    return {v: tuple(sorted(ds)) for v, ds in stars.items()}
 
 
 def _nodes(c: TropicalCurve, ratios: dict, n: int) -> dict:
@@ -125,35 +109,30 @@ def _nodes(c: TropicalCurve, ratios: dict, n: int) -> dict:
     return nodes
 
 
-def _state(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict, dict]:
-    """The stars, node data (N = 1) and sign vectors of a curve that certify did
-    not hand ``_derive`` (read from JSON, copied or tampered), from the curve alone."""
-    return _stars(hat), _nodes(hat, _ratios(hat), 1), hyperplane_values(fan, hat._image[1])[1]
+def _state(hat: TropicalCurve, fan: Fan) -> tuple[dict, dict]:
+    """The node data (N = 1) and sign vectors of a curve that certify did not
+    hand ``_derive`` (read from JSON, copied or tampered), from the curve alone."""
+    return _nodes(hat, _ratios(hat), 1), hyperplane_values(fan, hat._image[1])[1]
 
 
 def _derive(hat: TropicalCurve, fan: Fan, state: tuple | None = None
-            ) -> tuple[dict, dict, DualCurve | None, dict, dict]:
+            ) -> tuple[dict, dict, dict]:
     """The certificate fields that the rescaled curve and the fan fix: per
-    vertex its star (sorted outgoing primitive directions); per bounded edge,
-    NodeData (``_nodes``, N = 1), ints on a rescaled curve and exact rationals
-    otherwise (a tampered certificate is compared, not refused); the dual
-    curve, None if unbalanced; and per vertex its cell (``_locate``), closure
-    mask and cone index (None outside the support), from its sign vector.
-    Stars, node data and sign vectors are ``state``, which certify hands
-    over (the input's stars, then the breaks'), else ``_state`` of the
-    curve.  The curve keeps this read-only tuple, for that fan object only."""
+    bounded edge, NodeData (``_nodes``, N = 1), ints on a rescaled curve and
+    exact rationals otherwise (a tampered certificate is compared, not
+    refused); and per vertex its cell (``_locate``), closure mask and cone
+    index (None outside the support), from its sign vector.  Node data and
+    sign vectors are ``state``, which certify hands over (the walk's), else
+    ``_state`` of the valid curve.  The curve keeps this read-only tuple, for
+    that fan object only."""
     kept = vars(hat).get("_derived")
     if kept is not None and kept[0] is fan:
         return kept[1]
-    try:
-        dual = dual_curve(hat)
-    except Unbalanced:
-        dual = None
-    stars, nodes, vectors = state or _state(hat, fan)
+    nodes, vectors = state or _state(hat, fan)
     masks, cones = {}, {}
     for v in hat.vertices:
         cones[v], masks[v] = _locate(fan, vectors[v])
-    derived = stars, nodes, dual, masks, cones
+    derived = nodes, masks, cones
     vars(hat)["_derived"] = fan, derived
     return derived
 
@@ -173,13 +152,13 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     Walks the curve against the fan (``refine._walk``) and dilates its integer
     points by the least N making every piece's length/weight p/q integral
     (``refine._dilate``); ``_nodes`` builds each piece's NodeData from the
-    walk's ratios and N.  ``_derive`` packs these with the walk's sign vectors
-    and the stars, the input's and the breaks', for verify.  The base point is
-    the rescaled image (m, m*N*p) over D = m*N, valuations k*m: with m = 1 no
-    Fraction is built.  Each per-id dict is the certificate's own, shared with
-    nothing verify reads, each per-vertex one in the rescaled curve's vertex
-    order.  The first vertex outside the support of the fan, in curve order,
-    raises NotInSupport at its rescaled position.
+    walk's ratios and N.  ``_derive`` packs these with the walk's sign
+    vectors, for verify.  The nodal curve and the base point are not built:
+    they are the rescaled curve's graph and the rescaled curve over N.  The
+    vertex cones are the certificate's own dict, shared with nothing verify
+    reads, in the rescaled curve's vertex order.  The first vertex outside
+    the support of the fan, in curve order, raises NotInSupport at its
+    rescaled position.
     """
     require_balanced(c)
     support = check_recession_support(c, f)
@@ -188,60 +167,44 @@ def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
             f"ray directions {_echo([d for _, d in support.missing])} are not rays of the fan")
     out, signs, breaks, ratios, _ = _walk(c, f)
     hat, n = _dilate(out, ratios, out.vertices if breaks else None)
-    nodes = _nodes(out, ratios, n)
-    stars, nodes, dual, _, cones = _derive(hat, f, (_stars(c) | breaks, nodes, signs))
+    nodes, _, cones = _derive(hat, f, (_nodes(out, ratios, n), signs))
     if None in cones.values():
         raise not_in_support(hat.vertices[next(v for v, i in cones.items() if i is None)])
-    m, image = hat._image
-    return RealizationCertificate(
-        hat, n, f, dict(cones), {v: stars[v] for v in hat.vertices}, dual, tuple(nodes.values()),
-        BasePoint({e: nd.k * m for e, nd in nodes.items()}, dict(image), m * n))
+    return RealizationCertificate(hat, n, f, dict(cones), tuple(nodes.values()))
 
 
 def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
-    """Refuse a multiplier or a k that is no positive int, a multiplier N > 1
-    sharing a factor with every k (certify's N, the lcm of the denominators
-    of length/weight, has gcd 1 with them), and every edge listed twice in
-    ``node_data``; compare the rest, dict by dict, with ``_derive`` of the
-    rescaled curve and fan (in process, the derivation certify packed), naming
-    each id whose entry differs or is missing on one side, a vertex outside the
-    support included.  N times the base point is the rescaled curve: its image
-    (m, m*N*p) and k*m are the numerators over m*N, certify's denominator, and a
-    base point over another is first put over m*N (over 0, matching nothing).  Then
-    check the curve maps into the fan cone by cone, some closed cone holding
-    both ends of each piece, a ray's base and direction (PieceNotInCone), with
-    every ray direction a ray of the fan (RecessionNotSupported).  Each vertex's
+    """Refuse an unbalanced rescaled curve, a multiplier or a k that is no
+    positive int, a multiplier N > 1 sharing a factor with every k, and every
+    edge listed twice in ``node_data``.  The certified curve is the rescaled
+    curve over N, so N must be the least that makes its length/weights
+    integral: certify's N, the lcm of their denominators, has gcd 1 with the
+    ks.  Compare the vertex cones and node data, dict by dict, with
+    ``_derive`` of the rescaled curve and fan (in process, the derivation
+    certify packed), naming each id whose entry differs or is missing on one
+    side, a vertex outside the support included.  Then check the curve maps
+    into the fan cone by cone, some closed cone holding both ends of each
+    piece, a ray's base and direction (PieceNotInCone), with every ray
+    direction a ray of the fan (RecessionNotSupported).  Each vertex's
     closure mask is read from ``_derive``, each ray direction's from its cell
     (``_locate``, memoized by ``direction_values``)."""
     violations: list[str] = []
     hat, n, fan = cert.rescaled_curve, cert.multiplier, cert.fan
-    stars, nodes, dual, masks, cones = _derive(hat, fan)
-    if dual is None:
+    if not is_balanced(hat).balanced:
         violations.append("Unbalanced: rescaled curve fails balancing")
-    elif dual != cert.dual:
-        violations.append("DualGraphMismatch: dual curve disagrees with the underlying graph")
+    nodes, masks, cones = _derive(hat, fan)
     if not (type(n) is int and n >= 1):
         violations.append("MultiplierNotPositive: the multiplier must be a positive int")
     ids = Counter(map(itemgetter(0), cert.node_data))
     violations += [f"DuplicateEntry: node_data {_echo(e)}" for e in sorted(ids) if ids[e] > 1]
 
-    m, image = hat._image
     ks = [nd.k for nd in nodes.values()]
     if type(n) is int and n > 1 and set(map(type, ks)) <= {int} and gcd(n, *ks) > 1:
         violations.append(
             "MultiplierNotLeast: a smaller multiplier makes every length/weight integral")
     violations += _mismatches("VertexConeMismatch: vertex", cones, cert.vertex_cones)
-    violations += _mismatches("StarMismatch: vertex", stars, cert.vertex_stars)
     violations += _mismatches("NodeDataMismatch: edge", nodes, {
         nd.edge: nd for nd in cert.node_data if type(nd.k) is int and nd.k > 0})
-    (vals, points, den), mn = cert.base_point, m * n
-    if den != mn:  # each value over m*N; over a zero denominator, none matches
-        over = (lambda x: x * Fraction(mn, den)) if den else (lambda x: None)
-        vals = {e: over(x) for e, x in vals.items()}
-        points = {v: tuple([over(x) for x in p]) for v, p in points.items()}
-    violations += _mismatches("BasePointMismatch: edge", {e: nd.k * m for e, nd in nodes.items()},
-                              vals)
-    violations += _mismatches("BasePointMismatch: vertex", image, points)
 
     # the map to the fan is cone by cone: a piece lies in a closed cone iff
     # both its ends do (a ray's base and direction), as cones are convex

@@ -4,8 +4,8 @@ Rationals are serialized as plain integers when possible and as exact "p/q"
 strings otherwise, so no value is ever routed through floating point.  All
 serializers emit keys in a fixed order and sort lists, making reports
 byte-identical across runs.  The readers check each list of records once for
-its shape, then each field as a column, and keep a JSON integer as an int: a
-Fraction is built only for "p" or "p/q" text.
+its shape, then each field as a column, and keep an integral value, a JSON
+integer or "p" or "p/q" text, as an int: a Fraction is built only for text.
 """
 
 import json
@@ -14,17 +14,9 @@ from fractions import Fraction
 from typing import Any
 
 from .curves import BoundedEdge, CurveRay, TropicalCurve, _rational
-from .degeneration import (
-    BasePoint,
-    Component,
-    DualCurve,
-    MarkedPoint,
-    Node,
-    NodeData,
-    RealizationCertificate,
-)
+from .degeneration import NodeData, RealizationCertificate
 from .errors import DeskScaleExceeded, SchemaError, _echo
-from .latticefan import Cone, Fan, integer_image
+from .latticefan import Cone, Fan
 
 
 _OVER_LIMIT = "a number in the report exceeds Python's integer digit limit"
@@ -42,8 +34,9 @@ def rat_to_json(x) -> int | str:
         raise DeskScaleExceeded(_OVER_LIMIT) from None
 
 
-def rat_from_json(value) -> Fraction:
-    """An integer, or a string of exactly the form "p" or "p/q" (``curves._rational``)."""
+def rat_from_json(value) -> int | Fraction:
+    """An integer, or a string of exactly the form "p" or "p/q" (``curves._rational``),
+    as an int where integral."""
     try:
         return _rational(value)
     except ValueError as ex:
@@ -176,62 +169,28 @@ def fan_from_dict(data) -> Fan:
 
 
 def certificate_to_dict(cert: RealizationCertificate) -> dict:
-    bp = cert.base_point
-    over = lambda x: rat_to_json(Fraction(x, bp.denominator))
     return {
         "curve": curve_to_dict(cert.rescaled_curve),
         "fan": fan_to_dict(cert.fan),
         "multiplier": cert.multiplier,
         "vertex_cones": dict(cert.vertex_cones),
-        "vertex_stars": {v: [list(d) for d in dirs] for v, dirs in cert.vertex_stars.items()},
-        # field order is key order; dumps writes the tuples as lists
-        "dual_curve": {k: [x._asdict() for x in xs] for k, xs in cert.dual._asdict().items()},
-        "node_data": [nd._asdict() for nd in cert.node_data],
-        "base_point": {
-            "edge_valuations": {e: over(x) for e, x in bp.edge_valuations.items()},
-            "vertex_positions": {v: [over(x) for x in p] for v, p in bp.vertex_positions.items()},
-        },
+        "node_data": [nd._asdict() for nd in cert.node_data],  # dumps writes u_q as a list
     }
 
 
 def certificate_from_dict(data) -> RealizationCertificate:
+    """The five fields; any other key, such as a format-1 file's ``dual_curve``,
+    ``vertex_stars`` and ``base_point``, is skipped unread."""
     _object(data, "certificate document")
-    dual_data = _object(data.get("dual_curve"), "dual_curve")
-    ids, vertices = _columns(dual_data.get("components", []), "components", "id", "vertex")
-    components = map(Component, _strs(ids, "component id"), _strs(vertices, "component vertex"))
-    ids, edges, pairs = _columns(dual_data.get("nodes", []), "nodes", "id", "edge", "components")
-    nodes = map(Node, _strs(ids, "node id"), _strs(edges, "node edge"),
-                map(tuple, _rows(pairs, "node components", 2, str)))
-    ids, rays, comps, orders = _columns(dual_data.get("marked_points", []), "marked_points",
-                                        "id", "ray", "component", "contact_order")
-    marked = map(MarkedPoint, _strs(ids, "marked point id"), _strs(rays, "marked point ray"),
-                 _strs(comps, "marked point component"), _ints(orders, "contact_order"))
-    dual = DualCurve(tuple(components), tuple(nodes), tuple(marked))
-    bp = _object(data.get("base_point"), "base_point")
     curve = curve_from_dict(data.get("curve"))
     [multiplier] = _ints([data.get("multiplier")], "multiplier")
     fan = fan_from_dict(data.get("fan"))
     cones = dict(_object(data.get("vertex_cones"), "vertex_cones"))
     _ints(cones.values(), "cone index")
-    stars = _object(data.get("vertex_stars", {}), "vertex_stars")
-    directions = [d for dirs in _rows([*stars.values()], "vertex star") for d in dirs]
-    _rows(directions, "star direction", entries=int)
     edges, ks, rhos, u_qs = _columns(data.get("node_data"), "node_data", "edge", "k", "rho", "u_q")
     node_data = map(NodeData, _strs(edges, "node_data edge"), _ints(ks, "k"), _ints(rhos, "rho"),
                     map(tuple, _rows(u_qs, "u_q", entries=int)))
-    return RealizationCertificate(
-        curve, multiplier, fan, cones, {v: tuple(map(tuple, dirs)) for v, dirs in stars.items()},
-        dual, tuple(node_data), _base_point(bp))
-
-
-def _base_point(bp: dict) -> BasePoint:
-    """The base point's rationals as integers over the lcm of their denominators."""
-    vals = _object(bp.get("edge_valuations"), "edge_valuations")
-    rats = {0: _rats(vals.values())}
-    positions = _object(bp.get("vertex_positions", {}), "vertex_positions")
-    rats.update(zip(positions, map(_rats, _rows([*positions.values()], "vertex position"))))
-    d, image = integer_image(rats)
-    return BasePoint(dict(zip(vals, image.pop(0))), image, d)
+    return RealizationCertificate(curve, multiplier, fan, cones, tuple(node_data))
 
 
 def dumps(obj: Any) -> str:

@@ -42,7 +42,7 @@ class SubdivisionRecord(NamedTuple):
 class _Walk(NamedTuple):
     output: TropicalCurve  # the subdivided curve; if any host broke, vertex -> integer point
     signs: dict[str, tuple[int, int]]  # vertex -> its sign vector
-    stars: dict[str, tuple[IntVec, IntVec]]  # break -> its host's sorted (d, -d), in walk order
+    breaks: dict[str, tuple[IntVec, int]]  # break -> its integer point (y, s), in walk order
     ratios: dict[str, tuple[IntVec, int, int]]  # bounded piece -> (d, p, q), length/weight p/q
     cones: dict[str, int]  # output edge/ray id -> index of its containing cone
 
@@ -102,14 +102,15 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
     spurious crossing), so a host breaks where the cone changes, and a break's
     vector is the interval's before it with the flip mask cleared from both.
     The walk returns (``_Walk``) the subdivided curve, every vertex's sign
-    vector, each break's star, each bounded piece's direction and length/weight
-    in integers, (key'-key)*p/(q*lb) from key to key' on a host whose own is
-    p/q (``_ratios``; (D, 1, weight) for a ray), and each piece's cone, its
-    first interval's: the host's first, or the one after a kept break.  New
-    vertices are straight, 2-valent and fresh: the output inherits the verdicts.
-    If any host breaks, its vertices are integer points (y, s), at y/s: (m v, m)
-    for an input v, (lb*m*u + key*m*x, m*lb) for a break on a host from u along
-    x (w - u, or D), so the walk builds no Fraction.  A host that keeps no break
+    vector, the breaks' integer points in walk order, each bounded piece's
+    direction and length/weight in integers, (key'-key)*p/(q*lb) from key to
+    key' on a host whose own is p/q (``_ratios``; (D, 1, weight) for a ray),
+    and each piece's cone, its first interval's: the host's first, or the one
+    after a kept break.  New vertices are straight, 2-valent and fresh: the
+    output inherits the verdicts.  If any host breaks, its vertices are
+    integer points (y, s), at y/s: (m v, m) for an input v, (lb*m*u +
+    key*m*x, m*lb) for a break on a host from u along x (w - u, or D), so the
+    walk builds no Fraction.  A host that keeps no break
     passes through as it is, and a curve in which none breaks is its own
     output, caches and all.  New vertices are named ``<host>#k`` and pieces
     ``<host>:k``; an input curve already using such an id raises InvalidCurve
@@ -120,8 +121,8 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
 
     hosts = c.edges + c.rays
     host_ids = {h.id for h in hosts}
-    points, edge_ratios = {}, _ratios(c)
-    new_edges, new_rays, stars, ratios, pieces = [], [], {}, {}, {}
+    breaks, edge_ratios = {}, _ratios(c)
+    new_edges, new_rays, ratios, pieces = [], [], {}, {}
 
     m, image = c._image
     own, signs = hyperplane_values(f, image)  # vertex -> n.(m v); -> their signs
@@ -158,15 +159,14 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
             t = bounds[(k := cones.index(None))] + bounds[k + 1]
             raise not_in_support(_point_at(
                 [2 * lb * b + t * x for b, x in zip(base, direction)], 2 * m * lb))
-        stops, star = [(start, 0, cones[0])], tuple(sorted((d, tuple([-x for x in d]))))
+        stops = [(start, 0, cones[0])]
         for k, t in enumerate(cuts):
             if cones[k] != cones[k + 1]:
                 vid = f"{h.id}#{len(stops)}"
                 if vid in image:
                     raise InvalidCurve(_REUSED.format(_echo(h.id), _echo(repr(vid))))
-                points[vid] = tuple([lb * b + t * x for b, x in zip(base, direction)]), m * lb
+                breaks[vid] = tuple([lb * b + t * x for b, x in zip(base, direction)]), m * lb
                 signs[vid] = keys[k][0] & ~crossings[t], keys[k][1] & ~crossings[t]
-                stars[vid] = star
                 stops.append((vid, t, cones[k + 1]))
         stops.append((end, lb, None) if bounded else (None, None, None))
         for k, ((u, t0, cone), (w, t1, _)) in enumerate(zip(stops, stops[1:])):
@@ -180,10 +180,10 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
                 new_edges.append(_edge((pid, (u, w), h.weight)))
                 ratios[pid] = d, (t1 - t0) * p, q * lb
 
-    if stars:  # else nothing broke: the input is its own subdivision, caches and all
-        points = {**{v: (y, m) for v, y in image.items()}, **points}
+    if breaks:  # else nothing broke: the input is its own subdivision, caches and all
+        points = {**{v: (y, m) for v, y in image.items()}, **breaks}
         c = _inherit(TropicalCurve(c.ambient_dim, points, new_edges, new_rays), c)
-    return _Walk(c, signs, stars, ratios, pieces)
+    return _Walk(c, signs, breaks, ratios, pieces)
 
 
 def rescale_integral(c: TropicalCurve) -> tuple[TropicalCurve, int]:

@@ -127,14 +127,12 @@ def test_criterion_6_certificate_round_trip_and_fault_injection():
             ),
         )
         ok = ok and not verify_certificate(perturbed).ok
+        # a marked point's contact order is its ray's weight
         cert3 = certify(fixtures.speyer3(), fixtures.fan_r3())
-        marked = cert3.dual.marked_points
+        hat = cert3.rescaled_curve
+        r, *rest = hat.rays
         tampered = cert3._replace(
-            dual=cert3.dual._replace(
-                marked_points=(marked[0]._replace(contact_order=marked[0].contact_order + 1),)
-                + marked[1:],
-            ),
-        )
+            rescaled_curve=hat._replace(rays=(r._replace(weight=r.weight + 1), *rest)))
         ok = ok and not verify_certificate(tampered).ok
     ok = ok and t.elapsed < 2.0
     _report(6, ok, f"round trips + fault injection, {t.elapsed:.3f}s")
@@ -189,6 +187,8 @@ def test_criterion_8_rescaling():
 
 
 def test_criterion_9_base_point_bookkeeping():
+    # the base point is the rescaled curve over N: the subdivided input, each
+    # edge's valuation k/N its original length/weight
     ok = True
     for curve_name, fan_name in CERTIFY_PAIRS:
         c = fixtures.CURVES[curve_name]()
@@ -198,7 +198,9 @@ def test_criterion_9_base_point_bookkeeping():
         expected = {
             e.id: edge_data(prepared, e.id)[1] / e.weight for e in prepared.edges
         }
-        d = cert.base_point.denominator
-        valuations = {e: Fraction(x, d) for e, x in cert.base_point.edge_valuations.items()}
-        ok = ok and valuations == expected
+        n = cert.multiplier
+        valuations = {nd.edge: Fraction(nd.k, n) for nd in cert.node_data}
+        positions = {v: tuple(Fraction(x, n) for x in p)
+                     for v, p in cert.rescaled_curve.vertices.items()}
+        ok = ok and valuations == expected and positions == prepared.vertices
     _report(9, ok, "certificate valuations equal original length/weight on all fixtures")

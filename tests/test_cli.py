@@ -149,8 +149,9 @@ def test_certify_verify_round_trip(paths, capsys, tmp_path):
     code = run(["certify", paths["segfan"], "--fan", paths["fan_p1xp1"], "--out", str(cert_path)])
     assert code == 0
     cert = json.loads(cert_path.read_text())
+    assert list(cert) == ["curve", "fan", "multiplier", "vertex_cones", "node_data"]
     assert cert["node_data"] == [{"edge": "e0", "k": 1, "rho": 2, "u_q": [-1, 0]}]
-    assert cert["base_point"]["edge_valuations"] == {"e0": 1}
+    assert cert["multiplier"] == 1
     code, text = _capture(capsys, ["verify-cert", str(cert_path)])
     assert code == 0 and json.loads(text)["ok"] is True
 
@@ -161,6 +162,23 @@ def test_certify_verify_round_trip(paths, capsys, tmp_path):
     code, text = _capture(capsys, ["verify-cert", str(tampered)])
     assert code == 1
     assert not json.loads(text)["ok"]
+
+
+FORMAT_1 = Path(__file__).parent / "data" / "speyer3_format1.cert.json"
+
+
+def test_a_format_1_certificate_verifies_and_is_format_2_with_three_fields_more(paths, capsys):
+    # a certificate written before the map to the Artin fan was stated once
+    # (speyer3 on fan_r3) holds dual_curve, vertex_stars and base_point too;
+    # the reader skips them, and certify writes the rest, byte for byte
+    code, text = _capture(capsys, ["verify-cert", str(FORMAT_1)])
+    assert (code, json.loads(text)) == (0, {"ok": True, "violations": []})
+    old = json.loads(FORMAT_1.read_text())
+    assert {"dual_curve", "vertex_stars", "base_point"} <= old.keys()
+    for key in ("dual_curve", "vertex_stars", "base_point"):
+        del old[key]
+    code, text = _capture(capsys, ["certify", paths["speyer3"], "--fan", paths["fan_r3"]])
+    assert code == 0 and text == dumps(old)
 
 
 def _segfan_certificate(paths, tmp_path) -> dict:
@@ -177,8 +195,9 @@ def _verify_cert_doc(capsys, tmp_path, doc):
 
 
 def test_verify_cert_node_without_edge_exits_2(paths, capsys, tmp_path):
+    # a node's data names its edge
     cert = _segfan_certificate(paths, tmp_path)
-    del cert["dual_curve"]["nodes"][0]["edge"]
+    del cert["node_data"][0]["edge"]
     code, report = _verify_cert_doc(capsys, tmp_path, cert)
     assert (code, report["error"]) == (2, "SchemaError")
 
@@ -191,8 +210,9 @@ def test_verify_cert_node_data_not_a_list_exits_2(paths, capsys, tmp_path):
 
 
 def test_verify_cert_marked_point_without_component_exits_2(paths, capsys, tmp_path):
+    # a marked point per ray, on the component of the ray's base
     cert = _segfan_certificate(paths, tmp_path)
-    del cert["dual_curve"]["marked_points"][0]["component"]
+    del cert["curve"]["rays"][0]["base"]
     code, report = _verify_cert_doc(capsys, tmp_path, cert)
     assert (code, report["error"]) == (2, "SchemaError")
 
@@ -216,12 +236,12 @@ def test_non_string_curve_ids_exit_2(tmp_path, capsys, field, bad_id):
 
 
 @pytest.mark.parametrize("bad_id", [None, 5])
-@pytest.mark.parametrize("field", [
-    ("dual_curve", "components", 0, "id"), ("dual_curve", "components", 0, "vertex"),
-    ("dual_curve", "nodes", 0, "id"), ("dual_curve", "nodes", 0, "edge"),
-    ("dual_curve", "nodes", 0, "components", 0), ("dual_curve", "marked_points", 0, "id"),
-    ("dual_curve", "marked_points", 0, "ray"), ("dual_curve", "marked_points", 0, "component"),
-    ("node_data", 0, "edge"),
+@pytest.mark.parametrize("field", [  # every id a certificate holds
+    ("curve", "vertices", 0, "id"), ("curve", "vertices", 1, "id"),
+    ("curve", "edges", 0, "id"), ("node_data", 0, "edge"),
+    ("curve", "edges", 0, "ends", 0), ("curve", "rays", 0, "id"),
+    ("curve", "rays", 1, "id"), ("curve", "rays", 0, "base"),
+    ("curve", "edges", 0, "ends", 1),
 ])
 def test_verify_cert_non_string_ids_exit_2(paths, capsys, tmp_path, field, bad_id):
     cert = _segfan_certificate(paths, tmp_path)
@@ -242,8 +262,8 @@ def test_edge_ends_and_node_components_hold_exactly_two_ids(paths, capsys, tmp_p
         p.write_text(json.dumps(doc))
         code, text = _capture(capsys, ["check", str(p)])
         assert (code, json.loads(text)["error"]) == (2, "SchemaError"), ends
-        cert = _segfan_certificate(paths, tmp_path)
-        cert["dual_curve"]["nodes"][0]["components"] = ends
+        cert = _segfan_certificate(paths, tmp_path)  # a node's components: its edge's ends
+        cert["curve"]["edges"][0]["ends"] = ends
         code, report = _verify_cert_doc(capsys, tmp_path, cert)
         assert (code, report["error"]) == (2, "SchemaError"), ends
 
@@ -617,9 +637,12 @@ def test_the_reader_and_build_share_one_rule_for_an_exact_rational():
         assert info.value.message == detail or len(str(value)) == 5000
         with pytest.raises(InvalidCurve, match=f"^{re.escape(repr(value)[:40])}"):
             TropicalCurve.build(1, {"a": (value,)})
-    for value, number in ((3, 3), ("-3/4", Fraction(-3, 4)), ("6/3", 2), ("-0", 0)):
+    for value, number in ((3, 3), ("-3/4", Fraction(-3, 4)), ("6/3", 2), ("-0", 0),
+                          (Fraction(6, 3), 2)):
         built = TropicalCurve.build(1, {"a": (value,)}).vertices["a"][0]
         assert rat_from_json(value) == number == built
+        assert type(rat_from_json(value)) is type(number) is type(built), value
+
 
 def test_rationals_outside_integer_or_p_over_q_are_schema_errors(tmp_path, capsys):
     from tropic.errors import SchemaError
@@ -711,8 +734,7 @@ def test_verify_cert_reports_a_vertex_outside_the_support(paths, capsys, tmp_pat
     cert = _segfan_certificate(paths, tmp_path)
     cert["fan"]["cones"].remove([1, 3])
     expected = ["Unbalanced: rescaled curve fails balancing", "VertexConeMismatch: vertex v0",
-                "StarMismatch: vertex v0", "StarMismatch: vertex v1", "NodeDataMismatch: edge e0",
-                "BasePointMismatch: edge e0", "BasePointMismatch: vertex v0", "PieceNotInCone: e0"]
+                "NodeDataMismatch: edge e0", "PieceNotInCone: e0"]
     for coords, outside in (([1, -1], ["PieceNotInCone: r0"]), ([0, -1], [])):
         cert["curve"]["vertices"][0] = {"id": "v0", "coords": coords}
         code, report = _verify_cert_doc(capsys, tmp_path, cert)
@@ -757,9 +779,7 @@ def test_verify_cert_violations_cut_long_ids(paths, capsys, tmp_path):
     long_id = "e" * 5000
     cert = _segfan_certificate(paths, tmp_path)
     cert["curve"]["edges"][0]["id"] = long_id
-    cert["dual_curve"]["nodes"][0].update(id=f"q_{long_id}", edge=long_id)
     cert["node_data"][0].update(edge=long_id, u_q=[0, 0])
-    cert["base_point"]["edge_valuations"] = {long_id: 1}
     path = tmp_path / "long.json"
     path.write_text(json.dumps(cert))
     code, text = _capture(capsys, ["verify-cert", str(path)])

@@ -24,7 +24,8 @@ def test_fixtures_validate():
 
 
 def test_build_takes_exact_values_and_refuses_floats_and_fractional_integers():
-    # ints, Fractions and "p/q" strings build as they are; a float is a binary
+    # ints, Fractions and "p/q" strings build as exact values, an int where
+    # integral and else a Fraction, as the JSON reader keeps them; a float is a binary
     # fraction, not the number written, and a weight or direction entry that
     # is no integer would be truncated (a ray (1.7, 0) of weight 1.9 became
     # (1, 0) of weight 1 and balanced), so each is refused, naming the value;
@@ -36,7 +37,7 @@ def test_build_takes_exact_values_and_refuses_floats_and_fractional_integers():
                             edges=[("e", ("a", "b"), "6/3")],
                             rays=[("r", "a", (Fraction(-2, 2), "0"), Fraction(4, 2))])
     assert c.vertices == {"a": (Fraction(1, 3), Fraction(1, 2)), "b": (-2, 7)}
-    assert all(type(x) is Fraction for p in c.vertices.values() for x in p)
+    assert [type(x) for p in c.vertices.values() for x in p] == [Fraction, Fraction, int, int]
     assert c.edges == (BoundedEdge("e", ("a", "b"), 2),)
     assert c.rays == (CurveRay("r", "a", (-1, 0), 2),)
     assert all(type(x) is int for x in (c.edges[0].weight, c.rays[0].weight, *c.rays[0].direction))
@@ -58,6 +59,30 @@ def test_build_takes_exact_values_and_refuses_floats_and_fractional_integers():
             TropicalCurve.build(2, {"a": (value, 0)})
     with pytest.raises(InvalidCurve, match="^True is no exact integer$"):
         TropicalCurve.build(2, {"a": (0, 0)}, rays=[("r", "a", (1, 0), True)])
+
+
+def test_build_and_the_reader_keep_one_type_per_coordinate():
+    # one in-memory form per curve: each fixture read from its file, built
+    # from the file's values, and built from its coordinates as Fractions
+    # holds an int for each integral coordinate and a Fraction for the rest
+    from tropic.jsonio import curve_from_dict, loads
+
+    for name in fixtures.CURVES:
+        doc = loads(fixtures.DIRECTORY.joinpath(f"{name}.json").read_text())
+        read = curve_from_dict(doc)
+        edges = [(e["id"], e["ends"], e["weight"]) for e in doc.get("edges", [])]
+        rays = [(r["id"], r["base"], r["direction"], r["weight"]) for r in doc.get("rays", [])]
+        from_file = TropicalCurve.build(
+            doc["ambient_dim"], {v["id"]: v["coords"] for v in doc["vertices"]}, edges, rays)
+        from_fractions = TropicalCurve.build(
+            read.ambient_dim, {v: [Fraction(x) for x in p] for v, p in read.vertices.items()},
+            edges, rays)
+        types = [[(type(x), x.denominator == 1) for x in p] for p in read.vertices.values()]
+        assert all(kind is (int if integral else Fraction) for p in types for kind, integral in p)
+        for c in (from_file, from_fractions):
+            assert c == read, name
+            assert [[(type(x), x.denominator == 1) for x in p]
+                    for p in c.vertices.values()] == types, name
     assert TropicalCurve.build(1, {"a": ("3",), "b": ("-3/4",)}).vertices == {
         "a": (3,), "b": (Fraction(-3, 4),)}
 
@@ -458,7 +483,9 @@ def test_a_first_balancing_builds_no_fraction_and_reads_the_curve_once(monkeypat
         built.append(args)
         return Fraction(*args)
 
-    for name, module in list(sys.modules.items()):
+    trees = [TropicalCurve.build(*gen.tree(random.Random(size), 3, size, DIRECTIONS[3]))
+             for size in (100, 400)]
+    for name, module in list(sys.modules.items()):  # counted from here: the trees are built
         if name.startswith("tropic") and getattr(module, "Fraction", None) is Fraction:
             monkeypatch.setattr(module, "Fraction", counting)
     one_pass = TropicalCurve.__dict__["_pass"]
@@ -469,8 +496,7 @@ def test_a_first_balancing_builds_no_fraction_and_reads_the_curve_once(monkeypat
         return real(c)
 
     monkeypatch.setattr(one_pass, "func", reading)
-    for size in (100, 400):
-        c = TropicalCurve.build(*gen.tree(random.Random(size), 3, size, DIRECTIONS[3]))
+    for size, c in zip((100, 400), trees):
         built.clear()
         passes.clear()
         assert is_balanced(c).balanced

@@ -104,9 +104,10 @@ def test_node_slope_identity():
 
 
 def test_certify_tripod():
+    # a marked point per ray, its contact order the ray's weight
     cert = certify(fixtures.tripod(), fixtures.fan_p2())
     assert cert.node_data == ()
-    assert [m.contact_order for m in cert.dual.marked_points] == [1, 1, 1]
+    assert [r.weight for r in cert.rescaled_curve.rays] == [1, 1, 1]
     (index,) = cert.vertex_cones.values()
     assert cert.fan.cones[index] == Cone((), 2)  # the origin cone
 
@@ -115,13 +116,14 @@ def test_certify_segfan():
     cert = certify(fixtures.segfan(), fixtures.fan_p1xp1())
     (nd,) = cert.node_data
     assert (nd.k, nd.rho, nd.u_q) == (1, 2, (-1, 0))
-    assert cert.base_point.denominator == 1 and cert.base_point.edge_valuations == {"e0": 1}
+    assert cert.multiplier == 1 and cert.rescaled_curve == fixtures.segfan()  # the curve over N
 
 
 def test_certify_speyer3():
+    # a node per bounded edge, a marked point per ray
     cert = certify(fixtures.speyer3(), fixtures.fan_r3())
-    assert len(cert.dual.nodes) == 3
-    assert sorted(m.contact_order for m in cert.dual.marked_points) == [1, 1, 1, 1]
+    assert len(cert.rescaled_curve.edges) == len(cert.node_data) == 3
+    assert sorted(r.weight for r in cert.rescaled_curve.rays) == [1, 1, 1, 1]
     assert verify_certificate(cert).ok
 
 
@@ -183,11 +185,13 @@ def test_fault_injection_u_q():
 
 
 def test_fault_injection_contact_order():
+    # a marked point's contact order is its ray's weight: changed, the curve is unbalanced
     cert = certify(fixtures.speyer3(), fixtures.fan_r3())
-    marked = cert.dual.marked_points
-    tampered = (marked[0]._replace(contact_order=marked[0].contact_order + 1),) + marked[1:]
-    check = verify_certificate(cert._replace(dual=cert.dual._replace(marked_points=tampered)))
-    assert not check.ok
+    hat = cert.rescaled_curve
+    tampered = hat._replace(rays=(hat.rays[0]._replace(weight=hat.rays[0].weight + 1),
+                                  *hat.rays[1:]))
+    check = verify_certificate(cert._replace(rescaled_curve=tampered))
+    assert check.violations == ("Unbalanced: rescaled curve fails balancing",)
 
 
 def test_node_slopes_recover_balancing():
@@ -232,19 +236,19 @@ def test_fault_injection_vertex_cone_and_base_point():
     # off-by-one cone index
     bad = cert._replace(vertex_cones=_first(cert.vertex_cones, lambda i: i + 1))
     assert not verify_certificate(bad).ok
-    # tampered valuation
-    bad_bp = cert.base_point._replace(
-        edge_valuations=_first(cert.base_point.edge_valuations, lambda x: x + 1))
-    assert not verify_certificate(cert._replace(base_point=bad_bp)).ok
+    # tampered valuation: the base point is the curve over N, so a vertex moves
+    hat = cert.rescaled_curve
+    moved = hat._replace(vertices=_first(hat.vertices, lambda p: (p[0] - 1, *p[1:])))
+    assert not verify_certificate(cert._replace(rescaled_curve=moved)).ok
     # tampered multiplier
-    assert not verify_certificate(cert._replace(multiplier=cert.multiplier + 1)).ok
+    assert not verify_certificate(cert._replace(multiplier=cert.multiplier - 1)).ok
 
 
 def test_certify_with_real_subdivision_keeps_split_valuations():
     cert = certify(fixtures.diag(), fixtures.fan_diag())
+    # each piece's valuation, k/N
     assert [nd.edge for nd in cert.node_data] == ["e0:0", "e0:1"]
-    assert cert.base_point.denominator == 1
-    assert cert.base_point.edge_valuations == {"e0:0": 1, "e0:1": 1}
+    assert cert.multiplier == 1 and [nd.k for nd in cert.node_data] == [1, 1]
     assert verify_certificate(cert).ok
 
 
@@ -336,7 +340,7 @@ def _check_closure_masks(cert, seen: dict) -> None:
         assert as_signs(t, len(fan.hyperplanes)) == t_tuple
         pair_rule = any(in_closure(p, s_tuple) and in_closure(p, t_tuple) for p in patterns)
         assert (_locate(fan, s)[1] & _locate(fan, t)[1] != 0) == pair_rule, (s_tuple, t_tuple)
-    assert _derive(hat, fan)[3] == {v: _locate(fan, s)[1] for v, s in vectors.items()}
+    assert _derive(hat, fan)[1] == {v: _locate(fan, s)[1] for v, s in vectors.items()}
     seen.setdefault(id(fan), (fan, set()))[1].update(v for pair in pairs for v, _ in pair)
 
 
@@ -485,8 +489,7 @@ def test_warm_certify_and_verify_build_no_fraction_point(monkeypatch):
 
 def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch):
     # count gate (counts, not times), at V = 100 and V = 400: the walk keeps
-    # each break as an integer point and the base point is the rescaled
-    # curve's integer image over m*N, so the only non-integral values certify
+    # each break as an integer point, so the only non-integral values certify
     # builds, in curves (the first read of its input included), refine and
     # degeneration, are the rescaled curve's coordinates, one Fraction each.
     # With m = 1 (R^2 rich-fan trees) that is
@@ -505,24 +508,25 @@ def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch
         built.append(args)
         return Fraction(*args)
 
-    for module in (curves, refine, degeneration):
-        monkeypatch.setattr(module, "Fraction", counting)
     rays, maximal, dim = gen.rich_fan_r2()
     rich, p2xp1 = fan_from_maximal(rays, maximal, dim), fan_from_maximal(*gen.fan_p2_r3())
-    seen = []
+    cases = []
     for size, degree in ((100, 10), (400, 20)):
         tree = TropicalCurve.build(*gen.tree(random.Random(size), dim, size, rays))
         lifted = translated(TropicalCurve.build(*gen.honeycomb(
             degree, 3, (Fraction(1, 7), Fraction(1, 3)))), (0, 0, Fraction(1, 5)))
-        for curve, fan in ((tree, rich), (lifted, p2xp1)):
-            built.clear()
-            cert = certify(curve, fan)
-            hat, bp = cert.rescaled_curve, cert.base_point
-            fractional = [x for p in hat.vertices.values() for x in p if type(x) is Fraction]
-            assert len(built) == len(fractional), (size, len(built), len(fractional))
-            assert all(type(x) is int for x in bp.edge_valuations.values())
-            assert all(type(nd.k) is int for nd in cert.node_data) and verify_certificate(cert).ok
-            seen.append((len(curve.vertices), hat._image[0], cert.multiplier > 1, len(built)))
+        cases += [(tree, rich), (lifted, p2xp1)]
+    for module in (curves, refine, degeneration):  # counted from here: the inputs are built
+        monkeypatch.setattr(module, "Fraction", counting)
+    seen = []
+    for curve, fan in cases:
+        built.clear()
+        cert = certify(curve, fan)
+        hat = cert.rescaled_curve
+        fractional = [x for p in hat.vertices.values() for x in p if type(x) is Fraction]
+        assert len(built) == len(fractional), (len(curve.vertices), len(built), len(fractional))
+        assert all(type(nd.k) is int for nd in cert.node_data) and verify_certificate(cert).ok
+        seen.append((len(curve.vertices), hat._image[0], cert.multiplier > 1, len(built)))
     assert [(v, m, n) for v, m, n, _ in seen] == [
         (100, 1, True), (100, 5, True), (400, 1, True), (400, 5, True)], seen
     assert [b for *_, b in seen] == [0, 110, 0, 420], seen
@@ -531,7 +535,7 @@ def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch
 def test_reading_a_certificate_builds_one_fraction_per_non_integral_value_in_it(monkeypatch):
     # count gate (counts, not times), on the trees and honeycombs of the test
     # above: certificate_from_dict builds one Fraction per "p/q" value of the
-    # file (rescaled coordinates and base point) and none for a JSON integer,
+    # file (the rescaled coordinates) and none for a JSON integer,
     # which it reads as the int it is; the curve read back is the rescaled
     # curve, and its certificate verifies
     import random
@@ -560,23 +564,19 @@ def test_reading_a_certificate_builds_one_fraction_per_non_integral_value_in_it(
             cert = certify(curve, fan)
             data = loads(dumps(certificate_to_dict(cert)))
             coords = [x for v in data["curve"]["vertices"] for x in v["coords"]]
-            bp = data["base_point"]
-            values = [*bp["edge_valuations"].values()]
-            values += [x for p in bp["vertex_positions"].values() for x in p]
             built.clear()
             with monkeypatch.context() as patch:
                 for module in (curves, jsonio):
                     patch.setattr(module, "Fraction", Counting)
                 back = certificate_from_dict(data)
-            fractional = sum(type(x) is str for x in coords + values)
+            fractional = sum(type(x) is str for x in coords)
             assert len(built) == fractional, (size, len(built), fractional)
             read = [x for p in back.rescaled_curve.vertices.values() for x in p]
             assert [type(x) is int for x in read] == [type(x) is int for x in coords]
             assert back.rescaled_curve == cert.rescaled_curve and verify_certificate(back).ok
-            seen.append((len(curve.vertices), sum(type(x) is str for x in coords), fractional))
-    # (V, "p/q" coordinates, "p/q" values): the trees keep m = 1, so only their
-    # base points, over N, hold non-integral values
-    assert seen == [(100, 0, 2265), (100, 110, 459), (400, 0, 9053), (400, 420, 1719)], seen
+            seen.append((len(curve.vertices), fractional))
+    # (V, "p/q" coordinates): the trees keep m = 1, so they hold none
+    assert seen == [(100, 0), (100, 110), (400, 0), (400, 420)], seen
 
 
 def test_certify_and_verify_keep_a_flat_number_of_objects_per_output_vertex():
@@ -713,7 +713,7 @@ def test_derived_node_data_is_exact_on_a_curve_not_rescaled():
 
     tree, fan = _rich_tree(3, 24)
     prepared = subdivide_along_fan(tree, fan).output
-    nodes = _derive(prepared, fan)[1]
+    nodes = _derive(prepared, fan)[0]
     for e in prepared.edges:
         d, length = edge_data(prepared, e.id)
         ratio = Fraction(length) / e.weight
@@ -773,11 +773,11 @@ def _carried_signs(cert, handed):
     from tropic.degeneration import _derive
     from tropic.latticefan import _locate, hyperplane_values, integer_image
 
-    (hat, fan, (_, _, vectors)), = handed
+    (hat, fan, (_, vectors)), = handed
     handed.clear()
     assert hat is cert.rescaled_curve and fan is cert.fan
     assert vectors == hyperplane_values(fan, integer_image(hat.vertices)[1])[1]
-    _, _, _, masks, cones = _derive(hat, fan)
+    _, masks, cones = _derive(hat, fan)
     assert {v: _locate(fan, s) for v, s in vectors.items()} == {
         v: (cones[v], masks[v]) for v in hat.vertices}
     return vectors
@@ -865,12 +865,6 @@ def test_certify_names_a_vertex_with_no_cone_at_its_rescaled_position():
         certify(curve, fan)
 
 
-def test_verify_rejects_a_star_for_an_unknown_vertex():
-    cert = certify(fixtures.tripod(), fixtures.fan_p2())
-    stray = cert._replace(vertex_stars=cert.vertex_stars | {"zz": ((9, 9),)})
-    assert verify_certificate(stray).violations == ("StarMismatch: vertex zz",)
-
-
 def _first(entries, change):
     """A copy of the dict ``entries`` with the value of its first id passed through ``change``."""
     key = next(iter(entries))
@@ -879,57 +873,33 @@ def _first(entries, change):
 
 def _mutations(cert):
     """(name, certificate) for single-field changes of ``cert`` that no valid
-    certificate of its curve and fan shows."""
-    dim = cert.rescaled_curve.ambient_dim
-    dual, bp = cert.dual, cert.base_point
-    keyed = {  # field -> (its dict, a value for the unknown id "zz")
-        "vertex_cones": (cert.vertex_cones, 0),
-        "vertex_stars": (cert.vertex_stars, ((9,) * dim,)),
-        "edge_valuations": (bp.edge_valuations, 1),
-        "vertex_positions": (bp.vertex_positions, (0,) * dim),
-    }
+    certificate of its curve and fan shows: the curve over another N is
+    another curve, so N changes only to a value that is no positive int."""
+    from helpers import scaled
 
-    def with_field(field, entries):
-        if field in ("edge_valuations", "vertex_positions"):
-            return cert._replace(base_point=bp._replace(**{field: entries}))
-        return cert._replace(**{field: entries})
-
-    out = []
-    if cert.node_data or any(any(p) for p in bp.vertex_positions.values()):
-        out.append(("multiplier", cert._replace(multiplier=cert.multiplier + 1)))
-    out.append(("vertex cone", with_field("vertex_cones", _first(cert.vertex_cones, lambda i: i + 1))))
-    out.append(("star", with_field("vertex_stars", _first(cert.vertex_stars, lambda ds: ds[1:]))))
-    out.append(("position", with_field("vertex_positions", _first(
-        bp.vertex_positions, lambda p: (p[0] + 1,) + p[1:]))))
-    out.append(("position with a coordinate appended", with_field("vertex_positions", _first(
-        bp.vertex_positions, lambda p: p + (0,)))))
-    out.append(("position with a coordinate dropped", with_field("vertex_positions", _first(
-        bp.vertex_positions, lambda p: p[:-1]))))
-    comps = dual.components
-    out.append(("component", cert._replace(dual=dual._replace(
-        components=(comps[0]._replace(vertex="zz"),) + comps[1:]))))
-    if dual.nodes:
-        nodes = dual.nodes
-        flipped = nodes[0]._replace(components=nodes[0].components[::-1])
-        out.append(("node", cert._replace(dual=dual._replace(nodes=(flipped,) + nodes[1:]))))
-    if dual.marked_points:
-        mps = dual.marked_points
-        bumped = mps[0]._replace(contact_order=mps[0].contact_order + 1)
-        out.append(("contact order", cert._replace(dual=dual._replace(marked_points=(bumped,) + mps[1:]))))
+    hat = cert.rescaled_curve
+    dim = hat.ambient_dim
+    out = [("multiplier", cert._replace(multiplier=-cert.multiplier)),
+           ("zero multiplier", cert._replace(multiplier=0))]
+    out.append(("vertex cone", cert._replace(
+        vertex_cones=_first(cert.vertex_cones, lambda i: i + 1))))
+    if hat.rays:  # a contact order: the ray's weight
+        r, *rest = hat.rays
+        out.append(("contact order", cert._replace(
+            rescaled_curve=hat._replace(rays=(r._replace(weight=r.weight + 1), *rest)))))
     if cert.node_data:
         nd, *rest = cert.node_data
         for name, changed in (("k", nd._replace(k=nd.k + 1)), ("rho", nd._replace(rho=nd.rho + 1)),
                               ("u_q", nd._replace(u_q=(nd.u_q[0] + 1,) + nd.u_q[1:]))):
             out.append((name, cert._replace(node_data=(changed, *rest))))
-        out.append(("valuation", with_field("edge_valuations", _first(bp.edge_valuations,
-                                                                      lambda x: x + 1))))
         out.append(("dropped node_data", cert._replace(node_data=tuple(rest))))
+        # every length doubled, the node data kept: each k is named
+        out.append(("curve dilated", cert._replace(rescaled_curve=scaled(hat, 2))))
     out.append(("unknown node_data", cert._replace(
         node_data=cert.node_data + (NodeData("zz", 1, 1, (0,) * dim),))))
-    for field, (entries, value) in keyed.items():
-        if entries:
-            out.append((f"dropped {field}", with_field(field, dict(list(entries.items())[1:]))))
-        out.append((f"unknown {field}", with_field(field, entries | {"zz": value})))
+    entries = cert.vertex_cones
+    out.append(("dropped vertex_cones", cert._replace(vertex_cones=dict(list(entries.items())[1:]))))
+    out.append(("unknown vertex_cones", cert._replace(vertex_cones=entries | {"zz": 0})))
     return out
 
 
@@ -950,121 +920,78 @@ def test_single_field_mutations_are_rejected_as_by_the_old_verifier():
         for name, bad in _mutations(cert):
             names.append(name)
             assert not verify_certificate(bad).ok, name
-            if name.startswith("position"):
-                assert verify_certificate(bad).violations == (
-                    f"BasePointMismatch: vertex {next(iter(cert.base_point.vertex_positions))}",
-                ), name
-            if name == "valuation":
-                assert verify_certificate(bad).violations == (
-                    f"BasePointMismatch: edge {next(iter(cert.base_point.edge_valuations))}",), name
-            # the old verifier never compared the star ids against the curve's vertices
-            assert reference_verify(bad).ok == (name == "unknown vertex_stars"), name
-        assert len(names) >= 12, names
+            assert not reference_verify(bad).ok, name
+            if name in ("multiplier", "zero multiplier"):
+                assert verify_certificate(bad).violations == (MULTIPLIER_NOT_POSITIVE,), name
+            if name == "curve dilated":
+                named = [v for v in verify_certificate(bad).violations if "NodeData" in v]
+                assert named == [f"NodeDataMismatch: edge {e}"
+                                 for e in sorted(nd.edge for nd in cert.node_data)]
+        assert len(names) >= (12 if cert.node_data else 7), names
 
 
 def test_swapped_positions_are_refused_in_any_order():
-    # two vertices' base-point positions swapped and inserted in swapped order:
-    # the claimed values, in dict order, still pair up with the curve's
-    # vertices in theirs, so each pair is matched by id or the swap passes
+    # two vertices' positions swapped in the certificate's curve and written
+    # in swapped order: the reader keys each position by its vertex id, so
+    # the swap is a change of the curve, which verify refuses, named alike in
+    # either order of the file
+    from helpers import translated
+    from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
+
+    curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
+    cert = certify(curve, fixtures.fan_p1xp1())
+    doc = loads(dumps(certificate_to_dict(cert)))
+    (u, p), (w, q), *rest = [(v["id"], v["coords"]) for v in doc["curve"]["vertices"]]
+    assert p != q and cert.vertex_cones[u] != cert.vertex_cones[w]
+    found = []
+    for order in ((u, w), (w, u)):
+        coords = {u: q, w: p}
+        doc["curve"]["vertices"] = [{"id": v, "coords": coords[v]} for v in order] + [
+            {"id": v, "coords": c} for v, c in rest]
+        found.append(verify_certificate(certificate_from_dict(doc)).violations)
+    assert found[0] == found[1] and {
+        f"VertexConeMismatch: vertex {u}", f"VertexConeMismatch: vertex {w}"} <= set(found[0])
+
+
+def test_an_edit_in_place_of_each_per_id_dict_is_named():
+    # the per-id dict of a certificate is its own copy: a cone index edited
+    # in place is named, where it would pass if certify handed over the dict
+    # that its derivation holds
     from helpers import translated
 
     curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
     cert = certify(curve, fixtures.fan_p1xp1())
-    (u, p), (w, q), *rest = cert.base_point.vertex_positions.items()
-    assert p != q and list(cert.base_point.vertex_positions) == list(cert.rescaled_curve.vertices)
-    swapped = cert._replace(base_point=cert.base_point._replace(
-        vertex_positions=dict([(w, p), (u, q), *rest])))
-    assert verify_certificate(swapped).violations == (
-        f"BasePointMismatch: vertex {u}", f"BasePointMismatch: vertex {w}")
-
-
-def test_an_edit_in_place_of_each_per_id_dict_is_named():
-    # each per-id dict of a certificate is its own copy: a cone index, a star,
-    # a valuation or a coordinate edited in place is named, where it would pass
-    # if certify handed over the dict that its derivation or the curve's image holds
-    from helpers import translated
-
-    edits = [
-        ("VertexConeMismatch: vertex", lambda c: c.vertex_cones, lambda i: i + 1),
-        ("StarMismatch: vertex", lambda c: c.vertex_stars, lambda ds: ds[1:]),
-        ("BasePointMismatch: edge", lambda c: c.base_point.edge_valuations, lambda x: x + 1),
-        ("BasePointMismatch: vertex", lambda c: c.base_point.vertex_positions,
-         lambda p: (p[0] + 1, *p[1:])),
-    ]
-    for label, field, change in edits:
-        curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
-        cert = certify(curve, fixtures.fan_p1xp1())
-        entries = field(cert)
-        key = next(iter(entries))
-        entries[key] = change(entries[key])
-        assert verify_certificate(cert).violations == (f"{label} {key}",), label
-
-
-def test_a_break_vertex_position_off_by_one_coordinate_is_named_alone():
-    # verify compares each vertex's base point, integers over m*N, with the
-    # rescaled curve's image (m, m*N*p): a break's position off by 1/(m*N) in
-    # its last coordinate, short of one coordinate or with one too many names
-    # that vertex and nothing else, over certify's denominator and over twice it
-    from tropic.curves import TropicalCurve
-
-    shifted = TropicalCurve.build(  # the edge breaks at (0, 1/5): N = 7 and m = 5
-        2,
-        {"a": (Fraction(-13, 7), Fraction(1, 5)), "b": (Fraction(15, 7), Fraction(1, 5))},
-        edges=[("e", ("a", "b"), 1)],
-        rays=[("r0", "a", (-1, 0), 1), ("r1", "b", (1, 0), 1)],
-    )
-    cases = [(shifted, fixtures.fan_p1xp1()), _rich_tree(11, 24)]
-    seen_m = set()
-    for curve, fan in cases:
-        cert = certify(curve, fan)
-        m, n = cert.rescaled_curve._image[0], cert.multiplier
-        seen_m.add(m)
-        positions = cert.base_point.vertex_positions
-        breaks = [v for k, v in enumerate(positions) if "#" in v and k > 0]
-        assert breaks and verify_certificate(cert).ok
-        assert cert.base_point.denominator == m * n
-        doubled = cert.base_point._replace(
-            edge_valuations={e: 2 * x for e, x in cert.base_point.edge_valuations.items()},
-            vertex_positions={v: tuple(2 * x for x in p) for v, p in positions.items()},
-            denominator=2 * m * n)
-        assert verify_certificate(cert._replace(base_point=doubled)).ok
-        for v in breaks:
-            for bp, step in ((cert.base_point, 1), (doubled, 2)):
-                q = bp.vertex_positions[v]
-                for bad in ((*q[:-1], q[-1] + step), q[:-1], (*q, q[0])):
-                    tampered = cert._replace(base_point=bp._replace(
-                        vertex_positions=bp.vertex_positions | {v: bad}))
-                    assert verify_certificate(tampered).violations == (
-                        f"BasePointMismatch: vertex {v}",), (v, bad)
-    assert max(seen_m) > 1, seen_m
+    entries = cert.vertex_cones
+    key = next(iter(entries))
+    entries[key] += 1
+    assert verify_certificate(cert).violations == (f"VertexConeMismatch: vertex {key}",)
 
 
 def test_the_rescaled_curve_keeps_its_derived_fields(monkeypatch):
-    # certify derives the stars, node data and dual curve once and the curve
-    # keeps them: verify reads them, and a copy of the curve derives its own
+    # certify derives the node data and cells once and the curve keeps them:
+    # verify reads them, and a copy of the curve derives its own
     from tropic import degeneration
     from tropic.curves import TropicalCurve
     from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
 
-    real, calls = degeneration.dual_curve, []
-    monkeypatch.setattr(degeneration, "dual_curve", lambda c: calls.append(c) or real(c))
+    real, calls = degeneration._state, []
+    monkeypatch.setattr(degeneration, "_state", lambda c, f: calls.append(c) or real(c, f))
     tree, fan = _rich_tree(5, 24)
     cert = certify(tree, fan)
     hat = cert.rescaled_curve
-    assert calls == [hat]
+    assert calls == []  # certify hands over the walk's
     kept = degeneration._derive(hat, fan)
     assert degeneration._derive(hat, fan) is kept and verify_certificate(cert).ok
-    assert calls == [hat]
+    assert calls == []
     fresh = TropicalCurve(*hat)
     assert "_derived" not in vars(fresh) and degeneration._derive(fresh, fan) == kept
-    assert kept[2] == cert.dual and calls == [hat, fresh]
+    assert kept[0] == {nd.edge: nd for nd in cert.node_data} and calls == [fresh]
     # a certificate read from JSON inherits nothing
     back = certificate_from_dict(loads(dumps(certificate_to_dict(cert))))
-    assert verify_certificate(back).ok and calls[2:] == [back.rescaled_curve]
+    assert verify_certificate(back).ok and calls[1:] == [back.rescaled_curve]
     assert degeneration._derive(back.rescaled_curve, back.fan) == kept
-    # an unbalanced curve keeps no dual curve, and verify names it first
+    # verify names an unbalanced curve first
     unbalanced = hat._replace(rays=hat.rays[1:])
-    assert degeneration._derive(unbalanced, fan)[2] is None
     assert verify_certificate(cert._replace(rescaled_curve=unbalanced)).violations[0] == (
         "Unbalanced: rescaled curve fails balancing")
 
@@ -1151,28 +1078,28 @@ def test_a_second_certify_and_verify_on_a_fan_signs_no_ray_direction(monkeypatch
             assert sorted(signed) == (sorted(directions) if first else []), tree.ambient_dim
 
 
-def test_a_doubled_multiplier_names_every_edge_and_moved_vertex():
-    # valuation * N = k and position * N = position are checked by
-    # cross-multiplication; the violations were recorded from the verifier
-    # that multiplied, on a certificate rescaled by 6 and on one packed from
-    # the subdivided curve with rescaling skipped, so that k = 1/6 on r0:0 is
-    # not an integer, which no certify emits: that node data alone is refused
-    from helpers import packed_certificate, translated
+def test_a_doubled_multiplier_certifies_the_curve_over_it():
+    # the certified curve is the rescaled curve over N, so a changed N
+    # states another curve.  Certify's N = 6 doubled states the curve halved,
+    # for which 12 is the least N (k = 1 on e0): verify accepts it, and it is
+    # what certify writes for that curve.  The subdivided curve packed with
+    # rescaling skipped has k = 1/6 on r0:0, no integer, which no certify
+    # emits: that node data alone is refused, whatever N
+    from helpers import packed_certificate, scaled, translated
     from tropic.refine import subdivide_along_fan
 
     curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
-    expected = ("BasePointMismatch: edge e0", "BasePointMismatch: edge r0:0",
-                "BasePointMismatch: vertex r0#1", "BasePointMismatch: vertex v0",
-                "BasePointMismatch: vertex v1")
     cert = certify(curve, fixtures.fan_p1xp1())
-    assert cert.multiplier == 6
-    assert verify_certificate(cert._replace(multiplier=12)).violations == expected
+    assert cert.multiplier == 6 and sorted(nd.k for nd in cert.node_data) == [1, 6]
+    doubled = cert._replace(multiplier=12)
+    assert verify_certificate(doubled).ok
+    assert certify(scaled(curve, Fraction(1, 2)), fixtures.fan_p1xp1()) == doubled
     out = subdivide_along_fan(curve, fixtures.fan_p1xp1()).output
     raw = packed_certificate(out, fixtures.fan_p1xp1(), rescale=False)
     assert dict((nd.edge, nd.k) for nd in raw.node_data) == {"e0": 1, "r0:0": Fraction(1, 6)}
-    assert verify_certificate(raw).violations == ("NodeDataMismatch: edge r0:0",)
-    assert verify_certificate(raw._replace(multiplier=2)).violations == (
-        "NodeDataMismatch: edge r0:0", *expected)
+    for n in (1, 2, 6):
+        assert verify_certificate(raw._replace(multiplier=n)).violations == (
+            "NodeDataMismatch: edge r0:0",), n
 
 
 CERTIFY_GOLDEN = Path(__file__).parent / "data" / "certify_golden.json"
@@ -1222,7 +1149,7 @@ def test_every_record_of_a_certificate_has_its_class_and_field_count():
 
     from helpers import gen
     from tropic.curves import BoundedEdge, CurveRay, TropicalCurve
-    from tropic.degeneration import Component, MarkedPoint, Node, NodeData
+    from tropic.degeneration import NodeData
     from tropic.latticefan import fan_from_maximal
     from tropic.refine import NewVertex, subdivide_along_fan
 
@@ -1234,93 +1161,77 @@ def test_every_record_of_a_certificate_has_its_class_and_field_count():
             tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, 4 + 8 * seed, rays))
             record = subdivide_along_fan(tree, fan)
             cert = certify(tree, fan)
-            hat, dual = cert.rescaled_curve, cert.dual
+            hat = cert.rescaled_curve
             for records, cls in (
                     (record.new_vertices, NewVertex), (record.output.edges, BoundedEdge),
                     (record.output.rays, CurveRay), (hat.edges, BoundedEdge),
-                    (hat.rays, CurveRay), (dual.components, Component), (dual.nodes, Node),
-                    (dual.marked_points, MarkedPoint), (cert.node_data, NodeData)):
+                    (hat.rays, CurveRay), (cert.node_data, NodeData)):
                 for r in records:
                     assert type(r) is cls and len(r) == len(cls._fields), r
                 seen[cls.__name__] += len(records)
             assert all(len(nd.u_q) == dim for nd in cert.node_data)
             assert all(len(e.ends) == 2 for e in hat.edges)
-            assert all(len(n.components) == 2 for n in dual.nodes)
-    assert len(seen) == 7 and min(seen.values()) >= 50, seen
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
 
 MULTIPLIER_NOT_POSITIVE = "MultiplierNotPositive: the multiplier must be a positive int"
 
 
 def test_verify_refuses_a_multiplier_below_1_whatever_the_base_point():
-    # the base point is put over m*N before it is compared, so negating N with
-    # every valuation and position keeps it consistent: the sign of N cancels
+    # the base point is the curve over N, and no curve is over N < 1: a
+    # negated or zero N is refused, and nothing else, whatever the curve
     from helpers import translated
     from tropic.jsonio import certificate_from_dict, certificate_to_dict, dumps, loads
-    from tropic.jsonio import rat_from_json, rat_to_json
 
     doc = certificate_to_dict(certify(fixtures.segfan(), fixtures.fan_p1xp1()))
     assert doc["multiplier"] == 1
-    bp = doc["base_point"]
     doc["multiplier"] = -1
-    bp["edge_valuations"] = {e: rat_to_json(-rat_from_json(x))
-                             for e, x in bp["edge_valuations"].items()}
-    bp["vertex_positions"] = {v: [rat_to_json(-rat_from_json(x)) for x in p]
-                              for v, p in bp["vertex_positions"].items()}
-    assert bp["edge_valuations"] == {"e0": -1}
     mirrored = certificate_from_dict(loads(dumps(doc)))
     assert verify_certificate(mirrored).violations == (MULTIPLIER_NOT_POSITIVE,)
-    zero = verify_certificate(mirrored._replace(multiplier=0)).violations
-    assert zero[0] == MULTIPLIER_NOT_POSITIVE and len(zero) > 1  # and every valuation
+    assert verify_certificate(mirrored._replace(multiplier=0)).violations == (
+        MULTIPLIER_NOT_POSITIVE,)
     # a multiplier that equals certify's N but is no int
     curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
     cert = certify(curve, fixtures.fan_p1xp1())
     assert cert.multiplier == 6 and verify_certificate(cert).ok
-    for n in (Fraction(6), 6.0):
+    for n in (Fraction(6), 6.0, -6):
         assert verify_certificate(cert._replace(multiplier=n)).violations == (
             MULTIPLIER_NOT_POSITIVE,), n
 
 
 def test_verify_refuses_a_base_point_over_a_zero_denominator():
-    # x/0 is no value: a base point over 0, all of whose numerators are 0 so
-    # that every product by 0 would agree, names every edge and every vertex,
-    # zero positions included
+    # x/0 is no value: N = 0 puts the curve over a zero denominator.  It is
+    # refused alone on the tripod, whose one vertex sits at the origin, so
+    # that every product by 0 would agree, and on segfan moved off the lattice
     from helpers import translated
-    from tropic.degeneration import BasePoint
 
-    cert = certify(translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2))),
-                   fixtures.fan_p1xp1())
-    bp = cert.base_point
-    zeros = BasePoint({e: 0 for e in bp.edge_valuations},
-                      {v: (0,) * len(p) for v, p in bp.vertex_positions.items()}, 0)
-    every_id = tuple([f"BasePointMismatch: edge {e}" for e in bp.edge_valuations]
-                     + [f"BasePointMismatch: vertex {v}" for v in bp.vertex_positions])
-    assert verify_certificate(cert._replace(base_point=zeros)).violations == every_id
-    # certify's own numerators, over 0 in place of m*N, are no values either
-    over_zero = cert._replace(base_point=bp._replace(denominator=0))
-    assert verify_certificate(over_zero).violations == every_id
+    tripod = certify(fixtures.tripod(), fixtures.fan_p2())
+    assert set(tripod.rescaled_curve.vertices.values()) == {(0, 0)}
+    moved = certify(translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2))),
+                    fixtures.fan_p1xp1())
+    for cert in (tripod, moved):
+        assert verify_certificate(cert._replace(multiplier=0)).violations == (
+            MULTIPLIER_NOT_POSITIVE,)
 
 
 def test_verify_refuses_a_multiplier_that_is_not_the_least():
     # certify's N = 6 dilated to 12: k = 6 and 1 become 12 and 2, and every
     # other field agrees, but N = 6 makes every length/weight integral
     from helpers import scaled, translated
-    from tropic.degeneration import _derive, dual_curve
+    from tropic.degeneration import _derive
 
     curve = translated(fixtures.segfan(), (Fraction(1, 3), Fraction(1, 2)))
     cert = certify(curve, fixtures.fan_p1xp1())
     assert (cert.multiplier, sorted(nd.k for nd in cert.node_data)) == (6, [1, 6])
     big = scaled(cert.rescaled_curve, 2)
-    stars, nodes, *_ = _derive(big, cert.fan)
-    dilated = cert._replace(rescaled_curve=big, multiplier=12, dual=dual_curve(big),
-                            vertex_stars=dict(stars), node_data=tuple(nodes.values()))
+    nodes = _derive(big, cert.fan)[0]
+    dilated = cert._replace(rescaled_curve=big, multiplier=12, node_data=tuple(nodes.values()))
     assert sorted(nd.k for nd in dilated.node_data) == [2, 12]
     assert verify_certificate(dilated).violations == (
         "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
     # a curve with no bounded edge must have N = 1
     line = certify(fixtures.tripod(), fixtures.fan_p2())
     assert not line.rescaled_curve.edges and line.multiplier == 1 and verify_certificate(line).ok
-    assert set(line.rescaled_curve.vertices.values()) == {(0, 0)}  # N cancels on the base point
     assert verify_certificate(line._replace(multiplier=2)).violations == (
         "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
 
@@ -1342,22 +1253,13 @@ def test_verify_refuses_node_data_of_a_curve_never_rescaled():
     assert sorted(ks.values()) == [Fraction(3, 4), Fraction(5, 6)]
     expected = tuple(f"NodeDataMismatch: edge {e}" for e in sorted(ks))
     assert verify_certificate(raw).violations == expected
-    # segfan halved, never rescaled: k = 1/2, so its valuation k*m is no
-    # integer.  Its base point over twice its denominator, and behind the JSON
-    # reader over the lcm of the denominators read (no file holds such a k,
-    # so no node data), is the same point: put over m*N, it still matches
+    # segfan halved, never rescaled: k = 1/2, which no file holds, so it is
+    # written with no node data; behind the JSON reader e0 is named alike
     half = packed_certificate(scaled(fixtures.segfan(), Fraction(1, 2)), fixtures.fan_p1xp1(),
                               rescale=False)
-    bp = half.base_point
-    assert bp.edge_valuations == {"e0": Fraction(1, 2)} and bp.denominator == 1
-    doubled = bp._replace(edge_valuations={e: 2 * x for e, x in bp.edge_valuations.items()},
-                          vertex_positions={v: tuple([2 * x for x in p])
-                                            for v, p in bp.vertex_positions.items()},
-                          denominator=2)
-    assert verify_certificate(half._replace(base_point=doubled)).violations == (
-        "NodeDataMismatch: edge e0",)
+    assert [nd.k for nd in half.node_data] == [Fraction(1, 2)]
+    assert verify_certificate(half).violations == ("NodeDataMismatch: edge e0",)
     back = certificate_from_dict(loads(dumps(certificate_to_dict(half._replace(node_data=())))))
-    assert back.base_point.denominator == 2
     assert verify_certificate(back).violations == ("NodeDataMismatch: edge e0",)
 
 

@@ -48,7 +48,7 @@ from tropic.defspace import (  # noqa: E402
     deformation_cone,
     superabundance,
 )
-from tropic.degeneration import BasePoint, certify, verify_certificate  # noqa: E402
+from tropic.degeneration import certify, verify_certificate  # noqa: E402
 from tropic.errors import (  # noqa: E402
     DegenerateEdge,
     DimMismatch,
@@ -298,12 +298,9 @@ def test_certificates_survive_the_json_round_trip_and_verify(dim, fan_seed, seed
     back = certificate_from_dict(loads(text))
     assert back == cert and dumps(certificate_to_dict(back)) == text
     assert verify_certificate(back).ok
-    # the id-keyed maps are read as dicts, equal whatever their order in the file
+    # the id-keyed map is read as a dict, equal whatever its order in the file
     doc = loads(text)
-    bp = doc["base_point"]
-    for holder, key in [(doc, "vertex_cones"), (doc, "vertex_stars"), (bp, "edge_valuations"),
-                        (bp, "vertex_positions")]:
-        holder[key] = dict(reversed(holder[key].items()))
+    doc["vertex_cones"] = dict(reversed(doc["vertex_cones"].items()))
     assert certificate_from_dict(doc) == cert
 
 
@@ -315,7 +312,6 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
     tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays))
     curve = translated(tree, [data.draw(RATIONALS) for _ in range(dim)])
     cert = certify(curve, fan)
-    bp = cert.base_point
 
     def violations(bad):
         # the same verdict on a copy of the curve that keeps no derived fields
@@ -332,14 +328,12 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
     doubled = entries[:j] + (entries[i],) + entries[j:]
     assert violations(cert._replace(node_data=doubled)) == (
         f"DuplicateEntry: node_data {entries[i].edge}",)
-    # N negated with the base point, which keeps every value over m*N
-    negated = cert._replace(multiplier=-cert.multiplier, base_point=BasePoint(
-        {e: -x for e, x in bp.edge_valuations.items()},
-        {v: tuple([-x for x in p]) for v, p in bp.vertex_positions.items()}, bp.denominator))
+    # N negated: the curve over it would be the curve mirrored, and no N is below 1
+    negated = cert._replace(multiplier=-cert.multiplier)
     assert violations(negated) == (
         "MultiplierNotPositive: the multiplier must be a positive int",)
-    # the subdivided curve never rescaled, packed with the node data and base
-    # point derived from it at N = 1: each edge whose k is no integer is named
+    # the subdivided curve never rescaled, packed with the node data derived
+    # from it at N = 1: each edge whose k is no integer is named
     raw = packed_certificate(subdivide_along_fan(curve, fan).output, fan, rescale=False)
     fractional = sorted(nd.edge for nd in raw.node_data if type(nd.k) is not int)
     assert bool(fractional) == (cert.multiplier > 1)
@@ -349,7 +343,7 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
     # it: every field agrees, but N/2 makes every length/weight integral too
     big = scaled(cert.rescaled_curve, 2)
     dilated = cert._replace(rescaled_curve=big, multiplier=2 * cert.multiplier,
-                            node_data=tuple(degeneration._derive(big, fan)[1].values()))
+                            node_data=tuple(degeneration._derive(big, fan)[0].values()))
     assert violations(dilated) == (
         "MultiplierNotLeast: a smaller multiplier makes every length/weight integral",)
 
@@ -359,33 +353,22 @@ def test_certificates_that_certify_cannot_emit_are_refused(dim, fan_seed, seed, 
                   seed=st.integers(0, 2**32), size=st.integers(2, 10), data=st.data())
 def test_verify_names_the_same_violations_before_and_after_the_json_round_trip(
         dim, fan_seed, seed, size, data):
-    # in process, verify reads certify's derivation and its base point over
-    # m*N; behind the JSON reader it derives afresh, with the base point over
-    # the lcm of the denominators read.  On a certificate, on its base point
-    # put over three times its denominator, and on each single-field mutation
-    # (``test_degeneration._mutations``), each of which verify must refuse, both name the
-    # same violations in order; so do they on node_data that lists every edge
-    # twice, the one repeat a file can hold
+    # in process, verify reads certify's derivation; behind the JSON reader
+    # it derives afresh.  On a certificate and on each single-field mutation
+    # (``test_degeneration._mutations``), each of which verify must refuse,
+    # both name the same violations in order; so do they on node_data that
+    # lists every edge twice, the one repeat a file can hold
     from test_degeneration import _mutations
 
     rays, fan = _stellar(dim, fan_seed)
     tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays))
     cert = certify(translated(tree, [data.draw(RATIONALS) for _ in range(dim)]), fan)
-    bp = cert.base_point
-    tripled = bp._replace(
-        edge_valuations={e: 3 * x for e, x in bp.edge_valuations.items()},
-        vertex_positions={v: tuple([3 * x for x in p]) for v, p in bp.vertex_positions.items()},
-        denominator=3 * bp.denominator)
-    cases = [("certified", cert), ("tripled", cert._replace(base_point=tripled))]
-    cases.append(("repeated node_data", cert._replace(node_data=cert.node_data * 2)))
-    cases += [(f"tripled, then {name}", bad) for name, bad in _mutations(cert._replace(
-        base_point=tripled)) if name.startswith(("position", "valuation"))]
+    cases = [("certified", cert),
+             ("repeated node_data", cert._replace(node_data=cert.node_data * 2))]
     for name, c in cases + _mutations(cert):
         back = certificate_from_dict(loads(json.dumps(certificate_to_dict(c))))
-        if name in ("certified", "tripled"):  # the reader puts it over certify's m*N
-            assert back.base_point == bp, name
         found = verify_certificate(c).violations
-        assert bool(found) != (name in ("certified", "tripled")), name
+        assert bool(found) != (name == "certified"), name
         assert verify_certificate(back).violations == found, name
 
 
@@ -397,32 +380,29 @@ def _rich(dim: int):
 
 
 def _handed_state_is_derived_afresh(curve, fan):
-    """Certify ``curve`` and check that the stars, node data and sign vectors
-    it hands ``_derive``, and the cells and dual curve that ``_derive`` builds
-    from them, equal what ``_derive`` computes from a copy of the rescaled
-    curve that keeps no cache; the certificate, or None if certify refuses."""
+    """Certify ``curve`` and check that the node data and sign vectors it
+    hands ``_derive``, and the cells that ``_derive`` builds from them, equal
+    what ``_derive`` computes from a copy of the rescaled curve that keeps no
+    cache; the certificate, or None if certify refuses."""
     with handed_states() as handed:
         try:
             cert = certify(curve, fan)
         except TropicError:
             assert not handed
             return None
-    (hat, _, (stars, nodes, vectors)), = handed
+    (hat, _, (nodes, vectors)), = handed
     assert hat is cert.rescaled_curve
     copy = tuple.__new__(TropicalCurve, tuple(hat))
     assert copy == hat and not vars(copy)
-    fresh_stars, fresh_nodes, fresh_vectors = degeneration._state(copy, fan)
-    assert stars == fresh_stars and vectors == fresh_vectors
+    fresh_nodes, fresh_vectors = degeneration._state(copy, fan)
+    assert vectors == fresh_vectors
     assert list(nodes.items()) == list(fresh_nodes.items())
     kinds = [(type(nd.k), *map(type, nd.u_q)) for nd in nodes.values()]
     assert kinds == [(type(nd.k), *map(type, nd.u_q)) for nd in fresh_nodes.values()]
     assert set(kinds) <= {(int,) * (1 + hat.ambient_dim)}
     derived, fresh = degeneration._derive(hat, fan), degeneration._derive(copy, fan)
-    # the stars keep the order certify handed them in (the input's vertices,
-    # then the breaks); certify writes them in the curve's vertex order
-    assert derived[0] == fresh[0] and list(cert.vertex_stars) == list(hat.vertices)
-    assert [list(x.items()) if isinstance(x, dict) else x for x in derived[1:]] == [
-        list(x.items()) if isinstance(x, dict) else x for x in fresh[1:]]
+    assert [list(x.items()) for x in derived] == [list(x.items()) for x in fresh]
+    assert list(cert.vertex_cones) == list(hat.vertices)
     return cert
 
 

@@ -31,6 +31,7 @@ ALLOWED = {
     "latticefan.rank": "perfbench/tracer.py wraps every name in WRAPPED, rank among them",
     "latticefan.smallest_containing_cone": "perfbench/tracer.py wraps it (WRAPPED)",
     "defspace.DeformationCone.dimension": "perfbench/tracer.py's _observe_deformation_cone",
+    "degeneration.dual_curve": "perfbench/tracer.py wraps it (WRAPPED)",
 }
 
 
