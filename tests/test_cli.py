@@ -236,7 +236,7 @@ def test_non_string_curve_ids_exit_2(tmp_path, capsys, field, bad_id):
 
 
 @pytest.mark.parametrize("bad_id", [None, 5])
-@pytest.mark.parametrize("field", [  # every id a certificate holds
+@pytest.mark.parametrize("field", [  # ids a certificate holds, in its curve and node data
     ("curve", "vertices", 0, "id"), ("curve", "vertices", 1, "id"),
     ("curve", "edges", 0, "id"), ("node_data", 0, "edge"),
     ("curve", "edges", 0, "ends", 0), ("curve", "rays", 0, "id"),
