@@ -186,6 +186,8 @@ def _rational(x) -> int | Fraction:
     raises ValueError, saying why."""
     if type(x) is int:
         return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
     exact = isinstance(x, (int, Fraction)) and type(x) is not bool
     if not exact and not isinstance(x, str):
         raise ValueError(f"expected int or 'p/q' string, got {type(x).__name__}")
@@ -204,6 +206,8 @@ def _rational(x) -> int | Fraction:
 def _exact(x, kind: type | tuple = (int, Fraction)):
     """x, an exact rational (``_rational``), an int where integral; with ``kind``
     int, an integer only; else InvalidCurve."""
+    if type(x) is int:
+        return x
     try:
         f = _rational(x)
     except ValueError:
