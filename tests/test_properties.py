@@ -5,6 +5,7 @@ import io
 import json
 import random
 import tempfile
+import zlib
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
@@ -518,6 +519,14 @@ def _paths(doc, path=()):
 FOREIGN = [None, True, 0.5, "x", [], {}]
 
 
+def _foreign(path: tuple, value):
+    """The value of another JSON type that replaces ``value`` at ``path``, picked
+    by a stable hash of the path alone, so that adding or removing a field
+    elsewhere in a document changes no other path's pick."""
+    others = [x for x in FOREIGN if type(x) is not type(value)]
+    return others[zlib.crc32(json.dumps(path).encode()) % len(others)]
+
+
 READERS = {"check": curve_from_dict, "subdivide": fan_from_dict,
            "verify-cert": certificate_from_dict}
 
@@ -526,11 +535,10 @@ def test_every_value_of_another_type_is_a_schema_error():
     # each value of each document in turn, replaced by one of another type
     for command, doc in _documents():
         doc = json.loads(json.dumps(doc))
-        for i, (*parents, key) in enumerate(list(_paths(doc))[1:]):
+        for *parents, key in list(_paths(doc))[1:]:
             holder = reduce(getitem, parents, doc)
             value = holder[key]
-            others = [x for x in FOREIGN if type(x) is not type(value)]
-            holder[key] = others[i % len(others)]
+            holder[key] = _foreign((*parents, key), value)
             with pytest.raises(SchemaError):
                 READERS[command[0]](doc)
             holder[key] = value
@@ -541,17 +549,15 @@ SCHEMA_GOLDEN = Path(__file__).parent / "data" / "schema_details_golden.json"
 
 def schema_details() -> dict[str, str]:
     """What the reader makes of each single fault in each ``_documents()``
-    entry: every value replaced by one of another type (the replacement of
+    entry: every value replaced by one of another type (``_foreign``, as in
     the test above), and every key of every object dropped, each in a fresh
     copy.  Keyed "<document index> <path> -> <new value>" or "<...> dropped";
     the value is "<error class>: <detail>", or "accepted"."""
     out = {}
     for n, (command, doc) in enumerate(_documents()):
         text = json.dumps(doc)
-        for i, (*parents, key) in enumerate(list(_paths(json.loads(text)))[1:]):
-            value = reduce(getitem, [*parents, key], json.loads(text))
-            others = [x for x in FOREIGN if type(x) is not type(value)]
-            new = others[i % len(others)]
+        for *parents, key in list(_paths(json.loads(text)))[1:]:
+            new = _foreign((*parents, key), reduce(getitem, [*parents, key], json.loads(text)))
             for fault in [f"-> {json.dumps(new)}"] + ["dropped"] * isinstance(key, str):
                 holder = reduce(getitem, parents, copy := json.loads(text))
                 if fault == "dropped":
