@@ -129,9 +129,9 @@ def _derive(hat: TropicalCurve, fan: Fan, state: tuple | None = None
     if kept is not None and kept[0] is fan:
         return kept[1]
     nodes, vectors = state or _state(hat, fan)
-    masks, cones = {}, {}
+    masks, cones, located = {}, {}, fan._located
     for v in hat.vertices:
-        cones[v], masks[v] = _locate(fan, vectors[v])
+        cones[v], masks[v] = located.get(key := vectors[v]) or _locate(fan, key)
     derived = nodes, masks, cones
     vars(hat)["_derived"] = fan, derived
     return derived
@@ -149,25 +149,26 @@ def _mismatches(label: str, derived: dict, claimed: dict) -> list[str]:
 def certify(c: TropicalCurve, f: Fan) -> RealizationCertificate:
     """Run the preparation pipeline and assemble the realization certificate.
 
-    Walks the curve against the fan (``refine._walk``) and dilates its integer
-    points by the least N making every piece's length/weight p/q integral
-    (``refine._dilate``); ``_nodes`` builds each piece's NodeData from the
-    walk's ratios and N.  ``_derive`` packs these with the walk's sign
-    vectors, for verify.  The nodal curve and the base point are not built:
-    they are the rescaled curve's graph and the rescaled curve over N.  The
-    vertex cones are the certificate's own dict, shared with nothing verify
-    reads, in the rescaled curve's vertex order.  The first vertex outside
-    the support of the fan, in curve order, raises NotInSupport at its
-    rescaled position.
+    Walks the curve against the fan (``refine._walk``), which hands over its
+    breaks' parameters and pieces, not a subdivided curve; ``refine._dilate``
+    writes the rescaled curve from these and the input's image, dilated by the
+    least N making every piece's length/weight p/q integral, and ``_nodes``
+    builds each piece's NodeData from the walk's ratios and N.  ``_derive``
+    packs these with the walk's sign vectors, for verify.  The nodal curve and
+    the base point are not built: they are the rescaled curve's graph and the
+    rescaled curve over N.  The vertex cones are the certificate's own dict,
+    shared with nothing verify reads, in the rescaled curve's vertex order.
+    The first vertex outside the support of the fan, in curve order, raises
+    NotInSupport at its rescaled position.
     """
     require_balanced(c)
     support = check_recession_support(c, f)
     if not support.ok:
         raise RecessionNotSupported(
             f"ray directions {_echo([d for _, d in support.missing])} are not rays of the fan")
-    out, signs, breaks, ratios, _ = _walk(c, f)
-    hat, n = _dilate(out, ratios, out.vertices if breaks else None)
-    nodes, _, cones = _derive(hat, f, (_nodes(out, ratios, n), signs))
+    walk = _walk(c, f)
+    hat, n = _dilate(c, walk.ratios, walk)
+    nodes, _, cones = _derive(hat, f, (_nodes(hat, walk.ratios, n), walk.signs))
     if None in cones.values():
         raise not_in_support(hat.vertices[next(v for v, i in cones.items() if i is None)])
     return RealizationCertificate(hat, n, f, dict(cones), tuple(nodes.values()))
@@ -195,8 +196,9 @@ def verify_certificate(cert: RealizationCertificate) -> CertificateCheck:
     nodes, masks, cones = _derive(hat, fan)
     if not (type(n) is int and n >= 1):
         violations.append("MultiplierNotPositive: the multiplier must be a positive int")
-    ids = Counter(map(itemgetter(0), cert.node_data))
-    violations += [f"DuplicateEntry: node_data {_echo(e)}" for e in sorted(ids) if ids[e] > 1]
+    if len(set(map(itemgetter(0), cert.node_data))) < len(cert.node_data):  # else none repeats
+        ids = Counter(map(itemgetter(0), cert.node_data))
+        violations += [f"DuplicateEntry: node_data {_echo(e)}" for e in sorted(ids) if ids[e] > 1]
 
     ks = [nd.k for nd in nodes.values()]
     if type(n) is int and n > 1 and set(map(type, ks)) <= {int} and gcd(n, *ks) > 1:

@@ -489,7 +489,7 @@ def test_warm_certify_and_verify_build_no_fraction_point(monkeypatch):
 
 def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch):
     # count gate (counts, not times), at V = 100 and V = 400: the walk keeps
-    # each break as an integer point, so the only non-integral values certify
+    # each break as integer parameters, so the only non-integral values certify
     # builds, in curves (the first read of its input included), refine and
     # degeneration, are the rescaled curve's coordinates, one Fraction each.
     # With m = 1 (R^2 rich-fan trees) that is
@@ -530,6 +530,39 @@ def test_certify_builds_one_fraction_per_non_integral_value_it_holds(monkeypatch
     assert [(v, m, n) for v, m, n, _ in seen] == [
         (100, 1, True), (100, 5, True), (400, 1, True), (400, 5, True)], seen
     assert [b for *_, b in seen] == [0, 110, 0, 420], seen
+
+
+def test_certify_builds_no_subdivided_curve(monkeypatch):
+    # count gate (counts, not times), at V = 100 and V = 400 on R^2 rich-fan
+    # trees: the walk hands certify each break's parameters, not a subdivided
+    # curve, and the dilation writes the rescaled curve's fields in sorted
+    # order, so certify and verify never call TropicalCurve's sorting
+    # constructor; subdivide_along_fan, which returns the subdivided curve,
+    # calls it once
+    import random
+
+    from helpers import gen
+    from tropic.curves import TropicalCurve
+    from tropic.latticefan import fan_from_maximal
+    from tropic.refine import subdivide_along_fan
+
+    rays, maximal, dim = gen.rich_fan_r2()
+    fan = fan_from_maximal(rays, maximal, dim)
+    trees = [TropicalCurve.build(*gen.tree(random.Random(size), dim, size, rays))
+             for size in (100, 400)]
+    calls, sorting = [], TropicalCurve.__new__
+
+    def counting(cls, *fields):
+        calls.append(cls)
+        return sorting(cls, *fields)
+
+    monkeypatch.setattr(TropicalCurve, "__new__", counting)
+    for tree in trees:
+        calls.clear()
+        cert = certify(tree, fan)
+        assert verify_certificate(cert).ok and calls == []
+        assert len(cert.rescaled_curve.vertices) > len(tree.vertices)
+        assert subdivide_along_fan(tree, fan).new_vertices and calls == [TropicalCurve]
 
 
 def test_reading_a_certificate_builds_one_fraction_per_non_integral_value_in_it(monkeypatch):

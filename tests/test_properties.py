@@ -73,9 +73,10 @@ from tropic.latticefan import (  # noqa: E402
     double_description,
     fan_from_maximal,
     hyperplane_values,
+    integer_image,
     rank,
 )
-from tropic.refine import subdivide_along_fan  # noqa: E402
+from tropic.refine import rescale_integral, subdivide_along_fan  # noqa: E402
 from tropic.wellspaced import Departure, cycle, well_spaced  # noqa: E402
 
 DERANDOMIZED = hypothesis.settings(
@@ -421,6 +422,32 @@ def test_the_state_certify_hands_derive_is_what_a_fresh_copy_derives(dim, seed, 
     honeycomb = TropicalCurve.build(*gen.honeycomb(data.draw(st.integers(2, 6)), dim, offset))
     lift = [0, 0, Fraction(data.draw(st.integers(1, 10)), 11)][:dim]
     assert _handed_state_is_derived_afresh(translated(honeycomb, lift), _p2(dim))
+
+
+@DERANDOMIZED
+@hypothesis.given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32),
+                  size=st.integers(2, 30), data=st.data())
+def test_certify_and_rescaling_the_subdivision_write_the_same_breaks(dim, seed, size, data):
+    # certify writes each break's coordinates from the walk's parameters, and
+    # rescale_integral of the subdivision from the break's point over its
+    # denominators: both give one curve, one N, one type per coordinate (an
+    # int where integral) and one handed-over image.  Seeded trees on both
+    # rich fans, moved by a fractional offset (so N > 1), and honeycombs on
+    # P^2 x P^1 lifted to z = 1/5, which often keep the image's m > 1
+    rays, fan = _rich(dim)
+    tree = TropicalCurve.build(*gen.tree(random.Random(seed), dim, size, rays))
+    offset = [data.draw(RATIONALS) for _ in range(2)]
+    honeycomb = TropicalCurve.build(*gen.honeycomb(data.draw(st.integers(2, 6)), 3, offset))
+    for c, f in ((translated(tree, [data.draw(RATIONALS) for _ in range(dim)]), fan),
+                 (translated(honeycomb, (0, 0, Fraction(1, 5))), _p2(3))):
+        cert = certify(c, f)
+        hat, n = rescale_integral(subdivide_along_fan(c, f).output)
+        assert cert.multiplier == n and cert.rescaled_curve == hat
+        assert f is _p2(3) or (n > 1 and hat is not c)
+        types = [[type(x) for x in p] for p in hat.vertices.values()]
+        assert [[type(x) for x in p] for p in cert.rescaled_curve.vertices.values()] == types
+        assert vars(cert.rescaled_curve).get("_image") == vars(hat).get("_image")
+        assert hat is c or "_image" in vars(hat) and hat._image == integer_image(hat.vertices)
 
 
 @cache

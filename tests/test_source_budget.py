@@ -5,7 +5,7 @@ from pathlib import Path
 # src/ must not grow past this cap unless a ROADMAP item names its budget.
 # A change with a named budget raises the cap with it, and a change that
 # deletes lines lowers it to the new count: the cap is a ratchet.
-SRC_LINE_CAP = 2239
+SRC_LINE_CAP = 2249
 
 
 def test_library_source_stays_within_its_line_budget():
