@@ -74,11 +74,10 @@ def subdivide_along_fan(c: TropicalCurve, f: Fan) -> SubdivisionRecord:
     """The walk's curve and piece cones (``_walk``), and its breaks' ``NewVertex`` records;
     the input's vertices keep their coordinates, and each break gets its point (``_point_at``)."""
     edges, rays, _, breaks, _, cones = _walk(c, f)
-    m, out = c._image[0], c
-    if breaks:
-        vs = {**c.vertices, **{v: _point_at([lb * y + t * z for y, z in zip(b, x)], m * lb)
-                               for v, (b, x, t, lb) in breaks.items()}}
-        out = _inherit(TropicalCurve(c.ambient_dim, vs, edges, rays), c)
+    m, vs = c._image[0], dict(c.vertices)
+    for v, (b, x, t, lb) in breaks.items():
+        vs[v] = _point_at([lb * y + t * z for y, z in zip(b, x)], m * lb)
+    out = _inherit(TropicalCurve(c.ambient_dim, vs, edges, rays), c) if breaks else c
     record = [_new_vertex((v, h, "edge" if h in c._edge_data else "ray",
                            cones[f"{h}:{int(k) - 1}"], cones[f"{h}:{k}"]))
               for v in breaks for h, _, k in [v.rpartition("#")]]
@@ -105,8 +104,8 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
     its cone.  Consecutive intervals in one cone merge (a spurious crossing),
     so a host breaks where the cone changes, and a break's vector is the
     interval's before it with the flip mask cleared from both.  The walk
-    returns (``_Walk``) the subdivided curve's edges and rays in walk order,
-    every vertex's sign vector, the breaks in walk order, each bounded piece's
+    returns (``_Walk``) the subdivided curve's edges and rays, every vertex's
+    sign vector and the breaks, all in walk order, each bounded piece's
     direction and length/weight in integers, (key'-key)*p/(q*lb) from key to
     key' on a host whose own is p/q (``_ratios``; (D, 1, weight) for a ray),
     and each piece's cone, its first interval's.  A break is its parameters
@@ -133,8 +132,8 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
         bounded = type(h) is BoundedEdge
         start, end = h.ends if bounded else (h.base, None)
         (sp, sn), (fp, fn) = signs[start], signs[end] if bounded else far[h.direction][1]
-        keys = [key := (sp | fp & ~sn, sn | fn & ~sp)]  # the first interval's
-        cones, cuts, lb, crossings = [(located.get(key) or _locate(f, key))[0]], (), 1, {}
+        key = sp | fp & ~sn, sn | fn & ~sp  # the first interval's
+        cones, cuts, lb, crossings, kept = [(located.get(key) or _locate(f, key))[0]], (), 1, {}, []
         if cross := (sp & fn) | (sn & fp):  # the strictly opposite signs; else one interval
             a, a_far, real = own[start], own[end] if bounded else far[h.direction][0], []
             while cross:
@@ -147,10 +146,13 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
                 crossings[t] = crossings.get(t, 0) | bit
             kp, kn = key
             for t in (cuts := sorted(crossings)):
-                keys.append(key := (kp := kp ^ crossings[t], kn := kn ^ crossings[t]))
-                cones.append((located.get(key) or _locate(f, key))[0])
+                key = kp ^ (flip := crossings[t]), kn ^ flip
+                cones.append(cone := (located.get(key) or _locate(f, key))[0])
+                if cone != cones[-2]:  # a break: the vector before it, the flip cleared
+                    kept.append((t, (kp & ~flip, kn & ~flip), cones[-2]))
+                kp, kn = key
         d, p, q = edge_ratios[h.id] if bounded else (h.direction, 1, h.weight)
-        if cones[0] is not None and cones.count(cones[0]) == len(cones):  # no break kept
+        if cones[0] is not None and not kept:  # one cone throughout
             (new_edges if bounded else new_rays).append(h)
             pieces[h.id] = cones[0]
             if bounded:
@@ -164,18 +166,16 @@ def _walk(c: TropicalCurve, f: Fan) -> _Walk:
             raise not_in_support(_point_at(
                 [2 * lb * b + t * x for b, x in zip(base, direction)], 2 * m * lb))
         u, t0, j, clash = start, 0, 0, None  # the open piece's start, key and index
-        for k, t in enumerate(cuts):
-            if cones[k] != cones[k + 1]:
-                vid, pid = f"{h.id}#{j + 1}", f"{h.id}:{j}"
-                if vid in image:
-                    raise InvalidCurve(_REUSED.format(_echo(h.id), _echo(repr(vid))))
-                clash = clash or pid in host_ids and pid  # raised after the host's vertices
-                breaks[vid] = base, direction, t, lb
-                signs[vid] = keys[k][0] & ~crossings[t], keys[k][1] & ~crossings[t]
-                pieces[pid] = cones[k]
-                new_edges.append(_edge((pid, (u, vid), h.weight)))
-                ratios[pid] = d, (t - t0) * p, q * lb
-                u, t0, j = vid, t, j + 1
+        for t, vector, cone in kept:
+            vid, pid = f"{h.id}#{j + 1}", f"{h.id}:{j}"
+            if vid in image:
+                raise InvalidCurve(_REUSED.format(_echo(h.id), _echo(repr(vid))))
+            clash = clash or pid in host_ids and pid  # raised after the host's vertices
+            breaks[vid], signs[vid] = (base, direction, t, lb), vector
+            pieces[pid] = cone
+            new_edges.append(_edge((pid, (u, vid), h.weight)))
+            ratios[pid] = d, (t - t0) * p, q * lb
+            u, t0, j = vid, t, j + 1
         if clash or (pid := f"{h.id}:{j}") in host_ids:
             raise InvalidCurve(_REUSED.format(_echo(h.id), _echo(repr(clash or pid))))
         pieces[pid] = cones[-1]
