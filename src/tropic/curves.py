@@ -97,21 +97,30 @@ class TropicalCurve(_CurveFields):
     # the tuple's fields, so equality, ordering and serialization see the sorted fields only.
 
     @cached_property
-    def _pass(self) -> tuple[dict, tuple[dict, dict], list, "BalanceReport"]:
-        """One pass over the edges, then the rays, in id order, on the integer image
-        ``_image``: (edge data, incidence, the edges' and rays' violations in
-        ``_check_structure``'s order, balancing report).  An edge u->w with known ends
-        has coincident endpoints iff m u == m w; else q = m w - m u, and the first edge
-        of its id gets the edge data (q/g, g) if its ends have ``ambient_dim`` coordinates
-        and g = gcd(q) != 0: its direction, and its lattice length g/m as the int g.  The
-        incidence is (vertex -> edges touching it, vertex -> rays based at it), for each
-        vertex an edge or ray names.  Each edge with edge data adds k*d (k its weight) to
-        the sum at u and -k*d at w, each ray its weighted direction at its base; the
-        report, read only for a valid curve (where every edge has edge data), has the
-        nonzero sums as defects, in vertex order."""
+    def _pass(self) -> tuple[dict, tuple[dict, dict], ValidationReport, "BalanceReport"]:
+        """The curve's one read, on its integer image ``_image``: (edge data, incidence,
+        validation report, balancing report).  The report's violations come in this
+        order: ambient dimension, no vertex, each vertex without ``ambient_dim``
+        coordinates, one pass over the edges, then the rays, in id order, and last a
+        vertex that a walk over the incidence from the first vertex misses.  An edge
+        u->w with known ends has coincident endpoints iff m u == m w; else
+        q = m w - m u, and the first edge of its id gets the edge data (q/g, g) if its
+        ends have ``ambient_dim`` coordinates and g = gcd(q) != 0: its direction, and
+        its lattice length g/m as the int g.  The incidence is (vertex -> edges touching
+        it, vertex -> rays based at it), for each vertex an edge or ray names.  Each
+        edge with edge data adds k*d (k its weight) to the sum at u and -k*d at w, each
+        ray its weighted direction at its base; the balancing report, read only for a
+        valid curve (where every edge has edge data), has the nonzero sums as defects,
+        in vertex order."""
         image = self._image[1]
         dim, data, report, seen = self.ambient_dim, {}, ValidationReport([]), set()
-        wrong = {v for v, p in image.items() if len(p) != dim}  # validate's DimMismatch
+        if dim < 1:
+            report.add("DimMismatch", f"ambient dimension {_echo(dim)} < 1")
+        if not image:
+            report.add("Empty", "curve has no vertices")
+        wrong = {v: len(p) for v, p in image.items() if len(p) != dim}
+        for v, n in wrong.items():
+            report.add("DimMismatch", f"vertex {_echo(v)} has {n} coordinates")
         edges_at, rays_at = defaultdict(list), defaultdict(list)
         # dim zeros only if a vertex has dim coordinates: else dim may not fit an index
         zero = next(((0,) * dim for p in image.values() if len(p) == dim), ())
@@ -155,22 +164,29 @@ class TropicalCurve(_CurveFields):
                 report.add("ZeroDirection", f"ray {_echo(rid)} has zero direction")
             elif gcd(*d) != 1:
                 report.add("NonPrimitiveDirection", f"ray {_echo(rid)} direction {_echo(d)}")
+        stack = [next(iter(image))] if image else []  # Disconnected: the walk misses a vertex
+        reached = set(stack)
+        while stack:
+            for e in edges_at.get(stack.pop(), ()):
+                for w in e.ends:
+                    if w not in reached and w in image:
+                        reached.add(w)
+                        stack.append(w)
+        if len(reached) != len(image):
+            report.add("Disconnected", "underlying graph is not connected")
         defects = tuple((v, tuple(t)) for v, t in sums.items() if any(t))
         balance = BalanceReport(not defects, defects)
-        return data, (dict(edges_at), dict(rays_at)), report.violations, balance
+        return data, (dict(edges_at), dict(rays_at)), report, balance
 
     _edge_data = cached_property(lambda self: self._pass[0])  # edge id -> (direction, m*length)
     _incidence = cached_property(lambda self: self._pass[1])  # (vertex -> edges, vertex -> rays)
+    _validation = cached_property(lambda self: self._pass[2])
     _balance = cached_property(lambda self: self._pass[3])  # read only for a valid curve
 
     @cached_property
     def _image(self) -> tuple[int, dict[str, IntVec]]:
         """(m, vertex -> m * position), as ``integer_image``; treat it as read-only."""
         return integer_image(self.vertices)
-
-    @cached_property
-    def _validation(self) -> ValidationReport:
-        return _check_structure(self)
 
     def edges_at(self, vertex: str) -> list[BoundedEdge]:
         return list(self._incidence[0].get(vertex, ()))
@@ -231,11 +247,9 @@ class Star(NamedTuple):
 
 
 def validate(c: TropicalCurve) -> ValidationReport:
-    """Check the structural invariants; lists every violation found.
-
-    The verdict is computed once per curve instance and shared: treat the
-    returned report as read-only.
-    """
+    """Check the structural invariants; lists every violation found, in the order of
+    the curve's one pass (``TropicalCurve._pass``), made once per curve instance and
+    shared, or inherited by a subdivided or dilated curve: treat it as read-only."""
     return c._validation
 
 
@@ -243,34 +257,6 @@ def require_valid(c: TropicalCurve) -> None:
     report = c._validation
     if not report.valid:
         raise InvalidCurve("; ".join(f"{v.code}: {v.detail}" for v in report.violations))
-
-
-def _check_structure(c: TropicalCurve) -> ValidationReport:
-    report, vertices, dim = ValidationReport([]), c.vertices, c.ambient_dim
-    if dim < 1:
-        report.add("DimMismatch", f"ambient dimension {_echo(dim)} < 1")
-    if not vertices:
-        report.add("Empty", "curve has no vertices")
-    for v, pos in vertices.items():
-        if len(pos) != dim:
-            report.add("DimMismatch", f"vertex {_echo(v)} has {len(pos)} coordinates")
-    report.violations.extend(c._pass[2])
-    if vertices and not _connected(c):
-        report.add("Disconnected", "underlying graph is not connected")
-    return report
-
-
-def _connected(c: TropicalCurve) -> bool:
-    vertices, incidence = c.vertices, c._incidence[0]
-    start = next(iter(vertices))
-    seen, stack = {start}, [start]
-    while stack:
-        for e in incidence.get(stack.pop(), ()):
-            for w in e.ends:
-                if w not in seen and w in vertices:
-                    seen.add(w)
-                    stack.append(w)
-    return len(seen) == len(vertices)
 
 
 def edge_data(c: TropicalCurve, edge_id: str) -> tuple[IntVec, Fraction]:

@@ -6,20 +6,21 @@ until none remains.  Its affine span, whose codimension is the excess
 ``defspace.superabundance`` counts, is cut out by ``normals``, a primitive
 integer basis of the vectors orthogonal to its edge directions: a point
 lies in the span iff every normal vanishes on its offset from the cycle,
-and a ray stays in it iff every normal vanishes on its direction.  A
-shortest-path search from the cycle over the edges inside the span reaches
-exactly the span's connected subgraph through the cycle; each vertex of it
-with an edge or ray leaving the span is a departure, at its lattice
-distance from the cycle.  Both tests read the curve's integer image m p
-(``TropicalCurve._image``), and the search sums integers m * length, so
-each distance d/m is the one Fraction built.  The curve is well-spaced when
+and a ray stays in it iff every normal vanishes on its direction.  Off
+the cycle a genus-1 graph is a forest, so each vertex has one path to the
+cycle, and no shortest-path search is needed: a walk over the incidence
+from the cycle's vertices (distance 0) into in-span vertices not yet
+reached covers the span's connected subgraph through the cycle.  Each
+vertex it reaches with an edge or ray leaving the span is a departure, at
+its lattice distance from the cycle.  Both tests read the curve's integer
+image m p (``TropicalCurve._image``), and the walk sums integers m * length,
+so each distance d/m is the one Fraction built.  The curve is well-spaced when
 there are no departures or when the minimum distance is attained at least
 twice.  Only the exact affine span of the cycle is tested, not every
 subspace containing it; this suffices for the catalogued failure modes and
 is recorded as a limitation.
 """
 
-import heapq
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -88,8 +89,8 @@ def well_spaced(c: TropicalCurve) -> WellSpacedVerdict:
     """Genus-1 well-spacedness verdict with the departure vertices as witnesses.
 
     Vacuously well-spaced when the cycle spans the whole ambient space.
-    Distances are lattice lengths of shortest paths, within the in-span
-    subgraph through the cycle; a departure sitting on the cycle has
+    Distances are lattice lengths of the paths to the cycle, within the
+    in-span subgraph through the cycle; a departure sitting on the cycle has
     distance 0.
     """
     data = cycle(c)
@@ -101,28 +102,15 @@ def well_spaced(c: TropicalCurve) -> WellSpacedVerdict:
     # every normal vanishes on p - base iff it takes the same value on m p as on m base
     level = [sum(map(mul, u, image[data.vertices[0]])) for u in normals]
     inside = {v for v, q in image.items() if [sum(map(mul, u, q)) for u in normals] == level}
-    adj: dict[str, list[tuple[str, int]]] = {v: [] for v in inside}
-    for e in c.edges:
-        u, w = e.ends
-        if u in inside and w in inside:
-            steps = c._edge_data[e.id][1]  # m * lattice length
-            adj[u].append((w, steps))
-            adj[w].append((u, steps))
-
-    # multi-source shortest distance from the cycle, in units of 1/m; the
-    # vertices it reaches are the in-span subgraph's component through the cycle
-    dist: dict[str, int] = {v: 0 for v in data.vertices}
-    heap = [(0, v) for v in sorted(data.vertices)]
-    heapq.heapify(heap)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for w, length in adj[v]:
-            nd = d + length
-            if w not in dist or nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
+    # each vertex's one path from the cycle, through in-span vertices, in units of 1/m
+    dist, stack = dict.fromkeys(data.vertices, 0), list(data.vertices)
+    while stack:
+        v = stack.pop()
+        for e in c.edges_at(v):
+            w = e.ends[e.ends[0] == v]
+            if w in inside and w not in dist:
+                dist[w] = dist[v] + c._edge_data[e.id][1]  # m * lattice length
+                stack.append(w)
 
     departures = tuple(
         Departure(vertex=v, distance=Fraction(dist[v], m))

@@ -26,13 +26,16 @@ formula of ``reference_primitive_and_scale``.  A curve's first read (edge
 data, incidence, structure checks and balancing, one pass of
 ``TropicalCurve._pass``) is checked against the five separate passes that
 preceded it (``reference_check_structure`` and the functions it calls, and
-``reference_balance_report``).  The expected deformation
+``reference_balance_report``).  Well-spacedness is checked against
+``reference_well_spaced``: the cycle as the edges that are no bridge, span
+membership by exact rank, and Dijkstra over Fraction lengths.  The expected deformation
 dimension is checked against the virtual count ``expected_dimension``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 import importlib.util
 import itertools
 import random
@@ -84,6 +87,7 @@ from tropic.latticefan import (
     rank,
 )
 from tropic.refine import NewVertex, SubdivisionRecord, check_recession_support, rescale_integral
+from tropic.wellspaced import Departure, WellSpacedVerdict
 
 
 class NonIntegralRatio(TropicError):
@@ -331,6 +335,64 @@ def echelon(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(work):
             break
     return work, pivots
+
+
+def bridgeless_edges(c: TropicalCurve) -> set[str]:
+    """The ids of the edges whose removal leaves the graph connected: in genus 1,
+    the cycle's edges."""
+    def connected(edges) -> bool:
+        first = next(iter(c.vertices))
+        seen, stack = {first}, [first]
+        while stack:
+            v = stack.pop()
+            for e in edges:
+                if v in e.ends:
+                    new = set(e.ends) - seen
+                    seen |= new
+                    stack.extend(new)
+        return len(seen) == len(c.vertices)
+
+    return {e.id for e in c.edges if connected([f for f in c.edges if f is not e])}
+
+
+def reference_well_spaced(c: TropicalCurve) -> WellSpacedVerdict:
+    """Speyer's genus-1 condition, from its definition: the cycle is the edges
+    whose removal leaves the graph connected (``bridgeless_edges``); a point p
+    lies in the affine span of the cycle iff p - base does not raise the exact
+    rank (``echelon``) of the cycle's edge directions, and a ray leaves the
+    span iff its direction raises that rank.  Distances are Dijkstra's over
+    the Fraction lengths of ``edge_lengths``, from every cycle vertex, inside
+    the subgraph of in-span vertices; a vertex it reaches with an edge to a
+    vertex outside the span, or a ray leaving it, is a departure.  Well-spaced
+    iff there is no departure or the smallest distance is attained twice."""
+    lengths = edge_lengths(c)
+    cycle_ids = bridgeless_edges(c)
+    on_cycle = [e for e in c.edges if e.id in cycle_ids]
+    directions = [lengths[e.id][0] for e in on_cycle]
+    base = c.vertices[on_cycle[0].ends[0]]
+    span = len(echelon(directions)[1])
+    codim = c.ambient_dim - span
+
+    def raises(v) -> bool:
+        return len(echelon(directions + [list(v)])[1]) > span
+
+    inside = {v for v, p in c.vertices.items() if not raises([a - b for a, b in zip(p, base)])}
+    dist: dict[str, Fraction] = {}
+    heap = sorted((Fraction(0), v) for e in on_cycle for v in e.ends)  # a sorted list is a heap
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        for e in c.edges:
+            if v in e.ends and all(w in inside for w in e.ends):
+                heapq.heappush(heap, (d + lengths[e.id][1], e.ends[e.ends[0] == v]))
+    departures = tuple(
+        Departure(v, dist[v]) for v in sorted(dist)
+        if any(w not in inside for e in c.edges if v in e.ends for w in e.ends)
+        or any(raises(r.direction) for r in c.rays if r.base == v))
+    distances = [d.distance for d in departures]
+    return WellSpacedVerdict(not distances or distances.count(min(distances)) > 1, codim, departures)
 
 
 def reference_canonical_form(c: Cone):

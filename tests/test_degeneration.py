@@ -135,11 +135,12 @@ def test_certify_round_trip(curve_name, fan_name):
 
 
 def test_certify_and_verify_validate_each_curve_once(monkeypatch):
-    # count, per curve instance, the structural check and every call of the
-    # public validate wherever a tropic module binds it
+    # count, per curve instance, its one pass (which makes the structural
+    # check) and every call of the public validate wherever a tropic module binds it
     import sys
 
     from tropic import curves
+    from tropic.curves import TropicalCurve
 
     checks: dict[int, list] = {}
     calls: dict[int, list] = {}
@@ -150,7 +151,8 @@ def test_certify_and_verify_validate_each_curve_once(monkeypatch):
             return fn(c)
         return wrapper
 
-    monkeypatch.setattr(curves, "_check_structure", counting(checks, curves._check_structure))
+    one_pass = TropicalCurve.__dict__["_pass"]  # its func reads the curve
+    monkeypatch.setattr(one_pass, "func", counting(checks, one_pass.func))
     validate = curves.validate
     for name, module in list(sys.modules.items()):
         if name.startswith("tropic") and getattr(module, "validate", None) is validate:
@@ -645,23 +647,20 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
     # the subdivided and rescaled curves inherit validity and balancing, and
     # the walk hands certify each piece's length/weight as integers, so certify
     # checks the structure of its input alone and reads its input alone, in
-    # one pass that gives the edge data too, however many pieces it makes; the
-    # rescaled curve reads its own from its image only if asked, and verify
-    # does not ask
-    from tropic import curves
+    # the one pass that gives the validation report and the edge data, however
+    # many pieces it makes; the rescaled curve reads its own from its image
+    # only if asked, and verify does not ask
     from tropic.curves import TropicalCurve
 
     built = []
     one_pass = TropicalCurve.__dict__["_pass"]  # its func reads the curve
-    for owner, name, label in ((curves, "_check_structure", "validation"),
-                               (one_pass, "func", "pass")):
-        real = getattr(owner, name)
+    real = one_pass.func
 
-        def counting(c, real=real, label=label):
-            built.append((label, c))
-            return real(c)
+    def counting(c):
+        built.append(c)
+        return real(c)
 
-        monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(one_pass, "func", counting)
     tree, fan = _rich_tree(3, 24)
     certify(tree, fan)  # warms the fan's memo
     fresh = TropicalCurve(tree.ambient_dim, tree.vertices, tree.edges, tree.rays)
@@ -669,7 +668,7 @@ def test_certify_validates_once_and_reads_each_input_edge_once(monkeypatch):
     cert = certify(fresh, fan)
     assert cert.multiplier > 1 and len(cert.rescaled_curve.edges) > len(fresh.edges)
     assert verify_certificate(cert).ok
-    assert [(label, c is fresh) for label, c in built] == [("validation", True), ("pass", True)]
+    assert [c is fresh for c in built] == [True]
     assert "_pass" not in vars(cert.rescaled_curve)  # neither handed over nor run
 
 

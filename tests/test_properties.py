@@ -34,6 +34,7 @@ from helpers import (  # noqa: E402
     reference_edge_data,
     reference_incidence,
     reference_primitive_and_scale,
+    reference_well_spaced,
     scaled,
     signs,
     stellar_fan,
@@ -760,6 +761,12 @@ def test_cycle_normals_cut_out_its_span_and_count_the_excess(c):
     for i, eid in enumerate(steps):
         assert ends[eid] == {walk[i], walk[(i + 1) % len(walk)]}, eid
     assert steps[0] < steps[-1]
+
+
+@DERANDOMIZED
+@hypothesis.given(c=genus_one_curves())
+def test_well_spacedness_matches_the_reference_on_genus_one_curves(c):
+    assert well_spaced(c) == reference_well_spaced(c)
 
 
 @DERANDOMIZED

@@ -23,6 +23,7 @@ from tropic.curves import TropicalCurve
 from tropic.jsonio import curve_to_dict, dumps
 
 SRC = Path(cli.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 ALLOWED = {
     "curves.TropicalCurve.build": "perfbench builds its input curves with it",
@@ -117,3 +118,28 @@ def test_every_library_function_is_reached_by_the_cli_or_allowed(
     assert not missing, f"no CLI run reaches these, and ALLOWED does not name them: {missing}"
     stale = sorted(reached & set(ALLOWED))
     assert not stale, f"a CLI run reaches these ALLOWED entries: {stale}"
+
+
+def _tracer_reads() -> tuple[set[str], set[str]]:
+    """From the source of perfbench/tracer.py: the layer.name of each function
+    its ``WRAPPED`` table names, and every attribute its ``OBSERVERS`` read."""
+    tree = ast.parse(TRACER.read_text())
+    tables = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    wrapped = {f"{layer}.{name}"
+               for layer, names in ast.literal_eval(tables["WRAPPED"]).items() for name in names}
+    observers = {v.id for v in tables["OBSERVERS"].values}
+    read = {node.attr for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in observers
+            for node in ast.walk(f) if isinstance(node, ast.Attribute)}
+    return wrapped, read
+
+
+def test_allowed_entries_that_cite_the_tracer_name_what_it_reads():
+    # an entry kept because perfbench/tracer.py needs it goes stale when the
+    # tracer stops wrapping the function or reading the attribute
+    wrapped, read = _tracer_reads()
+    cited = {name for name, why in ALLOWED.items() if "perfbench/tracer.py" in why}
+    assert cited, "no ALLOWED entry cites perfbench/tracer.py"
+    stale = sorted(name for name in cited
+                   if name not in wrapped and name.rpartition(".")[2] not in read)
+    assert not stale, f"perfbench/tracer.py neither wraps nor reads these ALLOWED entries: {stale}"

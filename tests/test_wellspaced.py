@@ -1,10 +1,11 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import gen, scaled, translated
+from helpers import bridgeless_edges, gen, reference_well_spaced, scaled, translated
 from tropic import fixtures, latticefan
 from tropic.curves import TropicalCurve
 from tropic.defspace import is_superabundant
@@ -53,26 +54,9 @@ def test_cycle_with_pending_tree_parts():
     assert data.vertices == ("v0", "v1", "v2")
 
 
-def _bridgeless_edges(c):
-    """Oracle: the cycle edges are those whose removal leaves the graph connected."""
-    def connected(edges):
-        first = next(iter(c.vertices))
-        seen, stack = {first}, [first]
-        while stack:
-            v = stack.pop()
-            for e in edges:
-                if v in e.ends:
-                    new = set(e.ends) - seen
-                    seen |= new
-                    stack.extend(new)
-        return len(seen) == len(c.vertices)
-
-    return {e.id for e in c.edges if connected([f for f in c.edges if f is not e])}
-
-
 def _check_cycle(c):
     data = cycle(c)
-    on_cycle = _bridgeless_edges(c)
+    on_cycle = bridgeless_edges(c)
     assert set(data.edges) == on_cycle and len(data.edges) == len(on_cycle)
     ends = {e.id: set(e.ends) for e in c.edges}
     walk = data.vertices
@@ -296,3 +280,59 @@ def test_well_spaced_tests_the_span_without_elimination(monkeypatch):
     verdict = well_spaced(c)
     assert verdict.span_codim == 1 and verdict.well_spaced and not verdict.departures
     assert calls == ["double_description"]
+
+
+STEPS = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (1, 1, 1), (0, 0, 1), (0, 0, -1), (1, 0, -1), (2, 1, 0)]
+
+
+def _forest_off_a_plane(rng: random.Random) -> TropicalCurve:
+    """A genus-1 curve in R^3: a cycle of 2 to 5 vertices in z = 0 (two parallel
+    edges, or a polygon, collinear at times), with a forest whose vertices step
+    off the plane and come back to it, and rays in and out of the plane.
+    ``up`` leaves the cycle and ``back``, its child, returns to z = 0: a vertex
+    of the plane that only a vertex out of it joins to the cycle."""
+    def point(z=0):
+        return (Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))),
+                Fraction(rng.randint(-4, 4), rng.choice((1, 2))), z)
+
+    length = rng.randint(2, 5)
+    vertices = {f"c{i}": point() for i in range(length)}
+    while len(set(vertices.values())) < length:
+        vertices = {f"c{i}": point() for i in range(length)}
+    edges = [(f"e{i}", (f"c{i}", f"c{(i + 1) % length}"), rng.randint(1, 3))
+             for i in range(length if length > 2 else 1)]
+    if length == 2:
+        edges.append(("e1", ("c1", "c0"), 1))
+    vertices["up"] = vertices["c0"][:2] + (Fraction(rng.randint(1, 3), rng.choice((1, 2))),)
+    vertices["back"] = point()
+    edges += [("u", ("c0", "up"), 1), ("b", ("back", "up"), 1)]
+    for i in range(rng.randint(1, 8)):
+        parent = rng.choice(sorted(vertices))
+        step = [Fraction(x * rng.randint(1, 3), rng.choice((1, 2))) for x in rng.choice(STEPS)]
+        p = tuple(map(sum, zip(vertices[parent], step)))
+        if p[2] and rng.random() < 0.5:  # come back to the plane
+            p = p[:2] + (0,)
+        if p != vertices[parent]:
+            vertices[f"t{i}"] = p
+            edges.append((f"f{i}", (parent, f"t{i}")[::rng.choice((1, -1))], rng.randint(1, 2)))
+    rays = [(f"r{i}", rng.choice(sorted(vertices)), rng.choice(STEPS), 1)
+            for i in range(rng.randint(0, 4))]
+    return TropicalCurve.build(3, vertices, edges, rays)
+
+
+def test_well_spaced_matches_the_reference_on_forests_that_leave_the_plane():
+    # seeded: the whole verdict, distances included, against the oracle of
+    # tests/helpers.py (cycle by bridges, span by rank, Dijkstra over Fractions)
+    rng = random.Random(54)
+    kinds: Counter = Counter()
+    for _ in range(1200):
+        c = _forest_off_a_plane(rng)
+        verdict = well_spaced(c)
+        assert verdict == reference_well_spaced(c), c
+        reached = {d.vertex for d in verdict.departures}
+        kinds[verdict.span_codim, verdict.well_spaced, len(verdict.departures) > 1] += 1
+        kinds["back unreached"] += verdict.span_codim == 1 and "back" not in reached
+        kinds["positive distance"] += any(d.distance for d in verdict.departures)
+    assert min(kinds[k] for k in ((1, True, True), (1, False, False), (1, False, True),
+                                  (2, True, True), (2, False, False))) >= 50, kinds
+    assert kinds["back unreached"] >= 500 and kinds["positive distance"] >= 100, kinds
